@@ -55,6 +55,7 @@ BER066   info — mutation self-check: planted mutant caught as designed
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -349,12 +350,17 @@ def _diag(code, severity, message, location, node=None, source=None):
     )
 
 
+@functools.lru_cache(maxsize=1024)
 def classify_program(
     program: Program,
     source: str | None = None,
     gate: bool = True,
 ) -> Classification:
     """Classify every loop of the nest; package the verdicts.
+
+    Memoized per ``(program, source, gate)`` — programs and certificates
+    are immutable, and the returned report is shared: read it, do not add
+    to it.
 
     The program is normalized first (recognized self-updates become
     reductions), so parser output and directly-built programs classify

@@ -13,7 +13,7 @@ Code allocation (see DESIGN.md §9 for the full table):
 BER001     CLI input failure (parse/compile of a kernel file)
 BER010-014 DOANY dependence checker (:mod:`repro.analysis.doany`)
 BER020-028 format-contract auditor (:mod:`repro.analysis.contracts`)
-BER030-034 plan & generated-code linter (:mod:`repro.analysis.lint`)
+BER030-035 plan & generated-code linter (:mod:`repro.analysis.lint`)
 BER040-045 SPMD schedule checker (:mod:`repro.analysis.schedule`)
 BER050-055 sparsity-structure analyzer (:mod:`repro.analysis.structure`)
 BER056-059 region-partition auditor (:mod:`repro.analysis.regions`)

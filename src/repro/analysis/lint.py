@@ -23,6 +23,9 @@ BER032   error — generated code reads a name that is never bound
 BER033   error — generated code writes an array outside the declared
          kernel outputs
 BER034   error — generated code rebinds a storage parameter
+BER035   error — the ``prepare``/``run`` split leaks: ``prepare`` touches
+         a value array, or ``run`` recomputes something that depends on
+         structure alone
 =======  ============================================================
 """
 
@@ -44,7 +47,8 @@ _PASS = "lint"
 
 #: names the generated code may read without binding them itself
 _ALLOWED_GLOBALS = frozenset(
-    {"np", "range", "len", "min", "max", "abs", "int", "float", "enumerate"}
+    {"np", "range", "len", "min", "max", "abs", "int", "float", "enumerate",
+     "slice", "FormatError"}
 )
 
 
@@ -192,6 +196,45 @@ def lint_generated_source(
                         f"{where} line {node.lineno}",
                     )
                 )
+    report.extend(_lint_split(tree, where))
+    return report
+
+
+def _lint_split(tree: ast.Module, where: str) -> DiagnosticReport:
+    """BER035: the inspector/executor contract of a ``prepare`` + ``run``
+    source.  Structure is exactly what ``prepare`` takes; the values are
+    the remaining parameters of ``run``."""
+    report = DiagnosticReport()
+    fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    if not {"prepare", "run"} <= set(fns):
+        return report
+    structure = {a.arg for a in fns["prepare"].args.args}
+    values = {a.arg for a in fns["run"].args.args} - structure - {"aux"}
+
+    def leak(message, node):
+        report.add(_diag("BER035", ERROR, message, f"{where} line {node.lineno}"))
+
+    for node in ast.walk(fns["prepare"]):
+        # (a write into a structure array is already BER033: not an output)
+        if isinstance(node, ast.Name) and node.id in values:
+            leak(
+                f"prepare touches {node.id!r}, a value that may change "
+                "between bound calls — aux would go stale", node,
+            )
+    for node in ast.walk(fns["run"]):
+        if not isinstance(node, ast.Call) or ast.unparse(node.func) == "range":
+            continue
+        names = {
+            n.id
+            for arg in [*node.args, *(k.value for k in node.keywords)]
+            for n in ast.walk(arg)
+            if isinstance(n, ast.Name)
+        }
+        if names and names <= structure:
+            leak(
+                f"run recomputes {ast.unparse(node)!r} on every call although "
+                "it depends on structure alone — hoist it into prepare", node,
+            )
     return report
 
 

@@ -23,8 +23,12 @@ for which plan is an :class:`~repro.compiler.backends.ExecutorBackend`:
   ``np.multiply.at``/``np.minimum.at``/``np.maximum.at`` for gather
   scatters).  The additive strategies above stay ``+``-only.
 
-Generated functions take the formats' flat storage arrays (``A_rowptr``,
-``X_vals``, ...) plus free scalars as keyword parameters and mutate the
+Every kernel is emitted as two functions over the formats' flat storage
+arrays (``A_rowptr``, ``X_vals``, ...) and the free scalars — the paper's
+inspector/executor split applied to one sequential kernel:
+``prepare(<structure>) -> aux`` runs once per ``bind()`` and holds whatever
+a strategy hoisted (segment starts, range checks, scratch buffers);
+``run(<storage>, aux)`` does the value-dependent work and mutates the
 output storage in place.
 """
 
@@ -47,11 +51,6 @@ class KernelUnit:
 
     stmt: Assign
     plan: Plan
-
-
-def _bound_expr(sym: str) -> str:
-    """A loop-bound symbol as a code expression (numeral or scalar param)."""
-    return sym
 
 
 class _NestState:
@@ -88,7 +87,7 @@ def _emit_steps(
         if step.kind == "dense":
             spec = loopspec[step.var]
             g.open(
-                f"for {step.var} in range({_bound_expr(spec.lo)}, {_bound_expr(spec.hi)}):"
+                f"for {step.var} in range({spec.lo}, {spec.hi}):"
             )
         elif step.kind == "merge":
             fmt = formats[step.term]
@@ -203,6 +202,65 @@ def _multiplicative_factors(expr: Expr):
     return (sign, factors) if ok else None
 
 
+def _chain(parts, seed: str | None = None) -> str | None:
+    """Left-to-right product/quotient of ``(op, code)`` pairs; the order
+    fixes the rounding.  None when there is nothing to chain."""
+    out = seed
+    for op, code in parts:
+        if out is None:
+            out = code if op == "*" else f"(1.0 {op} {code})"
+        else:
+            out = f"({out} {op} {code})"
+    return out
+
+
+def _load_part(op: str, fmt: Format, name: str, idx: str):
+    """``(op, code, gather)`` of the 1-D vector load ``name[idx]``.
+    ``gather`` is the ``(array, index, extent)`` of a plain fancy load —
+    what :func:`_emit_flat_product` turns into ``np.take(out=)`` — or None
+    when the format overrides the load (translated vectors)."""
+    gather = (f"{name}_vals", idx, f"{name}_n0") if _plain_vals(fmt) else None
+    return op, fmt.emit_load_vec(name, [idx]), gather
+
+
+def _plain_vals(fmt: Format) -> bool:
+    """The format loads ``name[idx]`` as ``name_vals[idx]`` (no override)."""
+    return type(fmt).emit_load_vec is Format.emit_load_vec
+
+
+def _emit_flat_product(g: Emitter, parts) -> str:
+    """Emit the per-entry product of ``parts`` (``_load_part`` triples) and
+    return the expression holding it.
+
+    With a gather among two or more factors the product is built in one
+    scratch buffer owned by ``aux``: ``np.take(..., out=, mode="clip")``
+    then in-place multiplies, same factor order as the plain expression.
+    ``clip`` skips numpy's per-call bounds check, so ``prepare`` checks the
+    index array against the extent once and raises ``FormatError``."""
+    first = next((p[2] for p in parts if p[2]), None)
+    if first is None or len(parts) < 2:
+        return _chain([(op, code) for op, code, _ in parts])
+    buf = g.hoist("buf", f"np.empty({first[1]}.shape)")
+    cur = None
+    for op, code, gather in parts:
+        if gather and cur != buf:
+            arr, idx, extent = gather
+            g.hoist(
+                None,
+                f"if {idx}.size and not (0 <= {idx}.min() and {idx}.max() < {extent}): "
+                f"raise FormatError('{idx} holds an index outside [0, {extent})')",
+            )
+            g.emit(f"np.take({arr}, {idx}, out={buf}, mode='clip')")
+            code = buf
+        if cur is None and op == "*":
+            cur = code
+        else:
+            fn = "np.multiply" if op == "*" else "np.divide"
+            g.emit(f"{fn}({cur or '1.0'}, {code}, out={buf})")
+            cur = buf
+    return cur
+
+
 def _vector_shape_ok(unit: KernelUnit, formats: dict[str, Format]) -> bool:
     """Plan/expression shape the single-axis vectorizer can lower
     (operator-agnostic — the strategies split on the statement's op)."""
@@ -272,17 +330,73 @@ def _emit_vector_nest(
 ) -> None:
     plan, stmt = unit.plan, unit.stmt
     last = plan.steps[-1]
+    target = stmt.target
+    out_name = f"{target.array}_vals"
+    red_op = stmt.op if stmt.reduce else "+"
+    sign, factors = _multiplicative_factors(stmt.expr)
+    # Work that does not depend on the outer iteration moves in front of the
+    # outer loops.  The view is probed with "\0" standing for the parent
+    # position, so anything parent-dependent is recognizable.
+    scatter_back = flat_prod = None
+    if last.kind == "enumerate" and len(plan.steps) > 1:
+        axes = plan.query.term_for(last.term).indices
+        probe = formats[last.term].inner_vector_view(last.term, "\0")
+        index = {v: probe["index"][a] for a, v in enumerate(axes) if a in probe["index"]}
+
+        def flat(tpl: str) -> str | None:
+            """The whole array a ``ARRAY[{s}:{e}]`` template slices by entry
+            position (then ``part(s, e) == part(whole)[s:e]``), or None."""
+            head = tpl.removesuffix("[{s}:{e}]")
+            return None if head == tpl or "{" in head or "\0" in head else head
+
+        def flat_part(op: str, f: Ref):
+            """``_load_part`` triple of a vector factor that depends on the
+            entry position alone, else None."""
+            if f.array == last.term:
+                head = flat(probe["vals"])
+                return head and (op, head, None)
+            kind, tpl = index[f.indices[0]] if len(f.indices) == 1 else (None, "")
+            head = flat(tpl) if kind == "gather" else None
+            return head and _load_part(op, formats[f.array], f.array, head)
+
+        # (a) every vector factor is such a slice (jagged diagonals): form
+        # the product over all entries once, slice it per outer iteration.
+        # Scatter targets only — reductions keep their np.dot rounding.
+        parts = [
+            flat_part(op, f)
+            for op, f in factors
+            if isinstance(f, Ref) and set(f.indices) & set(index)
+        ]
+        if set(target.indices) & set(index) and all(parts):
+            flat_prod = _emit_flat_product(g, parts)
+        # (b) a 1-D target scattered through a "prefix" index (PERM[0:len]
+        # on every jagged diagonal) pays one gather-scatter per outer
+        # iteration.  Accumulate in permuted order instead: gather the
+        # target once, update contiguous prefixes, scatter back once — the
+        # same adds in the same order, so bitwise the per-iteration result.
+        kind, perm = index.get(target.indices[0], (None, None))
+        if (
+            kind == "prefix"
+            and len(target.indices) == 1
+            and _plain_vals(formats[target.array])
+            and all(r.array != target.array for r in stmt.expr.refs())
+        ):
+            acc = g.fresh("acc")
+            g.emit(f"{acc} = {out_name}[{perm}]")
+            scatter_back = f"{out_name}[{perm}] = {acc}"
+            out_name = acc
     st = _emit_steps(g, program, plan, formats, plan.steps[:-1])
 
     s_var, e_var = g.fresh("s"), g.fresh("e")
+    span_len = f"({e_var} - {s_var})"
     # var -> (kind, payload, unique): kind "affine"|"gather"; unique means
     # the index values never repeat within the slice (safe for fancy `+=`)
     vec_map: dict[str, tuple[str, str, bool]] = {}
     driver_vals: str | None = None
     if last.kind == "dense":
         spec = {l.var: l for l in program.loops}[last.var]
-        g.emit(f"{s_var} = {_bound_expr(spec.lo)}")
-        g.emit(f"{e_var} = {_bound_expr(spec.hi)}")
+        g.emit(f"{s_var} = {spec.lo}")
+        g.emit(f"{e_var} = {spec.hi}")
         vec_map[last.var] = ("affine", s_var, True)
     else:
         fmt = formats[last.term]
@@ -296,46 +410,47 @@ def _emit_vector_nest(
         g.emit(f"{e_var} = {hi}")
         avm = {a: v for a, v in enumerate(term.indices)}
         unique_axes = view.get("unique_axes", frozenset())
-        for a, desc in view["index"].items():
-            if a in avm:
-                kind, tpl = desc
-                vec_map[avm[a]] = (
-                    kind,
-                    tpl.format(s=s_var, e=e_var) if kind == "gather" else tpl,
-                    kind == "affine" or a in unique_axes,
-                )
+        for a, (kind, tpl) in view["index"].items():
+            if a not in avm:
+                continue
+            if kind == "prefix":
+                kind, tpl = "gather", f"{tpl}[:{span_len}]"
+            elif kind == "gather":
+                tpl = tpl.format(s=s_var, e=e_var)
+            vec_map[avm[a]] = (kind, tpl, kind == "affine" or a in unique_axes)
         driver_vals = view["vals"].format(s=s_var, e=e_var)
+
+    def index_parts(ref: Ref):
+        """Per-axis numpy index code of ``ref`` under the vector map, plus
+        (any axis gathered, fancy in-place update is duplicate-free)."""
+        paired = sum(v in vec_map for v in ref.indices) > 1
+        parts, gather, safe = [], False, False
+        for v in ref.indices:
+            kind, payload, unique = vec_map.get(v, ("scalar", v, False))
+            if kind == "affine":
+                safe = True
+                if paired:
+                    # two vectorized axes address *pairs*; slices would
+                    # select the whole block (C[i,j] over a diagonal run)
+                    payload = f"np.arange({payload}, {payload} + {span_len})"
+                else:
+                    payload = f"{payload}:{payload} + {span_len}"
+            elif kind == "gather":
+                gather, safe = True, safe or unique
+            parts.append(payload)
+        return parts, gather, safe
 
     def ref_expr(ref: Ref) -> tuple[str, bool]:
         """(code, is_vector) for a reference under the vector map."""
         if last.kind == "enumerate" and ref.array == last.term:
             return driver_vals, True
         fmt = formats[ref.array]
-        idx_exprs: dict[int, str] = {}
-        vec = False
-        for a, v in enumerate(ref.indices):
-            if v in vec_map:
-                kind, payload, _unique = vec_map[v]
-                idx_exprs[a] = (kind, payload)
-                vec = True
-            else:
-                idx_exprs[a] = ("scalar", v)
-        if not vec:
-            tmp = Emitter()
-            return fmt.emit_load(tmp, ref.array, {a: v for a, v in enumerate(ref.indices)}, st.final_pos.get(ref.array)), False
-        # build a numpy indexing expression through the format's own hook
-        parts = []
-        for a in range(len(ref.indices)):
-            kind, payload = idx_exprs[a]
-            if kind == "scalar":
-                parts.append(payload)
-            elif kind == "affine":
-                parts.append(f"{payload}:{payload} + ({e_var} - {s_var})")
-            else:
-                parts.append(payload)
-        return fmt.emit_load_vec(ref.array, parts), True
+        if not any(v in vec_map for v in ref.indices):
+            avm = {a: v for a, v in enumerate(ref.indices)}
+            return fmt.emit_load(Emitter(), ref.array, avm, st.final_pos.get(ref.array)), False
+        # a numpy indexing expression through the format's own hook
+        return fmt.emit_load_vec(ref.array, index_parts(ref)[0]), True
 
-    sign, factors = _multiplicative_factors(stmt.expr)
     scalar_parts: list[tuple[str, str]] = []
     vector_parts: list[tuple[str, str]] = []
     for op, f in factors:
@@ -343,106 +458,92 @@ def _emit_vector_nest(
             scalar_parts.append((op, repr(f.value)))
         elif isinstance(f, Scalar):
             scalar_parts.append((op, f.name))
+        elif isinstance(f, BinOp):
+            raise CompileError("vectorizer: nested denominator unsupported")
         else:
-            assert isinstance(f, (Ref, BinOp))
-            if isinstance(f, BinOp):
-                raise CompileError("vectorizer: nested denominator unsupported")
             code, is_vec = ref_expr(f)
             (vector_parts if is_vec else scalar_parts).append((op, code))
     if sign < 0:
         scalar_parts.insert(0, ("*", "-1.0"))
 
-    def chain(parts: list[tuple[str, str]], seed: str | None = None) -> str:
-        out = seed
-        for op, code in parts:
-            if out is None:
-                out = code if op == "*" else f"(1.0 {op} {code})"
-            else:
-                out = f"({out} {op} {code})"
-        return out or "1.0"
+    contrib = f"{flat_prod}[{s_var}:{e_var}]" if flat_prod else _chain(vector_parts) or "1.0"
+    tgt_idx = ", ".join(target.indices)
+    combine = {"min": "np.minimum", "max": "np.maximum"}.get(red_op)
 
-    target = stmt.target
-    tgt_vec_axes = [v for v in target.indices if v in vec_map]
-    out_name = f"{target.array}_vals"
-    red_op = stmt.op if stmt.reduce else "+"
+    def emit_update(sel: str, value: str) -> None:
+        if combine:
+            g.emit(f"{sel} = {combine}({sel}, {value})")
+        else:
+            g.emit(f"{sel} {red_op}= {value}")
 
-    if not tgt_vec_axes and red_op == "+":
+    if not any(v in vec_map for v in target.indices) and red_op == "+":
         # full reduction over the vector axis into a scalar target slot
         mults = [c for op, c in vector_parts if op == "*"]
-        divs = [c for op, c in vector_parts if op == "/"]
-        if len(mults) == 2 and not divs:
+        if len(mults) == 2 and len(vector_parts) == 2:
             contrib = f"np.dot({mults[0]}, {mults[1]})"
-        elif len(mults) == 1 and not divs:
-            contrib = f"np.sum({mults[0]})"
         else:
-            contrib = f"np.sum({chain(vector_parts)})"
-        scal = chain(scalar_parts) if scalar_parts else None
-        value = contrib if scal is None else f"({scal}) * {contrib}"
-        tgt_idx = ", ".join(target.indices)
-        g.emit(f"{out_name}[{tgt_idx}] += {value}")
-    elif not tgt_vec_axes:
+            contrib = f"np.sum({contrib})"
+        if scalar_parts:
+            contrib = f"({_chain(scalar_parts)}) * {contrib}"
+        g.emit(f"{out_name}[{tgt_idx}] += {contrib}")
+    elif not any(v in vec_map for v in target.indices):
         # non-additive full reduction into a scalar slot: combine the
         # per-entry contribution vector, guarding the empty slice (min/max
         # of an empty slice is the identity — no entries, no combine)
-        contrib = chain(vector_parts)
         if scalar_parts:
             # scalars fold into every entry BEFORE the combine (they do
             # not factor out of a product or a min the way they scale a sum)
-            contrib = f"({chain(scalar_parts)}) * {contrib}"
-        tgt_idx = ", ".join(target.indices)
+            contrib = f"({_chain(scalar_parts)}) * {contrib}"
         if red_op == "*":
             g.emit(f"{out_name}[{tgt_idx}] *= np.prod({contrib})")
         else:
             red_var = g.fresh("red")
             g.emit(f"{red_var} = np.asarray({contrib})")
             g.open(f"if {red_var}.size:")
-            fn = "np.minimum" if red_op == "min" else "np.maximum"
-            sel = f"{out_name}[{tgt_idx}]"
-            g.emit(f"{sel} = {fn}({sel}, {red_var}.{red_op}())")
+            emit_update(f"{out_name}[{tgt_idx}]", f"{red_var}.{red_op}()")
             g.close()
     else:
-        contrib = chain(vector_parts, seed=None)
         if scalar_parts:
-            contrib = f"({chain(scalar_parts)}) * {contrib}"
-        idx_parts: list[str] = []
-        gather = False
+            contrib = f"({_chain(scalar_parts)}) * {contrib}"
         # fancy `+=` loses updates on duplicate targets; it is safe iff at
         # least one vectorized target axis is duplicate-free in the slice
         # (affine axes always are), since then the index tuples are distinct
-        safe_inplace = False
-        for v in target.indices:
-            if v in vec_map:
-                kind, payload, unique = vec_map[v]
-                if kind == "affine":
-                    idx_parts.append(f"{payload}:{payload} + ({e_var} - {s_var})")
-                    safe_inplace = True
-                else:
-                    idx_parts.append(payload)
-                    gather = True
-                    safe_inplace = safe_inplace or unique
-            else:
-                idx_parts.append(v)
-        ufunc = {
-            "+": "np.add.at",
-            "*": "np.multiply.at",
-            "min": "np.minimum.at",
-            "max": "np.maximum.at",
-        }[red_op]
+        idx_parts, gather, safe_inplace = index_parts(target)
+        if scatter_back:  # the accumulator holds the target in prefix order
+            idx_parts, gather = [f":{span_len}"], False
         if gather and not safe_inplace:
             # unbuffered ufunc scatter: duplicate target indices each get
             # their own combine (privatized accumulation)
+            ufunc = combine or {"+": "np.add", "*": "np.multiply"}[red_op]
             idx = idx_parts[0] if len(idx_parts) == 1 else f"({', '.join(idx_parts)})"
-            g.emit(f"{ufunc}({out_name}, {idx}, {contrib})")
-        else:
-            sel = f"{out_name}[{', '.join(idx_parts)}]"
-            if red_op == "+":
-                g.emit(f"{sel} += {contrib}")
-            elif red_op == "*":
-                g.emit(f"{sel} *= {contrib}")
+            if len(idx_parts) > 1 or st.depth_opened:
+                g.emit(f"{ufunc}.at({out_name}, {idx}, {contrib})")
             else:
-                fn = "np.minimum" if red_op == "min" else "np.maximum"
-                g.emit(f"{sel} = {fn}({sel}, {contrib})")
+                # one flat scatter (Coordinate): when prepare finds the
+                # targets sorted in runs long enough for reduceat to beat
+                # ufunc.at (measured break-even ~9 entries), reduce each run
+                # and update its now duplicate-free target once
+                tgt = idx.replace(s_var, lo).replace(e_var, hi)
+                cut = g.hoist("cut", f"np.flatnonzero({tgt}[1:] != {tgt}[:-1]) + 1")
+                starts = g.hoist(
+                    "seg",
+                    f"np.concatenate(([0], {cut})) if {tgt}.size >= 12 * ({cut}.size + 1)"
+                    f" and ({tgt}[1:] >= {tgt}[:-1]).all() else None",
+                )
+                rows = g.hoist("rows", f"None if {starts} is None else {tgt}[{starts}]")
+                val = g.fresh("v")
+                g.emit(f"{val} = {contrib}")
+                g.open(f"if {starts} is None:")
+                g.emit(f"{ufunc}.at({out_name}, {idx}, {val})")
+                g.close()
+                g.open("else:")
+                emit_update(f"{out_name}[{rows}]", f"{ufunc}.reduceat({val}, {starts})")
+                g.close()
+        else:
+            emit_update(f"{out_name}[{', '.join(idx_parts)}]", contrib)
     g.close(st.depth_opened)
+    if scatter_back:
+        g.emit(scatter_back)
 
 
 # ----------------------------------------------------------------------
@@ -565,22 +666,13 @@ def _emit_block_nest(
     if sign < 0:
         scalar_parts.insert(0, ("*", "-1.0"))
 
-    def chain(parts, seed=None):
-        out = seed
-        for op, code in parts:
-            if out is None:
-                out = code if op == "*" else f"(1.0 {op} {code})"
-            else:
-                out = f"({out} {op} {code})"
-        return out
-
-    xg = chain(col_parts)
+    xg = _chain(col_parts)
     res = f"{blk} @ ({xg})" if xg else f"{blk}.sum(axis=1)"
-    pre = chain(row_parts)
+    pre = _chain(row_parts)
     if pre:
         res = f"({pre}) * ({res})"
     if scalar_parts:
-        res = f"({chain(scalar_parts)}) * ({res})"
+        res = f"({_chain(scalar_parts)}) * ({res})"
     out_name = f"{stmt.target.array}_vals"
     if view["rows"][0] == "gather" and not view.get("unique_rows", False):
         g.emit(f"np.add.at({out_name}, {rows_idx}, {res})")
@@ -668,7 +760,7 @@ def _emit_segmented_nest(
         avm[a]: expr for a, expr in view["index"].items() if a in avm
     }
     sign, factors = _multiplicative_factors(stmt.expr)
-    flat_parts: list[tuple[str, str]] = []  # per-entry factors
+    flat_parts = []  # per-entry factors (_load_part triples)
     outer_parts: list[tuple[str, str]] = []  # per-segment factors
     scalar_parts: list[tuple[str, str]] = []
     for op, f in factors:
@@ -677,57 +769,36 @@ def _emit_segmented_nest(
         elif isinstance(f, Scalar):
             scalar_parts.append((op, f.name))
         elif f.array == driver:
-            flat_parts.append((op, view["vals"]))
+            flat_parts.append((op, view["vals"], None))
         elif set(f.indices) == {outer_var}:
             outer_parts.append((op, f.array))
         else:
             flat_parts.append(
-                (op, formats[f.array].emit_load_vec(f.array, [gather_of[f.indices[0]]]))
+                _load_part(op, formats[f.array], f.array, gather_of[f.indices[0]])
             )
     if sign < 0:
         scalar_parts.insert(0, ("*", "-1.0"))
 
-    def chain(parts, seed=None):
-        out = seed
-        for op, code in parts:
-            if out is None:
-                out = code if op == "*" else f"(1.0 {op} {code})"
-            else:
-                out = f"({out} {op} {code})"
-        return out
-
-    prod = chain(flat_parts)
-    out_name = f"{stmt.target.array}_vals"
+    prod = _emit_flat_product(g, flat_parts)
     if view["kind"] == "segments":
+        # the non-empty rows and their segment starts are structure: found
+        # once in prepare; a matrix without empty rows updates Y in place
         seg = view["segments"]
-        p_var, ne_var = g.fresh("prod"), g.fresh("ne")
-        g.emit(f"{p_var} = {prod}")
-        g.emit(f"{ne_var} = np.flatnonzero(np.diff({seg}))")
-        red = f"np.add.reduceat({p_var}, {seg}[{ne_var}])"
-        pieces = outer_parts and chain(
-            [
-                (op, formats[name].emit_load_vec(name, [ne_var]))
-                for op, name in outer_parts
-            ]
-        )
-        if pieces:
-            red = f"({pieces}) * {red}"
-        if scalar_parts:
-            red = f"({chain(scalar_parts)}) * {red}"
-        g.emit(f"{out_name}[{ne_var}] += {red}")
+        ne = g.hoist("ne", f"np.flatnonzero(np.diff({seg}))")
+        starts = g.hoist("seg", f"{seg}[{ne}]")
+        rows = g.hoist("rows", f"slice(None) if {ne}.size + 1 == {seg}.size else {ne}")
+        red = f"np.add.reduceat({prod}, {starts})"
     else:  # dense2d
+        rows = ":"
         red = f"({prod}).sum(axis=1)"
-        if outer_parts:
-            full = chain(
-                [
-                    (op, formats[name].emit_load_vec(name, [":"]))
-                    for op, name in outer_parts
-                ]
-            )
-            red = f"({full}) * {red}"
-        if scalar_parts:
-            red = f"({chain(scalar_parts)}) * {red}"
-        g.emit(f"{out_name}[:] += {red}")
+    if outer_parts:
+        pieces = _chain(
+            [(op, formats[name].emit_load_vec(name, [rows])) for op, name in outer_parts]
+        )
+        red = f"({pieces}) * {red}"
+    if scalar_parts:
+        red = f"({_chain(scalar_parts)}) * {red}"
+    g.emit(f"{stmt.target.array}_vals[{rows}] += {red}")
 
 
 def _zero_fill(g: Emitter, target: Ref, formats: dict[str, Format]) -> None:
@@ -742,23 +813,26 @@ def generate_source(
     formats: dict[str, Format],
     param_names: list[str],
     backend,
-    func_name: str = "kernel",
 ) -> tuple[str, tuple[str, ...]]:
-    """Emit the full kernel function for the program's plan units.
+    """Emit the kernel's two functions for the program's plan units.
 
-    ``backend`` is an :class:`~repro.compiler.backends.ExecutorBackend`;
-    every unit is lowered through ``backend.lower_unit``.  Returns the
-    source plus the per-unit lowering labels (``"noop"``, a strategy
-    name, or ``"fallback:scalar"``).
+    ``prepare(<structure>) -> aux`` computes everything that depends on
+    structure alone — index sets, range checks, scratch buffers (whatever
+    the strategies :meth:`~repro.formats.base.Emitter.hoist`); its
+    parameters are ``param_names`` minus the formats' value arrays and the
+    free scalars that are not loop bounds.  ``run(<param_names>, aux)``
+    does the value-dependent work.  ``backend`` is an
+    :class:`~repro.compiler.backends.ExecutorBackend`; every unit is
+    lowered through ``backend.lower_unit``.  Returns the source plus the
+    per-unit lowering labels (``"noop"``, a strategy name, or
+    ``"fallback:scalar"``).
     """
     with span("compiler.codegen", units=len(units), backend=backend.name) as sp:
         g = Emitter()
         # parameter names must never be reused as generated temporaries (a
         # storage array named like a fresh temp would be clobbered)
-        g.reserve(param_names)
-        g.emit(f"def {func_name}({', '.join(param_names)}):")
-        g.depth += 1
-        body_start = len(g.lines)
+        g.reserve([*param_names, "aux"])
+        g.depth = 1
         labels: list[str] = []
         for unit in units:
             if not unit.stmt.reduce:
@@ -768,9 +842,18 @@ def generate_source(
                 labels.append("noop")
                 continue
             labels.append(backend.lower_unit(g, program, unit, formats))
-        if len(g.lines) == body_start:
+        if not g.lines:
             g.emit("pass")
-        g.depth -= 1
-        src = g.source()
+        values = {f"{n}_{k}" for n, f in formats.items() for k in f.value_keys}
+        values |= program.scalar_names() - {l.hi for l in program.loops}
+        names = [name for name, _ in g.hoisted if name]
+        aux = ", ".join(names) + ("," if len(names) == 1 else "")
+        head = [f"def prepare({', '.join(p for p in param_names if p not in values)}):"]
+        head += [f"    {name} = {code}" if name else f"    {code}" for name, code in g.hoisted]
+        head += [f"    return ({aux})", "", ""]
+        head += [f"def run({', '.join([*param_names, 'aux'])}):"]
+        if names:
+            head.append(f"    ({aux}) = aux")
+        src = "\n".join(head + g.lines) + "\n"
         sp.set(backends=labels, lines=len(g.lines), chars=len(src))
     return src, tuple(labels)

@@ -34,7 +34,7 @@ from repro.compiler.plan_cache import PlanCache, kernel_cache_key
 from repro.compiler.query_extract import extract_query
 from repro.compiler.scheduling import plan_query
 from repro.compiler.sparsity import split_statement
-from repro.errors import CompileError, VerificationError
+from repro.errors import CompileError, FormatError, VerificationError
 from repro.formats.base import Format
 from repro.observability import metrics as _metrics
 from repro.observability import trace as _trace
@@ -142,9 +142,11 @@ class CompiledKernel:
         self.source, self.unit_backends = codegen.generate_source(
             program, units, dict(formats), self.param_names, backend=backend
         )
-        ns: dict = {"np": np}
+        ns: dict = {"np": np, "FormatError": FormatError}
         exec(compile(self.source, "<bernoulli-kernel>", "exec"), ns)
-        self._fn = ns["kernel"]
+        self._prepare, self._run = ns["prepare"], ns["run"]
+        code = self._prepare.__code__
+        self._prepare_names = code.co_varnames[: code.co_argcount]
 
     # ------------------------------------------------------------------
     def _bound_var_rules(self, formats: Mapping[str, Format]) -> list[_BoundVar]:
@@ -226,42 +228,50 @@ class CompiledKernel:
     def bind(self, **bindings):
         """Pre-bind storage and scalars; returns a zero-argument callable.
 
-        All validation, storage-dict construction and bound resolution
-        happen once — the returned closure only invokes the generated
-        function.  Use this in executor loops that run the same kernel on
-        the same containers every iteration (the containers' *arrays* may
-        be mutated freely between calls; rebind if they are replaced)."""
+        All validation, storage-dict construction, bound resolution and the
+        generated ``prepare`` (index sets, gather-index range checks —
+        :class:`~repro.errors.FormatError` on a bad index — and scratch
+        buffers) happen once; the returned closure only invokes the
+        generated ``run``.  Use this in loops that run the same kernel on
+        the same containers every iteration.
+
+        Contract: between calls the containers' *values* may change in
+        place, their *structure* (index arrays, extents) may not — rebind
+        after changing it, or after replacing an array.  The callable owns
+        its scratch, so it is not re-entrant across threads; the kernel
+        itself is, since every ``bind()`` prepares its own ``aux`` (which
+        holds indices and scratch only, never matrix values)."""
         ns = self._build_namespace(bindings)
         args = tuple(ns[k] for k in self.param_names)
-        fn = self._fn
-        counters = self._counters_for(
-            {n: v for n, v in bindings.items() if isinstance(v, Format)}
-        )
+        with _trace.span("kernel.prepare", backend=self.backend):
+            aux = self._prepare(*[ns[k] for k in self._prepare_names])
+        _metrics.record("compiler.kernels.prepares")
+        run = self._run
+        arrays = {n: v for n, v in bindings.items() if isinstance(v, Format)}
+        counters = None
 
         def bound() -> None:
-            fn(*args)
+            nonlocal counters
+            run(*args, aux)
             if _metrics.metrics_enabled():
+                c = counters = counters or self._counters_for(arrays)
                 _metrics.record("kernel.calls")
-                _metrics.record("kernel.flops", counters.flops)
-                _metrics.record("kernel.nnz_touched", counters.nnz_touched)
-                _metrics.record("kernel.rows_visited", counters.rows_visited)
+                _metrics.record("kernel.flops", c.flops)
+                _metrics.record("kernel.nnz_touched", c.nnz_touched)
+                _metrics.record("kernel.rows_visited", c.rows_visited)
 
         return bound
 
     def __call__(self, **bindings) -> None:
-        """Run the kernel.  Pass each array as a Format instance of the
-        compiled class, plus any free scalars.  Outputs mutate in place."""
-        ns = self._build_namespace(bindings)
-        if _metrics.metrics_enabled() or _trace.tracing_enabled():
-            self._instrumented_call(ns, bindings)
-        else:
-            self._fn(**{k: ns[k] for k in self.param_names})
-
-    def _instrumented_call(self, ns: dict, bindings: Mapping) -> None:
-        """Slow path: run under a span, count flops/nnz/rows, record."""
+        """Run the kernel: ``run(..., prepare(...))`` through :meth:`bind`.
+        Pass each array as a Format instance of the compiled class, plus
+        any free scalars.  Outputs mutate in place."""
+        bound = self.bind(**bindings)
+        if not (_metrics.metrics_enabled() or _trace.tracing_enabled()):
+            return bound()
+        # slow path: run under a span carrying the work counters
         arrays = {n: v for n, v in bindings.items() if isinstance(v, Format)}
-        c = self._counters_for(arrays)
-        self.last_counters = c
+        c = self.last_counters = self._counters_for(arrays)
         with _trace.span(
             "kernel.call",
             flops=c.flops,
@@ -269,11 +279,7 @@ class CompiledKernel:
             rows_visited=c.rows_visited,
             arrays={n: type(v).__name__ for n, v in arrays.items()},
         ):
-            self._fn(**{k: ns[k] for k in self.param_names})
-        _metrics.record("kernel.calls")
-        _metrics.record("kernel.flops", c.flops)
-        _metrics.record("kernel.nnz_touched", c.nnz_touched)
-        _metrics.record("kernel.rows_visited", c.rows_visited)
+            bound()
 
     def _build_namespace(self, bindings) -> dict:
         ns: dict[str, object] = {}
@@ -373,7 +379,9 @@ def compile_kernel(
         pair, ``"warn"`` downgrades findings to a Python warning,
         ``"off"`` skips the check.  The verdict is attached to the kernel
         as a :class:`~repro.analysis.depend.ParallelismCertificate` and
-        independently re-validated (BER064) on every cache hit.
+        re-validated on every cache hit: it must equal the certificate
+        this request's program classifies to, or pass the independent
+        BER064 re-derivation.
     extra_key:
         Extra cache-key components (hashable tuple).  Used by the
         auto-planner to join the structure-profile fingerprint to the
@@ -462,11 +470,13 @@ def compile_kernel(
             )
             sp.set(cache_hit=outcome != "compiled", cache_outcome=outcome)
             if outcome != "compiled" and verify != "off":
-                # never trust a cached plan's parallelism claim: re-validate
-                # the stored certificate against this request's program
+                # never trust a cached plan's parallelism claim.  A stored
+                # certificate equal to the one just derived for *this*
+                # request's program is validated by that derivation; any
+                # other one goes through the full independent re-check.
                 if kern.certificate is None:
                     kern.certificate = certificate
-                else:
+                elif kern.certificate != certificate:
                     from repro.analysis.depend import check_certificate
 
                     chk = check_certificate(program, kern.certificate)

@@ -28,6 +28,7 @@ unaffected).
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.compiler.ast_nodes import (
@@ -243,8 +244,12 @@ class _Parser:
         raise self.error(f"expected loop bound, got {t!r}", self.prev_span())
 
 
+@functools.lru_cache(maxsize=1024)
 def parse(src: str) -> Program:
-    """Parse mini-language source into a :class:`Program`."""
+    """Parse mini-language source into a :class:`Program`.
+
+    Memoized per source text (programs are immutable): a solver or service
+    re-issuing the same nest gets the same ``Program`` object back."""
     with span("compiler.parse", chars=len(src)) as sp:
         try:
             tokens = tokenize_spans(src)

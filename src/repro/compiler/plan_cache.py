@@ -39,6 +39,7 @@ worker threads at once), so it is bounded and race-free by construction:
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 
@@ -69,24 +70,30 @@ def kernel_cache_key(
     profile's fingerprint — keep otherwise-identical requests apart (or,
     symmetrically, share them only when the decision inputs matched).
     """
-    sparse = {
+    sparse = frozenset(
         name for name in program.arrays() if not formats[name].structurally_dense
-    }
-    predicates = tuple(
-        repr(sparsity_predicate(piece.expr, sparse))
-        for stmt in program.body
-        for piece in split_statement(stmt)
     )
     specs = tuple(sorted((name, fmt.spec()) for name, fmt in formats.items()))
     return (
-        repr(program),
+        *_program_key(program, sparse),
         specs,
-        predicates,
         backend,
         force_driver,
         allow_merge,
         tuple(extra_key),
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def _program_key(program: Program, sparse: frozenset) -> tuple[str, tuple]:
+    """The program-only part of the key: canonical text and the sparsity
+    predicates of the split statements (memoized — programs are immutable)."""
+    predicates = tuple(
+        repr(sparsity_predicate(piece.expr, sparse))
+        for stmt in program.body
+        for piece in split_statement(stmt)
+    )
+    return repr(program), predicates
 
 
 class _Inflight:

@@ -532,30 +532,16 @@ class HybridKernel:
         return tuple(k.unit_backends for k in self.kernels)
 
     def __call__(self, **formats):
-        hybrid = formats.get(self.name)
-        if not isinstance(hybrid, HybridMatrix):
-            raise CompileError(
-                f"HybridKernel expects {self.name}= a HybridMatrix, got "
-                f"{type(hybrid).__name__}"
-            )
-        if hybrid.partition.fingerprint() != self.partition.fingerprint():
-            raise CompileError(
-                "HybridMatrix partition does not match the partition this "
-                "kernel was compiled for"
-            )
-        for fmt, kernel in zip(hybrid.region_formats, self.kernels):
-            call = dict(formats)
-            call[self.name] = fmt
-            kernel(**call)
+        self.bind(**formats)()
 
     def bind(self, **formats):
         """Pre-bind every sub-kernel; returns a zero-argument callable.
 
-        Mirrors :meth:`CompiledKernel.bind`: validation, storage-dict
-        construction and bound resolution happen once per region, so a
-        timing loop (or an iterative solver re-running the same SpMV)
-        pays only the generated functions per call — the composed plan's
-        per-call dispatch overhead drops to one closure call per region.
+        Composes the sub-kernels' bound forms (:meth:`CompiledKernel.bind`,
+        same values-may-change / structure-may-not contract): validation,
+        storage-dict construction, bound resolution and every region's
+        ``prepare`` happen once, so a timing loop (or an iterative solver
+        re-running the same SpMV) pays one generated ``run`` per region.
         The summation order is still the fixed partition order.
         """
         hybrid = formats.get(self.name)

@@ -44,6 +44,9 @@ class Emitter:
         self.depth = 0
         self._counters: dict[str, int] = {}
         self._reserved: set[str] = set()
+        #: body of the kernel's ``prepare``, in order: ``(name, expr)``
+        #: bindings and ``(None, statement)`` checks made by :meth:`hoist`
+        self.hoisted: list[tuple[str | None, str]] = []
 
     def emit(self, line: str = "") -> None:
         """Append one line at the current indentation depth."""
@@ -80,6 +83,24 @@ class Emitter:
             name = f"_{base}{n}"
         self._counters[base] = n + 1
         self._reserved.add(name)
+        return name
+
+    def hoist(self, base: str | None, expr: str) -> str | None:
+        """Compute ``expr`` once per ``bind()`` instead of once per call.
+
+        ``expr`` must depend on *structure* only (index arrays, extents,
+        earlier hoisted names — never a value array or a loop variable):
+        it is evaluated in the generated ``prepare`` and reaches ``run``
+        through ``aux`` under the returned name.  With ``base=None``,
+        ``expr`` is a whole statement (a range check) and nothing is bound.
+        Equal expressions are emitted once and share one name, scratch
+        buffers included — units run one after another, so a nest must not
+        hoist the same scratch expression twice."""
+        for name, code in self.hoisted:
+            if code == expr:
+                return name
+        name = self.fresh(base) if base else None
+        self.hoisted.append((name, expr))
         return name
 
     def source(self) -> str:
@@ -165,10 +186,13 @@ class AccessLevel:
     # Vectorization hook: if the level can expose the entries under one
     # parent position as numpy slices, return a dict
     #   {"slice": (start_expr, stop_expr),
-    #    "index": {axis: ("gather", template) | ("affine", start_expr)}}
+    #    "index": {axis: ("gather", template) | ("affine", start_expr)
+    #                     | ("prefix", array_expr)}}
     # where a "gather" template contains {s}/{e} placeholders for the slice
-    # bounds and evaluates to the index array, and "affine" means the axis
-    # index runs ``start, start+1, ...`` over the slice (contiguous access).
+    # bounds and evaluates to the index array, "affine" means the axis
+    # index runs ``start, start+1, ...`` over the slice (contiguous access),
+    # and "prefix" means it runs ``array[0], array[1], ...`` — the first
+    # ``e - s`` entries of a duplicate-free index array, whatever ``s`` is.
     # Return None if the level cannot be vectorized.
     def vector_view(self, prefix: str, parent_pos: str | None):
         return None
@@ -200,6 +224,9 @@ class Format:
     structurally_dense: bool = False
     #: human-readable format name (defaults to the class name)
     format_name: str = ""
+    #: suffixes of the ``storage()`` keys holding *values*; every other key
+    #: is structure, which a bound kernel assumes fixed (see ``bind()``)
+    value_keys: tuple[str, ...] = ("vals",)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -70,6 +70,7 @@ class ELLMatrix(Format):
     """
 
     format_name = "ITPACK"
+    value_keys = ("vals2d",)
 
     def __init__(self, shape, colind2d, vals2d, rowlen):
         self._shape = check_shape(shape, 2)

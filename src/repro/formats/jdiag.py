@@ -79,6 +79,7 @@ class JaggedDiagonalMatrix(Format):
     """Jagged Diagonal storage."""
 
     format_name = "JDiag"
+    value_keys = ("jdval",)
 
     def __init__(self, shape, perm, jdptr, jdcol, jdval):
         self._shape = check_shape(shape, 2)
@@ -168,7 +169,7 @@ class JaggedDiagonalMatrix(Format):
         return {
             "slice": (f"{prefix}_jdptr[{d}]", f"{prefix}_jdptr[{d} + 1]"),
             "index": {
-                0: ("gather", f"{prefix}_perm[:({{e}} - {{s}})]"),
+                0: ("prefix", f"{prefix}_perm"),
                 1: ("gather", f"{prefix}_jdcol[{{s}}:{{e}}]"),
             },
             "vals": f"{prefix}_jdval[{{s}}:{{e}}]",

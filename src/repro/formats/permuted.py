@@ -100,6 +100,11 @@ class PermutedMatrix(Format):
         if col_perm is not None:
             self.perms[1] = col_perm
         self._axes = frozenset(self.perms)
+        self.value_keys = base.value_keys
+        # the generated code depends on the wrapped format AND on which
+        # axes go through PERM/IPERM — two views differing in either must
+        # not share a cached kernel
+        self._spec = (type(self).__qualname__, base.spec(), tuple(sorted(self._axes)))
 
     @classmethod
     def build(cls, base_cls, coo: COOMatrix, row_perm: Permutation | None = None, col_perm: Permutation | None = None):
@@ -127,10 +132,7 @@ class PermutedMatrix(Format):
         )
 
     def spec(self) -> tuple:
-        # the generated code depends on the wrapped format AND on which
-        # axes go through PERM/IPERM — two views differing in either must
-        # not share a cached kernel
-        return (type(self).__qualname__, self.base.spec(), tuple(sorted(self._axes)))
+        return self._spec
 
     def storage(self, prefix: str):
         out = dict(self.base.storage(prefix))
@@ -155,6 +157,8 @@ class PermutedMatrix(Format):
                 kind, payload = index[a]
                 if kind == "affine":
                     payload = f"np.arange({payload}, {payload} + ({{e}} - {{s}}))"
+                elif kind == "prefix":
+                    payload = f"{payload}[:({{e}} - {{s}})]"
                 index[a] = ("gather", f"{prefix}_iperm{a}[{payload}]")
                 # a bijection preserves duplicate-freedom
         out["index"] = index

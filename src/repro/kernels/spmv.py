@@ -11,7 +11,7 @@ from repro.formats.dense import DenseVector
 from repro.observability import metrics as _metrics
 from repro.observability.trace import span
 
-__all__ = ["spmv", "spmv_transpose", "SPMV_SRC", "SPMV_T_SRC"]
+__all__ = ["spmv", "bound_spmv", "spmv_transpose", "SPMV_SRC", "SPMV_T_SRC"]
 
 #: The paper's running example, verbatim (Sec. 2).
 SPMV_SRC = "for i in 0:n { for j in 0:m { Y[i] += A[i,j] * X[j] } }"
@@ -56,6 +56,32 @@ def spmv(
     with span("kernels.spmv", format=type(A).__name__, backend=k.backend, nnz=A.nnz):
         k(A=A, X=X, Y=Y)
     return Y.vals
+
+
+def bound_spmv(A: Format, backend: str | None = None):
+    """Compile and bind ``y = A·x`` once; returns ``matvec(x) -> y``.
+
+    The inspector/executor form of :func:`spmv` for iterative solvers: the
+    kernel is compiled and its ``prepare`` run here, so each ``matvec``
+    call is one generated ``run`` plus two vector copies.  Results are
+    bitwise those of ``spmv(A, x)``.  ``A``'s values may change between
+    calls, its structure may not (see ``CompiledKernel.bind``); the
+    returned callable is not re-entrant across threads."""
+    if isinstance(A, BlockSolveMatrix):
+        return lambda x: spmv(A, x)
+    X, Y = DenseVector(np.zeros(A.shape[1])), DenseVector.zeros(A.shape[0])
+    k = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y}, backend=backend)
+    run = k.bind(A=A, X=X, Y=Y)
+    attrs = dict(format=type(A).__name__, backend=k.backend, nnz=A.nnz)
+
+    def matvec(x) -> np.ndarray:
+        X.vals[:] = x.vals if isinstance(x, DenseVector) else x
+        Y.vals[:] = 0.0
+        with span("kernels.spmv", **attrs):
+            run()
+        return Y.vals.copy()
+
+    return matvec
 
 
 def spmv_transpose(

@@ -63,6 +63,7 @@ def explain(obj, formats=None, verbose: bool = True) -> str:
                 _explain_unit(unit, fmt_names, verbose, header=f"statement [{k}]")
             )
         text = "\n\n".join(parts)
+        text += "\n\n" + _prepare_narration(obj)
         cert = _certificate_narration(obj)
         if cert:
             text += "\n\n" + cert
@@ -79,6 +80,15 @@ def explain(obj, formats=None, verbose: bool = True) -> str:
         f"cannot explain a {type(obj).__name__}; pass a CompiledKernel, "
         "KernelUnit, Plan, or source text with formats"
     )
+
+
+def _prepare_narration(kernel) -> str:
+    """What the generated ``prepare`` derives from structure, once per
+    ``bind()``, for ``run`` to reuse on every call."""
+    body = kernel.source.split("\n\n\ndef run(")[0].splitlines()[1:-1]
+    if not body:
+        return "prepare: nothing to hoist — run() is the whole kernel"
+    return "\n".join(["prepare (once per bind(); run() gets these through aux):", *body])
 
 
 def _certificate_narration(kernel) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.formats.base import Format
 from repro.formats.blocksolve import BlockSolveMatrix
-from repro.kernels.spmv import spmv
+from repro.kernels.spmv import bound_spmv
 from repro.parallel.fragment import partition_rows
 from repro.parallel.spmd_blocksolve import (
     BernoulliGlobalBS,
@@ -47,9 +47,9 @@ class CGResult:
 
 def _as_matvec(A, backend: str | None = None):
     if isinstance(A, Format):
-        # one compile per solve; every iteration after that is a plan-cache
-        # hit (the cache key sees the same nest, specs and predicates)
-        return lambda v: spmv(A, v, backend=backend)
+        # one compile and one bind per solve: an iteration pays only the
+        # generated run() around its vector updates
+        return bound_spmv(A, backend=backend)
     if callable(A):
         return A
     raise ReproError(f"cannot use {type(A).__name__} as an operator")

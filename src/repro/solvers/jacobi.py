@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.formats.base import Format
-from repro.kernels.spmv import spmv
+from repro.kernels.spmv import bound_spmv
 
 __all__ = ["jacobi"]
 
@@ -35,10 +35,11 @@ def jacobi(
         raise ReproError("Jacobi requires a nonzero diagonal")
     dinv = 1.0 / diag
     x = np.zeros_like(b)
+    matvec = bound_spmv(A, backend=backend)  # compile + bind once per solve
     bnorm = float(np.linalg.norm(b)) or 1.0
     res = float("inf")
     for it in range(1, maxiter + 1):
-        r = b - spmv(A, x, backend=backend)
+        r = b - matvec(x)
         res = float(np.linalg.norm(r))
         if res <= tol * bnorm:
             return x, it - 1, res

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.base import Format
-from repro.kernels.spmv import spmv
+from repro.kernels.spmv import bound_spmv
 
 __all__ = ["power_iteration"]
 
@@ -21,13 +21,14 @@ def power_iteration(A: Format, tol: float = 1e-10, maxiter: int = 2000, rng=None
     v = r.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
+    matvec = bound_spmv(A)  # compile + bind once per solve
     for it in range(1, maxiter + 1):
-        w = spmv(A, v)
+        w = matvec(v)
         norm = np.linalg.norm(w)
         if norm == 0:
             return 0.0, v, it
         v_new = w / norm
-        lam_new = float(v_new @ spmv(A, v_new))
+        lam_new = float(v_new @ matvec(v_new))
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
             return lam_new, v_new, it
         lam, v = lam_new, v_new

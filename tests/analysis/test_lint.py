@@ -168,6 +168,47 @@ def test_every_shipped_kernel_source_parses_clean(paper_matrix):
 
 
 # ----------------------------------------------------------------------
+# BER035: the prepare/run split must not leak in either direction
+# ----------------------------------------------------------------------
+SPLIT_PARAMS = ["A_rowptr", "A_vals", "Y_vals", "n"]
+SPLIT_HEAD = "def prepare(A_rowptr, n):\n{prepare}\n\ndef run(A_rowptr, A_vals, Y_vals, n, aux):\n{run}\n"
+
+
+def split_codes(prepare, run):
+    src = SPLIT_HEAD.format(prepare=prepare, run=run)
+    return codes(lint_generated_source(src, SPLIT_PARAMS, {"Y"}))
+
+
+def test_clean_split_has_no_findings():
+    assert split_codes(
+        "    _ne0 = np.flatnonzero(np.diff(A_rowptr))\n    return (_ne0,)",
+        "    (_ne0,) = aux\n    for i in range(n):\n        Y_vals[_ne0] += np.add.reduceat(A_vals, A_rowptr[_ne0])",
+    ) == []
+
+
+def test_structure_recomputed_in_run_is_caught():
+    # the leak this PR removed from the CRS kernel
+    assert split_codes(
+        "    return ()",
+        "    _ne0 = np.flatnonzero(np.diff(A_rowptr))\n    Y_vals[_ne0] += np.add.reduceat(A_vals, A_rowptr[_ne0])",
+    ) == ["BER035"]  # reported once, at the innermost structure-only call
+
+
+def test_prepare_reading_values_is_caught():
+    assert split_codes(
+        "    _nz0 = np.flatnonzero(A_vals)\n    return (_nz0,)",
+        "    (_nz0,) = aux\n    Y_vals[_nz0] += A_vals[_nz0]",
+    ) == ["BER035"]
+
+
+def test_prepare_writing_storage_is_caught():
+    # an output's values are not prepare's to touch; a structure array is
+    # not an output, so writing it anywhere is the existing BER033
+    assert split_codes("    Y_vals[0] = 0.0\n    return ()", "    Y_vals[0] += A_vals[0]") == ["BER035"]
+    assert split_codes("    A_rowptr[0] = 0\n    return ()", "    Y_vals[0] += A_vals[0]") == ["BER033"]
+
+
+# ----------------------------------------------------------------------
 # warm-cache dedupe: linting the same cached kernel twice reports once
 # ----------------------------------------------------------------------
 def test_warm_cache_double_lint_reports_each_finding_once():

@@ -1,0 +1,165 @@
+"""The inspector/executor split, differentially.
+
+Every emitted kernel is ``prepare(structure) -> aux`` plus
+``run(storage, aux)``.  Over the format x kernel grid: the bound call, the
+unbound call and the interpreted backend agree **bitwise** (integer-valued
+inputs make every summation order exact), a bound callable follows value
+mutations of its matrix, and a bad gather index is caught at ``bind()``.
+"""
+
+import zlib
+
+import numpy as np
+import pytest
+
+from repro.compiler import compile_kernel
+from repro.errors import FormatError
+from repro.formats import FORMAT_NAMES, DenseMatrix, DenseVector
+from tests.conftest import case_rng
+from tests.generators import gen_power_law, gen_uniform, integer_vector
+
+COMPILED = [n for n in FORMAT_NAMES if n != "BS95"]
+
+KERNELS = {
+    "spmv": "for i in 0:n { for j in 0:m { Y[i] += A[i,j] * X[j] } }",
+    "spmv_t": "for i in 0:n { for j in 0:m { Y[j] += A[i,j] * X[i] } }",
+    "rowscaled": "for i in 0:n { for j in 0:m { Y[i] += D[i] * A[i,j] * X[j] } }",
+    "spmm": "for i in 0:n { for j in 0:m { for k in 0:l { C[i,k] += A[i,j] * B[j,k] } } }",
+    "entrywise": "for i in 0:n { for j in 0:m { C[i,j] += A[i,j] * B[i,j] } }",
+    "rowmin": "for i in 0:n { for j in 0:m { M[i] = min(M[i], A[i,j]) } }",
+    "colmax": "for i in 0:n { for j in 0:m { M[j] = max(M[j], A[i,j]) } }",
+}
+
+
+def _rng(tag: str):
+    return case_rng(zlib.crc32(tag.encode()))
+
+
+def _operands(kernel, A, rng):
+    """Fresh integer-valued operands; returns (formats, output name)."""
+    n = A.shape[0]
+    vec = lambda: DenseVector(integer_vector(rng, n))  # noqa: E731
+    if kernel in ("spmv", "spmv_t"):
+        return {"A": A, "X": vec(), "Y": vec()}, "Y"
+    if kernel == "rowscaled":
+        return {"A": A, "X": vec(), "D": vec(), "Y": vec()}, "Y"
+    if kernel == "spmm":
+        B = rng.integers(-4, 5, (n, 3)).astype(float)
+        return {"A": A, "B": DenseMatrix(B), "C": DenseMatrix.zeros(n, 3)}, "C"
+    if kernel == "entrywise":
+        B = rng.integers(-4, 5, (n, n)).astype(float)
+        return {"A": A, "B": DenseMatrix(B), "C": DenseMatrix.zeros(n, n)}, "C"
+    return {"A": A, "M": vec()}, "M"
+
+
+def _clone(fm):
+    """The same matrix with private copies of the dense operands."""
+    return {
+        name: f if name == "A" else type(f)(f.vals.copy()) for name, f in fm.items()
+    }
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("fmt", COMPILED)
+def test_bound_unbound_interpreted_bitwise(fmt, kernel):
+    rng = _rng(f"prepare-run/{fmt}/{kernel}")
+    gen = gen_power_law if kernel != "entrywise" else gen_uniform
+    A = FORMAT_NAMES[fmt].from_coo(gen(rng, 17))
+    fm, out = _operands(kernel, A, rng)
+    kern = compile_kernel(KERNELS[kernel], fm)
+    oracle = compile_kernel(KERNELS[kernel], fm, backend="interpreted")
+
+    def three_ways():
+        bound_fm, unbound_fm, oracle_fm = _clone(fm), _clone(fm), _clone(fm)
+        bound = kern.bind(**bound_fm)
+        bound()
+        kern(**unbound_fm)
+        oracle(**oracle_fm)
+        assert np.array_equal(bound_fm[out].vals, unbound_fm[out].vals), kern.source
+        assert np.array_equal(bound_fm[out].vals, oracle_fm[out].vals), kern.source
+        return bound, bound_fm
+
+    bound, bound_fm = three_ways()
+    # values may change between bound calls, structure may not: the bound
+    # callable must follow an in-place edit of A's values, and be bitwise
+    # what a fresh unbound call and the oracle compute on the edited matrix
+    for key in A.value_keys:
+        A.storage("A")[f"A_{key}"][...] *= 2.0
+    before = bound_fm[out].vals.copy()
+    bound()
+    fresh = _clone(fm)
+    fresh[out].vals[...] = before
+    kern(**fresh)
+    assert np.array_equal(bound_fm[out].vals, fresh[out].vals), kern.source
+    three_ways()
+
+
+@pytest.mark.parametrize("fmt", COMPILED)
+@pytest.mark.parametrize("backend", ["vectorized", "interpreted"])
+def test_entrywise_matches_dense_reference(fmt, backend):
+    """C[i,j] += A[i,j] * B[i,j]: two co-varying axes must address entry
+    *pairs* — the vectorizer used to slice a k x k block per diagonal run."""
+    rng = _rng(f"entrywise/{fmt}")
+    coo = gen_uniform(rng, 13)
+    A = FORMAT_NAMES[fmt].from_coo(coo)
+    fm, _ = _operands("entrywise", A, rng)
+    compile_kernel(KERNELS["entrywise"], fm, backend=backend)(**fm)
+    assert np.array_equal(fm["C"].vals, coo.to_dense() * fm["B"].vals)
+
+
+@pytest.mark.parametrize(
+    "fmt,index", [("CRS", "colind"), ("ITPACK", "colind2d"), ("JDiag", "jdcol")]
+)
+def test_out_of_range_gather_index_raises_at_bind(fmt, index):
+    rng = _rng(f"bad-index/{fmt}")
+    A = FORMAT_NAMES[fmt].from_coo(gen_uniform(rng, 9))
+    fm, _ = _operands("spmv", A, rng)
+    kern = compile_kernel(KERNELS["spmv"], fm)
+    kern.bind(**fm)  # a sound matrix binds
+    getattr(A, index).flat[0] = A.shape[1] + 3
+    with pytest.raises(FormatError, match="outside"):
+        kern.bind(**fm)
+    with pytest.raises(FormatError):
+        kern(**fm)  # the unbound call is run(prepare()): same check
+    getattr(A, index).flat[0] = -1
+    with pytest.raises(FormatError):
+        kern.bind(**fm)
+
+
+def test_each_bind_owns_its_scratch():
+    rng = _rng("own-aux")
+    A = FORMAT_NAMES["CRS"].from_coo(gen_uniform(rng, 11))
+    fm1, _ = _operands("spmv", A, rng)
+    fm2, _ = _operands("spmv", A, rng)
+    kern = compile_kernel(KERNELS["spmv"], fm1)
+    want1, want2 = _clone(fm1), _clone(fm2)
+    kern(**want1)
+    kern(**want2)
+    b1, b2 = kern.bind(**fm1), kern.bind(**fm2)
+    b1(), b2()  # interleaved bound callables of one shared kernel
+    assert np.array_equal(fm1["Y"].vals, want1["Y"].vals)
+    assert np.array_equal(fm2["Y"].vals, want2["Y"].vals)
+
+
+def test_coordinate_long_sorted_rows_take_the_segmented_reduce():
+    """Rows of >= 12 sorted entries: prepare picks the per-run reduceat, so
+    random-float SpMV is bitwise the CRS (segmented) result — ``np.add.at``
+    rounds differently — and every reduction op still matches the oracle."""
+    rng = _rng("coo-runs")
+    n = 24
+    dense = (rng.random((n, n)) < 0.8) * rng.standard_normal((n, n))
+    coo = FORMAT_NAMES["Coordinate"].from_dense(dense)
+    x = rng.standard_normal(n)
+    got = {}
+    for fmt in ("Coordinate", "CRS"):
+        fm = {"A": FORMAT_NAMES[fmt].from_coo(coo), "X": DenseVector(x), "Y": DenseVector.zeros(n)}
+        compile_kernel(KERNELS["spmv"], fm)(**fm)
+        got[fmt] = fm["Y"].vals
+    assert np.array_equal(got["Coordinate"], got["CRS"])
+    ints = FORMAT_NAMES["Coordinate"].from_dense(np.rint(3 * dense))
+    for kernel in ("spmv", "rowmin", "colmax"):
+        fm, out = _operands(kernel, ints, rng)
+        oracle_fm = _clone(fm)
+        compile_kernel(KERNELS[kernel], fm)(**fm)
+        compile_kernel(KERNELS[kernel], oracle_fm, backend="interpreted")(**oracle_fm)
+        assert np.array_equal(fm[out].vals, oracle_fm[out].vals)

@@ -148,3 +148,16 @@ def test_cg_solve_explains_on_warm_schedule_cache():
     assert cache.stats.hits > 0, "second solve did not hit the schedule cache"
     assert texts[0] == texts[1]
     assert "driver: A" in texts[1]
+
+
+def test_explain_narrates_what_prepare_hoists():
+    from repro.formats import FORMAT_NAMES
+
+    coo = COOMatrix.random(8, 8, 0.4, rng=0)
+    X, Y = DenseVector(np.ones(8)), DenseVector.zeros(8)
+    crs = compile_kernel(SPMV_SRC, {"A": FORMAT_NAMES["CRS"].from_coo(coo), "X": X, "Y": Y})
+    text = explain(crs)
+    assert "prepare (once per bind()" in text
+    assert "np.flatnonzero(np.diff(A_rowptr))" in text  # the hoisted index set
+    ccs = compile_kernel(SPMV_SRC, {"A": FORMAT_NAMES["CCS"].from_coo(coo), "X": X, "Y": Y})
+    assert "prepare: nothing to hoist" in explain(ccs)
