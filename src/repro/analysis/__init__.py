@@ -1,14 +1,14 @@
 """Static analysis & verification for the Bernoulli pipeline.
 
-Seven passes over the artifacts the compiler and runtime otherwise take
+Six analyzers over the artifacts the compiler and runtime otherwise take
 on faith, each reporting :class:`~repro.analysis.diagnostics.Diagnostic`
 findings with stable ``BER0xx`` codes:
 
-* :mod:`repro.analysis.doany` — is the loop nest really DOANY?
-* :mod:`repro.analysis.depend` — *how* parallel is it?  Classification
-  into the lattice ``DOALL ⊏ DOANY ⊏ REDUCTION(op) ⊏ SEQUENTIAL`` with
-  per-verdict evidence, checkable certificates, and a mutation
-  self-check.
+* :mod:`repro.analysis.depend` — is the loop nest really DOANY
+  (:func:`check_program`, the ``doany`` sweep), and *how* parallel is it?
+  Classification into the lattice
+  ``DOALL ⊏ DOANY ⊏ REDUCTION(op) ⊏ SEQUENTIAL`` with per-verdict
+  evidence, checkable certificates, and a mutation self-check.
 * :mod:`repro.analysis.contracts` — do formats deliver the access-method
   properties their levels declare?
 * :mod:`repro.analysis.lint` — are the chosen plans and the emitted
@@ -42,7 +42,6 @@ from repro.analysis.registry import AnalysisPass, all_passes, get_pass, register
 from repro.analysis import (  # noqa: E402,F401
     contracts,
     depend,
-    doany,
     lint,
     regions,
     schedule,
@@ -52,12 +51,13 @@ from repro.analysis.contracts import audit_format, audit_registered_formats
 from repro.analysis.depend import (
     ParallelismCertificate,
     check_certificate,
+    check_program,
+    check_source,
     classify_program,
     classify_source,
     run_depend_selfcheck,
 )
 from repro.analysis.regions import audit_partition
-from repro.analysis.doany import check_program, check_source
 from repro.analysis.lint import lint_generated_source, lint_kernel, lint_plan
 from repro.analysis.schedule import (
     check_gather_schedules,

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.analysis import all_passes
 from repro.analysis.diagnostics import ERROR, Diagnostic, DiagnosticReport
-from repro.analysis.doany import check_program
+from repro.analysis.depend import check_program
 from repro.analysis.lint import lint_kernel
 from repro.errors import ReproError
 

@@ -1,10 +1,11 @@
 """Dependence & reduction analyzer: the parallelism-classification lattice.
 
-The DOANY pass (:mod:`repro.analysis.doany`) answers a binary question —
-may the iterations of this nest run in any order?  This pass answers the
-finer one the paper's Bernoulli pipeline actually needs: *how much*
-ordering freedom does each loop have, and *why*.  Every loop of the nest
-is classified into the lattice
+The paper's Sec. 2 promises the compiler a DOANY nest — every iteration
+of the loop product may run in any order.  This pass checks that
+promise: it answers the binary question (may the iterations run in any
+order?) and the finer one the Bernoulli pipeline actually needs — *how
+much* ordering freedom does each loop have, and *why*.  Every loop of the
+nest is classified into the lattice
 
     DOALL  ⊏  DOANY  ⊏  REDUCTION(op)  ⊏  SEQUENTIAL
 
@@ -14,20 +15,26 @@ is classified into the lattice
   iterations touch distinct elements).
 * **DOANY** — the only carried dependences are additive reduction
   updates (``x[e] += rhs``): iterations commute up to floating-point
-  reassociation, the classic DOANY contract the legacy gate accepted.
+  reassociation, the classic DOANY contract.
 * **REDUCTION(op)** — the carried dependences are recognized
   associative/commutative updates ``x[e] = x[e] ⊕ rhs`` with
-  ⊕ ∈ {``*``, ``min``, ``max``} and rhs independent of ``x`` — newly
-  admitted by this pass, and lowered through privatized-accumulation
-  scatters (``np.multiply.at`` / ``np.minimum.at`` / ``np.maximum.at``).
+  ⊕ ∈ {``*``, ``min``, ``max``} and rhs independent of ``x``, lowered
+  through privatized-accumulation scatters (``np.multiply.at`` /
+  ``np.minimum.at`` / ``np.maximum.at``).
 * **SEQUENTIAL** — a genuine carried dependence with no commuting
   structure; the verdict carries the witness access pair.
 
-Because indices are plain loop-variable names, the carried-dependence
-test is pure tuple algebra: accesses ``w`` and ``r`` on the same array
-can conflict across two iterations that differ in loop ``v`` unless
-their index tuples are equal *and* name ``v`` (then the element is
-pinned to one ``v``-iteration).
+Because indices are plain loop-variable names (the grammar only admits
+``A[i,j]``, no affine arithmetic), the carried-dependence test is pure
+tuple algebra: accesses ``w`` and ``r`` on the same array can conflict
+across two iterations that differ in loop ``v`` unless their index tuples
+are equal *and* name ``v`` (then the element is pinned to one
+``v``-iteration).  A write whose tuple misses ``v`` is repeated by every
+``v``-iteration — an output dependence for a plain write, and exactly the
+legal-reduction carve-out for a pure ``⊕=`` update.  :func:`_conflicts`
+is the only place that test is made; the lattice verdicts, the witnesses
+and the binary BER010-014 view (:func:`check_program`) all read its
+output.
 
 Every verdict is packaged as a :class:`ParallelismCertificate` — the
 per-loop verdicts plus their evidence, keyed by a fingerprint of the
@@ -42,6 +49,13 @@ parallelism assumption.
 Codes:
 
 =======  ============================================================
+BER010   info — statement verified iteration-independent / legal reduction
+BER011   error — plain assignment's target does not cover the nest
+         (many iterations write the same element; last writer wins)
+BER012   error — RHS reads the statement's own target across iterations
+BER013   error — cross-statement loop-carried flow/anti dependence
+BER014   error — cross-statement output dependence (two writes to the
+         same array that are not both reductions of one operator)
 BER060   info — per-loop verdict (one per loop of the nest)
 BER061   info — certificate issued (program verdict + fingerprint)
 BER062   error — SEQUENTIAL: carried-dependence witness access pair
@@ -56,14 +70,17 @@ BER066   info — mutation self-check: planted mutant caught as designed
 from __future__ import annotations
 
 import functools
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.analysis.diagnostics import ERROR, INFO, WARN, Diagnostic, DiagnosticReport
-from repro.errors import ParseError
 from repro.analysis.registry import register_pass
+from repro.analysis.selfcheck import run_mutation_selfcheck
+from repro.errors import ParseError
+from repro.fingerprint import fingerprint
+from repro.observability.trace import span
 from repro.compiler.ast_nodes import (
     Assign,
     BinOp,
@@ -81,6 +98,8 @@ __all__ = [
     "Classification",
     "classify_program",
     "classify_source",
+    "check_program",
+    "check_source",
     "check_certificate",
     "program_fingerprint",
     "run_depend_selfcheck",
@@ -218,136 +237,251 @@ class Classification:
 
 def program_fingerprint(program: Program) -> str:
     """Stable fingerprint of a (normalized) program's canonical repr."""
-    return hashlib.sha256(repr(program).encode()).hexdigest()[:16]
+    return fingerprint(repr(program))
 
 
 # ----------------------------------------------------------------------
-# core per-loop classification
+# the carried-dependence test (the one place the question is answered)
 # ----------------------------------------------------------------------
-def _pinned(t1: tuple[str, ...], t2: tuple[str, ...], v: str) -> bool:
-    """True when accesses with tuples t1, t2 cannot touch the same element
-    from two different iterations of loop ``v``: equal tuples naming ``v``
-    pin the element to a single ``v``-iteration."""
-    return t1 == t2 and v in t1
+class _Conflict(NamedTuple):
+    """Two accesses to one array that can touch the same element from
+    different iterations.  ``code`` is the binary checker's BER01x name
+    for it (``None`` when both are same-operator reductions, which
+    commute); ``carried`` lists the loops whose iterations collide."""
+
+    code: str | None
+    k1: int  # statement of the write ``w``
+    k2: int  # statement of the other access
+    w: Ref
+    other: Ref  # a second write (BER011/BER014/commuting) or a read
+    carried: tuple[str, ...]
 
 
-def _classify_loop(program: Program, v: str) -> tuple[Verdict, tuple[Evidence, ...]]:
-    """Classify one loop variable of a *normalized* program."""
+def _conflicts(program: Program) -> list[_Conflict]:
+    """Every conflicting access pair of the nest: write-write pairs first
+    (the self-pair included — a statement conflicts with its own writes
+    from other iterations), then write-read pairs.
+
+    Accesses with tuples ``t1``, ``t2`` are *pinned* for loop ``v`` —
+    cannot meet across two ``v``-iterations — when the tuples are equal
+    and name ``v``.  One access pattern is never pinned: a plain
+    assignment reading its own target, because zero-fill compilation
+    would read the cleared element (normalization rejects or rewrites
+    those, so only directly-built programs reach that rule)."""
+    loop_vars = tuple(l.var for l in program.loops)
+    body = program.body
+    out: list[_Conflict] = []
+
+    def carried(t1, t2):
+        return tuple(v for v in loop_vars if not (t1 == t2 and v in t1))
+
+    for k1, s1 in enumerate(body):
+        for k2 in range(k1, len(body)):
+            s2 = body[k2]
+            vs = carried(s1.target.indices, s2.target.indices)
+            if s1.target.array != s2.target.array or not vs:
+                continue
+            if s1.reduce and s2.reduce and s1.op == s2.op:
+                code = None
+            else:
+                code = "BER011" if k1 == k2 else "BER014"
+            out.append(_Conflict(code, k1, k2, s1.target, s2.target, vs))
+    for k1, s1 in enumerate(body):
+        for k2, s2 in enumerate(body):
+            for r in s2.expr.refs():
+                if r.array != s1.target.array:
+                    continue
+                vs = carried(s1.target.indices, r.indices)
+                if k1 == k2 and not s1.reduce:
+                    vs = loop_vars
+                if vs:
+                    code = "BER012" if k1 == k2 else "BER013"
+                    out.append(_Conflict(code, k1, k2, s1.target, r, vs))
+    return out
+
+
+def _classify_loop(
+    program: Program, conflicts: list[_Conflict], v: str
+) -> tuple[Verdict, tuple[Evidence, ...]]:
+    """Classify one loop variable from the conflicts it carries."""
     body = program.body
     verdict = Verdict(DOALL)
     evidence: list[Evidence] = []
-
-    writes = [(k, s.target, s.reduce, s.op) for k, s in enumerate(body)]
-    reads = [(k, r) for k, s in enumerate(body) for r in s.expr.refs()]
-
-    # write-write pairs, the self-pair included: a statement conflicts
-    # with its own writes from other v-iterations
-    for a, (k1, w1, red1, op1) in enumerate(writes):
-        for k2, w2, red2, op2 in writes[a:]:
-            if w1.array != w2.array:
-                continue
-            if _pinned(w1.indices, w2.indices, v):
-                continue
-            if red1 and red2 and op1 == op2:
-                verdict = verdict.join(
-                    Verdict(DOANY) if op1 == "+" else Verdict(REDUCTION, op1)
-                )
-                evidence.append(
-                    Evidence(
-                        "commutes",
-                        f"carried updates to {w1.array!r} are "
-                        f"'{op1}'-reductions with RHS independent of the "
-                        "target: iterations commute",
-                        (k1, k2) if k1 != k2 else (k1,),
-                        (repr(w1),) if k1 == k2 else (repr(w1), repr(w2)),
-                        op=op1,
-                    )
-                )
-            else:
-                if k1 == k2:
-                    why = (
-                        f"every iteration of {v!r} writes {w1!r} as a "
-                        "plain assignment: last writer wins"
-                    )
-                elif red1 and red2:
-                    why = (
-                        f"statements [{k1}] and [{k2}] update {w1.array!r} "
-                        f"with different operators ('{op1}' vs '{op2}'): "
-                        "the updates do not commute with each other"
-                    )
-                else:
-                    why = (
-                        f"statements [{k1}] and [{k2}] both write "
-                        f"{w1.array!r} and at least one is a plain "
-                        "assignment: the final value depends on order"
-                    )
-                verdict = verdict.join(Verdict(SEQUENTIAL))
-                evidence.append(
-                    Evidence(
-                        "witness",
-                        f"output dependence carried by {v!r}: {why}",
-                        (k1, k2) if k1 != k2 else (k1,),
-                        (repr(w1),) if k1 == k2 else (repr(w1), repr(w2)),
-                    )
-                )
-
-    # write-read pairs (same or different statement): any read of a
-    # written array not pinned to the writing iteration is a carried
-    # flow/anti dependence — reductions never survive here because
-    # normalization strips the recognized self-read from the RHS
-    for k1, w, _red, _op in writes:
-        for k2, r in reads:
-            if r.array != w.array:
-                continue
-            if _pinned(w.indices, r.indices, v):
-                continue
-            verdict = verdict.join(Verdict(SEQUENTIAL))
+    for c in conflicts:
+        if v not in c.carried:
+            continue
+        k1, k2, w = c.k1, c.k2, c.w
+        stmts = (k1, k2) if k1 != k2 else (k1,)
+        if c.code is None:
+            op = body[k1].op
+            verdict = verdict.join(
+                Verdict(DOANY) if op == "+" else Verdict(REDUCTION, op)
+            )
             evidence.append(
                 Evidence(
-                    "witness",
-                    f"flow/anti dependence carried by {v!r}: statement "
-                    f"[{k1}] writes {w!r} while statement [{k2}] reads "
-                    f"{r!r} — iterations of {v!r} are not independent",
-                    (k1, k2) if k1 != k2 else (k1,),
-                    (repr(w), repr(r)),
+                    "commutes",
+                    f"carried updates to {w.array!r} are "
+                    f"'{op}'-reductions with RHS independent of the "
+                    "target: iterations commute",
+                    stmts,
+                    (repr(w),) if k1 == k2 else (repr(w), repr(c.other)),
+                    op=op,
                 )
             )
+            continue
+        verdict = verdict.join(Verdict(SEQUENTIAL))
+        if c.code in ("BER012", "BER013"):
+            # reductions never survive here: normalization strips the
+            # recognized self-read from the RHS
+            detail = (
+                f"flow/anti dependence carried by {v!r}: statement "
+                f"[{k1}] writes {w!r} while statement [{k2}] reads "
+                f"{c.other!r} — iterations of {v!r} are not independent"
+            )
+            refs = (repr(w), repr(c.other))
+        else:
+            if k1 == k2:
+                why = (
+                    f"every iteration of {v!r} writes {w!r} as a "
+                    "plain assignment: last writer wins"
+                )
+            elif body[k1].reduce and body[k2].reduce:
+                why = (
+                    f"statements [{k1}] and [{k2}] update {w.array!r} "
+                    f"with different operators ('{body[k1].op}' vs "
+                    f"'{body[k2].op}'): the updates do not commute with "
+                    "each other"
+                )
+            else:
+                why = (
+                    f"statements [{k1}] and [{k2}] both write "
+                    f"{w.array!r} and at least one is a plain "
+                    "assignment: the final value depends on order"
+                )
+            detail = f"output dependence carried by {v!r}: {why}"
+            refs = (repr(w),) if k1 == k2 else (repr(w), repr(c.other))
+        evidence.append(Evidence("witness", detail, stmts, refs))
 
     if verdict.kind == DOALL:
-        pinned_writes = tuple(
-            repr(w) for _, w, _, _ in writes if v in w.indices
-        )
         evidence.append(
             Evidence(
                 "disjoint",
                 f"no dependence is carried by {v!r}: every written element "
                 f"is pinned to a single {v!r}-iteration",
                 tuple(range(len(body))),
-                pinned_writes,
+                tuple(repr(s.target) for s in body if v in s.target.indices),
             )
         )
     # drop duplicate evidence (symmetric pairs produce identical records)
-    seen: set[tuple] = set()
-    uniq: list[Evidence] = []
-    for e in evidence:
-        key = (e.kind, e.detail, e.statements, e.refs, e.op)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(e)
-    return verdict, tuple(uniq)
+    return verdict, tuple(dict.fromkeys(evidence))
 
 
-def _diag(code, severity, message, location, node=None, source=None):
+def _diag(code, severity, message, location, node=None, source=None, pass_name=_PASS):
     span = getattr(node, "span", None)
     return Diagnostic(
         code,
         severity,
         message,
-        pass_name=_PASS,
+        pass_name=pass_name,
         location=location,
         span=span,
         source=source if span is not None else None,
     )
+
+
+# ----------------------------------------------------------------------
+# the binary DOANY view: each conflict under its BER01x name, with carets
+# ----------------------------------------------------------------------
+def _binary_view(
+    program: Program, conflicts: list[_Conflict], source: str | None
+) -> list[Diagnostic]:
+    """BER011-014 errors (per statement, then per statement pair), then a
+    BER010 for every statement no conflict touches."""
+    body = program.body
+
+    def order(c: _Conflict):
+        if c.k1 == c.k2:
+            return (0, c.k1, c.k1, c.code == "BER012")
+        # per pair: first statement's writes read by the second, the
+        # reverse, then the write-write conflict
+        rank = 2 if c.code == "BER014" else int(c.k1 > c.k2)
+        return (1, min(c.k1, c.k2), max(c.k1, c.k2), rank)
+
+    out: list[Diagnostic] = []
+    dirty: set[int] = set()
+    for c in sorted((c for c in conflicts if c.code), key=order):
+        k1, k2, w, other = c.k1, c.k2, c.w, c.other
+        dirty |= {k1, k2}
+        if c.code == "BER011":
+            msg = (
+                f"plain assignment target {w!r} does not cover "
+                f"loop variable(s) {sorted(c.carried)}: every iteration of "
+                "the missing loops writes the same element (not DOANY); "
+                "write a reduction with '+=' or index the target fully"
+            )
+        elif c.code == "BER012":
+            if body[k1].reduce:
+                why = (
+                    "the update is not a pure reduction: iteration order "
+                    "changes the value read"
+                )
+            else:
+                why = "zero-fill compilation would read the cleared target"
+            msg = (
+                f"{other!r} reads the statement's own target "
+                f"{w!r} across iterations — {why}"
+            )
+        elif c.code == "BER013":
+            kind = "flow" if k1 < k2 else "anti"
+            msg = (
+                f"loop-carried {kind} dependence: statement "
+                f"[{k1}] writes {w!r}, statement [{k2}] reads "
+                f"{other!r} — iterations are not independent"
+            )
+        else:
+            msg = (
+                f"output dependence: statements [{k1}] and "
+                f"[{k2}] both write {w.array!r} and at "
+                "least one is a plain assignment — the final "
+                "value depends on iteration order"
+            )
+        where = (
+            f"statement [{k1}]" if k1 == k2 else f"statements [{k1}]→[{k2}]"
+        )
+        node = w if c.code == "BER011" else other
+        out.append(_diag(c.code, ERROR, msg, where, node, source, "doany"))
+    for k, stmt in enumerate(body):
+        if k not in dirty:
+            verdict = "legal reduction" if stmt.reduce else "iteration-independent"
+            out.append(
+                _diag(
+                    "BER010",
+                    INFO,
+                    f"{stmt!r}: verified {verdict} (DOANY-legal)",
+                    f"statement [{k}]",
+                    stmt,
+                    source,
+                    "doany",
+                )
+            )
+    return out
+
+
+def check_program(program: Program, source: str | None = None) -> DiagnosticReport:
+    """The binary question — is every statement DOANY-legal, and if not,
+    exactly why — as BER010-014 rows over this analyzer's conflicts.
+
+    The program is checked as given (not normalized).  ``source`` is the
+    text it was parsed from; with it, diagnostics carry caret snippets.
+    """
+    return DiagnosticReport(_binary_view(program, _conflicts(program), source))
+
+
+def check_source(source: str) -> DiagnosticReport:
+    """Parse mini-language text and run :func:`check_program` on it."""
+    from repro.compiler.parser import parse
+
+    return check_program(parse(source), source=source)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -365,82 +499,78 @@ def classify_program(
     The program is normalized first (recognized self-updates become
     reductions), so parser output and directly-built programs classify
     identically.  ``gate=True`` (the compile-gate mode) reports
-    SEQUENTIAL witnesses at **error** severity and merges the legacy
-    DOANY checker's findings in front of them — the binary checker is an
-    independent implementation, and any program it rejects is demoted to
-    SEQUENTIAL here even if this analyzer's native verdict disagrees
-    (defense in depth; the two should always agree).  ``gate=False`` is
+    SEQUENTIAL witnesses at **error** severity, each preceded by its
+    BER011-014 rendering with a source caret.  ``gate=False`` is
     classification-as-a-product (the CLI): witnesses render at **warn**
-    severity and the legacy findings are omitted.
+    severity and the BER01x rows are omitted.
     """
-    program = normalize_program(program)
-    loops: list[LoopVerdict] = []
-    verdict = Verdict(DOALL)
-    for spec in program.loops:
-        lv, ev = _classify_loop(program, spec.var)
-        loops.append(LoopVerdict(spec.var, lv, ev))
-        verdict = verdict.join(lv)
+    with span("analysis.depend.classify", gate=gate) as sp:
+        program = normalize_program(program)
+        conflicts = _conflicts(program)
+        loops: list[LoopVerdict] = []
+        verdict = Verdict(DOALL)
+        for spec in program.loops:
+            lv, ev = _classify_loop(program, conflicts, spec.var)
+            loops.append(LoopVerdict(spec.var, lv, ev))
+            verdict = verdict.join(lv)
+        sp.set(verdict=verdict.label())
 
-    report = DiagnosticReport()
-    if gate:
-        from repro.analysis.doany import check_program
+        report = DiagnosticReport()
+        if gate:
+            view = _binary_view(program, conflicts, source)
+            report.extend(d for d in view if d.severity == ERROR)
 
-        legacy = check_program(program, source=source)
-        if not legacy.ok:
-            report.extend(legacy.errors())
-            verdict = verdict.join(Verdict(SEQUENTIAL))
-
-    witness_severity = ERROR if gate else WARN
-    for lv in loops:
-        report.add(
-            _diag(
-                "BER060",
-                INFO,
-                f"loop {lv.var!r}: {lv.verdict.label()} — "
-                + "; ".join(e.detail for e in lv.evidence),
-                f"loop {lv.var}",
-            )
-        )
-        for e in lv.evidence:
-            if e.kind == "witness":
-                report.add(
-                    _diag(
-                        "BER062",
-                        witness_severity,
-                        f"SEQUENTIAL witness (loop {lv.var!r}): {e.detail} "
-                        f"[{' vs '.join(e.refs)}]",
-                        f"loop {lv.var}, statements {list(e.statements)}",
-                    )
-                )
-    for k, stmt in enumerate(program.body):
-        if stmt.reduce and stmt.op != "+":
+        witness_severity = ERROR if gate else WARN
+        for lv in loops:
             report.add(
                 _diag(
-                    "BER063",
+                    "BER060",
                     INFO,
-                    f"recognized reduction update {stmt!r}: associative/"
-                    f"commutative combine '{stmt.op}' with RHS independent "
-                    "of the target",
-                    f"statement [{k}]",
-                    stmt,
-                    source,
+                    f"loop {lv.var!r}: {lv.verdict.label()} — "
+                    + "; ".join(e.detail for e in lv.evidence),
+                    f"loop {lv.var}",
                 )
             )
+            for e in lv.evidence:
+                if e.kind == "witness":
+                    report.add(
+                        _diag(
+                            "BER062",
+                            witness_severity,
+                            f"SEQUENTIAL witness (loop {lv.var!r}): {e.detail} "
+                            f"[{' vs '.join(e.refs)}]",
+                            f"loop {lv.var}, statements {list(e.statements)}",
+                        )
+                    )
+        for k, stmt in enumerate(program.body):
+            if stmt.reduce and stmt.op != "+":
+                report.add(
+                    _diag(
+                        "BER063",
+                        INFO,
+                        f"recognized reduction update {stmt!r}: associative/"
+                        f"commutative combine '{stmt.op}' with RHS independent "
+                        "of the target",
+                        f"statement [{k}]",
+                        stmt,
+                        source,
+                    )
+                )
 
-    certificate = ParallelismCertificate(
-        fingerprint=program_fingerprint(program),
-        verdict=verdict,
-        loops=tuple(loops),
-    )
-    report.add(
-        _diag(
-            "BER061",
-            INFO,
-            f"parallelism certificate issued: program verdict "
-            f"{verdict.label()}, fingerprint {certificate.fingerprint}",
-            "program",
+        certificate = ParallelismCertificate(
+            fingerprint=program_fingerprint(program),
+            verdict=verdict,
+            loops=tuple(loops),
         )
-    )
+        report.add(
+            _diag(
+                "BER061",
+                INFO,
+                f"parallelism certificate issued: program verdict "
+                f"{verdict.label()}, fingerprint {certificate.fingerprint}",
+                "program",
+            )
+        )
     return Classification(program, verdict, tuple(loops), certificate, report)
 
 
@@ -507,6 +637,7 @@ def check_certificate(
             {repr(stmt.target)} | {repr(r) for r in stmt.expr.refs()}
         )
     joined = Verdict(DOALL)
+    conflicts = _conflicts(program)
     for lv in certificate.loops:
         where = f"certificate, loop {lv.var}"
         for e in lv.evidence:
@@ -532,7 +663,7 @@ def check_certificate(
                         f"commute evidence claims '{e.op}'-reductions but "
                         f"statements {list(e.statements)} are not", where,
                     )
-        fresh, _ = _classify_loop(program, lv.var)
+        fresh, _ = _classify_loop(program, conflicts, lv.var)
         if fresh != lv.verdict:
             fail(
                 f"verdict mismatch: certificate says "
@@ -662,83 +793,69 @@ def run_depend_selfcheck(seed: int = 1997) -> DiagnosticReport:
     mutant is a BER065 error — the analyzer itself failed."""
     from repro.compiler.parser import parse
 
-    report = DiagnosticReport()
     rng = np.random.default_rng(seed)
-    for name, src in _PROBES:
-        program = normalize_program(parse(src))
+
+    def judge(_name, probe, mutant):
+        program, src = probe
         clean = classify_program(program, source=src)
-        if clean.verdict.kind == SEQUENTIAL:
-            report.extend(clean.report.errors())
-            report.add(
-                _diag(
-                    "BER065",
-                    ERROR,
-                    "unmutated probe classified SEQUENTIAL — the probe "
-                    "set or the analyzer is broken",
-                    f"probe {name}",
-                )
-            )
-            continue
-        for mname, mutate in _MUTANTS.items():
-            mutant = mutate(program, rng)
-            if mutant is None:
-                continue  # mutation not applicable to this probe shape
-            try:
-                mutated = classify_program(mutant, gate=False)
-            except ParseError:
-                # the front-end itself rejects the mutant (e.g. a planted
-                # self-read in a plain assignment) — caught even earlier
-                # than the analyzer
-                report.add(
-                    _diag(
-                        "BER066",
-                        INFO,
-                        f"seeded mutant {mname!r} caught: rejected by "
-                        "normalization before analysis",
-                        f"probe {name}",
-                    )
-                )
-                continue
-            if mutated.verdict.rank <= clean.verdict.rank:
-                report.add(
-                    _diag(
-                        "BER065",
-                        ERROR,
-                        f"seeded mutant {mname!r} escaped: verdict stayed "
-                        f"{mutated.verdict.label()} (clean: "
-                        f"{clean.verdict.label()}) — the analyzer is blind "
-                        "to this planted dependence",
-                        f"probe {name}",
-                    )
-                )
-            else:
-                report.add(
-                    _diag(
-                        "BER066",
-                        INFO,
-                        f"seeded mutant {mname!r} caught: "
-                        f"{clean.verdict.label()} → {mutated.verdict.label()}",
-                        f"probe {name}",
-                    )
-                )
-    return report
+        if mutant is None:
+            return clean.verdict.kind == SEQUENTIAL, "", clean.report.errors()
+        try:
+            mutated = classify_program(mutant, gate=False).verdict
+        except ParseError:
+            # the front-end itself rejects the mutant (e.g. a planted
+            # self-read in a plain assignment) — caught even earlier
+            # than the analyzer
+            return True, "caught: rejected by normalization before analysis", ()
+        if mutated.rank > clean.verdict.rank:
+            return True, f"caught: {clean.verdict.label()} → {mutated.label()}", ()
+        return False, (
+            f"escaped: verdict stayed {mutated.label()} (clean: "
+            f"{clean.verdict.label()}) — the analyzer is blind "
+            "to this planted dependence"
+        ), ()
+
+    return run_mutation_selfcheck(
+        ((name, (normalize_program(parse(src)), src)) for name, src in _PROBES),
+        {m: (lambda p, mutate=mutate: mutate(p[0], rng)) for m, mutate in _MUTANTS.items()},
+        judge,
+        pass_name=_PASS,
+        escaped="BER065",
+        caught="BER066",
+        noun="mutant",
+        broken_probe="unmutated probe classified SEQUENTIAL — the probe "
+        "set or the analyzer is broken",
+    )
 
 
 # ----------------------------------------------------------------------
-# registered sweep pass: classify the shipped kernels + self-check
+# registered sweep passes over the shipped kernels: the lattice
+# classification + self-check ("depend") and the binary view ("doany")
 # ----------------------------------------------------------------------
+def _shipped_sources() -> tuple[str, ...]:
+    from repro.kernels.spmm import SPMM_SRC
+    from repro.kernels.spmv import SPMV_SRC, SPMV_T_SRC
+    from repro.kernels.vecops import AXPY_SRC, DOT_SRC, SCALE_SRC
+
+    return (SPMV_SRC, SPMV_T_SRC, SPMM_SRC, AXPY_SRC, DOT_SRC, SCALE_SRC)
+
+
 @register_pass(
     "depend",
     "parallelism-lattice classification of shipped kernels "
     "(+ seeded mutation self-check)",
 )
 def _sweep() -> DiagnosticReport:
-    from repro.kernels.spmm import SPMM_SRC
-    from repro.kernels.spmv import SPMV_SRC, SPMV_T_SRC
-    from repro.kernels.vecops import AXPY_SRC, DOT_SRC, SCALE_SRC
-
     report = DiagnosticReport()
-    for src in (SPMV_SRC, SPMV_T_SRC, SPMM_SRC, AXPY_SRC, DOT_SRC, SCALE_SRC):
+    for src in _shipped_sources():
         report.extend(classify_source(src).report)
     report.extend(run_depend_selfcheck())
+    return report
+
+
+@register_pass("doany", "DOANY dependence checker over shipped kernels")
+def _sweep_binary() -> DiagnosticReport:
+    report = DiagnosticReport()
+    for src in _shipped_sources():
+        report.extend(check_source(src))
     return report

@@ -11,7 +11,7 @@ Code allocation (see DESIGN.md §9 for the full table):
 
 =========  ==========================================================
 BER001     CLI input failure (parse/compile of a kernel file)
-BER010-014 DOANY dependence checker (:mod:`repro.analysis.doany`)
+BER010-014 binary DOANY view (:func:`repro.analysis.depend.check_program`)
 BER020-028 format-contract auditor (:mod:`repro.analysis.contracts`)
 BER030-035 plan & generated-code linter (:mod:`repro.analysis.lint`)
 BER040-045 SPMD schedule checker (:mod:`repro.analysis.schedule`)

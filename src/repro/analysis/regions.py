@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.analysis.diagnostics import ERROR, INFO, Diagnostic, DiagnosticReport
 from repro.analysis.registry import register_pass
+from repro.analysis.selfcheck import run_mutation_selfcheck
 from repro.formats.coo import COOMatrix
 
 __all__ = [
@@ -336,48 +337,24 @@ def run_region_selfcheck() -> DiagnosticReport:
     BER059 error — the auditor itself failed."""
     from repro.compiler.specialize import partition_regions
 
-    report = DiagnosticReport()
-    for name, coo in _hybrid_probes():
-        partition = partition_regions(coo)
-        clean = audit_partition(coo, partition, where=f"probe {name}")
-        if not clean.ok:
-            report.extend(clean)
-            report.add(
-                Diagnostic(
-                    "BER059",
-                    ERROR,
-                    "partition of an unmutated probe failed its own audit",
-                    pass_name="regions",
-                    location=f"probe {name}",
-                )
-            )
-            continue
-        for mname, mutate in _MUTANTS.items():
-            mutant = mutate(partition, 0)
-            caught = audit_partition(coo, mutant, where=f"probe {name}")
-            if caught.ok:
-                report.add(
-                    Diagnostic(
-                        "BER059",
-                        ERROR,
-                        f"seeded mutation {mname!r} escaped the audit "
-                        "(the defect detector is blind to it)",
-                        pass_name="regions",
-                        location=f"probe {name}",
-                    )
-                )
-            else:
-                report.add(
-                    Diagnostic(
-                        "BER059",
-                        INFO,
-                        f"seeded mutation {mname!r} caught: "
-                        + ",".join(sorted(set(caught.codes()) - {"BER050"})),
-                        pass_name="regions",
-                        location=f"probe {name}",
-                    )
-                )
-    return report
+    def judge(name, probe, mutant):
+        coo, partition = probe
+        audit = audit_partition(coo, mutant or partition, where=f"probe {name}")
+        if audit.ok:
+            return False, "escaped the audit (the defect detector is blind to it)", ()
+        codes = ",".join(sorted(set(audit.codes()) - {"BER050"}))
+        return True, f"caught: {codes}", audit
+
+    return run_mutation_selfcheck(
+        ((name, (coo, partition_regions(coo))) for name, coo in _hybrid_probes()),
+        {m: (lambda p, mutate=mutate: mutate(p[1], 0)) for m, mutate in _MUTANTS.items()},
+        judge,
+        pass_name="regions",
+        escaped="BER059",
+        caught="BER059",
+        noun="mutation",
+        broken_probe="partition of an unmutated probe failed its own audit",
+    )
 
 
 register_pass(

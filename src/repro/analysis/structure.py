@@ -38,7 +38,6 @@ structures.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -48,6 +47,7 @@ import numpy as np
 from repro.analysis.diagnostics import ERROR, INFO, WARN, Diagnostic, DiagnosticReport
 from repro.analysis.registry import register_pass
 from repro.errors import ReproError
+from repro.fingerprint import fingerprint as _digest
 from repro.formats.coo import COOMatrix
 from repro.graphs.inodes import find_inodes
 
@@ -146,7 +146,7 @@ class StructureProfile:
             if isinstance(v, float):
                 doc[k] = float(f"{v:.6g}")
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _digest(blob)
 
     def describe(self) -> str:
         """One paragraph of human-readable structure commentary."""

@@ -827,7 +827,7 @@ def generate_source(
     per-unit lowering labels (``"noop"``, a strategy name, or
     ``"fallback:scalar"``).
     """
-    with span("compiler.codegen", units=len(units), backend=backend.name) as sp:
+    with span("compiler.codegen.generate", units=len(units), backend=backend.name) as sp:
         g = Emitter()
         # parameter names must never be reused as generated temporaries (a
         # storage array named like a fresh temp would be clobbered)

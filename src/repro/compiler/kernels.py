@@ -1,9 +1,16 @@
-"""Kernel compilation entry point and the CompiledKernel wrapper.
+"""The compile path: a short list of passes behind one front door.
 
-``compile_kernel(src, formats)`` runs the whole pipeline — parse,
-normalize/split, sparsity analysis, query extraction, planning, code
-generation — and returns a :class:`CompiledKernel` that can be invoked
-repeatedly with *any* data stored in the same formats:
+``compile_kernel(src, formats)`` is the paper's pipeline — dense DOANY
+loops → relations → query plan → code — run as plain functions over one
+:class:`CompileRequest` whose slots they fill:
+
+    every request   front_end → gate
+    with a cache    key → single-flight lookup
+    on a miss       plan → lower
+    on a hit        recheck
+
+and returns a :class:`CompiledKernel` that can be invoked repeatedly with
+*any* data stored in the same formats:
 
     >>> k = compile_kernel("for i in 0:n { for j in 0:n { Y[i] += A[i,j] * X[j] } }",
     ...                    formats={"A": a_crs, "X": x_dense, "Y": y_dense},
@@ -16,10 +23,13 @@ is cached in a :class:`~repro.compiler.plan_cache.PlanCache` keyed on
 (loop nest, format specs, sparsity predicates, backend, planner options):
 rebinding new data of the same structure costs only a dict merge, and the
 cache's hit/miss counters land in ``repro.observability.metrics``.
+:func:`compile_request` is the same path with the cache passed in — the
+service calls it with its own.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -35,6 +45,7 @@ from repro.compiler.query_extract import extract_query
 from repro.compiler.scheduling import plan_query
 from repro.compiler.sparsity import split_statement
 from repro.errors import CompileError, FormatError, VerificationError
+from repro.fingerprint import fingerprint
 from repro.formats.base import Format
 from repro.observability import metrics as _metrics
 from repro.observability import trace as _trace
@@ -97,25 +108,31 @@ class _BoundVar:
 
 
 class CompiledKernel:
-    """A compiled sparse kernel, bound per call to concrete storage."""
+    """A compiled sparse kernel, bound per call to concrete storage.
+
+    The record of what the passes produced: the program, its plan units
+    and the binding rules derived here; :func:`lower` adds the emitted
+    ``source``, its ``unit_backends`` labels and the ``prepare``/``run``
+    pair the source defines."""
 
     def __init__(
         self,
         program: Program,
         units: list[KernelUnit],
         formats: Mapping[str, Format],
-        backend: ExecutorBackend,
+        backend: str,
+        certificate=None,
     ):
         self.program = program
         self.units = units
-        #: :class:`~repro.analysis.depend.ParallelismCertificate` attached
-        #: by :func:`compile_kernel` when verification ran (None under
-        #: ``verify="off"``); re-validated on every plan-cache hit
-        self.certificate = None
+        #: :class:`~repro.analysis.depend.ParallelismCertificate` of the
+        #: request that compiled this kernel (None under ``verify="off"``);
+        #: re-validated on every plan-cache hit
+        self.certificate = certificate
         self.format_classes = {name: type(f) for name, f in formats.items()}
         self.format_specs = {name: f.spec() for name, f in formats.items()}
         #: name of the executor backend this kernel was lowered with
-        self.backend = backend.name
+        self.backend = backend
         self.scalar_names = sorted(program.scalar_names())
         self._bound_vars = self._bound_var_rules(formats)
         # per-unit flops per driven entry: operators in the expression plus
@@ -136,17 +153,10 @@ class CompiledKernel:
         self.param_names = storage_keys + [
             s for s in self.scalar_names if s not in storage_keys
         ]
+        self.source: str
         #: per-unit lowering labels (strategy name, "noop", or
         #: "fallback:scalar" when the backend could not lower the plan)
         self.unit_backends: tuple[str, ...]
-        self.source, self.unit_backends = codegen.generate_source(
-            program, units, dict(formats), self.param_names, backend=backend
-        )
-        ns: dict = {"np": np, "FormatError": FormatError}
-        exec(compile(self.source, "<bernoulli-kernel>", "exec"), ns)
-        self._prepare, self._run = ns["prepare"], ns["run"]
-        code = self._prepare.__code__
-        self._prepare_names = code.co_varnames[: code.co_argcount]
 
     # ------------------------------------------------------------------
     def _bound_var_rules(self, formats: Mapping[str, Format]) -> list[_BoundVar]:
@@ -241,6 +251,12 @@ class CompiledKernel:
         its scratch, so it is not re-entrant across threads; the kernel
         itself is, since every ``bind()`` prepares its own ``aux`` (which
         holds indices and scratch only, never matrix values)."""
+        return self._bind(bindings)[0]
+
+    def _bind(self, bindings):
+        """``(bound, work)``: the bound callable, which records the work
+        counters per call when metrics are on, and the memoized function
+        that derives them (the one place they are computed)."""
         ns = self._build_namespace(bindings)
         args = tuple(ns[k] for k in self.param_names)
         with _trace.span("kernel.prepare", backend=self.backend):
@@ -250,34 +266,38 @@ class CompiledKernel:
         arrays = {n: v for n, v in bindings.items() if isinstance(v, Format)}
         counters = None
 
-        def bound() -> None:
+        def work() -> KernelCounters:
             nonlocal counters
+            if counters is None:
+                counters = self._counters_for(arrays)
+            return counters
+
+        def bound() -> None:
             run(*args, aux)
             if _metrics.metrics_enabled():
-                c = counters = counters or self._counters_for(arrays)
+                c = work()
                 _metrics.record("kernel.calls")
                 _metrics.record("kernel.flops", c.flops)
                 _metrics.record("kernel.nnz_touched", c.nnz_touched)
                 _metrics.record("kernel.rows_visited", c.rows_visited)
 
-        return bound
+        return bound, work
 
     def __call__(self, **bindings) -> None:
         """Run the kernel: ``run(..., prepare(...))`` through :meth:`bind`.
         Pass each array as a Format instance of the compiled class, plus
         any free scalars.  Outputs mutate in place."""
-        bound = self.bind(**bindings)
+        bound, work = self._bind(bindings)
         if not (_metrics.metrics_enabled() or _trace.tracing_enabled()):
             return bound()
         # slow path: run under a span carrying the work counters
-        arrays = {n: v for n, v in bindings.items() if isinstance(v, Format)}
-        c = self.last_counters = self._counters_for(arrays)
+        c = self.last_counters = work()
         with _trace.span(
             "kernel.call",
             flops=c.flops,
             nnz_touched=c.nnz_touched,
             rows_visited=c.rows_visited,
-            arrays={n: type(v).__name__ for n, v in arrays.items()},
+            arrays={n: cls.__name__ for n, cls in self.format_classes.items()},
         ):
             bound()
 
@@ -338,6 +358,193 @@ class CompiledKernel:
         return ns
 
 
+@dataclass(slots=True)
+class CompileRequest:
+    """One compile request: the arguments of :func:`compile_kernel`
+    (validated on construction), then the slots the passes fill."""
+
+    source: str | Program
+    formats: Mapping[str, Format]
+    backend: str | ExecutorBackend | None = None
+    vectorize: bool | None = None
+    verify: str = "error"
+    force_driver: str | None = None
+    allow_merge: bool = True
+    extra_key: tuple = ()
+    program: Program | None = None  # front_end: normalized
+    certificate: object = None  # gate (None under verify="off")
+    key: tuple | None = None  # key
+    units: list[KernelUnit] | None = None  # plan
+    kernel: CompiledKernel | None = None  # lower, or the cache
+    outcome: str = "compiled"  # or the cache's "hit" / "coalesced"
+
+    def __post_init__(self):
+        self.backend = resolve_backend(self.backend, self.vectorize)
+        if self.verify not in ("off", "warn", "error"):
+            raise CompileError(
+                f"verify must be 'off', 'warn' or 'error', got {self.verify!r}"
+            )
+
+    @property
+    def key_fingerprint(self) -> str:
+        """Short stable token of the structural key (for logs/spans)."""
+        return fingerprint(repr(self.key), 12)
+
+
+def front_end(req: CompileRequest) -> None:
+    """Text or ``Program`` → normalized program, every array with a format."""
+    src = req.source
+    # parser output is already normalized
+    req.program = parse(src) if isinstance(src, str) else normalize_program(src)
+    for name in req.program.arrays():
+        if name not in req.formats:
+            raise CompileError(f"no format given for array {name!r}")
+
+
+def gate(req: CompileRequest) -> None:
+    """The one dependence gate: classify the nest (memoized, pure tuple
+    algebra), keep the certificate, refuse or warn on a SEQUENTIAL witness."""
+    if req.verify == "off":
+        return
+    from repro.analysis.depend import classify_program
+
+    text = req.source if isinstance(req.source, str) else None
+    cls = classify_program(req.program, source=text, gate=True)
+    req.certificate = cls.certificate
+    if cls.report.ok:
+        return
+    msg = (
+        f"loop nest is {cls.verdict.label()} — not DOANY-safe:\n"
+        + cls.report.render("error")
+    )
+    if req.verify == "error":
+        raise VerificationError(msg, diagnostics=tuple(cls.report.errors()))
+    # blame compile_kernel's caller: gate ← compile_request ← compile_kernel
+    warnings.warn(msg, stacklevel=4)
+
+
+def key(req: CompileRequest) -> None:
+    """Everything the generated code depends on, and nothing else."""
+    req.key = kernel_cache_key(
+        req.program, req.formats, req.backend.name,
+        req.force_driver, req.allow_merge, req.extra_key,
+    )
+
+
+def plan(req: CompileRequest) -> None:
+    """Statements → conjunctive pieces → relational queries → join plans."""
+    program, formats = req.program, req.formats
+    sparse = {
+        name for name in program.arrays() if not formats[name].structurally_dense
+    }
+    loop_vars = {l.var for l in program.loops}
+    req.units = []
+    for stmt in program.body:
+        for piece in split_statement(stmt):
+            if not piece.reduce:
+                free = loop_vars - set(piece.target.indices)
+                if free:
+                    raise CompileError(
+                        f"plain assignment {piece!r} has free loop vars "
+                        f"{sorted(free)}; write the reduction with '+='"
+                    )
+            query = extract_query(program, piece, sparse)
+            best = plan_query(
+                query, dict(formats),
+                force_driver=req.force_driver, allow_merge=req.allow_merge,
+            )
+            req.units.append(KernelUnit(piece, best))
+
+
+def lower(req: CompileRequest) -> None:
+    """Plan units → Python source → the ``prepare``/``run`` pair it defines."""
+    kern = CompiledKernel(
+        req.program, req.units, req.formats, req.backend.name, req.certificate
+    )
+    kern.source, kern.unit_backends = codegen.generate_source(
+        req.program, req.units, dict(req.formats), kern.param_names,
+        backend=req.backend,
+    )
+    ns: dict = {"np": np, "FormatError": FormatError}
+    with _trace.span("compiler.codegen.exec", chars=len(kern.source)):
+        exec(compile(kern.source, "<bernoulli-kernel>", "exec"), ns)
+    kern._prepare, kern._run = ns["prepare"], ns["run"]
+    code = kern._prepare.__code__
+    kern._prepare_names = code.co_varnames[: code.co_argcount]
+    req.kernel = kern
+
+
+def recheck(req: CompileRequest) -> None:
+    """Never trust a cached plan's parallelism claim.  A stored
+    certificate equal to the one just derived for *this* request's
+    program is validated by that derivation; any other one goes through
+    the full independent re-check."""
+    kern = req.kernel
+    if req.verify == "off" or kern.certificate == req.certificate:
+        return
+    if kern.certificate is None:  # compiled under verify="off"
+        kern.certificate = req.certificate
+        return
+    from repro.analysis.depend import check_certificate
+
+    chk = check_certificate(req.program, kern.certificate)
+    if not chk.ok:
+        raise VerificationError(
+            "cached plan's parallelism certificate failed "
+            "validation:\n" + chk.render("error"),
+            diagnostics=tuple(chk.errors()),
+        )
+
+
+#: what every request runs, and what a miss (or ``cache=None``) runs to
+#: build the kernel; ``key`` and ``recheck`` bracket the cache lookup
+REQUEST_PASSES = (front_end, gate)
+MISS_PASSES = (plan, lower)
+
+
+def compile_request(req: CompileRequest, cache: PlanCache | None) -> CompileRequest:
+    """The compiler's one front door: run the pass list against ``cache``
+    (``None``: always build, touch no cache) and return the filled request.
+
+    :func:`compile_kernel` calls it with the process cache and the service
+    with its own.  Single-flight makes concurrent requests for one key
+    compile exactly once; a pass that raises leaves nothing cached.
+    """
+
+    def build() -> CompiledKernel:
+        _metrics.record("compiler.compilations")
+        for run_pass in MISS_PASSES:
+            run_pass(req)
+        kern = req.kernel
+        sp.set(
+            units=len(kern.units),
+            drivers=[u.plan.driver for u in kern.units],
+            lowerings=list(kern.unit_backends),
+            source_chars=len(kern.source),
+        )
+        return kern
+
+    with _trace.span(
+        "compiler.compile_kernel",
+        backend=req.backend.name,
+        force_driver=req.force_driver,
+        formats={n: type(f).__name__ for n, f in req.formats.items()},
+    ) as sp:
+        for run_pass in REQUEST_PASSES:
+            run_pass(req)
+        if cache is None:
+            build()
+        else:
+            key(req)
+            req.kernel, req.outcome = cache.get_or_compile(
+                req.key, build, backend=req.backend.name
+            )
+            if req.outcome != "compiled":
+                recheck(req)
+        sp.set(cache_hit=req.outcome != "compiled", cache_outcome=req.outcome)
+    return req
+
+
 def compile_kernel(
     source: str | Program,
     formats: Mapping[str, Format],
@@ -367,13 +574,15 @@ def compile_kernel(
         are given (contradictions raise).
     force_driver:
         Pin the planner's primary driver (ablation hook).
+    cache:
+        ``False`` builds a fresh kernel and touches no cache.
     verify:
         Dependence analysis (:mod:`repro.analysis.depend`), run on every
         compile (cache hits included — the check is pure tuple algebra).
         Every loop is classified into the parallelism lattice
         DOALL ⊏ DOANY ⊏ REDUCTION(op) ⊏ SEQUENTIAL: DOALL/DOANY/REDUCTION
         verdicts compile (REDUCTION through privatized-accumulation
-        lowerings), and a SEQUENTIAL verdict means the nest carries a real
+        lowerings), and a SEQUENTIAL witness means the nest carries a real
         dependence — ``"error"`` (default) raises
         :class:`~repro.errors.VerificationError` with the witness access
         pair, ``"warn"`` downgrades findings to a Python warning,
@@ -388,108 +597,10 @@ def compile_kernel(
         key so equal-shape matrices with different structure never share
         an auto-planned kernel.
     """
-    be = resolve_backend(backend, vectorize)
-    if verify not in ("off", "warn", "error"):
-        raise CompileError(
-            f"verify must be 'off', 'warn' or 'error', got {verify!r}"
-        )
-    with _trace.span(
-        "compiler.compile_kernel",
-        backend=be.name,
-        force_driver=force_driver,
-        formats={n: type(f).__name__ for n, f in formats.items()},
-    ) as sp:
-        src_text = source if isinstance(source, str) else None
-        if isinstance(source, str):
-            program = parse(source)  # parser output is already normalized
-        else:
-            program = normalize_program(source)
-        for name in program.arrays():
-            if name not in formats:
-                raise CompileError(f"no format given for array {name!r}")
-        certificate = None
-        if verify != "off":
-            from repro.analysis.depend import classify_program
-
-            cls = classify_program(program, source=src_text, gate=True)
-            certificate = cls.certificate
-            sp.set(verdict=cls.verdict.label())
-            if not cls.report.ok:
-                msg = (
-                    f"loop nest is {cls.verdict.label()} — not DOANY-safe:\n"
-                    + cls.report.render("error")
-                )
-                if verify == "error":
-                    raise VerificationError(
-                        msg, diagnostics=tuple(cls.report.errors())
-                    )
-                import warnings
-
-                warnings.warn(msg, stacklevel=2)
-        def build() -> CompiledKernel:
-            _metrics.record("compiler.compilations")
-            sparse = {
-                name
-                for name in program.arrays()
-                if not formats[name].structurally_dense
-            }
-            units: list[KernelUnit] = []
-            loop_vars = {l.var for l in program.loops}
-            for stmt in program.body:
-                for piece in split_statement(stmt):
-                    if not piece.reduce:
-                        free = loop_vars - set(piece.target.indices)
-                        if free:
-                            raise CompileError(
-                                f"plain assignment {piece!r} has free loop vars "
-                                f"{sorted(free)}; write the reduction with '+='"
-                            )
-                    query = extract_query(program, piece, sparse)
-                    plan = plan_query(
-                        query, dict(formats), force_driver=force_driver, allow_merge=allow_merge
-                    )
-                    units.append(KernelUnit(piece, plan))
-            kern = CompiledKernel(program, units, formats, be)
-            kern.certificate = certificate
-            sp.set(
-                units=len(units),
-                drivers=[u.plan.driver for u in units],
-                lowerings=list(kern.unit_backends),
-                source_chars=len(kern.source),
-            )
-            return kern
-
-        if cache:
-            # atomic lookup-or-build: concurrent requests with the same
-            # structural key compile exactly once (single-flight)
-            key = kernel_cache_key(
-                program, formats, be.name, force_driver, allow_merge, extra_key
-            )
-            kern, outcome = KERNEL_CACHE.get_or_compile(
-                key, build, backend=be.name
-            )
-            sp.set(cache_hit=outcome != "compiled", cache_outcome=outcome)
-            if outcome != "compiled" and verify != "off":
-                # never trust a cached plan's parallelism claim.  A stored
-                # certificate equal to the one just derived for *this*
-                # request's program is validated by that derivation; any
-                # other one goes through the full independent re-check.
-                if kern.certificate is None:
-                    kern.certificate = certificate
-                elif kern.certificate != certificate:
-                    from repro.analysis.depend import check_certificate
-
-                    chk = check_certificate(program, kern.certificate)
-                    if not chk.ok:
-                        raise VerificationError(
-                            "cached plan's parallelism certificate failed "
-                            "validation:\n" + chk.render("error"),
-                            diagnostics=tuple(chk.errors()),
-                        )
-        else:
-            sp.set(cache_hit=False)
-            kern = build()
-    return kern
+    req = CompileRequest(
+        source, formats, backend, vectorize, verify, force_driver, allow_merge, extra_key
+    )
+    return compile_request(req, KERNEL_CACHE if cache else None).kernel
 
 
 def clear_kernel_cache() -> None:

@@ -250,7 +250,7 @@ def parse(src: str) -> Program:
 
     Memoized per source text (programs are immutable): a solver or service
     re-issuing the same nest gets the same ``Program`` object back."""
-    with span("compiler.parse", chars=len(src)) as sp:
+    with span("compiler.parser.parse", chars=len(src)) as sp:
         try:
             tokens = tokenize_spans(src)
             program = _Parser(tokens, src).parse_program()

@@ -29,7 +29,7 @@ def extract_query(program: Program, stmt: Assign, sparse: frozenset[str] | set[s
     ``sparse`` — names of arrays with sparse storage (everything else is
     structurally dense).
     """
-    with span("compiler.extract_query", statement=repr(stmt)) as sp:
+    with span("compiler.query_extract.extract", statement=repr(stmt)) as sp:
         index_vars = tuple(IndexVar(l.var, l.lo, l.hi) for l in program.loops)
 
         seen: dict[str, tuple[str, ...]] = {}

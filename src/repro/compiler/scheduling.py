@@ -325,7 +325,7 @@ def plan_query(
     errors: list[str] = []
     considered: list[tuple[str | None, float | None, str]] = []
     with span(
-        "compiler.plan_query",
+        "compiler.scheduling.plan",
         query=repr(query),
         candidates=[c.array if c is not None else None for c in candidates],
     ) as sp:

@@ -129,7 +129,7 @@ def split_statement(stmt: Assign) -> list[Assign]:
     by ``+=`` statements for the remaining terms.  Statements that are not
     top-level sums are returned unchanged.
     """
-    with span("compiler.split_statement", statement=repr(stmt)) as sp:
+    with span("compiler.sparsity.split", statement=repr(stmt)) as sp:
         if stmt.reduce and stmt.op != "+":
             # a non-additive reduction combines whole RHS values; splitting
             # `Y *= a + b` into two statements would change its meaning

@@ -46,9 +46,8 @@ compile time rather than silently double-executed per region.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -60,6 +59,7 @@ from repro.compiler.autoplan import (
     CostModel,
 )
 from repro.errors import CompileError, FormatError
+from repro.fingerprint import fingerprint as _digest
 from repro.formats.base import Format
 from repro.formats.coo import COOMatrix
 from repro.formats.crs import CRSMatrix
@@ -176,10 +176,15 @@ class RegionPartition:
     nnz: int
     regions: tuple[Region, ...]
     profile: "StructureProfile"  # noqa: F821 - forward ref, typing only
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def fingerprint(self) -> str:
         """Stable short hash for region-aware kernel-cache keys: the
-        profile fingerprint plus every region's structural summary."""
+        profile fingerprint plus every region's structural summary.
+        Computed once — a partition is never edited after construction
+        (``HybridMatrix.spec()`` and ``HybridKernel.bind()`` ask per call)."""
+        if self._fingerprint is not None:
+            return self._fingerprint
         doc = {
             "shape": list(self.shape),
             "nnz": int(self.nnz),
@@ -187,7 +192,8 @@ class RegionPartition:
             "regions": [r.summary() for r in self.regions],
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        self._fingerprint = _digest(blob)
+        return self._fingerprint
 
     def reassemble(self) -> COOMatrix:
         """The union of the regions as one COO matrix (must equal the

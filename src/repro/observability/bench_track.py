@@ -26,7 +26,6 @@ Design points:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -35,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ObservabilityError
+from repro.fingerprint import fingerprint
 
 __all__ = [
     "BenchRecord",
@@ -53,7 +53,7 @@ DEFAULT_HISTORY = "BENCH_history.jsonl"
 def config_fingerprint(config: dict) -> str:
     """Short stable fingerprint of a benchmark config dict."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return fingerprint(blob, 12)
 
 
 def current_git_rev() -> str:

@@ -6,11 +6,12 @@ caches, and the returned dict becomes ``ServiceResponse.value``.  Three
 handlers ship with the service:
 
 ``compile``
-    The cached-module front door (PyOP2's architecture): the structural
-    key is computed first, then the kernel is fetched through the shared
-    :class:`~repro.compiler.plan_cache.PlanCache`'s single-flight
-    :meth:`~repro.compiler.plan_cache.PlanCache.get_or_compile` — a warm
-    key costs a dict probe, and N concurrent cold requests for the same
+    The cached-module front door (PyOP2's architecture), and the same one
+    :func:`~repro.compiler.kernels.compile_kernel` uses:
+    :func:`~repro.compiler.kernels.compile_request` against the service's
+    :class:`~repro.compiler.plan_cache.PlanCache`.  Every request is
+    parsed, gated and keyed; a warm key then costs a dict probe plus the
+    certificate re-check, and N concurrent cold requests for the same
     structure pay for exactly one compilation between them.
 
 ``solve_cg`` / ``solve_jacobi``
@@ -25,13 +26,10 @@ Custom kinds can be registered per service instance (see
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
-from repro.compiler.backends import resolve_backend
-from repro.compiler.kernels import compile_kernel
-from repro.compiler.parser import parse
-from repro.compiler.plan_cache import PlanCache, kernel_cache_key
+from repro.compiler.kernels import CompileRequest, compile_request
+from repro.compiler.plan_cache import PlanCache
 from repro.errors import ServiceError
 from repro.runtime.schedule_cache import ScheduleCache
 
@@ -52,11 +50,6 @@ class ServiceContext:
     schedule_cache: ScheduleCache | None = None
 
 
-def _key_fingerprint(key: tuple) -> str:
-    """Short stable token of a structural cache key (for logs/spans)."""
-    return hashlib.sha256(repr(key).encode()).hexdigest()[:12]
-
-
 def handle_compile(payload: dict, ctx: ServiceContext) -> dict:
     """Compile (or fetch) a kernel through the shared plan cache.
 
@@ -70,32 +63,21 @@ def handle_compile(payload: dict, ctx: ServiceContext) -> dict:
         formats = payload["formats"]
     except KeyError as exc:
         raise ServiceError(f"compile request missing {exc.args[0]!r}") from None
-    program = parse(source) if isinstance(source, str) else source
-    be = resolve_backend(payload.get("backend"), None)
-    force_driver = payload.get("force_driver")
-    allow_merge = bool(payload.get("allow_merge", True))
-    extra_key = tuple(payload.get("extra_key", ()))
-    key = kernel_cache_key(
-        program, formats, be.name, force_driver, allow_merge, extra_key
+    req = CompileRequest(
+        source,
+        formats,
+        backend=payload.get("backend"),
+        verify=payload.get("verify", "error"),
+        force_driver=payload.get("force_driver"),
+        allow_merge=bool(payload.get("allow_merge", True)),
+        extra_key=tuple(payload.get("extra_key", ())),
     )
-    kernel, outcome = ctx.plan_cache.get_or_compile(
-        key,
-        lambda: compile_kernel(
-            program,
-            formats,
-            backend=be,
-            force_driver=force_driver,
-            allow_merge=allow_merge,
-            verify=payload.get("verify", "error"),
-            cache=False,  # this service cache IS the cache tier
-        ),
-        backend=be.name,
-    )
+    compile_request(req, ctx.plan_cache)
     return {
-        "kernel": kernel,
-        "outcome": outcome,
-        "backend": kernel.backend,
-        "key_fingerprint": _key_fingerprint(key),
+        "kernel": req.kernel,
+        "outcome": req.outcome,
+        "backend": req.kernel.backend,
+        "key_fingerprint": req.key_fingerprint,
     }
 
 

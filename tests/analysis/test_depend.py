@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis import check_source
 from repro.analysis.depend import (
     DOALL,
     DOANY,
@@ -234,6 +235,36 @@ def test_sequential_kernel_still_fails_loudly_with_witness():
         )
     assert "SEQUENTIAL" in str(e.value)
     assert any(d.code == "BER062" for d in e.value.diagnostics)
+
+
+def test_mixed_operator_reductions_on_different_arrays_are_admitted():
+    # finding of the doany/depend fold (see test_depend_golden.py): loop i
+    # carries a '*'-reduction on Z, loop j a max-reduction on Y.  The
+    # per-loop verdicts join to the label SEQUENTIAL (no single operator
+    # names the nest), but there is no witness — each update commutes with
+    # itself and the arrays are disjoint — so the gate admits the nest,
+    # the binary view is clean, and the kernel agrees with the oracle.
+    src = "for i in 0:n { for j in 0:n { Y[i] = max(Y[i], A[i,j]) Z[j] = A[i,j] * Z[j] } }"
+    cls = classify_source(src)
+    assert [lv.verdict for lv in cls.loops] == [
+        Verdict(REDUCTION, "*"), Verdict(REDUCTION, "max")
+    ]
+    assert cls.verdict == Verdict(SEQUENTIAL)
+    assert cls.report.ok and not cls.report.by_code("BER062")
+    assert check_source(src).ok
+    n = 5
+    A = _crs(n, seed=2)
+    y, z = DenseVector.zeros(n), DenseVector(np.ones(n))
+    kern = compile_kernel(src, {"A": A, "Y": y, "Z": z}, cache=False)
+    assert check_certificate(kern.program, kern.certificate).ok
+    kern(A=A, Y=y, Z=z)
+    ref = run_reference(
+        parse(src),
+        {"A": A.to_dense(), "Y": np.zeros(n), "Z": np.ones(n)},
+        sparse={"A"},
+    )
+    assert y.vals.tobytes() == ref["Y"].tobytes()
+    assert z.vals.tobytes() == ref["Z"].tobytes()
 
 
 def test_cache_hit_revalidates_certificate():

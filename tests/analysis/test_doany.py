@@ -1,8 +1,9 @@
-"""DOANY dependence checker: legal nests verify, seeded races are caught."""
+"""The binary DOANY view of the dependence analyzer (BER010-014): legal
+nests verify, seeded races are caught."""
 
 import pytest
 
-from repro.analysis.doany import check_program, check_source
+from repro.analysis import check_program, check_source
 from repro.compiler.parser import parse
 
 
@@ -56,10 +57,10 @@ def test_reduction_reading_own_target_permuted_is_rejected():
 
 
 def test_non_reduction_loop_carried_write_is_rejected():
-    # the acceptance defect: a loop-carried write that is NOT a legal
-    # reduction.  The parser already refuses `Y[i] = Y[i] * X[i]`, so the
-    # checker's own rejection is exercised on a directly-built Program —
-    # defense in depth for callers that construct ASTs programmatically.
+    # the acceptance defect: a plain assignment reading its own target.
+    # The front end rewrites `Y[i] = Y[i] * X[i]` to a '*'-reduction, and
+    # check_program does not normalize, so the rule is exercised on a
+    # directly-built Program — for callers that construct ASTs themselves.
     from repro.compiler.ast_nodes import Assign, BinOp, LoopSpec, Program, Ref
 
     prog = Program(
