@@ -3,7 +3,7 @@
 Paper claims reproduced in shape:
 
 * Bernoulli-Mixed tracks the hand-written BlockSolve executor closely
-  (the paper saw 2–4%; our Python backend pays more — see EXPERIMENTS.md),
+  (the paper saw 2–4%; see EXPERIMENTS.md for ours),
 * the naive fully-global Bernoulli executor is measurably slower than the
   mixed one (redundant global-to-local indirection on every x access),
 * per-rank times are roughly flat across P (weak scaling).
@@ -26,6 +26,8 @@ import pytest
 from paperbench import run_cg_measurement
 
 VARIANTS = ["blocksolve", "mixed-bs", "global-bs"]
+#: gate on compiled-mixed / hand-written executor time (Table 2's relation)
+MIXED_OVER_LIBRARY = 1.5
 P_LIST = [2, 4]
 
 
@@ -52,10 +54,8 @@ def test_table2_shape():
     t_bs = ms["blocksolve"].executor_seconds
     t_mx = ms["mixed-bs"].executor_seconds
     t_gl = ms["global-bs"].executor_seconds
-    # in our backend per-block loop overhead puts mixed and naive within
-    # noise of each other; the robust claims are the bounds vs the library
     assert t_mx < t_gl * 1.35, "mixed executor should track the naive one"
-    assert t_mx < 3 * t_bs, "compiled mixed executor within a small factor of library"
+    assert t_mx < MIXED_OVER_LIBRARY * t_bs, "compiled mixed executor tracks the library"
     assert t_gl < 3 * t_bs, "compiled naive executor within a small factor of library"
 
 
@@ -70,6 +70,14 @@ def main(argv=None):
         for v, m in ms.items():
             print(f"{v:<12} executor={m.executor_seconds:.4f}s "
                   f"inspector={m.inspector_seconds:.4f}s")
+        ratio = ms["mixed-bs"].executor_seconds / ms["blocksolve"].executor_seconds
+        if args.smoke:
+            if ratio >= MIXED_OVER_LIBRARY:
+                raise SystemExit(
+                    f"SMOKE FAIL: mixed-bs executor is {ratio:.2f}x blocksolve "
+                    f"(gate: < {MIXED_OVER_LIBRARY}x)"
+                )
+            print(f"SMOKE OK: mixed-bs executor is {ratio:.2f}x blocksolve")
         value = geomean(m.executor_seconds for m in ms.values())
         config = {"P": P, "niter": niter, "smoke": bool(args.smoke)}
         metrics = {

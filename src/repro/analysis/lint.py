@@ -35,6 +35,7 @@ import ast
 
 from repro.analysis.diagnostics import ERROR, WARN, Diagnostic, DiagnosticReport
 from repro.analysis.registry import register_pass
+from repro.compiler.codegen import RUNTIME
 
 __all__ = [
     "lint_plan",
@@ -45,11 +46,11 @@ __all__ = [
 
 _PASS = "lint"
 
-#: names the generated code may read without binding them itself
+#: names the generated code may read without binding them itself: the
+#: builtins it uses and the namespace its source is exec'd in
 _ALLOWED_GLOBALS = frozenset(
-    {"np", "range", "len", "min", "max", "abs", "int", "float", "enumerate",
-     "slice", "FormatError"}
-)
+    {"range", "len", "min", "max", "abs", "int", "float", "enumerate", "slice"}
+) | frozenset(RUNTIME)
 
 
 def _diag(code, severity, message, location):

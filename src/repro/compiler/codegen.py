@@ -13,7 +13,8 @@ for which plan is an :class:`~repro.compiler.backends.ExecutorBackend`:
   or a whole-matrix :meth:`segmented_view`, loops are replaced by numpy
   slice/gather/scatter operations (``np.dot`` for reductions, slice
   ``+=`` for affine scatters, ``np.add.at`` for gather scatters,
-  ``np.add.reduceat`` for segmented reductions).  This plays the role of
+  ``np.add.reduceat`` for segmented reductions, one batched product per
+  block shape for dense blocks).  This plays the role of
   the paper's generated C code: it exploits exactly the contiguity the
   formats were designed to expose.
 * **reduce-scatter** — the op-aware variant for non-additive reductions
@@ -36,9 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.compiler.ast_nodes import Assign, BinOp, Expr, Neg, Num, Program, Ref, Scalar
 from repro.compiler.scheduling import Plan, Step
-from repro.errors import CompileError
+from repro.errors import CompileError, FormatError
 from repro.formats.base import Emitter, Format
 from repro.observability.trace import span
 
@@ -547,34 +550,94 @@ def _emit_vector_nest(
 
 
 # ----------------------------------------------------------------------
-# block-GEMV backend: collapse the driver's final (row, col) levels into
-# one dense matrix-vector product per block (i-nodes / clique blocks)
+# block-GEMV backend: collapse the driver's whole level walk into one
+# batched dense matrix-vector product per block *shape* (i-nodes, clique
+# blocks, dense windows)
 # ----------------------------------------------------------------------
+#: a dense block of at least this many values gets its own BLAS gemv: one
+#: Python-level trip per block (~5 µs) then costs less than copying the
+#: block's values into a batch (~0.7 ns each) would
+_GEMV_BLOCK = 4096
+
+
+def block_groups(nrows, ncols, voff, rstart, ridx, cstart, cidx):
+    """Runtime support for the block-GEMV lowering, called from the
+    generated ``prepare``: group a format's dense blocks by shape.
+
+    Block ``t`` is ``nrows[t] × ncols[t]``, stored row-major from
+    ``voff[t]``; its rows are ``rstart[t] + arange(nrows[t])``, looked up
+    through ``ridx`` unless that is None (likewise columns).  Blocks of one
+    shape ``(r, c)`` form one batch of ``T``; a block of ``_GEMV_BLOCK``
+    values or more is a batch of its own.  Zero-area blocks carry no work.
+    Returns per batch the tuple ``(R, C, V, shape, add_at)`` that ``run``
+    consumes as ``vals[V].reshape(shape)``, ``x[C]`` and a scatter into
+    ``y[R]``:
+
+    * ``R`` ``(T, r)`` and ``C`` ``(T, c)`` — row and column gather tensors,
+    * ``V`` — a slice of the value array when the batch's blocks are
+      adjacent in storage (a view, no copy), else a ``(T, r*c)`` gather index,
+    * ``shape`` — ``(T, r, c)``; a one-block batch drops the leading axis
+      (``(r, c)``, 1-D ``R``/``C``): its product is one gemv on a view,
+    * ``add_at`` — some row occurs twice in ``R``: the scatter must
+      accumulate (``np.add.at``), not ``+=``.
+
+    Indices only — never a copy of values."""
+    nrows, ncols, voff = np.asarray(nrows), np.asarray(ncols), np.asarray(voff)
+    live = np.flatnonzero((nrows > 0) & (ncols > 0))
+    key = nrows[live] * (ncols.max(initial=0) + 1) + ncols[live]
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    groups = []
+    for same in np.split(live[order], cuts) if len(live) else ():
+        r, c = int(nrows[same[0]]), int(ncols[same[0]])
+        for ts in same[:, None] if r * c >= _GEMV_BLOCK else [same]:
+            R = rstart[ts][:, None] + np.arange(r)
+            C = cstart[ts][:, None] + np.arange(c)
+            R = R if ridx is None else ridx[R]
+            C = C if cidx is None else cidx[C]
+            v0 = voff[ts]
+            if (np.diff(v0) == r * c).all():
+                V = slice(int(v0[0]), int(v0[0]) + len(ts) * r * c)
+            else:
+                V = v0[:, None] + np.arange(r * c)
+            flat = np.sort(R, axis=None)
+            add_at = bool((flat[1:] == flat[:-1]).any())
+            if len(ts) == 1:
+                groups.append((R[0], C[0], V, (r, c), add_at))
+            else:
+                groups.append((R, C, V, (len(ts), r, c), add_at))
+    return groups
+
+
+#: globals of every generated kernel source
+RUNTIME = {"np": np, "FormatError": FormatError, "block_groups": block_groups}
+
+
 def _block_plan_shape(unit: KernelUnit, formats: dict[str, Format]):
-    """If the last two steps enumerate the driver's final two levels (one
-    row var, one col var) and the format exposes a block view, return
-    (row_var, col_var); else None."""
+    """If the plan ends with the driver's full level walk — unguarded
+    enumerations of which only the last two bind (one row var, one col
+    var) — and the format exposes a block view, return
+    (row_var, col_var, outer_steps); else None."""
     plan = unit.plan
-    if plan.noop or len(plan.steps) < 2:
-        return None
-    s_row, s_col = plan.steps[-2], plan.steps[-1]
-    if not (
-        s_row.kind == "enumerate"
-        and s_col.kind == "enumerate"
-        and s_row.term == s_col.term == plan.driver
-        and not s_row.guards
-        and not s_col.guards
-        and len(s_row.binds) == 1
-        and len(s_col.binds) == 1
-    ):
+    if plan.noop or plan.driver is None:
         return None
     fmt = formats[plan.driver]
+    if fmt.inner_block_view(plan.driver) is None:
+        return None
     nlev = len(fmt.levels())
-    if s_row.level_index != nlev - 2 or s_col.level_index != nlev - 1:
+    walk = plan.steps[-nlev:]
+    if nlev < 2 or len(walk) != nlev:
         return None
-    if fmt.inner_block_view(plan.driver, "0") is None:
+    if not all(
+        s.kind == "enumerate"
+        and s.term == plan.driver
+        and s.level_index == k
+        and not s.guards
+        and len(s.binds) == (1 if k >= nlev - 2 else 0)
+        for k, s in enumerate(walk)
+    ):
         return None
-    return s_row.binds[0], s_col.binds[0]
+    return walk[-2].binds[0], walk[-1].binds[0], plan.steps[:-nlev]
 
 
 def _block_vectorizable(unit: KernelUnit, formats: dict[str, Format]) -> bool:
@@ -583,7 +646,7 @@ def _block_vectorizable(unit: KernelUnit, formats: dict[str, Format]) -> bool:
     shape = _block_plan_shape(unit, formats)
     if shape is None:
         return False
-    row_var, col_var = shape
+    row_var, col_var, outer = shape
     stmt = unit.stmt
     target = stmt.target
     tfmt = formats[target.array]
@@ -595,7 +658,7 @@ def _block_vectorizable(unit: KernelUnit, formats: dict[str, Format]) -> bool:
     driver = unit.plan.driver
     term = unit.plan.query.term_for(driver)
     outer_vars = set()
-    for s in unit.plan.steps[:-2]:
+    for s in outer:
         outer_vars.update(s.binds)
     for op, f in mf[1]:
         if isinstance(f, BinOp):
@@ -618,25 +681,21 @@ def _emit_block_nest(
     g: Emitter, program: Program, unit: KernelUnit, formats: dict[str, Format]
 ) -> None:
     plan, stmt = unit.plan, unit.stmt
-    row_var, col_var = _block_plan_shape(unit, formats)
-    st = _emit_steps(g, program, plan, formats, plan.steps[:-2])
-    fmt = formats[plan.driver]
-    view = fmt.inner_block_view(plan.driver, st.parent_pos.get(plan.driver))
-
-    nr, nc = g.fresh("nr"), g.fresh("nc")
-    g.emit(f"{nr} = {view['nrows']}")
-    g.emit(f"{nc} = {view['ncols']}")
+    row_var, col_var, outer = _block_plan_shape(unit, formats)
+    view = formats[plan.driver].inner_block_view(plan.driver)
+    # which blocks share a shape, and where their rows, columns and values
+    # live, is structure: grouped once in prepare (see block_groups)
+    (rstart, ridx), (cstart, cidx) = view["rows"], view["cols"]
+    groups = g.hoist(
+        "grp",
+        f"block_groups({view['nrows']}, {view['ncols']}, {view['voff']}, "
+        f"{rstart}, {ridx}, {cstart}, {cidx})",
+    )
+    st = _emit_steps(g, program, plan, formats, outer)
+    R, C, V, shape, add_at = (g.fresh(b) for b in ("R", "C", "V", "sh", "at"))
+    g.open(f"for {R}, {C}, {V}, {shape}, {add_at} in {groups}:")
     blk = g.fresh("B")
-    g.emit(f"{blk} = {view['vals']}.reshape({nr}, {nc})")
-
-    def idx_expr(desc, extent):
-        kind = desc[0]
-        if kind == "affine":
-            return f"{desc[1]} : {desc[1]} + {extent}"
-        return desc[1]
-
-    rows_idx = idx_expr(view["rows"], nr)
-    cols_idx = idx_expr(view["cols"], nc)
+    g.emit(f"{blk} = {view['vals']}[{V}].reshape({shape})")
 
     sign, factors = _multiplicative_factors(stmt.expr)
     col_parts: list[tuple[str, str]] = []
@@ -650,13 +709,9 @@ def _emit_block_nest(
         elif f.array == plan.driver:
             continue  # the block itself
         elif set(f.indices) == {col_var}:
-            col_parts.append(
-                (op, formats[f.array].emit_load_vec(f.array, [cols_idx]))
-            )
+            col_parts.append((op, formats[f.array].emit_load_vec(f.array, [C])))
         elif set(f.indices) == {row_var}:
-            row_parts.append(
-                (op, formats[f.array].emit_load_vec(f.array, [rows_idx]))
-            )
+            row_parts.append((op, formats[f.array].emit_load_vec(f.array, [R])))
         else:  # outer-bound scalar load
             tmp = Emitter()
             code = formats[f.array].emit_load(
@@ -667,18 +722,28 @@ def _emit_block_nest(
         scalar_parts.insert(0, ("*", "-1.0"))
 
     xg = _chain(col_parts)
-    res = f"{blk} @ ({xg})" if xg else f"{blk}.sum(axis=1)"
+    if xg:
+        # one batched product per shape; a one-block batch is a 2-D view
+        # whose product goes to BLAS (dense windows of hybrid plans)
+        x = g.fresh("x")
+        g.emit(f"{x} = {xg}")
+        res = f"{blk} @ {x} if {blk}.ndim == 2 else np.einsum('tij,tj->ti', {blk}, {x})"
+    else:
+        res = f"{blk}.sum(axis=-1)"
     pre = _chain(row_parts)
     if pre:
         res = f"({pre}) * ({res})"
     if scalar_parts:
         res = f"({_chain(scalar_parts)}) * ({res})"
     out_name = f"{stmt.target.array}_vals"
-    if view["rows"][0] == "gather" and not view.get("unique_rows", False):
-        g.emit(f"np.add.at({out_name}, {rows_idx}, {res})")
-    else:
-        g.emit(f"{out_name}[{rows_idx}] += {res}")
-    g.close(st.depth_opened)
+    y = g.fresh("y")
+    g.emit(f"{y} = {res}")
+    g.open(f"if {add_at}:")
+    g.emit(f"np.add.at({out_name}, {R}, {y})")
+    g.close()
+    g.open("else:")
+    g.emit(f"{out_name}[{R}] += {y}")
+    g.close(2 + st.depth_opened)
 
 
 # ----------------------------------------------------------------------

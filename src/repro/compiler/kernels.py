@@ -33,8 +33,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro.compiler import codegen
 from repro.compiler.ast_nodes import Assign, BinOp, Expr, Neg, Program, normalize_program
 from repro.compiler.backends import ExecutorBackend, resolve_backend
@@ -44,7 +42,7 @@ from repro.compiler.plan_cache import PlanCache, kernel_cache_key
 from repro.compiler.query_extract import extract_query
 from repro.compiler.scheduling import plan_query
 from repro.compiler.sparsity import split_statement
-from repro.errors import CompileError, FormatError, VerificationError
+from repro.errors import CompileError, VerificationError
 from repro.fingerprint import fingerprint
 from repro.formats.base import Format
 from repro.observability import metrics as _metrics
@@ -465,7 +463,7 @@ def lower(req: CompileRequest) -> None:
         req.program, req.units, dict(req.formats), kern.param_names,
         backend=req.backend,
     )
-    ns: dict = {"np": np, "FormatError": FormatError}
+    ns = dict(codegen.RUNTIME)
     with _trace.span("compiler.codegen.exec", chars=len(kern.source)):
         exec(compile(kern.source, "<bernoulli-kernel>", "exec"), ns)
     kern._prepare, kern._run = ns["prepare"], ns["run"]

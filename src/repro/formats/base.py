@@ -281,19 +281,25 @@ class Format:
         """
         return None
 
-    def inner_block_view(self, prefix: str, parent_pos: str | None):
-        """Dense-block vectorization view for the last TWO levels, or None.
+    def inner_block_view(self, prefix: str):
+        """Dense-block vectorization view of the whole format, or None.
 
         For formats whose final (row, column) levels form a small dense
-        block under one outer position (i-nodes, clique blocks), the code
-        generator can collapse both loops into one GEMV per block.
-        Contract::
+        block under each position of the levels above (i-nodes, clique
+        blocks, dense windows), the code generator collapses the nest
+        into one batched GEMV per block *shape*.  The view describes all
+        blocks at once, as expressions over the format's storage::
 
-            {"rows": ("gather", expr) | ("affine", start_expr),
-             "cols": ("gather", expr) | ("affine", start_expr),
-             "nrows": expr, "ncols": expr,
-             "vals": flat_expr,          # row-major, nrows*ncols long
-             "unique_rows": bool}        # rows never repeat in a block
+            {"nrows": expr, "ncols": expr,   # per-block extents (arrays)
+             "rows": (start_expr, index_expr | None),
+             "cols": (start_expr, index_expr | None),
+             "voff": expr,                   # per-block offset into vals
+             "vals": expr}                   # the flat value array
+
+        Block ``t`` covers rows ``start[t] + arange(nrows[t])``, looked up
+        through the index array when one is given (likewise columns); its
+        values are row-major at ``vals[voff[t] : voff[t] + nrows[t]*ncols[t]]``.
+        Everything but ``vals`` must be structure.
         """
         return None
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.base import AccessLevel, Emitter, Format, check_shape
-from repro.formats.coo import COOMatrix
+from repro.formats.coo import COOMatrix, segment_indices
 
 __all__ = ["BlockDiagonalMatrix"]
 
@@ -203,23 +203,21 @@ class BlockDiagonalMatrix(Format):
         return cls.from_coo_blocks(coo, ptr)
 
     def to_coo(self) -> COOMatrix:
-        r_parts, c_parts, v_parts = [], [], []
-        for b in range(self.nblocks):
-            lo, hi = int(self.blockptr[b]), int(self.blockptr[b + 1])
-            w = hi - lo
-            blk = self.vals[self.voff[b] : self.voff[b + 1]].reshape(w, w)
-            rr, cc = np.nonzero(blk)
-            r_parts.append(rr + lo)
-            c_parts.append(cc + lo)
-            v_parts.append(blk[rr, cc])
-        if not r_parts:
-            return COOMatrix(self._shape, [], [], [])
-        return COOMatrix.from_entries(
-            self._shape,
-            np.concatenate(r_parts),
-            np.concatenate(c_parts),
-            np.concatenate(v_parts),
-        )
+        # storage order — row-major within a block, blocks ascending — is
+        # globally row-major: the stored nonzeros are canonical as they lie
+        w = np.diff(self.blockptr)
+        width = np.repeat(w, w)  # per row
+        row = np.repeat(np.arange(self._shape[0]), width)
+        col = segment_indices(np.repeat(self.blockptr[:-1], w), width)
+        nz = self.vals != 0
+        return COOMatrix(self._shape, row[nz], col[nz], self.vals[nz], canonical=True)
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal as a dense vector (every diagonal entry lies
+        in a block: explicit zeros included)."""
+        w = np.diff(self.blockptr)
+        k = np.arange(self._shape[0]) - np.repeat(self.blockptr[:-1], w)
+        return self.vals[np.repeat(self.voff[:-1], w) + k * (np.repeat(w, w) + 1)]
 
     @property
     def shape(self):
@@ -238,17 +236,15 @@ class BlockDiagonalMatrix(Format):
         view["vals"] = f"{prefix}_vals[{base} : {base} + ({{e}} - {{s}})]"
         return view
 
-    def inner_block_view(self, prefix, parent_pos):
-        b = parent_pos or "0"
-        start = f"{prefix}_blockptr[{b}]"
-        w = f"{prefix}_blockptr[{b} + 1] - {prefix}_blockptr[{b}]"
+    def inner_block_view(self, prefix):
+        w = f"np.diff({prefix}_blockptr)"
         return {
-            "rows": ("affine", start),
-            "cols": ("affine", start),
             "nrows": w,
             "ncols": w,
-            "vals": f"{prefix}_vals[{prefix}_voff[{b}]:{prefix}_voff[{b} + 1]]",
-            "unique_rows": True,
+            "rows": (f"{prefix}_blockptr", None),
+            "cols": (f"{prefix}_blockptr", None),
+            "voff": f"{prefix}_voff",
+            "vals": f"{prefix}_vals",
         }
 
     def storage(self, prefix: str):
@@ -268,17 +264,12 @@ class BlockDiagonalMatrix(Format):
     def _batches(self):
         """Group blocks by width; cache stacked tensors per width."""
         if self._batch_cache is None:
-            by_w: dict[int, list[int]] = {}
             widths = np.diff(self.blockptr)
-            for b in range(self.nblocks):
-                by_w.setdefault(int(widths[b]), []).append(b)
             batches = []
-            for w, bs in sorted(by_w.items()):
-                V = np.stack(
-                    [self.vals[self.voff[b] : self.voff[b + 1]].reshape(w, w) for b in bs]
-                )
-                starts = self.blockptr[np.asarray(bs)]
-                idx = starts[:, None] + np.arange(w)[None, :]
+            for w in np.unique(widths):
+                bs = np.flatnonzero(widths == w)
+                V = self.vals[self.voff[bs][:, None] + np.arange(w * w)].reshape(len(bs), w, w)
+                idx = self.blockptr[bs][:, None] + np.arange(w)
                 batches.append((V, idx))
             self._batch_cache = batches
         return self._batch_cache

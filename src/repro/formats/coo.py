@@ -22,7 +22,22 @@ import numpy as np
 from repro.errors import FormatError
 from repro.formats.base import AccessLevel, Emitter, Format, check_shape
 
-__all__ = ["COOMatrix", "CoordinateLevel"]
+__all__ = ["COOMatrix", "CoordinateLevel", "segment_indices", "segment_ptr"]
+
+
+def segment_ptr(lengths) -> np.ndarray:
+    """Segment pointer array (leading 0, running totals) of ``lengths``."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+
+def segment_indices(starts, lengths) -> np.ndarray:
+    """Indices of the concatenated ranges ``starts[k] : starts[k] + lengths[k]``
+    — the gather index that copies variable-length segments in one pass."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    return np.repeat(np.asarray(starts, dtype=np.int64) - (ends - lengths), lengths) + np.arange(
+        ends[-1] if len(ends) else 0
+    )
 
 
 class CoordinateLevel(AccessLevel):
@@ -108,11 +123,18 @@ class COOMatrix(Format):
     def from_entries(cls, shape, row, col, vals) -> "COOMatrix":
         """Canonicalize arbitrary (row, col, val) triples: sort row-major
         and sum duplicates.  Entries that sum to exactly zero are kept as
-        explicit (structural) zeros — formats must preserve structure."""
+        explicit (structural) zeros — formats must preserve structure.
+        Triples that are already canonical are wrapped, not copied (as the
+        constructor would)."""
         row = np.asarray(row, dtype=np.int64)
         col = np.asarray(col, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if len(row) == 0:
+            return cls(shape, row, col, vals, canonical=True)
+        # already canonical (strictly increasing row-major — compared
+        # pairwise, a fused row*ncols+col key could overflow): the sort is
+        # the identity and no coordinate repeats, so the arrays pass through
+        if ((row[1:] > row[:-1]) | ((row[1:] == row[:-1]) & (col[1:] > col[:-1]))).all():
             return cls(shape, row, col, vals, canonical=True)
         order = np.lexsort((col, row))
         row, col, vals = row[order], col[order], vals[order]

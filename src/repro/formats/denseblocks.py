@@ -259,15 +259,14 @@ class DenseBlocksMatrix(Format):
         view["vals"] = f"{prefix}_vals[{base} : {base} + ({{e}} - {{s}})]"
         return view
 
-    def inner_block_view(self, prefix, parent_pos):
-        b = parent_pos or "0"
+    def inner_block_view(self, prefix):
         return {
-            "rows": ("affine", f"{prefix}_r0[{b}]"),
-            "cols": ("affine", f"{prefix}_c0[{b}]"),
-            "nrows": f"{prefix}_bh[{b}]",
-            "ncols": f"{prefix}_bw[{b}]",
-            "vals": f"{prefix}_vals[{prefix}_voff[{b}]:{prefix}_voff[{b} + 1]]",
-            "unique_rows": True,
+            "nrows": f"{prefix}_bh",
+            "ncols": f"{prefix}_bw",
+            "rows": (f"{prefix}_r0", None),
+            "cols": (f"{prefix}_c0", None),
+            "voff": f"{prefix}_voff",
+            "vals": f"{prefix}_vals",
         }
 
     def storage(self, prefix: str):

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.base import AccessLevel, Emitter, Format, check_shape
-from repro.formats.coo import COOMatrix
+from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 from repro.graphs.inodes import find_inodes
 
 __all__ = ["InodeMatrix"]
@@ -181,23 +181,18 @@ class InodeMatrix(Format):
             np.asarray(voff, dtype=np.int64),
         )
 
+    def _value_cols(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(width, col_of)``: the value count of every stored row, and per
+        stored value (blocks are row-major, so values run i-node by i-node,
+        row by row) the position of its column in ``cols``."""
+        nr = np.diff(self.inodeptr)
+        width = np.repeat(np.diff(self.colptr), nr)
+        return width, segment_indices(np.repeat(self.colptr[:-1], nr), width)
+
     def to_coo(self) -> COOMatrix:
-        r_parts, c_parts, v_parts = [], [], []
-        for t in range(self.ninodes):
-            rs = self.rows[self.inodeptr[t] : self.inodeptr[t + 1]]
-            cs = self.cols[self.colptr[t] : self.colptr[t + 1]]
-            block = self.vals[self.voff[t] : self.voff[t + 1]].reshape(len(rs), len(cs))
-            rr, cc = np.meshgrid(rs, cs, indexing="ij")
-            r_parts.append(rr.ravel())
-            c_parts.append(cc.ravel())
-            v_parts.append(block.ravel())
-        if not r_parts:
-            return COOMatrix(self._shape, [], [], [])
+        width, col_of = self._value_cols()
         return COOMatrix.from_entries(
-            self._shape,
-            np.concatenate(r_parts),
-            np.concatenate(c_parts),
-            np.concatenate(v_parts),
+            self._shape, np.repeat(self.rows, width), self.cols[col_of], self.vals
         )
 
     @property
@@ -217,15 +212,14 @@ class InodeMatrix(Format):
         view["vals"] = f"{prefix}_vals[{base} : {base} + ({{e}} - {{s}})]"
         return view
 
-    def inner_block_view(self, prefix, parent_pos):
-        t = parent_pos or "0"
+    def inner_block_view(self, prefix):
         return {
-            "rows": ("gather", f"{prefix}_rows[{prefix}_inodeptr[{t}]:{prefix}_inodeptr[{t} + 1]]"),
-            "cols": ("gather", f"{prefix}_cols[{prefix}_colptr[{t}]:{prefix}_colptr[{t} + 1]]"),
-            "nrows": f"{prefix}_inodeptr[{t} + 1] - {prefix}_inodeptr[{t}]",
-            "ncols": f"{prefix}_colptr[{t} + 1] - {prefix}_colptr[{t}]",
-            "vals": f"{prefix}_vals[{prefix}_voff[{t}]:{prefix}_voff[{t} + 1]]",
-            "unique_rows": True,
+            "nrows": f"np.diff({prefix}_inodeptr)",
+            "ncols": f"np.diff({prefix}_colptr)",
+            "rows": (f"{prefix}_inodeptr", f"{prefix}_rows"),
+            "cols": (f"{prefix}_colptr", f"{prefix}_cols"),
+            "voff": f"{prefix}_voff",
+            "vals": f"{prefix}_vals",
         }
 
     def storage(self, prefix: str):
@@ -250,25 +244,14 @@ class InodeMatrix(Format):
     def _batches(self):
         """Group i-nodes by block shape; cache stacked tensors per shape."""
         if self._batch_cache is None:
-            by_shape: dict[tuple[int, int], list[int]] = {}
             nr = np.diff(self.inodeptr)
             nc = np.diff(self.colptr)
-            for t in range(self.ninodes):
-                by_shape.setdefault((int(nr[t]), int(nc[t])), []).append(t)
             batches = []
-            for (r, c), ts in sorted(by_shape.items()):
-                V = np.stack(
-                    [
-                        self.vals[self.voff[t] : self.voff[t + 1]].reshape(r, c)
-                        for t in ts
-                    ]
-                )
-                R = np.stack(
-                    [self.rows[self.inodeptr[t] : self.inodeptr[t + 1]] for t in ts]
-                )
-                C = np.stack(
-                    [self.cols[self.colptr[t] : self.colptr[t + 1]] for t in ts]
-                )
+            for r, c in np.unique(np.stack([nr, nc], axis=1), axis=0):
+                ts = np.flatnonzero((nr == r) & (nc == c))
+                V = self.vals[self.voff[ts][:, None] + np.arange(r * c)].reshape(len(ts), r, c)
+                R = self.rows[self.inodeptr[ts][:, None] + np.arange(r)]
+                C = self.cols[self.colptr[ts][:, None] + np.arange(c)]
                 batches.append((V, R, C))
             self._batch_cache = batches
         return self._batch_cache
@@ -294,38 +277,28 @@ class InodeMatrix(Format):
         keep_mask = np.asarray(keep_mask, dtype=bool)
         if len(keep_mask) != self._shape[1]:
             raise FormatError("mask length must equal ncols")
+        nr = np.diff(self.inodeptr)
+        nc = np.diff(self.colptr)
+        inode_of_col = np.repeat(np.arange(self.ninodes), nc)
+        col_of = self._value_cols()[1]
 
-        def build(select) -> "InodeMatrix":
-            rows, inodeptr = [], [0]
-            cols, colptr = [], [0]
-            vals_parts, voff = [], [0]
-            for t in range(self.ninodes):
-                ct = self.cols[self.colptr[t] : self.colptr[t + 1]]
-                sel = select(keep_mask[ct])
-                if not sel.any():
-                    continue
-                rt = self.rows[self.inodeptr[t] : self.inodeptr[t + 1]]
-                block = self.vals[self.voff[t] : self.voff[t + 1]].reshape(
-                    len(rt), len(ct)
-                )[:, sel]
-                rows.extend(rt.tolist())
-                inodeptr.append(len(rows))
-                cols.extend(ct[sel].tolist())
-                colptr.append(len(cols))
-                vals_parts.append(block.ravel())
-                voff.append(voff[-1] + block.size)
-            vals = np.concatenate(vals_parts) if vals_parts else np.empty(0)
+        def build(sel) -> "InodeMatrix":
+            """The i-nodes with a selected column, cut down to the stored
+            columns ``sel`` marks (their rows stay whole)."""
+            kept = np.bincount(inode_of_col[sel], minlength=self.ninodes)
+            live = kept > 0
             return InodeMatrix(
                 self._shape,
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(inodeptr, dtype=np.int64),
-                np.asarray(cols, dtype=np.int64),
-                np.asarray(colptr, dtype=np.int64),
-                vals,
-                np.asarray(voff, dtype=np.int64),
+                self.rows[segment_indices(self.inodeptr[:-1][live], nr[live])],
+                segment_ptr(nr[live]),
+                self.cols[sel],
+                segment_ptr(kept[live]),
+                self.vals[sel[col_of]],
+                segment_ptr(nr[live] * kept[live]),
             )
 
-        return build(lambda m: m), build(lambda m: ~m)
+        keep = keep_mask[self.cols]
+        return build(keep), build(~keep)
 
     def column_support(self) -> np.ndarray:
         """Sorted unique column indices referenced by any i-node."""
@@ -339,33 +312,25 @@ class InodeMatrix(Format):
         off-diagonal fragment out of the global i-node structure."""
         keep_mask = np.asarray(keep_mask, dtype=bool)
         row_map = np.asarray(row_map, dtype=np.int64)
-        rows, inodeptr = [], [0]
-        cols, colptr = [], [0]
-        vals_parts, voff = [], [0]
-        for t in range(self.ninodes):
-            rt = self.rows[self.inodeptr[t] : self.inodeptr[t + 1]]
-            sel = keep_mask[rt]
-            if not sel.any():
-                continue
-            ct = self.cols[self.colptr[t] : self.colptr[t + 1]]
-            block = self.vals[self.voff[t] : self.voff[t + 1]].reshape(
-                len(rt), len(ct)
-            )[sel, :]
-            rows.extend(row_map[rt[sel]].tolist())
-            inodeptr.append(len(rows))
-            cols.extend(ct.tolist())
-            colptr.append(len(cols))
-            vals_parts.append(block.ravel())
-            voff.append(voff[-1] + block.size)
-        vals = np.concatenate(vals_parts) if vals_parts else np.empty(0)
+        nr = np.diff(self.inodeptr)
+        nc = np.diff(self.colptr)
+        inode_of_row = np.repeat(np.arange(self.ninodes), nr)
+        keep = keep_mask[self.rows]  # per stored row
+        kept = np.bincount(inode_of_row[keep], minlength=self.ninodes)
+        live = kept > 0
+        # a stored row's values: nc of them, from its offset in its block
+        width = nc[inode_of_row]
+        vstart = self.voff[:-1][inode_of_row] + (
+            np.arange(len(self.rows)) - self.inodeptr[:-1][inode_of_row]
+        ) * width
         return InodeMatrix(
             (new_nrows, self._shape[1]),
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(inodeptr, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(colptr, dtype=np.int64),
-            vals,
-            np.asarray(voff, dtype=np.int64),
+            row_map[self.rows[keep]],
+            segment_ptr(kept[live]),
+            self.cols[segment_indices(self.colptr[:-1][live], nc[live])],
+            segment_ptr(nc[live]),
+            self.vals[segment_indices(vstart[keep], width[keep])],
+            segment_ptr(kept[live] * nc[live]),
         )
 
     def remap_columns(self, col_map: np.ndarray, new_ncols: int) -> "InodeMatrix":

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.distribution.base import Distribution
 from repro.errors import DistributionError
-from repro.formats.coo import COOMatrix
+from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 from repro.relational import Relation
 
 __all__ = ["RowFragment", "partition_rows"]
@@ -62,12 +62,30 @@ def partition_rows(coo: COOMatrix, dist: Distribution) -> list[RowFragment]:
             f"distribution covers {dist.nglobal} rows, matrix has {coo.shape[0]}"
         )
     coo = coo.canonicalized()
-    frags = []
-    for p in range(dist.nprocs):
-        mine = dist.owned_by(p)
-        local = coo.select_rows(mine)
-        local = COOMatrix(
-            (len(mine), coo.shape[1]), local.row, local.col, local.vals, canonical=True
+    # Entries of one row are adjacent, so the fragments are whole-row
+    # segments gathered in (owner, local offset) order: one pass over the
+    # entries, then one split at the rank boundaries.
+    owned = [dist.owned_by(p) for p in range(dist.nprocs)]
+    counts = coo.row_counts()
+    rowptr = np.cumsum(counts) - counts
+    rows = np.concatenate(owned)
+    cnt = counts[rows]
+    src = segment_indices(rowptr[rows], cnt)
+    local = np.repeat(np.concatenate([np.arange(len(m)) for m in owned]), cnt)
+    col, vals = coo.col[src], coo.vals[src]
+    bounds = segment_ptr(cnt)[segment_ptr([len(m) for m in owned])]
+    return [
+        RowFragment(
+            p,
+            dist,
+            COOMatrix(
+                (len(mine), coo.shape[1]),
+                local[bounds[p] : bounds[p + 1]],
+                col[bounds[p] : bounds[p + 1]],
+                vals[bounds[p] : bounds[p + 1]],
+                canonical=True,
+            ),
+            mine,
         )
-        frags.append(RowFragment(p, dist, local, mine))
-    return frags
+        for p, mine in enumerate(owned)
+    ]

@@ -27,6 +27,7 @@ from repro.compiler import compile_kernel
 from repro.distribution.multiblock import MultiBlockDistribution
 from repro.formats.blockdiag import BlockDiagonalMatrix
 from repro.formats.blocksolve import BlockSolveMatrix
+from repro.formats.coo import segment_indices, segment_ptr
 from repro.formats.dense import DenseVector
 from repro.formats.inode import InodeMatrix
 from repro.formats.translated import TranslatedVector
@@ -83,45 +84,17 @@ class BSFragments:
 
         # ---- dense clique blocks (cliques are never split across ranks)
         widths = np.diff(bs.clique_ptr)
-        my_cliques = [
-            b for b in range(len(widths)) if self.nlocal and mine_mask[bs.clique_ptr[b]]
+        my_cliques = np.flatnonzero(mine_mask[bs.clique_ptr[:-1]])
+        w = widths[my_cliques]
+        blockptr, voff = segment_ptr(w), segment_ptr(w * w)
+        flat = bs.dense_blocks.vals[
+            segment_indices(bs.dense_blocks.voff[my_cliques], w * w)
         ]
-        blockptr = [0]
-        vals_parts: list[np.ndarray] = []
-        voff = [0]
-        ino_rows, ino_ptr, ino_cols, ino_colptr = [], [0], [], [0]
-        for b in my_cliques:
-            w = int(widths[b])
-            lo = int(bs.clique_ptr[b])
-            blk = bs.dense_blocks.vals[
-                bs.dense_blocks.voff[b] : bs.dense_blocks.voff[b + 1]
-            ]
-            blockptr.append(blockptr[-1] + w)
-            vals_parts.append(blk)
-            voff.append(voff[-1] + w * w)
-            # i-node view: rows local, columns GLOBAL (the clique's range)
-            ino_rows.extend(row_map[np.arange(lo, lo + w)].tolist())
-            ino_ptr.append(len(ino_rows))
-            ino_cols.extend(range(lo, lo + w))
-            ino_colptr.append(len(ino_cols))
-        flat = np.concatenate(vals_parts) if vals_parts else np.empty(0)
-        if self.nlocal:
-            self.A_D = BlockDiagonalMatrix(
-                self.nlocal,
-                np.asarray(blockptr, dtype=np.int64),
-                flat,
-                np.asarray(voff, dtype=np.int64),
-            )
-        else:
-            self.A_D = None
+        self.A_D = BlockDiagonalMatrix(self.nlocal, blockptr, flat, voff) if self.nlocal else None
+        # i-node view: rows local, columns GLOBAL (each clique's own range)
+        clique_rows = segment_indices(bs.clique_ptr[my_cliques], w)
         self.A_D_ino = InodeMatrix(
-            (self.nlocal, n),
-            np.asarray(ino_rows, dtype=np.int64),
-            np.asarray(ino_ptr, dtype=np.int64),
-            np.asarray(ino_cols, dtype=np.int64),
-            np.asarray(ino_colptr, dtype=np.int64),
-            flat,
-            np.asarray(voff, dtype=np.int64),
+            (self.nlocal, n), row_map[clique_rows], blockptr, clique_rows, blockptr, flat, voff
         )
 
         # ---- off-diagonal i-nodes

@@ -235,9 +235,7 @@ def parallel_cg(
         # solve the reordered system A' x' = b' with b'[new] = b[old]
         bprime = np.empty(n)
         bprime[bs.perm.perm] = b
-        coo_diag = bs.to_coo().diagonal()
-        dprime = np.empty(n)
-        dprime[bs.perm.perm] = coo_diag
+        dprime = bs.dense_blocks.diagonal()  # a diagonal entry is in its clique
         cls_bs = bs_variants[variant]
         strategies = [cls_bs(p, dist, bs, opts=opts) for p in range(nprocs)]
 
