@@ -18,8 +18,8 @@ beat the worst-fixed-format geomean — picking blindly is not an option.
 
 The same measurements calibrate the cost model: per format, least-squares
 fit of ``seconds = alpha + beta * work_units`` across the suite, recorded
-as an ``autoplan_calibration`` record in ``BENCH_history.jsonl`` where
-:meth:`CostModel.from_history` finds it on the next run.  The full
+as an ``autoplan_calibration`` record in the ``--history`` file, which
+:meth:`CostModel.from_history` loads when handed that path.  The full
 per-class × per-format table lands in ``BENCH_autoplan.json``.
 
 Usage::

@@ -17,13 +17,14 @@ Table 1's "no single format wins everywhere" into a compilation strategy:
    and the property harness can check the choice against the predicted
    *worst* candidate.
 
-The model's constants are **calibrated from the repo's own benchmark
-trajectory**: ``benchmarks/bench_autoplan.py`` measures every fixed
-format over the structured generator suite, least-squares fits (α̂, β̂)
-per format, and records them as an ``autoplan_calibration`` record in
-``BENCH_history.jsonl``; :meth:`CostModel.from_history` picks up the
-latest such record, falling back to the built-in defaults measured on
-the reference container.
+The model's constants are the built-in defaults measured on the
+reference container — the same from every working directory.  A
+calibration is an explicit argument: ``benchmarks/bench_autoplan.py``
+measures every fixed format over the structured generator suite,
+least-squares fits (α̂, β̂) per format, and records them as an
+``autoplan_calibration`` record in a bench history file;
+:meth:`CostModel.from_history` loads the latest such record from the
+path it is given, to be passed as ``autoplan(coo, model=...)``.
 
 Cache interaction: :meth:`AutoPlan.compile` passes the profile's
 :meth:`~repro.analysis.structure.StructureProfile.fingerprint` as an
@@ -209,10 +210,10 @@ class CostModel:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_history(cls, path: str | None = None) -> "CostModel":
+    def from_history(cls, path: str) -> "CostModel":
         """The model calibrated by the latest ``autoplan_calibration``
-        record in the benchmark history, or the defaults when the history
-        is absent, unreadable, or has no calibration record.
+        record in the benchmark history at ``path``, or the defaults when
+        that file is absent, unreadable, or has no calibration record.
 
         Stale records are tolerated, not trusted: a record written before
         a format was added (or after one was removed/renamed) names a
@@ -223,10 +224,10 @@ class CostModel:
         per-format default, so a partially-stale record degrades per key
         rather than poisoning the whole model.
         """
-        from repro.observability.bench_track import DEFAULT_HISTORY, BenchHistory
+        from repro.observability.bench_track import BenchHistory
 
         try:
-            history = BenchHistory(path or DEFAULT_HISTORY)
+            history = BenchHistory(path)
         except Exception:
             return cls()
         recs = [r for r in history.records if r.bench == "autoplan_calibration"]
@@ -467,7 +468,6 @@ def autoplan(
     model: CostModel | None = None,
     backends: tuple[str, ...] = ("vectorized", "interpreted"),
     profile: "StructureProfile | None" = None,
-    history: str | None = None,
 ) -> AutoPlan:
     """Analyze ``coo`` and rank every candidate format by modeled cost.
 
@@ -476,21 +476,19 @@ def autoplan(
     coo:
         The matrix (any Format; converted through COO).
     model:
-        Cost model; defaults to :meth:`CostModel.from_history` (the
-        latest calibration record in ``history``, else built-ins).
+        Cost model; defaults to the built-in :class:`CostModel` (pass
+        :meth:`CostModel.from_history` of a path for a calibrated one).
     backends:
         Backend candidates to weigh, strongest first.
     profile:
         Re-use an existing :class:`StructureProfile` (skips the scan).
-    history:
-        Bench-history path for the default model lookup.
     """
     from repro.analysis.structure import analyze_structure
 
     if profile is None:
         profile = analyze_structure(coo)
     if model is None:
-        model = CostModel.from_history(history)
+        model = CostModel()
     candidates: list[CandidateCost] = []
     for name in CANDIDATE_FORMATS:
         feasible, note = _feasibility(profile, name)

@@ -88,6 +88,24 @@ def test_cost_model_calibration_is_read_from_history(tmp_path):
     assert fallback.source == "default"
 
 
+@pytest.mark.parametrize("where", ["repo-root", "tmp"])
+def test_default_model_does_not_depend_on_cwd(where, tmp_path, monkeypatch):
+    """The repo root holds a BENCH_history.jsonl with a calibration record;
+    ``autoplan`` must not read it (nor anything else relative to cwd)."""
+    import inspect
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[2]
+    monkeypatch.chdir(root if where == "repo-root" else tmp_path)
+    coo = STRUCTURE_CLASSES["banded"](case_rng(13), 64)
+    plan = autoplan(coo)
+    assert plan.model_source == "default"
+    assert plan.candidates == autoplan(coo, model=CostModel()).candidates
+    assert "history" not in inspect.signature(autoplan).parameters
+    with pytest.raises(TypeError):
+        CostModel.from_history()  # a calibration is an explicit path
+
+
 def test_calibrated_model_changes_the_choice(tmp_path):
     coo = STRUCTURE_CLASSES["banded"](case_rng(13), 64)
     # a model where only Diagonal is cheap must pick Diagonal
