@@ -417,26 +417,20 @@ def verify_rebuilt_schedule(strategy, sched) -> DiagnosticReport:
 
 
 # ----------------------------------------------------------------------
-# sweep: the five executor strategies
+# sweep: every variant of the specification table
 # ----------------------------------------------------------------------
 def check_spmv_strategies(coo=None, nprocs=3, niter=2) -> DiagnosticReport:
-    """End-to-end schedule validation of all five executor strategies.
+    """End-to-end schedule validation of every ``SPMV_VARIANTS`` entry.
 
-    For each strategy the checker runs setup + ``niter`` executor steps
+    For each variant the checker runs setup + ``niter`` executor steps
     under the lockstep driver, validates the materialized gather
     schedules per rank and across ranks, and cross-checks the per-rank
-    collective traces.  A clean strategy contributes one BER045 info.
+    collective traces.  A clean variant contributes one BER045 info.
     """
     from repro.distribution import BlockDistribution, MultiBlockDistribution
     from repro.formats import BlockSolveMatrix
     from repro.matrices import fem_matrix
-    from repro.parallel import partition_rows
-    from repro.parallel.spmd_blocksolve import (
-        BernoulliGlobalBS,
-        BernoulliMixedBS,
-        BlockSolveSpMV,
-    )
-    from repro.parallel.spmd_spmv import GlobalSpMV, MixedSpMV
+    from repro.parallel import SPMV_VARIANTS, make_spmv_setup, partition_rows
 
     report = DiagnosticReport()
     if coo is None:
@@ -448,21 +442,16 @@ def check_spmv_strategies(coo=None, nprocs=3, niter=2) -> DiagnosticReport:
     bdist = MultiBlockDistribution.from_color_classes(bs.clique_ptr, bs.colors, nprocs)
     rdist = BlockDistribution(n, nprocs)
     frags = partition_rows(coo, rdist)
-    xprime = x[bs.perm.perm] if hasattr(bs, "perm") else x
 
-    cases = [
-        ("blocksolve", BlockSolveSpMV, bdist, lambda p: bs, xprime),
-        ("mixed-bs", BernoulliMixedBS, bdist, lambda p: bs, xprime),
-        ("global-bs", BernoulliGlobalBS, bdist, lambda p: bs, xprime),
-        ("mixed", MixedSpMV, rdist, lambda p: frags[p], x),
-        ("global", GlobalSpMV, rdist, lambda p: frags[p], x),
-    ]
-    for name, cls, dist, data_of, xs in cases:
+    for name, variant in SPMV_VARIANTS.items():
+        # BlockSolve variants run in the reordered space over the whole bs
+        dist, data, xs = (
+            (bdist, [bs] * nprocs, x[bs.perm.perm]) if variant.blocksolve else (rdist, frags, x)
+        )
         strategies = [None] * nprocs
 
-        def prog(p, cls=cls, dist=dist, data_of=data_of, xs=xs, strategies=strategies):
-            strat = cls(p, dist, data_of(p))
-            strategies[p] = strat
+        def prog(p, name=name, dist=dist, data=data, xs=xs, strategies=strategies):
+            strat = strategies[p] = make_spmv_setup(name, p, dist, data[p])
             yield from strat.setup()
             y = None
             for _ in range(niter):
@@ -505,6 +494,6 @@ def check_spmv_strategies(coo=None, nprocs=3, niter=2) -> DiagnosticReport:
     return report
 
 
-@register_pass("schedule", "SPMD schedule checker over the five executor strategies")
+@register_pass("schedule", "SPMD schedule checker over every SPMV_VARIANTS entry")
 def _sweep() -> DiagnosticReport:
     return check_spmv_strategies()

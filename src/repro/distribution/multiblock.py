@@ -26,16 +26,18 @@ class MultiBlockDistribution(Distribution):
 
     Ranges must be disjoint, sorted, and cover [0, n).  Local offsets
     number each processor's ranges consecutively in range order.
+    ``nprocs`` (default: the highest rank named, plus one) lets trailing
+    ranks own nothing.
     """
 
     replicated = True
 
-    def __init__(self, ranges: list[tuple[int, int, int]]):
+    def __init__(self, ranges: list[tuple[int, int, int]], nprocs: int | None = None):
         if not ranges:
             raise DistributionError("empty range list")
         ranges = sorted((int(s), int(e), int(p)) for s, e, p in ranges)
         n = ranges[-1][1]
-        P = max(p for _, _, p in ranges) + 1
+        P = max(max(p for _, _, p in ranges) + 1, nprocs or 0)
         super().__init__(n, P)
         pos = 0
         for s, e, p in ranges:
@@ -81,7 +83,7 @@ class MultiBlockDistribution(Distribution):
                     s = int(clique_ptr[cliques[a]])
                     e = int(clique_ptr[cliques[b - 1] + 1])
                     ranges.append((s, e, p))
-        return cls(ranges)
+        return cls(ranges, nprocs)
 
     def _range_of(self, i) -> np.ndarray:
         return np.searchsorted(self.starts, np.asarray(i), side="right") - 1

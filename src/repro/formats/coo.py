@@ -254,6 +254,16 @@ class COOMatrix(Format):
         np.add.at(d, self.row[on], self.vals[on])
         return d
 
+    def column_support(self) -> np.ndarray:
+        """Sorted unique column indices of the stored entries."""
+        return np.unique(self.col)
+
+    def remap_columns(self, col_map: np.ndarray, new_ncols: int) -> "COOMatrix":
+        """Renumber column indices through ``col_map`` (e.g. global →
+        local x offsets, or global → ghost slots)."""
+        cols = np.asarray(col_map, dtype=np.int64)[self.col]
+        return COOMatrix((self._shape[0], new_ncols), self.row, cols, self.vals)
+
     def select_rows(self, rows) -> "COOMatrix":
         """Sub-matrix of the given global rows, *renumbered* 0..len(rows)-1
         (columns keep global numbering).  ``rows`` need not be sorted."""

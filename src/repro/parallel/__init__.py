@@ -6,33 +6,25 @@ evaluation: localize the iteration relation under owner-computes (Eq. 16),
 exploit collocation (aligned joins need no communication, Eq. 19–20), and
 turn the remaining global references into inspector queries (Eq. 21–22).
 
-This package provides the three CG/SpMV strategies the evaluation
-compares:
-
-* ``bernoulli`` — the naive fully-global specification (paper Eq. 23):
-  the inspector discovers locality it was not told about, translating
-  *every* x reference; the executor pays one extra indirection per access,
-* ``bernoulli-mixed`` — the mixed local/global specification (Eq. 24):
-  the products against locally-addressed data are node-level programs; only
-  the non-local part goes through the inspector,
-* ``blocksolve`` — the hand-written library path over BlockSolve
-  structures (dense clique blocks + i-nodes, packed neighbor exchange),
-
-plus the two Chaos-style inspectors (``indirect`` / ``indirect-mixed``)
-that pay for a distributed translation table (Table 3's last columns).
+A *specification* is a list of product statements
+(:class:`~repro.parallel.fragment.Term`), each declaring how its columns
+address x — nothing declared (paper Eq. 23, ``global``) or the
+local/non-local split (Eq. 24, ``mixed``) — plus a distribution relation.
+One inspector/executor, :class:`~repro.parallel.spmd_spmv.SpmdSpMV`, runs
+any of them; the seven variants the evaluation compares (row fragments or
+BlockSolve structures, compiled or the hand-written library kernels,
+replicated or Chaos-translated ownership) are rows of
+:data:`~repro.parallel.spmd_spmv.SPMV_VARIANTS`.
 """
 
-from repro.parallel.fragment import RowFragment, partition_rows
-from repro.parallel.spmd_spmv import (
-    SPMV_VARIANTS,
-    make_spmv_setup,
-    spmv_executor_step,
-)
+from repro.parallel.fragment import RowFragment, Term, partition_rows
+from repro.parallel.spmd_spmv import SPMV_VARIANTS, SpmdSpMV, make_spmv_setup
 
 __all__ = [
     "RowFragment",
+    "Term",
     "partition_rows",
     "SPMV_VARIANTS",
+    "SpmdSpMV",
     "make_spmv_setup",
-    "spmv_executor_step",
 ]

@@ -1,34 +1,45 @@
-"""The distributed SpMV strategies of the evaluation (paper Sec. 3.3 & 4).
+"""The distributed SpMV of the evaluation, driven by its specification
+(paper Sec. 3.3 & 4).
 
-Each strategy is a per-rank object with two SPMD generator methods:
+A specification is a list of product statements
+(:class:`~repro.parallel.fragment.Term`), each declaring how its columns
+address x, plus a distribution relation.  One per-rank :class:`SpmdSpMV`
+runs any such list as two SPMD generator methods:
 
-* ``setup()``   — the *inspector*: build whatever communication schedule
-  and localized data structures the strategy needs,
-* ``step(x)``   — the *executor*: one y = A·x over the local rows, given
-  the local piece of x.
+* ``setup()``  — the *inspector*: ``inspect()`` derives ``Used`` as the
+  column support of the statements that are not ``local`` and builds (or
+  reuses) the gather schedule; ``localize()`` renumbers, compiles and
+  binds one kernel per statement,
+* ``step(x)``  — the *executor*: one y = A·x over the local rows; the
+  ``local`` statements run inside the exchange window, the rest after it.
 
-The five strategies:
+The seven variants of the evaluation are rows of :data:`SPMV_VARIANTS`:
 
-===============  ====================================================
-``blocksolve``   hand-written library code over BlockSolve structures
-                 (dense clique blocks A_D + local i-nodes A_SL + ghost
-                 i-nodes A_SNL); ownership from the replicated
-                 multi-block distribution
-``mixed``        Bernoulli-Mixed (paper Eq. 24): compiled kernels; the
-                 local/non-local split is declared, so the inspector
-                 only touches boundary columns
-``global``       Bernoulli naive (paper Eq. 23): fully data-parallel
-                 spec; the inspector translates *every* referenced
-                 column (work ∝ problem size) and the executor reads x
-                 through one extra indirection everywhere
-``indirect-mixed``  like ``mixed`` but ownership goes through a Chaos
-                 distributed translation table (inspector only)
-``indirect``     like ``global`` with the translation table
-                 (inspector only)
-===============  ====================================================
+==================  ==================================================
+``mixed``           Eq. 24 over a row fragment: the local/non-local
+                    split is declared, so the inspector only touches
+                    boundary columns
+``global``          Eq. 23 over a row fragment: nothing declared; the
+                    inspector translates *every* referenced column
+                    (work ∝ problem size) and the executor reads x
+                    through one extra indirection everywhere
+``mixed-bs``        Eq. 24 over BlockSolve structures (dense clique
+                    blocks A_D + local i-nodes A_SL + ghost i-nodes
+                    A_SNL), replicated multi-block distribution
+``global-bs``       Eq. 23 over the same structures
+``blocksolve``      ``mixed-bs``'s statements applied by the library's
+                    hand-written kernels — Table 2's reference
+``indirect-mixed``  ``mixed`` with ownership resolved through a Chaos
+                    distributed translation table
+``indirect``        ``global`` with the translation table
+==================  ==================================================
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -41,330 +52,173 @@ from repro.formats.crs import CRSMatrix
 from repro.formats.dense import DenseVector
 from repro.formats.translated import TranslatedVector
 from repro.kernels.spmv import SPMV_SRC
-from repro.parallel.fragment import RowFragment
-from repro.parallel.spmd_blocksolve import BlockSolveSpMV  # noqa: F401 (re-export)
-from repro.runtime.comm import (
-    CommOptions,
-    exchange_finish,
-    exchange_opt,
-    exchange_start,
-)
+from repro.parallel.fragment import RowFragment, Term
+from repro.parallel.spmd_blocksolve import BSFragments
+from repro.runtime.comm import CommOptions, exchange_window
 from repro.runtime.faults import ensure_valid_schedule
-from repro.runtime.inspector import (
-    build_schedule_replicated,
-    build_schedule_translated,
-    exchange,  # noqa: F401 (re-export; executors now go through exchange_opt)
-)
+from repro.runtime.inspector import build_schedule_replicated, build_schedule_translated
 from repro.runtime.schedule_cache import ScheduleCache, cached_schedule
 
-__all__ = [
-    "GlobalSpMV",
-    "BlockSolveSpMV",
-    "MixedSpMV",
-    "IndirectInspector",
-    "SPMV_VARIANTS",
-    "make_spmv_setup",
-    "spmv_executor_step",
-]
+__all__ = ["SpmdSpMV", "Variant", "SPMV_VARIANTS", "make_spmv_setup"]
 
 
-def _crs_from_parts(nrows, ncols, row, col, vals) -> CRSMatrix:
-    return CRSMatrix.from_coo(
-        COOMatrix((nrows, ncols), row, col, vals).canonicalized()
-    )
+class SpmdSpMV:
+    """Per-rank inspector/executor for a list of product statements.
 
-
-class GlobalSpMV:
-    """Bernoulli naive: fully-global specification (paper Eq. 23).
-
-    The inspector cannot know that most references are local: it builds a
-    global-to-ghost translation for *every* referenced column, and the
-    executor reads every x value through the ghost indirection — the
-    redundant level of indirection the paper measures at ~10% executor
-    slowdown and ~10× inspector cost.
+    ``owned`` is this rank's global index list (local-offset order).
+    ``translated`` resolves ownership through a Chaos distributed
+    translation table (build: all-to-all with volume ∝ problem size;
+    query: another all-to-all round) instead of the replicated ``dist``;
+    ``library`` applies each statement with the format's hand-written
+    ``matvec`` instead of a compiled kernel.
     """
 
     def __init__(
         self,
         rank: int,
         dist: Distribution,
-        frag: RowFragment,
+        terms: list[Term],
+        owned,
         opts: CommOptions | None = None,
+        variant: str = "",
+        translated: bool = False,
+        library: bool = False,
     ):
         self.rank = rank
         self.dist = dist
-        self.frag = frag
-        self.nlocal = frag.nlocal
+        self.terms = list(terms)
+        self.owned = np.asarray(owned, dtype=np.int64)
+        self.nlocal = len(self.owned)
         self.opts = opts or CommOptions()
+        self.variant = variant
+        self.translated = translated
+        self.library = library
 
     def setup(self):
-        nglobal = self.frag.matrix.shape[1]
-        used = self.frag.used_columns()  # ∝ local problem size
+        yield from self.inspect()
+        self.localize()
+
+    # -- inspector -------------------------------------------------------
+    def inspect(self):
+        """Communication sets: ``Used`` (Eq. 21) is what the non-local
+        statements reference; the schedule is its join with IND (Eq. 22)."""
+        supports = [t.A.column_support() for t in self.terms if t.reads != "local"]
+        if len(supports) == 1:
+            used = supports[0]  # already sorted and unique
+        else:
+            used = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *supports]))
+        self._used = used
         cache = self.opts.resolved_cache()
-        key = ScheduleCache.key_replicated(self.rank, self.dist, used) if cache is not None else None
+        key = None
+        if cache is not None and self.translated:
+            # a hit skips the WHOLE Chaos inspection — table build AND the
+            # dereference rounds — the cost Table 3 shows dominating
+            key = ScheduleCache.key_translated(
+                self.rank, self.dist.nglobal, self.dist.nprocs, self.owned, used
+            )
+        elif cache is not None:
+            key = ScheduleCache.key_replicated(self.rank, self.dist, used)
         self.sched = yield from cached_schedule(
-            cache,
-            key,
-            self.dist.nprocs,
-            lambda: build_schedule_replicated(self.rank, self.dist, used),
+            cache, key, self.dist.nprocs, self.rebuild_schedule
         )
         self._sched_cache = cache
         self._sched_cache_key = key
-        # the fragment keeps GLOBAL columns; x is accessed through a
-        # problem-size global-to-ghost map at runtime — the redundant
-        # indirection of the naive specification
-        xmap = np.zeros(nglobal, dtype=np.int64)
-        if len(used):
-            slots = self.sched.ghost_slot_of(used)
-            if np.any(slots < 0):
-                raise InspectorError("ghost translation missed a used column")
-            xmap[used] = slots
-        self.A = _crs_from_parts(
-            self.nlocal,
-            nglobal,
-            self.frag.matrix.row,
-            self.frag.matrix.col,
-            self.frag.matrix.vals,
-        )
-        gbuf = np.zeros(max(1, self.sched.nghost))
-        self._gbuf = gbuf
-        self._xview = TranslatedVector(nglobal, gbuf, xmap)
-        self._ybuf = DenseVector.zeros(self.nlocal)
-        kernel = compile_kernel(SPMV_SRC, {"A": self.A, "X": self._xview, "Y": self._ybuf})
-        self._run = kernel.bind(A=self.A, X=self._xview, Y=self._ybuf)
-        self._used = used
-        self._sched_sum = self.sched.checksum()
-        return None
 
     def rebuild_schedule(self):
-        """Fault-recovery re-inspection: rebuild from the same Used set."""
-        sched = yield from build_schedule_replicated(self.rank, self.dist, self._used)
-        return sched
-
-    def step(self, xlocal: np.ndarray):
-        yield from ensure_valid_schedule(self)
-        if self.opts.overlap:
-            # the naive spec has NO interior rows — every reference goes
-            # through the ghost indirection — so the only work that can
-            # hide behind the wire is the output clear.  The window still
-            # opens/closes so the collective pattern matches the mixed
-            # executors rank-for-rank.
-            pending = yield from exchange_start(
-                self.sched, xlocal, coalesce=self.opts.coalesce, owner=type(self).__name__
-            )
-            self._ybuf.vals[:] = 0.0
-            ghost = yield from exchange_finish(
-                self.sched, xlocal, pending, owner=type(self).__name__
-            )
-        else:
-            ghost = yield from exchange_opt(
-                self.sched, xlocal, coalesce=self.opts.coalesce, owner=type(self).__name__
-            )
-            self._ybuf.vals[:] = 0.0
-        if self.sched.nghost:
-            self._gbuf[: self.sched.nghost] = ghost
-        self._run()
-        return self._ybuf.vals.copy()
-
-
-class MixedSpMV:
-    """Bernoulli-Mixed: the mixed local/global specification (paper Eq. 24).
-
-    The products against locally-owned columns are node-level compiled
-    kernels addressing x directly; only the non-local part goes through
-    the inspector, whose Used set is just the boundary.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        dist: Distribution,
-        frag: RowFragment,
-        opts: CommOptions | None = None,
-    ):
-        self.rank = rank
-        self.dist = dist
-        self.frag = frag
-        self.nlocal = frag.nlocal
-        self.opts = opts or CommOptions()
-
-    def setup(self):
-        m = self.frag.matrix
-        mine = self.dist.owner(m.col) == self.rank  # local lookup: replicated IND
-        # local part: columns renumbered straight to local x offsets
-        self.A_local = _crs_from_parts(
-            self.nlocal,
-            max(1, self.nlocal),
-            m.row[mine],
-            self.dist.local_index(m.col[mine]),
-            m.vals[mine],
-        )
-        used = np.unique(m.col[~mine])  # boundary only
-        cache = self.opts.resolved_cache()
-        key = ScheduleCache.key_replicated(self.rank, self.dist, used) if cache is not None else None
-        self.sched = yield from cached_schedule(
-            cache,
-            key,
-            self.dist.nprocs,
-            lambda: build_schedule_replicated(self.rank, self.dist, used),
-        )
-        self._sched_cache = cache
-        self._sched_cache_key = key
-        ghost_cols = self.sched.ghost_slot_of(m.col[~mine])
-        self.A_ghost = _crs_from_parts(
-            self.nlocal,
-            max(1, self.sched.nghost),
-            m.row[~mine],
-            ghost_cols,
-            m.vals[~mine],
-        )
-        self._xbuf = DenseVector.zeros(max(1, self.nlocal))
-        self._gbuf = DenseVector.zeros(max(1, self.sched.nghost))
-        self._ybuf = DenseVector.zeros(self.nlocal)
-        k_local = compile_kernel(SPMV_SRC, {"A": self.A_local, "X": self._xbuf, "Y": self._ybuf})
-        k_ghost = compile_kernel(SPMV_SRC, {"A": self.A_ghost, "X": self._gbuf, "Y": self._ybuf})
-        self._run_local = k_local.bind(A=self.A_local, X=self._xbuf, Y=self._ybuf)
-        self._run_ghost = k_ghost.bind(A=self.A_ghost, X=self._gbuf, Y=self._ybuf)
-        self._used = used
-        self._sched_sum = self.sched.checksum()
-        return None
-
-    def rebuild_schedule(self):
-        """Fault-recovery re-inspection: rebuild from the same Used set."""
-        sched = yield from build_schedule_replicated(self.rank, self.dist, self._used)
-        return sched
-
-    def step(self, xlocal: np.ndarray):
-        yield from ensure_valid_schedule(self)
-        self._ybuf.vals[:] = 0.0
-        if self.nlocal:
-            self._xbuf.vals[:] = xlocal
-        if self.opts.overlap:
-            # BlockSolve95-style pipeline: post the boundary exchange,
-            # multiply the interior (A_local needs no ghost values) while
-            # packets fly, then close the window and finish the boundary.
-            pending = yield from exchange_start(
-                self.sched, xlocal, coalesce=self.opts.coalesce, owner=type(self).__name__
-            )
-            self._run_local()
-            ghost = yield from exchange_finish(
-                self.sched, xlocal, pending, owner=type(self).__name__
-            )
-        else:
-            self._run_local()
-            ghost = yield from exchange_opt(
-                self.sched, xlocal, coalesce=self.opts.coalesce, owner=type(self).__name__
-            )
-        if self.sched.nghost:
-            self._gbuf.vals[:] = ghost
-        self._run_ghost()
-        return self._ybuf.vals.copy()
-
-
-class IndirectInspector:
-    """Chaos-style inspectors for the HPF-2 INDIRECT distribution.
-
-    The distribution relation is NOT replicated: ownership must be
-    resolved through a distributed translation table (build: all-to-all
-    with volume ∝ problem size; query: another all-to-all round).  The
-    executor would be identical to the Bernoulli ones, so — like the
-    paper — only the inspector is materialized and measured.
-
-    ``used_cols`` is the Used set to translate: for the mixed spec, the
-    non-local references only; for the naive spec, every referenced
-    column.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        nglobal: int,
-        nprocs: int,
-        owned_global,
-        used_cols,
-        opts: CommOptions | None = None,
-    ):
-        self.rank = rank
-        self.nglobal = int(nglobal)
-        self.nprocs = int(nprocs)
-        self.owned_global = np.asarray(owned_global, dtype=np.int64)
-        self.used_cols = np.asarray(used_cols, dtype=np.int64)
-        self.opts = opts or CommOptions()
-
-    @classmethod
-    def from_fragment(
-        cls,
-        rank: int,
-        dist: Distribution,
-        frag: RowFragment,
-        mixed: bool,
-        opts: CommOptions | None = None,
-    ):
-        """Build from a row fragment: naive Used = all referenced columns;
-        mixed Used = columns outside my own index list (local knowledge)."""
-        owned = frag.rows_global
-        cols = frag.matrix.col
-        if mixed:
-            mine = np.zeros(dist.nglobal, dtype=bool)
-            mine[owned] = True
-            used = np.unique(cols[~mine[cols]])
-        else:
-            used = np.unique(cols)
-        return cls(rank, dist.nglobal, dist.nprocs, owned, used, opts=opts)
-
-    def _build(self):
+        """The inspection proper (also the fault-recovery re-inspection):
+        deterministic in the Used set, so a rebuild carries the original
+        fingerprint and everything ``localize()`` derived stays valid."""
+        if not self.translated:
+            sched = yield from build_schedule_replicated(self.rank, self.dist, self._used)
+            return sched
         table = yield from build_translation_table(
-            self.rank, self.nglobal, self.nprocs, self.owned_global
+            self.rank, self.dist.nglobal, self.dist.nprocs, self.owned
         )
-        sched = yield from build_schedule_translated(self.rank, table, self.used_cols)
+        sched = yield from build_schedule_translated(self.rank, table, self._used)
         return sched
 
-    def setup(self):
-        # A cache hit skips the WHOLE Chaos inspection — translation-table
-        # build (volume ∝ problem size) AND the dereference rounds — which
-        # is exactly the cost Table 3 shows dominating the indirect paths.
-        cache = self.opts.resolved_cache()
-        key = (
-            ScheduleCache.key_translated(
-                self.rank, self.nglobal, self.nprocs, self.owned_global, self.used_cols
-            )
-            if cache is not None
-            else None
-        )
-        self.sched = yield from cached_schedule(
-            cache, key, self.nprocs, self._build
-        )
-        self._sched_cache = cache
-        self._sched_cache_key = key
-        return None
+    def localize(self):
+        """Index translation: renumber, compile and bind one kernel per
+        statement against the x view its ``reads`` declares."""
+        sched, used = self.sched, self._used
+        self._sched_sum = sched.checksum()  # what recovery verifies a rebuild against
+        slots = sched.ghost_slot_of(used)
+        if np.any(slots < 0):
+            raise InspectorError("ghost translation missed a used column")
+        nglobal, nghost = self.dist.nglobal, max(1, sched.nghost)
+        # problem-size global-to-ghost map: applied once to a "ghost"
+        # matrix here, at *runtime* on every access of a "global" one
+        xmap = np.zeros(nglobal, dtype=np.int64)
+        xmap[used] = slots
+        self._x = DenseVector.zeros(max(1, self.nlocal))
+        self._g = DenseVector.zeros(nghost)
+        self._y = DenseVector.zeros(self.nlocal)
+        views = {"local": self._x, "ghost": self._g}
+        if any(t.reads == "global" for t in self.terms):
+            views["global"] = TranslatedVector(nglobal, self._g.vals, xmap)
+        self.interior, self.boundary = [], []
+        for term in self.terms:
+            A, X = term.A, views[term.reads]
+            if term.reads == "ghost":
+                A = A.remap_columns(xmap, nghost)
+            if self.library:
+                run = partial(A.matvec, X.vals, out=self._y.vals)
+            else:
+                if isinstance(A, COOMatrix):  # the exchange format; kernels run CRS
+                    A = CRSMatrix.from_coo(A.canonicalized())
+                kernel = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": self._y})
+                run = kernel.bind(A=A, X=X, Y=self._y)
+            (self.interior if term.reads == "local" else self.boundary).append(run)
 
-    def step(self, xlocal):  # pragma: no cover - not used in the evaluation
-        raise InspectorError("Indirect variants materialize the inspector only")
-        yield
+    # -- executor --------------------------------------------------------
+    def step(self, xlocal: np.ndarray):
+        yield from ensure_valid_schedule(self)
+        self._y.vals[:] = 0.0
+        if self.interior:
+            self._x.vals[: self.nlocal] = xlocal
+        # Eq. 24's declared split makes the pipeline free: the local
+        # statements need no ghost values, so they run inside the window;
+        # Eq. 23 declares nothing and leaves nothing to hide behind the wire
+        ghost = yield from exchange_window(
+            self.sched, xlocal, self.opts, owner=self.variant, interior=self.interior
+        )
+        self._g.vals[: self.sched.nghost] = ghost
+        for run in self.boundary:
+            run()
+        return self._y.vals.copy()
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One row of the variant table: which statements, over which carving."""
+
+    terms: Callable  # fragment -> list[Term]
+    blocksolve: bool = False  # data is a BlockSolveMatrix (reordered space), carved per rank
+    translated: bool = False
+    library: bool = False
 
 
 SPMV_VARIANTS = {
-    "mixed": MixedSpMV,
-    "global": GlobalSpMV,
-    "indirect-mixed": lambda rank, dist, frag, opts=None: IndirectInspector.from_fragment(
-        rank, dist, frag, True, opts=opts
-    ),
-    "indirect": lambda rank, dist, frag, opts=None: IndirectInspector.from_fragment(
-        rank, dist, frag, False, opts=opts
-    ),
+    "mixed": Variant(RowFragment.mixed_terms),
+    "global": Variant(RowFragment.global_terms),
+    "blocksolve": Variant(BSFragments.mixed_terms, blocksolve=True, library=True),
+    "mixed-bs": Variant(BSFragments.mixed_terms, blocksolve=True),
+    "global-bs": Variant(BSFragments.global_terms, blocksolve=True),
+    "indirect-mixed": Variant(RowFragment.mixed_terms, translated=True),
+    "indirect": Variant(RowFragment.global_terms, translated=True),
 }
 
 
-def make_spmv_setup(variant: str, rank: int, dist, frag_or_bs, opts=None):
-    """Construct the per-rank strategy object for ``variant``."""
+def make_spmv_setup(variant: str, rank: int, dist, data, opts=None) -> SpmdSpMV:
+    """The per-rank executor of ``variant`` over ``data``: this rank's
+    :class:`RowFragment`, or the whole :class:`BlockSolveMatrix` for the
+    variants with ``blocksolve`` set (carved here, outside the inspector)."""
     try:
-        cls = SPMV_VARIANTS[variant]
+        v = SPMV_VARIANTS[variant]
     except KeyError:
         raise KeyError(f"unknown variant {variant!r}; known: {sorted(SPMV_VARIANTS)}") from None
-    return cls(rank, dist, frag_or_bs, opts=opts)
-
-
-def spmv_executor_step(strategy, xlocal):
-    """One executor iteration of any strategy (SPMD subroutine)."""
-    y = yield from strategy.step(xlocal)
-    return y
+    frag = BSFragments(rank, dist, data) if v.blocksolve else data
+    return SpmdSpMV(
+        rank, dist, v.terms(frag), frag.rows_global, opts,
+        variant=variant, translated=v.translated, library=v.library,
+    )

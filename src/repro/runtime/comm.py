@@ -13,9 +13,10 @@ compiled executors were missing, behind explicit knobs:
   (:class:`~repro.runtime.machine.Fragmented`), paying α per value plus
   the index word.  Both modes deliver bitwise-identical ghost arrays.
 * **overlap** (``overlap=True``, the default): the exchange is posted
-  nonblocking (``alltoallv_async``); the executor computes its interior
-  rows — the work with no ghost dependence — while packets are in flight,
-  then closes the window (``commwait``) and finishes the boundary rows.
+  nonblocking (``alltoallv_async``); the executor runs its interior — the
+  ``local:`` statements of its specification, which read no ghost value —
+  while packets are in flight, then closes the window (``commwait``) and
+  runs the rest.
   Mirrors BlockSolve95's boundary-exchange/interior-compute pipeline; the
   α–β model credits the hidden time (see ``RunStats.parallel_time``), and
   ``comm.overlap_ratio`` records how much of the wire time the interior
@@ -23,7 +24,7 @@ compiled executors were missing, behind explicit knobs:
 
 :class:`CommOptions` carries both knobs plus the ``schedule_cache``
 handle (see :mod:`~repro.runtime.schedule_cache`) through ``parallel_cg``
-and the strategy constructors.
+and the executor; :func:`exchange_window` is the one exchange they all run.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ __all__ = [
     "CommOptions",
     "pack_ghost_sends",
     "assemble_ghost",
-    "exchange_opt",
-    "exchange_start",
-    "exchange_finish",
+    "exchange_window",
 ]
 
 
@@ -130,55 +129,40 @@ def _mark_window(name: str, sched: GatherSchedule, owner: str | None, **attrs) -
     )
 
 
-def exchange_opt(
+def exchange_window(
     sched: GatherSchedule,
     xlocal: np.ndarray,
-    coalesce: bool = True,
+    opts: CommOptions,
     owner: str | None = None,
+    interior=(),
 ):
-    """Blocking ghost exchange with a coalescing knob (SPMD subroutine)."""
-    send = pack_ghost_sends(sched, xlocal, coalesce)
-    if _metrics.metrics_enabled():
-        _metrics.record("executor.exchanges", 1)
-        _metrics.record(
-            "executor.gathered_values",
-            sum(len(loc) for loc in sched.send_locals.values()),
-        )
-    _mark_window("comm.exchange", sched, owner, coalesce=coalesce)
-    recv = yield ("alltoallv", send)
-    return assemble_ghost(sched, xlocal, recv)
+    """One ghost exchange with the caller's ``interior`` work inside it
+    (SPMD subroutine); returns the assembled ghost array.
 
-
-def exchange_start(
-    sched: GatherSchedule,
-    xlocal: np.ndarray,
-    coalesce: bool = True,
-    owner: str | None = None,
-):
-    """Post the ghost exchange nonblocking; returns the pending arrivals.
-
-    The caller computes interior rows next, then closes the window with
-    :func:`exchange_finish` — ghost values must not be read before that.
+    ``interior`` is a sequence of zero-argument callables that read no
+    ghost value.  With ``opts.overlap`` the exchange is posted
+    nonblocking, the interior runs while packets fly, and the window
+    closes (``commwait``) before the ghosts are assembled; without it
+    the interior runs first and the exchange blocks.  Either way the
+    caller's ghost-dependent work comes after the return.
     """
-    send = pack_ghost_sends(sched, xlocal, coalesce)
+    send = pack_ghost_sends(sched, xlocal, opts.coalesce)
     if _metrics.metrics_enabled():
         _metrics.record("executor.exchanges", 1)
         _metrics.record(
             "executor.gathered_values",
             sum(len(loc) for loc in sched.send_locals.values()),
         )
-    _mark_window("comm.overlap.post", sched, owner, coalesce=coalesce)
-    recv = yield ("alltoallv_async", send)
-    return recv
-
-
-def exchange_finish(
-    sched: GatherSchedule,
-    xlocal: np.ndarray,
-    pending: dict,
-    owner: str | None = None,
-):
-    """Close a nonblocking exchange window and assemble the ghost array."""
-    _mark_window("comm.overlap.wait", sched, owner, pending=len(pending))
-    yield ("commwait", None)
-    return assemble_ghost(sched, xlocal, pending)
+    if opts.overlap:
+        _mark_window("comm.overlap.post", sched, owner, coalesce=opts.coalesce)
+        recv = yield ("alltoallv_async", send)
+        for run in interior:
+            run()
+        _mark_window("comm.overlap.wait", sched, owner, pending=len(recv))
+        yield ("commwait", None)
+    else:
+        for run in interior:
+            run()
+        _mark_window("comm.exchange", sched, owner, coalesce=opts.coalesce)
+        recv = yield ("alltoallv", send)
+    return assemble_ghost(sched, xlocal, recv)

@@ -67,10 +67,11 @@ class GatherSchedule:
     def ghost_slot_of(self, global_idx) -> np.ndarray:
         """Ghost slot of each (requested) global index; -1 if absent."""
         g = np.asarray(global_idx)
+        if self.nghost == 0:
+            return np.full(g.shape, -1, dtype=np.int64)
         pos = np.searchsorted(self.ghost_global, g)
-        pos = np.clip(pos, 0, max(0, self.nghost - 1))
-        ok = (self.nghost > 0) & (self.ghost_global[pos] == g)
-        return np.where(ok, pos, -1)
+        pos = np.clip(pos, 0, self.nghost - 1)
+        return np.where(self.ghost_global[pos] == g, pos, -1)
 
     def checksum(self) -> int:
         """CRC32 fingerprint of every index structure the executor trusts
@@ -167,11 +168,12 @@ def exchange(sched: GatherSchedule, xlocal: np.ndarray, coalesce: bool = True):
     """Executor communication: gather ghost values per the schedule.
 
     Returns the ghost array (aligned with ``sched.ghost_global``).
-    ``yield from`` this once per executor iteration.  ``coalesce`` and the
-    overlapped split variant live in :mod:`repro.runtime.comm`; this
-    blocking form delegates there.
+    ``yield from`` this once per executor iteration.  The blocking,
+    empty-interior case of :func:`repro.runtime.comm.exchange_window`.
     """
-    from repro.runtime.comm import exchange_opt
+    from repro.runtime.comm import CommOptions, exchange_window
 
-    ghost = yield from exchange_opt(sched, xlocal, coalesce=coalesce)
+    ghost = yield from exchange_window(
+        sched, xlocal, CommOptions(overlap=False, coalesce=coalesce)
+    )
     return ghost

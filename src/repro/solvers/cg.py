@@ -14,17 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import DistributionError, ReproError
 from repro.formats.base import Format
 from repro.formats.blocksolve import BlockSolveMatrix
 from repro.kernels.spmv import bound_spmv
 from repro.parallel.fragment import partition_rows
-from repro.parallel.spmd_blocksolve import (
-    BernoulliGlobalBS,
-    BernoulliMixedBS,
-    BlockSolveSpMV,
-)
-from repro.parallel.spmd_spmv import GlobalSpMV, MixedSpMV
+from repro.parallel.spmd_spmv import SPMV_VARIANTS, make_spmv_setup
 from repro.runtime.machine import Machine, RunStats
 
 __all__ = ["CGResult", "cg", "parallel_cg"]
@@ -187,15 +182,17 @@ def parallel_cg(
 ) -> CGResult:
     """SPMD preconditioned CG on the simulated machine.
 
-    ``variant`` selects the executor strategy:
+    ``variant`` names a row of
+    :data:`~repro.parallel.spmd_spmv.SPMV_VARIANTS`:
 
     * ``"blocksolve"``, ``"mixed-bs"``, ``"global-bs"`` — the Table-2 trio
       over BlockSolve structures (hand-written library / compiled mixed
       spec / compiled fully-global spec); ``A`` may be COO (converted) or
       a prebuilt :class:`BlockSolveMatrix`; the system is solved in the
       reordered space and mapped back,
-    * ``"mixed"``, ``"global"`` — the CRS-fragment Bernoulli variants for
-      general matrices; ``dist`` defaults to a block row distribution.
+    * ``"mixed"``, ``"global"`` (and their ``"indirect-*"`` forms) — the
+      CRS-fragment Bernoulli variants for general matrices; ``dist``
+      defaults to a block row distribution.
 
     ``niter`` bounds the iterations (the paper runs exactly 10); set
     ``tol > 0`` to also stop on convergence.
@@ -215,60 +212,55 @@ def parallel_cg(
     from repro.distribution.multiblock import MultiBlockDistribution
     from repro.runtime.comm import CommOptions
 
+    if variant not in SPMV_VARIANTS:
+        raise ReproError(f"unknown parallel CG variant {variant!r}")
     b = np.asarray(b, dtype=np.float64)
-    n = len(b)
-    machine = Machine(nprocs, faults=faults, delivery=delivery, model=model)
+    n = A.shape[0]
+    if b.shape != (n,):
+        raise ReproError(f"right-hand side has shape {b.shape}, matrix has {n} rows")
     opts = CommOptions(
         overlap=overlap, coalesce=coalesce, schedule_cache=schedule_cache
     )
 
-    bs_variants = {
-        "blocksolve": BlockSolveSpMV,
-        "mixed-bs": BernoulliMixedBS,
-        "global-bs": BernoulliGlobalBS,
-    }
-    if variant in bs_variants:
+    # choose (perm, dist, diag, data): the solve runs in the space `dist`
+    # distributes, with b'[perm] = b and x = x'[perm]
+    if SPMV_VARIANTS[variant].blocksolve:
         bs = A if isinstance(A, BlockSolveMatrix) else BlockSolveMatrix.from_coo(A)
+        perm = bs.perm.perm  # the reordered system A' x' = b'
         dist = dist or MultiBlockDistribution.from_color_classes(
             bs.clique_ptr, bs.colors, nprocs
         )
-        # solve the reordered system A' x' = b' with b'[new] = b[old]
-        bprime = np.empty(n)
-        bprime[bs.perm.perm] = b
-        dprime = bs.dense_blocks.diagonal()  # a diagonal entry is in its clique
-        cls_bs = bs_variants[variant]
-        strategies = [cls_bs(p, dist, bs, opts=opts) for p in range(nprocs)]
-
-        def make(p):
-            mine = dist.owned_by(p)
-            return _rank_cg(
-                strategies[p], bprime[mine], dprime[mine], niter, tol,
-                coalesce=coalesce,
-            )
-
-        results, stats = machine.run(make)
-        xprime = np.zeros(n)
-        for p in range(nprocs):
-            xprime[dist.owned_by(p)] = results[p][0]
-        x = xprime[bs.perm.perm]  # x[old] = x'[new]
+        diag = bs.dense_blocks.diagonal()  # a diagonal entry is in its clique
+        data = [bs] * nprocs
     else:
-        if variant not in ("mixed", "global"):
-            raise ReproError(f"unknown parallel CG variant {variant!r}")
         coo = A.to_coo() if isinstance(A, Format) else A
+        perm = np.arange(n)
         dist = dist or BlockDistribution(n, nprocs)
-        frags = partition_rows(coo, dist)
         diag = coo.diagonal()
-        cls = MixedSpMV if variant == "mixed" else GlobalSpMV
+        data = partition_rows(coo, dist)
+    if dist.nprocs != nprocs or dist.nglobal != n:
+        raise DistributionError(
+            f"distribution is {dist.nglobal} rows over {dist.nprocs} ranks; "
+            f"the solve is {n} rows over {nprocs}"
+        )
+    if not np.all(diag):
+        raise ReproError("preconditioner diagonal contains zeros")
+    bprime = np.empty(n)
+    bprime[perm] = b
+    owned = [dist.owned_by(p) for p in range(nprocs)]
 
-        def make(p):
-            strat = cls(p, dist, frags[p], opts=opts)
-            mine = dist.owned_by(p)
-            return _rank_cg(strat, b[mine], diag[mine], niter, tol, coalesce=coalesce)
+    def make(p):
+        strategy = make_spmv_setup(variant, p, dist, data[p], opts)
+        return _rank_cg(
+            strategy, bprime[owned[p]], diag[owned[p]], niter, tol, coalesce=coalesce
+        )
 
-        results, stats = machine.run(make)
-        x = np.zeros(n)
-        for p in range(nprocs):
-            x[dist.owned_by(p)] = results[p][0]
+    machine = Machine(nprocs, faults=faults, delivery=delivery, model=model)
+    results, stats = machine.run(make)
+    xprime = np.zeros(n)
+    for p in range(nprocs):
+        xprime[owned[p]] = results[p][0]
+    x = xprime[perm]
 
     it = results[0][1]
     residuals = results[0][2]

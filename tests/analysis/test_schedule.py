@@ -1,4 +1,4 @@
-"""SPMD schedule checker: five clean strategies, seeded deadlocks caught."""
+"""SPMD schedule checker: every registry variant clean, seeded deadlocks caught."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from repro.analysis.schedule import (
 from repro.distribution import BlockDistribution
 from repro.matrices import stencil_matrix
 from repro.parallel import partition_rows
-from repro.parallel.spmd_spmv import MixedSpMV
+from repro.parallel.spmd_spmv import SPMV_VARIANTS, make_spmv_setup
 from repro.runtime.machine import Machine
 
 
@@ -22,11 +22,11 @@ def codes(report):
 
 
 def _schedules(P=3):
-    """Real per-rank schedules from a MixedSpMV setup."""
+    """Real per-rank schedules from a ``mixed`` setup."""
     coo = stencil_matrix((4, 4), dof=1, rng=0)
     dist = BlockDistribution(coo.shape[0], P)
     frags = partition_rows(coo, dist)
-    strategies = [MixedSpMV(p, dist, frags[p]) for p in range(P)]
+    strategies = [make_spmv_setup("mixed", p, dist, frags[p]) for p in range(P)]
 
     def prog(p):
         yield from strategies[p].setup()
@@ -38,11 +38,12 @@ def _schedules(P=3):
 # ----------------------------------------------------------------------
 # the real strategies verify clean
 # ----------------------------------------------------------------------
-def test_all_five_strategies_verify_clean():
+def test_every_registry_variant_verifies_clean():
     report = check_spmv_strategies(nprocs=3, niter=2)
     assert report.ok, report.render("error")
-    # one clean info per strategy
-    assert len(report.by_code("BER045")) == 5
+    # one clean info per registry entry
+    clean = [d.location for d in report.by_code("BER045")]
+    assert clean == [f"strategy {name}" for name in SPMV_VARIANTS]
 
 
 def test_real_schedules_pass_structural_checks():
@@ -193,7 +194,7 @@ def test_fault_recovery_reverifies_rebuilt_schedule():
     x = np.arange(coo.shape[0], dtype=float)
 
     def prog(p):
-        strat = MixedSpMV(p, dist, frags[p])
+        strat = make_spmv_setup("mixed", p, dist, frags[p])
         yield from strat.setup()
         y = yield from strat.step(x[dist.owned_by(p)])
         return y

@@ -242,7 +242,7 @@ def _loop_clique_view(frag: BSFragments):
     ``(blockptr, vals, voff, ino_rows, ino_cols)``."""
     bs, mask = frag.bs, frag.mine_mask
     row_map = -np.ones(bs.shape[0], dtype=np.int64)
-    row_map[frag.mine_rows] = np.arange(frag.nlocal)
+    row_map[frag.rows_global] = np.arange(frag.nlocal)
     blockptr, parts, voff, ino_rows, ino_cols = [0], [], [0], [], []
     for b in range(len(bs.clique_ptr) - 1):
         lo, hi = int(bs.clique_ptr[b]), int(bs.clique_ptr[b + 1])
@@ -276,12 +276,12 @@ def test_bsfragments_equal_the_loop_carving(nprocs):
             InodeMatrix((frag.nlocal, n), ino_rows, blockptr, ino_cols, blockptr, flat, voff),
         )
         row_map = -np.ones(n, dtype=np.int64)
-        row_map[frag.mine_rows] = np.arange(frag.nlocal)
+        row_map[frag.rows_global] = np.arange(frag.nlocal)
         off = loop_select_rows(bs.offdiag, frag.mine_mask, row_map, frag.nlocal)
         assert_same_inode(frag.off_global, off)
         local, nonlocal_ = loop_split_by_columns(off, frag.mine_mask)
         col_local = np.zeros(n, dtype=np.int64)
-        col_local[frag.mine_rows] = np.arange(frag.nlocal)
+        col_local[frag.rows_global] = np.arange(frag.nlocal)
         assert_same_inode(frag.A_SL, local.remap_columns(col_local, max(1, frag.nlocal)))
         assert_same_inode(frag.A_SNL_global, nonlocal_)
 

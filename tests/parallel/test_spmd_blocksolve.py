@@ -7,15 +7,14 @@ import pytest
 from repro.distribution import MultiBlockDistribution
 from repro.formats import BlockSolveMatrix
 from repro.matrices import fem_matrix, stencil_matrix
-from repro.parallel.spmd_blocksolve import (
-    BernoulliGlobalBS,
-    BernoulliMixedBS,
-    BlockSolveSpMV,
-    BSFragments,
-)
+from repro.parallel.spmd_blocksolve import BSFragments
+from repro.parallel.spmd_spmv import SPMV_VARIANTS, make_spmv_setup
 from repro.runtime import Machine
 
-TRIO = [BlockSolveSpMV, BernoulliMixedBS, BernoulliGlobalBS]
+#: the BlockSolve-structure variants, from the registry.  The ids are the
+#: names this suite has always printed for them.
+_IDS = {"blocksolve": "BlockSolveSpMV", "mixed-bs": "BernoulliMixedBS", "global-bs": "BernoulliGlobalBS"}
+TRIO = [pytest.param(k, id=_IDS[k]) for k, v in SPMV_VARIANTS.items() if v.blocksolve]
 
 
 def build_bs(points=14, dof=3, rng=0):
@@ -27,7 +26,7 @@ def build_bs(points=14, dof=3, rng=0):
 def run_variant(cls, bs, P, xprime):
     dist = MultiBlockDistribution.from_color_classes(bs.clique_ptr, bs.colors, P)
     machine = Machine(P)
-    strategies = [cls(p, dist, bs) for p in range(P)]
+    strategies = [make_spmv_setup(cls, p, dist, bs) for p in range(P)]
 
     def prog(p):
         yield from strategies[p].setup()
@@ -72,8 +71,8 @@ def test_global_ghosts_cover_everything_mixed_only_boundary():
     n = bs.shape[0]
     P = 4
     x = np.ones(n)
-    _, _, strat_mixed = run_variant(BernoulliMixedBS, bs, P, x)
-    _, _, strat_global = run_variant(BernoulliGlobalBS, bs, P, x)
+    _, _, strat_mixed = run_variant("mixed-bs", bs, P, x)
+    _, _, strat_global = run_variant("global-bs", bs, P, x)
     for p in range(P):
         # the naive inspector's ghost set is strictly larger: it includes
         # every locally-owned column the fragment touches
@@ -106,7 +105,7 @@ def test_empty_rank_is_handled():
     m, bs = build_bs(points=2, dof=2, rng=3)
     n = bs.shape[0]
     x = np.arange(n, dtype=float)
-    for cls in TRIO:
+    for cls in _IDS:
         y, _, _ = run_variant(cls, bs, 4, x)
         iperm = bs.perm.iperm
         want = m.to_dense()[np.ix_(iperm, iperm)] @ x
@@ -125,7 +124,7 @@ def test_no_overlap_between_ranks_means_no_ghosts():
     bs = BlockSolveMatrix.from_coo(m)
     x = np.linspace(-2, 2, n)
     for P in (2, 3):
-        y, stats, strats = run_variant(BernoulliMixedBS, bs, P, x)
+        y, stats, strats = run_variant("mixed-bs", bs, P, x)
         iperm = bs.perm.iperm
         want = m.to_dense()[np.ix_(iperm, iperm)] @ x
         assert np.allclose(y, want)
@@ -135,7 +134,7 @@ def test_no_overlap_between_ranks_means_no_ghosts():
         assert stats.total_msgs() == 0
         assert not stats.comm_matrix().any()
     # the library variant agrees on the same degenerate structure
-    y_lib, stats_lib, _ = run_variant(BlockSolveSpMV, bs, 2, x)
+    y_lib, stats_lib, _ = run_variant("blocksolve", bs, 2, x)
     assert np.allclose(y_lib, m.to_dense()[np.ix_(iperm, iperm)] @ x)
     assert stats_lib.total_msgs() == 0
 

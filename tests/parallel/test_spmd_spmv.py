@@ -14,23 +14,26 @@ from repro.distribution import (
 from repro.formats import BlockSolveMatrix, COOMatrix
 from repro.matrices import fem_matrix, stencil_matrix
 from repro.parallel import partition_rows
-from repro.parallel.spmd_spmv import (
-    BlockSolveSpMV,
-    GlobalSpMV,
-    IndirectInspector,
-    MixedSpMV,
-    make_spmv_setup,
-)
+from repro.parallel.spmd_spmv import SPMV_VARIANTS, SpmdSpMV, make_spmv_setup
 from repro.runtime import Machine
 from tests.conftest import square_coo_matrices
 
+#: the replicated-ownership row-fragment variants, from the registry.  The
+#: ids are the names this suite has always printed for them.
+BERNOULLI = [
+    pytest.param(k, id={"global": "GlobalSpMV", "mixed": "MixedSpMV"}[k])
+    for k, v in sorted(SPMV_VARIANTS.items())
+    if not (v.blocksolve or v.translated)
+]
+INDIRECT = [k for k, v in SPMV_VARIANTS.items() if v.translated]
 
-def run_parallel_spmv(coo, dist, cls, x):
+
+def run_parallel_spmv(coo, dist, variant, x):
     frags = partition_rows(coo, dist)
     m = Machine(dist.nprocs)
 
     def prog(p):
-        strat = cls(p, dist, frags[p])
+        strat = make_spmv_setup(variant, p, dist, frags[p])
         yield from strat.setup()
         y = yield from strat.step(x[dist.owned_by(p)])
         return y
@@ -42,7 +45,7 @@ def run_parallel_spmv(coo, dist, cls, x):
     return y, stats
 
 
-@pytest.mark.parametrize("cls", [GlobalSpMV, MixedSpMV], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", BERNOULLI)
 @pytest.mark.parametrize("P", [1, 2, 3, 5])
 def test_bernoulli_variants_match_dense(cls, P):
     coo = stencil_matrix((4, 4), dof=2, rng=0)
@@ -53,7 +56,7 @@ def test_bernoulli_variants_match_dense(cls, P):
     assert np.allclose(y, coo.to_dense() @ x)
 
 
-@pytest.mark.parametrize("cls", [GlobalSpMV, MixedSpMV], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", BERNOULLI)
 def test_bernoulli_variants_cyclic_distribution(cls):
     coo = stencil_matrix((3, 3), dof=1)
     n = coo.shape[0]
@@ -72,16 +75,16 @@ def test_mixed_ghost_structures_smaller_than_global():
     frags = partition_rows(coo, dist)
     m = Machine(4)
 
-    def prog_for(cls):
+    def prog_for(variant):
         def prog(p):
-            strat = cls(p, dist, frags[p])
+            strat = make_spmv_setup(variant, p, dist, frags[p])
             yield from strat.setup()
             return strat.sched.nghost
 
         return prog
 
-    nghost_mixed, _ = m.run(prog_for(MixedSpMV))
-    nghost_global, _ = m.run(prog_for(GlobalSpMV))
+    nghost_mixed, _ = m.run(prog_for("mixed"))
+    nghost_global, _ = m.run(prog_for("global"))
     for p in range(4):
         assert nghost_global[p] >= nghost_mixed[p] + dist.local_count(p) // 2
     # and the naive ghost set covers (at least) every locally-owned used column
@@ -98,7 +101,7 @@ def test_blocksolve_parallel_spmv():
     machine = Machine(P)
 
     def prog(p):
-        strat = BlockSolveSpMV(p, dist, bs)
+        strat = make_spmv_setup("blocksolve", p, dist, bs)
         yield from strat.setup()
         y = yield from strat.step(xprime[dist.owned_by(p)])
         return y
@@ -123,8 +126,9 @@ def test_indirect_inspector_builds_schedule(mixed):
     m = Machine(3)
 
     def prog(p):
-        strat = IndirectInspector.from_fragment(p, dist, frags[p], mixed)
-        yield from strat.setup()
+        strat = make_spmv_setup("indirect-mixed" if mixed else "indirect", p, dist, frags[p])
+        assert strat.translated
+        yield from strat.inspect()
         return strat.sched
 
     results, stats = m.run(prog)
@@ -140,21 +144,30 @@ def test_indirect_inspector_builds_schedule(mixed):
     assert stats.total_msgs() > 0
 
 
-def test_indirect_step_is_inspector_only():
-    coo = stencil_matrix((3, 3))
-    dist = IndirectDistribution.random(coo.shape[0], 2, rng=0)
-    frags = partition_rows(coo, dist)
-    strat = IndirectInspector.from_fragment(0, dist, frags[0], True)
-    with pytest.raises(Exception):
-        list(strat.step(np.zeros(1)))
+@pytest.mark.parametrize("variant", INDIRECT)
+def test_indirect_executor_matches_dense(variant):
+    """The Chaos variants get the shared executor: ownership through the
+    translation table, the same y = A·x."""
+    coo = stencil_matrix((4, 4), dof=2, rng=3)
+    n = coo.shape[0]
+    x = np.linspace(-1, 1, n)
+    dist = IndirectDistribution.random(n, 3, rng=5)
+    y, stats = run_parallel_spmv(coo, dist, variant, x)
+    assert np.allclose(y, coo.to_dense() @ x)
+    spec = SPMV_VARIANTS[variant].terms
+    twin = next(k for k, v in SPMV_VARIANTS.items() if v.terms is spec and not v.translated)
+    y_rep, stats_rep = run_parallel_spmv(coo, dist, twin, x)
+    assert np.array_equal(y, y_rep)  # same statements, same bits
+    assert stats.total_msgs() > stats_rep.total_msgs()  # the table is not free
 
 
 def test_make_spmv_setup_dispatch():
     coo = stencil_matrix((3, 3))
     dist = BlockDistribution(coo.shape[0], 2)
     frags = partition_rows(coo, dist)
-    assert isinstance(make_spmv_setup("global", 0, dist, frags[0]), GlobalSpMV)
-    assert isinstance(make_spmv_setup("mixed", 0, dist, frags[0]), MixedSpMV)
+    for variant in ("global", "mixed"):
+        strat = make_spmv_setup(variant, 0, dist, frags[0])
+        assert isinstance(strat, SpmdSpMV) and strat.variant == variant
     with pytest.raises(KeyError):
         make_spmv_setup("zzz", 0, dist, frags[0])
 
@@ -191,6 +204,6 @@ def test_fragments_reassemble_global_matrix():
 def test_parallel_spmv_property(coo, P):
     n = coo.shape[0]
     x = np.linspace(0, 1, n)
-    for cls in (GlobalSpMV, MixedSpMV):
-        y, _ = run_parallel_spmv(coo, BlockDistribution(n, P), cls, x)
+    for variant in ("global", "mixed"):
+        y, _ = run_parallel_spmv(coo, BlockDistribution(n, P), variant, x)
         assert np.allclose(y, coo.to_dense() @ x, atol=1e-9)

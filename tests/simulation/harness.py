@@ -32,7 +32,7 @@ from repro.distribution import (
 from repro.formats.coo import COOMatrix
 from repro.matrices import stencil_matrix
 from repro.parallel import partition_rows
-from repro.parallel.spmd_spmv import SPMV_VARIANTS
+from repro.parallel.spmd_spmv import make_spmv_setup
 from repro.runtime import DeliveryConfig, FaultPlan, Machine
 
 DEFAULT_SEED = 19970101  # pinned: the paper's year, SC '97
@@ -129,14 +129,13 @@ def run_parallel_spmv(coo, dist, variant: str, x, faults=None, delivery=None, co
     """One distributed y = A·x on the simulated machine; returns (y, stats).
 
     ``comm`` is an optional :class:`~repro.runtime.comm.CommOptions`
-    threaded to the strategy constructors (None keeps the defaults).
+    threaded to the per-rank executors (None keeps the defaults).
     """
     frags = partition_rows(coo, dist)
     machine = Machine(dist.nprocs, faults=faults, delivery=delivery)
-    cls = SPMV_VARIANTS[variant]
 
     def prog(p):
-        strat = cls(p, dist, frags[p], opts=comm)
+        strat = make_spmv_setup(variant, p, dist, frags[p], opts=comm)
         yield ("phase", "inspector")
         yield from strat.setup()
         yield ("phase", "executor")

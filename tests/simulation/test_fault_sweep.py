@@ -20,6 +20,7 @@ from repro.errors import CommFailureError
 from repro.formats.blocksolve import BlockSolveMatrix
 from repro.formats.crs import CRSMatrix
 from repro.kernels.spmv import spmv
+from repro.parallel.spmd_spmv import SPMV_VARIANTS
 from repro.solvers import cg, parallel_cg
 from tests.simulation.harness import (
     GENEROUS,
@@ -37,8 +38,10 @@ N_SPMV = 120
 N_CG = 60
 N_PARITY = 36
 
-SPMV_EXECUTORS = ("mixed", "global")
-CG_VARIANTS = ("mixed", "global", "blocksolve", "mixed-bs", "global-bs")
+# from the registry: row-fragment variants drive the SpMV sweep (the
+# harness partitions rows), replicated-ownership ones the CG sweep
+SPMV_EXECUTORS = tuple(k for k, v in SPMV_VARIANTS.items() if not v.blocksolve)
+CG_VARIANTS = tuple(k for k, v in SPMV_VARIANTS.items() if not v.translated)
 
 
 # ----------------------------------------------------------------------

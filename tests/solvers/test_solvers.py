@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ReproError
+from repro.distribution import BlockDistribution
+from repro.errors import DistributionError, ReproError
 from repro.formats import BlockSolveMatrix, COOMatrix, CRSMatrix
 from repro.matrices import fem_matrix, grid_laplacian, stencil_matrix
 from repro.solvers import cg, jacobi, parallel_cg, power_iteration
@@ -126,6 +127,41 @@ def test_parallel_cg_bad_variant():
     coo = grid_laplacian((3, 3))
     with pytest.raises(ReproError):
         parallel_cg(coo, np.ones(9), nprocs=2, variant="zzz")
+
+
+@pytest.mark.parametrize("variant", ["mixed", "blocksolve"])
+def test_parallel_cg_rejects_zero_diagonal(variant):
+    """Same typed error as sequential ``cg`` — not x = [nan ...] and a
+    numpy RuntimeWarning from inside the rank programs."""
+    dense = grid_laplacian((3, 3)).to_dense()
+    dense[4, 4] = 0.0
+    with pytest.raises(ReproError, match="diagonal contains zeros"):
+        parallel_cg(COOMatrix.from_dense(dense), np.ones(9), nprocs=2, variant=variant)
+
+
+@pytest.mark.parametrize("dist_procs", [2, 4])
+def test_parallel_cg_rejects_distribution_over_other_rank_count(dist_procs):
+    coo = grid_laplacian((3, 3))
+    with pytest.raises(DistributionError, match="ranks"):
+        parallel_cg(coo, np.ones(9), nprocs=3, dist=BlockDistribution(9, dist_procs))
+
+
+def test_parallel_cg_rejects_rhs_of_other_length():
+    """The mismatch is between b and A — the error must say so rather
+    than blame a distribution sized from len(b)."""
+    coo = grid_laplacian((3, 3))
+    with pytest.raises(ReproError, match="right-hand side"):
+        parallel_cg(coo, np.ones(8), nprocs=2)
+
+
+def test_parallel_cg_default_blocksolve_distribution_spans_all_ranks():
+    """More ranks than cliques per color: the trailing ranks own nothing,
+    and the default distribution still counts them."""
+    coo = fem_matrix(points=2, dof=2, rng=3)
+    b = np.arange(1.0, coo.shape[0] + 1)
+    par = parallel_cg(coo, b, nprocs=4, variant="mixed-bs", niter=4)
+    seq = cg(CRSMatrix.from_coo(coo), b, diag=coo.diagonal(), maxiter=4, tol=0.0)
+    assert np.allclose(par.x, seq.x, atol=1e-8)
 
 
 def test_parallel_cg_accepts_prebuilt_blocksolve():
