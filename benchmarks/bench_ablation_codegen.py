@@ -28,23 +28,23 @@ from repro.matrices import table1_matrix
 FORMATS = [CRSMatrix, ELLMatrix, DiagonalMatrix]
 
 
-def make_kernel(fmt, vectorize):
+def make_kernel(fmt, backend):
     coo = table1_matrix("gr_30_30")
     A = fmt.from_coo(coo)
     X = DenseVector(np.ones(coo.shape[1]))
     Y = DenseVector.zeros(coo.shape[0])
-    kern = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y}, vectorize=vectorize, cache=False)
+    kern = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y}, backend=backend, cache=False)
     return lambda: kern(A=A, X=X, Y=Y)
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.__name__)
-def test_ablation_codegen(benchmark, fmt, vectorize):
-    fn = make_kernel(fmt, vectorize)
-    rounds = 3 if vectorize else 2
+def test_ablation_codegen(benchmark, fmt, backend):
+    fn = make_kernel(fmt, backend)
+    rounds = 3 if backend == "vectorized" else 2
     benchmark.pedantic(fn, rounds=rounds, iterations=1, warmup_rounds=1)
     benchmark.extra_info["format"] = fmt.__name__
-    benchmark.extra_info["backend"] = "vector" if vectorize else "scalar"
+    benchmark.extra_info["backend"] = backend
 
 
 def test_ablation_codegen_speedup():
@@ -52,41 +52,38 @@ def test_ablation_codegen_speedup():
 
     clear_kernel_cache()
     results = {}
-    for vec in (False, True):
-        fn = make_kernel(CRSMatrix, vec)
+    for backend in ("interpreted", "vectorized"):
+        fn = make_kernel(CRSMatrix, backend)
         fn()
         t0 = time.perf_counter()
         for _ in range(3):
             fn()
-        results[vec] = (time.perf_counter() - t0) / 3
-    assert results[True] * 5 < results[False], results
+        results[backend] = (time.perf_counter() - t0) / 3
+    assert results["vectorized"] * 5 < results["interpreted"], results
 
 
 def main(argv=None):
     import time
 
-    from bench_cli import tracked_main
+    from bench_cli import bench_main
 
     def measure(args):
         reps = 2 if args.smoke else 3
         clear_kernel_cache()
         times = {}
-        for vec in (False, True):
-            fn = make_kernel(CRSMatrix, vec)
+        for backend in ("interpreted", "vectorized"):
+            fn = make_kernel(CRSMatrix, backend)
             fn()  # warmup
             t0 = time.perf_counter()
             for _ in range(reps):
                 fn()
-            times[vec] = (time.perf_counter() - t0) / reps
-        speedup = times[False] / times[True]
-        print(f"scalar={times[False]:.5f}s vector={times[True]:.5f}s "
-              f"speedup={speedup:.1f}x")
-        config = {"format": "CRS", "matrix": "gr_30_30", "smoke": bool(args.smoke)}
-        return speedup, config, {
-            "scalar_seconds": times[False], "vector_seconds": times[True],
-        }
+            times[backend] = (time.perf_counter() - t0) / reps
+        speedup = times["interpreted"] / times["vectorized"]
+        print(f"scalar={times['interpreted']:.5f}s "
+              f"vector={times['vectorized']:.5f}s speedup={speedup:.1f}x")
+        return speedup
 
-    return tracked_main(
+    return bench_main(
         "ablation_codegen", measure, direction="higher",
         description=__doc__, argv=argv,
     )

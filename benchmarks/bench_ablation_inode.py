@@ -68,7 +68,7 @@ def test_inode_library_beats_compiled_crs():
 def main(argv=None):
     import time
 
-    from bench_cli import tracked_main
+    from bench_cli import bench_main
 
     def measure(args):
         reps = 3 if args.smoke else 5
@@ -84,10 +84,9 @@ def main(argv=None):
         for name, t in times.items():
             print(f"{name:<16} {t * 1e3:.3f} ms")
         print(f"inode-library over crs-compiled: {speedup:.2f}x")
-        config = {"nnz": int(_COO.nnz), "smoke": bool(args.smoke)}
-        return speedup, config, {f"{k}_seconds": v for k, v in times.items()}
+        return speedup
 
-    return tracked_main(
+    return bench_main(
         "ablation_inode", measure, direction="higher",
         description=__doc__, argv=argv,
     )

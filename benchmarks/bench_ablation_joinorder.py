@@ -79,7 +79,7 @@ def test_planner_picks_the_cheap_order():
 
 
 def main(argv=None):
-    from bench_cli import tracked_main
+    from bench_cli import bench_main
 
     def measure(args):
         A, X, Y = setup()
@@ -90,12 +90,9 @@ def main(argv=None):
         ratio = forced.cost / plan.cost  # deterministic cost-model margin
         print(f"natural driver {plan.driver} cost={plan.cost:.1f}; "
               f"forced X cost={forced.cost:.1f}; margin={ratio:.2f}x")
-        config = {"n": 120, "density": 0.05, "smoke": bool(args.smoke)}
-        return ratio, config, {
-            "natural_cost": float(plan.cost), "forced_cost": float(forced.cost),
-        }
+        return ratio
 
-    return tracked_main(
+    return bench_main(
         "ablation_joinorder", measure, direction="higher",
         description=__doc__, argv=argv,
     )

@@ -79,7 +79,7 @@ def test_translated_pays_problem_size_volume():
 
 
 def main(argv=None):
-    from bench_cli import tracked_main
+    from bench_cli import bench_main
 
     def measure(args):
         n = 1000 if args.smoke else 4000
@@ -92,17 +92,11 @@ def main(argv=None):
         print(f"replicated {t_rep:.6f}s ({s_rep.total_nbytes()} B)  "
               f"translated {t_tr:.6f}s ({s_tr.total_nbytes()} B)  "
               f"ratio {ratio:.2f}x")
-        config = {"n": n, "P": dist.nprocs, "smoke": bool(args.smoke)}
-        return ratio, config, {
-            "replicated_seconds": t_rep,
-            "translated_seconds": t_tr,
-            "replicated_bytes": int(s_rep.total_nbytes()),
-            "translated_bytes": int(s_tr.total_nbytes()),
-        }
+        return ratio
 
     # like joinorder: the margin of the structured path is the figure of
     # merit — it collapses if the replicated inspector gets more expensive
-    return tracked_main(
+    return bench_main(
         "ablation_translation", measure, direction="higher",
         description=__doc__, argv=argv,
     )

@@ -17,10 +17,9 @@ because at CI sizes per-call alpha dominates), and auto must strictly
 beat the worst-fixed-format geomean — picking blindly is not an option.
 
 The same measurements calibrate the cost model: per format, least-squares
-fit of ``seconds = alpha + beta * work_units`` across the suite, recorded
-as an ``autoplan_calibration`` record in the ``--history`` file, which
-:meth:`CostModel.from_history` loads when handed that path.  The full
-per-class × per-format table lands in ``BENCH_autoplan.json``.
+fit of ``seconds = alpha + beta * work_units`` across the suite.  The fit
+lands under the ``fit`` key of the ``--out`` JSON (``BENCH_autoplan.json``)
+beside the full per-class × per-format table.
 
 Usage::
 
@@ -36,15 +35,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import numpy as np
 
-from bench_cli import add_tracking_args, finish_tracking
-
 from repro.compiler import autoplan, clear_kernel_cache, compile_kernel
 from repro.compiler.autoplan import CANDIDATE_FORMATS, CostModel, _feasibility
 from repro.analysis.structure import analyze_structure
 from repro.errors import FormatError
 from repro.formats.dense import DenseVector
 from repro.kernels.spmv import SPMV_SRC
-from repro.observability.bench_track import BenchHistory, BenchRecord
 from tests.generators import STRUCTURE_CLASSES, integer_vector
 
 BENCH = "autoplan"
@@ -200,20 +196,6 @@ def measure(args):
 
     config = {"suite": "generators", "n": n, "smoke": bool(args.smoke),
               "seed": rng_base}
-    cal_metrics = {f"alpha.{k}": v for k, v in alpha.items()}
-    cal_metrics.update({f"beta.{k}": v for k, v in beta.items()})
-    cal_metrics["alpha.__interpreted__"] = ia
-    cal_metrics["beta.__interpreted__"] = ib
-    if not args.no_track:
-        BenchHistory(args.history).append(BenchRecord(
-            bench="autoplan_calibration",
-            value=headline,
-            direction="higher",
-            config=config,
-            metrics=cal_metrics,
-        ))
-        print(f"calibration recorded to {args.history}")
-
     if args.out:
         doc = {
             "bench": BENCH,
@@ -221,6 +203,8 @@ def measure(args):
             "auto_vs_best_geomean": headline,
             "auto_vs_worst_geomean": worst_geomean,
             "model_source": model.source,
+            "fit": {"alpha": alpha, "beta": beta,
+                    "alpha_interpreted": ia, "beta_interpreted": ib},
             "classes": rows,
         }
         with open(args.out, "w") as fh:
@@ -234,10 +218,7 @@ def measure(args):
         print(f"FAIL: auto does not beat the worst fixed format "
               f"({worst_geomean:.4f} <= 1)")
         raise SystemExit(1)
-
-    metrics = {f"ratio_vs_best.{r['class']}": r["ratio_vs_best"] for r in rows}
-    metrics["auto_vs_worst_geomean"] = worst_geomean
-    return headline, config, metrics
+    return headline
 
 
 def main(argv=None) -> int:
@@ -249,11 +230,9 @@ def main(argv=None) -> int:
                     help=f"suite base seed (default {SEED})")
     ap.add_argument("--out", default="BENCH_autoplan.json",
                     help="per-class table artifact (default BENCH_autoplan.json)")
-    add_tracking_args(ap)
-    args = ap.parse_args(argv)
-    value, config, metrics = measure(args)
+    value = measure(ap.parse_args(argv))
     print(f"{BENCH}: headline={value:.6g} (higher is better)")
-    return finish_tracking(args, BENCH, value, "higher", config, metrics)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,127 +1,19 @@
-"""Shared standalone-main harness for ``bench_*.py``: tracking + gating.
+"""Shared standalone main for the ``bench_*.py`` scripts without a bespoke CLI.
 
-Every benchmark script funnels its headline scalar through here so all
-eight produce uniform ``BENCH_history.jsonl`` records and understand the
-same flags::
-
-    --history PATH        JSONL trajectory file (default BENCH_history.jsonl)
-    --gate PCT            exit 1 if this run regresses > PCT% vs baseline
-    --compare {best,last} which prior record the gate diffs against
-    --no-track            measure and print, but do not append/gate
-    --inject-slowdown X   multiply the headline by X before recording
-                          (synthetic regression, for testing the gate)
-
-Scripts with a bespoke main (table1, table3) call
-:func:`add_tracking_args` + :func:`finish_tracking` directly; the rest
-get a whole main from :func:`tracked_main`.
+``python benchmarks/bench_<name>.py [--smoke]`` runs the script's
+``measure(args)`` — whose own asserts fail the run — and prints the
+headline scalar it returns.
 """
 
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-try:
-    import repro  # noqa: F401  (installed, or on PYTHONPATH)
-except ModuleNotFoundError:  # run from a source checkout
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.observability.bench_track import (
-    DEFAULT_HISTORY,
-    BenchHistory,
-    BenchRecord,
-    evaluate_gate,
-    render_gate,
-)
-
-__all__ = ["add_tracking_args", "finish_tracking", "tracked_main"]
+__all__ = ["bench_main"]
 
 
-def add_tracking_args(ap: argparse.ArgumentParser) -> None:
-    g = ap.add_argument_group("trajectory tracking")
-    g.add_argument("--history", default=DEFAULT_HISTORY,
-                   help="benchmark history JSONL (append-only)")
-    g.add_argument("--gate", type=float, default=None, metavar="PCT",
-                   help="fail (exit 1) on a regression above PCT%% vs the baseline")
-    g.add_argument("--compare", choices=("best", "last"), default="best",
-                   help="gate/diff baseline: series best (default) or most recent")
-    g.add_argument("--no-track", action="store_true",
-                   help="skip history append and gate")
-    g.add_argument("--inject-slowdown", type=float, default=None, metavar="X",
-                   help="multiply the headline value by X before recording "
-                        "(synthetic regression to test the gate)")
-
-
-def finish_tracking(
-    args: argparse.Namespace,
-    bench: str,
-    value: float,
-    direction: str = "lower",
-    config: dict | None = None,
-    metrics: dict | None = None,
-) -> int:
-    """Record the headline scalar, print the diff vs history, gate.
-
-    Returns the process exit code: 0, or 1 when ``--gate`` is set and the
-    regression exceeds the threshold.
-    """
-    if getattr(args, "no_track", False):
-        return 0
-    config = dict(config or {})
-    metrics = dict(metrics or {})
-    if args.inject_slowdown is not None:
-        # worsen the headline in its own direction: a slowdown factor X
-        # multiplies times and divides speedups
-        factor = float(args.inject_slowdown)
-        value = value * factor if direction == "lower" else value / factor
-        metrics["injected_slowdown"] = factor
-    record = BenchRecord(
-        bench=bench,
-        value=value,
-        direction=direction,
-        config=config,
-        metrics=metrics,
-    )
-    history = BenchHistory(args.history)
-    if history.skipped_lines:
-        print(
-            f"warning: skipped {history.skipped_lines} unparseable line(s) "
-            f"in {args.history}",
-            file=sys.stderr,
-        )
-    history.append(record)
-    gate = evaluate_gate(
-        record,
-        history,
-        threshold_pct=args.gate if args.gate is not None else float("inf"),
-        against=args.compare,
-    )
-    print(render_gate(gate))
-    print(f"recorded to {args.history}")
-    return gate.exit_code if args.gate is not None else 0
-
-
-def tracked_main(
-    bench: str,
-    measure,
-    direction: str = "lower",
-    description: str | None = None,
-    extra_args=None,
-    argv=None,
-) -> int:
-    """A complete standalone main for benchmarks with no bespoke CLI.
-
-    ``measure(args)`` runs the benchmark (printing whatever it likes) and
-    returns ``(value, config, metrics)`` — the headline scalar plus the
-    config dict that fingerprints the series.
-    """
+def bench_main(bench, measure, direction="lower", description=None, argv=None) -> int:
+    """Parse ``--smoke``, run ``measure(args) -> headline``, print it."""
     ap = argparse.ArgumentParser(description=description)
-    ap.add_argument("--smoke", action="store_true",
-                    help="shrunken problem, CI-sized")
-    if extra_args is not None:
-        extra_args(ap)
-    add_tracking_args(ap)
-    args = ap.parse_args(argv)
-    value, config, metrics = measure(args)
-    print(f"{bench}: headline={value:.6g} ({'lower' if direction == 'lower' else 'higher'} is better)")
-    return finish_tracking(args, bench, value, direction, config, metrics)
+    ap.add_argument("--smoke", action="store_true", help="shrunken problem, CI-sized")
+    value = measure(ap.parse_args(argv))
+    print(f"{bench}: headline={value:.6g} ({direction} is better)")
+    return 0

@@ -37,8 +37,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import numpy as np
 
-from bench_cli import add_tracking_args, finish_tracking
-
 from repro.compiler import clear_kernel_cache, compile_kernel
 from repro.formats.coo import COOMatrix
 from repro.formats.crs import CRSMatrix
@@ -94,7 +92,6 @@ def measure(args):
 
     rows = []
     speedups = []
-    classify_seconds = []
     for name, (src, op) in KERNELS.items():
         per_backend = {}
         results = {}
@@ -124,7 +121,6 @@ def measure(args):
         t0 = time.perf_counter()
         cls = classify_source(src, gate=False)
         classify_s = time.perf_counter() - t0
-        classify_seconds.append(classify_s)
 
         speedup = per_backend["interpreted"]["seconds"] / per_backend["vectorized"]["seconds"]
         speedups.append(speedup)
@@ -161,10 +157,7 @@ def measure(args):
         print(f"FAIL: geomean speedup {headline:.3f} <= 1 — the certified "
               "lowering lost to the scalar nest")
         raise SystemExit(1)
-
-    metrics = {f"speedup.{r['kernel']}": r["speedup"] for r in rows}
-    metrics["classify_seconds_mean"] = float(np.mean(classify_seconds))
-    return headline, config, metrics
+    return headline
 
 
 def main(argv=None) -> int:
@@ -176,11 +169,9 @@ def main(argv=None) -> int:
                     help=f"matrix seed (default {SEED})")
     ap.add_argument("--out", default="BENCH_depend.json",
                     help="per-kernel table artifact (default BENCH_depend.json)")
-    add_tracking_args(ap)
-    args = ap.parse_args(argv)
-    value, config, metrics = measure(args)
+    value = measure(ap.parse_args(argv))
     print(f"{BENCH}: headline={value:.6g} (higher is better)")
-    return finish_tracking(args, BENCH, value, "higher", config, metrics)
+    return 0
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ def test_fig4_curves(benchmark):
 
 
 def main(argv=None):
-    from bench_cli import tracked_main
+    from bench_cli import bench_main
     from paperbench import geomean
 
     def measure(args):
@@ -53,15 +53,9 @@ def main(argv=None):
         vals = [s["r_B"] for s in series.values()] + [
             s["r_I"] for s in series.values()
         ]
-        config = {"P_list": list(P_list), "smoke": bool(args.smoke)}
-        metrics = {
-            f"P{P}_{k}": s[k]
-            for P, s in series.items()
-            for k in ("r_B", "r_I")
-        }
-        return geomean(vals), config, metrics
+        return geomean(vals)
 
-    return tracked_main(
+    return bench_main(
         "fig4_conditioning", measure, direction="lower",
         description=__doc__, argv=argv,
     )

@@ -28,8 +28,7 @@ and, per single-structure control class, that the auto-planner does
 The hybrid SpMV result is also checked bitwise against the dense
 product before any timing counts.
 
-The per-class table lands in ``BENCH_hybrid.json``; the headline joins
-``BENCH_history.jsonl`` under bench name ``hybrid``.
+The per-class table and the headline land in ``BENCH_hybrid.json``.
 
 Usage::
 
@@ -45,15 +44,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import numpy as np
 
-from bench_cli import add_tracking_args, finish_tracking
-
 from repro.compiler import autoplan, clear_kernel_cache, compile_kernel
 from repro.compiler.autoplan import CANDIDATE_FORMATS, _feasibility
 from repro.analysis.structure import analyze_structure
 from repro.errors import FormatError
 from repro.formats.dense import DenseVector
 from repro.kernels.spmv import SPMV_SRC
-from repro.observability.bench_track import BenchHistory, BenchRecord
 from tests.generators import HYBRID_CLASSES, STRUCTURE_CLASSES, integer_vector
 
 BENCH = "hybrid"
@@ -206,18 +202,7 @@ def measure(args):
     if headline < 1.0:
         print(f"FAIL: geomean {headline:.4f} < 1.0")
         raise SystemExit(1)
-
-    metrics = {f"ratio.{r['class']}": r["ratio_vs_best_single"] for r in rows}
-    # only a passing run joins the tracked trajectory
-    if not args.no_track:
-        BenchHistory(args.history).append(BenchRecord(
-            bench=BENCH,
-            value=headline,
-            direction="higher",
-            config=config,
-            metrics=metrics,
-        ))
-    return headline, config, metrics
+    return headline
 
 
 def main(argv=None) -> int:
@@ -229,11 +214,9 @@ def main(argv=None) -> int:
                     help=f"suite base seed (default {SEED})")
     ap.add_argument("--out", default="BENCH_hybrid.json",
                     help="per-class table artifact (default BENCH_hybrid.json)")
-    add_tracking_args(ap)
-    args = ap.parse_args(argv)
-    value, config, metrics = measure(args)
+    value = measure(ap.parse_args(argv))
     print(f"{BENCH}: headline={value:.6g} (higher is better)")
-    return finish_tracking(args, BENCH, value, "higher", config, metrics)
+    return 0
 
 
 if __name__ == "__main__":

@@ -57,7 +57,6 @@ def _main(argv=None):
     import argparse
 
     import paperbench as pb
-    from bench_cli import add_tracking_args, finish_tracking
 
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--backend", default="vectorized",
@@ -67,7 +66,6 @@ def _main(argv=None):
     ap.add_argument("--smoke", action="store_true",
                     help="CRS-only quick check; exit 1 unless the candidate "
                          "backend beats interpreted on every matrix")
-    add_tracking_args(ap)
     args = ap.parse_args(argv)
 
     if args.smoke:
@@ -87,18 +85,7 @@ def _main(argv=None):
             print(f"SMOKE FAIL: {args.backend} did not beat interpreted on {sorted(slow)}")
             return 1
         print(f"SMOKE OK: {args.backend} beats interpreted on all CRS cells")
-    return finish_tracking(
-        args,
-        bench="table1_spmv",
-        value=gm,
-        direction="higher",  # geomean speedup over interpreted
-        config={
-            "backend": args.backend,
-            "smoke": bool(args.smoke),
-            "formats": sorted(formats) if formats else "all",
-        },
-        metrics={f"speedup_{m}_{f}": s for (m, f), s in speedups.items()},
-    )
+    return 0
 
 
 if __name__ == "__main__":

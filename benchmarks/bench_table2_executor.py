@@ -60,7 +60,7 @@ def test_table2_shape():
 
 
 def main(argv=None):
-    from bench_cli import tracked_main
+    from bench_cli import bench_main
     from paperbench import geomean
 
     def measure(args):
@@ -78,14 +78,9 @@ def main(argv=None):
                     f"(gate: < {MIXED_OVER_LIBRARY}x)"
                 )
             print(f"SMOKE OK: mixed-bs executor is {ratio:.2f}x blocksolve")
-        value = geomean(m.executor_seconds for m in ms.values())
-        config = {"P": P, "niter": niter, "smoke": bool(args.smoke)}
-        metrics = {
-            f"{v}_executor_seconds": ms[v].executor_seconds for v in VARIANTS
-        } | {f"{v}_inspector_seconds": ms[v].inspector_seconds for v in VARIANTS}
-        return value, config, metrics
+        return geomean(m.executor_seconds for m in ms.values())
 
-    return tracked_main(
+    return bench_main(
         "table2_executor", measure, direction="lower",
         description=__doc__, argv=argv,
     )

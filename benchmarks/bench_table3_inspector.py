@@ -87,15 +87,13 @@ def main(argv=None):
     import argparse
     import json
 
-    from bench_cli import add_tracking_args, finish_tracking
-    from paperbench import geomean, run_comm_optimization
+    from paperbench import run_comm_optimization
 
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true", help="small problem, CI-sized")
     ap.add_argument("--out", default="BENCH_comm.json", help="output JSON path")
     ap.add_argument("--nprocs", type=int, default=4)
     ap.add_argument("--niter", type=int, default=10)
-    add_tracking_args(ap)
     args = ap.parse_args(argv)
 
     cells = 6 if args.smoke else None
@@ -139,39 +137,7 @@ def main(argv=None):
             blk=ov["on_blocking_equivalent_seconds"],
         )
     )
-
-    # headline: geomean of the four modeled seconds this bench optimizes
-    # (all α–β model outputs — deterministic across machines, so the
-    # regression gate sees code changes, not host noise)
-    headline = geomean(
-        [
-            co["coalesced"]["comm_seconds"],
-            co["per_value"]["comm_seconds"],
-            reuse["cold_inspector"]["seconds"],
-            ov["on_parallel_seconds"],
-        ]
-    )
-    return finish_tracking(
-        args,
-        bench="table3_inspector",
-        value=headline,
-        direction="lower",
-        config={
-            "nprocs": args.nprocs,
-            "niter": args.niter,
-            "smoke": bool(args.smoke),
-            "calibration": result["calibration"],
-            "n": result["n"],
-        },
-        metrics={
-            "coalesced_comm_seconds": co["coalesced"]["comm_seconds"],
-            "per_value_comm_seconds": co["per_value"]["comm_seconds"],
-            "cold_inspector_seconds": reuse["cold_inspector"]["seconds"],
-            "warm_inspector_seconds": reuse["warm_inspector"]["seconds"],
-            "overlap_on_parallel_seconds": ov["on_parallel_seconds"],
-            "overlap_off_parallel_seconds": ov["off_parallel_seconds"],
-        },
-    )
+    return 0
 
 
 if __name__ == "__main__":

@@ -95,8 +95,8 @@ def cmd_ablations(args):
 
     print("== Ablation: scalar vs vectorized codegen (gr_30_30 SpMV, seconds) ==")
     for fmt in abc_.FORMATS:
-        ts = best(abc_.make_kernel(fmt, False), 2)
-        tv = best(abc_.make_kernel(fmt, True), 3)
+        ts = best(abc_.make_kernel(fmt, "interpreted"), 2)
+        tv = best(abc_.make_kernel(fmt, "vectorized"), 3)
         print(f"  {fmt.__name__:<18} scalar {ts:.5f}  vector {tv:.6f}  speedup {ts / tv:7.1f}x")
 
     print("== Ablation: join order (SpMV with sparse x, seconds) ==")

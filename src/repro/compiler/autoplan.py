@@ -18,13 +18,12 @@ Table 1's "no single format wins everywhere" into a compilation strategy:
    *worst* candidate.
 
 The model's constants are the built-in defaults measured on the
-reference container — the same from every working directory.  A
-calibration is an explicit argument: ``benchmarks/bench_autoplan.py``
-measures every fixed format over the structured generator suite,
-least-squares fits (α̂, β̂) per format, and records them as an
-``autoplan_calibration`` record in a bench history file;
-:meth:`CostModel.from_history` loads the latest such record from the
-path it is given, to be passed as ``autoplan(coo, model=...)``.
+reference container.  A calibration is an explicit argument:
+``benchmarks/bench_autoplan.py`` measures every fixed format over the
+structured generator suite and writes its least-squares (α̂, β̂) per
+format under the ``fit`` key of its ``--out`` JSON; a
+``CostModel(alpha=..., beta=..., source=...)`` built from those numbers
+is passed as ``autoplan(coo, model=...)``.
 
 Cache interaction: :meth:`AutoPlan.compile` passes the profile's
 :meth:`~repro.analysis.structure.StructureProfile.fingerprint` as an
@@ -92,8 +91,7 @@ CANDIDATE_FORMATS: dict[str, Callable] = {
 }
 
 #: per-call overhead (seconds) of the vectorized lowering, by format —
-#: defaults measured on the reference container, overridden by the
-#: latest ``autoplan_calibration`` record when one exists
+#: defaults measured on the reference container
 DEFAULT_ALPHA: dict[str, float] = {
     "CRS": 2.2e-5,
     "CCS": 2.0e-5,
@@ -165,7 +163,7 @@ class CostModel:
         self.beta.update(beta or {})
         self.alpha_interpreted = float(alpha_interpreted)
         self.beta_interpreted = float(beta_interpreted)
-        #: provenance: "default" or "history[<fingerprint>@<rev>]"
+        #: provenance: "default", or the caller's label for a fit
         self.source = source
 
     # ------------------------------------------------------------------
@@ -206,68 +204,6 @@ class CostModel:
         return (
             self.alpha_interpreted
             + self.beta_interpreted * self.stored_slots(profile, name)
-        )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_history(cls, path: str) -> "CostModel":
-        """The model calibrated by the latest ``autoplan_calibration``
-        record in the benchmark history at ``path``, or the defaults when
-        that file is absent, unreadable, or has no calibration record.
-
-        Stale records are tolerated, not trusted: a record written before
-        a format was added (or after one was removed/renamed) names a
-        different format set than the container defaults.  Unknown format
-        names are skipped — pricing an unknown name would either KeyError
-        at predict time or silently mis-price a *different* format — and
-        non-finite values (NaN/inf from a degenerate fit) fall back to the
-        per-format default, so a partially-stale record degrades per key
-        rather than poisoning the whole model.
-        """
-        from repro.observability.bench_track import BenchHistory
-
-        try:
-            history = BenchHistory(path)
-        except Exception:
-            return cls()
-        recs = [r for r in history.records if r.bench == "autoplan_calibration"]
-        if not recs:
-            return cls()
-        rec = max(recs, key=lambda r: r.timestamp)
-        alpha, beta = {}, {}
-        for key, value in rec.metrics.items():
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                continue
-            if not np.isfinite(value):
-                continue
-            if key.startswith("alpha."):
-                name = key[len("alpha."):]
-                if name in DEFAULT_ALPHA and value >= 0:
-                    alpha[name] = value
-            elif key.startswith("beta."):
-                name = key[len("beta."):]
-                if name in DEFAULT_BETA and value > 0:
-                    beta[name] = value
-
-        def _scalar(key: str, default: float) -> float:
-            try:
-                v = float(rec.metrics.get(key, default))
-            except (TypeError, ValueError):
-                return default
-            return v if np.isfinite(v) and v > 0 else default
-
-        return cls(
-            alpha=alpha,
-            beta=beta,
-            alpha_interpreted=_scalar(
-                "alpha.__interpreted__", DEFAULT_ALPHA_INTERPRETED
-            ),
-            beta_interpreted=_scalar(
-                "beta.__interpreted__", DEFAULT_BETA_INTERPRETED
-            ),
-            source=f"history[{rec.fingerprint}@{rec.git_rev}]",
         )
 
 
@@ -476,8 +412,7 @@ def autoplan(
     coo:
         The matrix (any Format; converted through COO).
     model:
-        Cost model; defaults to the built-in :class:`CostModel` (pass
-        :meth:`CostModel.from_history` of a path for a calibrated one).
+        Cost model; defaults to the built-in :class:`CostModel`.
     backends:
         Backend candidates to weigh, strongest first.
     profile:

@@ -38,7 +38,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
-    "resolve_backend",
 ]
 
 
@@ -155,39 +154,16 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-def get_backend(backend: str | ExecutorBackend) -> ExecutorBackend:
-    """Resolve a backend name (or pass an instance through)."""
+def get_backend(backend: str | ExecutorBackend | None = None) -> ExecutorBackend:
+    """Resolve a backend name (``None``: ``"vectorized"``), or pass an
+    instance through."""
     if isinstance(backend, ExecutorBackend):
         return backend
     try:
-        return _BACKENDS[backend]
+        return _BACKENDS["vectorized" if backend is None else backend]
     except KeyError:
         raise CompileError(
             f"unknown executor backend {backend!r}; "
             f"available: {', '.join(available_backends())}"
         ) from None
 
-
-def resolve_backend(
-    backend: str | ExecutorBackend | None = None, vectorize: bool | None = None
-) -> ExecutorBackend:
-    """Resolve the (backend, legacy-vectorize-flag) pair to one backend.
-
-    ``backend`` wins when given; ``vectorize`` is the pre-backend boolean
-    kept for compatibility (False → interpreted, True/None → vectorized).
-    Contradictory combinations raise :class:`CompileError`.
-    """
-    if backend is not None:
-        be = get_backend(backend)
-        if vectorize is False and be.name != INTERPRETED.name:
-            raise CompileError(
-                f"vectorize=False contradicts backend={be.name!r}; "
-                "drop one of the two"
-            )
-        if vectorize is True and be.name == INTERPRETED.name:
-            raise CompileError(
-                "vectorize=True contradicts backend='interpreted'; "
-                "drop one of the two"
-            )
-        return be
-    return INTERPRETED if vectorize is False else VECTORIZED

@@ -35,7 +35,7 @@ from typing import Mapping
 
 from repro.compiler import codegen
 from repro.compiler.ast_nodes import Assign, BinOp, Expr, Neg, Program, normalize_program
-from repro.compiler.backends import ExecutorBackend, resolve_backend
+from repro.compiler.backends import ExecutorBackend, get_backend
 from repro.compiler.codegen import KernelUnit
 from repro.compiler.parser import parse
 from repro.compiler.plan_cache import PlanCache, kernel_cache_key
@@ -364,7 +364,6 @@ class CompileRequest:
     source: str | Program
     formats: Mapping[str, Format]
     backend: str | ExecutorBackend | None = None
-    vectorize: bool | None = None
     verify: str = "error"
     force_driver: str | None = None
     allow_merge: bool = True
@@ -377,7 +376,7 @@ class CompileRequest:
     outcome: str = "compiled"  # or the cache's "hit" / "coalesced"
 
     def __post_init__(self):
-        self.backend = resolve_backend(self.backend, self.vectorize)
+        self.backend = get_backend(self.backend)
         if self.verify not in ("off", "warn", "error"):
             raise CompileError(
                 f"verify must be 'off', 'warn' or 'error', got {self.verify!r}"
@@ -397,6 +396,11 @@ def front_end(req: CompileRequest) -> None:
     for name in req.program.arrays():
         if name not in req.formats:
             raise CompileError(f"no format given for array {name!r}")
+        if not isinstance(req.formats[name], Format):
+            raise CompileError(
+                f"array {name!r} must be bound to a Format, "
+                f"got {type(req.formats[name]).__name__}"
+            )
 
 
 def gate(req: CompileRequest) -> None:
@@ -546,7 +550,6 @@ def compile_request(req: CompileRequest, cache: PlanCache | None) -> CompileRequ
 def compile_kernel(
     source: str | Program,
     formats: Mapping[str, Format],
-    vectorize: bool | None = None,
     force_driver: str | None = None,
     allow_merge: bool = True,
     cache: bool = True,
@@ -566,10 +569,6 @@ def compile_kernel(
     backend:
         Executor backend name or instance — ``"vectorized"`` (default) or
         ``"interpreted"`` (see :mod:`repro.compiler.backends`).
-    vectorize:
-        Legacy boolean: ``False`` selects the interpreted backend,
-        ``True``/``None`` the vectorized one.  ``backend`` wins when both
-        are given (contradictions raise).
     force_driver:
         Pin the planner's primary driver (ablation hook).
     cache:
@@ -596,7 +595,7 @@ def compile_kernel(
         an auto-planned kernel.
     """
     req = CompileRequest(
-        source, formats, backend, vectorize, verify, force_driver, allow_merge, extra_key
+        source, formats, backend, verify, force_driver, allow_merge, extra_key
     )
     return compile_request(req, KERNEL_CACHE if cache else None).kernel
 

@@ -21,7 +21,6 @@ def spmm(
     A: Format,
     B,
     C=None,
-    vectorize: bool | None = None,
     backend: str | None = None,
 ) -> np.ndarray:
     """C (+)= A·B where A is sparse (any format) and B dense.
@@ -34,9 +33,7 @@ def spmm(
     Bf = B if isinstance(B, Format) else DenseMatrix(np.asarray(B, dtype=np.float64))
     cv = np.zeros((A.shape[0], Bf.shape[1])) if C is None else C
     Cf = DenseMatrix(cv) if not isinstance(cv, DenseMatrix) else cv
-    k = compile_kernel(
-        SPMM_SRC, {"A": A, "B": Bf, "C": Cf}, vectorize=vectorize, backend=backend
-    )
+    k = compile_kernel(SPMM_SRC, {"A": A, "B": Bf, "C": Cf}, backend=backend)
     with span(
         "kernels.spmm",
         format=type(A).__name__,

@@ -22,7 +22,6 @@ def spmv(
     A: Format,
     x,
     y=None,
-    vectorize: bool | None = None,
     backend: str | None = None,
 ) -> np.ndarray:
     """y (+)= A·x for any matrix format.
@@ -50,9 +49,7 @@ def spmv(
         return yv
     yv = np.zeros(A.shape[0]) if y is None else (y.vals if isinstance(y, DenseVector) else y)
     X, Y = DenseVector(xv), DenseVector(yv)
-    k = compile_kernel(
-        SPMV_SRC, {"A": A, "X": X, "Y": Y}, vectorize=vectorize, backend=backend
-    )
+    k = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y}, backend=backend)
     with span("kernels.spmv", format=type(A).__name__, backend=k.backend, nnz=A.nnz):
         k(A=A, X=X, Y=Y)
     return Y.vals
@@ -88,7 +85,6 @@ def spmv_transpose(
     A: Format,
     x,
     y=None,
-    vectorize: bool | None = None,
     backend: str | None = None,
 ) -> np.ndarray:
     """y (+)= Aᵀ·x for any matrix format (no transposed copy is built —
@@ -98,12 +94,10 @@ def spmv_transpose(
         # composite: transpose through the exchange format (rarely needed)
         from repro.formats.crs import CRSMatrix
 
-        return spmv(CRSMatrix.from_coo(A.to_coo().transpose()), xv, y, vectorize, backend)
+        return spmv(CRSMatrix.from_coo(A.to_coo().transpose()), xv, y, backend=backend)
     yv = np.zeros(A.shape[1]) if y is None else (y.vals if isinstance(y, DenseVector) else y)
     X, Y = DenseVector(xv), DenseVector(yv)
-    k = compile_kernel(
-        SPMV_T_SRC, {"A": A, "X": X, "Y": Y}, vectorize=vectorize, backend=backend
-    )
+    k = compile_kernel(SPMV_T_SRC, {"A": A, "X": X, "Y": Y}, backend=backend)
     with span(
         "kernels.spmv_transpose", format=type(A).__name__, backend=k.backend, nnz=A.nnz
     ):

@@ -1,6 +1,6 @@
 """Observability: tracing, metrics, and plan explanation.
 
-Three cooperating pieces, all off by default and near-free when off:
+Four cooperating pieces, all off by default and near-free when off:
 
 * :mod:`repro.observability.trace` — span tracer instrumenting the
   compiler pipeline and the SPMD machine; exports Chrome ``trace_event``
@@ -15,9 +15,7 @@ Three cooperating pieces, all off by default and near-free when off:
 * :mod:`repro.observability.profile` — critical-path profiler and
   cost-model audit over ``RunStats`` (per-rank compute/comm/idle
   attribution, cross-rank critical path, load imbalance, α+β·n
-  prediction error),
-* :mod:`repro.observability.bench_track` — benchmark trajectory records
-  (``BENCH_history.jsonl``) and the ``--gate`` regression check.
+  prediction error).
 
 ``python -m repro.observability.report trace.json`` pretty-prints a trace
 saved by ``Tracer.save`` or a benchmark ``--trace`` run;

@@ -1,6 +1,6 @@
-"""The auto-planner: ranking sanity, feasibility, cost-model calibration
-pickup from BENCH_history.jsonl, explain() wiring, and the one-stop
-``autoplan_spmv`` entry point."""
+"""The auto-planner: ranking sanity, feasibility, a cwd-independent
+default cost model, explain() wiring, and the one-stop ``autoplan_spmv``
+entry point."""
 
 import json
 
@@ -60,38 +60,10 @@ def test_explain_narrates_profile_and_ranking():
     assert text == plan.describe() == plan.explain()
 
 
-def test_cost_model_calibration_is_read_from_history(tmp_path):
-    from repro.observability.bench_track import BenchHistory, BenchRecord
-
-    path = tmp_path / "hist.jsonl"
-    hist = BenchHistory(str(path))
-    hist.append(
-        BenchRecord(
-            bench="autoplan_calibration",
-            value=0.0,
-            config={"suite": "unit-test"},
-            metrics={
-                "alpha.CRS": 1e-3,
-                "beta.CRS": 1e-6,
-                "beta.__interpreted__": 9e-7,
-                "beta.Dense": -1.0,  # invalid: must be ignored
-            },
-        )
-    )
-    model = CostModel.from_history(str(path))
-    assert model.alpha["CRS"] == 1e-3 and model.beta["CRS"] == 1e-6
-    assert model.beta_interpreted == 9e-7
-    assert model.beta["Dense"] > 0  # default survived the bad record
-    assert model.source.startswith("history[")
-    # an absent history falls back to defaults silently
-    fallback = CostModel.from_history(str(tmp_path / "missing.jsonl"))
-    assert fallback.source == "default"
-
-
 @pytest.mark.parametrize("where", ["repo-root", "tmp"])
 def test_default_model_does_not_depend_on_cwd(where, tmp_path, monkeypatch):
-    """The repo root holds a BENCH_history.jsonl with a calibration record;
-    ``autoplan`` must not read it (nor anything else relative to cwd)."""
+    """``autoplan`` reads nothing relative to cwd: the default model is
+    the same from the repo root and from an empty directory."""
     import inspect
     import pathlib
 
@@ -102,8 +74,6 @@ def test_default_model_does_not_depend_on_cwd(where, tmp_path, monkeypatch):
     assert plan.model_source == "default"
     assert plan.candidates == autoplan(coo, model=CostModel()).candidates
     assert "history" not in inspect.signature(autoplan).parameters
-    with pytest.raises(TypeError):
-        CostModel.from_history()  # a calibration is an explicit path
 
 
 def test_calibrated_model_changes_the_choice(tmp_path):

@@ -1,94 +1,7 @@
-"""Cost-model calibration robustness against stale/foreign history.
-
-``CostModel.from_history`` reads the latest ``autoplan_calibration``
-record from ``BENCH_history.jsonl``.  Histories outlive code: a record
-written before a format was added (or after one was removed or renamed)
-must never crash calibration or poison the container defaults — unknown
-format names are ignored, known names are picked up, non-finite and
-non-positive values fall back to defaults.
-"""
-
-import json
-
-import numpy as np
-import pytest
+"""Cost-model container defaults: every format the planner prices,
+including region-only ones, has an α and a β without a calibration."""
 
 from repro.compiler.autoplan import DEFAULT_ALPHA, DEFAULT_BETA, CostModel
-from repro.observability.bench_track import BenchHistory, BenchRecord
-
-
-def _write_record(path, metrics):
-    hist = BenchHistory(str(path))
-    hist.append(
-        BenchRecord(
-            bench="autoplan_calibration",
-            value=1.0,
-            config={"suite": "stale-unit-test"},
-            metrics=metrics,
-        )
-    )
-
-
-def test_stale_record_with_foreign_format_set_falls_back_to_defaults(tmp_path):
-    """A hand-written record from an older code version: formats that no
-    longer exist, missing entries for ones that do."""
-    path = tmp_path / "hist.jsonl"
-    _write_record(path, {
-        "alpha.RetiredFormat": 1e-3,
-        "beta.RetiredFormat": 1e-6,
-        "alpha.EllpackItpack2": 2e-3,   # renamed since
-        "beta.EllpackItpack2": 2e-6,
-        "alpha.CRS": 5e-4,              # still known: must be picked up
-        "beta.CRS": 5e-7,
-    })
-    model = CostModel.from_history(str(path))
-    assert model.source.startswith("history[")
-    # known names picked up
-    assert model.alpha["CRS"] == 5e-4 and model.beta["CRS"] == 5e-7
-    # foreign names ignored, not grafted into the model
-    assert "RetiredFormat" not in model.alpha
-    assert "EllpackItpack2" not in model.beta
-    # every registered format still has a usable entry
-    for name in DEFAULT_ALPHA:
-        assert model.alpha[name] > 0
-    for name in DEFAULT_BETA:
-        assert model.beta[name] > 0
-
-
-def test_nonfinite_and_nonpositive_values_are_rejected(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    _write_record(path, {
-        "alpha.CRS": float("nan"),
-        "beta.CRS": float("inf"),
-        "beta.Dense": -2.0,
-        "alpha.Dense": 0.0,  # alpha may legitimately be zero
-        "beta.__interpreted__": float("nan"),
-        "alpha.__interpreted__": -1.0,
-    })
-    model = CostModel.from_history(str(path))
-    assert model.alpha["CRS"] == DEFAULT_ALPHA["CRS"]
-    assert model.beta["CRS"] == DEFAULT_BETA["CRS"]
-    assert model.beta["Dense"] == DEFAULT_BETA["Dense"]
-    assert model.alpha["Dense"] == 0.0
-    # scalar fallbacks survived
-    assert np.isfinite(model.beta_interpreted) and model.beta_interpreted > 0
-    assert model.alpha_interpreted >= 0
-
-
-def test_garbage_jsonl_lines_do_not_crash_calibration(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    _write_record(path, {"alpha.CRS": 3e-4, "beta.CRS": 3e-7})
-    with open(path, "a") as fh:
-        fh.write("{not json at all\n")
-        fh.write(json.dumps({"bench": "other", "value": 2}) + "\n")
-    model = CostModel.from_history(str(path))
-    assert model.alpha["CRS"] == 3e-4
-
-
-def test_absent_history_is_silent_default(tmp_path):
-    model = CostModel.from_history(str(tmp_path / "nope.jsonl"))
-    assert model.source == "default"
-    assert model.alpha == DEFAULT_ALPHA and model.beta == DEFAULT_BETA
 
 
 def test_denseblocks_has_container_defaults():
@@ -97,11 +10,3 @@ def test_denseblocks_has_container_defaults():
     assert "DenseBlocks" in DEFAULT_ALPHA and "DenseBlocks" in DEFAULT_BETA
     model = CostModel()
     assert model.alpha["DenseBlocks"] > 0 and model.beta["DenseBlocks"] > 0
-
-
-def test_latest_record_wins(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    _write_record(path, {"alpha.CRS": 1e-3, "beta.CRS": 1e-6})
-    _write_record(path, {"alpha.CRS": 9e-4, "beta.CRS": 9e-7})
-    model = CostModel.from_history(str(path))
-    assert model.alpha["CRS"] == 9e-4 and model.beta["CRS"] == 9e-7

@@ -25,11 +25,11 @@ def _fresh():
     clear_kernel_cache()
 
 
-def source_for(A, src=SPMV_SRC, X=None, vectorize=True):
+def source_for(A, src=SPMV_SRC, X=None, backend="vectorized"):
     n, m = A.shape
     X = X if X is not None else DenseVector(np.ones(m))
     Y = DenseVector.zeros(n)
-    return compile_kernel(src, {"A": A, "X": X, "Y": Y}, vectorize=vectorize, cache=False).source
+    return compile_kernel(src, {"A": A, "X": X, "Y": Y}, backend=backend, cache=False).source
 
 
 def test_crs_uses_segmented_reduceat():
@@ -77,7 +77,7 @@ def test_blockdiag_uses_block_gemv():
 
 def test_scalar_backend_has_plain_loops():
     A = CRSMatrix.from_coo(COOMatrix.random(10, 10, 0.3, rng=0))
-    s = source_for(A, vectorize=False)
+    s = source_for(A, backend="interpreted")
     assert "np.add.reduceat" not in s and "np.dot" not in s
     assert s.count("for ") == 2
 
@@ -112,7 +112,7 @@ def test_translated_vector_scalar_path():
     buf = rng.standard_normal(12)
     tv = TranslatedVector(12, buf, perm)
     Y = DenseVector.zeros(12)
-    k = compile_kernel(SPMV_SRC, {"A": A, "X": tv, "Y": Y}, vectorize=False, cache=False)
+    k = compile_kernel(SPMV_SRC, {"A": A, "X": tv, "Y": Y}, backend="interpreted", cache=False)
     k(A=A, X=tv, Y=Y)
     assert np.allclose(Y.vals, coo.to_dense() @ buf[perm])
 
@@ -125,11 +125,11 @@ def test_segmented_with_row_factor():
     rng = np.random.default_rng(4)
     d, x = rng.standard_normal(10), rng.standard_normal(10)
     src = "for i in 0:n { for j in 0:n { Y[i] += D[i] * A[i,j] * X[j] } }"
-    for vec in (True, False):
+    for backend in ("vectorized", "interpreted"):
         Y = DenseVector.zeros(10)
         k = compile_kernel(
             src, {"A": A, "D": DenseVector(d), "X": DenseVector(x), "Y": Y},
-            vectorize=vec, cache=False,
+            backend=backend, cache=False,
         )
         k(A=A, D=DenseVector(d), X=DenseVector(x), Y=Y)
         assert np.allclose(Y.vals, d * (coo.to_dense() @ x)), k.source
@@ -155,10 +155,10 @@ def test_block_with_row_and_col_factors():
     rng = np.random.default_rng(8)
     d, z, x = rng.standard_normal(9), rng.standard_normal(9) + 2, rng.standard_normal(9)
     src = "for i in 0:n { for j in 0:n { Y[i] += D[i] * A[i,j] * X[j] / Z[j] } }"
-    for vec in (True, False):
+    for backend in ("vectorized", "interpreted"):
         Y = DenseVector.zeros(9)
         fm = {"A": A, "D": DenseVector(d), "X": DenseVector(x), "Z": DenseVector(z), "Y": Y}
-        k = compile_kernel(src, fm, vectorize=vec, cache=False)
+        k = compile_kernel(src, fm, backend=backend, cache=False)
         k(**fm)
         want = d * (coo.to_dense() @ (x / z))
         assert np.allclose(Y.vals, want), k.source
@@ -169,9 +169,9 @@ def test_negated_statement():
     A = CRSMatrix.from_coo(coo)
     x = np.arange(8, dtype=float)
     src = "for i in 0:n { for j in 0:n { Y[i] += -(A[i,j] * X[j]) } }"
-    for vec in (True, False):
+    for backend in ("vectorized", "interpreted"):
         Y = DenseVector.zeros(8)
-        k = compile_kernel(src, {"A": A, "X": DenseVector(x), "Y": Y}, vectorize=vec, cache=False)
+        k = compile_kernel(src, {"A": A, "X": DenseVector(x), "Y": Y}, backend=backend, cache=False)
         k(A=A, X=DenseVector(x), Y=Y)
         assert np.allclose(Y.vals, -(coo.to_dense() @ x)), k.source
 

@@ -58,33 +58,33 @@ def make_data(rng=0, n=9, m=7, density=0.3):
 
 
 @pytest.mark.parametrize("fmt", MATRIX_FORMATS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_spmv_all_formats(fmt, vectorize):
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_spmv_all_formats(fmt, backend):
     coo, dense, x = make_data()
     A = fmt.from_coo(coo)
     X = DenseVector(x)
     Y = DenseVector.zeros(dense.shape[0])
-    k = compile_kernel(SPMV, {"A": A, "X": X, "Y": Y}, vectorize=vectorize)
+    k = compile_kernel(SPMV, {"A": A, "X": X, "Y": Y}, backend=backend)
     k(A=A, X=X, Y=Y)
     assert np.allclose(Y.vals, dense @ x), k.source
 
 
 @pytest.mark.parametrize("fmt", [CRSMatrix, CCSMatrix, COOMatrix, DenseMatrix], ids=lambda f: f.__name__)
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_spmv_transpose(fmt, vectorize):
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_spmv_transpose(fmt, backend):
     coo, dense, _ = make_data(rng=1)
     r = np.random.default_rng(5)
     xi = r.standard_normal(dense.shape[0])
     A = fmt.from_coo(coo)
     X = DenseVector(xi)
     Z = DenseVector.zeros(dense.shape[1])
-    k = compile_kernel(SPMV_T, {"A": A, "X": X, "Z": Z}, vectorize=vectorize)
+    k = compile_kernel(SPMV_T, {"A": A, "X": X, "Z": Z}, backend=backend)
     k(A=A, X=X, Z=Z)
     assert np.allclose(Z.vals, dense.T @ xi), k.source
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_spmv_sparse_x(vectorize):
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_spmv_sparse_x(backend):
     """Sparse A and sparse x: the planner must search x (paper Sec. 2)."""
     coo, dense, _ = make_data(rng=2)
     xd = np.zeros(dense.shape[1])
@@ -92,7 +92,7 @@ def test_spmv_sparse_x(vectorize):
     A = CRSMatrix.from_coo(coo)
     X = SparseVector.from_dense(xd)
     Y = DenseVector.zeros(dense.shape[0])
-    k = compile_kernel(SPMV, {"A": A, "X": X, "Y": Y}, vectorize=vectorize)
+    k = compile_kernel(SPMV, {"A": A, "X": X, "Y": Y}, backend=backend)
     k(A=A, X=X, Y=Y)
     assert np.allclose(Y.vals, dense @ xd), k.source
 
@@ -113,7 +113,7 @@ def test_kernel_cache_hits():
     A = CRSMatrix.from_coo(coo)
     fm = {"A": A, "X": DenseVector(x), "Y": DenseVector.zeros(dense.shape[0])}
     assert compile_kernel(SPMV, fm) is compile_kernel(SPMV, fm)
-    assert compile_kernel(SPMV, fm, vectorize=False) is not compile_kernel(SPMV, fm)
+    assert compile_kernel(SPMV, fm, backend="interpreted") is not compile_kernel(SPMV, fm)
 
 
 def test_kernel_rejects_wrong_class():
@@ -140,18 +140,24 @@ def test_kernel_missing_binding():
         k(A=A, X=DenseVector(x))
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_axpy_with_scalar(vectorize):
+def test_non_format_binding_is_a_compile_error():
+    fm = {"A": np.eye(5), "X": DenseVector(np.ones(5)), "Y": DenseVector.zeros(5)}
+    with pytest.raises(CompileError, match=r"array 'A' .* got ndarray"):
+        compile_kernel(SPMV, fm)
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_axpy_with_scalar(backend):
     src = "for i in 0:n { Y[i] += alpha * X[i] }"
     x = np.arange(5.0)
     X, Y = DenseVector(x), DenseVector(np.ones(5))
-    k = compile_kernel(src, {"X": X, "Y": Y}, vectorize=vectorize)
+    k = compile_kernel(src, {"X": X, "Y": Y}, backend=backend)
     k(X=X, Y=Y, alpha=2.0)
     assert np.allclose(Y.vals, 1.0 + 2.0 * x)
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_additive_split_kernel(vectorize):
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_additive_split_kernel(backend):
     """Y = A + B elementwise with two sparse inputs (union query)."""
     src = "for i in 0:n { for j in 0:m { Y[i,j] = A[i,j] + B[i,j] } }"
     r = np.random.default_rng(0)
@@ -160,13 +166,13 @@ def test_additive_split_kernel(vectorize):
     A = CRSMatrix.from_coo(COOMatrix.from_dense(da))
     B = CRSMatrix.from_coo(COOMatrix.from_dense(db))
     Y = DenseMatrix.zeros(6, 5)
-    k = compile_kernel(src, {"A": A, "B": B, "Y": Y}, vectorize=vectorize)
+    k = compile_kernel(src, {"A": A, "B": B, "Y": Y}, backend=backend)
     k(A=A, B=B, Y=Y)
     assert np.allclose(Y.vals, da + db), k.source
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_distributed_product_kernel(vectorize):
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_distributed_product_kernel(backend):
     """Y += (A + B) * X — distribution makes the predicates conjunctive."""
     src = "for i in 0:n { Y[i] += (A[i] + B[i]) * X[i] }"
     r = np.random.default_rng(1)
@@ -176,13 +182,13 @@ def test_distributed_product_kernel(vectorize):
     A = SparseVector.from_dense(da)
     B = SparseVector.from_dense(db)
     X, Y = DenseVector(x), DenseVector.zeros(8)
-    k = compile_kernel(src, {"A": A, "B": B, "X": X, "Y": Y}, vectorize=vectorize)
+    k = compile_kernel(src, {"A": A, "B": B, "X": X, "Y": Y}, backend=backend)
     k(A=A, B=B, X=X, Y=Y)
     assert np.allclose(Y.vals, (da + db) * x), k.source
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_spmm_sparse_times_dense(vectorize):
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_spmm_sparse_times_dense(backend):
     """Z[i,k] += A[i,j] * B[j,k] — sparse × skinny dense (paper Sec. 6)."""
     src = "for i in 0:n { for j in 0:m { for k in 0:p { Z[i,k] += A[i,j] * B[j,k] } } }"
     coo, dense, _ = make_data(rng=6)
@@ -191,7 +197,7 @@ def test_spmm_sparse_times_dense(vectorize):
     A = CRSMatrix.from_coo(coo)
     B = DenseMatrix(b)
     Z = DenseMatrix.zeros(dense.shape[0], 3)
-    k = compile_kernel(src, {"A": A, "B": B, "Z": Z}, vectorize=vectorize)
+    k = compile_kernel(src, {"A": A, "B": B, "Z": Z}, backend=backend)
     k(A=A, B=B, Z=Z)
     assert np.allclose(Z.vals, dense @ b), k.source
 
@@ -237,27 +243,27 @@ def test_conflicting_index_tuples_rejected():
 
 
 @pytest.mark.parametrize("fmt", MATRIX_FORMATS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
 @given(coo=coo_matrices(max_n=8, max_m=8))
 @settings(max_examples=10, deadline=None)
-def test_spmv_property_all_formats(fmt, vectorize, coo):
+def test_spmv_property_all_formats(fmt, backend, coo):
     A = fmt.from_coo(coo)
     x = np.linspace(-1, 1, coo.shape[1])
     X = DenseVector(x)
     Y = DenseVector.zeros(coo.shape[0])
-    k = compile_kernel(SPMV, {"A": A, "X": X, "Y": Y}, vectorize=vectorize, cache=False)
+    k = compile_kernel(SPMV, {"A": A, "X": X, "Y": Y}, backend=backend, cache=False)
     k(A=A, X=X, Y=Y)
     assert np.allclose(Y.vals, coo.to_dense() @ x, atol=1e-9), k.source
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_matches_reference_executor(vectorize):
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_matches_reference_executor(backend):
     src = "for i in 0:n { for j in 0:m { Y[i] += 2 * A[i,j] * X[j] } }"
     coo, dense, x = make_data(rng=11)
     A = CRSMatrix.from_coo(coo)
     X = DenseVector(x)
     Y = DenseVector.zeros(dense.shape[0])
-    k = compile_kernel(src, {"A": A, "X": X, "Y": Y}, vectorize=vectorize)
+    k = compile_kernel(src, {"A": A, "X": X, "Y": Y}, backend=backend)
     k(A=A, X=X, Y=Y)
     ref = run_reference(parse(src), {"A": dense, "X": x, "Y": np.zeros(dense.shape[0])})
     assert np.allclose(Y.vals, ref["Y"])

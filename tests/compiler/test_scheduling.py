@@ -145,12 +145,27 @@ def test_coo_driver_guards_prebound_axis():
 
 def test_forced_driver_respected():
     coo, _, y = make()
-    X = SparseVector(6, [1, 4], [1.0, 2.0])
-    fm = {"A": CRSMatrix.from_coo(coo), "X": X, "Y": y}
-    plan = plan_for(SPMV, fm, force_driver="X")
-    assert plan.driver == "X"
-    natural = plan_for(SPMV, fm)
-    assert natural.cost < plan.cost
+    toy = {
+        "A": CRSMatrix.from_coo(coo),
+        "X": SparseVector(6, [1, 4], [1.0, 2.0]),
+        "Y": y,
+    }
+    # the join-order ablation's input: forcing X as the driver turns A's
+    # row level into a chained dense enumeration (43,201 vs 1,771 today)
+    n = 120
+    xd = np.zeros(n)
+    xd[:: n // 40] = 1.0
+    ablation = {
+        "A": CRSMatrix.from_coo(COOMatrix.random(n, n, 0.05, rng=0)),
+        "X": SparseVector.from_dense(xd),
+        "Y": DenseVector.zeros(n),
+    }
+    for fm, min_ratio in ((toy, 1.0), (ablation, 18.0)):
+        plan = plan_for(SPMV, fm, force_driver="X")
+        assert plan.driver == "X"
+        natural = plan_for(SPMV, fm)
+        assert natural.driver == "A"
+        assert plan.cost / natural.cost > min_ratio
 
 
 def test_force_unknown_driver_raises():

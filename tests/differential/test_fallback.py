@@ -118,5 +118,3 @@ def test_unknown_backend_raises(coo):
     fmts = {"A": CRSMatrix.from_coo(coo), "X": DenseVector(np.ones(9)), "Y": DenseVector.zeros(9)}
     with pytest.raises(CompileError, match="backend"):
         compile_kernel(SPMV_SRC, fmts, backend="simd-9000")
-    with pytest.raises(CompileError):
-        compile_kernel(SPMV_SRC, fmts, backend="interpreted", vectorize=True)

@@ -98,24 +98,24 @@ def test_size_mismatch_rejected():
 
 
 @pytest.mark.parametrize("base_cls", [CRSMatrix, CCSMatrix, COOMatrix], ids=lambda c: c.__name__)
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_compiled_spmv_through_view(base_cls, vectorize):
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_compiled_spmv_through_view(base_cls, backend):
     """Eq. 6: the compiler handles the permutation join unmodified."""
     view, dense = make_view(rng=1, base_cls=base_cls)
     x = np.linspace(-1, 1, dense.shape[1])
     X, Y = DenseVector(x), DenseVector.zeros(dense.shape[0])
-    k = compile_kernel(SPMV_SRC, {"A": view, "X": X, "Y": Y}, vectorize=vectorize, cache=False)
+    k = compile_kernel(SPMV_SRC, {"A": view, "X": X, "Y": Y}, backend=backend, cache=False)
     k(A=view, X=X, Y=Y)
     assert np.allclose(Y.vals, dense @ x), k.source
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vector"])
-def test_compiled_transpose_spmv_through_view(vectorize):
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
+def test_compiled_transpose_spmv_through_view(backend):
     view, dense = make_view(rng=2)
     xt = np.linspace(0, 1, dense.shape[0])
     X, Z = DenseVector(xt), DenseVector.zeros(dense.shape[1])
     src = "for i in 0:n { for j in 0:m { Z[j] += A[i,j] * X[i] } }"
-    k = compile_kernel(src, {"A": view, "X": X, "Z": Z}, vectorize=vectorize, cache=False)
+    k = compile_kernel(src, {"A": view, "X": X, "Z": Z}, backend=backend, cache=False)
     k(A=view, X=X, Z=Z)
     assert np.allclose(Z.vals, dense.T @ xt), k.source
 

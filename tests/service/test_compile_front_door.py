@@ -58,6 +58,17 @@ def test_gate_rejected_nest_compiled_under_verify_off_is_never_served_as_a_hit()
     assert cache.stats()["misses"] == 1
 
 
+def test_non_format_binding_is_an_error_response():
+    fmts = _fmts(5, "X", "Y")
+    svc, cache = _service()
+    with svc:
+        bad = svc.compile(SPMV_SRC, {**fmts, "A": np.eye(5)})
+        assert bad.status == "error" and bad.error.startswith("CompileError")
+        assert "'A'" in bad.error and "ndarray" in bad.error
+        assert svc.compile(SPMV_SRC, fmts).ok  # the worker survived
+    assert cache.stats()["misses"] == 1
+
+
 def test_sequential_nest_is_refused_on_every_service_request():
     fmts = _fmts(6, "X")
     svc, cache = _service()

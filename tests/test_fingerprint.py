@@ -1,8 +1,8 @@
-"""One digest helper, five call sites — and the digests did not move.
+"""One digest helper, four call sites — and the digests did not move.
 
-They are ``BENCH_history.jsonl`` series ids, cache-key components and
-certificate fingerprints, so each site pins one value computed before the
-sites were folded onto :func:`repro.fingerprint.fingerprint`.
+They are cache-key components and certificate fingerprints, so each site
+pins one value computed before the sites were folded onto
+:func:`repro.fingerprint.fingerprint`.
 """
 
 import hashlib
@@ -18,7 +18,6 @@ from repro.compiler.plan_cache import PlanCache
 from repro.fingerprint import fingerprint
 from repro.formats import COOMatrix, CRSMatrix, DenseVector
 from repro.kernels.spmv import SPMV_SRC
-from repro.observability.bench_track import config_fingerprint
 from repro.service import CompileSolveService, ServiceConfig
 
 
@@ -35,11 +34,6 @@ def _tridiagonal(n=24):
 def test_helper_is_a_sha256_prefix():
     assert fingerprint("abc") == hashlib.sha256(b"abc").hexdigest()[:16]
     assert fingerprint("abc", 12) == hashlib.sha256(b"abc").hexdigest()[:12]
-
-
-def test_bench_series_id_is_unchanged():
-    config = {"bench": "table1", "n": 3, "smoke": False}
-    assert config_fingerprint(config) == "0b2db9e603ee"
 
 
 def test_certificate_fingerprint_is_unchanged():
