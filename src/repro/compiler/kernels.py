@@ -29,11 +29,12 @@ service calls it with its own.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.compiler import codegen
+from repro.compiler import codegen, native
 from repro.compiler.ast_nodes import Assign, BinOp, Expr, Neg, Program, normalize_program
 from repro.compiler.backends import ExecutorBackend, get_backend
 from repro.compiler.codegen import KernelUnit
@@ -42,7 +43,7 @@ from repro.compiler.plan_cache import PlanCache, kernel_cache_key
 from repro.compiler.query_extract import extract_query
 from repro.compiler.scheduling import plan_query
 from repro.compiler.sparsity import split_statement
-from repro.errors import CompileError, VerificationError
+from repro.errors import CompileError, FormatError, VerificationError
 from repro.fingerprint import fingerprint
 from repro.formats.base import Format
 from repro.observability import metrics as _metrics
@@ -151,6 +152,10 @@ class CompiledKernel:
         self.param_names = storage_keys + [
             s for s in self.scalar_names if s not in storage_keys
         ]
+        #: :class:`~repro.compiler.native.NativeState` of the latest bind()
+        #: (None before the first): native C, or numpy and why
+        self.native = None
+        self._native_memo: dict = {}  # operand signature -> native run | reason
         self.source: str
         #: per-unit lowering labels (strategy name, "noop", or
         #: "fallback:scalar" when the backend could not lower the plan)
@@ -173,6 +178,13 @@ class CompiledKernel:
                             anchors.append((term.array, axis))
             rules.append(_BoundVar(spec.var, spec.hi, anchors))
         return rules
+
+    @functools.cached_property
+    def _outputs(self) -> tuple[int, ...]:
+        """Positions in ``param_names`` of the arrays the kernel writes."""
+        targets = {u.stmt.target.array for u in self.units}
+        written = {f"{t}_{k}" for t in targets for k in self.format_classes[t].value_keys}
+        return tuple(i for i, p in enumerate(self.param_names) if p in written)
 
     def describe_plans(self) -> str:
         """Plan summaries for every compiled statement."""
@@ -240,8 +252,9 @@ class CompiledKernel:
         generated ``prepare`` (index sets, gather-index range checks —
         :class:`~repro.errors.FormatError` on a bad index — and scratch
         buffers) happen once; the returned closure only invokes the
-        generated ``run``.  Use this in loops that run the same kernel on
-        the same containers every iteration.
+        generated ``run`` — or its C translation, whose check twin then
+        stands in for ``prepare`` (:mod:`repro.compiler.native`).  Use this
+        in loops that run the same kernel on the same containers.
 
         Contract: between calls the containers' *values* may change in
         place, their *structure* (index arrays, extents) may not — rebind
@@ -257,11 +270,18 @@ class CompiledKernel:
         that derives them (the one place they are computed)."""
         ns = self._build_namespace(bindings)
         args = tuple(ns[k] for k in self.param_names)
-        with _trace.span("kernel.prepare", backend=self.backend):
-            aux = self._prepare(*[ns[k] for k in self._prepare_names])
-        _metrics.record("compiler.kernels.prepares")
-        run = self._run
+        for i in self._outputs:
+            if not args[i].flags.writeable:
+                raise FormatError(f"output array {self.param_names[i]} is read-only")
         arrays = {n: v for n, v in bindings.items() if isinstance(v, Format)}
+        with _trace.span("kernel.prepare", backend=self.backend):
+            # the C run when the kernel tiers up (its check twin runs here),
+            # else the generated numpy run over what prepare derives
+            run = native.tier_up(self, arrays, args)
+            if run is None:
+                aux = self._prepare(*[ns[k] for k in self._prepare_names])
+                run = functools.partial(self._run, *args, aux)
+        _metrics.record("compiler.kernels.prepares")
         counters = None
 
         def work() -> KernelCounters:
@@ -271,7 +291,7 @@ class CompiledKernel:
             return counters
 
         def bound() -> None:
-            run(*args, aux)
+            run()
             if _metrics.metrics_enabled():
                 c = work()
                 _metrics.record("kernel.calls")

@@ -101,9 +101,10 @@ class COOMatrix(Format):
 
     def __init__(self, shape, row, col, vals, canonical: bool = False):
         self._shape = check_shape(shape, 2)
-        self.row = np.asarray(row, dtype=np.int64)
-        self.col = np.asarray(col, dtype=np.int64)
-        self.vals = np.asarray(vals, dtype=np.float64)
+        # contiguous (np.nonzero hands back strided views): the native run reads flat arrays
+        self.row = np.ascontiguousarray(row, dtype=np.int64)
+        self.col = np.ascontiguousarray(col, dtype=np.int64)
+        self.vals = np.ascontiguousarray(vals, dtype=np.float64)
         if not (len(self.row) == len(self.col) == len(self.vals)):
             raise FormatError("row/col/vals length mismatch")
         if len(self.row) and (

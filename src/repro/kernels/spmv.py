@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiler import compile_kernel
+from repro.errors import CompileError
 from repro.formats.base import Format
 from repro.formats.blocksolve import BlockSolveMatrix
 from repro.formats.dense import DenseVector
@@ -72,7 +73,12 @@ def bound_spmv(A: Format, backend: str | None = None):
     attrs = dict(format=type(A).__name__, backend=k.backend, nnz=A.nnz)
 
     def matvec(x) -> np.ndarray:
-        X.vals[:] = x.vals if isinstance(x, DenseVector) else x
+        x = x.vals if isinstance(x, DenseVector) else np.asarray(x)
+        if x.shape != X.vals.shape:
+            raise CompileError(
+                f"extent mismatch: x has shape {x.shape}, the matrix has {A.shape[1]} columns"
+            )
+        X.vals[:] = x
         Y.vals[:] = 0.0
         with span("kernels.spmv", **attrs):
             run()

@@ -64,6 +64,7 @@ def explain(obj, formats=None, verbose: bool = True) -> str:
             )
         text = "\n\n".join(parts)
         text += "\n\n" + _prepare_narration(obj)
+        text += "\nrun: " + (str(obj.native) if obj.native else "decided at the first bind()")
         cert = _certificate_narration(obj)
         if cert:
             text += "\n\n" + cert

@@ -5,6 +5,9 @@ Every emitted kernel is ``prepare(structure) -> aux`` plus
 unbound call and the interpreted backend agree **bitwise** (integer-valued
 inputs make every summation order exact), a bound callable follows value
 mutations of its matrix, and a bad gather index is caught at ``bind()``.
+The edges the native run forces are pinned for both paths: a read-only
+output is a ``FormatError`` at ``bind()``; an aliased output, a float32 or
+a strided operand keeps the numpy path.
 """
 
 import zlib
@@ -57,6 +60,14 @@ def _clone(fm):
     return {
         name: f if name == "A" else type(f)(f.vals.copy()) for name, f in fm.items()
     }
+
+
+def numpy_run(kern, **bindings):
+    """The generated numpy pair, ``run(..., prepare(...))``, on these
+    bindings — the path a kernel takes when the native tier declines."""
+    ns = kern._build_namespace(bindings)
+    aux = kern._prepare(*[ns[k] for k in kern._prepare_names])
+    kern._run(*[ns[k] for k in kern.param_names], aux)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -145,6 +156,51 @@ def test_out_of_range_gather_index_raises_at_bind(fmt, index):
     getattr(A, index).flat[0] = -1
     with pytest.raises(FormatError):
         kern.bind(**fm)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "interpreted"])
+def test_read_only_output_raises_at_bind(backend):
+    rng = _rng(f"read-only/{backend}")
+    A = FORMAT_NAMES["CRS"].from_coo(gen_uniform(rng, 9))
+    fm, _ = _operands("spmv", A, rng)
+    kern = compile_kernel(KERNELS["spmv"], fm, backend=backend)
+    fm["Y"].vals.setflags(write=False)
+    with pytest.raises(FormatError, match="read-only"):
+        kern.bind(**fm)
+    with pytest.raises(FormatError, match="read-only"):
+        kern(**fm)
+
+
+def test_aliased_output_declines_native_and_keeps_the_numpy_result():
+    """``X is Y``: the C run would read X from a register-held Y; the
+    kernel stays on numpy and computes exactly what it always did."""
+    rng = _rng("alias")
+    A = FORMAT_NAMES["CRS"].from_coo(gen_uniform(rng, 9))
+    v = rng.standard_normal(9)
+    kern = compile_kernel(KERNELS["spmv"], {"A": A, "X": DenseVector(v), "Y": DenseVector(v.copy())})
+    shared, want = DenseVector(v.copy()), DenseVector(v.copy())
+    kern(A=A, X=shared, Y=shared)
+    assert kern.native.reason == "aliasing"
+    numpy_run(kern, A=A, X=want, Y=want)
+    assert shared.vals.tobytes() == want.vals.tobytes()
+
+
+@pytest.mark.parametrize("operand", ["float32", "strided"])
+def test_float32_or_strided_operand_declines_native(operand):
+    """float32 matrix values or a strided x: the kernel keeps the numpy path."""
+    rng = _rng(f"decline/{operand}")
+    A = FORMAT_NAMES["CRS"].from_coo(gen_uniform(rng, 9))
+    fm, _ = _operands("spmv", A, rng)
+    kern = compile_kernel(KERNELS["spmv"], fm)
+    want = _clone(fm)
+    if operand == "float32":
+        A.vals = A.vals.astype(np.float32)
+    else:
+        fm["X"].vals = want["X"].vals = np.repeat(fm["X"].vals, 2)[::2]
+    kern(**fm)
+    assert kern.native.reason == {"float32": "dtype", "strided": "non-contiguous"}[operand]
+    numpy_run(kern, **want)
+    assert fm["Y"].vals.tobytes() == want["Y"].vals.tobytes()
 
 
 def test_each_bind_owns_its_scratch():

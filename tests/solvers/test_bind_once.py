@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.kernels import clear_kernel_cache
+from repro.errors import CompileError
 from repro.formats import FORMAT_NAMES, BlockSolveMatrix, COOMatrix
 from repro.kernels.spmv import bound_spmv, spmv
 from repro.matrices import fem_matrix, grid_laplacian
@@ -66,6 +67,19 @@ def test_bound_spmv_returns_fresh_arrays_and_follows_value_edits(system):
     assert y1 is not y2 and np.array_equal(y1, spmv(A, b))
     A.vals *= 3.0  # values may change under a bound kernel
     assert np.array_equal(matvec(b), spmv(A, b))
+
+
+def test_wrong_length_vector_is_the_typed_extent_error(system):
+    """``bound_spmv(A)(x)`` checks x like ``spmv(A, x)`` does, so a solver
+    handed a right-hand side of the wrong length fails with the same
+    ``CompileError`` instead of a numpy broadcast error mid-iteration."""
+    coo, b = system
+    A = FORMAT_NAMES["CRS"].from_coo(coo)
+    short = b[:-1]
+    for call in (lambda: spmv(A, short), lambda: bound_spmv(A)(short), lambda: cg(A, short),
+                 lambda: jacobi(A, short)):
+        with pytest.raises(CompileError, match="extent mismatch"):
+            call()
 
 
 def test_bound_spmv_blocksolve_uses_the_library_path():
