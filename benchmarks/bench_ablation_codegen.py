@@ -1,10 +1,12 @@
 """Ablation: scalar vs vectorized code generation.
 
 DESIGN.md question: how much of Table-1 performance comes from the
-vectorizing backend (the numpy analogue of the paper's generated C)?
-Expected: vectorized CRS SpMV beats the scalar loop nest by well over an
-order of magnitude at these sizes — the backend matters as much as the
-plan.
+vectorizing backend?  Its kernels tier up at bind time to the scalar
+nest printed as C when a compiler is on ``PATH`` and stay numpy
+otherwise; ``kern.native`` says which ran, and the printed line names
+it.  Expected: vectorized CRS SpMV beats the interpreted loop nest by
+well over an order of magnitude at these sizes — the backend matters as
+much as the plan.
 """
 
 import sys
@@ -34,7 +36,12 @@ def make_kernel(fmt, backend):
     X = DenseVector(np.ones(coo.shape[1]))
     Y = DenseVector.zeros(coo.shape[0])
     kern = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y}, backend=backend, cache=False)
-    return lambda: kern(A=A, X=X, Y=Y)
+
+    def call():
+        kern(A=A, X=X, Y=Y)
+
+    call.kernel = kern  # its .native names the tier that ran
+    return call
 
 
 @pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
@@ -45,6 +52,7 @@ def test_ablation_codegen(benchmark, fmt, backend):
     benchmark.pedantic(fn, rounds=rounds, iterations=1, warmup_rounds=1)
     benchmark.extra_info["format"] = fmt.__name__
     benchmark.extra_info["backend"] = backend
+    benchmark.extra_info["tier"] = str(fn.kernel.native)
 
 
 def test_ablation_codegen_speedup():
@@ -70,7 +78,7 @@ def main(argv=None):
     def measure(args):
         reps = 2 if args.smoke else 3
         clear_kernel_cache()
-        times = {}
+        times, tiers = {}, {}
         for backend in ("interpreted", "vectorized"):
             fn = make_kernel(CRSMatrix, backend)
             fn()  # warmup
@@ -78,9 +86,10 @@ def main(argv=None):
             for _ in range(reps):
                 fn()
             times[backend] = (time.perf_counter() - t0) / reps
+            tiers[backend] = fn.kernel.native
         speedup = times["interpreted"] / times["vectorized"]
         print(f"scalar={times['interpreted']:.5f}s "
-              f"vector={times['vectorized']:.5f}s speedup={speedup:.1f}x")
+              f"vector={times['vectorized']:.5f}s [{tiers['vectorized']}] speedup={speedup:.1f}x")
         return speedup
 
     return bench_main(

@@ -17,10 +17,11 @@ so native ≡ interpreted bitwise.  Subscripts that no loop's bounds
 cover, and loop bounds loaded from memory, are range-checked inline; a
 failed check returns a code that becomes ``FormatError``.  ``check``,
 the same nest with its stores elided, runs once per ``bind()``.
-Libraries live in ``$XDG_CACHE_HOME/repro/native`` (default ``~/.cache``,
-else a process-private temp directory) under ``fingerprint(C source, gcc
---version, flags)``: built once per fingerprint under a file lock, moved
-into place with ``os.replace``, and memoized per process.
+Libraries live in ``$XDG_CACHE_HOME/repro/native`` (default ``~/.cache``;
+a process-private temp directory when that is unwritable or not ours
+alone) under ``fingerprint(C source, gcc --version, flags)``: built once
+per fingerprint under a file lock, moved into place with ``os.replace``,
+and held per process in a :class:`~repro.memo.Memo`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import shutil
 import struct
 import subprocess
 import tempfile
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +45,7 @@ from repro.compiler import codegen
 from repro.compiler.backends import INTERPRETED
 from repro.errors import FormatError
 from repro.fingerprint import fingerprint
+from repro.memo import Memo
 from repro.observability import metrics as _metrics
 from repro.observability.trace import span
 
@@ -375,18 +376,18 @@ def _private_dir() -> str:
 
 def cache_dir() -> str:
     """``$XDG_CACHE_HOME/repro/native`` (mode 0700), or a process-private
-    temp directory when that cannot be written."""
+    temp directory when that cannot be written — or when it is not ours
+    alone: its libraries get ``dlopen``-ed, so a directory another user
+    owns or may write to could plant code in this process."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     path = os.path.join(base, "repro", "native")
     try:
         os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.stat(path)
     except OSError:
         return _private_dir()
-    return path if os.access(path, os.W_OK | os.X_OK) else _private_dir()
-
-
-_LOADED: dict[str, tuple] = {}  # C source -> ((run, check), fingerprint): this process's memo
-_BUILD = threading.Lock()  # one build or dlopen at a time in this process
+    ours = st.st_uid == os.getuid() and not st.st_mode & 0o022
+    return path if ours and os.access(path, os.W_OK | os.X_OK) else _private_dir()
 
 
 def _shared_object(fp: str, c_source: str, cc: str) -> tuple[str, str]:
@@ -405,27 +406,32 @@ def _shared_object(fp: str, c_source: str, cc: str) -> tuple[str, str]:
     return so, "gcc"
 
 
+#: this process's loaded libraries, keyed by C source (as many as
+#: ``translate`` keeps): one build and one ``dlopen`` per fingerprint
+_LIBRARIES = Memo("compiler.native", max_entries=1024)
+
+
 def _load(c_source: str) -> tuple[tuple, str, str]:
-    """``((run, check), fingerprint, origin)``: one build and one
-    ``dlopen`` per fingerprint per process, whatever the threads."""
+    """``((run, check), fingerprint, origin)``, the origin ``memo`` unless
+    this call built or opened the library."""
     cc = find_compiler()
     if cc is None:
         raise Declined("no-compiler")
-    if c_source not in _LOADED:
-        with _BUILD:
-            if c_source not in _LOADED:
-                fp = fingerprint("\n".join([c_source, cc[1], " ".join(FLAGS)]))
-                try:  # an unrunnable compiler, an unwritable or noexec cache
-                    path, origin = _shared_object(fp, c_source, cc[0])
-                    lib = ctypes.CDLL(path)
-                except OSError:
-                    raise Declined("build-failed") from None
-                _metrics.record("compiler.native.loads")
-                for f in (lib.run, lib.check):
-                    f.argtypes, f.restype = [ctypes.c_void_p], ctypes.c_int64
-                _LOADED[c_source] = ((lib.run, lib.check), fp)
-                return _LOADED[c_source] + (origin,)
-    return _LOADED[c_source] + ("memo",)
+
+    def build():
+        fp = fingerprint("\n".join([c_source, cc[1], " ".join(FLAGS)]))
+        try:  # an unrunnable compiler, an unwritable or noexec cache
+            path, origin = _shared_object(fp, c_source, cc[0])
+            lib = ctypes.CDLL(path)
+        except OSError:
+            raise Declined("build-failed") from None
+        _metrics.record("compiler.native.loads")
+        for f in (lib.run, lib.check):
+            f.argtypes, f.restype = [ctypes.c_void_p], ctypes.c_int64
+        return (lib.run, lib.check), fp, origin
+
+    (funcs, fp, origin), outcome = _LIBRARIES.get_or_build(c_source, build)
+    return funcs, fp, origin if outcome == "compiled" else "memo"
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,10 @@
 """Cross-call reuse of gather schedules (inspector amortization).
 
-The paper's whole argument for the inspector/executor split (Sec. 4,
-Tables 2–3) is that the communication sets ``Used``/``RecvInd`` are
-computed *once* and amortized over every executor iteration.  Within one
-solve that already happens — ``setup()`` runs once — but across solves and
-across kernels the runtime used to re-run the full collective inspection
-(including, on the Chaos path, rebuilding the distributed translation
-table) even when nothing structural changed.
-
-:class:`ScheduleCache` closes that gap.  A cache entry is keyed on
-everything the resulting :class:`~repro.runtime.inspector.GatherSchedule`
-depends on:
+The inspector's ``Used``/``RecvInd`` sets (Sec. 4, Tables 2–3) depend only
+on structure and distribution, so :class:`ScheduleCache`, a
+:class:`~repro.memo.Memo`, reuses them across solves and kernels.  An
+entry is keyed on everything its
+:class:`~repro.runtime.inspector.GatherSchedule` depends on:
 
 * the **structure fingerprint** — CRC of the rank's ``Used`` set (the
   requested global indices, paper Eq. 21),
@@ -21,32 +15,22 @@ depends on:
   list the distributed table would be built from,
 * the rank and processor count.
 
-SPMD discipline: inspection is collective, so a cache hit must be
-*collective* too — if one rank skipped the inspector's all-to-alls while
-another ran them, the machine would (rightly) abort with an SPMD
-violation.  :func:`cached_schedule` therefore confirms the hit with one
-scalar allreduce before anyone skips anything; the α cost of that single
-agreement message is what a warm solve pays instead of the full
-inspection rounds.
-
-Corruption safety: entries are stored and served as deep copies, so a
-fault-injected run that damages its working schedule in place can never
-poison the cache.  The fault-recovery path
-(:func:`~repro.runtime.faults.ensure_valid_schedule`) still explicitly
-invalidates the owning entry before re-inspection and re-installs the
-verified rebuild — the cache is never allowed to serve a schedule whose
-integrity was ever in question.
+Inspection is collective, so a hit must be too: :func:`cached_schedule`
+confirms it with one scalar allreduce before any rank skips the
+inspector's all-to-alls.  Entries are deep copies in and out, and fault
+recovery (:func:`~repro.runtime.faults.ensure_valid_schedule`) drops an
+entry before re-inspecting, so a schedule whose integrity was ever in
+question is never served.
 """
 
 from __future__ import annotations
 
-import threading
 import zlib
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.observability import metrics as _metrics
+from repro.memo import Memo
 from repro.runtime.inspector import GatherSchedule
 
 __all__ = [
@@ -67,7 +51,7 @@ def _array_fp(arr) -> tuple[int, int]:
 
 def copy_schedule(sched: GatherSchedule) -> GatherSchedule:
     """Deep copy of a gather schedule (all index arrays owned)."""
-    out = GatherSchedule(
+    return GatherSchedule(
         sched.rank,
         sched.nprocs,
         np.array(sched.ghost_global, copy=True),
@@ -76,61 +60,34 @@ def copy_schedule(sched: GatherSchedule) -> GatherSchedule:
         np.array(sched.self_slots, copy=True),
         np.array(sched.self_locals, copy=True),
     )
-    return out
 
 
-@dataclass
-class ScheduleCacheStats:
-    """Hit/miss/rejection/invalidation counters of one cache.
+class ScheduleCacheStats(NamedTuple):
+    """Read-only snapshot of a :class:`ScheduleCache`'s counters;
+    ``rejected`` counts valid entries that lost the collective agreement."""
 
-    ``rejected`` counts lost collective agreements: this rank *had* a
-    valid cached entry, but the hit/miss allreduce came back short of
-    unanimous so the entry could not be used.  Recording those separately
-    from plain misses keeps warm-cache hit-rate reports honest — a
-    rejected hit says nothing about this rank's cache temperature.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    rejected: int = 0
-    invalidations: int = 0
+    hits: int
+    misses: int
+    rejected: int
+    invalidations: int
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "rejected": self.rejected,
-            "invalidations": self.invalidations,
-        }
+        return self._asdict()
 
 
-class ScheduleCache:
-    """Keyed store of inspected gather schedules.
-
-    Bounded LRU-ish (FIFO eviction at ``max_entries``); entries are deep
-    copies both on the way in and on the way out, so neither the producer
-    nor a consumer mutating its working schedule can corrupt the cache.
-
-    Thread-safe: the entry map and the stats counters are guarded by one
-    lock, so a shared cache (the service layer hands one instance to every
-    worker thread) cannot lose updates or tear an eviction mid-flight.
-    The copies are taken inside the lock; the returned schedule is private
-    to the caller.
-    """
+class ScheduleCache(Memo):
+    """Inspected gather schedules: a :class:`~repro.memo.Memo` (LRU at
+    ``max_entries``) that deep-copies entries on the way in and out, so
+    neither the producer nor a consumer mutating its working schedule can
+    corrupt it."""
 
     def __init__(self, max_entries: int = 256):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = int(max_entries)
-        self._lock = threading.Lock()
-        self._entries: dict[tuple, GatherSchedule] = {}
-        self.stats = ScheduleCacheStats()
+        super().__init__("inspector", max_entries, copy=copy_schedule)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    @property
+    def stats(self) -> ScheduleCacheStats:
+        return ScheduleCacheStats(**self.counts(*ScheduleCacheStats._fields))
 
-    # -- keys ------------------------------------------------------------
     @staticmethod
     def key_replicated(rank: int, dist, used) -> tuple:
         """Key of a replicated-IND inspection (Eq. 21/22, local ownership)."""
@@ -149,48 +106,6 @@ class ScheduleCache:
             _array_fp(owned_global),
             _array_fp(used),
         )
-
-    # -- store -----------------------------------------------------------
-    def get(self, key: tuple) -> GatherSchedule | None:
-        """A private copy of the cached schedule, or None."""
-        with self._lock:
-            sched = self._entries.get(key)
-            return None if sched is None else copy_schedule(sched)
-
-    def put(self, key: tuple, sched: GatherSchedule) -> None:
-        copy = copy_schedule(sched)  # copy outside the lock; it's the slow part
-        with self._lock:
-            if key not in self._entries and len(self._entries) >= self.max_entries:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = copy
-
-    def invalidate(self, key: tuple) -> bool:
-        """Drop one entry (the ``rebuild_schedule`` recovery hook)."""
-        with self._lock:
-            present = self._entries.pop(key, None) is not None
-            if present:
-                self.stats.invalidations += 1
-        if present:
-            _metrics.record("inspector.cache_invalidations", 1)
-        return present
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats = ScheduleCacheStats()
-
-    # -- stats (used by cached_schedule; counters live under the lock) ----
-    def record_hit(self) -> None:
-        with self._lock:
-            self.stats.hits += 1
-
-    def record_miss(self) -> None:
-        with self._lock:
-            self.stats.misses += 1
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self.stats.rejected += 1
 
 
 #: The process-global cache used when callers pass ``schedule_cache=True``.
@@ -219,17 +134,11 @@ def cached_schedule(cache: ScheduleCache | None, key: tuple, nprocs: int, build)
     hit = cache.get(key)
     n_hit = yield ("allreduce", 1 if hit is not None else 0)
     if hit is not None and n_hit == nprocs:
-        cache.record_hit()
-        _metrics.record("inspector.cache_hits", 1)
+        cache.count("hits")
         return hit
-    if hit is not None:
-        # this rank's entry was valid but the agreement came back short of
-        # unanimous: a *rejection*, not a miss — the cache was warm here
-        cache.record_rejected()
-        _metrics.record("inspector.cache_rejected", 1)
-    else:
-        cache.record_miss()
-        _metrics.record("inspector.cache_misses", 1)
+    # a valid entry that lost the agreement is a *rejection*, not a miss:
+    # the cache was warm on this rank
+    cache.count("misses" if hit is None else "rejected")
     sched = yield from build()
     cache.put(key, sched)
     return sched

@@ -22,6 +22,7 @@ from repro.compiler import compile_kernel, native
 from repro.compiler.specialize import plan_hybrid
 from repro.errors import FormatError
 from repro.formats import FORMAT_NAMES, COOMatrix, DenseVector
+from repro.memo import Memo
 from repro.observability import metrics
 from tests.conftest import case_rng
 from tests.differential.test_prepare_run import numpy_run
@@ -212,6 +213,26 @@ def test_toolchain_faults_never_break_bind(fault, tmp_path, monkeypatch):
         assert fm[y].vals.tobytes() == want[y].vals.tobytes()
     else:
         assert kern.native.reason is None and kern.native.origin == "gcc"
+
+
+@needs_cc
+def test_a_cache_directory_others_can_write_is_never_loaded_from(tmp_path, monkeypatch):
+    """Another user could plant ``<fingerprint>.so`` in a group- or
+    world-writable cache directory: such a directory is not used."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    src, y = _never_seen_spmv()
+    fm, _, _ = _operands("spmv", "CRS", _rng("world-writable"))
+    fm[y] = fm.pop("Y")
+    kern = compile_kernel(src, fm, cache=False)
+    kern(**fm)
+    shared = tmp_path / "repro" / "native"
+    assert kern.native.origin == "gcc" and (shared / f"{kern.native.fingerprint}.so").exists()
+    shared.chmod(0o777)
+    assert native.cache_dir() == native._private_dir()
+    monkeypatch.setattr(native, "_LIBRARIES", Memo("compiler.native", 8))
+    again = compile_kernel(src, fm, cache=False)
+    again(**fm)
+    assert again.native.origin == "gcc"  # built afresh, not the "disk" copy in `shared`
 
 
 CHILD = """

@@ -117,11 +117,11 @@ def test_lru_eviction_bounds_size_and_keeps_hot_entries():
     cache = PlanCache("compiler", max_entries=4)
     for i in range(4):
         cache.insert(("k", i), i)
-    assert cache.lookup(("k", 0)) == 0  # touch: k0 becomes most recent
+    assert cache.get(("k", 0)) == 0  # touch: k0 becomes most recent
     cache.insert(("k", 4), 4)  # evicts k1, the least recently used
     assert len(cache) == 4
-    assert cache.lookup(("k", 1)) is None
-    assert cache.lookup(("k", 0)) == 0
+    assert cache.get(("k", 1)) is None
+    assert cache.get(("k", 0)) == 0
     assert cache.stats()["evictions"] == 1
 
 
@@ -275,7 +275,7 @@ def test_schedule_cache_concurrent_churn_is_consistent():
             elif op == 2:
                 cache.invalidate(key)
             else:
-                cache.record_hit() if step % 2 else cache.record_miss()
+                cache.count("hits" if step % 2 else "misses")
             assert len(cache) <= 8
 
     with ThreadPoolExecutor(8) as pool:
