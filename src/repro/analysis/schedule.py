@@ -13,11 +13,10 @@ slot silently multiplies by stale data.  This pass validates the promise
   the self/recv slot lists, send offsets within the local range;
 * **cross-rank matching** — rank p sends to q exactly when q expects a
   packet from p, with equal lengths;
-* **collective lockstep** — a lightweight driver (the routing rules of
-  :class:`~repro.runtime.machine.Machine`, diagnostics instead of
-  exceptions) runs every rank's SPMD generator and flags mismatched
-  collective kinds, mismatched phase labels, and ranks finishing while
-  peers still wait;
+* **collective sequence** — every rank's SPMD generator runs on the
+  simulated :class:`~repro.runtime.machine.Machine` that executes it, and
+  its SPMD violations (mismatched collective kinds or phase labels, ranks
+  finishing while peers still wait) become diagnostics;
 * **rebuild re-verification** — :func:`verify_rebuilt_schedule` is called
   by the fault-recovery protocol
   (:func:`~repro.runtime.faults.ensure_valid_schedule`) so a re-inspected
@@ -29,7 +28,7 @@ Codes:
 BER040   error — send/recv mismatch between ranks (missing peer or
          unequal packet lengths; a real machine deadlocks here)
 BER041   error — collective-sequence violation (mismatched kinds or
-         phase labels, premature rank finish, superstep overrun)
+         phase labels, premature rank finish)
 BER042   error — ghost slot never filled (stale data would be read)
 BER043   error — malformed index structure (unsorted ghost directory,
          duplicate/out-of-range slot, send offset outside local range)
@@ -45,6 +44,7 @@ import numpy as np
 
 from repro.analysis.diagnostics import ERROR, INFO, Diagnostic, DiagnosticReport
 from repro.analysis.registry import register_pass
+from repro.errors import RuntimeMachineError
 
 __all__ = [
     "check_local_schedule",
@@ -55,10 +55,6 @@ __all__ = [
 ]
 
 _PASS = "schedule"
-
-#: lockstep-driver superstep budget — generous: the shipped strategies
-#: need tens of supersteps, so hitting this means a livelock
-_MAX_SUPERSTEPS = 100_000
 
 
 def _diag(code, severity, message, location):
@@ -233,153 +229,30 @@ def check_gather_schedules(scheds, nlocals=None, where="schedules") -> Diagnosti
 
 
 # ----------------------------------------------------------------------
-# collective lockstep driver
+# collective trace on the simulated machine
 # ----------------------------------------------------------------------
 def trace_collectives(make_program, nprocs):
-    """Run one SPMD generator per rank in lockstep, routing collectives
-    like the simulated machine but *diagnosing* SPMD violations instead
-    of raising.
+    """Run one SPMD generator per rank on :class:`~repro.runtime.machine.Machine`,
+    *diagnosing* an SPMD violation instead of raising it.
 
-    Returns ``(results, traces, report)``: per-rank return values (None
-    for ranks aborted by a violation), per-rank collective traces as
-    ``(kind, label_or_None)`` tuples, and the report.  The drive stops at
-    the first violation — past a mismatched collective there is no
-    meaningful routing.
+    Returns ``(results, traces, report)``: per-rank return values, per-rank
+    collective traces as ``(kind, label_or_None)`` tuples, and the report.
+    A violation stops the run (past a mismatched collective there is no
+    meaningful routing) and leaves results and traces empty: BER040 for a
+    send to a rank that does not exist, BER041 for every other
+    collective-sequence violation.
     """
-    from repro.runtime.machine import Fragmented, assemble_fragments
+    from repro.runtime.machine import Machine
 
     report = DiagnosticReport()
-    gens = [make_program(p) for p in range(nprocs)]
-    inbox = [None] * nprocs
-    done = [False] * nprocs
-    results = [None] * nprocs
-    traces: list[list[tuple]] = [[] for _ in range(nprocs)]
-
-    for superstep in range(_MAX_SUPERSTEPS):
-        requests = [None] * nprocs
-        for p in range(nprocs):
-            if done[p]:
-                continue
-            try:
-                requests[p] = gens[p].send(inbox[p])
-            except StopIteration as stop:
-                results[p] = stop.value
-                done[p] = True
-            inbox[p] = None
-        if all(done):
-            return results, traces, report
-        alive = [p for p in range(nprocs) if not done[p]]
-        finished = [p for p in range(nprocs) if done[p]]
-        if finished:
-            report.add(
-                _diag(
-                    "BER041",
-                    ERROR,
-                    f"rank(s) {finished} finished at superstep {superstep} "
-                    f"while rank(s) {alive} still wait in "
-                    f"{sorted({requests[p][0] for p in alive})} — the "
-                    "waiting ranks deadlock",
-                    f"superstep {superstep}",
-                )
-            )
-            return results, traces, report
-        kinds = {requests[p][0] for p in alive}
-        if len(kinds) != 1:
-            by_kind = {
-                k: [p for p in alive if requests[p][0] == k]
-                for k in sorted(kinds)
-            }
-            report.add(
-                _diag(
-                    "BER041",
-                    ERROR,
-                    f"mismatched collectives at superstep {superstep}: "
-                    f"{by_kind} — ranks wait on different operations",
-                    f"superstep {superstep}",
-                )
-            )
-            return results, traces, report
-        kind = kinds.pop()
-        label = requests[alive[0]][1] if kind == "phase" else None
-        for p in alive:
-            traces[p].append((kind, requests[p][1] if kind == "phase" else None))
-
-        if kind in ("alltoallv", "alltoallv_async"):
-            recv: list[dict] = [dict() for _ in range(nprocs)]
-            bad_dst = False
-            for p in alive:
-                send = requests[p][1] or {}
-                for q, payload in send.items():
-                    if not (0 <= q < nprocs):
-                        report.add(
-                            _diag(
-                                "BER040",
-                                ERROR,
-                                f"rank {p} sends to nonexistent rank {q} at "
-                                f"superstep {superstep}",
-                                f"superstep {superstep}",
-                            )
-                        )
-                        bad_dst = True
-                        continue
-                    recv[q][p] = (
-                        assemble_fragments(payload)
-                        if isinstance(payload, Fragmented)
-                        else payload
-                    )
-            if bad_dst:
-                return results, traces, report
-            for p in alive:
-                inbox[p] = recv[p]
-        elif kind == "allreduce":
-            total = requests[alive[0]][1]
-            for p in alive[1:]:
-                total = total + requests[p][1]
-            for p in alive:
-                inbox[p] = total
-        elif kind == "allgather":
-            gathered = [requests[p][1] for p in alive]
-            for p in alive:
-                inbox[p] = list(gathered)
-        elif kind == "phase":
-            labels = {requests[p][1] for p in alive}
-            if len(labels) != 1:
-                report.add(
-                    _diag(
-                        "BER041",
-                        ERROR,
-                        f"mismatched phase labels {sorted(labels)} at "
-                        f"superstep {superstep}",
-                        f"superstep {superstep}",
-                    )
-                )
-                return results, traces, report
-            for p in alive:
-                inbox[p] = None
-        elif kind in ("barrier", "commwait"):
-            for p in alive:
-                inbox[p] = None
-        else:
-            report.add(
-                _diag(
-                    "BER041",
-                    ERROR,
-                    f"unknown collective {kind!r} at superstep {superstep}",
-                    f"superstep {superstep}",
-                )
-            )
-            return results, traces, report
-
-    report.add(
-        _diag(
-            "BER041",
-            ERROR,
-            f"superstep budget ({_MAX_SUPERSTEPS}) exhausted — the rank "
-            "programs livelock",
-            "lockstep driver",
-        )
-    )
-    return results, traces, report
+    try:
+        results, stats = Machine(nprocs).run(make_program)
+    except RuntimeMachineError as exc:
+        code = "BER041" if exc.bad_rank is None else "BER040"
+        report.add(_diag(code, ERROR, str(exc), f"superstep {exc.superstep}"))
+        return [None] * nprocs, [[] for _ in range(nprocs)], report
+    trace = [(ph.kind, ph.label) for ph in stats.phases[:-1]]  # drop "finish"
+    return results, [list(trace) for _ in range(nprocs)], report
 
 
 # ----------------------------------------------------------------------
@@ -423,9 +296,9 @@ def check_spmv_strategies(coo=None, nprocs=3, niter=2) -> DiagnosticReport:
     """End-to-end schedule validation of every ``SPMV_VARIANTS`` entry.
 
     For each variant the checker runs setup + ``niter`` executor steps
-    under the lockstep driver, validates the materialized gather
-    schedules per rank and across ranks, and cross-checks the per-rank
-    collective traces.  A clean variant contributes one BER045 info.
+    on the simulated machine (which checks the collective sequence) and
+    validates the materialized gather schedules per rank and across
+    ranks.  A clean variant contributes one BER045 info.
     """
     from repro.distribution import BlockDistribution, MultiBlockDistribution
     from repro.formats import BlockSolveMatrix

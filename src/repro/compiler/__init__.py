@@ -67,7 +67,6 @@ from repro.compiler.specialize import (
     HybridPlan,
     Region,
     RegionPartition,
-    SpecializeConfig,
     partition_regions,
     plan_hybrid,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "HybridPlan",
     "Region",
     "RegionPartition",
-    "SpecializeConfig",
     "partition_regions",
     "plan_hybrid",
 ]

@@ -168,17 +168,21 @@ class CostModel:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def work_units(profile: "StructureProfile", name: str) -> float:
-        """Modeled work of one SpMV in stored-slot equivalents."""
-        stored = CostModel.stored_slots(profile, name)
-        segments = {
+    def segment_loops(profile: "StructureProfile", name: str) -> int:
+        """Python-level segment-loop iterations of one SpMV."""
+        return {
             "JDiag": profile.row_max,
             "Diagonal": profile.ndiags,
             "BlockDiag": profile.nblocks,
             "Inode": profile.ninodes,
             "CCS": profile.ncols,  # column-driven scatter loops per column
         }.get(name, 0)
-        return stored + SEGMENT_WEIGHT * segments
+
+    @staticmethod
+    def work_units(profile: "StructureProfile", name: str) -> float:
+        """Modeled work of one SpMV in stored-slot equivalents."""
+        stored = CostModel.stored_slots(profile, name)
+        return stored + SEGMENT_WEIGHT * CostModel.segment_loops(profile, name)
 
     @staticmethod
     def stored_slots(profile: "StructureProfile", name: str) -> float:
@@ -197,8 +201,16 @@ class CostModel:
             }[name]
         )
 
+    def price(self, name: str, stored: float, segments: float) -> float:
+        """Modeled seconds of one vectorized call in format ``name`` over
+        ``stored`` slots and ``segments`` segment loops — the one α+β rule
+        single-format candidates and hybrid regions are both priced by."""
+        return self.alpha[name] + self.beta[name] * (stored + SEGMENT_WEIGHT * segments)
+
     def predict(self, profile: "StructureProfile", name: str) -> float:
-        return self.alpha[name] + self.beta[name] * self.work_units(profile, name)
+        return self.price(
+            name, self.stored_slots(profile, name), self.segment_loops(profile, name)
+        )
 
     def predict_interpreted(self, profile: "StructureProfile", name: str) -> float:
         return (

@@ -52,12 +52,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.compiler.autoplan import (
-    DEFAULT_ALPHA,
-    DEFAULT_BETA,
-    SEGMENT_WEIGHT,
-    CostModel,
-)
+from repro.compiler.autoplan import SEGMENT_WEIGHT, CostModel
 from repro.errors import CompileError, FormatError
 from repro.fingerprint import fingerprint as _digest
 from repro.formats.base import Format
@@ -71,7 +66,6 @@ from repro.observability import metrics as _metrics
 from repro.observability.trace import span
 
 __all__ = [
-    "SpecializeConfig",
     "Region",
     "RegionPartition",
     "partition_regions",
@@ -96,30 +90,27 @@ _REGION_BUILDERS = {
 _RESIDUAL_FORMATS = ("CRS", "Coordinate", "JDiag")
 
 
-@dataclass(frozen=True)
-class SpecializeConfig:
-    """Thresholds of the region-peeling pipeline (all tunable, defaults
-    chosen so single-structure matrices do NOT split)."""
-
-    #: tile edge of the dense-window detection grid
-    tile: int = 8
-    #: a tile is "dense" when it holds at least this fraction of its area
-    tile_fill: float = 0.55
-    #: a window must span at least this many tiles in each direction
-    min_window_tiles: int = 2
-    #: and hold at least this fraction of its area overall
-    window_fill: float = 0.5
-    #: a row is a "skew" hub at >= skew_factor * mean remaining row length
-    skew_factor: float = 4.0
-    #: ... and at least this many entries (tiny rows never qualify)
-    skew_min: int = 8
-    #: give up on the skew peel when more than this fraction of the
-    #: nonempty rows qualify (then "skew" is just the matrix's shape)
-    max_skew_row_frac: float = 0.25
-    #: a diagonal is a "band run" at >= diag_fill occupancy of its run
-    diag_fill: float = 0.6
-    #: ... and at least this many entries
-    diag_min: int = 8
+# Thresholds of the region-peeling pipeline, chosen so single-structure
+# matrices do NOT split.
+#: tile edge of the dense-window detection grid
+TILE = 8
+#: a tile is "dense" when it holds at least this fraction of its area
+TILE_FILL = 0.55
+#: a window must span at least this many tiles in each direction
+MIN_WINDOW_TILES = 2
+#: and hold at least this fraction of its area overall
+WINDOW_FILL = 0.5
+#: a row is a "skew" hub at >= SKEW_FACTOR * mean remaining row length
+SKEW_FACTOR = 4.0
+#: ... and at least this many entries (tiny rows never qualify)
+SKEW_MIN = 8
+#: give up on the skew peel when more than this fraction of the
+#: nonempty rows qualify (then "skew" is just the matrix's shape)
+MAX_SKEW_ROW_FRAC = 0.25
+#: a diagonal is a "band run" at >= DIAG_FILL occupancy of its run
+DIAG_FILL = 0.6
+#: ... and at least this many entries
+DIAG_MIN = 8
 
 
 @dataclass
@@ -218,11 +209,11 @@ def _subset(coo: COOMatrix, mask: np.ndarray) -> COOMatrix:
     return COOMatrix(coo.shape, coo.row[mask], coo.col[mask], coo.vals[mask])
 
 
-def _find_dense_windows(coo, profile, cfg: SpecializeConfig):
+def _find_dense_windows(coo, profile):
     """Disjoint dense rectangles, as (r0, c0, h, w) in global coords."""
     n, m = coo.shape
-    t = cfg.tile
-    min_edge = cfg.min_window_tiles * t
+    t = TILE
+    min_edge = MIN_WINDOW_TILES * t
     if n < min_edge or m < min_edge or coo.nnz == 0:
         return []
     th, tw = -(-n // t), -(-m // t)
@@ -231,7 +222,7 @@ def _find_dense_windows(coo, profile, cfg: SpecializeConfig):
     hsz = np.minimum(t, n - np.arange(th) * t)
     wsz = np.minimum(t, m - np.arange(tw) * t)
     area = hsz[:, None] * wsz[None, :]
-    densetile = counts >= cfg.tile_fill * area
+    densetile = counts >= TILE_FILL * area
     used = np.zeros((th, tw), dtype=bool)
     accepted: list[tuple[int, int, int, int]] = []
 
@@ -252,7 +243,7 @@ def _find_dense_windows(coo, profile, cfg: SpecializeConfig):
                 & (coo.col < c0 + w)
             )
         )
-        if inside < cfg.window_fill * h * w:
+        if inside < WINDOW_FILL * h * w:
             return False
         accepted.append((r0, c0, h, w))
         used[r0 // t : -(-(r0 + h) // t), c0 // t : -(-(c0 + w) // t)] = True
@@ -302,9 +293,7 @@ def _residual_region(
     for name in sorted(_RESIDUAL_FORMATS):
         segments = float(row_max) if name == "JDiag" else 0.0
         stored = float(coo.nnz)
-        pred = model.alpha[name] + model.beta[name] * (
-            stored + SEGMENT_WEIGHT * segments
-        )
+        pred = model.price(name, stored, segments)
         if best is None or pred < best[0]:
             best = (pred, name, stored, segments)
     _, name, stored, segments = best
@@ -321,7 +310,6 @@ def _residual_region(
 def partition_regions(
     coo,
     profile=None,
-    config: SpecializeConfig | None = None,
     model: CostModel | None = None,
 ) -> RegionPartition:
     """Split a matrix into an ordered loss-free cover of regions.
@@ -339,7 +327,6 @@ def partition_regions(
     coo = coo.canonicalized()
     if profile is None:
         profile = analyze_structure(coo)
-    cfg = config or SpecializeConfig()
     model = model or CostModel()
     n, m = coo.shape
     nnz = coo.nnz
@@ -359,7 +346,7 @@ def partition_regions(
         claimed = np.zeros(nnz, dtype=bool)
 
         # --- dense windows -------------------------------------------
-        windows = _find_dense_windows(coo, profile, cfg)
+        windows = _find_dense_windows(coo, profile)
         if windows:
             mask = np.zeros(nnz, dtype=bool)
             for r0, c0, h, w in windows:
@@ -394,9 +381,9 @@ def partition_regions(
             rcounts = np.bincount(coo.row[rem], minlength=n)
             nonempty = rcounts[rcounts > 0]
             mean = float(nonempty.mean()) if len(nonempty) else 0.0
-            thresh = max(cfg.skew_min, cfg.skew_factor * mean)
+            thresh = max(SKEW_MIN, SKEW_FACTOR * mean)
             hubs = np.flatnonzero(rcounts >= thresh)
-            if len(hubs) and len(hubs) <= cfg.max_skew_row_frac * max(
+            if len(hubs) and len(hubs) <= MAX_SKEW_ROW_FRAC * max(
                 1, len(nonempty)
             ):
                 mask = rem & np.isin(coo.row, hubs)
@@ -424,9 +411,7 @@ def partition_regions(
             np.minimum.at(lo, inverse, rrow)
             np.maximum.at(hi, inverse, rrow)
             runlen = hi - lo + 1
-            dense_run = (counts >= cfg.diag_min) & (
-                counts >= cfg.diag_fill * runlen
-            )
+            dense_run = (counts >= DIAG_MIN) & (counts >= DIAG_FILL * runlen)
             if dense_run.any():
                 mask = np.zeros(nnz, dtype=bool)
                 mask[np.flatnonzero(rem)[dense_run[inverse]]] = True
@@ -765,7 +750,6 @@ def plan_hybrid(
     coo,
     profile=None,
     model: CostModel | None = None,
-    config: SpecializeConfig | None = None,
 ) -> HybridPlan:
     """Partition ``coo`` and price the composed plan region by region.
 
@@ -774,15 +758,8 @@ def plan_hybrid(
     planner uses, so the two predictions are directly comparable.
     """
     model = model or CostModel()
-    partition = partition_regions(coo, profile=profile, config=config, model=model)
-    preds = []
-    for region in partition.regions:
-        name = region.format_name
-        alpha = model.alpha.get(name, DEFAULT_ALPHA.get(name, 2.0e-5))
-        beta = model.beta.get(name, DEFAULT_BETA.get(name, 3.0e-9))
-        preds.append(
-            alpha + beta * (region.stored + SEGMENT_WEIGHT * region.segments)
-        )
+    partition = partition_regions(coo, profile=profile, model=model)
+    preds = [model.price(r.format_name, r.stored, r.segments) for r in partition.regions]
     return HybridPlan(
         partition=partition,
         predicted_seconds=float(sum(preds)),

@@ -92,7 +92,17 @@ class DistributionError(ReproError):
 
 
 class RuntimeMachineError(ReproError):
-    """Misuse of the simulated SPMD machine."""
+    """Misuse of the simulated SPMD machine.
+
+    An SPMD violation caught mid-run names the ``superstep`` it was
+    detected at; a send to a rank that does not exist also names that
+    ``bad_rank`` (None for every other violation).
+    """
+
+    def __init__(self, message: str, superstep: int | None = None, bad_rank: int | None = None):
+        super().__init__(message)
+        self.superstep = superstep
+        self.bad_rank = bad_rank
 
 
 class InspectorError(ReproError):

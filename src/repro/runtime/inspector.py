@@ -81,14 +81,6 @@ class GatherSchedule:
         return schedule_checksum(self)
 
 
-def _group_requests(owners: np.ndarray, payload_builder):
-    send = {}
-    for q in np.unique(owners):
-        mask = owners == q
-        send[int(q)] = payload_builder(mask)
-    return send
-
-
 def build_schedule_replicated(rank: int, dist: Distribution, needed_global):
     """Inspector against a *replicated* distribution relation.
 
@@ -96,28 +88,48 @@ def build_schedule_replicated(rank: int, dist: Distribution, needed_global):
     carries the requests.  ``yield from`` this inside a rank program.
     """
     needed = np.unique(np.asarray(needed_global, dtype=np.int64))
-    owners = dist.owner(needed) if len(needed) else np.empty(0, dtype=np.int64)
-    sched = GatherSchedule(rank, dist.nprocs, needed)
+    if len(needed):
+        owners = dist.owner(needed)
+        locals_ = np.asarray(dist.local_index(needed), dtype=np.int64)
+    else:
+        owners = locals_ = np.empty(0, dtype=np.int64)
+    sched = yield from _request(rank, dist.nprocs, needed, owners, locals_, "replicated")
+    return sched
+
+
+def build_schedule_translated(
+    rank: int, table: DistributedTranslationTable, needed_global
+):
+    """Inspector against a *distributed* (Chaos) translation table.
+
+    Eq. 22 becomes a distributed query: dereference every needed index
+    through the table (two all-to-alls), then ship the requests (a third).
+    """
+    needed = np.unique(np.asarray(needed_global, dtype=np.int64))
+    owners, locals_ = yield from dereference(table, needed)
+    sched = yield from _request(rank, table.nprocs, needed, owners, locals_, "translated")
+    return sched
+
+
+def _request(rank, nprocs, needed, owners, locals_, path: str):
+    """The tail both inspectors share: from each needed index's owner and
+    local offset there to a :class:`GatherSchedule`.  Self-owned indices
+    resolve locally; the rest are requested from their owners by LOCAL
+    offset (the owner packs directly, no translation there) in one
+    all-to-all."""
+    sched = GatherSchedule(rank, nprocs, needed)
     self_mask = owners == rank
     sched.self_slots = np.flatnonzero(self_mask)
-    sched.self_locals = (
-        np.asarray(dist.local_index(needed[self_mask]), dtype=np.int64)
-        if self_mask.any()
-        else np.empty(0, dtype=np.int64)
-    )
-    remote = ~self_mask
+    sched.self_locals = locals_[self_mask]
     send = {}
-    slots = {}
-    for q in np.unique(owners[remote]):
-        mask = (owners == q) & remote
-        # send LOCAL offsets: the owner packs directly, no translation there
-        send[int(q)] = np.asarray(dist.local_index(needed[mask]), dtype=np.int64)
-        slots[int(q)] = np.flatnonzero(mask)
+    for q in np.unique(owners[~self_mask]):
+        mask = owners == q
+        send[int(q)] = locals_[mask]
+        sched.recv_slots[int(q)] = np.flatnonzero(mask)
     recv = yield ("alltoallv", send)
     for src, loc in recv.items():
         sched.send_locals[src] = np.asarray(loc, dtype=np.int64)
-    sched.recv_slots = slots
-    _record_schedule(sched, needed, path="replicated")
+    _record_schedule(sched, needed, path=path)
     return sched
 
 
@@ -133,35 +145,6 @@ def _record_schedule(sched: GatherSchedule, needed: np.ndarray, path: str) -> No
         len(set(sched.send_locals) | set(sched.recv_slots)),
         path=path,
     )
-
-
-def build_schedule_translated(
-    rank: int, table: DistributedTranslationTable, needed_global
-):
-    """Inspector against a *distributed* (Chaos) translation table.
-
-    Eq. 22 becomes a distributed query: dereference every needed index
-    through the table (two all-to-alls), then ship the requests (a third).
-    """
-    needed = np.unique(np.asarray(needed_global, dtype=np.int64))
-    owners, locals_ = yield from dereference(table, needed)
-    sched = GatherSchedule(rank, table.nprocs, needed)
-    self_mask = owners == rank
-    sched.self_slots = np.flatnonzero(self_mask)
-    sched.self_locals = locals_[self_mask]
-    send = {}
-    slots = {}
-    remote = ~self_mask
-    for q in np.unique(owners[remote]):
-        mask = (owners == q) & remote
-        send[int(q)] = locals_[mask]
-        slots[int(q)] = np.flatnonzero(mask)
-    recv = yield ("alltoallv", send)
-    for src, loc in recv.items():
-        sched.send_locals[src] = np.asarray(loc, dtype=np.int64)
-    sched.recv_slots = slots
-    _record_schedule(sched, needed, path="translated")
-    return sched
 
 
 def exchange(sched: GatherSchedule, xlocal: np.ndarray, coalesce: bool = True):

@@ -166,11 +166,11 @@ class PhaseStats:
 
     def comm_time(self, model: CommModel) -> float:
         """Modeled α–β communication seconds of the slowest rank."""
-        return float(np.max(self.msgs * model.latency + self.nbytes * model.inv_bandwidth))
+        return float(np.max(self.rank_comm(model)))
 
     def rank_comm(self, model: CommModel) -> np.ndarray:
         """Per-rank modeled α–β communication seconds of this superstep."""
-        return self.msgs * model.latency + self.nbytes * model.inv_bandwidth
+        return model.time(self.msgs, self.nbytes)
 
     def busy_time(self, model: CommModel) -> np.ndarray:
         """Per-rank busy seconds: compute plus *charged* communication.
@@ -184,8 +184,7 @@ class PhaseStats:
     def step_time(self, model: CommModel) -> float:
         """Estimated parallel duration of this superstep: slowest rank's
         compute plus its modeled communication."""
-        comm = self.msgs * model.latency + self.nbytes * model.inv_bandwidth
-        return float(np.max(self.compute + comm))
+        return float(np.max(self.compute + self.rank_comm(model)))
 
 
 @dataclass
@@ -418,18 +417,38 @@ class RunStats:
         return self.phase(label)
 
 
+class _Traffic:
+    """One superstep's wire counters, filled by :meth:`Machine._send`.
+    They are Python lists because bumping a list slot per message costs
+    about a tenth of a numpy element update (``bmat`` is the flat
+    rank×rank matrix, ``[src * P + dst]``); ``retries`` and ``extra``
+    (modeled stall and retry-wait seconds) exist only under an injector."""
+
+    __slots__ = ("step", "msgs", "nbytes", "bmat", "retries", "extra")
+
+    def __init__(self, nprocs: int, step: int, collect_stats: bool, faulty: bool):
+        self.step = step
+        self.msgs = [0] * nprocs
+        self.nbytes = [0] * nprocs
+        self.bmat = [0] * (nprocs * nprocs) if collect_stats else None
+        self.retries = np.zeros(nprocs, dtype=np.int64) if faulty else None
+        self.extra = np.zeros(nprocs) if faulty else None
+
+
 class Machine:
     """A simulated P-processor message-passing machine.
 
-    ``faults`` (a :class:`~repro.runtime.faults.FaultPlan` or a prebuilt
-    :class:`~repro.runtime.faults.FaultInjector`) installs the
-    fault-injecting delivery layer: every remote message then travels as a
+    Every remote message takes one delivery path (:meth:`_send`), which
+    counts it and hands back its arrivals.  ``faults`` (a
+    :class:`~repro.runtime.faults.FaultPlan` or a prebuilt
+    :class:`~repro.runtime.faults.FaultInjector`) installs the fault layer
+    as a step inside that path: the message then travels as a
     sequence-numbered, checksummed envelope through a drop / duplicate /
     reorder / corrupt / stall adversary, with bounded retransmission per
     ``delivery`` (a :class:`~repro.runtime.faults.DeliveryConfig`).  The
     protocol either delivers exactly the sent bytes or raises
-    :class:`~repro.errors.CommFailureError`.  Without ``faults`` the
-    original zero-overhead delivery path runs, byte-for-byte unchanged.
+    :class:`~repro.errors.CommFailureError`.  Without ``faults`` there is
+    no injector: no checksum, no sequence number, no reordering.
     """
 
     def __init__(self, nprocs: int, faults=None, delivery=None, model=None):
@@ -454,30 +473,40 @@ class Machine:
         )
 
     # ------------------------------------------------------------------
-    # fault-injecting point-to-point delivery (remote messages only)
+    # the one delivery path (remote messages only)
     # ------------------------------------------------------------------
-    def _deliver(self, src, dst, payload, step, msgs, nbytes, bmat, retries, penalty):
+    def _send(self, src: int, dst: int, payload, tr: _Traffic) -> list:
+        """Put one remote message on the wire, counting every attempt as
+        traffic; returns its arrival envelopes ``(src, seq, payload)``.
+        Without an injector it goes once and arrives once, as sent."""
+        if self.injector is None:
+            arrivals, attempts = [(src, -1, payload)], 1
+        else:
+            arrivals, attempts = self._deliver(src, dst, payload, tr)
+        nb = attempts * payload_nbytes(payload)
+        tr.msgs[src] += attempts
+        tr.nbytes[src] += nb
+        if tr.bmat is not None:
+            tr.bmat[src * self.nprocs + dst] += nb
+        return arrivals
+
+    def _deliver(self, src, dst, payload, tr: _Traffic) -> tuple[list, int]:
         """Ship one message through the adversary with bounded retry.
 
-        Returns the list of arrival envelopes ``(src, seq, payload)`` —
-        usually one, two when duplicated, never carrying corrupt data
-        (corruption is detected by the envelope checksum and NACKed).
-        Every attempt counts as wire traffic; retry k charges the sender
-        the modeled ack-timeout wait.  Raises CommFailureError when the
-        retry budget is exhausted.
+        Returns the arrival envelopes — usually one, two when duplicated,
+        never carrying corrupt data (corruption is detected by the
+        envelope checksum and NACKed) — and the attempts it took.  Retry
+        k charges the sender the modeled ack-timeout wait.  Raises
+        CommFailureError when the retry budget is exhausted.
         """
         inj = self.injector
         cfg = self.delivery
+        step = tr.step
         seq = inj.next_seq(src, dst)
         checksum = _faults.payload_checksum(payload)
-        nb = payload_nbytes(payload)
         attempt = 0
         while True:
             attempt += 1
-            msgs[src] += 1
-            nbytes[src] += nb
-            if bmat is not None:
-                bmat[src, dst] += nb
             fate = inj.fate(src, dst, seq, attempt)
             failed = False
             if fate.drop:
@@ -497,10 +526,10 @@ class Machine:
                 if fate.duplicate:
                     inj.record("duplicate", step, src, dst, seq, attempt)
                     out.append((src, seq, payload))
-                retries[src] += attempt - 1
+                tr.retries[src] += attempt - 1
                 if attempt > 1:
                     _metrics.record("runtime.retries", attempt - 1)
-                return out
+                return out, attempt
             if attempt > cfg.max_retries:
                 raise CommFailureError(
                     f"message {src}->{dst} seq={seq} undeliverable after "
@@ -512,68 +541,90 @@ class Machine:
                     seq=seq,
                     attempts=attempt,
                 )
-            penalty[src] += cfg.retry_wait(attempt)
+            tr.extra[src] += cfg.retry_wait(attempt)
 
-    def _faulty_alltoallv(
-        self, alive, requests, inbox, step, msgs, nbytes, bmat, retries, extra
-    ):
-        """All-to-all through the adversary: sequence-numbered envelopes,
-        per-destination arrival reordering, duplicate suppression.
+    def _alltoallv(self, requests, tr: _Traffic) -> list[dict]:
+        """Route one all-to-all; returns each rank's ``{src: payload}``.
 
-        Self-messages never touch the network (exactly like the happy
-        path, where they are routed without being counted)."""
+        Self-messages never touch the network.  A :class:`Fragmented`
+        payload travels part by part and is reassembled by slot.  Under an
+        injector each rank's arrivals may be reordered, and duplicates
+        (same ``(src, seq)``) are suppressed."""
         P = self.nprocs
         inj = self.injector
+        recv: list[dict] = [{} for _ in range(P)]
         arrivals: list[list] = [[] for _ in range(P)]
-        selfmsg: list[dict] = [dict() for _ in range(P)]
-        frag_pairs: set[tuple[int, int]] = set()
-        for p in alive:
-            send = requests[p][1] or {}
-            for q, payload in send.items():
+        fragmented: list[set] = [set() for _ in range(P)]  # by dst: srcs sending parts
+        for p in range(P):
+            for q, payload in (requests[p][1] or {}).items():
                 q = int(q)
-                if not (0 <= q < P):
-                    raise RuntimeMachineError(f"bad destination {q}")
-                if q == p:
-                    selfmsg[p][p] = (
-                        assemble_fragments(payload)
-                        if isinstance(payload, Fragmented)
-                        else payload
+                if not 0 <= q < P:
+                    raise RuntimeMachineError(
+                        f"SPMD violation: rank {p} sends to nonexistent rank {q} "
+                        f"at superstep {tr.step}",
+                        superstep=tr.step,
+                        bad_rank=q,
                     )
-                    continue
-                if isinstance(payload, Fragmented):
-                    # per-value mode: every (slot, value) pair is its own
-                    # envelope — own seq, own checksum, own retry budget
-                    frag_pairs.add((p, q))
+                frag = isinstance(payload, Fragmented)
+                if q == p:
+                    recv[p][p] = assemble_fragments(payload) if frag else payload
+                elif frag:
+                    fragmented[q].add(p)
                     for part in payload:
-                        arrivals[q].extend(
-                            self._deliver(p, q, part, step, msgs, nbytes, bmat, retries, extra)
-                        )
-                    continue
-                arrivals[q].extend(
-                    self._deliver(p, q, payload, step, msgs, nbytes, bmat, retries, extra)
-                )
-        for q in alive:
+                        arrivals[q].extend(self._send(p, q, part, tr))
+                else:
+                    arrivals[q].extend(self._send(p, q, payload, tr))
+        for q in range(P):
             envs = arrivals[q]
-            perm = inj.reorder_perm(q, step, len(envs))
+            perm = inj.reorder_perm(q, tr.step, len(envs)) if inj is not None else None
             if perm is not None:
                 envs = [envs[int(k)] for k in perm]
-                inj.record("reorder", step, src=-1, dst=q)
-            recv = dict(selfmsg[q])
+                inj.record("reorder", tr.step, src=-1, dst=q)
             seen: set[tuple[int, int]] = set()
-            frag_parts: dict[int, list] = {}
             for src, seq, payload in envs:
-                if (src, seq) in seen:
-                    inj.record("dup_suppressed", step, src, q, seq)
-                    continue
-                seen.add((src, seq))
-                if (src, q) in frag_pairs:
-                    frag_parts.setdefault(src, []).append(payload)
+                if inj is not None:
+                    if (src, seq) in seen:
+                        inj.record("dup_suppressed", tr.step, src, q, seq)
+                        continue
+                    seen.add((src, seq))
+                if src in fragmented[q]:
+                    recv[q].setdefault(src, []).append(payload)
                 else:
-                    recv[src] = payload
-            for src, parts in frag_parts.items():
+                    recv[q][src] = payload
+            for src in fragmented[q]:
                 # slot-addressed assembly: immune to reordering
-                recv[src] = assemble_fragments(parts)
-            inbox[q] = recv
+                recv[q][src] = assemble_fragments(recv[q].get(src, ()))
+        return recv
+
+    @staticmethod
+    def _collective(requests, done, step: int):
+        """The ``(kind, label)`` every rank issued this superstep; raises
+        RuntimeMachineError on an SPMD violation."""
+        kinds = {r[0] for r in requests if r is not None}
+        if any(done):
+            raise RuntimeMachineError(
+                f"SPMD violation: rank(s) {[p for p, d in enumerate(done) if d]} "
+                f"finished at superstep {step} while rank(s) "
+                f"{[p for p, d in enumerate(done) if not d]} still wait in "
+                f"{sorted(kinds)} — the waiting ranks deadlock",
+                superstep=step,
+            )
+        if len(kinds) != 1:
+            by_kind = {k: [p for p, r in enumerate(requests) if r[0] == k] for k in sorted(kinds)}
+            raise RuntimeMachineError(
+                f"SPMD violation: mismatched collectives at superstep {step}: "
+                f"{by_kind} — ranks wait on different operations",
+                superstep=step,
+            )
+        (kind,) = kinds
+        labels = {r[1] for r in requests} if kind == "phase" else {None}
+        if len(labels) != 1:
+            raise RuntimeMachineError(
+                f"SPMD violation: mismatched phase labels "
+                f"{sorted(labels, key=str)} at superstep {step}",
+                superstep=step,
+            )
+        return kind, labels.pop()
 
     # ------------------------------------------------------------------
     def run(
@@ -595,22 +646,17 @@ class Machine:
         with _faults._activation(self.injector):
             return self._run(make_program, collect_stats)
 
-    def _run(
-        self,
-        make_program: Callable[[int], Generator],
-        collect_stats: bool = True,
-    ) -> tuple[list, RunStats]:
+    def _run(self, make_program, collect_stats: bool) -> tuple[list, RunStats]:
         P = self.nprocs
         gens = [make_program(p) for p in range(P)]
         inbox: list = [None] * P
-        done = [False] * P
         results: list = [None] * P
         stats = RunStats(P, model=self.model)
         inj = self.injector
         if inj is not None:
             inj.reset()  # same-plan replays are bit-identical
         step_no = 0  # superstep counter (stall / reorder entropy coordinate)
-        pending_comm = None  # (msgs, nbytes) of an in-flight async exchange
+        pending = None  # traffic of an in-flight async exchange
 
         # observability: per-rank spans per phase window + comm counters
         tracer = _trace.get_tracer()
@@ -635,12 +681,11 @@ class Machine:
                 )
 
         try:
-            while not all(done):
+            while True:
                 requests: list = [None] * P
+                done = [False] * P
                 compute = np.zeros(P)
                 for p in range(P):
-                    if done[p]:
-                        continue
                     t0 = time.perf_counter()
                     try:
                         requests[p] = gens[p].send(inbox[p])
@@ -648,7 +693,6 @@ class Machine:
                         results[p] = stop.value
                         done[p] = True
                     compute[p] = time.perf_counter() - t0
-                    inbox[p] = None
                 win_compute += compute
                 if all(done):
                     if collect_stats:
@@ -656,149 +700,72 @@ class Machine:
                             PhaseStats("finish", None, compute, np.zeros(P, np.int64), np.zeros(P, np.int64))
                         )
                     break
-                alive = [p for p in range(P) if not done[p]]
-                if any(done[p] for p in range(P)):
-                    raise RuntimeMachineError(
-                        "SPMD violation: some ranks finished while others are "
-                        "still communicating"
-                    )
-                kinds = {requests[p][0] for p in alive}
-                if len(kinds) != 1:
-                    raise RuntimeMachineError(
-                        f"SPMD violation: mismatched collectives {sorted(kinds)}"
-                    )
-                kind = kinds.pop()
-                msgs = np.zeros(P, dtype=np.int64)
-                nbytes = np.zeros(P, dtype=np.int64)
-                bmat = np.zeros((P, P), dtype=np.int64) if collect_stats else None
-                retries = np.zeros(P, dtype=np.int64) if inj is not None else None
-                # modeled extra seconds this superstep: stalls + retry waits
-                extra = np.zeros(P) if inj is not None else None
-                label = None
+                kind, label = self._collective(requests, done, step_no)
+                tr = _Traffic(P, step_no, collect_stats, inj is not None)
                 if inj is not None and kind != "phase":
-                    for p in alive:
+                    for p in range(P):
                         st = inj.stall_seconds(p, step_no)
                         if st > 0.0:
-                            extra[p] += st
+                            tr.extra[p] += st
                             inj.record("stall", step_no, src=p, dst=p)
 
+                inbox = [None] * P
                 if kind in ("alltoallv", "alltoallv_async"):
-                    if inj is not None:
-                        self._faulty_alltoallv(
-                            alive, requests, inbox, step_no, msgs, nbytes, bmat, retries, extra
-                        )
-                    else:
-                        recv: list[dict] = [dict() for _ in range(P)]
-                        for p in alive:
-                            send = requests[p][1] or {}
-                            for q, payload in send.items():
-                                if not (0 <= q < P):
-                                    raise RuntimeMachineError(f"bad destination {q}")
-                                fragmented = isinstance(payload, Fragmented)
-                                recv[q][p] = (
-                                    assemble_fragments(payload) if fragmented else payload
-                                )
-                                if q != p:
-                                    # a fragmented payload costs one α per part
-                                    msgs[p] += len(payload) if fragmented else 1
-                                    nb = payload_nbytes(payload)
-                                    nbytes[p] += nb
-                                    if bmat is not None:
-                                        bmat[p, q] += nb
-                        for p in alive:
-                            inbox[p] = recv[p]
+                    inbox = self._alltoallv(requests, tr)
                     if kind == "alltoallv_async":
                         # nonblocking: packets fly while the ranks compute their
                         # interior rows; the matching "commwait" closes the window
-                        pending_comm = (msgs.copy(), nbytes.copy())
+                        pending = tr
                 elif kind == "commwait":
-                    for p in alive:
-                        inbox[p] = None
-                    if pending_comm is not None and _metrics.metrics_enabled():
-                        pm, pb = pending_comm
-                        hidden = float(
-                            np.max(pm * self.model.latency + pb * self.model.inv_bandwidth)
-                        )
+                    if pending is not None and _metrics.metrics_enabled():
+                        hidden = max(self.model.time(*mb) for mb in zip(pending.msgs, pending.nbytes))
                         if hidden > 0.0:
                             _metrics.observe(
-                                "comm.overlap_ratio",
-                                min(hidden, float(compute.max())) / hidden,
+                                "comm.overlap_ratio", min(hidden, float(compute.max())) / hidden
                             )
-                    pending_comm = None
+                    pending = None
                 elif kind == "allreduce":
-                    vals = [requests[p][1] for p in alive]
-                    if inj is not None:
-                        # each contribution must survive delivery (ring model:
-                        # it travels to the next rank); corrupt/dropped
-                        # contributions are retransmitted, never reduced
-                        for p in alive:
-                            self._deliver(
-                                p, (p + 1) % P, requests[p][1], step_no,
-                                msgs, nbytes, bmat, retries, extra,
-                            )
-                    total = vals[0]
-                    for v in vals[1:]:
-                        total = total + v
-                    for p in alive:
-                        inbox[p] = total
-                        if inj is None:
-                            msgs[p] += 1
-                            nb = payload_nbytes(requests[p][1])
-                            nbytes[p] += nb
-                            if bmat is not None:
-                                # ring model: the reduction contribution travels
-                                # to the next rank (keeps matrix total == bytes)
-                                bmat[p, (p + 1) % P] += nb
+                    # ring model: each contribution travels to the next rank
+                    # (keeps matrix total == bytes); under an injector a
+                    # corrupt/dropped one is retransmitted, never reduced
+                    for p in range(P):
+                        self._send(p, (p + 1) % P, requests[p][1], tr)
+                    total = requests[0][1]
+                    for p in range(1, P):
+                        total = total + requests[p][1]
+                    inbox = [total] * P
                 elif kind == "allgather":
-                    gathered = [requests[p][1] for p in alive]
-                    for p in alive:
+                    gathered = [r[1] for r in requests]
+                    for p in range(P):
                         inbox[p] = list(gathered)
-                        if inj is not None:
-                            # one faultable copy per peer
-                            for q in range(P):
-                                if q != p:
-                                    self._deliver(
-                                        p, q, requests[p][1], step_no,
-                                        msgs, nbytes, bmat, retries, extra,
-                                    )
-                        else:
-                            msgs[p] += P - 1
-                            nb = payload_nbytes(requests[p][1])
-                            nbytes[p] += nb * (P - 1)
-                            if bmat is not None:
-                                for q in range(P):
-                                    if q != p:
-                                        bmat[p, q] += nb
-                elif kind == "barrier":
-                    for p in alive:
-                        inbox[p] = None
+                        for q in range(P):
+                            if q != p:  # one copy per peer
+                                self._send(p, q, gathered[p], tr)
                 elif kind == "phase":
-                    labels = {requests[p][1] for p in alive}
-                    if len(labels) != 1:
-                        raise RuntimeMachineError(
-                            f"SPMD violation: mismatched phase labels {labels}"
-                        )
-                    label = labels.pop()
-                    for p in alive:
-                        inbox[p] = None
                     _flush_window()
                     win_label = str(label)
                     win_start = tracer._now_us() if tracer is not None else 0.0
                     win_compute = np.zeros(P)
                     win_msgs = np.zeros(P, dtype=np.int64)
                     win_bytes = np.zeros(P, dtype=np.int64)
-                else:
-                    raise RuntimeMachineError(f"unknown collective {kind!r}")
+                elif kind != "barrier":
+                    raise RuntimeMachineError(
+                        f"SPMD violation: unknown collective {kind!r} at "
+                        f"superstep {step_no}",
+                        superstep=step_no,
+                    )
 
+                msgs = np.array(tr.msgs, dtype=np.int64)
+                nbytes = np.array(tr.nbytes, dtype=np.int64)
                 win_msgs += msgs
                 win_bytes += nbytes
-                if inj is not None and extra.any():
-                    compute = compute + extra
-                    win_compute += extra
+                if inj is not None and tr.extra.any():
+                    compute = compute + tr.extra
+                    win_compute += tr.extra
                 if _metrics.metrics_enabled() and kind != "phase":
                     _metrics.record("machine.collectives", 1, kind=kind)
-                    _metrics.record("machine.msgs", int(msgs.sum()), kind=kind)
-                    _metrics.record("machine.bytes", int(nbytes.sum()), kind=kind)
+                    _metrics.record("machine.msgs", sum(tr.msgs), kind=kind)
+                    _metrics.record("machine.bytes", sum(tr.nbytes), kind=kind)
                     _metrics.observe(
                         "machine.superstep_compute_seconds",
                         float(compute.max()),
@@ -808,7 +775,8 @@ class Machine:
                     stats.phases.append(
                         PhaseStats(
                             kind, label, compute, msgs, nbytes,
-                            bytes_matrix=bmat, retries=retries,
+                            bytes_matrix=np.array(tr.bmat, dtype=np.int64).reshape(P, P),
+                            retries=tr.retries,
                             overlapped=(kind == "alltoallv_async"),
                         )
                     )

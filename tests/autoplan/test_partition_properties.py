@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.regions import audit_partition
-from repro.compiler.specialize import SpecializeConfig, partition_regions
+from repro.compiler.specialize import SKEW_FACTOR, SKEW_MIN, partition_regions
 from repro.formats.coo import COOMatrix
 from tests.conftest import case_rng
 from tests.generators import STRUCTURE_CLASSES
@@ -137,12 +137,14 @@ def test_single_skewed_row_becomes_a_skew_region():
 
 
 def test_config_thresholds_are_respected():
-    """Raising skew_min above any row length must disable the skew peel."""
+    """A hub row shorter than SKEW_MIN is never peeled, even far above
+    SKEW_FACTOR times the mean row length."""
     n = 80
-    ii = list(range(n)) + [7] * (n // 2)
-    jj = list(range(n)) + list(range(0, n, 2))
+    extra = [0, 2, 4, 10, 12, 14]  # row 7: its diagonal plus these
+    ii = list(range(n)) + [7] * len(extra)
+    jj = list(range(n)) + extra
     coo = COOMatrix.from_entries((n, n), ii, jj, np.ones(len(ii)))
-    cfg = SpecializeConfig(skew_min=n + 1)
-    partition = partition_regions(coo, config=cfg)
+    assert SKEW_FACTOR * coo.nnz / n <= 1 + len(extra) < SKEW_MIN
+    partition = partition_regions(coo)
     _assert_loss_free_cover(coo, partition)
     assert "skew" not in {r.kind for r in partition.regions}

@@ -122,7 +122,10 @@ def test_mismatched_collectives_raise():
         else:
             yield ("allreduce", 1.0)
 
-    with pytest.raises(RuntimeMachineError):
+    with pytest.raises(
+        RuntimeMachineError,
+        match=r"mismatched collectives at superstep 0: \{'allreduce': \[1\], 'barrier': \[0\]\}",
+    ):
         m.run(prog)
 
 
@@ -135,7 +138,9 @@ def test_early_finish_raises():
         yield ("barrier", None)
         return 2
 
-    with pytest.raises(RuntimeMachineError):
+    with pytest.raises(
+        RuntimeMachineError, match=r"rank\(s\) \[0\] finished at superstep 0"
+    ):
         m.run(prog)
 
 
@@ -145,8 +150,11 @@ def test_unknown_collective():
     def prog(p):
         yield ("teleport", None)
 
-    with pytest.raises(RuntimeMachineError):
+    with pytest.raises(
+        RuntimeMachineError, match="unknown collective 'teleport' at superstep 0"
+    ) as err:
         m.run(prog)
+    assert err.value.superstep == 0 and err.value.bad_rank is None
 
 
 def test_bad_destination():
@@ -155,8 +163,29 @@ def test_bad_destination():
     def prog(p):
         yield ("alltoallv", {5: np.ones(1)})
 
-    with pytest.raises(RuntimeMachineError):
+    with pytest.raises(
+        RuntimeMachineError, match="rank 0 sends to nonexistent rank 5 at superstep 0"
+    ) as err:
         m.run(prog)
+    assert err.value.bad_rank == 5
+
+
+def test_premature_finish_reports_deadlocked_ranks():
+    m = Machine(3)
+
+    def prog(p):
+        yield ("barrier", None)
+        if p == 1:
+            return None
+        yield ("allreduce", 1.0)
+
+    with pytest.raises(
+        RuntimeMachineError,
+        match=r"rank\(s\) \[1\] finished at superstep 1 while rank\(s\) \[0, 2\] "
+        r"still wait in \['allreduce'\] — the waiting ranks deadlock",
+    ) as err:
+        m.run(prog)
+    assert err.value.superstep == 1
 
 
 def test_yield_from_subroutine():
