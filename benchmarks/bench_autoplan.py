@@ -77,20 +77,16 @@ def _measure_format(coo, profile, name, backend, x, min_time) -> float | None:
     return _time_call(kernel, formats, min_time)
 
 
-def _measure_auto(coo, profile, plan, x, min_time) -> float:
+def _measure_auto(coo, plan, x, min_time) -> float:
     """Per-call SpMV seconds through whatever the auto-planner picked —
-    including the composed region-specialized plan, which is not a
-    CANDIDATE_FORMATS entry (``bench_hybrid.py`` covers its headline;
-    here it only needs a measured time so the ratio stays honest)."""
-    if plan.format_name == "Hybrid":
-        kernel, formats = plan.compile()
-        formats["X"] = DenseVector(x.copy())
-        formats["Y"] = DenseVector.zeros(coo.shape[0])
-        kernel(**formats)  # warm
-        return _time_call(kernel, formats, min_time)
-    return _measure_format(
-        coo, profile, plan.format_name, plan.backend, x, min_time
-    )
+    the composed region-specialized plan included (``bench_hybrid.py``
+    covers its headline; here it only needs a measured time so the ratio
+    stays honest)."""
+    kernel, formats = plan.compile(coo)
+    formats["X"] = DenseVector(x.copy())
+    formats["Y"] = DenseVector.zeros(coo.shape[0])
+    kernel(**formats)  # warm
+    return _time_call(kernel, formats, min_time)
 
 
 def _fit_alpha_beta(points):
@@ -167,7 +163,7 @@ def measure(args):
         times = row["fixed_seconds"]
         if plan.backend == "interpreted" or plan.format_name not in times:
             x = integer_vector(np.random.default_rng([rng_base, ci, 1]), coo.shape[1])
-            auto_t = _measure_auto(coo, profile, plan, x, min_time)
+            auto_t = _measure_auto(coo, plan, x, min_time)
         else:
             auto_t = times[plan.format_name]
         best_name = min(times, key=times.get)

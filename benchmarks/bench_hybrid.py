@@ -5,14 +5,15 @@ planted dense block over a banded bulk with hub rows, or free-floating
 dense windows over a uniform background) no single format wins — each
 pays for the structure it was not built for.  The composed
 :class:`~repro.compiler.specialize.HybridPlan` materializes every region
-in its best format and runs one sub-kernel per region.
+in its best format and compiles one kernel with one statement per region
+(dense windows stay on BLAS, the other regions run the native tier).
 
 Headline (``higher`` is better; the gate floor is 1.0)::
 
     geomean over HYBRID_CLASSES of  best_single_time / hybrid_time
 
-All timings go through pre-bound kernels (:meth:`CompiledKernel.bind` /
-:meth:`HybridKernel.bind`) — the iterative-solver regime the paper
+All timings go through pre-bound kernels (:meth:`CompiledKernel.bind`)
+— the iterative-solver regime the paper
 targets, where one binding amortizes over many SpMV calls.  Both sides
 are bound, so the comparison is dispatch-for-dispatch fair.
 
@@ -145,7 +146,6 @@ def measure(args):
             "class": cls,
             "n": n,
             "nnz": profile.nnz,
-            "partition_fingerprint": hybrid.partition.fingerprint(),
             "regions": [r.summary() for r in hybrid.partition.regions],
             "predicted_seconds": hybrid.predicted_seconds,
             "hybrid_seconds": t_hybrid,

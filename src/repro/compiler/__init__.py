@@ -62,8 +62,6 @@ from repro.compiler.autoplan import (
     autoplan_spmv,
 )
 from repro.compiler.specialize import (
-    HybridKernel,
-    HybridMatrix,
     HybridPlan,
     Region,
     RegionPartition,
@@ -99,8 +97,6 @@ __all__ = [
     "CostModel",
     "autoplan",
     "autoplan_spmv",
-    "HybridKernel",
-    "HybridMatrix",
     "HybridPlan",
     "Region",
     "RegionPartition",

@@ -25,7 +25,10 @@ format under the ``fit`` key of its ``--out`` JSON; a
 ``CostModel(alpha=..., beta=..., source=...)`` built from those numbers
 is passed as ``autoplan(coo, model=...)``.
 
-Cache interaction: :meth:`AutoPlan.compile` passes the profile's
+Every candidate, the region-specialized ``"Hybrid"`` plan of
+:mod:`repro.compiler.specialize` included, compiles through one
+:func:`~repro.compiler.kernels.compile_kernel` call (Hybrid's source has
+one statement per region).  :meth:`AutoPlan.compile` passes the profile's
 :meth:`~repro.analysis.structure.StructureProfile.fingerprint` as an
 ``extra_key`` component of the kernel-cache key, so re-analyzing the
 same matrix is a pure hit while structurally different matrices of equal
@@ -89,6 +92,12 @@ CANDIDATE_FORMATS: dict[str, Callable] = {
     "Inode": lambda coo, p: InodeMatrix.from_coo(coo),
     "Dense": lambda coo, p: DenseMatrix.from_coo(coo),
 }
+
+
+def spmv_operands(shape) -> dict[str, Format]:
+    """Zero dense ``X``/``Y`` operands of an SpMV over a ``shape`` matrix."""
+    return {"X": DenseVector(np.zeros(shape[1])), "Y": DenseVector.zeros(shape[0])}
+
 
 #: per-call overhead (seconds) of the vectorized lowering, by format —
 #: defaults measured on the reference container
@@ -257,9 +266,10 @@ class AutoPlan:
         raise CompileError(f"no candidate {name!r} with backend {backend!r}")
 
     # ------------------------------------------------------------------
-    def build(self, coo: COOMatrix) -> Format:
-        """Materialize the chosen format (falling back down the ranking
-        if a builder rejects the matrix with FormatError)."""
+    def build(self, coo: COOMatrix):
+        """Materialize the chosen format — for ``"Hybrid"``, the region
+        formats in partition order — falling back down the ranking if a
+        builder rejects the matrix with FormatError."""
         coo = coo if isinstance(coo, COOMatrix) else coo.to_coo()
         last_error: FormatError | None = None
         for cand in self.candidates:
@@ -267,8 +277,6 @@ class AutoPlan:
                 continue
             try:
                 if cand.format_name == "Hybrid":
-                    if self.hybrid is None:
-                        continue
                     fmt = self.hybrid.build()
                 else:
                     fmt = CANDIDATE_FORMATS[cand.format_name](coo, self.profile)
@@ -301,40 +309,29 @@ class AutoPlan:
         full binding map (reusable as the call arguments).  The profile
         fingerprint joins the kernel-cache key.
 
-        When the ``"Hybrid"`` candidate won, compilation delegates to
-        :meth:`HybridPlan.compile <repro.compiler.specialize.HybridPlan.compile>`
-        — one cached sub-kernel per region, executed in fixed partition
-        order by the returned ``HybridKernel``.
+        Every candidate is one :func:`compile_kernel` call; when
+        ``"Hybrid"`` won, ``source`` is first rewritten by
+        :func:`~repro.compiler.specialize.split_source` into one statement
+        per region, the regions bound as ``{name}0``, ``{name}1``, ….
         """
         from repro.compiler.kernels import compile_kernel
+        from repro.compiler.specialize import split_source
+        from repro.kernels.spmv import SPMV_SRC
 
-        if self.format_name == "Hybrid" and self.hybrid is not None:
-            self.built_name = "Hybrid"
-            kwargs.setdefault(
-                "extra_key", ("autoplan", self.profile.fingerprint())
-            )
-            return self.hybrid.compile(
-                source=source, name=name, extra=extra, **kwargs
-            )
-
-        if source is None:
-            from repro.kernels.spmv import SPMV_SRC
-
-            source = SPMV_SRC
+        source = SPMV_SRC if source is None else source
         fmt = self.build(coo)
-        formats: dict[str, Format] = {name: fmt}
-        if extra is not None:
-            formats.update(extra)
+        extra = spmv_operands(coo.shape) if extra is None else extra
+        if self.built_name == "Hybrid":
+            source, formats = split_source(source, name, fmt, extra)
         else:
-            formats["X"] = DenseVector(np.zeros(fmt.shape[1]))
-            formats["Y"] = DenseVector.zeros(fmt.shape[0])
+            formats = {name: fmt, **extra}
         kwargs.setdefault("backend", self.backend)
         kwargs.setdefault(
             "extra_key", ("autoplan", self.profile.fingerprint())
         )
         with span(
             "autoplan.compile",
-            format=type(fmt).__name__,
+            format=self.built_name,
             backend=kwargs["backend"],
             fingerprint=self.profile.fingerprint(),
         ):
@@ -363,8 +360,6 @@ class AutoPlan:
                 f"predicted={c.predicted_seconds * 1e6:>8.1f} µs"
                 f"{status}{chosen}{note}"
             )
-        if self.format_name == "Hybrid" and self.hybrid is not None:
-            lines.append(self.hybrid.describe())
         return "\n".join(lines)
 
     def explain(self) -> str:
@@ -517,8 +512,8 @@ def autoplan_spmv(coo, x=None, model: CostModel | None = None, **kwargs):
     """
     plan = autoplan(coo, model=model, **kwargs)
     kernel, formats = plan.compile(coo)
-    xv = np.ones(formats["A"].shape[1]) if x is None else np.asarray(x, float)
+    xv = np.ones(coo.shape[1]) if x is None else np.asarray(x, float)
     formats["X"] = DenseVector(xv.copy())
-    formats["Y"] = DenseVector.zeros(formats["A"].shape[0])
+    formats["Y"] = DenseVector.zeros(coo.shape[0])
     kernel(**formats)
     return formats["Y"].vals, plan

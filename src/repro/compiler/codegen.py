@@ -922,3 +922,12 @@ def generate_source(
         src = "\n".join(head + g.lines) + "\n"
         sp.set(backends=labels, lines=len(g.lines), chars=len(src))
     return src, tuple(labels)
+
+
+def define(source: str) -> tuple:
+    """``(prepare, run, prepare's parameter names)`` that ``source`` defines."""
+    ns = dict(RUNTIME)
+    with span("compiler.codegen.exec", chars=len(source)):
+        exec(compile(source, "<bernoulli-kernel>", "exec"), ns)
+    code = ns["prepare"].__code__
+    return ns["prepare"], ns["run"], code.co_varnames[: code.co_argcount]

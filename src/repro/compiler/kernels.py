@@ -155,7 +155,7 @@ class CompiledKernel:
         #: :class:`~repro.compiler.native.NativeState` of the latest bind()
         #: (None before the first): native C, or numpy and why
         self.native = None
-        self._native_memo: dict = {}  # operand signature -> native run | reason
+        self._native_memo: dict = {}  # operand signature -> per-unit tiers
         self.source: str
         #: per-unit lowering labels (strategy name, "noop", or
         #: "fallback:scalar" when the backend could not lower the plan)
@@ -275,12 +275,13 @@ class CompiledKernel:
                 raise FormatError(f"output array {self.param_names[i]} is read-only")
         arrays = {n: v for n, v in bindings.items() if isinstance(v, Format)}
         with _trace.span("kernel.prepare", backend=self.backend):
-            # the C run when the kernel tiers up (its check twin runs here),
-            # else the generated numpy run over what prepare derives
-            run = native.tier_up(self, arrays, args)
-            if run is None:
-                aux = self._prepare(*[ns[k] for k in self._prepare_names])
-                run = functools.partial(self._run, *args, aux)
+            # per run of units, the C run (its check twin runs here) or the
+            # generated numpy run over what its prepare derives
+            steps = native.tier_up(self, arrays, args)
+            calls = [
+                s if callable(s) else functools.partial(s[1], *args, s[0](*[ns[k] for k in s[2]]))
+                for s in steps or [(self._prepare, self._run, self._prepare_names)]
+            ]
         _metrics.record("compiler.kernels.prepares")
         counters = None
 
@@ -291,7 +292,8 @@ class CompiledKernel:
             return counters
 
         def bound() -> None:
-            run()
+            for run in calls:  # unit order
+                run()
             if _metrics.metrics_enabled():
                 c = work()
                 _metrics.record("kernel.calls")
@@ -487,12 +489,7 @@ def lower(req: CompileRequest) -> None:
         req.program, req.units, dict(req.formats), kern.param_names,
         backend=req.backend,
     )
-    ns = dict(codegen.RUNTIME)
-    with _trace.span("compiler.codegen.exec", chars=len(kern.source)):
-        exec(compile(kern.source, "<bernoulli-kernel>", "exec"), ns)
-    kern._prepare, kern._run = ns["prepare"], ns["run"]
-    code = kern._prepare.__code__
-    kern._prepare_names = code.co_varnames[: code.co_argcount]
+    kern._prepare, kern._run, kern._prepare_names = codegen.define(kern.source)
     req.kernel = kern
 
 

@@ -4,12 +4,14 @@ At a kernel's first ``bind()`` the ``run`` that the interpreted backend
 prints for the same plan units is translated over Python's ``ast`` into
 C, built once with gcc, cached on disk and loaded with ctypes; the bound
 call then runs C instead of the numpy ``run``.  ``lower``, the cache key
-and ``unit_backends`` never see it.  A kernel stays on numpy — counted in
-``compiler.native.declined{reason}`` — when its backend is
-``interpreted``, a unit is lowered ``block-gemv`` (BLAS wins on dense
-blocks), the nest does not translate (it calls a ``_find*``/``_search``
-callback), no compiler is on ``PATH``, an operand is not a C-contiguous
-float64/int64 array, or an output overlaps another operand.
+and ``unit_backends`` never see it.  The tier is decided per unit: a unit
+stays on numpy — counted in ``compiler.native.declined{reason}`` — when
+it is lowered ``block-gemv`` (BLAS wins on dense blocks) or its nest does
+not translate (it calls a ``_find*``/``_search`` callback); the bound
+call runs each run of consecutive units on one tier, C or numpy, in unit
+order.  The whole kernel stays on numpy when its backend is
+``interpreted``, no compiler is on ``PATH``, an operand is not a
+C-contiguous float64/int64 array, or an output overlaps another operand.
 
 The C nest does the interpreted nest's arithmetic in the same order (an
 output slot fixed across the inner loop is summed in a local ``double``),
@@ -31,6 +33,7 @@ import atexit
 import ctypes
 import fcntl
 import functools
+import itertools
 import math
 import os
 import shutil
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compiler import codegen
-from repro.compiler.backends import INTERPRETED
+from repro.compiler.backends import INTERPRETED, get_backend
 from repro.errors import FormatError
 from repro.fingerprint import fingerprint
 from repro.memo import Memo
@@ -76,13 +79,17 @@ class Declined(Exception):
 
 @dataclass(frozen=True)
 class NativeState:
-    """``kern.native``: how the most recent ``bind()`` runs."""
+    """``kern.native``: how the most recent ``bind()`` runs; ``units``
+    holds each unit's own state, in unit order."""
 
     reason: str | None = None  # None: the bound call runs C
     fingerprint: str = ""
     origin: str = ""  # "gcc", "disk" or "memo"
+    units: tuple["NativeState", ...] = ()
 
     def __str__(self) -> str:
+        if len(set(self.units)) > 1:
+            return "; ".join(f"[{k}] {u}" for k, u in enumerate(self.units))
         if self.reason is None:
             return f"native C ({self.fingerprint}, {self.origin})"
         return f"numpy — native declined: {self.reason}"
@@ -475,52 +482,119 @@ def _operands(kern, args) -> tuple[tuple[str, ...], str, list]:
     return tuple(kinds), fmt, values
 
 
-def _tier_up(kern, formats, kinds):
-    """``(run, check, failure messages, state)`` of ``kern``'s scalar nest
-    translated, built and loaded for ``kinds``; the decline reason instead
-    when a step refuses."""
+def _state(units) -> NativeState:
+    """``kern.native`` over its per-unit states: a uniform kernel's one
+    state, else the first declined unit's reason."""
+    first = next((u for u in units if u.reason), units[0])
+    if all(u == first for u in units):
+        return NativeState(first.reason, first.fingerprint, first.origin, tuple(units))
+    return NativeState(first.reason, units=tuple(units))
+
+
+def _c_nest(kern, formats, kinds, units):
+    """The C source and failure messages of ``units``' scalar nest."""
+    source, _ = codegen.generate_source(kern.program, units, formats, kern.param_names, INTERPRETED)
+    return translate(source, kinds)
+
+
+def _runs(states):
+    """``(native?, unit indices)`` per run of consecutive units on one tier."""
+    for native, ks in itertools.groupby(range(len(states)), lambda k: states[k].reason is None):
+        yield native, list(ks)
+
+
+def _tier_up(kern, formats, kinds, reasons):
+    """``(steps, state, counted)`` for these operand kinds: per run of
+    consecutive units on one tier, ``(True, run, check, messages)`` of its
+    loaded C nest or ``(False, prepare, run, prepare names)`` of its numpy
+    pair (``steps`` is None when every unit stays on the kernel's own
+    pair); ``kern.native``; the reasons each bind counts.  ``reasons``
+    holds the label each unit declines on, or None.  The whole nest is
+    translated first; only when that declines is each unit tried alone."""
+    n, units = len(kern.units), kern.units
+    states = [NativeState(r) for r in reasons]
     with span("compiler.native.build", backend=kern.backend) as sp:
-        try:
-            source, _ = codegen.generate_source(
-                kern.program, kern.units, formats, kern.param_names, INTERPRETED
-            )
-            c_source, checks = translate(source, kinds)
-            (run, check), fp, origin = _load(c_source)
-        except Declined as exc:
-            sp.set(declined=exc.args[0])
-            return exc.args[0]
-        sp.set(fingerprint=fp, origin=origin)
-    return run, check, checks, NativeState(None, fp, origin)
+        whole = None
+        if not any(reasons):
+            try:
+                whole = _c_nest(kern, formats, kinds, units)
+            except Declined as exc:
+                if n == 1:
+                    states[0] = NativeState(exc.args[0])
+        if whole is None and n > 1:
+            for k in (k for k, r in enumerate(reasons) if r is None):
+                try:
+                    _c_nest(kern, formats, kinds, units[k : k + 1])
+                except Declined as exc:
+                    states[k] = NativeState(exc.args[0])
+        counted = [s.reason for s in states if s.reason]
+        libraries = {}
+        for native, ks in list(_runs(states)):
+            if native:
+                try:
+                    c_source, checks = whole or _c_nest(kern, formats, kinds, [units[k] for k in ks])
+                    funcs, fp, origin = _load(c_source)
+                except Declined as exc:  # no compiler, a failed build, or units that translate
+                    # alone but not together: counted once per run
+                    counted.append(exc.args[0])
+                    states[ks[0] : ks[-1] + 1] = [NativeState(exc.args[0])] * len(ks)
+                else:
+                    libraries[ks[0]] = (True, *funcs, checks)
+                    states[ks[0] : ks[-1] + 1] = [NativeState(None, fp, origin)] * len(ks)
+        sp.set(declined=counted, libraries=len(libraries))
+    steps = None
+    if libraries:
+        steps = [
+            libraries[ks[0]] if native else (False, *_numpy_pair(kern, formats, [units[k] for k in ks]))
+            for native, ks in _runs(states)
+        ]
+    return steps, _state(states), tuple(counted)
+
+
+def _numpy_pair(kern, formats, units) -> tuple:
+    """``(prepare, run, prepare names)`` of ``units`` alone, lowered
+    through the kernel's own backend."""
+    source, _ = codegen.generate_source(
+        kern.program, units, formats, kern.param_names, get_backend(kern.backend)
+    )
+    return codegen.define(source)
 
 
 def tier_up(kern, formats, args):
-    """The native bound call for these operands, its check twin already
-    run; None to stay on numpy.  Sets ``kern.native`` either way."""
+    """The bound call's steps for these operands, in unit order: a C call
+    (its check twin already run) per run of units that translate, and a
+    numpy ``(prepare, run, prepare names)`` per run that does not; None
+    when the whole kernel stays on its own numpy pair.  Sets
+    ``kern.native`` either way."""
+    reasons = tuple(None if lb in TIER_UP else lb for lb in kern.unit_backends)
     try:
         if kern.backend == "interpreted":
             raise Declined("interpreted")
-        label = next((lb for lb in kern.unit_backends if lb not in TIER_UP), None)
-        if label is not None:
-            raise Declined(label)
-        kinds, fmt, values = _operands(kern, args)
-        native = kern._native_memo.get(kinds)
-        if native is None:
-            native = kern._native_memo[kinds] = _tier_up(kern, formats, kinds)
-        if isinstance(native, str):
-            raise Declined(native)
-    except Declined as exc:
-        kern.native = NativeState(exc.args[0])
-        _metrics.record("compiler.native.declined", reason=exc.args[0])
+        if None not in reasons:  # every unit declines on its label
+            tiers = None, _state([NativeState(r) for r in reasons]), reasons
+        else:
+            kinds, fmt, values = _operands(kern, args)
+            tiers = kern._native_memo.get(kinds)
+            if tiers is None:
+                tiers = kern._native_memo[kinds] = _tier_up(kern, formats, kinds, reasons)
+    except Declined as exc:  # the whole kernel: counted once
+        tiers = None, _state([NativeState(exc.args[0])] * len(reasons)), exc.args
+    steps, kern.native, counted = tiers
+    for r in counted:
+        _metrics.record("compiler.native.declined", reason=r)
+    if steps is None:
         return None
-    run, check, checks, kern.native = native
     slots = ctypes.create_string_buffer(struct.pack(fmt, *values))
     addr = ctypes.addressof(slots)
 
-    def call(fn=run) -> None:
-        rc = fn(addr)
-        if rc:
-            raise FormatError(f"native run: {checks[rc - 1]}")
+    def native_call(run, check, checks):
+        def call(fn=run) -> None:
+            rc = fn(addr)
+            if rc:
+                raise FormatError(f"native run: {checks[rc - 1]}")
 
-    call(check)
-    call.operands = (slots, args)  # the addresses in `slots` point into these
-    return call
+        call(check)
+        call.operands = (slots, args)  # the addresses in `slots` point into these
+        return call
+
+    return [native_call(*s[1:]) if s[0] else s[1:] for s in steps]

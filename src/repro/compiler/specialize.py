@@ -5,8 +5,7 @@ matrix.  Hybrid matrices — a planted dense block over a banded bulk with a
 few hub rows, say — have no single winner: every fixed format pays for the
 structure it was not built for.  This module splits such a matrix into
 *regions*, materializes each region in the format its structure wants, and
-compiles one sub-kernel per region through the ordinary
-:mod:`repro.compiler.backends` lowering:
+compiles one ordinary kernel with one statement per region:
 
 1. :func:`partition_regions` peels, in a fixed pipeline order,
 
@@ -27,15 +26,16 @@ compiles one sub-kernel per region through the ordinary
    planner uses — each region pays its own per-call α, so the split only
    wins when regions are big enough to amortize the extra dispatches.
 
-3. :meth:`HybridPlan.compile` compiles one sub-kernel per region and
-   returns a :class:`HybridKernel` that runs them **sequentially in
-   partition order**, accumulating into the shared output.  Floating-point
-   addition is not associative, so the fixed order is the bitwise
-   -reproducibility contract: same partition, same summation tree, same
-   bits, run to run.  Each sub-kernel is cached under a region-aware
-   ``extra_key`` (partition fingerprint + region index + format), so two
-   structurally identical matrices share compiled sub-kernels while any
-   partition change misses.
+3. :meth:`HybridPlan.compile` rewrites the source with
+   :func:`split_source` — ``Y[i] += A0[i,j]*X[j]; Y[i] += A1[i,j]*X[j];
+   …``, region formats bound as ``A0…`` — and compiles it with one
+   :func:`~repro.compiler.kernels.compile_kernel` call.  Units run in
+   statement order, so the regions accumulate into the shared output
+   **sequentially in partition order**: same partition, same summation
+   tree, same bits, run to run.  The kernel cache key is the ordinary one
+   (the program plus every region format's spec), and the native tier
+   decides per unit, so a ``block-gemv`` dense window stays on BLAS while
+   the other regions run C.
 
 The decomposition requires every statement of the kernel source to be a
 ``+=`` reduction mentioning the hybrid array exactly once — then the full
@@ -46,45 +46,27 @@ compile time rather than silently double-executed per region.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from repro.compiler.autoplan import SEGMENT_WEIGHT, CostModel
-from repro.errors import CompileError, FormatError
-from repro.fingerprint import fingerprint as _digest
+from repro.compiler.ast_nodes import BinOp, MinMax, Neg, Program, Ref
+from repro.compiler.autoplan import CANDIDATE_FORMATS, SEGMENT_WEIGHT, CostModel, spmv_operands
+from repro.errors import CompileError
 from repro.formats.base import Format
 from repro.formats.coo import COOMatrix
-from repro.formats.crs import CRSMatrix
-from repro.formats.dense import DenseVector
 from repro.formats.denseblocks import DenseBlocksMatrix
-from repro.formats.diagonal import DiagonalMatrix
-from repro.formats.jdiag import JaggedDiagonalMatrix
-from repro.observability import metrics as _metrics
 from repro.observability.trace import span
 
 __all__ = [
     "Region",
     "RegionPartition",
     "partition_regions",
+    "split_source",
     "HybridPlan",
-    "HybridMatrix",
-    "HybridKernel",
     "plan_hybrid",
 ]
-
-#: formats a region may be materialized in, by region builder
-_REGION_BUILDERS = {
-    "DenseBlocks": lambda region: DenseBlocksMatrix.from_coo_windows(
-        region.coo, region.windows
-    ),
-    "Diagonal": lambda region: DiagonalMatrix.from_coo(region.coo),
-    "CRS": lambda region: CRSMatrix.from_coo(region.coo),
-    "JDiag": lambda region: JaggedDiagonalMatrix.from_coo(region.coo),
-    "Coordinate": lambda region: region.coo.canonicalized(),
-}
 
 #: candidate formats for residual regions (skew rows / remainder)
 _RESIDUAL_FORMATS = ("CRS", "Coordinate", "JDiag")
@@ -134,13 +116,11 @@ class Region:
         return self.coo.nnz
 
     def build(self) -> Format:
-        try:
-            builder = _REGION_BUILDERS[self.format_name]
-        except KeyError:
-            raise FormatError(
-                f"no region builder for format {self.format_name!r}"
-            ) from None
-        return builder(self)
+        """The region in its format: dense windows as DenseBlocks, any
+        other region through the single-format candidates' builders."""
+        if self.format_name == "DenseBlocks":
+            return DenseBlocksMatrix.from_coo_windows(self.coo, self.windows)
+        return CANDIDATE_FORMATS[self.format_name](self.coo, None)
 
     def summary(self) -> dict:
         return {
@@ -158,33 +138,15 @@ class RegionPartition:
     """An ordered, disjoint, loss-free cover of one matrix's entries.
 
     Region order is the pipeline order (dense, skew, band, remainder) and
-    is the **summation order contract**: a hybrid SpMV accumulates region
-    partials sequentially in exactly this order, so results are bitwise
-    stable run to run.
+    is the kernel's unit order, hence its summation order: a hybrid SpMV
+    accumulates region partials sequentially in exactly this order, so
+    results are bitwise stable run to run.
     """
 
     shape: tuple[int, int]
     nnz: int
     regions: tuple[Region, ...]
     profile: "StructureProfile"  # noqa: F821 - forward ref, typing only
-    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
-
-    def fingerprint(self) -> str:
-        """Stable short hash for region-aware kernel-cache keys: the
-        profile fingerprint plus every region's structural summary.
-        Computed once — a partition is never edited after construction
-        (``HybridMatrix.spec()`` and ``HybridKernel.bind()`` ask per call)."""
-        if self._fingerprint is not None:
-            return self._fingerprint
-        doc = {
-            "shape": list(self.shape),
-            "nnz": int(self.nnz),
-            "profile": self.profile.fingerprint(),
-            "regions": [r.summary() for r in self.regions],
-        }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        self._fingerprint = _digest(blob)
-        return self._fingerprint
 
     def reassemble(self) -> COOMatrix:
         """The union of the regions as one COO matrix (must equal the
@@ -446,134 +408,11 @@ def partition_regions(
 
 
 # ----------------------------------------------------------------------
-# the composed plan / kernel
+# the composed plan: one program, one statement per region
 # ----------------------------------------------------------------------
-class HybridMatrix(Format):
-    """Container binding a partition to its materialized region formats.
-
-    It is not itself enumerable — a :class:`HybridKernel` drives it
-    region by region — but it carries shape/nnz/conversions and a
-    :meth:`spec` so plan caches and namespace validation treat it like
-    any other format.
-    """
-
-    format_name = "Hybrid"
-
-    def __init__(self, partition: RegionPartition, region_formats):
-        self.partition = partition
-        self.region_formats = tuple(region_formats)
-        if len(self.region_formats) != len(partition.regions):
-            raise FormatError(
-                "one materialized format per region required: "
-                f"{len(self.region_formats)} formats for "
-                f"{len(partition.regions)} regions"
-            )
-
-    @property
-    def shape(self):
-        return self.partition.shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.partition.nnz)
-
-    def to_coo(self) -> COOMatrix:
-        return self.partition.reassemble()
-
-    def levels(self):
-        raise FormatError(
-            "HybridMatrix has no single access hierarchy; compile through "
-            "HybridPlan.compile, which drives each region's own format"
-        )
-
-    def storage(self, prefix: str):
-        raise FormatError(
-            "HybridMatrix storage is per-region; it is never bound into a "
-            "single generated kernel"
-        )
-
-    def spec(self) -> tuple:
-        return (
-            type(self).__qualname__,
-            self.partition.fingerprint(),
-            tuple(f.spec() for f in self.region_formats),
-        )
-
-
-class HybridKernel:
-    """Composed kernel: one compiled sub-kernel per region, run
-    sequentially in partition order against a shared output.
-
-    Call convention matches :class:`~repro.compiler.kernels.CompiledKernel`:
-    ``kernel(**formats)`` where ``formats[name]`` is the
-    :class:`HybridMatrix` and the other entries are shared across
-    sub-kernels.  The fixed execution order *is* the determinism
-    contract: float accumulation happens in the same tree every call.
-    """
-
-    def __init__(self, source, name, partition, kernels):
-        self.source = source
-        self.name = name
-        self.partition = partition
-        self.kernels = tuple(kernels)
-
-    @property
-    def region_backends(self) -> tuple:
-        """Per-region lowering labels (mirrors ``unit_backends``)."""
-        return tuple(k.unit_backends for k in self.kernels)
-
-    def __call__(self, **formats):
-        self.bind(**formats)()
-
-    def bind(self, **formats):
-        """Pre-bind every sub-kernel; returns a zero-argument callable.
-
-        Composes the sub-kernels' bound forms (:meth:`CompiledKernel.bind`,
-        same values-may-change / structure-may-not contract): validation,
-        storage-dict construction, bound resolution and every region's
-        ``prepare`` happen once, so a timing loop (or an iterative solver
-        re-running the same SpMV) pays one generated ``run`` per region.
-        The summation order is still the fixed partition order.
-        """
-        hybrid = formats.get(self.name)
-        if not isinstance(hybrid, HybridMatrix):
-            raise CompileError(
-                f"HybridKernel expects {self.name}= a HybridMatrix, got "
-                f"{type(hybrid).__name__}"
-            )
-        if hybrid.partition.fingerprint() != self.partition.fingerprint():
-            raise CompileError(
-                "HybridMatrix partition does not match the partition this "
-                "kernel was compiled for"
-            )
-        calls = []
-        for fmt, kernel in zip(hybrid.region_formats, self.kernels):
-            call = dict(formats)
-            call[self.name] = fmt
-            calls.append(kernel.bind(**call))
-        calls = tuple(calls)
-
-        def bound() -> None:
-            for c in calls:
-                c()
-
-        return bound
-
-    def describe(self) -> str:
-        lines = [
-            f"hybrid kernel over {len(self.kernels)} regions "
-            f"(partition {self.partition.fingerprint()}):"
-        ]
-        for region, kernel in zip(self.partition.regions, self.kernels):
-            lines.append(
-                f"  {region.kind:<9s} {region.format_name:<11s} "
-                f"nnz={region.coo.nnz:<8d} via {'+'.join(kernel.unit_backends)}"
-            )
-        return "\n".join(lines)
-
-
-def _validate_decomposable(source: str, name: str) -> None:
-    """Reject sources whose execution would not decompose region-wise.
+def _validate_decomposable(source: str, name: str) -> Program:
+    """Reject sources whose execution would not decompose region-wise;
+    returns the parsed program.
 
     Safe statements are ``+=`` reductions referencing the hybrid array
     exactly once: then the full sum over stored entries equals the sum of
@@ -593,6 +432,39 @@ def _validate_decomposable(source: str, name: str) -> None:
                 f"{stmt.target.array}[...] {'+=' if stmt.reduce else '='} ... "
                 f"references it {uses} time(s)"
             )
+    return program
+
+
+def _renamed(expr, old: str, new: str):
+    """``expr`` with every reference to array ``old`` reading ``new``."""
+    if isinstance(expr, Ref):
+        return replace(expr, array=new) if expr.array == old else expr
+    if isinstance(expr, Neg):
+        return replace(expr, operand=_renamed(expr.operand, old, new))
+    if isinstance(expr, (BinOp, MinMax)):
+        return replace(expr, left=_renamed(expr.left, old, new), right=_renamed(expr.right, old, new))
+    return expr
+
+
+def split_source(source: str, name: str, region_formats, extra: Mapping[str, Format]):
+    """``(program, formats)`` of ``source`` over a partitioned ``name``:
+    every statement repeated per region, region-major, the region formats
+    bound as ``{name}0``, ``{name}1``, … and ``extra`` binding the rest.
+
+    Statement order is unit order, and unit order is the summation order:
+    regions accumulate into the output in partition order, one unit each.
+    """
+    program = _validate_decomposable(source, name)
+    names = [f"{name}{r}" for r in range(len(region_formats))]
+    taken = sorted((program.arrays() | set(extra)) & set(names))
+    if taken:
+        raise CompileError(f"region names {taken} are already arrays of the kernel")
+    body = [
+        replace(stmt, expr=_renamed(stmt.expr, name, region))
+        for region in names
+        for stmt in program.body
+    ]
+    return Program(program.loops, body), {**dict(zip(names, region_formats)), **extra}
 
 
 @dataclass
@@ -636,11 +508,9 @@ class HybridPlan:
         )
 
     # ------------------------------------------------------------------
-    def build(self) -> HybridMatrix:
-        """Materialize every region in its chosen format."""
-        return HybridMatrix(
-            self.partition, [r.build() for r in self.partition.regions]
-        )
+    def build(self) -> tuple[Format, ...]:
+        """Materialize every region in its chosen format, in partition order."""
+        return tuple(r.build() for r in self.partition.regions)
 
     def compile(
         self,
@@ -649,76 +519,36 @@ class HybridPlan:
         extra: Mapping[str, Format] | None = None,
         **kwargs,
     ):
-        """Compile one sub-kernel per region; returns ``(kernel, formats)``.
+        """Compile ``source`` over the regions; returns ``(kernel, formats)``.
 
         Mirrors :meth:`AutoPlan.compile`: ``source`` defaults to the SpMV
         nest, ``extra`` supplies the non-matrix arrays (defaulting to
         dense ``X``/``Y`` shaped to the matrix), and the returned
-        ``formats`` map is directly usable as the call arguments.  Each
-        sub-kernel joins the kernel cache under
-        ``(extra_key..., "region", fingerprint, index, format)``.
+        ``formats`` map is directly usable as the call arguments.  The
+        kernel is one ordinary :func:`compile_kernel` of
+        :func:`split_source`'s program.
         """
         from repro.compiler.kernels import compile_kernel
+        from repro.kernels.spmv import SPMV_SRC
 
-        if source is None:
-            from repro.kernels.spmv import SPMV_SRC
-
-            source = SPMV_SRC
-        _validate_decomposable(source, name)
-        hybrid = self.build()
-        nrows, ncols = hybrid.shape
-        formats: dict[str, Format] = {name: hybrid}
-        if extra is not None:
-            formats.update(extra)
-        else:
-            formats["X"] = DenseVector(np.zeros(ncols))
-            formats["Y"] = DenseVector.zeros(nrows)
-        base_key = kwargs.pop("extra_key", ("autoplan-hybrid",))
-        backend = kwargs.pop("backend", "vectorized")
-        fingerprint = self.partition.fingerprint()
-        kernels = []
-        with span(
-            "autoplan.compile_hybrid",
-            regions=len(self.partition.regions),
-            fingerprint=fingerprint,
-        ):
-            for i, (region, fmt) in enumerate(
-                zip(self.partition.regions, hybrid.region_formats)
-            ):
-                sub = dict(formats)
-                sub[name] = fmt
-                kernels.append(
-                    compile_kernel(
-                        source,
-                        sub,
-                        backend=backend,
-                        extra_key=(
-                            *base_key,
-                            "region",
-                            fingerprint,
-                            i,
-                            region.format_name,
-                        ),
-                        **kwargs,
-                    )
-                )
-        _metrics.record(
-            "runtime.autoplan.hybrid_compiles",
-            regions=len(self.partition.regions),
+        program, formats = split_source(
+            SPMV_SRC if source is None else source,
+            name,
+            self.build(),
+            spmv_operands(self.partition.shape) if extra is None else extra,
         )
-        return HybridKernel(source, name, self.partition, kernels), formats
+        return compile_kernel(program, formats, **kwargs), formats
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
         lines = [
             f"hybrid plan: {len(self.partition.regions)} regions, predicted "
             f"{self.predicted_seconds * 1e6:.1f} µs/call "
-            f"(cost model: {self.model_source}; partition "
-            f"{self.partition.fingerprint()})"
+            f"(cost model: {self.model_source})"
         ]
         lines.append(
             "  summation order is the region order below "
-            "(bitwise-reproducible)"
+            "(one kernel unit per region; bitwise-reproducible)"
         )
         for region, pred in zip(self.partition.regions, self.region_predictions):
             lines.append(
@@ -729,13 +559,8 @@ class HybridPlan:
             )
         return "\n".join(lines)
 
-    def explain(self) -> str:
-        """Alias for :meth:`describe` (mirrors ``explain(plan)``)."""
-        return self.describe()
-
     def to_dict(self) -> dict:
         return {
-            "partition_fingerprint": self.partition.fingerprint(),
             "predicted_seconds": self.predicted_seconds,
             "model_source": self.model_source,
             "feasible": self.feasible,

@@ -12,7 +12,8 @@ Block b covers rows ``r0[b] : r0[b]+bh[b]`` and columns
 ``c0[b] : c0[b]+bw[b]`` and stores the full dense window row-major in
 ``vals[voff[b] : voff[b+1]]``.  Windows must be pairwise disjoint so the
 block-GEMV lowering's scatter stays a plain ``+=`` (rows unique within a
-block; across blocks the sub-kernels of a hybrid plan run sequentially).
+block; the other regions of a hybrid plan are later units of the same
+kernel, which run after this one).
 """
 
 from __future__ import annotations

@@ -31,10 +31,9 @@ def explain(obj, formats=None, verbose: bool = True) -> str:
         A :class:`CompiledKernel`, a :class:`KernelUnit`, a :class:`Plan`,
         an :class:`~repro.compiler.autoplan.AutoPlan` (format-selection
         rationale: structure profile + ranked candidate costs), a
-        :class:`~repro.compiler.specialize.HybridPlan` /
-        :class:`~repro.compiler.specialize.HybridKernel` (the region
-        decomposition and per-region lowering), or mini-language source
-        text (requires ``formats``).
+        :class:`~repro.compiler.specialize.HybridPlan` (the region
+        decomposition), or mini-language source text (requires
+        ``formats``).
     formats:
         Array-name → :class:`Format` mapping, only needed when ``obj`` is
         source text.
@@ -45,9 +44,9 @@ def explain(obj, formats=None, verbose: bool = True) -> str:
     from repro.compiler.kernels import CompiledKernel, compile_kernel
     from repro.compiler.codegen import KernelUnit
     from repro.compiler.scheduling import Plan
-    from repro.compiler.specialize import HybridKernel, HybridPlan
+    from repro.compiler.specialize import HybridPlan
 
-    if isinstance(obj, (AutoPlan, HybridPlan, HybridKernel)):
+    if isinstance(obj, (AutoPlan, HybridPlan)):
         return obj.describe()
     if isinstance(obj, str):
         if formats is None:
@@ -64,7 +63,10 @@ def explain(obj, formats=None, verbose: bool = True) -> str:
             )
         text = "\n\n".join(parts)
         text += "\n\n" + _prepare_narration(obj)
-        text += "\nrun: " + (str(obj.native) if obj.native else "decided at the first bind()")
+        text += "\nrun: " + (
+            "; ".join(f"[{k}] {u}" for k, u in enumerate(obj.native.units))
+            if obj.native else "decided at the first bind()"
+        )
         cert = _certificate_narration(obj)
         if cert:
             text += "\n\n" + cert

@@ -16,8 +16,8 @@ from repro.compiler import (
     kernel_cache_stats,
 )
 from repro.compiler.autoplan import CANDIDATE_FORMATS, CostModel
-from repro.compiler.specialize import HybridMatrix, plan_hybrid
-from repro.errors import CompileError, FormatError
+from repro.compiler.specialize import plan_hybrid
+from repro.errors import CompileError
 from repro.formats.dense import DenseVector
 from repro.observability import explain
 from tests.conftest import case_rng
@@ -115,38 +115,44 @@ def test_explain_narrates_the_region_decomposition():
     plan = autoplan(coo, model=_pro_hybrid_model())
     assert plan.format_name == "Hybrid"
     text = explain(plan)
-    assert "hybrid plan:" in text
-    assert "summation order" in text
+    assert "<- chosen — regions: " in text
     for region in plan.hybrid.partition.regions:
         assert region.kind in text
-    # the standalone pieces explain too
-    assert "hybrid plan:" in explain(plan.hybrid)
-    kernel, _ = plan.compile(coo)
-    assert "hybrid kernel" in explain(kernel)
+    # the decomposition itself explains region by region
+    text = explain(plan.hybrid)
+    assert "hybrid plan:" in text and "summation order" in text
+    for region in plan.hybrid.partition.regions:
+        assert region.detail in text
+    # the kernel is an ordinary one: a statement, and a tier, per region
+    kernel, formats = plan.compile(coo)
+    kernel(**formats)
+    text = explain(kernel)
+    for k in range(len(plan.hybrid.partition.regions)):
+        assert f"statement [{k}]: Y[i] += (A{k}[i,j] * X[j])" in text
+    assert "\nrun: [0] " in text
 
 
-def test_sub_kernels_are_cached_per_partition():
+def test_hybrid_kernel_is_one_cache_entry():
     rng = case_rng(6005)
     coo = STRUCTURE_CLASSES["hybrid"](rng, 96)
     clear_kernel_cache()
     hybrid = plan_hybrid(coo)
-    nregions = len(hybrid.partition.regions)
-
-    hybrid.compile()
+    kernel, _ = hybrid.compile()
     first = kernel_cache_stats()
-    assert first["size"] >= nregions  # one compiled unit per region
+    assert first["size"] == 1
+    assert len(kernel.units) == len(hybrid.partition.regions)
 
-    # same partition again: pure cache hits, no growth
-    plan_hybrid(coo).compile()
+    # same partition again: one pure cache hit, no growth
+    again, _ = plan_hybrid(coo).compile()
     second = kernel_cache_stats()
-    assert second["size"] == first["size"]
-    assert second["hits"] >= first["hits"] + nregions
+    assert again is kernel
+    assert second["size"] == 1 and second["hits"] == first["hits"] + 1
 
-    # a different matrix/partition must MISS (fingerprint in the key)
-    other = STRUCTURE_CLASSES["hybrid_blocks"](case_rng(6006), 96)
-    plan_hybrid(other).compile()
-    third = kernel_cache_stats()
-    assert third["size"] > second["size"]
+    # other region formats make another program: a miss
+    other = plan_hybrid(STRUCTURE_CLASSES["hybrid_blocks"](case_rng(6006), 96))
+    assert [type(f) for f in other.build()] != [type(f) for f in hybrid.build()]
+    other.compile()
+    assert kernel_cache_stats()["size"] == 2
 
 
 def test_non_reduction_source_is_rejected():
@@ -158,36 +164,43 @@ def test_non_reduction_source_is_rejected():
         )
 
 
-def test_hybrid_matrix_contract():
+def test_build_materializes_one_format_per_region():
     rng = case_rng(6008)
     coo = STRUCTURE_CLASSES["hybrid"](rng, 64)
     hybrid = plan_hybrid(coo)
-    mat = hybrid.build()
-    assert isinstance(mat, HybridMatrix)
-    assert mat.shape == coo.shape
-    assert np.array_equal(mat.to_coo().to_dense(), coo.to_dense())
-    with pytest.raises(FormatError):
-        mat.levels()
-    with pytest.raises(FormatError):
-        mat.storage("A")
-    spec = mat.spec()
-    assert hybrid.partition.fingerprint() in spec
+    mats = hybrid.build()
+    assert len(mats) == len(hybrid.partition.regions)
+    for mat, region in zip(mats, hybrid.partition.regions):
+        assert mat.shape == coo.shape
+        assert type(mat) is type(region.build())
+    assert np.array_equal(sum(m.to_coo().to_dense() for m in mats), coo.to_dense())
 
 
-def test_kernel_rejects_mismatched_hybrid_matrix():
+def test_kernel_rejects_region_formats_of_the_wrong_class_or_count():
     rng = case_rng(6009)
     coo = STRUCTURE_CLASSES["hybrid"](rng, 64)
     kernel, formats = plan_hybrid(coo).compile()
-    other = plan_hybrid(
-        STRUCTURE_CLASSES["hybrid_blocks"](case_rng(6010), 64)
-    ).build()
-    call = dict(formats)
-    call["A"] = other
-    with pytest.raises(CompileError, match="partition"):
-        kernel(**call)
-    call["A"] = formats["X"]  # not a HybridMatrix at all
-    with pytest.raises(CompileError, match="HybridMatrix"):
-        kernel(**call)
+    with pytest.raises(CompileError, match="was compiled for"):
+        kernel(**dict(formats, A0=formats["X"]))  # a vector for a region matrix
+    short = dict(formats)
+    del short["A1"]
+    with pytest.raises(CompileError, match="missing array bindings"):
+        kernel(**short)
+    with pytest.raises(CompileError, match="unexpected array binding"):
+        kernel(**dict(formats, A9=formats["A0"]))
+
+
+def test_region_names_must_not_collide():
+    n = 64
+    hybrid = plan_hybrid(STRUCTURE_CLASSES["hybrid"](case_rng(6013), n))
+    vec = lambda: DenseVector.zeros(n)  # noqa: E731
+    with pytest.raises(CompileError, match="region names"):
+        hybrid.compile(
+            source="for i in 0:n { for j in 0:m { Y[i] += A[i,j] * A0[j] } }",
+            extra={"A0": vec(), "Y": vec()},
+        )
+    with pytest.raises(CompileError, match="region names"):
+        hybrid.compile(extra={"X": vec(), "Y": vec(), "A1": vec()})
 
 
 def test_bound_call_matches_unbound_bitwise():
@@ -218,7 +231,7 @@ def test_plan_to_dict_includes_the_hybrid_decomposition():
     plan = autoplan(STRUCTURE_CLASSES["hybrid"](rng, 96))
     doc = json.loads(json.dumps(plan.to_dict()))
     assert doc["hybrid"] is not None
-    assert doc["hybrid"]["partition_fingerprint"] == (
-        plan.hybrid.partition.fingerprint()
-    )
-    assert len(doc["hybrid"]["regions"]) == len(plan.hybrid.partition.regions)
+    assert doc["hybrid"]["regions"] == [
+        dict(r.summary(), predicted_seconds=p, detail=r.detail)
+        for r, p in zip(plan.hybrid.partition.regions, plan.hybrid.region_predictions)
+    ]

@@ -276,10 +276,8 @@ def test_hybrid_block_gemv_regions_stay_numpy_the_others_go_native():
     kernel, formats = plan_hybrid(coo).compile()
     formats["X"] = DenseVector(rng.standard_normal(n))
     kernel(**formats)
-    blocks = [k for k in kernel.kernels if "block-gemv" in k.unit_backends]
-    others = [k for k in kernel.kernels if k not in blocks]
-    assert blocks and others
-    assert all(k.native.reason == "block-gemv" for k in blocks)
-    assert all(k.native.reason is None for k in others)
+    tiers = [u.reason for u in kernel.native.units]
+    assert "block-gemv" in tiers and None in tiers
+    assert tiers == ["block-gemv" if lb == "block-gemv" else None for lb in kernel.unit_backends]
     want = coo.to_dense() @ formats["X"].vals
     assert np.allclose(formats["Y"].vals, want, rtol=1e-12, atol=1e-12)

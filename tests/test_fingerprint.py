@@ -1,4 +1,4 @@
-"""One digest helper, four call sites — and the digests did not move.
+"""One digest helper, three call sites — and the digests did not move.
 
 They are cache-key components and certificate fingerprints, so each site
 pins one value computed before the sites were folded onto
@@ -8,11 +8,9 @@ pins one value computed before the sites were folded onto
 import hashlib
 
 import numpy as np
-import pytest
 
 from repro.analysis.depend import program_fingerprint
 from repro.analysis.structure import analyze_structure
-from repro.compiler import partition_regions
 from repro.compiler.parser import parse
 from repro.compiler.plan_cache import PlanCache
 from repro.fingerprint import fingerprint
@@ -42,16 +40,6 @@ def test_certificate_fingerprint_is_unchanged():
 
 def test_structure_profile_fingerprint_is_unchanged():
     assert analyze_structure(_tridiagonal()).fingerprint() == "6451523b9f541a7c"
-
-
-def test_region_partition_fingerprint_is_unchanged_and_computed_once(monkeypatch):
-    partition = partition_regions(_tridiagonal())
-    assert partition.fingerprint() == "600ccb526de3ff0b"
-    monkeypatch.setattr(
-        type(partition.profile), "fingerprint",
-        lambda self: pytest.fail("partition re-hashed on a second fingerprint()"),
-    )
-    assert partition.fingerprint() == "600ccb526de3ff0b"
 
 
 def test_service_key_fingerprint_is_unchanged():
