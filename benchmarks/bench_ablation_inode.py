@@ -5,7 +5,8 @@ CRS on a multi-dof FEM matrix?  Three SpMV paths on the same matrix:
 
 * ``crs-compiled``   — compiled CRS kernel (no structure exploited),
 * ``inode-compiled`` — compiled i-node kernel (shared column lists),
-* ``inode-library``  — the hand-written shape-batched library matvec.
+* ``inode-library``  — the library matvec: the compiled kernel's
+  shape-batched block plan, run without the compiler.
 """
 
 import sys

@@ -40,7 +40,7 @@ from repro.analysis.registry import register_pass
 from repro.errors import FormatError
 from repro.formats.base import Emitter, Format
 
-__all__ = ["audit_format", "audit_registered_formats", "default_probes"]
+__all__ = ["audit_format", "audit_registered_formats", "block_formats", "default_probes"]
 
 _PASS = "contracts"
 
@@ -86,6 +86,29 @@ def default_probes():
 
 def _vector_probes():
     return [np.array([0.0, 3.0, 0.0, 0.0, -2.5, 7.0, 0.0, 1.0])]
+
+
+def block_formats():
+    """Constructors of the dense-block formats, which Table 1's
+    ``FORMAT_NAMES`` leaves out, giving several blocks of several shapes
+    (their ``from_coo`` is the one-block case, bar Inode's): BlockDiag
+    blocks on row runs of length 1, 2, 3, ...; one DenseBlocks window of
+    at most three columns per such run."""
+    from repro.formats import BlockDiagonalMatrix, DenseBlocksMatrix, InodeMatrix
+
+    def runs(n):
+        return np.unique(np.minimum(np.cumsum(np.arange(n + 1)), n))
+
+    def windows(coo):
+        p, m = runs(coo.shape[0]), coo.shape[1]
+        c0 = [2 * lo % m for lo in p[:-1]] if m else []
+        return [(lo, c, hi - lo, min(3, m - c)) for lo, hi, c in zip(p[:-1], p[1:], c0)]
+
+    return {
+        "Inode": InodeMatrix.from_coo,
+        "BlockDiag": lambda coo: BlockDiagonalMatrix.from_coo_blocks(coo, runs(coo.shape[0])),
+        "DenseBlocks": lambda coo: DenseBlocksMatrix.from_coo_windows(coo, windows(coo)),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -424,15 +447,16 @@ def audit_format(fmt: Format, name: str = "A", probe_label: str = "") -> Diagnos
 
 
 def audit_registered_formats(names=None, probes=None) -> DiagnosticReport:
-    """Audit every registered matrix format (plus the vector formats)
-    against the probe matrices; one clean info line per format."""
+    """Audit every registered matrix format and the dense-block formats
+    (plus the vector formats) against the probe matrices; one clean info
+    line per format."""
     from repro.formats import FORMAT_NAMES
     from repro.formats.dense import DenseVector
     from repro.formats.sparse_vector import SparseVector
 
     report = DiagnosticReport()
     probes = list(probes) if probes is not None else default_probes()
-    targets = dict(FORMAT_NAMES)
+    targets = {name: cls.from_coo for name, cls in FORMAT_NAMES.items()} | block_formats()
     if names is not None:
         unknown = sorted(set(names) - set(targets))
         if unknown:
@@ -441,12 +465,12 @@ def audit_registered_formats(names=None, probes=None) -> DiagnosticReport:
             )
         targets = {n: targets[n] for n in names}
 
-    for fname, cls in sorted(targets.items()):
+    for fname, build in sorted(targets.items()):
         before = len(report)
         for probe in probes:
             label = f"probe {probe.shape[0]}x{probe.shape[1]}"
             try:
-                inst = cls.from_coo(probe)
+                inst = build(probe)
             except FormatError:
                 continue  # format legitimately rejects this shape
             report.extend(audit_format(inst, name="A", probe_label=label))

@@ -43,6 +43,7 @@ from repro.compiler.ast_nodes import Assign, BinOp, Expr, Neg, Num, Program, Ref
 from repro.compiler.scheduling import Plan, Step
 from repro.errors import CompileError, FormatError
 from repro.formats.base import Emitter, Format
+from repro.formats.blocks import block_groups
 from repro.observability.trace import span
 
 __all__ = ["generate_source", "KernelUnit"]
@@ -554,61 +555,6 @@ def _emit_vector_nest(
 # batched dense matrix-vector product per block *shape* (i-nodes, clique
 # blocks, dense windows)
 # ----------------------------------------------------------------------
-#: a dense block of at least this many values gets its own BLAS gemv: one
-#: Python-level trip per block (~5 µs) then costs less than copying the
-#: block's values into a batch (~0.7 ns each) would
-_GEMV_BLOCK = 4096
-
-
-def block_groups(nrows, ncols, voff, rstart, ridx, cstart, cidx):
-    """Runtime support for the block-GEMV lowering, called from the
-    generated ``prepare``: group a format's dense blocks by shape.
-
-    Block ``t`` is ``nrows[t] × ncols[t]``, stored row-major from
-    ``voff[t]``; its rows are ``rstart[t] + arange(nrows[t])``, looked up
-    through ``ridx`` unless that is None (likewise columns).  Blocks of one
-    shape ``(r, c)`` form one batch of ``T``; a block of ``_GEMV_BLOCK``
-    values or more is a batch of its own.  Zero-area blocks carry no work.
-    Returns per batch the tuple ``(R, C, V, shape, add_at)`` that ``run``
-    consumes as ``vals[V].reshape(shape)``, ``x[C]`` and a scatter into
-    ``y[R]``:
-
-    * ``R`` ``(T, r)`` and ``C`` ``(T, c)`` — row and column gather tensors,
-    * ``V`` — a slice of the value array when the batch's blocks are
-      adjacent in storage (a view, no copy), else a ``(T, r*c)`` gather index,
-    * ``shape`` — ``(T, r, c)``; a one-block batch drops the leading axis
-      (``(r, c)``, 1-D ``R``/``C``): its product is one gemv on a view,
-    * ``add_at`` — some row occurs twice in ``R``: the scatter must
-      accumulate (``np.add.at``), not ``+=``.
-
-    Indices only — never a copy of values."""
-    nrows, ncols, voff = np.asarray(nrows), np.asarray(ncols), np.asarray(voff)
-    live = np.flatnonzero((nrows > 0) & (ncols > 0))
-    key = nrows[live] * (ncols.max(initial=0) + 1) + ncols[live]
-    order = np.argsort(key, kind="stable")
-    cuts = np.flatnonzero(np.diff(key[order])) + 1
-    groups = []
-    for same in np.split(live[order], cuts) if len(live) else ():
-        r, c = int(nrows[same[0]]), int(ncols[same[0]])
-        for ts in same[:, None] if r * c >= _GEMV_BLOCK else [same]:
-            R = rstart[ts][:, None] + np.arange(r)
-            C = cstart[ts][:, None] + np.arange(c)
-            R = R if ridx is None else ridx[R]
-            C = C if cidx is None else cidx[C]
-            v0 = voff[ts]
-            if (np.diff(v0) == r * c).all():
-                V = slice(int(v0[0]), int(v0[0]) + len(ts) * r * c)
-            else:
-                V = v0[:, None] + np.arange(r * c)
-            flat = np.sort(R, axis=None)
-            add_at = bool((flat[1:] == flat[:-1]).any())
-            if len(ts) == 1:
-                groups.append((R[0], C[0], V, (r, c), add_at))
-            else:
-                groups.append((R, C, V, (len(ts), r, c), add_at))
-    return groups
-
-
 #: globals of every generated kernel source
 RUNTIME = {"np": np, "FormatError": FormatError, "block_groups": block_groups}
 

@@ -19,8 +19,10 @@ that sophisticated formats need algorithm specification at the component
 level (the mixed local/global program of Eq. 24) rather than as one dense
 loop.  Calling :meth:`levels` therefore raises.
 
-:meth:`matvec` is the hand-written library kernel used as the
-"BlockSolve" baseline throughout the evaluation.
+:meth:`matvec` is the library kernel used as the "BlockSolve" baseline
+throughout the evaluation: its components' shared dense-block ``matvec``
+(:mod:`repro.formats.blocks`), which caches the grouping of blocks by
+shape and reads the values at every call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 from repro.errors import FormatError
 from repro.formats.base import Format, check_shape
 from repro.formats.blockdiag import BlockDiagonalMatrix
-from repro.formats.coo import COOMatrix
+from repro.formats.blocks import block_of
+from repro.formats.coo import COOMatrix, segment_ptr
 from repro.formats.inode import InodeMatrix
 from repro.formats.permutation import Permutation
 from repro.graphs import (
@@ -95,21 +98,13 @@ class BlockSolveMatrix(Format):
         # reorder cliques by (color, original clique id); rows follow
         order = sorted(range(len(cliques)), key=lambda c: (int(colors[c]), c))
         old2new = np.empty(n, dtype=np.int64)
-        clique_ptr = [0]
-        pos = 0
-        for c in order:
-            for v in cliques[c]:
-                old2new[v] = pos
-                pos += 1
-            clique_ptr.append(pos)
+        old2new[np.asarray([v for c in order for v in cliques[c]], dtype=np.int64)] = np.arange(n)
+        clique_ptr = segment_ptr([len(cliques[c]) for c in order])
         perm = Permutation(old2new)
         reordered = coo.permuted(old2new, old2new)
-        clique_ptr = np.asarray(clique_ptr, dtype=np.int64)
         # split on/off the diagonal clique blocks
-        block_of = np.zeros(n, dtype=np.int64)
-        for b in range(len(clique_ptr) - 1):
-            block_of[clique_ptr[b] : clique_ptr[b + 1]] = b
-        on_diag = block_of[reordered.row] == block_of[reordered.col]
+        of = block_of(clique_ptr)
+        on_diag = of[reordered.row] == of[reordered.col]
         diag_part = COOMatrix(
             reordered.shape,
             reordered.row[on_diag],

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.analysis.contracts import block_formats
 from repro.compiler import compile_kernel, parse
 from repro.compiler.reference import run_reference
 from repro.formats import (
@@ -27,24 +28,41 @@ from repro.kernels.vecops import axpy, dot
 from repro.matrices import fem_matrix
 from tests.conftest import coo_matrices
 
+#: The dense-block formats outside Table 1, built with several blocks each.
+BLOCK = block_formats()
 #: Formats compiled through the backend layer.  BS95 is the hand-written
 #: library path (asserted separately below), not a compiled kernel.
-COMPILED = [n for n in FORMAT_NAMES if n != "BS95"]
+COMPILED = [n for n in FORMAT_NAMES if n != "BS95"] + sorted(BLOCK)
 
 BACKENDS = ["interpreted", "vectorized"]
 
 
-def _spmv_all_backends(fmt_name, coo, x):
-    """y = A·x through both backends; returns {backend: y}."""
-    out = {}
+def _build(fmt_name, coo):
+    """``(A, the dense matrix A stores)``.  A block format keeps only its
+    blocks; BlockDiag is square, so a rectangular draw is padded."""
+    if fmt_name not in BLOCK:
+        return FORMAT_NAMES[fmt_name].from_coo(coo), coo.to_dense()
+    if fmt_name == "BlockDiag":
+        k = max(coo.shape)
+        coo = COOMatrix((k, k), coo.row, coo.col, coo.vals)
+    A = BLOCK[fmt_name](coo)
+    return A, A.to_dense()
+
+
+def _check_spmv(fmt_name, coo, make_x):
+    """y = A·x through both backends, against the dense reference."""
+    A, dense = _build(fmt_name, coo)
+    x = make_x(A.shape[1])
+    results = {}
     for backend in BACKENDS:
-        A = FORMAT_NAMES[fmt_name].from_coo(coo)
-        X = DenseVector(np.asarray(x, dtype=np.float64))
-        Y = DenseVector.zeros(coo.shape[0])
+        X = DenseVector(x.copy())
+        Y = DenseVector.zeros(A.shape[0])
         k = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y}, backend=backend)
         k(A=A, X=X, Y=Y)
-        out[backend] = Y.vals.copy()
-    return out
+        results[backend] = Y.vals.copy()
+    _assert_matches_reference(
+        results, SPMV_SRC, {"A": dense, "X": x, "Y": np.zeros(A.shape[0])}, "Y"
+    )
 
 
 def _assert_matches_reference(results, program_src, arrays, target):
@@ -62,14 +80,7 @@ def _assert_matches_reference(results, program_src, arrays, target):
 @given(coo=coo_matrices(max_n=9, max_m=9))
 @settings(max_examples=15, deadline=None)
 def test_spmv_differential(fmt, coo):
-    x = np.linspace(-2.0, 2.0, coo.shape[1])
-    results = _spmv_all_backends(fmt, coo, x)
-    _assert_matches_reference(
-        results,
-        SPMV_SRC,
-        {"A": coo.to_dense(), "X": x, "Y": np.zeros(coo.shape[0])},
-        "Y",
-    )
+    _check_spmv(fmt, coo, lambda m: np.linspace(-2.0, 2.0, m))
 
 
 @pytest.mark.parametrize("fmt", COMPILED)
@@ -88,14 +99,7 @@ def test_spmv_differential_edge_shapes(fmt, shape, entries):
     cols = [e[1] for e in entries]
     vals = [e[2] for e in entries]
     coo = COOMatrix.from_entries(shape, rows, cols, vals)
-    x = np.arange(1.0, shape[1] + 1.0)
-    results = _spmv_all_backends(fmt, coo, x)
-    _assert_matches_reference(
-        results,
-        SPMV_SRC,
-        {"A": coo.to_dense(), "X": x, "Y": np.zeros(shape[0])},
-        "Y",
-    )
+    _check_spmv(fmt, coo, lambda m: np.arange(1.0, m + 1.0))
 
 
 def test_spmv_differential_blocksolve():
@@ -113,21 +117,17 @@ def test_spmv_differential_blocksolve():
 @given(coo=coo_matrices(max_n=7, max_m=7))
 @settings(max_examples=10, deadline=None)
 def test_spmm_differential(fmt, coo):
-    rng = np.random.default_rng(coo.nnz)
-    b = rng.standard_normal((coo.shape[1], 3))
+    A, dense = _build(fmt, coo)
+    b = np.random.default_rng(coo.nnz).standard_normal((A.shape[1], 3))
     results = {}
     for backend in BACKENDS:
-        A = FORMAT_NAMES[fmt].from_coo(coo)
         B = DenseMatrix(b.copy())
-        C = DenseMatrix(np.zeros((coo.shape[0], 3)))
+        C = DenseMatrix(np.zeros((A.shape[0], 3)))
         k = compile_kernel(SPMM_SRC, {"A": A, "B": B, "C": C}, backend=backend)
         k(A=A, B=B, C=C)
         results[backend] = C.vals.copy()
     _assert_matches_reference(
-        results,
-        SPMM_SRC,
-        {"A": coo.to_dense(), "B": b, "C": np.zeros((coo.shape[0], 3))},
-        "C",
+        results, SPMM_SRC, {"A": dense, "B": b, "C": np.zeros((A.shape[0], 3))}, "C"
     )
 
 

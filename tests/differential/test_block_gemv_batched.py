@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.lint import lint_kernel
 from repro.compiler import compile_kernel
-from repro.compiler.codegen import block_groups
 from repro.formats import DenseVector
 from repro.formats.blockdiag import BlockDiagonalMatrix
 from repro.formats.denseblocks import DenseBlocksMatrix
@@ -179,22 +178,10 @@ def test_batched_lowering_matches_dense_and_interpreted(case, kernel):
     np.testing.assert_allclose(fm["Y"].vals, want(), rtol=0, atol=1e-12)
 
 
-def _groups(A):
-    """``block_groups`` on the arrays the format's block view names."""
-    if isinstance(A, InodeMatrix):
-        return block_groups(
-            np.diff(A.inodeptr), np.diff(A.colptr), A.voff, A.inodeptr, A.rows, A.colptr, A.cols
-        )
-    if isinstance(A, BlockDiagonalMatrix):
-        w = np.diff(A.blockptr)
-        return block_groups(w, w, A.voff, A.blockptr, None, A.blockptr, None)
-    return block_groups(A.bh, A.bw, A.voff, A.r0, None, A.c0, None)
-
-
 def test_grouping_picks_slice_gather_lone_block_and_scatter_kind():
     """Which branch each structure exercises — so the cases above keep
     covering all of them if the generators are edited."""
-    kinds = {case: _groups(_case(case)[0]) for case in CASES}
+    kinds = {case: _case(case)[0].groups for case in CASES}
     is_slice = lambda g: isinstance(g[2], slice)  # noqa: E731
 
     assert len(kinds["inode-interleaved"]) == 3

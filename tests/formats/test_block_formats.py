@@ -1,0 +1,55 @@
+"""The dense-block formats — Inode, BlockDiag, DenseBlocks — and the one
+description they share (``repro.formats.blocks``).
+
+* The library ``matvec`` caches the grouping of blocks by shape (indices)
+  and reads ``vals`` at every call: a value edited in place is what the
+  next product multiplies, for BS95's components too.
+* The contract sweep audits all three, each built with several blocks of
+  several shapes.
+"""
+
+import numpy as np
+import pytest
+
+from repro.analysis.contracts import audit_registered_formats, block_formats, default_probes
+from repro.formats import BlockSolveMatrix
+from repro.matrices.fem import fem_matrix
+
+BLOCK = sorted(block_formats())
+
+
+def _fem():
+    return fem_matrix(points=12, dof=3, rng=4)
+
+
+@pytest.mark.parametrize("name", BLOCK)
+def test_matvec_reads_values_edited_in_place(name):
+    A = block_formats()[name](_fem())
+    x = np.random.default_rng(1).standard_normal(A.shape[1])
+    first = A.matvec(x)
+    A.vals *= 2.0  # a power of two: every product and sum scales exactly
+    assert np.array_equal(A.matvec(x), 2.0 * first)
+
+
+def test_blocksolve_matvec_reads_component_values_edited_in_place():
+    bs = BlockSolveMatrix.from_coo(_fem())
+    x = np.random.default_rng(2).standard_normal(bs.shape[1])
+    first = bs.matvec(x)
+    bs.dense_blocks.vals *= 2.0
+    bs.offdiag.vals *= 2.0
+    assert np.array_equal(bs.matvec(x), 2.0 * first)
+
+
+@pytest.mark.parametrize("name", BLOCK)
+def test_block_formats_hold_several_blocks_of_several_shapes(name):
+    A = block_formats()[name](default_probes()[0])
+    assert getattr(A, A.layout.count) >= 3
+    assert len(A.groups) >= 2
+
+
+def test_contract_sweep_audits_every_block_format():
+    report = audit_registered_formats(names=BLOCK)
+    assert not report.errors(), report.errors()
+    assert sorted(d.location for d in report.by_code("BER028")) == [
+        f"format {name}" for name in BLOCK
+    ]
