@@ -214,7 +214,7 @@ def audit_partition(coo, partition, where: str = "") -> DiagnosticReport:
                     "BER050",
                     INFO,
                     f"region [{i}] {region.kind} in {region.format_name}: "
-                    f"nnz={region.coo.nnz} stored={region.stored:.0f} "
+                    f"nnz={region.nnz} stored={region.stored:.0f} "
                     f"segments={region.segments:.0f}",
                     pass_name="regions",
                     location=loc,
@@ -243,7 +243,9 @@ def _clone_region(region, coo):
     return Region(
         kind=region.kind,
         format_name=region.format_name,
-        coo=coo,
+        source=coo,
+        owner=np.zeros(coo.nnz, dtype=np.int8),
+        label=0,
         detail=region.detail + " [mutated]",
         stored=region.stored,
         segments=region.segments,

@@ -201,8 +201,8 @@ def _block_partition(coo: COOMatrix) -> tuple[int, ...]:
     """The finest contiguous diagonal-block partition covering every entry.
 
     Interval sweep: index ``i`` reaches the furthest row/column any entry
-    of row or column ``i`` touches; a block closes at the first index
-    whose running reach does not extend past itself.  Every stored entry
+    of row or column ``i`` touches; a block closes at every index whose
+    running reach does not extend past itself.  Every stored entry
     provably lands inside a diagonal block of the returned partition, so
     a BlockDiagonalMatrix built on it loses nothing.
     """
@@ -213,13 +213,8 @@ def _block_partition(coo: COOMatrix) -> tuple[int, ...]:
     if coo.nnz:
         np.maximum.at(reach, coo.row, coo.col)
         np.maximum.at(reach, coo.col, coo.row)
-    ptr = [0]
-    end = 0
-    for i in range(n):
-        end = max(end, int(reach[i]))
-        if i == end:
-            ptr.append(i + 1)
-    return tuple(ptr)
+    closes = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n))
+    return (0, *(closes + 1).tolist())
 
 
 def _inode_features(coo: COOMatrix) -> tuple[int, float]:

@@ -11,7 +11,7 @@ compiles one ordinary kernel with one statement per region:
 
    * **dense windows** — rectangles of dense 8x8 tiles (seeded from the
      profile's diagonal-block partition, then a greedy maximal-rectangle
-     sweep over the tile grid) → :class:`~repro.formats.denseblocks.DenseBlocksMatrix`,
+     sweep over the dense tiles) → :class:`~repro.formats.denseblocks.DenseBlocksMatrix`,
    * **skew rows** — rows far above the remaining mean length (the
      memplus hubs) → CRS/JD/Coordinate, whichever the model prices lowest,
    * **band diagonals** — remaining diagonals that are dense runs →
@@ -97,12 +97,16 @@ DIAG_MIN = 8
 
 @dataclass
 class Region:
-    """One region of a partition: a sub-matrix at full shape (global
-    coordinates) plus the format chosen to materialize it."""
+    """One region of a partition: the entries of the partitioned matrix
+    that ``owner`` labels ``label``, plus the format chosen to materialize
+    them.  The regions share the input and one int8 ``owner`` array rather
+    than copies of their entries, since a plan keeps its partition."""
 
     kind: str  # "dense" | "skew" | "band" | "remainder"
     format_name: str
-    coo: COOMatrix  # full-shape, global coordinates, canonical order
+    source: COOMatrix  # the partitioned matrix, canonical
+    owner: np.ndarray  # region label of each entry of ``source``
+    label: int
     detail: str = ""
     #: stored slots the materialization allocates (padding/fill included)
     stored: float = 0.0
@@ -112,8 +116,14 @@ class Region:
     windows: tuple = ()
 
     @property
+    def coo(self) -> COOMatrix:
+        """The region's entries: full shape, global coordinates, canonical order."""
+        s, keep = self.source, self.owner == self.label
+        return COOMatrix(s.shape, s.row[keep], s.col[keep], s.vals[keep])
+
+    @property
     def nnz(self) -> int:
-        return self.coo.nnz
+        return int(np.count_nonzero(self.owner == self.label))
 
     def build(self) -> Format:
         """The region in its format: dense windows as DenseBlocks, any
@@ -126,7 +136,7 @@ class Region:
         return {
             "kind": self.kind,
             "format": self.format_name,
-            "nnz": int(self.coo.nnz),
+            "nnz": self.nnz,
             "stored": float(self.stored),
             "segments": float(self.segments),
             "windows": [[int(v) for v in w] for w in self.windows],
@@ -151,7 +161,7 @@ class RegionPartition:
     def reassemble(self) -> COOMatrix:
         """The union of the regions as one COO matrix (must equal the
         partitioned input exactly — the loss-free-cover invariant)."""
-        parts = [r.coo for r in self.regions if r.coo.nnz]
+        parts = [r.coo for r in self.regions if r.nnz]
         if not parts:
             return COOMatrix(self.shape, [], [], [])
         return COOMatrix.from_entries(
@@ -165,108 +175,77 @@ class RegionPartition:
 # ----------------------------------------------------------------------
 # the peeling pipeline
 # ----------------------------------------------------------------------
-def _subset(coo: COOMatrix, mask: np.ndarray) -> COOMatrix:
-    """Entries of a canonical COO selected by mask (order preserved, so
-    the subset is still canonical)."""
-    return COOMatrix(coo.shape, coo.row[mask], coo.col[mask], coo.vals[mask])
-
-
 def _find_dense_windows(coo, profile):
-    """Disjoint dense rectangles, as (r0, c0, h, w) in global coords."""
+    """Disjoint dense rectangles, as (r0, c0, h, w) in global coords, of a
+    canonical ``coo``.  Cost is O(nnz + dense tiles): the sweep visits only
+    dense tiles, and a window's entries are counted from its row slice."""
     n, m = coo.shape
     t = TILE
     min_edge = MIN_WINDOW_TILES * t
     if n < min_edge or m < min_edge or coo.nnz == 0:
         return []
     th, tw = -(-n // t), -(-m // t)
-    counts = np.zeros((th, tw), dtype=np.int64)
-    np.add.at(counts, (coo.row // t, coo.col // t), 1)
-    hsz = np.minimum(t, n - np.arange(th) * t)
-    wsz = np.minimum(t, m - np.arange(tw) * t)
-    area = hsz[:, None] * wsz[None, :]
-    densetile = counts >= TILE_FILL * area
+    counts = np.bincount((coo.row // t) * tw + coo.col // t)
+    tiles = np.flatnonzero(counts)
+    ti, tj = np.divmod(tiles, tw)
+    area = np.minimum(t, n - ti * t) * np.minimum(t, m - tj * t)
+    densetile = np.zeros((th, tw), dtype=bool)
+    densetile.flat[tiles] = counts[tiles] >= TILE_FILL * area
     used = np.zeros((th, tw), dtype=bool)
     accepted: list[tuple[int, int, int, int]] = []
 
-    def overlaps(r0, c0, h, w) -> bool:
-        for ar0, ac0, ah, aw in accepted:
-            if r0 < ar0 + ah and ar0 < r0 + h and c0 < ac0 + aw and ac0 < c0 + w:
-                return True
-        return False
-
-    def accept(r0, c0, h, w) -> bool:
-        if h < min_edge or w < min_edge or overlaps(r0, c0, h, w):
-            return False
-        inside = int(
-            np.count_nonzero(
-                (coo.row >= r0)
-                & (coo.row < r0 + h)
-                & (coo.col >= c0)
-                & (coo.col < c0 + w)
-            )
-        )
-        if inside < WINDOW_FILL * h * w:
-            return False
+    # No overlap test: seeds are disjoint diagonal blocks, every tile a
+    # sweep candidate covers is unused, and accepting marks every tile
+    # the window touches.
+    def accept(r0, c0, h, w) -> None:
+        if h < min_edge or w < min_edge:
+            return
+        if len(coo.window_entries(r0, c0, h, w)) < WINDOW_FILL * h * w:
+            return
         accepted.append((r0, c0, h, w))
         used[r0 // t : -(-(r0 + h) // t), c0 // t : -(-(c0 + w) // t)] = True
-        return True
 
     # 1) seed with the profile's diagonal-block partition: a wide diagonal
     #    block that is actually dense is a window even if its interior
     #    tiles straddle the grid
-    for b in range(max(0, len(profile.blockptr) - 1)):
-        lo, hi = int(profile.blockptr[b]), int(profile.blockptr[b + 1])
-        if hi - lo >= min_edge:
-            accept(lo, lo, hi - lo, hi - lo)
+    ptr = np.asarray(profile.blockptr, dtype=np.int64)
+    wide = np.flatnonzero(np.diff(ptr) >= min_edge)
+    for lo, hi in zip(ptr[wide].tolist(), ptr[wide + 1].tolist()):
+        accept(lo, lo, hi - lo, hi - lo)
 
-    # 2) greedy maximal rectangles over the dense-tile grid.  Requiring
-    #    >= 2x2 tiles keeps a narrow band out: its diagonal tiles may be
-    #    individually dense but their off-diagonal neighbors never are.
-    for ti in range(th):
-        for tj in range(tw):
-            if not densetile[ti, tj] or used[ti, tj]:
-                continue
-            j2 = tj
-            while (
-                j2 + 1 < tw and densetile[ti, j2 + 1] and not used[ti, j2 + 1]
-            ):
-                j2 += 1
-            i2 = ti
-            while i2 + 1 < th and bool(
-                np.all(densetile[i2 + 1, tj : j2 + 1])
-                and not np.any(used[i2 + 1, tj : j2 + 1])
-            ):
-                i2 += 1
-            r0, c0 = ti * t, tj * t
-            h = min(n, (i2 + 1) * t) - r0
-            w = min(m, (j2 + 1) * t) - c0
-            accept(r0, c0, h, w)
+    # 2) greedy maximal rectangles over the dense tiles, row-major.
+    #    Requiring >= 2x2 tiles keeps a narrow band out: its diagonal tiles
+    #    may be individually dense but their off-diagonal neighbors never are.
+    for ti, tj in np.argwhere(densetile).tolist():
+        if used[ti, tj]:
+            continue
+        j2 = tj
+        while j2 + 1 < tw and densetile[ti, j2 + 1] and not used[ti, j2 + 1]:
+            j2 += 1
+        i2 = ti
+        while (
+            i2 + 1 < th
+            and densetile[i2 + 1, tj : j2 + 1].all()
+            and not used[i2 + 1, tj : j2 + 1].any()
+        ):
+            i2 += 1
+        r0, c0 = ti * t, tj * t
+        accept(r0, c0, min(n, (i2 + 1) * t) - r0, min(m, (j2 + 1) * t) - c0)
     return accepted
 
 
-def _residual_region(
-    kind: str, coo: COOMatrix, model: CostModel, detail: str
-) -> Region:
-    """A skew/remainder region in whichever residual format the model
-    prices lowest (deterministic tie-break on the format name)."""
-    counts = coo.row_counts()
-    row_max = int(counts.max()) if len(counts) and coo.nnz else 0
+def _residual_pricing(rows: np.ndarray, model: CostModel) -> tuple[str, float, float]:
+    """(format, stored, segments) of a skew/remainder region whose entries
+    lie in ``rows``: the residual format the model prices lowest
+    (deterministic tie-break on the format name)."""
+    row_max = int(np.bincount(rows).max()) if len(rows) else 0
     best = None
     for name in sorted(_RESIDUAL_FORMATS):
         segments = float(row_max) if name == "JDiag" else 0.0
-        stored = float(coo.nnz)
-        pred = model.price(name, stored, segments)
+        pred = model.price(name, float(len(rows)), segments)
         if best is None or pred < best[0]:
-            best = (pred, name, stored, segments)
-    _, name, stored, segments = best
-    return Region(
-        kind=kind,
-        format_name=name,
-        coo=coo,
-        detail=detail,
-        stored=stored,
-        segments=segments,
-    )
+            best = (pred, name, segments)
+    return best[1], float(len(rows)), best[2]
 
 
 def partition_regions(
@@ -293,52 +272,39 @@ def partition_regions(
     n, m = coo.shape
     nnz = coo.nnz
     regions: list[Region] = []
+    owner = np.full(nnz, -1, dtype=np.int8)
+
+    def claim(entries, kind: str, name: str | None = None, **fields) -> None:
+        """The ``entries`` of ``coo`` (mask or positions) become the next
+        region; with no ``name``, in the cheapest residual format."""
+        if name is None:
+            name, fields["stored"], fields["segments"] = _residual_pricing(coo.row[entries], model)
+        owner[entries] = len(regions)
+        regions.append(Region(kind, name, coo, owner, len(regions), **fields))
+
     with span("specialize.partition", shape=(n, m), nnz=nnz):
         if nnz == 0:
-            regions.append(
-                Region(
-                    kind="remainder",
-                    format_name="Coordinate",
-                    coo=coo,
-                    detail="empty matrix",
-                )
-            )
+            regions.append(Region("remainder", "Coordinate", coo, owner, 0, detail="empty matrix"))
             return RegionPartition((n, m), nnz, tuple(regions), profile)
-
-        claimed = np.zeros(nnz, dtype=bool)
 
         # --- dense windows -------------------------------------------
         windows = _find_dense_windows(coo, profile)
         if windows:
-            mask = np.zeros(nnz, dtype=bool)
-            for r0, c0, h, w in windows:
-                mask |= (
-                    (coo.row >= r0)
-                    & (coo.row < r0 + h)
-                    & (coo.col >= c0)
-                    & (coo.col < c0 + w)
-                )
-            stored = float(sum(h * w for _, _, h, w in windows))
-            regions.append(
-                Region(
-                    kind="dense",
-                    format_name="DenseBlocks",
-                    coo=_subset(coo, mask),
-                    detail=(
-                        f"{len(windows)} dense windows: "
-                        + ", ".join(
-                            f"{h}x{w}@({r0},{c0})" for r0, c0, h, w in windows
-                        )
-                    ),
-                    stored=stored,
-                    segments=float(len(windows)),
-                    windows=tuple(windows),
-                )
+            claim(
+                np.concatenate([coo.window_entries(*window) for window in windows]),
+                "dense",
+                "DenseBlocks",
+                detail=(
+                    f"{len(windows)} dense windows: "
+                    + ", ".join(f"{h}x{w}@({r0},{c0})" for r0, c0, h, w in windows)
+                ),
+                stored=float(sum(h * w for _, _, h, w in windows)),
+                segments=float(len(windows)),
+                windows=tuple(windows),
             )
-            claimed |= mask
 
         # --- skew rows -----------------------------------------------
-        rem = ~claimed
+        rem = owner < 0
         if rem.any():
             rcounts = np.bincount(coo.row[rem], minlength=n)
             nonempty = rcounts[rcounts > 0]
@@ -348,22 +314,17 @@ def partition_regions(
             if len(hubs) and len(hubs) <= MAX_SKEW_ROW_FRAC * max(
                 1, len(nonempty)
             ):
-                mask = rem & np.isin(coo.row, hubs)
-                regions.append(
-                    _residual_region(
-                        "skew",
-                        _subset(coo, mask),
-                        model,
-                        detail=(
-                            f"{len(hubs)} hub rows >= {thresh:.0f} entries "
-                            f"(remaining mean {mean:.1f})"
-                        ),
-                    )
+                claim(
+                    rem & np.isin(coo.row, hubs),
+                    "skew",
+                    detail=(
+                        f"{len(hubs)} hub rows >= {thresh:.0f} entries "
+                        f"(remaining mean {mean:.1f})"
+                    ),
                 )
-                claimed |= mask
 
         # --- band diagonal runs --------------------------------------
-        rem = ~claimed
+        rem = owner < 0
         if rem.any():
             rrow, rcol = coo.row[rem], coo.col[rem]
             offsets, inverse = np.unique(rcol - rrow, return_inverse=True)
@@ -375,35 +336,23 @@ def partition_regions(
             runlen = hi - lo + 1
             dense_run = (counts >= DIAG_MIN) & (counts >= DIAG_FILL * runlen)
             if dense_run.any():
-                mask = np.zeros(nnz, dtype=bool)
-                mask[np.flatnonzero(rem)[dense_run[inverse]]] = True
-                regions.append(
-                    Region(
-                        kind="band",
-                        format_name="Diagonal",
-                        coo=_subset(coo, mask),
-                        detail=(
-                            f"{int(dense_run.sum())} dense diagonal runs, "
-                            f"offsets {offsets[dense_run].min()}..."
-                            f"{offsets[dense_run].max()}"
-                        ),
-                        stored=float(runlen[dense_run].sum()),
-                        segments=float(dense_run.sum()),
-                    )
+                claim(
+                    np.flatnonzero(rem)[dense_run[inverse]],
+                    "band",
+                    "Diagonal",
+                    detail=(
+                        f"{int(dense_run.sum())} dense diagonal runs, "
+                        f"offsets {offsets[dense_run].min()}..."
+                        f"{offsets[dense_run].max()}"
+                    ),
+                    stored=float(runlen[dense_run].sum()),
+                    segments=float(dense_run.sum()),
                 )
-                claimed |= mask
 
         # --- remainder ------------------------------------------------
-        rem = ~claimed
+        rem = owner < 0
         if rem.any() or not regions:
-            regions.append(
-                _residual_region(
-                    "remainder",
-                    _subset(coo, rem),
-                    model,
-                    detail=f"{int(rem.sum())} residual entries",
-                )
-            )
+            claim(rem, "remainder", detail=f"{int(rem.sum())} residual entries")
     return RegionPartition((n, m), nnz, tuple(regions), profile)
 
 
@@ -489,7 +438,7 @@ class HybridPlan:
 
     @property
     def feasible(self) -> bool:
-        return sum(1 for r in self.partition.regions if r.coo.nnz > 0) >= 2
+        return sum(1 for r in self.partition.regions if r.nnz > 0) >= 2
 
     @property
     def note(self) -> str:
@@ -553,7 +502,7 @@ class HybridPlan:
         for region, pred in zip(self.partition.regions, self.region_predictions):
             lines.append(
                 f"    {region.kind:<9s} {region.format_name:<11s} "
-                f"nnz={region.coo.nnz:<8d} stored={region.stored:>10.0f} "
+                f"nnz={region.nnz:<8d} stored={region.stored:>10.0f} "
                 f"segments={region.segments:>5.0f} "
                 f"predicted={pred * 1e6:>8.1f} µs — {region.detail}"
             )

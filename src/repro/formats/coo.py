@@ -255,6 +255,16 @@ class COOMatrix(Format):
         np.add.at(d, self.row[on], self.vals[on])
         return d
 
+    def window_entries(self, r0: int, c0: int, h: int, w: int) -> np.ndarray:
+        """Ascending positions of the entries in rows ``r0:r0+h`` and
+        columns ``c0:c0+w``.  Canonical only: a ``searchsorted`` slice of
+        the sorted rows, then a column test inside the slice."""
+        if not self.canonical:
+            raise FormatError("window_entries requires canonical COO")
+        lo, hi = np.searchsorted(self.row, (r0, r0 + h))
+        c = self.col[lo:hi]
+        return lo + np.flatnonzero((c >= c0) & (c < c0 + w))
+
     def column_support(self) -> np.ndarray:
         """Sorted unique column indices of the stored entries."""
         return np.unique(self.col)

@@ -102,9 +102,8 @@ class DenseBlocksMatrix(BlockFormat):
         voff = segment_ptr(h * w)
         vals = np.zeros(voff[-1])
         for b in range(len(r0)):
-            r, c = coo.row - r0[b], coo.col - c0[b]
-            keep = (r >= 0) & (r < h[b]) & (c >= 0) & (c < w[b])
-            vals[voff[b] + r[keep] * w[b] + c[keep]] = coo.vals[keep]
+            k = coo.window_entries(r0[b], c0[b], h[b], w[b])
+            vals[voff[b] + (coo.row[k] - r0[b]) * w[b] + coo.col[k] - c0[b]] = coo.vals[k]
         return cls(coo.shape, r0, c0, h, w, vals, voff)
 
     @classmethod

@@ -97,6 +97,35 @@ def test_block_partition_covers_every_entry(cls, rep):
     )
 
 
+def _block_partition_loop(coo):
+    """The earlier scalar sweep, kept as the oracle of the vectorized one."""
+    n = coo.shape[0]
+    if n == 0 or coo.shape[0] != coo.shape[1]:
+        return ()
+    reach = np.arange(n, dtype=np.int64)
+    if coo.nnz:
+        np.maximum.at(reach, coo.row, coo.col)
+        np.maximum.at(reach, coo.col, coo.row)
+    ptr = [0]
+    end = 0
+    for i in range(n):
+        end = max(end, int(reach[i]))
+        if i == end:
+            ptr.append(i + 1)
+    return tuple(ptr)
+
+
+@pytest.mark.parametrize("cls", sorted(STRUCTURE_CLASSES))
+def test_block_partition_matches_the_scalar_sweep(cls):
+    rng = case_rng(CLASS_ID[cls], 14)
+    cases = [STRUCTURE_CLASSES[cls](rng, n) for n in (16, 36, 101)]
+    cases += [COOMatrix((7, 7), [], [], []), COOMatrix((5, 8), [0], [7], [1.0])]
+    for coo in cases:
+        got = _block_partition(coo)
+        assert got == _block_partition_loop(coo)
+        assert all(type(p) is int for p in got)
+
+
 def test_audit_flags_mismatched_choices():
     banded = STRUCTURE_CLASSES["banded"](case_rng(3), 60)
     profile = analyze_structure(banded)

@@ -58,6 +58,24 @@ def test_off_window_entries_are_ignored_not_smeared():
     assert fmt.nnz == 1
 
 
+def test_from_coo_windows_matches_a_full_scan_on_ragged_edges():
+    """The row-slice gather stores exactly what one full-nnz pass per
+    window stores, bit for bit, for windows on the last (partial) tile
+    row and column of a 45x37 matrix."""
+    rng = case_rng(5605)
+    n, m = 45, 37
+    windows = ((37, 29, 8, 8), (0, 21, 45, 8), (29, 0, 16, 21), (2, 2, 3, 3))
+    ii, jj = np.divmod(np.flatnonzero(rng.random(n * m) < 0.6), m)
+    coo = COOMatrix.from_entries((n, m), ii, jj, rng.standard_normal(len(ii)))
+    fmt = DenseBlocksMatrix.from_coo_windows(coo, windows)
+    want = np.zeros(fmt.voff[-1])
+    for b, (r0, c0, h, w) in enumerate(windows):
+        r, c = coo.row - r0, coo.col - c0
+        keep = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+        want[fmt.voff[b] + r[keep] * w + c[keep]] = coo.vals[keep]
+    assert fmt.vals.tobytes() == want.tobytes()
+
+
 def test_from_coo_whole_matrix_window_and_empty():
     rng = case_rng(5602)
     coo = _windowed_matrix(rng, n=24, windows=((0, 0, 12, 12),))
