@@ -36,6 +36,7 @@ import ast
 from repro.analysis.diagnostics import ERROR, WARN, Diagnostic, DiagnosticReport
 from repro.analysis.registry import register_pass
 from repro.compiler.codegen import RUNTIME
+from repro.compiler.native import parse
 
 __all__ = [
     "lint_plan",
@@ -70,7 +71,10 @@ def lint_plan(plan, formats=None, where: str = "plan") -> DiagnosticReport:
     if plan.noop:
         return report
     for k, step in enumerate(plan.steps):
-        if step.kind != "enumerate" or not step.guards:
+        # a guard on a variable this step binds is A[i,i] on one level
+        # binding both axes: a diagonal filter, not a join
+        guards = [v for v in step.guards if v not in step.binds]
+        if step.kind != "enumerate" or not guards:
             continue
         level = None
         if formats is not None and step.term in formats:
@@ -86,7 +90,7 @@ def lint_plan(plan, formats=None, where: str = "plan") -> DiagnosticReport:
             hint = (
                 "the level is not searchable, so the filter is forced; "
                 "consider a format whose level can be searched on "
-                f"{list(step.guards)}"
+                f"{guards}"
             )
         report.add(
             _diag(
@@ -94,7 +98,7 @@ def lint_plan(plan, formats=None, where: str = "plan") -> DiagnosticReport:
                 WARN,
                 f"enumerate×enumerate join: step {step!r} enumerates "
                 f"{step.term!r} and filters on already-bound "
-                f"{list(step.guards)}; {hint}",
+                f"{guards}; {hint}",
                 f"{where}, step {k}",
             )
         )
@@ -116,7 +120,7 @@ def lint_generated_source(
     report = DiagnosticReport()
     params = set(param_names)
     try:
-        tree = ast.parse(source)
+        tree = parse(source)
     except SyntaxError as e:
         report.add(
             _diag(

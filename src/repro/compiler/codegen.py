@@ -114,7 +114,9 @@ def _emit_steps(
                     if a not in avm:
                         continue
                     v = avm[a]
-                    if v in step.guards:
+                    # the first occurrence of a new variable binds it; an
+                    # already-bound one, or any repeat (A[i,i]), is filtered
+                    if v in axis_vars.values() or v not in step.binds:
                         tmp = g.fresh(f"g_{v}")
                         axis_vars[a] = tmp
                         guard_pairs.append((tmp, v))

@@ -7,11 +7,11 @@ call then runs C instead of the numpy ``run``.  ``lower``, the cache key
 and ``unit_backends`` never see it.  The tier is decided per unit: a unit
 stays on numpy — counted in ``compiler.native.declined{reason}`` — when
 it is lowered ``block-gemv`` (BLAS wins on dense blocks) or its nest does
-not translate (it calls a ``_find*``/``_search`` callback); the bound
-call runs each run of consecutive units on one tier, C or numpy, in unit
-order.  The whole kernel stays on numpy when its backend is
-``interpreted``, no compiler is on ``PATH``, an operand is not a
-C-contiguous float64/int64 array, or an output overlaps another operand.
+not translate; the bound call runs each run of consecutive units on one
+tier, C or numpy, in unit order.  The whole kernel stays on numpy when
+its backend is ``interpreted``, no compiler is on ``PATH``, an operand is
+neither a scalar nor a C-contiguous float64/int64 array (a format's
+storage holds nothing else), or an output overlaps another operand.
 
 The C nest does the interpreted nest's arithmetic in the same order (an
 output slot fixed across the inner loop is summed in a local ``double``),
@@ -40,6 +40,7 @@ import shutil
 import struct
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,17 +53,19 @@ from repro.memo import Memo
 from repro.observability import metrics as _metrics
 from repro.observability.trace import span
 
-__all__ = ["NativeState", "find_compiler", "tier_up", "translate"]
+__all__ = ["NativeState", "find_compiler", "parse", "tier_up", "translate"]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fwrapv")
 #: unit lowerings whose kernels tier up; any other label keeps numpy
 TIER_UP = frozenset({"noop", "segmented", "vectorized", "reduce-scatter", "fallback:scalar"})
 _KINDS = {np.dtype(np.float64): "f", np.dtype(np.int64): "i"}  # native byte order only
 _CTYPE = {"f": "double", "i": "int64_t"}
-_BINOP = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
+_BINOP = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.RShift: ">>"}
 _AUGOP = {ast.Add: "+=", ast.Sub: "-=", ast.Mult: "*="}
 _UNOP = {ast.USub: "-", ast.UAdd: "+", ast.Not: "!"}
 _CMPOP = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
+
+_PARSE = threading.Lock()  # held by parse()
 
 PRELUDE = """#include <stdint.h>
 #define CK(e, n, k) ({ int64_t ck_ = (e); \\
@@ -130,7 +133,7 @@ class _Printer:
     def array(self, node) -> tuple[str, str]:
         kind = self.kinds.get(node.id, "") if isinstance(node, ast.Name) else ""
         if len(kind) != 2:
-            raise Declined("callback" if kind == "c" else "syntax")
+            raise Declined("syntax")
         return node.id, kind
 
     def block(self, body) -> None:
@@ -276,7 +279,7 @@ class _Printer:
                 return f"v_{node.id}", "i"
             if kind in ("i", "f") or node.id in self.live:
                 return f"v_{node.id}", kind or self.decl[node.id]
-            raise Declined("callback" if kind == "c" else "syntax")
+            raise Declined("syntax")
         elif isinstance(node, ast.Subscript):
             if self.acc and self.is_acc(node):
                 return f"acc_{self.acc[2]}", "f"
@@ -285,6 +288,8 @@ class _Printer:
             (a, ta), (b, tb) = self.expr(node.left), self.expr(node.right)
             if isinstance(node.op, ast.Div):
                 return f"((double){a} / (double){b})", "f"
+            if isinstance(node.op, ast.RShift) and "f" in (ta, tb):  # a search's midpoint: integers only
+                raise Declined("types")
             return f"({a} {_BINOP[type(node.op)]} {b})", "f" if "f" in (ta, tb) else "i"
         elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNOP:
             a, t = self.expr(node.operand)
@@ -293,7 +298,7 @@ class _Printer:
         elif isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _CMPOP:
             a, b = self.expr(node.left)[0], self.expr(node.comparators[0])[0]
             return f"({a} {_CMPOP[type(node.ops[0])]} {b})", "i"
-        elif isinstance(node, ast.BoolOp) and all(isinstance(v, ast.Compare) for v in node.values):
+        elif isinstance(node, ast.BoolOp) and all(isinstance(v, (ast.Compare, ast.BoolOp)) for v in node.values):
             op = " && " if isinstance(node.op, ast.And) else " || "  # of bools: a bool, as in C
             return "(" + op.join(self.expr(v)[0] for v in node.values) + ")", "i"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
@@ -303,7 +308,6 @@ class _Printer:
                 if ta == tb == "f":
                     return f"{fn}f_({a}, {b})", "f"
                 raise Declined("types")
-            raise Declined("callback" if self.kinds.get(fn) == "c" else "syntax")
         raise Declined("syntax")
 
     def subscript(self, node) -> tuple[str, str]:
@@ -326,6 +330,13 @@ class _Printer:
         return f"v_{name}[{flat}]", kind[0]
 
 
+def parse(source: str) -> ast.Module:
+    """``ast.parse`` under one package-wide lock: CPython 3.11's parser
+    run by two threads at once can corrupt its recursion counter."""
+    with _PARSE:
+        return ast.parse(source)
+
+
 @functools.lru_cache(maxsize=1024)
 def translate(source: str, kinds: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
     """C for the ``run`` in ``source`` (as the interpreted backend prints
@@ -333,9 +344,9 @@ def translate(source: str, kinds: tuple[str, ...]) -> tuple[str, tuple[str, ...]
     both reading every parameter from one slot array, plus the message of
     each nonzero return code.  ``kinds`` gives, per parameter of ``run``
     but ``aux``, ``f1``/``f2``/``i1``/``i2`` (a float64/int64 array of
-    that rank), ``i``/``f`` (a scalar) or ``c`` (a callable).  Raises
+    that rank) or ``i``/``f`` (a scalar).  Raises
     :class:`Declined` on anything outside the translated subset."""
-    (fn,) = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == "run"]
+    (fn,) = [n for n in parse(source).body if isinstance(n, ast.FunctionDef) and n.name == "run"]
     params = [a.arg for a in fn.args.args[:-1]]  # the trailing parameter is aux
     unpack, slot = [], 0  # an array's slots are its address then its extents
     for p, kind in zip(params, kinds):
@@ -470,8 +481,6 @@ def _operands(kern, args) -> tuple[tuple[str, ...], str, list]:
             kinds.append("i")
             fmt += "q"
             values.append(v)
-        elif callable(v):
-            kinds.append("c")
         else:
             raise Declined("dtype")
         spans.append(span_)

@@ -187,13 +187,14 @@ def _try_schedule(
         searched = False
         for li, level in enumerate(fmt.levels()):
             level_vars = tuple(avm[a] for a in level.binds if a in avm)
-            new_vars = tuple(v for v in level_vars if v not in bound)
+            new_vars = tuple(v for v in dict.fromkeys(level_vars) if v not in bound)
             if not level.binds or new_vars:
                 # must enumerate: binds an internal index or new loop vars;
-                # vars already bound become filter guards
+                # vars already bound, or bound twice here (A[i,i] on one
+                # level binding both axes), become filter guards
                 if not level.enumerable:
                     return None
-                guard_vars = tuple(v for v in level_vars if v in bound)
+                guard_vars = tuple(v for k, v in enumerate(level_vars) if v in bound or v in level_vars[:k])
                 steps.append(
                     Step(
                         "enumerate",

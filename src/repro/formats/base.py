@@ -103,6 +103,36 @@ class Emitter:
         self.hoisted.append((name, expr))
         return name
 
+    def search(self, lo: str, hi: str, keys) -> str:
+        """Emit a binary search of the positions ``lo:hi`` for the one
+        whose stored indices equal the keys; a miss ``continue``s.  Each
+        of ``keys`` is ``(template, key)``: the template names the stored
+        index at position ``{}``, and the positions are sorted by these
+        indices, lexicographically.  Returns the position variable."""
+        p, e, m = self.fresh("p"), self.fresh("e"), self.fresh("m")
+        keys, below = list(keys), ""
+        for n, (t, k) in enumerate(keys):  # a key that is no plain name is computed once
+            if not k.isidentifier():
+                keys[n] = (t, self.fresh("k"))
+                self.emit(f"{keys[n][1]} = {k}")
+        for t, k in reversed(keys):
+            at = t.format(m)
+            below = f"{at} < {k} or {at} == {k} and ({below})" if below else f"{at} < {k}"
+        self.emit(f"{p} = {lo}")
+        self.emit(f"{e} = {hi}")
+        self.open(f"while {p} < {e}:")
+        self.emit(f"{m} = ({p} + {e}) >> 1")
+        self.open(f"if {below}:")
+        self.emit(f"{p} = {m} + 1")
+        self.close()
+        self.open("else:")
+        self.emit(f"{e} = {m}")
+        self.close(2)
+        self.open(f"if {p} == {hi} or " + " or ".join(f"{t.format(p)} != {k}" for t, k in keys) + ":")
+        self.emit("continue")
+        self.close()
+        return p
+
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
 
@@ -206,8 +236,9 @@ class Format:
     * ``shape`` — tuple of extents (len 2 for matrices, 1 for vectors),
     * ``nnz`` — number of stored entries,
     * ``levels()`` — the access hierarchy (outermost first),
-    * ``storage(prefix)`` — dict of numpy arrays / helper objects to bind
-      into the generated kernel's namespace,
+    * ``storage(prefix)`` — dict of numpy arrays and scalars to bind into
+      the generated kernel's namespace (nothing callable: a search is code
+      the level emits, through :meth:`Emitter.search`),
     * ``emit_load(g, prefix, axis_vars, pos)`` — expression for the stored
       value at ``pos`` (with all axes bound),
     * ``from_coo(coo)`` / ``to_coo()`` — conversion through the exchange

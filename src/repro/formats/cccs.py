@@ -12,11 +12,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.base import Format, check_shape
-from repro.formats.compressed import (
-    CompressedLevel,
-    CompressedOuterLevel,
-    segment_search,
-)
+from repro.formats.compressed import CompressedLevel, CompressedOuterLevel
 from repro.formats.coo import COOMatrix
 
 __all__ = ["CCCSMatrix"]
@@ -96,18 +92,7 @@ class CCCSMatrix(Format):
             f"{prefix}_vals": self.vals,
             f"{prefix}_n0": self._shape[0],
             f"{prefix}_n1": self._shape[1],
-            f"{prefix}_find_colind": self._find_col,
-            f"{prefix}_find_rowind": self._find_row,
         }
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_vals[{pos}]"
-
-    def _find_col(self, j: int) -> int:
-        q = int(np.searchsorted(self.colind, j, side="left"))
-        if q < len(self.colind) and self.colind[q] == j:
-            return q
-        return -1
-
-    def _find_row(self, q: int, i: int) -> int:
-        return segment_search(self.rowind, int(self.colp[q]), int(self.colp[q + 1]), i)

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.base import Format, check_shape
-from repro.formats.compressed import CompressedLevel, segment_search
+from repro.formats.compressed import CompressedLevel
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseAxisLevel
 
@@ -84,14 +84,10 @@ class CCSMatrix(Format):
             f"{prefix}_vals": self.vals,
             f"{prefix}_n0": self._shape[0],
             f"{prefix}_n1": self._shape[1],
-            f"{prefix}_find_rowind": self._find,
         }
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_vals[{pos}]"
-
-    def _find(self, j: int, i: int) -> int:
-        return segment_search(self.rowind, int(self.colp[j]), int(self.colp[j + 1]), i)
 
     def col_slice(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(row indices, values) of column j."""

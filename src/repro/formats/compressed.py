@@ -11,23 +11,10 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
 from repro.errors import FormatError
 from repro.formats.base import AccessLevel, Emitter
 
-__all__ = ["CompressedLevel", "CompressedOuterLevel", "segment_search"]
-
-
-def segment_search(idx: np.ndarray, lo: int, hi: int, key: int) -> int:
-    """Binary search for ``key`` in the sorted segment ``idx[lo:hi]``.
-
-    Returns the absolute position, or -1 if absent.
-    """
-    k = lo + int(np.searchsorted(idx[lo:hi], key, side="left"))
-    if k < hi and idx[k] == key:
-        return k
-    return -1
+__all__ = ["CompressedLevel", "CompressedOuterLevel"]
 
 
 class CompressedLevel(AccessLevel):
@@ -39,9 +26,8 @@ class CompressedLevel(AccessLevel):
         The matrix axis this level binds.
     ptr_name, idx_name:
         Storage-array suffixes (``"rowptr"``/``"colind"`` for CRS).  The
-        owning format's ``storage()`` must provide ``{prefix}_{ptr_name}``,
-        ``{prefix}_{idx_name}`` and the search callable
-        ``{prefix}_find_{idx_name}(parent_pos, key) -> pos | -1``.
+        owning format's ``storage()`` must provide ``{prefix}_{ptr_name}``
+        and ``{prefix}_{idx_name}``.
     fanout:
         Average segment length (cost model).
     sorted_within:
@@ -77,12 +63,9 @@ class CompressedLevel(AccessLevel):
     def emit_search(self, g: Emitter, prefix: str, parent_pos, axis_exprs: Mapping[int, str]) -> str:
         if not self.searchable:
             raise FormatError("unsorted compressed level is not searchable")
-        p = g.fresh("p")
-        g.emit(f"{p} = {prefix}_find_{self.idx_name}({parent_pos}, {axis_exprs[self.axis]})")
-        g.open(f"if {p} < 0:")
-        g.emit("continue")
-        g.close()
-        return p
+        ptr = f"{prefix}_{self.ptr_name}"
+        key = (f"{prefix}_{self.idx_name}[{{}}]", axis_exprs[self.axis])
+        return g.search(f"{ptr}[{parent_pos}]", f"{ptr}[{parent_pos} + 1]", [key])
 
     def vector_view(self, prefix: str, parent_pos):
         ptr = f"{prefix}_{self.ptr_name}"
@@ -101,8 +84,7 @@ class CompressedOuterLevel(AccessLevel):
     axis (e.g. CCCS's COLIND array of nonempty columns).
 
     Storage contract: ``{prefix}_{idx_name}`` (the stored indices, sorted)
-    and ``{prefix}_{count_name}`` (how many), plus the search callable
-    ``{prefix}_find_{idx_name}(key) -> pos | -1``.
+    and ``{prefix}_{count_name}`` (how many).
     """
 
     searchable = True
@@ -127,9 +109,5 @@ class CompressedOuterLevel(AccessLevel):
         return p
 
     def emit_search(self, g: Emitter, prefix: str, parent_pos, axis_exprs: Mapping[int, str]) -> str:
-        p = g.fresh("q")
-        g.emit(f"{p} = {prefix}_find_{self.idx_name}({axis_exprs[self.axis]})")
-        g.open(f"if {p} < 0:")
-        g.emit("continue")
-        g.close()
-        return p
+        key = (f"{prefix}_{self.idx_name}[{{}}]", axis_exprs[self.axis])
+        return g.search("0", f"{prefix}_{self.count_name}", [key])

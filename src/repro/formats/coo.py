@@ -14,7 +14,6 @@ binary search over the (row, col) key.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Mapping
 
 import numpy as np
@@ -44,13 +43,12 @@ class CoordinateLevel(AccessLevel):
     """The (I, J) level of COO: one flat enumeration over all entries."""
 
     binds = (0, 1)
-    searchable = True
     dense = False
     search_cost = 8.0  # binary search
 
     def __init__(self, owner: "COOMatrix"):
         self._owner = owner
-        self.sorted_enum = owner.canonical
+        self.sorted_enum = self.searchable = owner.canonical
 
     def avg_fanout(self) -> float:
         return float(self._owner.nnz)
@@ -67,12 +65,8 @@ class CoordinateLevel(AccessLevel):
     def emit_search(self, g: Emitter, prefix: str, parent_pos, axis_exprs: Mapping[int, str]) -> str:
         if not self._owner.canonical:
             raise FormatError("non-canonical COO is not searchable")
-        p = g.fresh("p")
-        g.emit(f"{p} = {prefix}_search({axis_exprs[0]}, {axis_exprs[1]})")
-        g.open(f"if {p} < 0:")
-        g.emit("continue")
-        g.close()
-        return p
+        keys = [(f"{prefix}_row[{{}}]", axis_exprs[0]), (f"{prefix}_col[{{}}]", axis_exprs[1])]
+        return g.search("0", f"{prefix}_nnz", keys)
 
     def vector_view(self, prefix: str, parent_pos):
         return {
@@ -115,7 +109,6 @@ class COOMatrix(Format):
         ):
             raise FormatError(f"coordinates out of bounds for shape {self._shape}")
         self.canonical = bool(canonical)
-        self._key_list = None  # lazy, for bisect search
 
     # ------------------------------------------------------------------
     # constructors
@@ -201,13 +194,16 @@ class COOMatrix(Format):
     def levels(self):
         return (CoordinateLevel(self),)
 
+    def spec(self) -> tuple:
+        # canonical decides whether the level is sorted and searchable
+        return (type(self).__qualname__, self.canonical)
+
     def storage(self, prefix: str):
         return {
             f"{prefix}_row": self.row,
             f"{prefix}_col": self.col,
             f"{prefix}_vals": self.vals,
             f"{prefix}_nnz": self.nnz,
-            f"{prefix}_search": self._search,
         }
 
     def emit_load(self, g, prefix, axis_vars, pos):
@@ -308,15 +304,3 @@ class COOMatrix(Format):
 
     def __hash__(self):
         raise TypeError("COOMatrix is unhashable")
-
-    # ------------------------------------------------------------------
-    def _search(self, i: int, j: int) -> int:
-        """Binary search for entry (i, j); -1 if absent.  Canonical only."""
-        if not self.canonical:
-            raise FormatError("search requires canonical COO")
-        lo = int(np.searchsorted(self.row, i, side="left"))
-        hi = int(np.searchsorted(self.row, i, side="right"))
-        k = lo + int(np.searchsorted(self.col[lo:hi], j, side="left"))
-        if k < hi and self.col[k] == j:
-            return k
-        return -1

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.base import Format, check_shape
-from repro.formats.compressed import CompressedLevel, segment_search
+from repro.formats.compressed import CompressedLevel
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseAxisLevel
 
@@ -85,7 +85,6 @@ class CRSMatrix(Format):
             f"{prefix}_vals": self.vals,
             f"{prefix}_n0": self._shape[0],
             f"{prefix}_n1": self._shape[1],
-            f"{prefix}_find_colind": self._find,
         }
 
     def emit_load(self, g, prefix, axis_vars, pos):
@@ -99,9 +98,6 @@ class CRSMatrix(Format):
             "vals": f"{prefix}_vals",
             "outer_axis": 0,
         }
-
-    def _find(self, i: int, j: int) -> int:
-        return segment_search(self.colind, int(self.rowptr[i]), int(self.rowptr[i + 1]), j)
 
     # ------------------------------------------------------------------
     # hand-written reference operations (baseline / oracle use only)

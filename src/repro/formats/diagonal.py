@@ -184,7 +184,6 @@ class DiagonalMatrix(Format):
             f"{prefix}_ndiag": self.ndiag,
             f"{prefix}_n0": self._shape[0],
             f"{prefix}_n1": self._shape[1],
-            f"{prefix}_find": self._find,
         }
 
     def emit_load(self, g, prefix, axis_vars, pos):
@@ -200,13 +199,3 @@ class DiagonalMatrix(Format):
             },
             "vals": f"{prefix}_vals[{{s}}:{{e}}]",
         }
-
-    def _find(self, i: int, j: int) -> int:
-        t = int(np.searchsorted(self.offsets, j - i, side="left"))
-        if t >= self.ndiag or self.offsets[t] != j - i:
-            return -1
-        s, e = int(self.dptr[t]), int(self.dptr[t + 1])
-        p = s + (i - int(self.first[t]))
-        if s <= p < e:
-            return p
-        return -1

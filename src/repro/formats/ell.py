@@ -46,11 +46,8 @@ class EllEntryLevel(AccessLevel):
         return f"{parent_pos}, {k}"
 
     def emit_search(self, g: Emitter, prefix: str, parent_pos, axis_exprs: Mapping[int, str]) -> str:
-        k = g.fresh("k")
-        g.emit(f"{k} = {prefix}_find_col({parent_pos}, {axis_exprs[1]})")
-        g.open(f"if {k} < 0:")
-        g.emit("continue")
-        g.close()
+        key = (f"{prefix}_colind2d[{parent_pos}, {{}}]", axis_exprs[1])
+        k = g.search("0", f"{prefix}_rowlen[{parent_pos}]", [key])
         return f"{parent_pos}, {k}"
 
 
@@ -135,7 +132,6 @@ class ELLMatrix(Format):
             f"{prefix}_rowlen": self.rowlen,
             f"{prefix}_n0": self._shape[0],
             f"{prefix}_n1": self._shape[1],
-            f"{prefix}_find_col": self._find,
         }
 
     def emit_load(self, g, prefix, axis_vars, pos):
@@ -158,10 +154,3 @@ class ELLMatrix(Format):
             "vals": f"{prefix}_vals2d",
             "outer_axis": 0,
         }
-
-    def _find(self, i: int, j: int) -> int:
-        m = int(self.rowlen[i])
-        k = int(np.searchsorted(self.colind2d[i, :m], j, side="left"))
-        if k < m and self.colind2d[i, k] == j:
-            return k
-        return -1

@@ -13,40 +13,20 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import AccessLevel, Emitter, Format, check_shape
+from repro.formats.base import Emitter, Format, check_shape
+from repro.formats.compressed import CompressedOuterLevel
 
 __all__ = ["SparseVector", "SparseVectorLevel"]
 
 
-class SparseVectorLevel(AccessLevel):
-    """The single level of a compressed vector: sorted stored indices."""
+class SparseVectorLevel(CompressedOuterLevel):
+    """The single level of a compressed vector: ``{prefix}_nnz`` sorted
+    stored indices ``{prefix}_ind``, enumerated, searched or merged."""
 
-    searchable = True
-    sorted_enum = True
-    dense = False
-    search_cost = 8.0
     mergeable = True
 
     def __init__(self, owner: "SparseVector"):
-        self.binds = (0,)
-        self._owner = owner
-
-    def avg_fanout(self) -> float:
-        return float(self._owner.nnz)
-
-    def emit_enumerate(self, g: Emitter, prefix: str, parent_pos, axis_vars: Mapping[int, str]) -> str:
-        p = g.fresh("p")
-        g.open(f"for {p} in range({prefix}_nnz):")
-        g.emit(f"{axis_vars[0]} = {prefix}_ind[{p}]")
-        return p
-
-    def emit_search(self, g: Emitter, prefix: str, parent_pos, axis_exprs: Mapping[int, str]) -> str:
-        p = g.fresh("p")
-        g.emit(f"{p} = {prefix}_find({axis_exprs[0]})")
-        g.open(f"if {p} < 0:")
-        g.emit("continue")
-        g.close()
-        return p
+        super().__init__(0, "ind", "nnz", fanout=owner.nnz)
 
     def emit_merge(self, g: Emitter, prefix: str, parent_pos, key_expr: str, cursor: str) -> str:
         g.open(f"while {cursor} < {prefix}_nnz and {prefix}_ind[{cursor}] < {key_expr}:")
@@ -129,14 +109,7 @@ class SparseVector(Format):
             f"{prefix}_vals": self.vals,
             f"{prefix}_nnz": self.nnz,
             f"{prefix}_n0": self._shape[0],
-            f"{prefix}_find": self._find,
         }
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_vals[{pos}]"
-
-    def _find(self, i: int) -> int:
-        p = int(np.searchsorted(self.ind, i, side="left"))
-        if p < len(self.ind) and self.ind[p] == i:
-            return p
-        return -1

@@ -9,6 +9,7 @@ from repro.analysis.contracts import (
     default_probes,
 )
 from repro.formats import FORMAT_NAMES
+from repro.formats.compressed import CompressedLevel
 from repro.formats.crs import CRSMatrix
 from repro.formats.jdiag import JaggedDiagonalMatrix
 from repro.formats.sparse_vector import SparseVector
@@ -91,15 +92,17 @@ def test_corrupt_values_disagree_with_to_dense(paper_matrix):
 def test_broken_search_is_caught(paper_matrix):
     fmt = CRSMatrix.from_coo(paper_matrix)
 
-    class BrokenFind(CRSMatrix):
-        def storage(self, prefix):
-            d = super().storage(prefix)
-            real = d[f"{prefix}_find_colind"]
-            # off-by-one: misses every stored column's true position
-            d[f"{prefix}_find_colind"] = lambda i, j: real(i, j + 1)
-            return d
+    class OffByOne(CompressedLevel):
+        def emit_search(self, g, prefix, parent_pos, axis_exprs):
+            # searches the next column: misses every stored column's true position
+            return super().emit_search(g, prefix, parent_pos, {1: f"{axis_exprs[1]} + 1"})
 
-    bad = BrokenFind(fmt.shape, fmt.rowptr, fmt.colind, fmt.vals)
+    class BrokenSearch(CRSMatrix):
+        def levels(self):
+            rows, cols = super().levels()
+            return rows, OffByOne(1, "rowptr", "colind", cols.avg_fanout())
+
+    bad = BrokenSearch(fmt.shape, fmt.rowptr, fmt.colind, fmt.vals)
     rep = audit_format(bad)
     assert "BER025" in codes(rep)
 

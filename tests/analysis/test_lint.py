@@ -86,6 +86,17 @@ def test_plan_lint_without_formats_still_flags():
     assert [d.code for d in rep] == ["BER030"]
 
 
+def test_a_diagonal_filter_is_not_a_join():
+    # A[i,i] on Coordinate: the one level binds i and filters its column
+    # on the same i — nothing was bound before it, so no join to flag
+    coo = COOMatrix.from_dense(np.arange(16.0).reshape(4, 4) % 3)
+    formats = {"A": coo, "Y": DenseVector(np.zeros(4)), "Z": DenseVector(np.ones(4))}
+    k = compile_kernel("for i in 0:n { Y[i] += A[i,i] * Z[i] }", formats, cache=False)
+    (step,) = [s for s in k.units[0].plan.steps if s.term == "A"]
+    assert step.binds == ("i",) and step.guards == ("i",)
+    assert "BER030" not in codes(lint_kernel(k, formats))
+
+
 # ----------------------------------------------------------------------
 # backend fallback
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.formats import (
     DiagonalMatrix,
     ELLMatrix,
     InodeMatrix,
+    JaggedDiagonalMatrix,
     TranslatedVector,
 )
 from repro.kernels.spmv import SPMV_SRC
@@ -184,3 +185,17 @@ def test_empty_matrix_all_backends():
         k = compile_kernel(SPMV_SRC, {"A": A, "X": DenseVector(np.ones(5)), "Y": Y}, cache=False)
         k(A=A, X=DenseVector(np.ones(5)), Y=Y)
         assert np.allclose(Y.vals, 0.0)
+
+
+@pytest.mark.parametrize("fmt", [COOMatrix, DiagonalMatrix, JaggedDiagonalMatrix], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("backend", ["vectorized", "interpreted"])
+def test_one_level_binding_an_index_twice_filters_on_it(fmt, backend):
+    """``A[i,i]`` on a level that binds row and column at once: the second
+    binding is a filter, not an overwrite of ``i``."""
+    coo = COOMatrix.random(9, 9, 0.4, rng=4)
+    A, z = fmt.from_coo(coo), np.arange(1.0, 10.0)
+    fm = {"A": A, "Z": DenseVector(z), "Y": DenseVector.zeros(9)}
+    k = compile_kernel("for i in 0:n { Y[i] += A[i,i] * Z[i] }", fm, backend=backend, cache=False)
+    k(**fm)
+    Y = fm["Y"]
+    assert np.array_equal(Y.vals, np.diag(coo.to_dense()) * z), k.source

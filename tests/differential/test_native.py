@@ -130,6 +130,26 @@ def test_corrupt_index_array_is_a_format_error(fmt, index, bad):
         kern(**fm)
 
 
+@needs_cc
+def test_a_corrupt_segment_pointer_under_a_search_is_a_format_error():
+    rng = _rng("corrupt-search")
+    A = _matrix("CRS", rng)
+    fm = {"A": A, "Z": DenseVector(rng.standard_normal(23)), "Y": DenseVector(rng.standard_normal(23))}
+    kern = compile_kernel("for i in 0:n { Y[i] += A[i,i] * Z[i] }", fm, cache=False)
+    kern.bind(**fm)
+    assert kern.native.reason is None
+    A.rowptr[2] = 10**6  # the binary searches of rows 1 and 2 probe past colind
+    with pytest.raises(FormatError, match="native run"):
+        kern.bind(**fm)
+
+
+def test_the_midpoint_shift_translates_for_integers_only():
+    c_source, _ = native.translate("def run(P, V, aux):\n    m = (P[0] + P[1]) >> 1\n    V[0] = V[m]\n", ("i1", "f1"))
+    assert " >> 1)" in c_source
+    with pytest.raises(native.Declined, match="types"):
+        native.translate("def run(V, aux):\n    V[0] = V[0] >> 1\n", ("f1",))
+
+
 def test_no_compiler_keeps_the_numpy_path(monkeypatch):
     monkeypatch.setattr(native, "find_compiler", lambda: None)
     rng = _rng("no-compiler")

@@ -4,9 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import FormatError
-from repro.formats import COOMatrix
+from repro.compiler import compile_kernel
+from repro.errors import CompileError, FormatError
+from repro.formats import COOMatrix, CRSMatrix, DenseMatrix
+from repro.formats.base import Emitter
 from tests.conftest import coo_matrices
+
+ENTRYWISE = "for i in 0:n { for j in 0:m { C[i,j] += A[i,j] * B[i,j] } }"
+
+
+def _entrywise(a, b, backend, **opts):
+    """``C = A .* B`` with ``A`` in CRS and ``B`` as given, and its plan."""
+    A = CRSMatrix.from_coo(a)
+    C = DenseMatrix(np.zeros(a.shape))
+    kern = compile_kernel(ENTRYWISE, {"A": A, "B": b, "C": C}, backend=backend, cache=False, **opts)
+    kern(A=A, B=b, C=C)
+    return C.vals, [(s.kind, s.term) for s in kern.units[0].plan.steps]
 
 
 def test_from_dense_roundtrip(paper_matrix):
@@ -78,17 +91,63 @@ def test_permuted():
 
 
 def test_search():
-    m = COOMatrix.from_entries((3, 3), [0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
-    assert m._search(1, 2) >= 0
-    assert m.vals[m._search(1, 2)] == 2.0
-    assert m._search(1, 1) == -1
-    assert m._search(2, 2) == -1
+    """A compiled kernel searches B's (row, col) key: a hit, misses inside
+    a row, below and above a row's entries, and on an empty row."""
+    m = COOMatrix.from_entries((4, 4), [0, 1, 2, 2], [1, 2, 0, 3], [1.0, 2.0, 3.0, 4.0])
+    # (1, 2) hits; (1, 1) misses inside row 1; (0, 0) is below row 0's
+    # column, (0, 3) above it; (2, 0) and (2, 3) are row 2's first and
+    # last slots; row 3 is empty
+    probe = COOMatrix.from_entries(
+        (4, 4), [1, 1, 0, 0, 2, 2, 3], [2, 1, 0, 3, 0, 3, 3], np.ones(7)
+    )
+    want = np.zeros((4, 4))
+    want[1, 2], want[2, 0], want[2, 3] = 2.0, 3.0, 4.0
+    for backend in ("interpreted", "vectorized"):
+        c, steps = _entrywise(probe, m, backend, force_driver="A")
+        assert ("search", "B") in steps
+        assert np.array_equal(c, want), backend
 
 
 def test_search_requires_canonical():
     m = COOMatrix((2, 2), [1, 0], [0, 0], [1.0, 2.0], canonical=False)
+    (level,) = m.levels()
+    assert not level.searchable
     with pytest.raises(FormatError):
-        m._search(0, 0)
+        level.emit_search(Emitter(), "B", None, {0: "i", 1: "j"})
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"])
+def test_a_non_canonical_operand_is_enumerated_not_searched(backend):
+    a = COOMatrix.random(9, 9, 0.4, rng=1)
+    b = COOMatrix.random(9, 9, 0.4, rng=2)
+    order = np.random.default_rng(3).permutation(b.nnz)
+    unsorted = COOMatrix(b.shape, b.row[order], b.col[order], b.vals[order])
+    c, steps = _entrywise(a, unsorted, backend)
+    assert ("enumerate", "B") in steps
+    assert np.allclose(c, a.to_dense() * b.to_dense())
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"])
+def test_a_kernel_that_searches_a_canonical_operand_rejects_an_unsorted_one(backend):
+    """Canonical is part of COO's spec: a kernel compiled to search a
+    canonical B refuses an unsorted B at call and bind time, and the plan
+    cache compiles the unsorted one separately (enumerate, not search)."""
+    a = COOMatrix.random(9, 9, 0.4, rng=4)
+    b = COOMatrix.random(9, 9, 0.4, rng=5)
+    order = np.random.default_rng(6).permutation(b.nnz)
+    unsorted = COOMatrix(b.shape, b.row[order], b.col[order], b.vals[order])
+    A, C = CRSMatrix.from_coo(a), DenseMatrix(np.zeros(a.shape))
+    kern = compile_kernel(ENTRYWISE, {"A": A, "B": b, "C": C}, backend=backend)
+    assert ("search", "B") in [(s.kind, s.term) for s in kern.units[0].plan.steps]
+    with pytest.raises(CompileError, match="spec"):
+        kern(A=A, B=unsorted, C=C)
+    with pytest.raises(CompileError, match="spec"):
+        kern.bind(A=A, B=unsorted, C=C)
+    other = compile_kernel(ENTRYWISE, {"A": A, "B": unsorted, "C": C}, backend=backend)
+    assert other is not kern
+    assert ("enumerate", "B") in [(s.kind, s.term) for s in other.units[0].plan.steps]
+    other(A=A, B=unsorted, C=C)
+    assert np.allclose(C.vals, a.to_dense() * b.to_dense())
 
 
 def test_random_density():
