@@ -15,7 +15,7 @@ Run::
 import numpy as np
 
 from repro import BlockSolveMatrix, CCCSMatrix, CCSMatrix, COOMatrix, fem_matrix
-from repro.graphs import adjacency_sets, find_inodes
+from repro.graphs import adjacency_csr, find_inodes
 
 
 def figure1() -> None:
@@ -53,10 +53,10 @@ def figure2() -> None:
     dof = 3
     m = fem_matrix(points=8, dof=dof, neighbors=2, rng=4)
     print("\n=== Figure 2: BlockSolve analysis of a 3-dof FEM matrix ===")
-    groups = find_inodes(adjacency_sets(m))
-    print(f"  i-nodes (rows with identical column structure): {len(groups)} groups")
-    for g in groups[:4]:
-        print(f"    rows {g}")
+    gptr, members = find_inodes(*adjacency_csr(m))
+    print(f"  i-nodes (rows with identical column structure): {len(gptr) - 1} groups")
+    for a, b in zip(gptr[:4], gptr[1:5]):
+        print(f"    rows {members[a:b].tolist()}")
     bs = BlockSolveMatrix.from_coo(m)
     widths = np.diff(bs.clique_ptr).tolist()
     print(f"  cliques after partition: sizes {widths}")

@@ -222,13 +222,10 @@ def _inode_features(coo: COOMatrix) -> tuple[int, float]:
     if coo.nnz == 0:
         return 0, 1.0
     coo = coo.canonicalized()
-    boundaries = np.flatnonzero(np.r_[True, coo.row[1:] != coo.row[:-1]])
-    row_ids = coo.row[boundaries]
-    col_runs = np.split(coo.col, boundaries[1:])
-    patterns = [tuple(run.tolist()) for run in col_runs]
-    groups = find_inodes(patterns)
-    nonempty = len(row_ids)
-    return len(groups), (nonempty / len(groups) if groups else 1.0)
+    starts = np.flatnonzero(np.r_[True, coo.row[1:] != coo.row[:-1]])
+    gptr, _ = find_inodes(np.append(starts, coo.nnz), coo.col)
+    ngroups = len(gptr) - 1
+    return ngroups, len(starts) / ngroups
 
 
 def _symmetry_features(coo: COOMatrix) -> tuple[float, bool]:
@@ -286,8 +283,8 @@ def analyze_structure(coo: COOMatrix) -> StructureProfile:
     """Scan a matrix once and return its :class:`StructureProfile`.
 
     Accepts any :class:`~repro.formats.base.Format` by converting through
-    the COO exchange format; the scan is O(nnz + n) numpy work plus the
-    i-node bucketing.
+    the COO exchange format; the scan is numpy work over the entries,
+    with no Python loop per row.
     """
     from repro.observability import metrics as _metrics
     from repro.observability.trace import span

@@ -33,11 +33,11 @@ from repro.errors import FormatError
 from repro.formats.base import Format, check_shape
 from repro.formats.blockdiag import BlockDiagonalMatrix
 from repro.formats.blocks import block_of
-from repro.formats.coo import COOMatrix, segment_ptr
+from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 from repro.formats.inode import InodeMatrix
 from repro.formats.permutation import Permutation
 from repro.graphs import (
-    adjacency_sets,
+    adjacency_csr,
     clique_partition,
     contracted_graph,
     find_inodes,
@@ -90,16 +90,15 @@ class BlockSolveMatrix(Format):
         if coo.shape[0] != coo.shape[1]:
             raise FormatError("BlockSolve requires a square matrix")
         n = coo.shape[0]
-        adj = adjacency_sets(coo, include_self=True)
-        inode_groups = find_inodes(adj)
-        cliques = clique_partition(adj, inode_groups)
-        cadj = contracted_graph(adj, cliques)
-        colors = greedy_color(cadj)
+        ptr, idx = adjacency_csr(coo, include_self=True)
+        cptr, members = clique_partition(ptr, idx, find_inodes(ptr, idx))
+        colors = greedy_color(*contracted_graph(ptr, idx, cptr, members))
         # reorder cliques by (color, original clique id); rows follow
-        order = sorted(range(len(cliques)), key=lambda c: (int(colors[c]), c))
+        order = np.argsort(colors, kind="stable")
+        size = np.diff(cptr)[order]
         old2new = np.empty(n, dtype=np.int64)
-        old2new[np.asarray([v for c in order for v in cliques[c]], dtype=np.int64)] = np.arange(n)
-        clique_ptr = segment_ptr([len(cliques[c]) for c in order])
+        old2new[members[segment_indices(cptr[:-1][order], size)]] = np.arange(n)
+        clique_ptr = segment_ptr(size)
         perm = Permutation(old2new)
         reordered = coo.permuted(old2new, old2new)
         # split on/off the diagonal clique blocks
@@ -121,12 +120,7 @@ class BlockSolveMatrix(Format):
         )
         dense_blocks = BlockDiagonalMatrix.from_coo_blocks(diag_part, clique_ptr)
         offdiag = InodeMatrix.from_coo(off_part)
-        # dtype pinned: ``order`` may be empty, and an empty default array
-        # is float64 — not a valid index
-        return cls(
-            perm, dense_blocks, offdiag,
-            colors[np.asarray(order, dtype=np.int64)], clique_ptr,
-        )
+        return cls(perm, dense_blocks, offdiag, colors[order], clique_ptr)
 
     # ------------------------------------------------------------------
     @property

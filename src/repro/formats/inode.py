@@ -69,13 +69,11 @@ class InodeMatrix(BlockFormat):
 
         crs = CRSMatrix.from_coo(coo)
         ptr, width = crs.rowptr, np.diff(crs.rowptr)
-        patterns = [tuple(crs.row_slice(i)[0].tolist()) for i in range(coo.shape[0])]
-        groups = [
-            g for g in find_inodes(patterns) if patterns[g[0]]  # drop empty rows
-        ]
-        rows = np.asarray([i for g in groups for i in g], dtype=np.int64)
-        first = np.asarray([g[0] for g in groups], dtype=np.int64)
-        nr = np.asarray([len(g) for g in groups], dtype=np.int64)
+        gptr, rows = find_inodes(ptr, crs.colind)
+        first = rows[gptr[:-1]]
+        live = width[first] > 0  # the empty rows' group holds no block
+        first, nr = first[live], np.diff(gptr)[live]
+        rows = rows[width[rows] > 0]
         nc = width[first]
         # an i-node's rows share one pattern: its row-major block is their
         # CRS rows one after another

@@ -6,52 +6,49 @@ import numpy as np
 
 from repro.errors import ReproError
 
-__all__ = ["adjacency_sets", "contracted_graph"]
+__all__ = ["adjacency_csr", "contracted_graph", "group_of"]
 
 
-def adjacency_sets(coo, include_self: bool = True) -> list[frozenset[int]]:
-    """The symmetrized structural adjacency of a square matrix.
+def _csr(n: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR pattern of the edge keys ``v * n + w`` (repeats dropped)."""
+    key = np.sort(key)
+    key = key[np.diff(key, prepend=-1) != 0]
+    m = max(n, 1)
+    return np.concatenate(([0], np.cumsum(np.bincount(key // m, minlength=n)))), key % m
+
+
+def adjacency_csr(coo, include_self: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized structural adjacency of a square matrix, as CSR.
 
     Vertex i is adjacent to j iff A[i,j] or A[j,i] is stored.  With
-    ``include_self`` the vertex itself is always in its set — the right
-    convention for i-node detection (two rows with identical off-diagonal
-    structure but differing diagonals are still "identical nodes" of the
-    underlying graph).
+    ``include_self`` the vertex itself is always its own neighbour — the
+    right convention for i-node detection (two rows with identical
+    off-diagonal structure but differing diagonals are still "identical
+    nodes" of the underlying graph).
     """
     if coo.shape[0] != coo.shape[1]:
         raise ReproError("adjacency requires a square matrix")
     n = coo.shape[0]
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in zip(coo.row.tolist(), coo.col.tolist()):
-        adj[i].add(j)
-        adj[j].add(i)
-    if include_self:
-        for i in range(n):
-            adj[i].add(i)
-    return [frozenset(s) for s in adj]
+    diag = np.arange(n if include_self else 0, dtype=np.int64)
+    r, c = np.concatenate([coo.row, coo.col, diag]), np.concatenate([coo.col, coo.row, diag])
+    return _csr(n, r * n + c)
 
 
-def contracted_graph(adj: list[frozenset[int]], groups: list[list[int]]) -> list[set[int]]:
-    """Contract vertex ``groups`` (a partition) into super-vertices.
+def group_of(gptr, members, n: int) -> np.ndarray:
+    """The group id of every vertex; the groups must partition ``range(n)``."""
+    members = np.asarray(members, dtype=np.int64)
+    count = np.bincount(members, minlength=n)
+    if len(count) != n or np.any(count != 1):
+        raise ReproError("the groups do not partition the vertices")
+    group = np.empty(n, dtype=np.int64)
+    group[members] = np.repeat(np.arange(len(gptr) - 1), np.diff(gptr))
+    return group
 
-    Returns the adjacency (as sets of group ids, self-loops removed) of the
-    contracted graph: groups g and h are adjacent iff some member of g is
-    adjacent to some member of h.
-    """
-    n = len(adj)
-    group_of = -np.ones(n, dtype=np.int64)
-    for gid, members in enumerate(groups):
-        for v in members:
-            if group_of[v] != -1:
-                raise ReproError(f"vertex {v} in two groups")
-            group_of[v] = gid
-    if np.any(group_of < 0):
-        raise ReproError("groups do not cover all vertices")
-    cadj: list[set[int]] = [set() for _ in groups]
-    for gid, members in enumerate(groups):
-        for v in members:
-            for w in adj[v]:
-                h = int(group_of[w])
-                if h != gid:
-                    cadj[gid].add(h)
-    return cadj
+
+def contracted_graph(ptr, idx, gptr, members) -> tuple[np.ndarray, np.ndarray]:
+    """Contract the vertex groups ``(gptr, members)`` (a partition) into
+    super-vertices: the CSR adjacency (self-loops removed) in which groups
+    g and h are adjacent iff some member of g is adjacent to one of h."""
+    group = group_of(gptr, members, len(ptr) - 1)
+    src, dst = np.repeat(group, np.diff(ptr)), group[idx]
+    return _csr(len(gptr) - 1, (src * (len(gptr) - 1) + dst)[src != dst])

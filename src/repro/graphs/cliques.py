@@ -9,55 +9,39 @@ clique is refined greedily.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.graphs.adjacency import group_of
+from repro.graphs.inodes import leader_groups
+
 __all__ = ["clique_partition"]
 
 
-def _is_clique(adj: list[frozenset[int]], members: list[int]) -> bool:
-    s = set(members)
-    return all(s <= adj[v] for v in members)  # adj includes self
+def clique_partition(ptr, idx, seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Partition the vertices of the symmetric CSR adjacency ``(ptr, idx)``
+    (self-loops included, :func:`~repro.graphs.adjacency.adjacency_csr`)
+    into cliques, as :func:`~repro.graphs.inodes.leader_groups`.
 
-
-def clique_partition(
-    adj: list[frozenset[int]], seed_groups: list[list[int]] | None = None
-) -> list[list[int]]:
-    """Partition vertices into cliques.
-
-    Parameters
-    ----------
-    adj:
-        Symmetrized adjacency with self-loops
-        (:func:`~repro.graphs.adjacency.adjacency_sets`).
-    seed_groups:
-        Optional initial partition (typically the i-node groups).  Groups
-        that are already cliques are kept whole; the rest are refined by a
-        greedy first-fit pass.
-
-    Returns
-    -------
-    A list of cliques (each a sorted list of vertex ids), ordered by their
-    smallest member, covering every vertex exactly once.
+    ``seed`` is an optional initial partition ``(gptr, members)``
+    (typically the i-node groups): groups that are already cliques are
+    kept whole, the rest are refined by a greedy first-fit pass.
     """
-    n = len(adj)
-    if seed_groups is None:
-        seed_groups = [[v] for v in range(n)]
-    cliques: list[list[int]] = []
-    for group in seed_groups:
-        if _is_clique(adj, group):
-            cliques.append(sorted(group))
-            continue
-        # greedy first-fit refinement within the group
-        sub: list[list[int]] = []
-        for v in sorted(group):
-            placed = False
-            for c in sub:
-                if all(v in adj[w] for w in c):
-                    c.append(v)
-                    placed = True
-                    break
-            if not placed:
-                sub.append([v])
-        cliques.extend(sorted(c) for c in sub)
-    cliques.sort(key=lambda c: c[0])
-    covered = sorted(v for c in cliques for v in c)
-    assert covered == list(range(n)), "clique partition must cover all vertices"
-    return cliques
+    n = len(ptr) - 1
+    gptr, members = seed if seed is not None else (np.arange(n + 1), np.arange(n))
+    members = np.asarray(members, dtype=np.int64)
+    group = group_of(gptr, members, n)
+    size = np.diff(gptr)
+    # a group is a clique iff each member's neighbours (itself included) hold it whole
+    row = np.repeat(np.arange(n), np.diff(ptr))
+    inside = np.bincount(row[group[row] == group[idx]], minlength=n)
+    short = np.bincount(group, weights=inside != size[group], minlength=len(size))
+    lead = np.full(len(size), n)
+    np.minimum.at(lead, group, np.arange(n))
+    lead = lead[group]
+    for g in np.flatnonzero(short).tolist():
+        sub: dict[int, list[int]] = {}  # smallest member -> members
+        for v in sorted(members[gptr[g] : gptr[g + 1]].tolist()):
+            nbrs = set(idx[ptr[v] : ptr[v + 1]].tolist())
+            lead[v] = next((c for c, vs in sub.items() if nbrs.issuperset(vs)), v)
+            sub.setdefault(lead[v], []).append(v)
+    return leader_groups(lead)

@@ -12,44 +12,21 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["greedy_color", "color_classes"]
+__all__ = ["greedy_color"]
 
 
-def greedy_color(adj: list[set[int]] | list[frozenset[int]], order: str = "degree") -> np.ndarray:
-    """Greedy vertex coloring.
-
-    Parameters
-    ----------
-    adj:
-        Adjacency sets (self-loops ignored).
-    order:
-        ``"degree"`` — largest degree first (fewer colors in practice),
-        ``"natural"`` — vertex id order (deterministic baseline).
-
-    Returns
-    -------
-    ``colors`` array, ``colors[v]`` ∈ {0, 1, ...}; adjacent vertices always
-    receive different colors.
-    """
-    n = len(adj)
-    if order == "degree":
-        seq = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    elif order == "natural":
-        seq = list(range(n))
-    else:
+def greedy_color(ptr, idx, order: str = "degree") -> np.ndarray:
+    """Greedy coloring of the CSR graph ``(ptr, idx)`` (self-loops
+    ignored), visiting the vertices largest degree first (``"degree"``,
+    fewer colors in practice) or in id order (``"natural"``).  Returns
+    ``colors``; adjacent vertices always receive different colors."""
+    if order not in ("degree", "natural"):
         raise ValueError(f"unknown order {order!r}")
-    colors = -np.ones(n, dtype=np.int64)
-    for v in seq:
-        used = {int(colors[w]) for w in adj[v] if w != v and colors[w] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return colors
-
-
-def color_classes(colors: np.ndarray) -> list[list[int]]:
-    """Group vertex ids by color: ``classes[c]`` lists vertices of color c."""
-    colors = np.asarray(colors)
-    k = int(colors.max(initial=-1)) + 1
-    return [np.flatnonzero(colors == c).tolist() for c in range(k)]
+    n = len(ptr) - 1
+    seq = np.argsort(-np.diff(ptr), kind="stable") if order == "degree" else np.arange(n)
+    p, nbrs = np.asarray(ptr).tolist(), np.asarray(idx).tolist()
+    colors = [-1] * n  # v itself is still uncolored when its turn comes
+    for v in seq.tolist():
+        used = {colors[w] for w in nbrs[p[v] : p[v + 1]]}
+        colors[v] = next(c for c in range(len(used) + 1) if c not in used)
+    return np.asarray(colors, dtype=np.int64)
