@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DistributionError
-from repro.relational import Relation
 
 __all__ = ["Distribution"]
 
@@ -85,14 +84,6 @@ class Distribution:
         return fp
 
     # ------------------------------------------------------------------
-    def as_relation(self) -> Relation:
-        """Materialize IND(i, p, ip) — the fragmentation-equation view."""
-        i = np.arange(self.nglobal)
-        return Relation(
-            ["i", "p", "ip"],
-            {"i": i, "p": self.owner(i), "ip": self.local_index(i)},
-        )
-
     def validate(self) -> None:
         """Check the 1-1-and-onto property (paper: "can only be verified
         at run-time"); raises :class:`DistributionError` on violation."""

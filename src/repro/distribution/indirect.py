@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.distribution.base import Distribution
 from repro.errors import DistributionError
+from repro.formats.base import index_array
 
 __all__ = ["IndirectDistribution"]
 
@@ -30,7 +31,7 @@ class IndirectDistribution(Distribution):
     replicated = True
 
     def __init__(self, map_array, nprocs: int | None = None):
-        m = np.asarray(map_array, dtype=np.int64)
+        m = index_array(map_array, DistributionError)
         P = int(m.max(initial=-1)) + 1 if nprocs is None else int(nprocs)
         super().__init__(len(m), max(P, 1))
         if len(m) and (m.min() < 0 or m.max() >= self.nprocs):
@@ -54,7 +55,7 @@ class IndirectDistribution(Distribution):
         n = sum(len(l) for l in lists)
         m = -np.ones(n, dtype=np.int64)
         for p, l in enumerate(lists):
-            l = np.asarray(l, dtype=np.int64)
+            l = index_array(l, DistributionError)
             if len(l) and (l.min() < 0 or l.max() >= n):
                 raise DistributionError(
                     "index lists do not cover [0, n): index out of range"

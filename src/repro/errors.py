@@ -2,15 +2,15 @@
 
 Every error raised by the library derives from :class:`ReproError` so that
 callers can catch library failures without catching unrelated bugs.  The
-subclasses mirror the major subsystems: relational algebra, storage formats,
-the compiler, distributions, and the SPMD runtime.
+subclasses mirror the major subsystems: storage formats, the compiler (its
+query IR included), distributions, the SPMD runtime, observability and the
+service.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "ReproError",
-    "SchemaError",
     "FormatError",
     "CompileError",
     "ParseError",
@@ -29,10 +29,6 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
-
-
-class SchemaError(ReproError):
-    """A relation was used with fields that do not match its schema."""
 
 
 class FormatError(ReproError):

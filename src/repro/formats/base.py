@@ -390,3 +390,19 @@ def check_shape(shape: Sequence[int], ndim: int) -> tuple[int, ...]:
     if any(s < 0 for s in t):
         raise FormatError(f"negative extent in shape {t}")
     return t
+
+
+def index_array(values, error: type[Exception] = FormatError) -> np.ndarray:
+    """``values`` as int64, raising ``error`` where the conversion would
+    change a value (a fraction, NaN or inf) instead of truncating it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iub":
+        return arr.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            out = arr.astype(np.int64)
+    except (TypeError, ValueError):
+        raise error(f"index values must be integers, got dtype {arr.dtype}") from None
+    if not np.array_equal(out, arr):
+        raise error(f"index values must be integers, got {arr[out != arr][:3].tolist()}")
+    return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.relational import Relation
+from repro.formats.base import index_array
 
 __all__ = ["Permutation"]
 
@@ -26,7 +26,7 @@ class Permutation:
     """
 
     def __init__(self, perm):
-        self.perm = np.asarray(perm, dtype=np.int64)
+        self.perm = index_array(perm)
         n = len(self.perm)
         if sorted(self.perm.tolist()) != list(range(n)):
             raise FormatError("not a permutation of range(n)")
@@ -43,7 +43,7 @@ class Permutation:
 
     @classmethod
     def from_inverse(cls, iperm) -> "Permutation":
-        iperm = np.asarray(iperm, dtype=np.int64)
+        iperm = index_array(iperm)
         perm = np.empty(len(iperm), dtype=np.int64)
         perm[iperm] = np.arange(len(iperm))
         return cls(perm)
@@ -70,11 +70,6 @@ class Permutation:
         out = np.empty_like(x)
         out[self.perm] = x
         return out
-
-    def as_relation(self, old_field: str = "i", new_field: str = "ip") -> Relation:
-        """The ⟨i, i'⟩ relation view of the permutation."""
-        n = len(self.perm)
-        return Relation([old_field, new_field], {old_field: np.arange(n), new_field: self.perm})
 
     def storage(self, prefix: str):
         """Storage bindings for generated code (PERM and IPERM arrays)."""

@@ -24,7 +24,6 @@ import numpy as np
 from repro.distribution.base import Distribution
 from repro.errors import DistributionError, InspectorError
 from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
-from repro.relational import Relation
 
 __all__ = ["Term", "RowFragment", "partition_rows"]
 
@@ -86,13 +85,6 @@ class RowFragment:
         )
         rest = COOMatrix(m.shape, m.row[~mine], m.col[~mine], m.vals[~mine])
         return [Term(local, "local"), Term(rest, "ghost")]
-
-    def as_relation(self) -> Relation:
-        """The fragment as the relation A^(p)(i', j, a)."""
-        return Relation(
-            ["ip", "j", "a"],
-            {"ip": self.matrix.row, "j": self.matrix.col, "a": self.matrix.vals},
-        )
 
 
 def partition_rows(coo: COOMatrix, dist: Distribution) -> list[RowFragment]:

@@ -1,27 +1,17 @@
-"""Relational algebra substrate (paper Section 2, Appendix B).
+"""The compiler's relational IR (paper Section 2, Appendix B).
 
 Arrays — sparse and dense — are modelled as relations of index/value tuples,
-and loop execution is modelled as relational query evaluation.  This package
-provides:
+and a loop nest as a query over them.  This package holds the two IRs the
+compiler builds and rewrites:
 
-* :class:`~repro.relational.schema.Schema` — ordered field names,
-* :class:`~repro.relational.relation.Relation` — a materialized,
-  column-oriented relation backed by numpy arrays, with selection,
-  projection, renaming, union and equi-joins,
-* :mod:`~repro.relational.joins` — merge, hash and index-nested-loop join
-  algorithms used both by the interpreted evaluator and (as templates) by
-  the compiler's code generator,
 * :mod:`~repro.relational.predicates` — the sparsity-predicate IR
   (NZ literals combined with AND/OR, normalized to DNF),
 * :mod:`~repro.relational.query` — the query IR the compiler extracts from a
   loop nest (Eq. 4 / Eq. 6 of the paper).
 
-The interpreted evaluator here is the semantic reference: the compiler's
-generated kernels are tested against it.
+No relation is materialized here: the compiler lowers queries to code.
 """
 
-from repro.relational.schema import Schema
-from repro.relational.relation import Relation
 from repro.relational.predicates import (
     NZ,
     And,
@@ -34,8 +24,6 @@ from repro.relational.predicates import (
 from repro.relational.query import RelTerm, Query
 
 __all__ = [
-    "Schema",
-    "Relation",
     "NZ",
     "And",
     "Or",

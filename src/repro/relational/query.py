@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.errors import SchemaError
+from repro.errors import CompileError
 from repro.relational.predicates import Predicate, TruePred
 
 __all__ = ["RelTerm", "IndexVar", "Query"]
@@ -70,7 +70,7 @@ class RelTerm:
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
         if self.kind not in ("array", "translation"):
-            raise SchemaError(f"bad term kind {self.kind!r}")
+            raise CompileError(f"bad term kind {self.kind!r}")
 
     def fields(self) -> tuple[str, ...]:
         """All fields of the relation this term denotes."""
@@ -99,23 +99,23 @@ class Query:
         object.__setattr__(self, "terms", tuple(self.terms))
         names = [v.name for v in self.index_vars]
         if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate index vars {names}")
+            raise CompileError(f"duplicate index vars {names}")
         known = set(names)
         for t in self.terms:
             for ix in t.indices:
                 if ix not in known:
-                    raise SchemaError(
+                    raise CompileError(
                         f"term {t} uses index {ix!r} not bound by a loop"
                     )
         if self.output is not None and self.output not in {t.array for t in self.terms}:
-            raise SchemaError(f"output {self.output!r} is not a term")
+            raise CompileError(f"output {self.output!r} is not a term")
 
     def term_for(self, array: str) -> RelTerm:
         """The (first) term referencing ``array``."""
         for t in self.terms:
             if t.array == array:
                 return t
-        raise SchemaError(f"no term for array {array!r}")
+        raise CompileError(f"no term for array {array!r}")
 
     def terms_using(self, index: str) -> tuple[RelTerm, ...]:
         """All terms whose relation constrains ``index``."""

@@ -4,7 +4,7 @@ import pytest
 
 from repro.compiler.parser import parse
 from repro.compiler.query_extract import extract_query
-from repro.errors import CompileError, SchemaError
+from repro.errors import CompileError
 from repro.relational.predicates import NZ, TruePred, conj
 from repro.relational.query import IndexVar, Query, RelTerm
 
@@ -46,7 +46,7 @@ def test_terms_using():
 
 
 def test_query_validation_unbound_index():
-    with pytest.raises(SchemaError):
+    with pytest.raises(CompileError, match="not bound by a loop"):
         Query(
             (IndexVar("i"),),
             (RelTerm("A", ("i", "j"), "a"),),
@@ -54,12 +54,12 @@ def test_query_validation_unbound_index():
 
 
 def test_query_validation_duplicate_vars():
-    with pytest.raises(SchemaError):
+    with pytest.raises(CompileError, match="duplicate index vars"):
         Query((IndexVar("i"), IndexVar("i")), ())
 
 
 def test_query_validation_output_must_be_term():
-    with pytest.raises(SchemaError):
+    with pytest.raises(CompileError, match="is not a term"):
         Query((IndexVar("i"),), (RelTerm("A", ("i",), "a"),), output="Z")
 
 
@@ -72,7 +72,7 @@ def test_relterm_fields_and_repr():
 
 
 def test_relterm_bad_kind():
-    with pytest.raises(SchemaError):
+    with pytest.raises(CompileError, match="bad term kind"):
         RelTerm("A", ("i",), "a", kind="banana")
 
 
@@ -84,5 +84,5 @@ def test_query_repr_shows_joins():
 
 def test_term_for_missing():
     q = q_of("for i in 0:n { Y[i] += A[i] }", {"A"})
-    with pytest.raises(SchemaError):
+    with pytest.raises(CompileError, match="no term for array"):
         q.term_for("Q")

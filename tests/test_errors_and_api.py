@@ -12,14 +12,12 @@ from repro.errors import (
     PlanningError,
     ReproError,
     RuntimeMachineError,
-    SchemaError,
     SparsityError,
 )
 
 
 def test_all_errors_derive_from_repro_error():
     for exc in (
-        SchemaError,
         FormatError,
         CompileError,
         ParseError,
