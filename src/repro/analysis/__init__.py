@@ -1,6 +1,6 @@
 """Static analysis & verification for the Bernoulli pipeline.
 
-Six analyzers over the artifacts the compiler and runtime otherwise take
+Five analyzers over the artifacts the compiler and runtime otherwise take
 on faith, each reporting :class:`~repro.analysis.diagnostics.Diagnostic`
 findings with stable ``BER0xx`` codes:
 
@@ -18,9 +18,6 @@ findings with stable ``BER0xx`` codes:
 * :mod:`repro.analysis.structure` — does the chosen storage format match
   the matrix's detected sparsity structure (and does the auto-planner
   pick a defensible one)?
-* :mod:`repro.analysis.regions` — is a hybrid region decomposition a
-  loss-free cover (no dropped, double-counted, or shifted entries), and
-  does the auditor catch seeded partition defects?
 
 ``python -m repro.analysis`` runs them from the command line; the
 dependence classifier also gates :func:`~repro.compiler.compile_kernel`
@@ -43,7 +40,6 @@ from repro.analysis import (  # noqa: E402,F401
     contracts,
     depend,
     lint,
-    regions,
     schedule,
     structure,
 )
@@ -57,7 +53,6 @@ from repro.analysis.depend import (
     classify_source,
     run_depend_selfcheck,
 )
-from repro.analysis.regions import audit_partition
 from repro.analysis.lint import lint_generated_source, lint_kernel, lint_plan
 from repro.analysis.schedule import (
     check_gather_schedules,
@@ -101,5 +96,4 @@ __all__ = [
     "StructureProfile",
     "analyze_structure",
     "audit_format_choice",
-    "audit_partition",
 ]

@@ -77,7 +77,6 @@ import numpy as np
 
 from repro.analysis.diagnostics import ERROR, INFO, WARN, Diagnostic, DiagnosticReport
 from repro.analysis.registry import register_pass
-from repro.analysis.selfcheck import run_mutation_selfcheck
 from repro.errors import ParseError
 from repro.fingerprint import fingerprint
 from repro.observability.trace import span
@@ -681,7 +680,7 @@ def check_certificate(
 
 # ----------------------------------------------------------------------
 # seeded mutation self-check: planted dependence-breaking mutants must
-# flip the verdict (regions-pass idiom — the detector itself is on trial)
+# flip the verdict (the detector itself is on trial)
 # ----------------------------------------------------------------------
 def _rotate_tuple(indices: tuple[str, ...], loop_vars: tuple[str, ...]) -> tuple[str, ...]:
     """An index tuple provoking aliasing: rotate a multi-index tuple, or
@@ -794,38 +793,52 @@ def run_depend_selfcheck(seed: int = 1997) -> DiagnosticReport:
     from repro.compiler.parser import parse
 
     rng = np.random.default_rng(seed)
+    report = DiagnosticReport()
 
-    def judge(_name, probe, mutant):
-        program, src = probe
+    def note(code, message, name):
+        severity = INFO if code == "BER066" else ERROR
+        report.add(
+            Diagnostic(
+                code, severity, message, pass_name=_PASS, location=f"probe {name}"
+            )
+        )
+
+    for name, src in _PROBES:
+        program = normalize_program(parse(src))
         clean = classify_program(program, source=src)
-        if mutant is None:
-            return clean.verdict.kind == SEQUENTIAL, "", clean.report.errors()
-        try:
-            mutated = classify_program(mutant, gate=False).verdict
-        except ParseError:
-            # the front-end itself rejects the mutant (e.g. a planted
-            # self-read in a plain assignment) — caught even earlier
-            # than the analyzer
-            return True, "caught: rejected by normalization before analysis", ()
-        if mutated.rank > clean.verdict.rank:
-            return True, f"caught: {clean.verdict.label()} → {mutated.label()}", ()
-        return False, (
-            f"escaped: verdict stayed {mutated.label()} (clean: "
-            f"{clean.verdict.label()}) — the analyzer is blind "
-            "to this planted dependence"
-        ), ()
-
-    return run_mutation_selfcheck(
-        ((name, (normalize_program(parse(src)), src)) for name, src in _PROBES),
-        {m: (lambda p, mutate=mutate: mutate(p[0], rng)) for m, mutate in _MUTANTS.items()},
-        judge,
-        pass_name=_PASS,
-        escaped="BER065",
-        caught="BER066",
-        noun="mutant",
-        broken_probe="unmutated probe classified SEQUENTIAL — the probe "
-        "set or the analyzer is broken",
-    )
+        if clean.verdict.kind == SEQUENTIAL:
+            report.extend(clean.report.errors())
+            note(
+                "BER065",
+                "unmutated probe classified SEQUENTIAL — the probe set or "
+                "the analyzer is broken",
+                name,
+            )
+            continue
+        for mname, mutate in _MUTANTS.items():
+            mutant = mutate(program, rng)
+            if mutant is None:
+                continue
+            try:
+                mutated = classify_program(mutant, gate=False).verdict
+            except ParseError:
+                # the front-end itself rejects the mutant (e.g. a planted
+                # self-read in a plain assignment) — caught even earlier
+                # than the analyzer
+                code, text = "BER066", "caught: rejected by normalization before analysis"
+            else:
+                if mutated.rank > clean.verdict.rank:
+                    code = "BER066"
+                    text = f"caught: {clean.verdict.label()} → {mutated.label()}"
+                else:
+                    code = "BER065"
+                    text = (
+                        f"escaped: verdict stayed {mutated.label()} (clean: "
+                        f"{clean.verdict.label()}) — the analyzer is blind "
+                        "to this planted dependence"
+                    )
+            note(code, f"seeded mutant {mname!r} {text}", name)
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ BER020-028 format-contract auditor (:mod:`repro.analysis.contracts`)
 BER030-035 plan & generated-code linter (:mod:`repro.analysis.lint`)
 BER040-045 SPMD schedule checker (:mod:`repro.analysis.schedule`)
 BER050-055 sparsity-structure analyzer (:mod:`repro.analysis.structure`)
-BER056-059 region-partition auditor (:mod:`repro.analysis.regions`)
 BER060-069 dependence & reduction analyzer (:mod:`repro.analysis.depend`)
 =========  ==========================================================
 """

@@ -18,8 +18,9 @@ compiles one ordinary kernel with one statement per region:
      :class:`~repro.formats.diagonal.DiagonalMatrix`,
    * a **remainder** holding everything else.
 
-   Every stored entry lands in *exactly one* region (the partition is a
-   loss-free cover; ``reassemble()`` returns the input bit for bit).
+   Every stored entry lands in *exactly one* region: the regions share
+   the input and one ``owner`` label per entry, so the partition is a
+   loss-free cover by construction.
 
 2. :func:`plan_hybrid` prices the partition with the same calibrated
    α+β :class:`~repro.compiler.autoplan.CostModel` the single-format
@@ -38,10 +39,12 @@ compiles one ordinary kernel with one statement per region:
    the other regions run C.
 
 The decomposition requires every statement of the kernel source to be a
-``+=`` reduction mentioning the hybrid array exactly once — then the full
-sum is exactly the sum of per-region sums (each stored entry contributes
-one term through exactly one region).  Anything else is rejected at
-compile time rather than silently double-executed per region.
+``+=`` reduction each of whose additive terms reads the hybrid array
+exactly once as a factor (its sparsity predicate is ``NZ(A(..))``) — then
+the full sum is exactly the sum of per-region sums (each stored entry
+contributes one term through exactly one region, and a padding zero
+contributes nothing).  Anything else is rejected at compile time rather
+than silently double-executed per region.
 """
 
 from __future__ import annotations
@@ -53,11 +56,13 @@ import numpy as np
 
 from repro.compiler.ast_nodes import BinOp, MinMax, Neg, Program, Ref
 from repro.compiler.autoplan import CANDIDATE_FORMATS, SEGMENT_WEIGHT, CostModel, spmv_operands
+from repro.compiler.sparsity import sparsity_predicate, split_statement
 from repro.errors import CompileError
 from repro.formats.base import Format
 from repro.formats.coo import COOMatrix
 from repro.formats.denseblocks import DenseBlocksMatrix
 from repro.observability.trace import span
+from repro.relational.predicates import NZ
 
 __all__ = [
     "Region",
@@ -157,19 +162,6 @@ class RegionPartition:
     nnz: int
     regions: tuple[Region, ...]
     profile: "StructureProfile"  # noqa: F821 - forward ref, typing only
-
-    def reassemble(self) -> COOMatrix:
-        """The union of the regions as one COO matrix (must equal the
-        partitioned input exactly — the loss-free-cover invariant)."""
-        parts = [r.coo for r in self.regions if r.nnz]
-        if not parts:
-            return COOMatrix(self.shape, [], [], [])
-        return COOMatrix.from_entries(
-            self.shape,
-            np.concatenate([p.row for p in parts]),
-            np.concatenate([p.col for p in parts]),
-            np.concatenate([p.vals for p in parts]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -363,23 +355,33 @@ def _validate_decomposable(source: str, name: str) -> Program:
     """Reject sources whose execution would not decompose region-wise;
     returns the parsed program.
 
-    Safe statements are ``+=`` reductions referencing the hybrid array
-    exactly once: then the full sum over stored entries equals the sum of
-    per-region sums, because the regions partition the entries.  A plain
-    assignment would be overwritten per region and a statement not
-    mentioning the array would run once *per region*.
+    Safe statements are ``+=`` reductions each of whose additive terms
+    (as :func:`split_statement` splits them) reads the hybrid array
+    exactly once as a factor, i.e. has the sparsity predicate
+    ``NZ(A(..))`` (paper Eq. 3): such a term contributes only at stored
+    entries, the regions partition the entries, and the padding zeros a
+    region format stores contribute nothing.  A term without the array
+    would run once *per region*, and a ``*``/``min``/``max`` reduction
+    would see the padding zeros.
     """
     from repro.compiler.parser import parse
 
     program = parse(source)
     for stmt in program.body:
-        uses = sum(1 for r in stmt.expr.refs() if r.array == name)
-        if not stmt.reduce or uses != 1 or stmt.target.array == name:
+        if not (
+            stmt.reduce
+            and stmt.op == "+"
+            and stmt.target.array != name
+            and all(
+                sum(r.array == name for r in term.expr.refs()) == 1
+                and isinstance(sparsity_predicate(term.expr, {name}), NZ)
+                for term in split_statement(stmt)
+            )
+        ):
             raise CompileError(
                 "hybrid decomposition requires every statement to be a "
-                f"'+=' reduction reading {name!r} exactly once; statement "
-                f"{stmt.target.array}[...] {'+=' if stmt.reduce else '='} ... "
-                f"references it {uses} time(s)"
+                f"'+=' reduction whose every additive term reads {name!r} "
+                f"exactly once as a factor; got {stmt!r}"
             )
     return program
 

@@ -15,8 +15,8 @@ An ``alltoallv_async`` routes identically to ``alltoallv`` (the simulation
 delivers immediately) but models a *nonblocking* post: its α–β time
 overlaps with the compute done before the matching ``commwait`` — see
 :meth:`RunStats.parallel_time`.  A payload wrapped in :class:`Fragmented`
-ships one envelope per value (the uncoalesced baseline) and is reassembled
-into a packed array at the receiver.
+ships one envelope per value (the uncoalesced baseline) and is packed back
+into one array at the receiver.
 
 The machine advances all ranks to their next yield, checks they agree on
 the collective (SPMD discipline), routes the data, and resumes them.  Per
@@ -60,7 +60,7 @@ class Fragmented(list):
     and its own retry unit under fault injection.  This is the baseline
     the coalesced path (one contiguous packed array per destination, whose
     packet order the gather schedule fixes so no slot indices travel at
-    all) is measured against.  The machine reassembles arrivals into the
+    all) is measured against.  The machine packs arrivals back into the
     packed ``ndarray`` the receiver would have gotten from a coalesced
     send — the two modes are bitwise interchangeable.
     """
@@ -547,7 +547,7 @@ class Machine:
         """Route one all-to-all; returns each rank's ``{src: payload}``.
 
         Self-messages never touch the network.  A :class:`Fragmented`
-        payload travels part by part and is reassembled by slot.  Under an
+        payload travels part by part and is packed back by slot.  Under an
         injector each rank's arrivals may be reordered, and duplicates
         (same ``(src, seq)``) are suppressed."""
         P = self.nprocs

@@ -156,12 +156,29 @@ def test_hybrid_kernel_is_one_cache_entry():
 
 
 def test_non_reduction_source_is_rejected():
-    rng = case_rng(6007)
-    hybrid = plan_hybrid(STRUCTURE_CLASSES["hybrid"](rng, 64))
-    with pytest.raises(CompileError, match="reduction"):
-        hybrid.compile(
-            source="for i in 0:n { for j in 0:m { Y[i] = A[i,j] * X[j] } }"
-        )
+    """A split is legal only for a '+' reduction whose every additive
+    term reads A once as a factor: a term without A would run once per
+    region, and a '*' or 'min' monoid would see the padding zeros the
+    DenseBlocks and Diagonal regions store.  The last three nests pass
+    the dependence gate (DOANY, REDUCTION(*), REDUCTION(min))."""
+    n = 80
+    coo = _window_plus_scatter(6007, n)
+    hybrid = plan_hybrid(coo)
+    plan = autoplan(coo, model=_pro_hybrid_model())
+    assert plan.format_name == "Hybrid"
+    vec = lambda: DenseVector.zeros(n)  # noqa: E731
+    for body, arrays in (
+        ("Y[i] = A[i,j] * X[j]", "XY"),
+        ("Y[i] += A[i,j] * X[j] + Z[i]", "XYZ"),
+        ("Y[i] = Y[i] * A[i,j]", "Y"),
+        ("Y[i] = min(Y[i], A[i,j])", "Y"),
+    ):
+        source = f"for i in 0:n {{ for j in 0:m {{ {body} }} }}"
+        extra = {a: vec() for a in arrays}
+        with pytest.raises(CompileError, match="reduction"):
+            hybrid.compile(source=source, extra=extra)
+        with pytest.raises(CompileError, match="reduction"):
+            plan.compile(coo, source=source, extra=extra)
 
 
 def test_build_materializes_one_format_per_region():

@@ -2,17 +2,17 @@
 
 For every structure class (including the adversarial near-misses) and a
 gauntlet of edge shapes, :func:`partition_regions` must place every
-stored entry in **exactly one** region and reassemble the input exactly
-— checked three ways: set algebra on coordinates, bitwise dense
-reassembly, and the registered BER056-058 audit.  Materialization
-fidelity rides along: each region built in its chosen format must
-round-trip its own entries.
+stored entry in **exactly one** region.  The representation makes that
+structural — the regions share the canonical input and one ``owner``
+label per entry — so the checks pin the representation: one shared
+source and owner, every entry labeled with a region, region sizes that
+add up, and each region's materialized format holding exactly its own
+entries (up to the explicit zeros a dense window pads with).
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.regions import audit_partition
 from repro.compiler.specialize import SKEW_FACTOR, SKEW_MIN, partition_regions
 from repro.formats.coo import COOMatrix
 from tests.conftest import case_rng
@@ -25,26 +25,34 @@ CASES = [
 ]
 
 
+def _nonzeros(coo):
+    """A COO's entries other than explicit zeros, as comparable bytes."""
+    coo = coo.canonicalized()
+    keep = coo.vals != 0
+    return tuple(a[keep].tobytes() for a in (coo.row, coo.col, coo.vals))
+
+
 def _assert_loss_free_cover(coo, partition):
     coo = coo.canonicalized()
-    n, m = coo.shape
-    # 1) exactly-one-region: region nnz sums to the input nnz and the
-    #    union of coordinate keys has no duplicates and no strays
-    keys = [r.coo.row * m + r.coo.col for r in partition.regions]
-    union = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
-    assert len(union) == coo.nnz
-    uniq = np.unique(union)
-    assert len(uniq) == len(union), "a coordinate is claimed twice"
-    assert np.array_equal(uniq, np.unique(coo.row * m + coo.col))
-    # 2) bitwise reassembly (each entry has exactly one contribution, so
-    #    no floating-point reassociation is possible)
-    back = partition.reassemble().canonicalized()
-    assert np.array_equal(back.row, coo.row)
-    assert np.array_equal(back.col, coo.col)
-    assert back.vals.tobytes() == coo.vals.tobytes()
-    # 3) the registered audit agrees (and covers materialization)
-    report = audit_partition(coo, partition)
-    assert report.ok, report.render()
+    regions = partition.regions
+    source, owner = regions[0].source, regions[0].owner
+    # 1) one shared canonical source and one owner array: the regions
+    #    are views of the input, not copies of it
+    assert all(r.source is source and r.owner is owner for r in regions)
+    assert np.array_equal(source.row, coo.row)
+    assert np.array_equal(source.col, coo.col)
+    assert source.vals.tobytes() == coo.vals.tobytes()
+    # 2) every entry is labeled with exactly one region: labels are
+    #    0..k-1 in region order, and none is left unclaimed (-1)
+    assert [r.label for r in regions] == list(range(len(regions)))
+    assert len(owner) == coo.nnz
+    assert np.isin(owner, np.arange(len(regions))).all(), "an entry is unclaimed"
+    assert sum(r.nnz for r in regions) == coo.nnz
+    # 3) each region's materialized format holds exactly its entries
+    #    (a dense window may add explicit zero padding)
+    for region in regions:
+        built = region.build().to_coo()
+        assert _nonzeros(built) == _nonzeros(region.coo), region.detail
 
 
 @pytest.mark.parametrize("cls,rep", CASES)
