@@ -406,3 +406,9 @@ def index_array(values, error: type[Exception] = FormatError) -> np.ndarray:
     if not np.array_equal(out, arr):
         raise error(f"index values must be integers, got {arr[out != arr][:3].tolist()}")
     return out
+
+
+def is_permutation(perm: np.ndarray) -> bool:
+    """Whether int64 ``perm`` holds each of ``0 .. len(perm) - 1`` exactly once."""
+    n = len(perm)
+    return not n or (perm.min() >= 0 and perm.max() < n and (np.bincount(perm) == 1).all())

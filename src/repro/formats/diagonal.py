@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.base import AccessLevel, Emitter, Format, check_shape
-from repro.formats.coo import COOMatrix
+from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 
 __all__ = ["DiagonalMatrix", "DiagOuterLevel", "DiagRunLevel"]
 
@@ -115,8 +115,13 @@ class DiagonalMatrix(Format):
             raise FormatError("first length must equal ndiag")
         if len(self.offsets) > 1 and np.any(np.diff(self.offsets) <= 0):
             raise FormatError("offsets must be strictly increasing")
-        if self.dptr[0] != 0 or (len(self.dptr) and self.dptr[-1] != len(self.vals)):
+        if self.dptr[0] != 0 or self.dptr[-1] != len(self.vals):
             raise FormatError("dptr must start at 0 and end at len(vals)")
+        lo = self.first
+        hi = lo + np.diff(self.dptr)  # each run covers rows lo..hi-1, columns + offset
+        (n0, n1), off = self._shape, self.offsets
+        if ((hi < lo) | (lo < 0) | (hi > n0) | (lo + off < 0) | (hi + off > n1)).any():
+            raise FormatError(f"a diagonal run leaves shape {self._shape}")
 
     @property
     def ndiag(self) -> int:
@@ -130,39 +135,29 @@ class DiagonalMatrix(Format):
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "DiagonalMatrix":
         coo = coo.canonicalized()
-        d = coo.col - coo.row
-        offsets = np.unique(d)
-        dptr = [0]
-        first = []
-        runs = []
-        for off in offsets:
-            on = d == off
-            rows = coo.row[on]
-            vals = coo.vals[on]
-            lo, hi = int(rows.min()), int(rows.max())
-            run = np.zeros(hi - lo + 1)
-            run[rows - lo] = vals
-            first.append(lo)
-            runs.append(run)
-            dptr.append(dptr[-1] + len(run))
-        vals = np.concatenate(runs) if runs else np.empty(0)
-        return cls(coo.shape, offsets, np.asarray(dptr), np.asarray(first, dtype=np.int64), vals)
+        n, m = coo.shape
+        # offset + n - 1 keys an (n + m)-long table: each diagonal's row span
+        key = coo.col - coo.row + (n - 1)
+        lo, hi = np.full(n + m, n), np.full(n + m, -1)
+        np.minimum.at(lo, key, coo.row)
+        np.maximum.at(hi, key, coo.row)
+        (present,) = np.nonzero(hi >= 0)
+        first = lo[present]
+        dptr = segment_ptr(hi[present] - first + 1)
+        base = np.zeros(n + m, dtype=np.int64)
+        base[present] = dptr[:-1] - first
+        key = base[key]
+        key += coo.row
+        vals = np.zeros(dptr[-1])
+        vals[key] = coo.vals
+        return cls(coo.shape, present - (n - 1), dptr, first, vals)
 
     def to_coo(self) -> COOMatrix:
-        rows, cols, vals = [], [], []
-        for t in range(self.ndiag):
-            s, e = int(self.dptr[t]), int(self.dptr[t + 1])
-            i = self.first[t] + np.arange(e - s)
-            rows.append(i)
-            cols.append(i + self.offsets[t])
-            vals.append(self.vals[s:e])
-        if not rows:
-            return COOMatrix(self._shape, [], [], [])
-        coo = COOMatrix.from_entries(
-            self._shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-        )
+        runs = np.diff(self.dptr)
+        rows = segment_indices(self.first, runs)
+        cols = rows + np.repeat(self.offsets, runs)
         # explicit interior zeros are a storage artifact, not structure
-        return coo.prune(0.0)
+        return COOMatrix.from_entries(self._shape, rows, cols, self.vals).prune(0.0)
 
     @property
     def shape(self):

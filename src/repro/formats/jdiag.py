@@ -24,8 +24,8 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import AccessLevel, Emitter, Format, check_shape
-from repro.formats.coo import COOMatrix
+from repro.formats.base import AccessLevel, Emitter, Format, check_shape, is_permutation
+from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 
 __all__ = ["JaggedDiagonalMatrix", "JDOuterLevel", "JDRunLevel"]
 
@@ -89,17 +89,17 @@ class JaggedDiagonalMatrix(Format):
         self.jdval = np.asarray(jdval, dtype=np.float64)
         if len(self.perm) != self._shape[0]:
             raise FormatError("perm must have one entry per row")
-        if len(self.perm) and sorted(self.perm.tolist()) != list(range(self._shape[0])):
+        if not is_permutation(self.perm):
             raise FormatError("perm is not a permutation of the rows")
-        if self.jdptr[0] != 0 or (len(self.jdptr) and self.jdptr[-1] != len(self.jdval)):
+        if len(self.jdptr) == 0 or self.jdptr[0] != 0 or self.jdptr[-1] != len(self.jdval):
             raise FormatError("jdptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.jdptr) > 0) and np.any(np.diff(-np.diff(self.jdptr)) < -0):
-            # jagged diagonals must have non-increasing lengths
-            lens = np.diff(self.jdptr)
-            if np.any(lens[1:] > lens[:-1]):
-                raise FormatError("jagged diagonal lengths must be non-increasing")
+        lens = np.diff(self.jdptr)
+        if len(lens) and (lens[-1] < 0 or lens[0] > len(self.perm) or (lens[1:] > lens[:-1]).any()):
+            raise FormatError("jagged diagonal lengths must be non-increasing, in [0, nrows]")
         if len(self.jdcol) != len(self.jdval):
             raise FormatError("jdcol/jdval length mismatch")
+        if len(self.jdcol) and (self.jdcol.min() < 0 or self.jdcol.max() >= self._shape[1]):
+            raise FormatError(f"jdcol out of bounds for shape {self._shape}")
 
     @property
     def njd(self) -> int:
@@ -108,36 +108,20 @@ class JaggedDiagonalMatrix(Format):
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "JaggedDiagonalMatrix":
         coo = coo.canonicalized()
-        n = coo.shape[0]
         counts = coo.row_counts()
         perm = np.argsort(-counts, kind="stable").astype(np.int64)
-        maxlen = int(counts.max(initial=0))
-        rowstart = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=rowstart[1:])
-        jdptr = [0]
-        jdcol_parts, jdval_parts = [], []
-        for d in range(maxlen):
-            rows = perm[counts[perm] > d]  # prefix of the permutation
-            pos = rowstart[rows] + d
-            jdcol_parts.append(coo.col[pos])
-            jdval_parts.append(coo.vals[pos])
-            jdptr.append(jdptr[-1] + len(rows))
-        jdcol = np.concatenate(jdcol_parts) if jdcol_parts else np.empty(0, dtype=np.int64)
-        jdval = np.concatenate(jdval_parts) if jdval_parts else np.empty(0)
-        return cls(coo.shape, perm, np.asarray(jdptr, dtype=np.int64), jdcol, jdval)
+        # lens[d] rows, the prefix perm[:lens[d]], are longer than d; slot k
+        # of diagonal d holds entry d of row perm[k]
+        lens = len(counts) - np.cumsum(np.bincount(counts))[:-1]
+        pos = segment_indices(np.zeros_like(lens), lens)
+        pos = segment_ptr(counts)[perm][pos]
+        pos += np.repeat(np.arange(len(lens)), lens)
+        return cls(coo.shape, perm, segment_ptr(lens), coo.col[pos], coo.vals[pos])
 
     def to_coo(self) -> COOMatrix:
-        rows, cols, vals = [], [], []
-        for d in range(self.njd):
-            s, e = int(self.jdptr[d]), int(self.jdptr[d + 1])
-            rows.append(self.perm[: e - s])
-            cols.append(self.jdcol[s:e])
-            vals.append(self.jdval[s:e])
-        if not rows:
-            return COOMatrix(self._shape, [], [], [])
-        return COOMatrix.from_entries(
-            self._shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-        )
+        lens = np.diff(self.jdptr)
+        rows = self.perm[segment_indices(np.zeros_like(lens), lens)]
+        return COOMatrix.from_entries(self._shape, rows, self.jdcol, self.jdval)
 
     @property
     def shape(self):

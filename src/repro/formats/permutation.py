@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import index_array
+from repro.formats.base import index_array, is_permutation
 
 __all__ = ["Permutation"]
 
@@ -28,7 +28,7 @@ class Permutation:
     def __init__(self, perm):
         self.perm = index_array(perm)
         n = len(self.perm)
-        if sorted(self.perm.tolist()) != list(range(n)):
+        if not is_permutation(self.perm):
             raise FormatError("not a permutation of range(n)")
         self.iperm = np.empty(n, dtype=np.int64)
         self.iperm[self.perm] = np.arange(n)
