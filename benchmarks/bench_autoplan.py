@@ -16,10 +16,15 @@ two to modeling error but not more; the ``--smoke`` floor is 0.85
 because at CI sizes per-call alpha dominates), and auto must strictly
 beat the worst-fixed-format geomean — picking blindly is not an option.
 
+Every time is of the bound call ``kernel.bind(**formats)()``, the form
+the solvers and ``bench_hybrid.py`` run: an unbound ``kernel(**formats)``
+re-binds on every call, and that bind cost would land in the fitted alpha.
+
 The same measurements calibrate the cost model: per format, least-squares
 fit of ``seconds = alpha + beta * work_units`` across the suite.  The fit
-lands under the ``fit`` key of the ``--out`` JSON (``BENCH_autoplan.json``)
-beside the full per-class × per-format table.
+(vectorized formats only: the planner never prices the interpreted
+backend) lands under the ``fit`` key of the ``--out`` JSON
+(``BENCH_autoplan.json``) beside the full per-class × per-format table.
 
 Usage::
 
@@ -47,20 +52,23 @@ BENCH = "autoplan"
 SEED = 19970
 
 
-def _time_call(kernel, formats, min_time: float) -> float:
-    """Best-of per-call seconds, repeating until ``min_time`` elapsed."""
+def _time_bound(kernel, formats, min_time: float) -> float:
+    """Best-of seconds of the bound call, repeating until ``min_time``
+    elapsed (after one warm call)."""
+    call = kernel.bind(**formats)
+    call()
     best = float("inf")
     spent = 0.0
     while spent < min_time:
         t0 = time.perf_counter()
-        kernel(**formats)
+        call()
         dt = time.perf_counter() - t0
         best = min(best, dt)
         spent += dt
     return best
 
 
-def _measure_format(coo, profile, name, backend, x, min_time) -> float | None:
+def _measure_format(coo, profile, name, x, min_time) -> float | None:
     """Per-call SpMV seconds through one fixed format, or None if the
     format rejects the matrix."""
     try:
@@ -72,9 +80,7 @@ def _measure_format(coo, profile, name, backend, x, min_time) -> float | None:
         "X": DenseVector(x.copy()),
         "Y": DenseVector.zeros(fmt.shape[0]),
     }
-    kernel = compile_kernel(SPMV_SRC, formats, backend=backend)
-    kernel(**formats)  # warm: bound-resolution, caches
-    return _time_call(kernel, formats, min_time)
+    return _time_bound(compile_kernel(SPMV_SRC, formats), formats, min_time)
 
 
 def _measure_auto(coo, plan, x, min_time) -> float:
@@ -85,8 +91,7 @@ def _measure_auto(coo, plan, x, min_time) -> float:
     kernel, formats = plan.compile(coo)
     formats["X"] = DenseVector(x.copy())
     formats["Y"] = DenseVector.zeros(coo.shape[0])
-    kernel(**formats)  # warm
-    return _time_call(kernel, formats, min_time)
+    return _time_bound(kernel, formats, min_time)
 
 
 def _fit_alpha_beta(points):
@@ -114,7 +119,6 @@ def measure(args):
 
     rows = []
     fit_points = {name: [] for name in CANDIDATE_FORMATS}
-    interp_points = []
     for ci, cls in enumerate(sorted(STRUCTURE_CLASSES)):
         rng = np.random.default_rng([rng_base, ci])
         coo = STRUCTURE_CLASSES[cls](rng, n)
@@ -125,12 +129,10 @@ def measure(args):
             feasible, _ = _feasibility(profile, name)
             if not feasible:
                 continue
-            t = _measure_format(coo, profile, name, "vectorized", x, min_time)
+            t = _measure_format(coo, profile, name, x, min_time)
             if t is not None:
                 times[name] = t
                 fit_points[name].append((CostModel.work_units(profile, name), t))
-        t_interp = _measure_format(coo, profile, "CRS", "interpreted", x, min_time)
-        interp_points.append((profile.nnz, t_interp))
         rows.append({
             "class": cls,
             "n": n,
@@ -138,7 +140,6 @@ def measure(args):
             "tags": list(profile.tags),
             "profile_fingerprint": profile.fingerprint(),
             "fixed_seconds": times,
-            "interpreted_crs_seconds": t_interp,
         })
 
     # calibrate the model from this run's own measurements
@@ -146,11 +147,7 @@ def measure(args):
     for name, pts in fit_points.items():
         if pts:
             alpha[name], beta[name] = _fit_alpha_beta(pts)
-    ia, ib = _fit_alpha_beta(interp_points)
-    model = CostModel(
-        alpha=alpha, beta=beta, alpha_interpreted=ia, beta_interpreted=ib,
-        source="fit[this-run]",
-    )
+    model = CostModel(alpha=alpha, beta=beta, source="fit[this-run]")
 
     # the auto-planner picks with the calibrated model; its time is the
     # measured time of whatever it picked
@@ -161,7 +158,7 @@ def measure(args):
         profile = analyze_structure(coo)
         plan = autoplan(coo, profile=profile, model=model)
         times = row["fixed_seconds"]
-        if plan.backend == "interpreted" or plan.format_name not in times:
+        if plan.format_name not in times:
             x = integer_vector(np.random.default_rng([rng_base, ci, 1]), coo.shape[1])
             auto_t = _measure_auto(coo, plan, x, min_time)
         else:
@@ -170,7 +167,6 @@ def measure(args):
         worst_name = max(times, key=times.get)
         row.update({
             "auto_format": plan.format_name,
-            "auto_backend": plan.backend,
             "auto_seconds": auto_t,
             "best_fixed": best_name,
             "worst_fixed": worst_name,
@@ -199,8 +195,7 @@ def measure(args):
             "auto_vs_best_geomean": headline,
             "auto_vs_worst_geomean": worst_geomean,
             "model_source": model.source,
-            "fit": {"alpha": alpha, "beta": beta,
-                    "alpha_interpreted": ia, "beta_interpreted": ib},
+            "fit": {"alpha": alpha, "beta": beta},
             "classes": rows,
         }
         with open(args.out, "w") as fh:

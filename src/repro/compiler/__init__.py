@@ -15,11 +15,12 @@ Pipeline:
    *driver* relation that enumerates its stored entries and the access
    mode (dense lookup / sparse search) for every other term, using the
    access-method properties and a cost model.
-5. :mod:`~repro.compiler.codegen` / :mod:`~repro.compiler.backends` —
-   emit Python source for the chosen plan through a selectable *executor
-   backend* (``"interpreted"``: scalar loops; ``"vectorized"``: numpy
-   slice/gather/segmented-reduction lowering with per-statement fallback),
-   compile it, and wrap it in a
+5. :mod:`~repro.compiler.codegen` — emit Python source for the chosen
+   plan through the lowering strategies of the named *executor backend*
+   (``codegen.STRATEGIES``: ``"interpreted"`` is the scalar nest;
+   ``"vectorized"`` the numpy segmented/block-gemv/vectorized/
+   reduce-scatter lowerings with per-statement scalar fallback), compile
+   it, and wrap it in a
    :class:`~repro.compiler.kernels.CompiledKernel`.  Compiled kernels are
    cached in a :mod:`~repro.compiler.plan_cache` keyed on the loop nest,
    the format specs and the sparsity predicates.
@@ -42,13 +43,7 @@ from repro.compiler.parser import parse
 from repro.compiler.sparsity import sparsity_predicate, split_statement
 from repro.compiler.query_extract import extract_query
 from repro.compiler.scheduling import plan_query, Plan, TermAccess
-from repro.compiler.backends import (
-    ExecutorBackend,
-    LoweringStrategy,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.compiler.codegen import get_backend
 from repro.compiler.kernels import (
     CompiledKernel,
     compile_kernel,
@@ -84,11 +79,7 @@ __all__ = [
     "plan_query",
     "Plan",
     "TermAccess",
-    "ExecutorBackend",
-    "LoweringStrategy",
-    "available_backends",
     "get_backend",
-    "register_backend",
     "CompiledKernel",
     "compile_kernel",
     "clear_kernel_cache",

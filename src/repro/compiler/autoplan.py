@@ -132,17 +132,12 @@ DEFAULT_BETA: dict[str, float] = {
     "DenseBlocks": 8.0e-10,
 }
 
-#: per stored-slot cost of the interpreted scalar nest (any format)
-DEFAULT_BETA_INTERPRETED = 3.7e-7
-DEFAULT_ALPHA_INTERPRETED = 2.5e-4
-
 
 @dataclass(frozen=True)
 class CandidateCost:
-    """One (format, backend) candidate with its modeled cost."""
+    """One candidate format with its modeled cost."""
 
     format_name: str
-    backend: str
     work_units: float  # stored slots + weighted segment iterations
     predicted_seconds: float
     feasible: bool
@@ -153,25 +148,21 @@ class CostModel:
     """α + β·work cost model over the candidate formats.
 
     ``predict(profile, name)`` returns modeled seconds for one SpMV call
-    through the vectorized backend; ``predict_interpreted`` models the
-    scalar reference nest (one shared β — scalar loops do not care about
-    layout, only about how many stored slots they visit).
+    through the vectorized backend.  The interpreted backend is not
+    priced: its scalar nest costs two orders of magnitude more per stored
+    slot than any vectorized format, so it could never be chosen.
     """
 
     def __init__(
         self,
         alpha: Mapping[str, float] | None = None,
         beta: Mapping[str, float] | None = None,
-        alpha_interpreted: float = DEFAULT_ALPHA_INTERPRETED,
-        beta_interpreted: float = DEFAULT_BETA_INTERPRETED,
         source: str = "default",
     ):
         self.alpha = dict(DEFAULT_ALPHA)
         self.alpha.update(alpha or {})
         self.beta = dict(DEFAULT_BETA)
         self.beta.update(beta or {})
-        self.alpha_interpreted = float(alpha_interpreted)
-        self.beta_interpreted = float(beta_interpreted)
         #: provenance: "default", or the caller's label for a fit
         self.source = source
 
@@ -221,12 +212,6 @@ class CostModel:
             name, self.stored_slots(profile, name), self.segment_loops(profile, name)
         )
 
-    def predict_interpreted(self, profile: "StructureProfile", name: str) -> float:
-        return (
-            self.alpha_interpreted
-            + self.beta_interpreted * self.stored_slots(profile, name)
-        )
-
 
 @dataclass
 class AutoPlan:
@@ -241,7 +226,6 @@ class AutoPlan:
     profile: "StructureProfile"
     candidates: tuple[CandidateCost, ...]
     format_name: str
-    backend: str
     predicted_seconds: float
     model_source: str = "default"
     #: format actually materialized by :meth:`build` (differs from
@@ -259,11 +243,11 @@ class AutoPlan:
         costs = [c.predicted_seconds for c in self.candidates if c.feasible]
         return max(costs) if costs else self.predicted_seconds
 
-    def candidate(self, name: str, backend: str = "vectorized") -> CandidateCost:
+    def candidate(self, name: str) -> CandidateCost:
         for c in self.candidates:
-            if c.format_name == name and c.backend == backend:
+            if c.format_name == name:
                 return c
-        raise CompileError(f"no candidate {name!r} with backend {backend!r}")
+        raise CompileError(f"no candidate {name!r}")
 
     # ------------------------------------------------------------------
     def build(self, coo: COOMatrix):
@@ -325,14 +309,12 @@ class AutoPlan:
             source, formats = split_source(source, name, fmt, extra)
         else:
             formats = {name: fmt, **extra}
-        kwargs.setdefault("backend", self.backend)
         kwargs.setdefault(
             "extra_key", ("autoplan", self.profile.fingerprint())
         )
         with span(
             "autoplan.compile",
             format=self.built_name,
-            backend=kwargs["backend"],
             fingerprint=self.profile.fingerprint(),
         ):
             kernel = compile_kernel(source, formats, **kwargs)
@@ -343,19 +325,17 @@ class AutoPlan:
         """The decision, the model, and the full candidate ranking."""
         lines = [self.profile.describe()]
         lines.append(
-            f"auto-plan: {self.format_name} via {self.backend} backend, "
+            f"auto-plan: {self.format_name}, "
             f"predicted {self.predicted_seconds * 1e6:.1f} µs/call "
             f"(cost model: {self.model_source})"
         )
         lines.append("  candidates (cheapest first):")
         for c in self.candidates:
             status = "" if c.feasible else "  [infeasible]"
-            chosen = " <- chosen" if (
-                c.format_name == self.format_name and c.backend == self.backend
-            ) else ""
+            chosen = " <- chosen" if c.format_name == self.format_name else ""
             note = f" — {c.note}" if c.note else ""
             lines.append(
-                f"    {c.format_name:<10s} {c.backend:<11s} "
+                f"    {c.format_name:<10s} "
                 f"work={c.work_units:>10.0f}  "
                 f"predicted={c.predicted_seconds * 1e6:>8.1f} µs"
                 f"{status}{chosen}{note}"
@@ -370,14 +350,12 @@ class AutoPlan:
         return {
             "profile": self.profile.to_dict(),
             "format": self.format_name,
-            "backend": self.backend,
             "predicted_seconds": self.predicted_seconds,
             "model_source": self.model_source,
             "hybrid": self.hybrid.to_dict() if self.hybrid is not None else None,
             "candidates": [
                 {
                     "format": c.format_name,
-                    "backend": c.backend,
                     "work_units": c.work_units,
                     "predicted_seconds": c.predicted_seconds,
                     "feasible": c.feasible,
@@ -409,7 +387,6 @@ def _feasibility(profile: "StructureProfile", name: str) -> tuple[bool, str]:
 def autoplan(
     coo,
     model: CostModel | None = None,
-    backends: tuple[str, ...] = ("vectorized", "interpreted"),
     profile: "StructureProfile | None" = None,
 ) -> AutoPlan:
     """Analyze ``coo`` and rank every candidate format by modeled cost.
@@ -420,8 +397,6 @@ def autoplan(
         The matrix (any Format; converted through COO).
     model:
         Cost model; defaults to the built-in :class:`CostModel`.
-    backends:
-        Backend candidates to weigh, strongest first.
     profile:
         Re-use an existing :class:`StructureProfile` (skips the scan).
     """
@@ -434,16 +409,11 @@ def autoplan(
     candidates: list[CandidateCost] = []
     for name in CANDIDATE_FORMATS:
         feasible, note = _feasibility(profile, name)
-        for backend in backends:
-            if backend == "interpreted":
-                pred = model.predict_interpreted(profile, name)
-                units = model.stored_slots(profile, name)
-            else:
-                pred = model.predict(profile, name)
-                units = model.work_units(profile, name)
-            candidates.append(
-                CandidateCost(name, backend, units, pred, feasible, note)
+        candidates.append(
+            CandidateCost(
+                name, model.work_units(profile, name), model.predict(profile, name), feasible, note
             )
+        )
 
     # the composed region-specialized plan competes in the same ranking:
     # per-region α charges mean it only wins when the regions are big
@@ -456,7 +426,6 @@ def autoplan(
         candidates.append(
             CandidateCost(
                 "Hybrid",
-                "vectorized",
                 hybrid.work_units,
                 hybrid.predicted_seconds,
                 hybrid.feasible,
@@ -467,7 +436,6 @@ def autoplan(
         candidates.append(
             CandidateCost(
                 "Hybrid",
-                "vectorized",
                 0.0,
                 float("inf"),
                 False,
@@ -475,12 +443,11 @@ def autoplan(
             )
         )
 
-    candidates.sort(key=lambda c: (c.predicted_seconds, c.format_name, c.backend))
+    candidates.sort(key=lambda c: (c.predicted_seconds, c.format_name))
     best = next(c for c in candidates if c.feasible)
     with span(
         "autoplan.select",
         format=best.format_name,
-        backend=best.backend,
         predicted_seconds=best.predicted_seconds,
         tags=list(profile.tags),
         model=model.source,
@@ -489,14 +456,11 @@ def autoplan(
             profile=profile,
             candidates=tuple(candidates),
             format_name=best.format_name,
-            backend=best.backend,
             predicted_seconds=best.predicted_seconds,
             model_source=model.source,
             hybrid=hybrid,
         )
-    _metrics.record(
-        "runtime.autoplan.choices", format=best.format_name, backend=best.backend
-    )
+    _metrics.record("runtime.autoplan.choices", format=best.format_name)
     _metrics.observe(
         "runtime.autoplan.predicted_seconds", best.predicted_seconds
     )
@@ -506,7 +470,7 @@ def autoplan(
 def autoplan_spmv(coo, x=None, model: CostModel | None = None, **kwargs):
     """One-stop auto-planned SpMV: returns ``(y, plan)``.
 
-    Analyzes, picks the format/backend, compiles (cache-keyed on the
+    Analyzes, picks the format, compiles (cache-keyed on the
     structure fingerprint), runs ``y = A·x``, and hands back the plan so
     callers can print ``plan.explain()``.
     """

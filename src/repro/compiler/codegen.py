@@ -1,13 +1,14 @@
 """Python code generation from access plans.
 
-The lowering *strategies* live here; the *policy* of which strategy runs
-for which plan is an :class:`~repro.compiler.backends.ExecutorBackend`:
+A backend is a name in :data:`STRATEGIES`, which lists the lowering
+strategies it probes, in order, for every planned statement:
 
 * **scalar** — nested Python loops following the plan's steps exactly;
-  the semantic reference (the ``"interpreted"`` backend) and the fallback
-  for plans whose innermost step is a search (no contiguous view to
-  vectorize over).
-* **vectorized / block-gemv / segmented** — the ``"vectorized"``
+  the semantic reference (the ``"interpreted"`` backend's one strategy)
+  and the ``"fallback:scalar"`` lowering of any statement none of the
+  ``"vectorized"`` strategies accepts (say, an innermost search: no
+  contiguous view to vectorize over).
+* **segmented / block-gemv / vectorized** — the ``"vectorized"``
   backend's strategies: when the access-method properties expose a
   contiguous :meth:`inner_vector_view`, a dense :meth:`inner_block_view`,
   or a whole-matrix :meth:`segmented_view`, loops are replaced by numpy
@@ -44,9 +45,10 @@ from repro.compiler.scheduling import Plan, Step
 from repro.errors import CompileError, FormatError
 from repro.formats.base import Emitter, Format
 from repro.formats.blocks import block_groups
+from repro.observability import metrics as _metrics
 from repro.observability.trace import span
 
-__all__ = ["generate_source", "KernelUnit"]
+__all__ = ["generate_source", "get_backend", "KernelUnit", "STRATEGIES"]
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def _emit_scalar_nest(
 
 
 # ----------------------------------------------------------------------
-# vectorized backend
+# vectorized and reduce-scatter strategies
 # ----------------------------------------------------------------------
 def _multiplicative_factors(expr: Expr):
     """Flatten a product/quotient chain into (sign, [(op, factor), ...]);
@@ -553,7 +555,7 @@ def _emit_vector_nest(
 
 
 # ----------------------------------------------------------------------
-# block-GEMV backend: collapse the driver's whole level walk into one
+# block-gemv strategy: collapse the driver's whole level walk into one
 # batched dense matrix-vector product per block *shape* (i-nodes, clique
 # blocks, dense windows)
 # ----------------------------------------------------------------------
@@ -695,7 +697,7 @@ def _emit_block_nest(
 
 
 # ----------------------------------------------------------------------
-# segmented-reduction backend: collapse a full two-level enumeration into
+# segmented strategy: collapse a full two-level enumeration into
 # one flat product + one segmented reduction (np.add.reduceat / 2-D sum)
 # ----------------------------------------------------------------------
 def _segmented_plan_shape(unit: KernelUnit, formats: dict[str, Format]):
@@ -820,12 +822,57 @@ def _zero_fill(g: Emitter, target: Ref, formats: dict[str, Format]) -> None:
     g.emit(f"{target.array}_vals[{colons}] = 0.0")
 
 
+#: backend name -> its lowering strategies ``(label, applies(unit,
+#: formats), emit(g, program, unit, formats))``, probed in order of how
+#: much of the nest each one collapses; ``applies`` is side-effect free
+STRATEGIES = {
+    "interpreted": (("scalar", lambda unit, formats: True, _emit_scalar_nest),),
+    "vectorized": (
+        ("segmented", _segmented_vectorizable, _emit_segmented_nest),
+        ("block-gemv", _block_vectorizable, _emit_block_nest),
+        ("vectorized", _vectorizable, _emit_vector_nest),
+        ("reduce-scatter", _reduction_scatter_applies, _emit_vector_nest),
+    ),
+}
+
+
+def get_backend(name: str | None = None) -> str:
+    """``name`` checked against :data:`STRATEGIES` (``None``: ``"vectorized"``)."""
+    name = "vectorized" if name is None else name
+    if name not in STRATEGIES:
+        raise CompileError(
+            f"unknown executor backend {name!r}; available: {', '.join(STRATEGIES)}"
+        )
+    return name
+
+
+def _lower_unit(g: Emitter, program: Program, unit: KernelUnit, formats, backend: str) -> str:
+    """Emit one unit through the first of ``backend``'s strategies that
+    accepts it; returns its label.  A unit none accepts is lowered through
+    the scalar nest under a traced ``codegen.fallback`` span — graceful
+    degradation, never an error."""
+    for label, applies, emit in STRATEGIES[backend]:
+        if applies(unit, formats):
+            emit(g, program, unit, formats)
+            return label
+    with span(
+        "codegen.fallback",
+        backend=backend,
+        driver=unit.plan.driver,
+        steps=[repr(s) for s in unit.plan.steps],
+        reason="no strategy of this backend lowers the plan",
+    ):
+        _emit_scalar_nest(g, program, unit, formats)
+    _metrics.record("compiler.fallbacks", backend=backend)
+    return "fallback:scalar"
+
+
 def generate_source(
     program: Program,
     units: list[KernelUnit],
     formats: dict[str, Format],
     param_names: list[str],
-    backend,
+    backend: str,
 ) -> tuple[str, tuple[str, ...]]:
     """Emit the kernel's two functions for the program's plan units.
 
@@ -834,13 +881,12 @@ def generate_source(
     the strategies :meth:`~repro.formats.base.Emitter.hoist`); its
     parameters are ``param_names`` minus the formats' value arrays and the
     free scalars that are not loop bounds.  ``run(<param_names>, aux)``
-    does the value-dependent work.  ``backend`` is an
-    :class:`~repro.compiler.backends.ExecutorBackend`; every unit is
-    lowered through ``backend.lower_unit``.  Returns the source plus the
-    per-unit lowering labels (``"noop"``, a strategy name, or
-    ``"fallback:scalar"``).
+    does the value-dependent work.  Every unit is lowered through the
+    strategies :data:`STRATEGIES` lists for the ``backend`` name.  Returns
+    the source plus the per-unit lowering labels (``"noop"``, a strategy
+    label, or ``"fallback:scalar"``).
     """
-    with span("compiler.codegen.generate", units=len(units), backend=backend.name) as sp:
+    with span("compiler.codegen.generate", units=len(units), backend=backend) as sp:
         g = Emitter()
         # parameter names must never be reused as generated temporaries (a
         # storage array named like a fresh temp would be clobbered)
@@ -854,7 +900,7 @@ def generate_source(
             if unit.plan.noop:
                 labels.append("noop")
                 continue
-            labels.append(backend.lower_unit(g, program, unit, formats))
+            labels.append(_lower_unit(g, program, unit, formats, backend))
         if not g.lines:
             g.emit("pass")
         values = {f"{n}_{k}" for n, f in formats.items() for k in f.value_keys}

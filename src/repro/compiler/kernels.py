@@ -17,8 +17,9 @@ and returns a :class:`CompiledKernel` that can be invoked repeatedly with
     ...                    backend="vectorized")
     >>> k(A=a_crs, X=x_dense, Y=y_dense)     # y += A @ x, in place
 
-``backend`` selects the executor backend (``"vectorized"`` — the default
-— or ``"interpreted"``; see :mod:`repro.compiler.backends`).  Compilation
+``backend`` names the executor backend (``"vectorized"`` — the default
+— or ``"interpreted"``), whose lowering strategies
+:data:`~repro.compiler.codegen.STRATEGIES` lists.  Compilation
 is cached in a :class:`~repro.compiler.plan_cache.PlanCache` keyed on
 (loop nest, format specs, sparsity predicates, backend, planner options):
 rebinding new data of the same structure costs only a dict merge, and the
@@ -36,8 +37,7 @@ from typing import Mapping
 
 from repro.compiler import codegen, native
 from repro.compiler.ast_nodes import Assign, BinOp, Expr, Neg, Program, normalize_program
-from repro.compiler.backends import ExecutorBackend, get_backend
-from repro.compiler.codegen import KernelUnit
+from repro.compiler.codegen import KernelUnit, get_backend
 from repro.compiler.parser import parse
 from repro.compiler.plan_cache import PlanCache, kernel_cache_key
 from repro.compiler.query_extract import extract_query
@@ -385,7 +385,7 @@ class CompileRequest:
 
     source: str | Program
     formats: Mapping[str, Format]
-    backend: str | ExecutorBackend | None = None
+    backend: str | None = None
     verify: str = "error"
     force_driver: str | None = None
     allow_merge: bool = True
@@ -450,7 +450,7 @@ def gate(req: CompileRequest) -> None:
 def key(req: CompileRequest) -> None:
     """Everything the generated code depends on, and nothing else."""
     req.key = kernel_cache_key(
-        req.program, req.formats, req.backend.name,
+        req.program, req.formats, req.backend,
         req.force_driver, req.allow_merge, req.extra_key,
     )
 
@@ -483,7 +483,7 @@ def plan(req: CompileRequest) -> None:
 def lower(req: CompileRequest) -> None:
     """Plan units → Python source → the ``prepare``/``run`` pair it defines."""
     kern = CompiledKernel(
-        req.program, req.units, req.formats, req.backend.name, req.certificate
+        req.program, req.units, req.formats, req.backend, req.certificate
     )
     kern.source, kern.unit_backends = codegen.generate_source(
         req.program, req.units, dict(req.formats), kern.param_names,
@@ -545,7 +545,7 @@ def compile_request(req: CompileRequest, cache: PlanCache | None) -> CompileRequ
 
     with _trace.span(
         "compiler.compile_kernel",
-        backend=req.backend.name,
+        backend=req.backend,
         force_driver=req.force_driver,
         formats={n: type(f).__name__ for n, f in req.formats.items()},
     ) as sp:
@@ -556,7 +556,7 @@ def compile_request(req: CompileRequest, cache: PlanCache | None) -> CompileRequ
         else:
             key(req)
             req.kernel, req.outcome = cache.get_or_compile(
-                req.key, build, backend=req.backend.name
+                req.key, build, backend=req.backend
             )
             if req.outcome != "compiled":
                 recheck(req)
@@ -570,7 +570,7 @@ def compile_kernel(
     force_driver: str | None = None,
     allow_merge: bool = True,
     cache: bool = True,
-    backend: str | ExecutorBackend | None = None,
+    backend: str | None = None,
     verify: str = "error",
     extra_key: tuple = (),
 ) -> CompiledKernel:
@@ -584,8 +584,9 @@ def compile_kernel(
         Example instance per array name; the kernel accepts any instances
         of the same format spec at call time.
     backend:
-        Executor backend name or instance — ``"vectorized"`` (default) or
-        ``"interpreted"`` (see :mod:`repro.compiler.backends`).
+        Executor backend name — ``"vectorized"`` (default) or
+        ``"interpreted"``; any other name raises
+        :class:`~repro.errors.CompileError`.
     force_driver:
         Pin the planner's primary driver (ablation hook).
     cache:

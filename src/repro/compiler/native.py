@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compiler import codegen
-from repro.compiler.backends import INTERPRETED, get_backend
 from repro.errors import FormatError
 from repro.fingerprint import fingerprint
 from repro.memo import Memo
@@ -502,7 +501,7 @@ def _state(units) -> NativeState:
 
 def _c_nest(kern, formats, kinds, units):
     """The C source and failure messages of ``units``' scalar nest."""
-    source, _ = codegen.generate_source(kern.program, units, formats, kern.param_names, INTERPRETED)
+    source, _ = codegen.generate_source(kern.program, units, formats, kern.param_names, "interpreted")
     return translate(source, kinds)
 
 
@@ -563,9 +562,7 @@ def _tier_up(kern, formats, kinds, reasons):
 def _numpy_pair(kern, formats, units) -> tuple:
     """``(prepare, run, prepare names)`` of ``units`` alone, lowered
     through the kernel's own backend."""
-    source, _ = codegen.generate_source(
-        kern.program, units, formats, kern.param_names, get_backend(kern.backend)
-    )
+    source, _ = codegen.generate_source(kern.program, units, formats, kern.param_names, kern.backend)
     return codegen.define(source)
 
 

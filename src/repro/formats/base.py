@@ -412,3 +412,18 @@ def is_permutation(perm: np.ndarray) -> bool:
     """Whether int64 ``perm`` holds each of ``0 .. len(perm) - 1`` exactly once."""
     n = len(perm)
     return not n or (perm.min() >= 0 and perm.max() < n and (np.bincount(perm) == 1).all())
+
+
+def check_segments(ptr: np.ndarray, idx: np.ndarray, extent: int, name: str) -> None:
+    """Raise :class:`FormatError` unless the pointers ``ptr`` (from 0 to
+    ``len(idx)``) never decrease and every segment ``ptr[k]:ptr[k+1]`` of
+    ``idx`` holds strictly increasing indices in ``[0, extent)`` — what a
+    sorted, searchable compressed level claims about its arrays."""
+    if np.any(np.diff(ptr) < 0):
+        raise FormatError(f"segment pointers of {name} must be non-decreasing")
+    if len(idx) and (idx.min() < 0 or idx.max() >= extent):
+        raise FormatError(f"{name} out of range [0, {extent})")
+    starts = np.zeros(len(idx) + 1, dtype=bool)
+    starts[ptr] = True
+    if np.any((np.diff(idx) <= 0) & ~starts[1:-1]):
+        raise FormatError(f"{name} must be strictly increasing within each segment")

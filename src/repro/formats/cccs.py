@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import Format, check_shape
+from repro.formats.base import Format, check_segments, check_shape
 from repro.formats.compressed import CompressedLevel, CompressedOuterLevel
 from repro.formats.coo import COOMatrix
 
@@ -43,12 +43,13 @@ class CCCSMatrix(Format):
         self.vals = np.asarray(vals, dtype=np.float64)
         if len(self.colp) != len(self.colind) + 1:
             raise FormatError("colp length must be len(colind) + 1")
-        if len(self.colind) and np.any(np.diff(self.colind) <= 0):
-            raise FormatError("colind must be strictly increasing")
-        if self.colp[0] != 0 or (len(self.colp) and self.colp[-1] != len(self.vals)):
+        if self.colp[0] != 0 or self.colp[-1] != len(self.vals):
             raise FormatError("colp must start at 0 and end at nnz")
         if len(self.rowind) != len(self.vals):
             raise FormatError("rowind/vals length mismatch")
+        # the stored columns form one segment, each column's rows another
+        check_segments(np.array([0, len(self.colind)]), self.colind, self._shape[1], "colind")
+        check_segments(self.colp, self.rowind, self._shape[0], "rowind")
 
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CCCSMatrix":

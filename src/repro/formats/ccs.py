@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import Format, check_shape
+from repro.formats.base import Format, check_segments, check_shape
 from repro.formats.compressed import CompressedLevel
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseAxisLevel
@@ -44,10 +44,9 @@ class CCSMatrix(Format):
             )
         if self.colp[0] != 0 or self.colp[-1] != len(self.vals):
             raise FormatError("colp must start at 0 and end at nnz")
-        if np.any(np.diff(self.colp) < 0):
-            raise FormatError("colp must be non-decreasing")
         if len(self.rowind) != len(self.vals):
             raise FormatError("rowind/vals length mismatch")
+        check_segments(self.colp, self.rowind, self._shape[0], "rowind")
 
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CCSMatrix":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import Format, check_shape
+from repro.formats.base import Format, check_segments, check_shape
 from repro.formats.compressed import CompressedLevel
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseAxisLevel
@@ -45,10 +45,9 @@ class CRSMatrix(Format):
             )
         if self.rowptr[0] != 0 or self.rowptr[-1] != len(self.vals):
             raise FormatError("rowptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.rowptr) < 0):
-            raise FormatError("rowptr must be non-decreasing")
         if len(self.colind) != len(self.vals):
             raise FormatError("colind/vals length mismatch")
+        check_segments(self.rowptr, self.colind, self._shape[1], "colind")
 
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CRSMatrix":

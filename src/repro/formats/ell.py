@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import AccessLevel, Emitter, Format, check_shape
+from repro.formats.base import AccessLevel, Emitter, Format, check_segments, check_shape
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseAxisLevel
 
@@ -82,6 +82,10 @@ class ELLMatrix(Format):
             raise FormatError("rowlen length must equal nrows")
         if len(self.rowlen) and self.rowlen.max(initial=0) > self.colind2d.shape[1]:
             raise FormatError("rowlen exceeds K")
+        rowptr = np.zeros(len(self.rowlen) + 1, dtype=np.int64)
+        np.cumsum(self.rowlen, out=rowptr[1:])
+        stored = self.colind2d[np.arange(self.K) < self.rowlen[:, None]]
+        check_segments(rowptr, stored, self._shape[1], "colind2d")
 
     @property
     def K(self) -> int:

@@ -33,7 +33,7 @@ def test_same_matrix_reanalyzed_twice_hits_the_cache():
     hit_stats = kernel_cache_stats()
     # the second full analyze->plan->compile round-trip found the kernel
     assert plan1.profile.fingerprint() == plan2.profile.fingerprint()
-    assert (plan1.format_name, plan1.backend) == (plan2.format_name, plan2.backend)
+    assert plan1.format_name == plan2.format_name
     assert k2 is k1
     assert hit_stats["hits"] == miss_stats["hits"] + 1
     assert hit_stats["misses"] == miss_stats["misses"]

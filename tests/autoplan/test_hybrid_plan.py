@@ -34,8 +34,6 @@ def _pro_hybrid_model() -> CostModel:
     return CostModel(
         alpha={name: 0.0 for name in ALL_NAMES},
         beta=dict({name: 1.0 for name in ALL_NAMES}, DenseBlocks=0.0),
-        alpha_interpreted=0.0,
-        beta_interpreted=1.0,  # keep the scalar backend out of the race too
         source="rigged-pro-hybrid",
     )
 

@@ -111,7 +111,7 @@ def test_autoplanned_kernel_matches_oracle_bitwise(cls, kern, rep):
 
         assert np.array_equal(got, ref), (
             f"{cls}/{kern} case {case_id}: auto plan "
-            f"{plan.format_name}/{plan.backend} diverged from oracle"
+            f"{plan.format_name} diverged from oracle"
         )
         # bitwise, after normalizing the one representational freedom
         # integer arithmetic leaves (signed zero from 0·negative terms)

@@ -4,7 +4,7 @@ per backend, and the backends agree numerically on awkward inputs."""
 import numpy as np
 import pytest
 
-from repro.compiler import compile_kernel
+from repro.compiler import codegen, compile_kernel, get_backend
 from repro.compiler.kernels import clear_kernel_cache
 from repro.formats import (
     BlockDiagonalMatrix,
@@ -31,6 +31,16 @@ def source_for(A, src=SPMV_SRC, X=None, backend="vectorized"):
     X = X if X is not None else DenseVector(np.ones(m))
     Y = DenseVector.zeros(n)
     return compile_kernel(src, {"A": A, "X": X, "Y": Y}, backend=backend, cache=False).source
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "vectorized"])
+def test_generate_source_takes_the_checked_backend_name(backend):
+    """The call form ``benchmarks/pipeline/compile_mix.py`` times code generation with."""
+    A = CRSMatrix.from_coo(COOMatrix.random(10, 10, 0.3, rng=0))
+    fmts = {"A": A, "X": DenseVector(np.ones(10)), "Y": DenseVector.zeros(10)}
+    k = compile_kernel(SPMV_SRC, fmts, backend=backend, cache=False)
+    got = codegen.generate_source(k.program, k.units, fmts, k.param_names, backend=get_backend(backend))
+    assert got == (k.source, k.unit_backends)
 
 
 def test_crs_uses_segmented_reduceat():

@@ -146,6 +146,14 @@ def test_non_format_binding_is_a_compile_error():
         compile_kernel(SPMV, fm)
 
 
+@pytest.mark.parametrize("backend", ["auto", "nope"])
+def test_unknown_backend_is_a_compile_error(backend):
+    coo, dense, x = make_data()
+    fm = {"A": CRSMatrix.from_coo(coo), "X": DenseVector(x), "Y": DenseVector.zeros(dense.shape[0])}
+    with pytest.raises(CompileError, match=r"available: interpreted, vectorized$"):
+        compile_kernel(SPMV, fm, backend=backend)
+
+
 @pytest.mark.parametrize("backend", ["interpreted", "vectorized"], ids=["scalar", "vector"])
 def test_axpy_with_scalar(backend):
     src = "for i in 0:n { Y[i] += alpha * X[i] }"

@@ -5,8 +5,10 @@ The library builds both formats in one counting pass (count, prefix sum,
 scatter).  The oracle below is the older form: one whole-matrix scan per
 diagonal.  Every array and dtype must match it byte for byte, so that
 ``spec()``, the kernel cache key and the generated source cannot move.
-The malformed-structure cases must raise :class:`FormatError` when the
-format is constructed, before any backend sees the arrays.
+The malformed-structure cases, for these two formats and for the
+compressed ones whose levels claim sorted, searchable segments (CRS, CCS,
+CCCS, ITPACK), must raise :class:`FormatError` when the format is
+constructed, before any backend sees the arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +19,16 @@ import pytest
 from repro.compiler import compile_kernel, parse
 from repro.compiler.plan_cache import kernel_cache_key
 from repro.errors import FormatError
-from repro.formats import COOMatrix, DenseVector, DiagonalMatrix, JaggedDiagonalMatrix
+from repro.formats import (
+    CCCSMatrix,
+    CCSMatrix,
+    COOMatrix,
+    CRSMatrix,
+    DenseVector,
+    DiagonalMatrix,
+    ELLMatrix,
+    JaggedDiagonalMatrix,
+)
 from repro.kernels.spmv import SPMV_SRC
 from tests.conftest import case_rng
 
@@ -161,6 +172,19 @@ MALFORMED = {
     "diag_leaves_columns": lambda: DiagonalMatrix((3, 3), [5], [0, 1], [0], [1]),
     "diag_past_last_row": lambda: DiagonalMatrix((3, 3), [0], [0, 3], [1], [1, 1, 1]),
     "diag_first_negative": lambda: DiagonalMatrix((3, 3), [0], [0, 2], [-1], [1, 1]),
+    "crs_row_unsorted": lambda: CRSMatrix((3, 3), [0, 2, 2, 2], [2, 0], [1, 2]),
+    "crs_row_repeats_column": lambda: CRSMatrix((3, 3), [0, 2, 2, 2], [1, 1], [1, 2]),
+    "crs_colind_out_of_range": lambda: CRSMatrix((3, 3), [0, 1, 1, 1], [3], [1]),
+    "crs_colind_negative": lambda: CRSMatrix((3, 3), [0, 1, 1, 1], [-1], [1]),
+    "ccs_rowind_out_of_range": lambda: CCSMatrix((3, 3), [0, 1, 1, 1], [5], [1]),
+    "ccs_column_unsorted": lambda: CCSMatrix((3, 3), [0, 2, 2, 2], [2, 0], [1, 2]),
+    "cccs_colp_decreasing": lambda: CCCSMatrix((3, 3), [0, 1], [0, 2, 1], [0], [1]),
+    "cccs_colind_out_of_range": lambda: CCCSMatrix((3, 3), [4], [0, 1], [0], [1]),
+    "cccs_rowind_out_of_range": lambda: CCCSMatrix((3, 3), [1], [0, 1], [3], [1]),
+    "cccs_column_unsorted": lambda: CCCSMatrix((3, 3), [1], [0, 2], [2, 0], [1, 2]),
+    "itpack_col_out_of_range": lambda: ELLMatrix((3, 3), [[7], [0], [0]], [[1], [0], [0]], [1, 0, 0]),
+    "itpack_row_unsorted": lambda: ELLMatrix((3, 3), [[2, 0], [0, 0], [0, 0]], [[1, 2], [0, 0], [0, 0]], [2, 0, 0]),
+    "itpack_rowlen_negative": lambda: ELLMatrix((2, 2), [[0], [0]], [[1], [1]], [1, -1]),
 }
 
 

@@ -69,6 +69,18 @@ def test_non_format_binding_is_an_error_response():
     assert cache.stats()["misses"] == 1
 
 
+def test_unknown_backend_is_an_error_response():
+    fmts = _fmts(5, "X", "Y")
+    svc, cache = _service()
+    with svc:
+        for backend in ("auto", "nope"):
+            bad = svc.compile(SPMV_SRC, fmts, backend=backend)
+            assert bad.status == "error" and bad.error.startswith("CompileError")
+            assert "available: interpreted, vectorized" in bad.error
+        assert svc.compile(SPMV_SRC, fmts).ok  # the worker survived
+    assert cache.stats()["misses"] == 1
+
+
 def test_sequential_nest_is_refused_on_every_service_request():
     fmts = _fmts(6, "X")
     svc, cache = _service()
