@@ -41,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 import numpy as np
 
 from repro.compiler import autoplan, clear_kernel_cache, compile_kernel
-from repro.compiler.autoplan import CANDIDATE_FORMATS, CostModel, _feasibility
+from repro.compiler.autoplan import CANDIDATE_FORMATS, CostModel
 from repro.analysis.structure import analyze_structure
 from repro.errors import FormatError
 from repro.formats.dense import DenseVector
@@ -124,15 +124,16 @@ def measure(args):
         coo = STRUCTURE_CLASSES[cls](rng, n)
         profile = analyze_structure(coo)
         x = integer_vector(rng, coo.shape[1])
+        plan = autoplan(coo, profile=profile)  # work units do not depend on the model
         times = {}
         for name in CANDIDATE_FORMATS:
-            feasible, _ = _feasibility(profile, name)
-            if not feasible:
+            cand = plan.candidate(name)
+            if not cand.feasible:
                 continue
             t = _measure_format(coo, profile, name, x, min_time)
             if t is not None:
                 times[name] = t
-                fit_points[name].append((CostModel.work_units(profile, name), t))
+                fit_points[name].append((cand.work_units, t))
         rows.append({
             "class": cls,
             "n": n,

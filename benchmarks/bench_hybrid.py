@@ -3,9 +3,10 @@
 On mixed-structure matrices (the ``hybrid``-tagged generator classes: a
 planted dense block over a banded bulk with hub rows, or free-floating
 dense windows over a uniform background) no single format wins — each
-pays for the structure it was not built for.  The composed
-:class:`~repro.compiler.specialize.HybridPlan` materializes every region
-in its best format and compiles one kernel with one statement per region
+pays for the structure it was not built for.  The ``"Hybrid"``
+:class:`~repro.compiler.specialize.Candidate` (a region split, priced
+like any single-format candidate) materializes every region in its best
+format and compiles one kernel with one statement per region
 (dense windows stay on BLAS, the other regions run the native tier).
 
 Headline (``higher`` is better; the gate floor is 1.0)::

@@ -25,6 +25,11 @@ Pipeline:
    cached in a :mod:`~repro.compiler.plan_cache` keyed on the loop nest,
    the format specs and the sparsity predicates.
 
+Above the pipeline, :mod:`~repro.compiler.autoplan` picks the formats.
+Every candidate is a priced region partition
+(:class:`~repro.compiler.specialize.Candidate`): a single format is one
+whole region, ``"Hybrid"`` a split into regions.
+
 Everything is format-agnostic: the planner and code generator speak only
 the access-method protocol of :mod:`repro.formats.base`, so user-defined
 formats compile without compiler changes (``examples/custom_format.py``).
@@ -57,7 +62,7 @@ from repro.compiler.autoplan import (
     autoplan_spmv,
 )
 from repro.compiler.specialize import (
-    HybridPlan,
+    Candidate,
     Region,
     RegionPartition,
     partition_regions,
@@ -88,7 +93,7 @@ __all__ = [
     "CostModel",
     "autoplan",
     "autoplan_spmv",
-    "HybridPlan",
+    "Candidate",
     "Region",
     "RegionPartition",
     "partition_regions",

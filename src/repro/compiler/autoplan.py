@@ -7,12 +7,15 @@ Table 1's "no single format wins everywhere" into a compilation strategy:
 
 1. :func:`~repro.analysis.structure.analyze_structure` scans the matrix
    into a :class:`~repro.analysis.structure.StructureProfile`,
-2. an α+β cost model (:class:`CostModel`) predicts the per-call SpMV time
-   of every registered candidate format — α is the per-call dispatch
-   overhead, β the per-stored-slot cost, with python-level segment loops
-   (diagonals, blocks, i-nodes, jagged diagonals) charged a fixed
-   equivalent-element weight,
-3. the cheapest feasible candidate wins; the whole ranking is kept on the
+2. every candidate is a region partition
+   (:class:`~repro.compiler.specialize.Candidate`): a registered format
+   is one ``"whole"`` region, ``"Hybrid"`` is
+   :func:`~repro.compiler.specialize.partition_regions`' split,
+3. an α+β cost model (:class:`CostModel`) prices every region alike — α
+   is the per-call dispatch overhead, β the per-stored-slot cost, with
+   python-level segment loops (diagonals, blocks, i-nodes, jagged
+   diagonals) charged a fixed equivalent-element weight,
+4. the cheapest feasible candidate wins; the whole ranking is kept on the
    returned :class:`AutoPlan` so ``explain()`` can narrate the decision
    and the property harness can check the choice against the predicted
    *worst* candidate.
@@ -25,10 +28,10 @@ format under the ``fit`` key of its ``--out`` JSON; a
 ``CostModel(alpha=..., beta=..., source=...)`` built from those numbers
 is passed as ``autoplan(coo, model=...)``.
 
-Every candidate, the region-specialized ``"Hybrid"`` plan of
-:mod:`repro.compiler.specialize` included, compiles through one
-:func:`~repro.compiler.kernels.compile_kernel` call (Hybrid's source has
-one statement per region).  :meth:`AutoPlan.compile` passes the profile's
+Every candidate compiles through one
+:func:`~repro.compiler.kernels.compile_kernel` call (a split's source has
+one statement per region), with the values of the matrix passed to
+:meth:`AutoPlan.compile`.  That call passes the profile's
 :meth:`~repro.analysis.structure.StructureProfile.fingerprint` as an
 ``extra_key`` component of the kernel-cache key, so re-analyzing the
 same matrix is a pure hit while structurally different matrices of equal
@@ -41,13 +44,12 @@ observations, ``autoplan.analyze`` / ``autoplan.select`` spans).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
 from repro.errors import CompileError, FormatError, ReproError
-from repro.formats.base import Format
 from repro.formats.blockdiag import BlockDiagonalMatrix
 from repro.formats.ccs import CCSMatrix
 from repro.formats.coo import COOMatrix
@@ -62,9 +64,9 @@ from repro.observability.trace import span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.analysis.structure import StructureProfile
+    from repro.compiler.specialize import Candidate
 
 __all__ = [
-    "CandidateCost",
     "CostModel",
     "AutoPlan",
     "autoplan",
@@ -92,11 +94,6 @@ CANDIDATE_FORMATS: dict[str, Callable] = {
     "Inode": lambda coo, p: InodeMatrix.from_coo(coo),
     "Dense": lambda coo, p: DenseMatrix.from_coo(coo),
 }
-
-
-def spmv_operands(shape) -> dict[str, Format]:
-    """Zero dense ``X``/``Y`` operands of an SpMV over a ``shape`` matrix."""
-    return {"X": DenseVector(np.zeros(shape[1])), "Y": DenseVector.zeros(shape[0])}
 
 
 #: per-call overhead (seconds) of the vectorized lowering, by format —
@@ -133,24 +130,13 @@ DEFAULT_BETA: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class CandidateCost:
-    """One candidate format with its modeled cost."""
-
-    format_name: str
-    work_units: float  # stored slots + weighted segment iterations
-    predicted_seconds: float
-    feasible: bool
-    note: str = ""  # why infeasible / structural commentary
-
-
 class CostModel:
     """α + β·work cost model over the candidate formats.
 
-    ``predict(profile, name)`` returns modeled seconds for one SpMV call
-    through the vectorized backend.  The interpreted backend is not
-    priced: its scalar nest costs two orders of magnitude more per stored
-    slot than any vectorized format, so it could never be chosen.
+    :meth:`price` returns modeled seconds for one SpMV call through the
+    vectorized backend.  The interpreted backend is not priced: its
+    scalar nest costs two orders of magnitude more per stored slot than
+    any vectorized format, so it could never be chosen.
     """
 
     def __init__(
@@ -166,51 +152,11 @@ class CostModel:
         #: provenance: "default", or the caller's label for a fit
         self.source = source
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def segment_loops(profile: "StructureProfile", name: str) -> int:
-        """Python-level segment-loop iterations of one SpMV."""
-        return {
-            "JDiag": profile.row_max,
-            "Diagonal": profile.ndiags,
-            "BlockDiag": profile.nblocks,
-            "Inode": profile.ninodes,
-            "CCS": profile.ncols,  # column-driven scatter loops per column
-        }.get(name, 0)
-
-    @staticmethod
-    def work_units(profile: "StructureProfile", name: str) -> float:
-        """Modeled work of one SpMV in stored-slot equivalents."""
-        stored = CostModel.stored_slots(profile, name)
-        return stored + SEGMENT_WEIGHT * CostModel.segment_loops(profile, name)
-
-    @staticmethod
-    def stored_slots(profile: "StructureProfile", name: str) -> float:
-        """Stored slots the format allocates (padding and fill included)."""
-        return float(
-            {
-                "CRS": profile.nnz,
-                "CCS": profile.nnz,
-                "Coordinate": profile.nnz,
-                "ITPACK": profile.ell_stored,
-                "JDiag": profile.nnz,
-                "Diagonal": profile.diag_stored,
-                "BlockDiag": profile.block_stored,
-                "Inode": profile.nnz,
-                "Dense": profile.nrows * profile.ncols,
-            }[name]
-        )
-
     def price(self, name: str, stored: float, segments: float) -> float:
         """Modeled seconds of one vectorized call in format ``name`` over
         ``stored`` slots and ``segments`` segment loops — the one α+β rule
-        single-format candidates and hybrid regions are both priced by."""
+        every region of every candidate is priced by."""
         return self.alpha[name] + self.beta[name] * (stored + SEGMENT_WEIGHT * segments)
-
-    def predict(self, profile: "StructureProfile", name: str) -> float:
-        return self.price(
-            name, self.stored_slots(profile, name), self.segment_loops(profile, name)
-        )
 
 
 @dataclass
@@ -224,17 +170,13 @@ class AutoPlan:
     """
 
     profile: "StructureProfile"
-    candidates: tuple[CandidateCost, ...]
+    candidates: tuple["Candidate", ...]
     format_name: str
     predicted_seconds: float
     model_source: str = "default"
-    #: format actually materialized by :meth:`build` (differs from
+    #: candidate actually materialized by :meth:`build` (differs from
     #: ``format_name`` only if the builder raised and a fallback ran)
     built_name: str | None = None
-    #: the priced region decomposition behind the ``"Hybrid"`` candidate
-    #: (:class:`~repro.compiler.specialize.HybridPlan`), or None when
-    #: partitioning failed outright
-    hybrid: "object | None" = None
 
     # ------------------------------------------------------------------
     @property
@@ -243,81 +185,59 @@ class AutoPlan:
         costs = [c.predicted_seconds for c in self.candidates if c.feasible]
         return max(costs) if costs else self.predicted_seconds
 
-    def candidate(self, name: str) -> CandidateCost:
+    def candidate(self, name: str) -> "Candidate":
         for c in self.candidates:
             if c.format_name == name:
                 return c
         raise CompileError(f"no candidate {name!r}")
 
+    @property
+    def hybrid(self) -> "Candidate | None":
+        """The ``"Hybrid"`` candidate (the priced region split), or None
+        when partitioning failed outright."""
+        hybrid = self.candidate("Hybrid")
+        return hybrid if hybrid.partition.regions else None
+
     # ------------------------------------------------------------------
-    def build(self, coo: COOMatrix):
-        """Materialize the chosen format — for ``"Hybrid"``, the region
-        formats in partition order — falling back down the ranking if a
-        builder rejects the matrix with FormatError."""
+    def _first_buildable(self, coo):
+        """The cheapest feasible candidate whose builders accept ``coo``,
+        and what it built (a builder's FormatError moves down the ranking)."""
         coo = coo if isinstance(coo, COOMatrix) else coo.to_coo()
         last_error: FormatError | None = None
         for cand in self.candidates:
             if not cand.feasible:
                 continue
             try:
-                if cand.format_name == "Hybrid":
-                    fmt = self.hybrid.build()
-                else:
-                    fmt = CANDIDATE_FORMATS[cand.format_name](coo, self.profile)
+                built = cand.build(coo)
             except FormatError as e:
                 last_error = e
                 continue
             self.built_name = cand.format_name
             if cand.format_name != self.format_name:
-                _metrics.record(
-                    "runtime.autoplan.build_fallbacks", to=cand.format_name
-                )
-            return fmt
-        raise CompileError(
-            f"no candidate format accepts this matrix (last: {last_error})"
-        )
+                _metrics.record("runtime.autoplan.build_fallbacks", to=cand.format_name)
+            return cand, built
+        raise CompileError(f"no candidate format accepts this matrix (last: {last_error})")
 
-    def compile(
-        self,
-        coo: COOMatrix,
-        source: str | None = None,
-        name: str = "A",
-        extra: Mapping[str, Format] | None = None,
-        **kwargs,
-    ):
-        """Build the chosen format and compile ``source`` against it.
+    def build(self, coo: COOMatrix):
+        """Materialize the chosen candidate over ``coo`` — for a split, the
+        region formats in partition order — falling back down the ranking
+        if a builder rejects the matrix with FormatError."""
+        return self._first_buildable(coo)[1]
 
-        ``source`` defaults to the SpMV nest; ``extra`` supplies the
-        other arrays (defaults: dense ``X``/``Y`` vectors shaped to the
-        matrix).  Returns ``(kernel, formats)`` where ``formats`` is the
-        full binding map (reusable as the call arguments).  The profile
-        fingerprint joins the kernel-cache key.
-
-        Every candidate is one :func:`compile_kernel` call; when
-        ``"Hybrid"`` won, ``source`` is first rewritten by
-        :func:`~repro.compiler.specialize.split_source` into one statement
-        per region, the regions bound as ``{name}0``, ``{name}1``, ….
+    def compile(self, coo: COOMatrix, source: str | None = None, name: str = "A", extra=None, **kwargs):
+        """Build the chosen candidate over ``coo`` and compile ``source``
+        against it with one :func:`compile_kernel` call; returns ``(kernel,
+        formats)`` (see :meth:`~repro.compiler.specialize.Candidate.program`
+        for the defaults and a split's ``{name}0``, ``{name}1``, … names).
+        The profile fingerprint joins the kernel-cache key.
         """
         from repro.compiler.kernels import compile_kernel
-        from repro.compiler.specialize import split_source
-        from repro.kernels.spmv import SPMV_SRC
 
-        source = SPMV_SRC if source is None else source
-        fmt = self.build(coo)
-        extra = spmv_operands(coo.shape) if extra is None else extra
-        if self.built_name == "Hybrid":
-            source, formats = split_source(source, name, fmt, extra)
-        else:
-            formats = {name: fmt, **extra}
-        kwargs.setdefault(
-            "extra_key", ("autoplan", self.profile.fingerprint())
-        )
-        with span(
-            "autoplan.compile",
-            format=self.built_name,
-            fingerprint=self.profile.fingerprint(),
-        ):
-            kernel = compile_kernel(source, formats, **kwargs)
+        cand, built = self._first_buildable(coo)
+        program, formats = cand.program(built, source, name, extra)
+        kwargs.setdefault("extra_key", ("autoplan", self.profile.fingerprint()))
+        with span("autoplan.compile", format=self.built_name, fingerprint=self.profile.fingerprint()):
+            kernel = compile_kernel(program, formats, **kwargs)
         return kernel, formats
 
     # ------------------------------------------------------------------
@@ -389,60 +309,26 @@ def autoplan(
     model: CostModel | None = None,
     profile: "StructureProfile | None" = None,
 ) -> AutoPlan:
-    """Analyze ``coo`` and rank every candidate format by modeled cost.
-
-    Parameters
-    ----------
-    coo:
-        The matrix (any Format; converted through COO).
-    model:
-        Cost model; defaults to the built-in :class:`CostModel`.
-    profile:
-        Re-use an existing :class:`StructureProfile` (skips the scan).
-    """
+    """Analyze ``coo`` (any Format; converted through COO) and rank every
+    candidate by modeled cost under ``model`` (default: the built-in
+    :class:`CostModel`); a given ``profile`` skips the scan."""
     from repro.analysis.structure import analyze_structure
+    from repro.compiler.specialize import RegionPartition, plan_format, plan_hybrid, price_partition
 
     if profile is None:
         profile = analyze_structure(coo)
     if model is None:
         model = CostModel()
-    candidates: list[CandidateCost] = []
-    for name in CANDIDATE_FORMATS:
-        feasible, note = _feasibility(profile, name)
-        candidates.append(
-            CandidateCost(
-                name, model.work_units(profile, name), model.predict(profile, name), feasible, note
-            )
-        )
-
-    # the composed region-specialized plan competes in the same ranking:
-    # per-region α charges mean it only wins when the regions are big
-    # enough to amortize the extra dispatches
-    from repro.compiler.specialize import plan_hybrid
-
-    hybrid = None
+    coo = coo if isinstance(coo, COOMatrix) else coo.to_coo()
+    candidates = [plan_format(coo, profile, model, name) for name in CANDIDATE_FORMATS]
+    # the split competes in the same ranking: per-region α charges mean
+    # it only wins when the regions are big enough to amortize the extra
+    # dispatches
     try:
-        hybrid = plan_hybrid(coo, profile=profile, model=model)
-        candidates.append(
-            CandidateCost(
-                "Hybrid",
-                hybrid.work_units,
-                hybrid.predicted_seconds,
-                hybrid.feasible,
-                hybrid.note,
-            )
-        )
-    except ReproError as e:  # partitioning failed: rank without hybrid
-        candidates.append(
-            CandidateCost(
-                "Hybrid",
-                0.0,
-                float("inf"),
-                False,
-                f"partitioning failed: {e}",
-            )
-        )
-
+        candidates.append(plan_hybrid(coo, profile=profile, model=model))
+    except ReproError as e:  # partitioning failed: a split with no regions
+        no_regions = RegionPartition(coo.shape, profile.nnz, (), profile)
+        candidates.append(price_partition("Hybrid", no_regions, model, False, f"partitioning failed: {e}"))
     candidates.sort(key=lambda c: (c.predicted_seconds, c.format_name))
     best = next(c for c in candidates if c.feasible)
     with span(
@@ -458,7 +344,6 @@ def autoplan(
             format_name=best.format_name,
             predicted_seconds=best.predicted_seconds,
             model_source=model.source,
-            hybrid=hybrid,
         )
     _metrics.record("runtime.autoplan.choices", format=best.format_name)
     _metrics.observe(

@@ -1,11 +1,13 @@
-"""Region-specialized hybrid compilation (the SpComp specialization half).
+"""Region partitions: every auto-planner candidate, the SpComp split included.
 
-:mod:`repro.compiler.autoplan` picks the best *single* format for a whole
-matrix.  Hybrid matrices — a planted dense block over a banded bulk with a
-few hub rows, say — have no single winner: every fixed format pays for the
-structure it was not built for.  This module splits such a matrix into
-*regions*, materializes each region in the format its structure wants, and
-compiles one ordinary kernel with one statement per region:
+:mod:`repro.compiler.autoplan` ranks candidates for a whole matrix, and
+every candidate is a priced :class:`RegionPartition`: a single format is
+the one-region case (one ``"whole"`` region holding every entry).  Hybrid
+matrices — a planted dense block over a banded bulk with a few hub rows,
+say — have no single winner: every fixed format pays for the structure it
+was not built for.  The ``"Hybrid"`` candidate splits such a matrix into
+*regions*, materializes each region in the format its structure wants,
+and compiles one ordinary kernel with one statement per region:
 
 1. :func:`partition_regions` peels, in a fixed pipeline order,
 
@@ -23,11 +25,14 @@ compiles one ordinary kernel with one statement per region:
    loss-free cover by construction.
 
 2. :func:`plan_hybrid` prices the partition with the same calibrated
-   α+β :class:`~repro.compiler.autoplan.CostModel` the single-format
-   planner uses — each region pays its own per-call α, so the split only
-   wins when regions are big enough to amortize the extra dispatches.
+   α+β :class:`~repro.compiler.autoplan.CostModel` rule every candidate
+   is priced by (:func:`price_partition`) — each region pays its own
+   per-call α, so the split only wins when regions are big enough to
+   amortize the extra dispatches.
 
-3. :meth:`HybridPlan.compile` rewrites the source with
+3. :meth:`Candidate.compile` builds the regions from the matrix it is
+   given (a split relabels that matrix's canonical entries, so it must
+   have the planned structure), rewrites the source with
    :func:`split_source` — ``Y[i] += A0[i,j]*X[j]; Y[i] += A1[i,j]*X[j];
    …``, region formats bound as ``A0…`` — and compiles it with one
    :func:`~repro.compiler.kernels.compile_kernel` call.  Units run in
@@ -49,17 +54,23 @@ than silently double-executed per region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
 
 from repro.compiler.ast_nodes import BinOp, MinMax, Neg, Program, Ref
-from repro.compiler.autoplan import CANDIDATE_FORMATS, SEGMENT_WEIGHT, CostModel, spmv_operands
+from repro.compiler.autoplan import (
+    CANDIDATE_FORMATS,
+    SEGMENT_WEIGHT,
+    CostModel,
+    _feasibility,
+)
 from repro.compiler.sparsity import sparsity_predicate, split_statement
 from repro.errors import CompileError
 from repro.formats.base import Format
 from repro.formats.coo import COOMatrix
+from repro.formats.dense import DenseVector
 from repro.formats.denseblocks import DenseBlocksMatrix
 from repro.observability.trace import span
 from repro.relational.predicates import NZ
@@ -69,7 +80,7 @@ __all__ = [
     "RegionPartition",
     "partition_regions",
     "split_source",
-    "HybridPlan",
+    "Candidate",
     "plan_hybrid",
 ]
 
@@ -103,14 +114,15 @@ DIAG_MIN = 8
 @dataclass
 class Region:
     """One region of a partition: the entries of the partitioned matrix
-    that ``owner`` labels ``label``, plus the format chosen to materialize
-    them.  The regions share the input and one int8 ``owner`` array rather
-    than copies of their entries, since a plan keeps its partition."""
+    that ``owner`` labels ``label`` (every entry when ``owner`` is None),
+    plus the format chosen to materialize them.  The regions share the
+    input and one int8 ``owner`` array rather than copies of their
+    entries, since a plan keeps its partition."""
 
-    kind: str  # "dense" | "skew" | "band" | "remainder"
+    kind: str  # "whole" | "dense" | "skew" | "band" | "remainder"
     format_name: str
-    source: COOMatrix  # the partitioned matrix, canonical
-    owner: np.ndarray  # region label of each entry of ``source``
+    source: COOMatrix  # the partitioned matrix, canonical when split
+    owner: np.ndarray | None  # region label of each entry of ``source``
     label: int
     detail: str = ""
     #: stored slots the materialization allocates (padding/fill included)
@@ -122,20 +134,25 @@ class Region:
 
     @property
     def coo(self) -> COOMatrix:
-        """The region's entries: full shape, global coordinates, canonical order."""
+        """The region's entries: full shape, global coordinates, source order."""
+        if self.owner is None:
+            return self.source
         s, keep = self.source, self.owner == self.label
         return COOMatrix(s.shape, s.row[keep], s.col[keep], s.vals[keep])
 
     @property
     def nnz(self) -> int:
+        if self.owner is None:
+            return self.source.nnz
         return int(np.count_nonzero(self.owner == self.label))
 
-    def build(self) -> Format:
+    def build(self, profile=None) -> Format:
         """The region in its format: dense windows as DenseBlocks, any
-        other region through the single-format candidates' builders."""
+        other region through the single-format candidates' builders
+        (BlockDiag reads the ``profile``'s ``blockptr``)."""
         if self.format_name == "DenseBlocks":
             return DenseBlocksMatrix.from_coo_windows(self.coo, self.windows)
-        return CANDIDATE_FORMATS[self.format_name](self.coo, None)
+        return CANDIDATE_FORMATS[self.format_name](self.coo, profile)
 
     def summary(self) -> dict:
         return {
@@ -418,89 +435,90 @@ def split_source(source: str, name: str, region_formats, extra: Mapping[str, For
     return Program(program.loops, body), {**dict(zip(names, region_formats)), **extra}
 
 
-@dataclass
-class HybridPlan:
-    """A priced region decomposition, ready to compile.
+@dataclass(frozen=True)
+class Candidate:
+    """One auto-planner candidate: a priced region partition.
 
-    ``feasible`` is a *structural* statement (at least two non-empty
-    regions — otherwise the "hybrid" is just a single-format plan with
-    extra steps); whether the split actually *wins* is the auto-planner's
-    call, made by comparing ``predicted_seconds`` against the
-    single-format candidates.
+    A single-format candidate is the one-region case, one ``"whole"``
+    region bound as ``A``; ``"Hybrid"`` is :func:`partition_regions`'
+    split, its regions bound as ``A0``, ``A1``, ….  Both are priced by
+    :meth:`CostModel.price` per region, and both are built and compiled by
+    the same code from the matrix passed in.  ``feasible`` is structural
+    (a split needs two non-empty regions, or it is a single-format plan
+    with extra steps); whether a candidate wins is the auto-planner's call.
     """
 
-    partition: RegionPartition
-    predicted_seconds: float
+    format_name: str
+    partition: RegionPartition = field(compare=False, repr=False)
     region_predictions: tuple[float, ...]
+    feasible: bool
+    note: str = ""  # why infeasible / structural commentary
     model_source: str = "default"
 
     @property
-    def profile(self):
-        return self.partition.profile
-
-    @property
-    def feasible(self) -> bool:
-        return sum(1 for r in self.partition.regions if r.nnz > 0) >= 2
-
-    @property
-    def note(self) -> str:
-        if self.feasible:
-            kinds = "+".join(r.kind for r in self.partition.regions)
-            return f"regions: {kinds}"
-        return "structure is not separable (fewer than 2 non-empty regions)"
+    def predicted_seconds(self) -> float:
+        return float(sum(self.region_predictions)) if self.region_predictions else float("inf")
 
     @property
     def work_units(self) -> float:
-        return float(
-            sum(
-                r.stored + SEGMENT_WEIGHT * r.segments
-                for r in self.partition.regions
-            )
-        )
+        """Stored slots plus weighted segment loops, over every region."""
+        return float(sum(r.stored + SEGMENT_WEIGHT * r.segments for r in self.partition.regions))
 
-    # ------------------------------------------------------------------
-    def build(self) -> tuple[Format, ...]:
-        """Materialize every region in its chosen format, in partition order."""
-        return tuple(r.build() for r in self.partition.regions)
+    @property
+    def split(self) -> bool:
+        """Whether the regions label entries rather than hold them all."""
+        return any(r.owner is not None for r in self.partition.regions)
 
-    def compile(
-        self,
-        source: str | None = None,
-        name: str = "A",
-        extra: Mapping[str, Format] | None = None,
-        **kwargs,
-    ):
-        """Compile ``source`` over the regions; returns ``(kernel, formats)``.
+    def build(self, coo=None):
+        """The regions of ``coo`` (default: the planned matrix) in their
+        formats: one Format, or a tuple in partition order for a split.
+        A split labels the canonical entries of ``coo``, so a structure
+        other than the planned one raises :class:`CompileError`."""
+        regions = self.partition.regions
+        if coo is not None:
+            coo = coo if isinstance(coo, COOMatrix) else coo.to_coo()
+            if self.split:
+                coo, planned = coo.canonicalized(), regions[0].source
+                if coo is not planned and not (
+                    coo.shape == planned.shape
+                    and np.array_equal(coo.row, planned.row)
+                    and np.array_equal(coo.col, planned.col)
+                ):
+                    raise CompileError("a split plan builds only the structure it was planned on")
+            regions = [replace(r, source=coo) for r in regions]
+        built = tuple(r.build(self.partition.profile) for r in regions)
+        return built if self.split else built[0]
 
-        Mirrors :meth:`AutoPlan.compile`: ``source`` defaults to the SpMV
-        nest, ``extra`` supplies the non-matrix arrays (defaulting to
-        dense ``X``/``Y`` shaped to the matrix), and the returned
-        ``formats`` map is directly usable as the call arguments.  The
-        kernel is one ordinary :func:`compile_kernel` of
-        :func:`split_source`'s program.
-        """
-        from repro.compiler.kernels import compile_kernel
+    def program(self, built, source=None, name: str = "A", extra: Mapping[str, Format] | None = None):
+        """``(source, formats)`` over ``built`` (from :meth:`build`) bound
+        as ``name``, a split rewritten by :func:`split_source`.  ``source``
+        defaults to the SpMV nest and ``extra``, the other arrays, to dense
+        ``X``/``Y`` shaped to the matrix."""
         from repro.kernels.spmv import SPMV_SRC
 
-        program, formats = split_source(
-            SPMV_SRC if source is None else source,
-            name,
-            self.build(),
-            spmv_operands(self.partition.shape) if extra is None else extra,
-        )
+        source = SPMV_SRC if source is None else source
+        if extra is None:
+            n, m = (built[0] if self.split else built).shape
+            extra = {"X": DenseVector(np.zeros(m)), "Y": DenseVector.zeros(n)}
+        if self.split:
+            return split_source(source, name, built, extra)
+        return source, {name: built, **extra}
+
+    def compile(self, coo=None, source: str | None = None, name: str = "A", extra=None, **kwargs):
+        """One :func:`compile_kernel` of :meth:`program` over the regions
+        of ``coo``; returns ``(kernel, formats)``, the formats usable as
+        the call arguments."""
+        from repro.compiler.kernels import compile_kernel
+
+        program, formats = self.program(self.build(coo), source, name, extra)
         return compile_kernel(program, formats, **kwargs), formats
 
-    # ------------------------------------------------------------------
     def describe(self) -> str:
         lines = [
-            f"hybrid plan: {len(self.partition.regions)} regions, predicted "
-            f"{self.predicted_seconds * 1e6:.1f} µs/call "
-            f"(cost model: {self.model_source})"
+            f"{self.format_name.lower()} plan: {len(self.partition.regions)} regions, "
+            f"predicted {self.predicted_seconds * 1e6:.1f} µs/call (cost model: {self.model_source})",
+            "  summation order is the region order below (one kernel unit per region; bitwise-reproducible)",
         ]
-        lines.append(
-            "  summation order is the region order below "
-            "(one kernel unit per region; bitwise-reproducible)"
-        )
         for region, pred in zip(self.partition.regions, self.region_predictions):
             lines.append(
                 f"    {region.kind:<9s} {region.format_name:<11s} "
@@ -522,23 +540,43 @@ class HybridPlan:
         }
 
 
-def plan_hybrid(
-    coo,
-    profile=None,
-    model: CostModel | None = None,
-) -> HybridPlan:
-    """Partition ``coo`` and price the composed plan region by region.
+def price_partition(
+    name: str, partition: RegionPartition, model: CostModel, feasible: bool, note: str = ""
+) -> Candidate:
+    """``partition`` as candidate ``name``, every region charged its own
+    α plus β times its stored slots and weighted segment loops."""
+    preds = tuple(model.price(r.format_name, r.stored, r.segments) for r in partition.regions)
+    return Candidate(name, partition, preds, feasible, note, model.source)
 
-    Every region is charged its own per-call α plus β times its stored
-    slots and weighted segment loops — the same model the single-format
-    planner uses, so the two predictions are directly comparable.
-    """
+
+def plan_format(coo: COOMatrix, profile, model: CostModel, name: str) -> Candidate:
+    """Format ``name`` over all of ``coo``: one ``"whole"`` region, charged
+    the slots the format allocates (padding and fill included) and its
+    python-level segment loops."""
+    p = profile
+    stored, segments = {
+        "CRS": (p.nnz, 0),
+        "CCS": (p.nnz, p.ncols),  # column-driven scatter loops per column
+        "Coordinate": (p.nnz, 0),
+        "ITPACK": (p.ell_stored, 0),
+        "JDiag": (p.nnz, p.row_max),
+        "Diagonal": (p.diag_stored, p.ndiags),
+        "BlockDiag": (p.block_stored, p.nblocks),
+        "Inode": (p.nnz, p.ninodes),
+        "Dense": (p.nrows * p.ncols, 0),
+    }[name]
+    whole = Region("whole", name, coo, None, 0, "every entry", float(stored), float(segments))
+    partition = RegionPartition(coo.shape, p.nnz, (whole,), p)
+    return price_partition(name, partition, model, *_feasibility(p, name))
+
+
+def plan_hybrid(coo, profile=None, model: CostModel | None = None) -> Candidate:
+    """Partition ``coo`` and price the split region by region."""
     model = model or CostModel()
     partition = partition_regions(coo, profile=profile, model=model)
-    preds = [model.price(r.format_name, r.stored, r.segments) for r in partition.regions]
-    return HybridPlan(
-        partition=partition,
-        predicted_seconds=float(sum(preds)),
-        region_predictions=tuple(preds),
-        model_source=model.source,
+    regions = partition.regions
+    if sum(1 for r in regions if r.nnz > 0) >= 2:
+        return price_partition("Hybrid", partition, model, True, "regions: " + "+".join(r.kind for r in regions))
+    return price_partition(
+        "Hybrid", partition, model, False, "structure is not separable (fewer than 2 non-empty regions)"
     )

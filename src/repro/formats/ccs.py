@@ -87,8 +87,3 @@ class CCSMatrix(Format):
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_vals[{pos}]"
-
-    def col_slice(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(row indices, values) of column j."""
-        s, e = self.colp[j], self.colp[j + 1]
-        return self.rowind[s:e], self.vals[s:e]

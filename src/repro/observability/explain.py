@@ -31,7 +31,7 @@ def explain(obj, formats=None, verbose: bool = True) -> str:
         A :class:`CompiledKernel`, a :class:`KernelUnit`, a :class:`Plan`,
         an :class:`~repro.compiler.autoplan.AutoPlan` (format-selection
         rationale: structure profile + ranked candidate costs), a
-        :class:`~repro.compiler.specialize.HybridPlan` (the region
+        :class:`~repro.compiler.specialize.Candidate` (its region
         decomposition), or mini-language source text (requires
         ``formats``).
     formats:
@@ -44,9 +44,9 @@ def explain(obj, formats=None, verbose: bool = True) -> str:
     from repro.compiler.kernels import CompiledKernel, compile_kernel
     from repro.compiler.codegen import KernelUnit
     from repro.compiler.scheduling import Plan
-    from repro.compiler.specialize import HybridPlan
+    from repro.compiler.specialize import Candidate
 
-    if isinstance(obj, (AutoPlan, HybridPlan)):
+    if isinstance(obj, (AutoPlan, Candidate)):
         return obj.describe()
     if isinstance(obj, str):
         if formats is None:

@@ -314,7 +314,7 @@ def phase_breakdown(stats, model=None) -> dict[str, dict[str, float]]:
 
     model = model or CommModel()
     out: dict[str, dict[str, float]] = {}
-    for label in _phase_labels(stats):
+    for label in stats.phase_labels():
         w = stats.phase(label)
         out[label] = {
             "parallel_seconds": w.parallel_time(model),
@@ -348,10 +348,3 @@ def render_phase_breakdown(stats, model=None) -> str:
         )
     return "\n".join(lines)
 
-
-def _phase_labels(stats) -> list[str]:
-    seen: list[str] = []
-    for p in stats.phases:
-        if p.kind == "phase" and p.label is not None and p.label not in seen:
-            seen.append(p.label)
-    return seen

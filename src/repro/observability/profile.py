@@ -432,10 +432,6 @@ class CostModelAudit:
     hidden_seconds: float  # portion covered by interior compute
     exposed_seconds: float  # portion that stretched steps / drained at end
 
-    @property
-    def worst_phase_error_pct(self) -> float:
-        return max((abs(p.error_pct) for p in self.phases), default=0.0)
-
 
 def audit_cost_model(
     stats: RunStats,

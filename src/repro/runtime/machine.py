@@ -228,23 +228,10 @@ class RunStats:
         contributes only its compute; its modeled communication time is
         carried forward and finishes *under* the next superstep's compute
         — ``max(comm in flight, interior compute)`` instead of their sum,
-        the BlockSolve95 overlap model.  Runs without overlapped phases
-        fold exactly as before.
+        the BlockSolve95 overlap model, folded by :meth:`step_attribution`.
         """
-        model = model or self.model or CommModel()
-        total = 0.0
-        in_flight = 0.0
-        for p in self.phases:
-            if p.overlapped:
-                total += float(np.max(p.compute))
-                in_flight = max(in_flight, p.comm_time(model))
-                continue
-            t = p.step_time(model)
-            if in_flight > 0.0:
-                t = max(t, in_flight)
-                in_flight = 0.0
-            total += t
-        return total + in_flight
+        durations, _busy, drain = self.step_attribution(model)
+        return sum(durations.tolist()) + drain
 
     def comm_time(self, model: CommModel | None = None) -> float:
         """Modeled α–β communication seconds over the whole run (slowest
@@ -264,8 +251,8 @@ class RunStats:
         overlap window is stretched to cover any communication still in
         flight), ``busy[k, p]`` is rank p's busy seconds in that step
         (compute plus charged communication), and ``drain`` is trailing
-        in-flight communication no compute ever covered.  The fold
-        invariant: ``durations.sum() + drain == parallel_time(model)``.
+        in-flight communication no compute ever covered.
+        :meth:`parallel_time` is ``durations`` summed in order plus ``drain``.
 
         ``durations[k] - busy[k, p]`` is rank p's *wait* in superstep k —
         the per-step idle exposure the critical-path profiler consumes.
@@ -289,25 +276,6 @@ class RunStats:
         if not durations:
             return np.zeros(0), np.zeros((0, self.nprocs)), in_flight
         return np.asarray(durations), np.stack(busy), in_flight
-
-    def step_waits(self, model: CommModel | None = None) -> np.ndarray:
-        """Per-superstep, per-rank wait seconds (shape ``(S, P)``): how
-        long each rank sat idle in each superstep while the slowest rank
-        (or in-flight communication) finished."""
-        durations, busy, _drain = self.step_attribution(model)
-        if not len(durations):
-            return np.zeros((0, self.nprocs))
-        return durations[:, None] - busy
-
-    def total_wait(self, model: CommModel | None = None) -> np.ndarray:
-        """Per-rank idle seconds over the whole run, including the
-        trailing communication drain (charged to every rank — everyone is
-        waiting on the wire)."""
-        durations, busy, drain = self.step_attribution(model)
-        out = np.full(self.nprocs, drain)
-        if len(durations):
-            out += (durations[:, None] - busy).sum(axis=0)
-        return out
 
     # ------------------------------------------------------------------
     # serialization (the ``run_stats`` trace event)

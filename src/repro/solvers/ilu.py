@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.formats.crs import CRSMatrix
-from repro.solvers.cg import CGResult, cg
+from repro.kernels.spmv import bound_spmv
+from repro.solvers.cg import CGResult
 
 __all__ = ["ilu0", "solve_lower", "solve_upper", "ilu_preconditioned_cg"]
 
@@ -139,12 +140,10 @@ def ilu_preconditioned_cg(
     def apply_minv(r: np.ndarray) -> np.ndarray:
         return solve_upper(U, solve_lower(L, r))
 
-    # reuse the cg() driver with a preconditioner callable via the diag
-    # hook generalized: inline a tailored loop instead
     b = np.asarray(b, dtype=np.float64)
     n = len(b)
     maxiter = maxiter if maxiter is not None else 10 * n
-    from repro.kernels.spmv import spmv
+    matvec = bound_spmv(A)
 
     x = np.zeros(n)
     r = b.copy()
@@ -156,7 +155,7 @@ def ilu_preconditioned_cg(
     converged = residuals[-1] <= tol * bnorm
     it = 0
     while not converged and it < maxiter:
-        q = spmv(A, p)
+        q = matvec(p)
         pq = float(p @ q)
         if pq <= 0:
             raise ReproError("matrix is not positive definite (pᵀAp <= 0)")

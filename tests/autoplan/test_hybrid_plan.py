@@ -18,6 +18,7 @@ from repro.compiler import (
 from repro.compiler.autoplan import CANDIDATE_FORMATS, CostModel
 from repro.compiler.specialize import plan_hybrid
 from repro.errors import CompileError
+from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseVector
 from repro.observability import explain
 from tests.conftest import case_rng
@@ -250,3 +251,34 @@ def test_plan_to_dict_includes_the_hybrid_decomposition():
         dict(r.summary(), predicted_seconds=p, detail=r.detail)
         for r, p in zip(plan.hybrid.partition.regions, plan.hybrid.region_predictions)
     ]
+
+
+def test_compile_takes_the_values_of_the_matrix_passed_in():
+    """``autoplan(A).compile(B)``, B with A's structure and new values,
+    computes B·x whichever candidate won; B arrives in another entry
+    order, so the split has to relabel B's canonical entries."""
+    n = 80
+    A = _window_plus_scatter(6014, n)
+    B = COOMatrix.from_entries(A.shape, A.row[::-1], A.col[::-1], 2.0 * A.vals[::-1])
+    x = integer_vector(case_rng(6014), n)
+    want = (B.to_dense() @ x + 0.0).tobytes()
+    assert want != (A.to_dense() @ x + 0.0).tobytes()
+    for model, split in ((_pro_hybrid_model(), True), (None, False)):
+        plan = autoplan(A, model=model)
+        assert (plan.format_name == "Hybrid") is split
+        kernel, formats = plan.compile(
+            B, extra={"X": DenseVector(x.copy()), "Y": DenseVector.zeros(n)}
+        )
+        kernel(**formats)
+        assert (formats["Y"].vals + 0.0).tobytes() == want
+
+
+def test_a_split_plan_rejects_another_structure():
+    n = 80
+    plan = autoplan(_window_plus_scatter(6015, n), model=_pro_hybrid_model())
+    assert plan.format_name == "Hybrid"
+    other = _window_plus_scatter(6016, n)
+    with pytest.raises(CompileError, match="structure"):
+        plan.compile(other)
+    with pytest.raises(CompileError, match="structure"):
+        plan.hybrid.build(other)

@@ -13,7 +13,7 @@ from repro.formats import FORMAT_NAMES, BlockSolveMatrix, COOMatrix
 from repro.kernels.spmv import bound_spmv, spmv
 from repro.matrices import fem_matrix, grid_laplacian
 from repro.observability import metrics, trace
-from repro.solvers import cg, jacobi, power_iteration
+from repro.solvers import cg, ilu_preconditioned_cg, jacobi, power_iteration
 
 FORMATS = ["CRS", "Coordinate", "JDiag", "ITPACK", "Diagonal", "CCS"]
 
@@ -113,3 +113,24 @@ def test_one_compile_and_one_prepare_per_solve(system, maxiter):
     assert total("compiler.kernels.prepares") == 1
     assert total("compiler.cache_hits") + total("compiler.cache_misses") == 1
     assert total("kernel.calls") == maxiter
+
+
+def test_ilu_preconditioned_cg_binds_once_and_matches_per_iteration_spmv(system, monkeypatch):
+    coo, b = system
+    A = FORMAT_NAMES["CRS"].from_coo(coo)
+    clear_kernel_cache()
+    tracer = trace.enable_tracing()
+    try:
+        res = ilu_preconditioned_cg(A, b, tol=0.0, maxiter=6)
+    finally:
+        trace.disable_tracing()
+    names = [r.name for r in tracer.records]
+    assert res.iterations == 6
+    assert names.count("compiler.compile_kernel") == 1
+    assert names.count("kernel.prepare") == 1
+    assert names.count("kernels.spmv") == 6
+
+    monkeypatch.setattr(sys.modules["repro.solvers.ilu"], "bound_spmv", _per_iteration_spmv)
+    ref = ilu_preconditioned_cg(A, b, tol=0.0, maxiter=6)
+    assert ref.iterations == res.iterations and ref.residuals == res.residuals
+    assert np.array_equal(ref.x, res.x)
