@@ -74,9 +74,7 @@ class BSFragments:
         # ---- off-diagonal i-nodes
         self.off_global = bs.offdiag.select_rows(mine_mask, row_map, self.nlocal)
         local_part, nonlocal_part = self.off_global.split_by_columns(mine_mask)
-        col_local = np.zeros(n, dtype=np.int64)
-        col_local[mine_rows] = np.arange(self.nlocal)
-        self.A_SL = local_part.remap_columns(col_local, max(1, self.nlocal))
+        self.A_SL = local_part.remap_columns(row_map, max(1, self.nlocal))
         self.A_SNL_global = nonlocal_part
 
     def mixed_terms(self) -> list[Term]:

@@ -8,8 +8,8 @@ runs any such list as two SPMD generator methods:
 
 * ``setup()``  — the *inspector*: ``inspect()`` derives ``Used`` as the
   column support of the statements that are not ``local`` and builds (or
-  reuses) the gather schedule; ``localize()`` renumbers, compiles and
-  binds one kernel per statement,
+  reuses) the gather schedule; ``localize()`` renumbers the statements
+  and compiles one kernel per x view, each statement a region of it,
 * ``step(x)``  — the *executor*: one y = A·x over the local rows; the
   ``local`` statements run inside the exchange window, the rest after it.
 
@@ -44,6 +44,7 @@ from typing import Callable
 import numpy as np
 
 from repro.compiler import compile_kernel
+from repro.compiler.specialize import split_source
 from repro.distribution.base import Distribution
 from repro.distribution.translation import build_translation_table
 from repro.errors import InspectorError
@@ -138,8 +139,8 @@ class SpmdSpMV:
         return sched
 
     def localize(self):
-        """Index translation: renumber, compile and bind one kernel per
-        statement against the x view its ``reads`` declares."""
+        """Index translation: renumber the statements, then bind one
+        :func:`split_source` kernel per x view (library: a ``matvec`` each)."""
         sched, used = self.sched, self._used
         self._sched_sum = sched.checksum()  # what recovery verifies a rebuild against
         slots = sched.ghost_slot_of(used)
@@ -153,22 +154,21 @@ class SpmdSpMV:
         self._x = DenseVector.zeros(max(1, self.nlocal))
         self._g = DenseVector.zeros(nghost)
         self._y = DenseVector.zeros(self.nlocal)
-        views = {"local": self._x, "ghost": self._g}
-        if any(t.reads == "global" for t in self.terms):
-            views["global"] = TranslatedVector(nglobal, self._g.vals, xmap)
-        self.interior, self.boundary = [], []
+        views, groups = {"local": self._x, "ghost": self._g}, {}
         for term in self.terms:
-            A, X = term.A, views[term.reads]
-            if term.reads == "ghost":
-                A = A.remap_columns(xmap, nghost)
+            A = term.A.remap_columns(xmap, nghost) if term.reads == "ghost" else term.A
+            if isinstance(A, COOMatrix) and not self.library:  # the exchange format; kernels run CRS
+                A = CRSMatrix.from_coo(A.canonicalized())
+            groups.setdefault(term.reads, []).append(A)
+        self.interior, self.boundary = [], []
+        for reads, mats in groups.items():
+            X = views.get(reads) or TranslatedVector(nglobal, self._g.vals, xmap)
             if self.library:
-                run = partial(A.matvec, X.vals, out=self._y.vals)
+                runs = [partial(A.matvec, X.vals, out=self._y.vals) for A in mats]
             else:
-                if isinstance(A, COOMatrix):  # the exchange format; kernels run CRS
-                    A = CRSMatrix.from_coo(A.canonicalized())
-                kernel = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": self._y})
-                run = kernel.bind(A=A, X=X, Y=self._y)
-            (self.interior if term.reads == "local" else self.boundary).append(run)
+                program, fmts = split_source(SPMV_SRC, "A", mats, {"X": X, "Y": self._y})
+                runs = [compile_kernel(program, fmts).bind(**fmts)]
+            (self.interior if reads == "local" else self.boundary).extend(runs)
 
     # -- executor --------------------------------------------------------
     def step(self, xlocal: np.ndarray):

@@ -187,8 +187,8 @@ def parallel_cg(
 
     * ``"blocksolve"``, ``"mixed-bs"``, ``"global-bs"`` — the Table-2 trio
       over BlockSolve structures (hand-written library / compiled mixed
-      spec / compiled fully-global spec); ``A`` may be COO (converted) or
-      a prebuilt :class:`BlockSolveMatrix`; the system is solved in the
+      spec / compiled fully-global spec); ``A`` may be any format (built
+      through COO) or a prebuilt :class:`BlockSolveMatrix`; solved in the
       reordered space and mapped back,
     * ``"mixed"``, ``"global"`` (and their ``"indirect-*"`` forms) — the
       CRS-fragment Bernoulli variants for general matrices; ``dist``
@@ -214,6 +214,8 @@ def parallel_cg(
 
     if variant not in SPMV_VARIANTS:
         raise ReproError(f"unknown parallel CG variant {variant!r}")
+    if not isinstance(A, Format) or len(A.shape) != 2 or A.shape[0] != A.shape[1]:
+        raise ReproError(f"parallel CG needs a square matrix Format, got {type(A).__name__} {getattr(A, 'shape', '')}")
     b = np.asarray(b, dtype=np.float64)
     n = A.shape[0]
     if b.shape != (n,):
@@ -225,7 +227,7 @@ def parallel_cg(
     # choose (perm, dist, diag, data): the solve runs in the space `dist`
     # distributes, with b'[perm] = b and x = x'[perm]
     if SPMV_VARIANTS[variant].blocksolve:
-        bs = A if isinstance(A, BlockSolveMatrix) else BlockSolveMatrix.from_coo(A)
+        bs = A if isinstance(A, BlockSolveMatrix) else BlockSolveMatrix.from_coo(A.to_coo())
         perm = bs.perm.perm  # the reordered system A' x' = b'
         dist = dist or MultiBlockDistribution.from_color_classes(
             bs.clique_ptr, bs.colors, nprocs
@@ -233,7 +235,7 @@ def parallel_cg(
         diag = bs.dense_blocks.diagonal()  # a diagonal entry is in its clique
         data = [bs] * nprocs
     else:
-        coo = A.to_coo() if isinstance(A, Format) else A
+        coo = A.to_coo()
         perm = np.arange(n)
         dist = dist or BlockDistribution(n, nprocs)
         diag = coo.diagonal()

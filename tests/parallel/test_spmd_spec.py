@@ -5,9 +5,12 @@ pinned here as numbers recorded from them."""
 import numpy as np
 import pytest
 
+from repro.compiler import compile_kernel
 from repro.distribution import BlockDistribution, MultiBlockDistribution
 from repro.errors import InspectorError
-from repro.formats import BlockSolveMatrix
+from repro.formats import BlockSolveMatrix, COOMatrix, CRSMatrix, DenseVector
+from repro.formats.translated import TranslatedVector
+from repro.kernels.spmv import SPMV_SRC
 from repro.matrices import fem_matrix
 from repro.parallel import SPMV_VARIANTS, Term, make_spmv_setup, partition_rows
 from repro.parallel import spmd_spmv
@@ -127,8 +130,88 @@ def test_interior_is_the_local_statements(problem, variant):
     nlocal_terms = sum(t.reads == "local" for t in strategies[0].terms)
     declared = SPMV_VARIANTS[variant].terms.__name__ == "mixed_terms"
     assert (nlocal_terms > 0) == declared
-    assert all(len(s.interior) == nlocal_terms for s in strategies)
-    assert seen == ["alltoallv_async"] + ["interior"] * nlocal_terms + ["commwait"]
+    # one compiled kernel holds every local statement; the library applies each
+    ninterior = nlocal_terms if SPMV_VARIANTS[variant].library else min(nlocal_terms, 1)
+    assert all(len(s.interior) == ninterior for s in strategies)
+    assert seen == ["alltoallv_async"] + ["interior"] * ninterior + ["commwait"]
+
+
+# ----------------------------------------------------------------------
+# one kernel per x view
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("P", [1, 3, 4, 8])
+@pytest.mark.parametrize("variant", SPMV_VARIANTS)
+def test_one_compile_per_x_view(problem, variant, P, monkeypatch):
+    """``localize()`` compiles each x view's statements as the regions of
+    one kernel: one ``compile_kernel`` call per distinct ``reads``, none
+    for the library.  Counted around ``localize()`` alone: ranks
+    interleave at the inspector's collectives."""
+    coo, bs, _ = problem
+    dist, data = _layout(variant, coo, bs, P)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compile_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(spmd_spmv, "compile_kernel", counting)
+
+    def prog(p):
+        s = make_spmv_setup(variant, p, dist, data[p])
+        yield from s.inspect()
+        before = len(calls)
+        s.localize()
+        return len(calls) - before, 0 if s.library else len({t.reads for t in s.terms})
+
+    results, _ = Machine(P).run(prog)
+    assert all(got == want for got, want in results), results
+
+
+def _per_term_chain(s):
+    """The y of one kernel (or library ``matvec``) per statement, run
+    ``local`` statements first and otherwise in spec order, against the
+    x, ghost and global views ``step()`` just filled."""
+    xmap = np.zeros(s.dist.nglobal, dtype=np.int64)
+    xmap[s._used] = s.sched.ghost_slot_of(s._used)
+    views = {"local": s._x, "ghost": s._g,
+             "global": TranslatedVector(s.dist.nglobal, s._g.vals, xmap)}
+    Y = DenseVector.zeros(s.nlocal)
+    for term in sorted(s.terms, key=lambda t: t.reads != "local"):
+        A, X = term.A, views[term.reads]
+        if term.reads == "ghost":
+            A = A.remap_columns(xmap, len(s._g.vals))
+        if s.library:
+            A.matvec(X.vals, out=Y.vals)
+            continue
+        if isinstance(A, COOMatrix):
+            A = CRSMatrix.from_coo(A.canonicalized())
+        compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y})(A=A, X=X, Y=Y)
+    return Y.vals
+
+
+@pytest.mark.parametrize("P", [1, 3, 4, 8])
+@pytest.mark.parametrize("variant", SPMV_VARIANTS)
+def test_y_is_the_per_term_chain_bitwise(problem, variant, P):
+    """Grouping statements into one kernel per view keeps the summation
+    order of one kernel per statement: local regions first, then the
+    rest, each in spec order — so y is bitwise the per-term chain's."""
+    coo, bs, _ = problem
+    dist, data = _layout(variant, coo, bs, P)
+    n = coo.shape[0]
+    xs = [np.linspace(-1.0, 1.0, n), np.random.default_rng(11).standard_normal(n)]
+
+    def prog(p):
+        s = make_spmv_setup(variant, p, dist, data[p])
+        yield from s.setup()
+        pairs = []
+        for x in xs:
+            y = yield from s.step(x[dist.owned_by(p)])
+            pairs.append((y.tobytes(), _per_term_chain(s).tobytes()))
+        return pairs
+
+    results, _ = Machine(P).run(prog)
+    for pairs in results:
+        assert all(y == chain for y, chain in pairs)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 
 from repro.distribution import BlockDistribution
 from repro.errors import DistributionError, ReproError
-from repro.formats import BlockSolveMatrix, COOMatrix, CRSMatrix
+from repro.formats import BlockSolveMatrix, COOMatrix, CRSMatrix, DenseVector
 from repro.matrices import fem_matrix, grid_laplacian, stencil_matrix
+from repro.parallel import SPMV_VARIANTS
 from repro.solvers import cg, jacobi, parallel_cg, power_iteration
 
 
@@ -152,6 +153,22 @@ def test_parallel_cg_rejects_rhs_of_other_length():
     coo = grid_laplacian((3, 3))
     with pytest.raises(ReproError, match="right-hand side"):
         parallel_cg(coo, np.ones(8), nprocs=2)
+
+
+@pytest.mark.parametrize("variant", SPMV_VARIANTS)
+def test_parallel_cg_takes_any_format_and_rejects_non_square(variant):
+    """CRS input solves bitwise like COO input (the BlockSolve variants
+    convert through COO too); a rectangular matrix, a vector or a bare
+    ndarray is a typed error, not an IndexError from inside the carving."""
+    coo = fem_matrix(points=8, dof=2, rng=1)
+    b = np.linspace(1.0, 2.0, coo.shape[0])
+    x = parallel_cg(coo, b, 2, variant, niter=4).x
+    assert np.array_equal(parallel_cg(CRSMatrix.from_coo(coo), b, 2, variant, niter=4).x, x)
+    wide = COOMatrix.from_entries((6, 8), [*range(6), 0], [*range(6), 7], np.ones(7))
+    tall = COOMatrix.from_entries((8, 6), [*range(6), 7], [*range(6), 0], np.ones(7))
+    for bad in (wide, tall, DenseVector(b), coo.to_dense()):
+        with pytest.raises(ReproError, match="square matrix Format"):
+            parallel_cg(bad, np.ones(bad.shape[0]), 2, variant, niter=2)
 
 
 def test_parallel_cg_default_blocksolve_distribution_spans_all_ranks():
