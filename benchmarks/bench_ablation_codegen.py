@@ -1,12 +1,13 @@
-"""Ablation: scalar vs vectorized code generation.
+"""Ablation: the one scalar nest run as Python vs as C.
 
-DESIGN.md question: how much of Table-1 performance comes from the
-vectorizing backend?  Its kernels tier up at bind time to the scalar
-nest printed as C when a compiler is on ``PATH`` and stay numpy
-otherwise; ``kern.native`` says which ran, and the printed line names
-it.  Expected: vectorized CRS SpMV beats the interpreted loop nest by
-well over an order of magnitude at these sizes — the backend matters as
-much as the plan.
+DESIGN.md question: how much of Table-1 performance comes from running
+the generated nest as C?  Both backends print the same nest; the
+vectorized backend's kernels tier up at bind time to that nest built as
+C when a compiler is on ``PATH`` and stay Python otherwise (then the two
+backends time the same code); ``kern.native`` says which ran, and the
+printed line names it.  Expected, with gcc: vectorized CRS SpMV beats
+the interpreted loop nest by well over an order of magnitude at these
+sizes — the tier matters as much as the plan.
 """
 
 import sys

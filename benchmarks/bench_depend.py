@@ -3,12 +3,11 @@
 Before the dependence lattice, every kernel here died in
 ``compile_kernel`` with a ``VerificationError`` — the binary DOANY gate
 had no verdict between "independent" and "refuse".  The analyzer now
-classifies them ``REDUCTION(op)`` and the vectorized backend lowers them
-through the ``reduce-scatter`` strategy (``np.multiply.at`` /
-``np.minimum.at`` / ``np.maximum.at``-style privatized accumulation).
+classifies them ``REDUCTION(op)`` and the vectorized backend runs their
+scalar nest, combining with the op in place, as C (gcc at ``bind()``).
 This bench proves the unlock is a *performance* feature, not just an
 admissibility one: per kernel it measures the certified vectorized
-lowering against the interpreted scalar nest (the semantic oracle,
+kernel against the interpreted scalar nest (the semantic oracle,
 previously the only way to run these loops at all — outside the
 compiler), checks the results agree bitwise, and reports
 
@@ -47,9 +46,9 @@ SEED = 19970
 
 #: name -> (source, reduction op, target length as a function of (n, m))
 KERNELS = {
-    # per-row product: reduce-scatter collapses each row to np.prod
+    # per-row product: each row's '*' combine into its target slot
     "rowprod": ("for i in 0:n { for j in 0:m { Y[i] = Y[i] * A[i,j] } }", "*"),
-    # column max: the newly-unlocked scatter — np.maximum.at over colind
+    # column max: the newly-unlocked scatter through colind
     "colmax": ("for i in 0:n { for j in 0:m { Y[j] = max(Y[j], A[i,j]) } }", "max"),
     # column min, same scatter shape, opposite monoid
     "colmin": ("for i in 0:n { for j in 0:m { Y[j] = min(Y[j], A[i,j]) } }", "min"),

@@ -5,8 +5,8 @@ The paper's central claim: "the compilation algorithms are independent of
 any particular set of storage formats and new storage formats can be added
 to the compiler" (Sec. 2.3).  Here we define LAPACK-style *banded* storage
 from scratch — outside the library — by implementing the access-method
-protocol, and the unmodified compiler plans and generates vectorized code
-for it.  Run::
+protocol, and the unmodified compiler plans and generates its loop nest
+(built as C at the first call when gcc is on ``PATH``).  Run::
 
     python examples/custom_format.py
 """
@@ -98,16 +98,6 @@ class BandedMatrix(Format):
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_band[{pos}]"
-
-    def inner_vector_view(self, prefix, parent_pos):
-        i = parent_pos
-        lo = f"max(0, {i} - {prefix}_kl)"
-        hi = f"min({prefix}_n1, {i} + {prefix}_ku + 1)"
-        return {
-            "slice": (lo, hi),
-            "index": {1: ("affine", lo)},
-            "vals": f"{prefix}_band[{i}][{{s}} - {i} + {prefix}_kl : {{e}} - {i} + {prefix}_kl]",
-        }
 
 
 def main():

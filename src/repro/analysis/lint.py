@@ -6,7 +6,7 @@ Two halves, one report:
   and flag join shapes that execute correctly but defeat the paper's cost
   story: a guarded enumerate×enumerate join (filtering a full enumeration
   against already-bound indices) where the level declared itself
-  searchable, and executor backends that fell back to scalar lowering;
+  searchable;
 * **generated-code lint** — ``ast``-parse the emitted kernel source and
   check structural hygiene the ``exec`` boundary cannot: every name loaded
   is a parameter, a bound local, or a known builtin; subscript writes land
@@ -18,7 +18,6 @@ Codes:
 =======  ============================================================
 BER030   warn — guarded enumerate×enumerate join (filter guard on an
          already-bound index; worse when the level was searchable)
-BER031   warn — executor backend fell back to scalar lowering
 BER032   error — generated code reads a name that is never bound
 BER033   error — generated code writes an array outside the declared
          kernel outputs
@@ -250,7 +249,7 @@ def lint_kernel(
     kernel, formats=None, where: str = "kernel", into: DiagnosticReport | None = None
 ) -> DiagnosticReport:
     """Lint a :class:`~repro.compiler.kernels.CompiledKernel`: every
-    unit's plan, the backend lowering labels, and the emitted source.
+    unit's plan and the emitted source.
 
     Pass ``formats`` (the instances the kernel was compiled against) to
     get level-aware plan messages; without it plan lint still runs but
@@ -266,17 +265,6 @@ def lint_kernel(
         report.extend(
             lint_plan(unit.plan, formats, where=f"{where}, unit [{k}]")
         )
-    for k, label in enumerate(kernel.unit_backends):
-        if label.startswith("fallback"):
-            report.add(
-                _diag(
-                    "BER031",
-                    WARN,
-                    f"backend {kernel.backend!r} lowered unit [{k}] via "
-                    f"{label!r} — the vectorized strategy did not apply",
-                    f"{where}, unit [{k}]",
-                )
-            )
     outputs = {u.stmt.target.array for u in kernel.units}
     report.extend(
         lint_generated_source(

@@ -15,13 +15,12 @@ Pipeline:
    *driver* relation that enumerates its stored entries and the access
    mode (dense lookup / sparse search) for every other term, using the
    access-method properties and a cost model.
-5. :mod:`~repro.compiler.codegen` — emit Python source for the chosen
-   plan through the lowering strategies of the named *executor backend*
-   (``codegen.STRATEGIES``: ``"interpreted"`` is the scalar nest;
-   ``"vectorized"`` the numpy segmented/block-gemv/vectorized/
-   reduce-scatter lowerings with per-statement scalar fallback), compile
-   it, and wrap it in a
-   :class:`~repro.compiler.kernels.CompiledKernel`.  Compiled kernels are
+5. :mod:`~repro.compiler.codegen` — emit the chosen plan's scalar loop
+   nest, the one printer (``codegen.STRATEGIES``: the ``"vectorized"``
+   backend first collapses dense blocks into ``block-gemv``), define it,
+   and wrap it in a :class:`~repro.compiler.kernels.CompiledKernel`;
+   :mod:`~repro.compiler.native` runs the nest as C at ``bind()`` when
+   gcc is present, as Python otherwise.  Compiled kernels are
    cached in a :mod:`~repro.compiler.plan_cache` keyed on the loop nest,
    the format specs and the sparsity predicates.
 

@@ -17,8 +17,9 @@ and returns a :class:`CompiledKernel` that can be invoked repeatedly with
     ...                    backend="vectorized")
     >>> k(A=a_crs, X=x_dense, Y=y_dense)     # y += A @ x, in place
 
-``backend`` names the executor backend (``"vectorized"`` — the default
-— or ``"interpreted"``), whose lowering strategies
+``backend`` names the executor backend (``"vectorized"`` — the default,
+which runs the scalar nest as C and dense blocks through BLAS — or
+``"interpreted"``, the scalar nest as Python), whose lowering strategies
 :data:`~repro.compiler.codegen.STRATEGIES` lists.  Compilation
 is cached in a :class:`~repro.compiler.plan_cache.PlanCache` keyed on
 (loop nest, format specs, sparsity predicates, backend, planner options):
@@ -153,12 +154,11 @@ class CompiledKernel:
             s for s in self.scalar_names if s not in storage_keys
         ]
         #: :class:`~repro.compiler.native.NativeState` of the latest bind()
-        #: (None before the first): native C, or numpy and why
+        #: (None before the first): native C, or Python and why
         self.native = None
         self._native_memo: dict = {}  # operand signature -> per-unit tiers
         self.source: str
-        #: per-unit lowering labels (strategy name, "noop", or
-        #: "fallback:scalar" when the backend could not lower the plan)
+        #: per-unit lowering labels (strategy name or "noop")
         self.unit_backends: tuple[str, ...]
 
     # ------------------------------------------------------------------
@@ -249,12 +249,12 @@ class CompiledKernel:
         """Pre-bind storage and scalars; returns a zero-argument callable.
 
         All validation, storage-dict construction, bound resolution and the
-        generated ``prepare`` (index sets, gather-index range checks —
-        :class:`~repro.errors.FormatError` on a bad index — and scratch
-        buffers) happen once; the returned closure only invokes the
-        generated ``run`` — or its C translation, whose check twin then
-        stands in for ``prepare`` (:mod:`repro.compiler.native`).  Use this
-        in loops that run the same kernel on the same containers.
+        generated ``prepare`` happen once; the returned closure only invokes
+        the generated ``run`` — as C (:mod:`repro.compiler.native`), whose
+        check twin range-checks every index here, or as Python, after each
+        format's :meth:`~repro.formats.base.Format.validate`.  Either way a
+        bad index is a :class:`~repro.errors.FormatError` at ``bind()``.
+        Use this in loops that run the same kernel on the same containers.
 
         Contract: between calls the containers' *values* may change in
         place, their *structure* (index arrays, extents) may not — rebind
@@ -276,11 +276,14 @@ class CompiledKernel:
         arrays = {n: v for n, v in bindings.items() if isinstance(v, Format)}
         with _trace.span("kernel.prepare", backend=self.backend):
             # per run of units, the C run (its check twin runs here) or the
-            # generated numpy run over what its prepare derives
-            steps = native.tier_up(self, arrays, args)
+            # generated Python run over what its prepare derives
+            steps = native.tier_up(self, arrays, args) or [(self._prepare, self._run, self._prepare_names)]
+            if not all(map(callable, steps)):  # a Python run indexes unchecked
+                for fmt in arrays.values():
+                    fmt.validate()
             calls = [
                 s if callable(s) else functools.partial(s[1], *args, s[0](*[ns[k] for k in s[2]]))
-                for s in steps or [(self._prepare, self._run, self._prepare_names)]
+                for s in steps
             ]
         _metrics.record("compiler.kernels.prepares")
         counters = None
@@ -596,8 +599,7 @@ def compile_kernel(
         compile (cache hits included — the check is pure tuple algebra).
         Every loop is classified into the parallelism lattice
         DOALL ⊏ DOANY ⊏ REDUCTION(op) ⊏ SEQUENTIAL: DOALL/DOANY/REDUCTION
-        verdicts compile (REDUCTION through privatized-accumulation
-        lowerings), and a SEQUENTIAL witness means the nest carries a real
+        verdicts compile, and a SEQUENTIAL witness means the nest carries a real
         dependence — ``"error"`` (default) raises
         :class:`~repro.errors.VerificationError` with the witness access
         pair, ``"warn"`` downgrades findings to a Python warning,

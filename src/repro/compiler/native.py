@@ -1,17 +1,19 @@
 """The native tier: a kernel's scalar nest, printed as C and run through ctypes.
 
-At a kernel's first ``bind()`` the ``run`` that the interpreted backend
-prints for the same plan units is translated over Python's ``ast`` into
-C, built once with gcc, cached on disk and loaded with ctypes; the bound
-call then runs C instead of the numpy ``run``.  ``lower``, the cache key
-and ``unit_backends`` never see it.  The tier is decided per unit: a unit
-stays on numpy — counted in ``compiler.native.declined{reason}`` — when
-it is lowered ``block-gemv`` (BLAS wins on dense blocks) or its nest does
-not translate; the bound call runs each run of consecutive units on one
-tier, C or numpy, in unit order.  The whole kernel stays on numpy when
-its backend is ``interpreted``, no compiler is on ``PATH``, an operand is
-neither a scalar nor a C-contiguous float64/int64 array (a format's
-storage holds nothing else), or an output overlaps another operand.
+At a kernel's first ``bind()`` the ``run`` that :mod:`codegen` prints for
+its plan units — the one printer: the scalar nest — is translated over
+Python's ``ast`` into C, built once with gcc, cached on disk and loaded
+with ctypes; the bound call then runs C instead of the Python ``run``.
+``lower``, the cache key and ``unit_backends`` never see it.  The tier is
+decided per unit: a unit stays on Python — counted in
+``compiler.native.declined{reason}`` — when it is lowered ``block-gemv``
+(BLAS wins on dense blocks) or its nest does not translate; the bound
+call runs each run of consecutive units on one tier, C or Python, in unit
+order.  The whole kernel stays on Python when its backend is
+``interpreted``, no compiler is on ``PATH``, an operand is neither a
+scalar nor a C-contiguous float64/int64 array (a format's storage holds
+nothing else), or an output overlaps another operand.  So a C compiler is
+needed for speed, not for correctness: both tiers run the same print.
 
 The C nest does the interpreted nest's arithmetic in the same order (an
 output slot fixed across the inner loop is summed in a local ``double``),
@@ -55,8 +57,6 @@ from repro.observability.trace import span
 __all__ = ["NativeState", "find_compiler", "parse", "tier_up", "translate"]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fwrapv")
-#: unit lowerings whose kernels tier up; any other label keeps numpy
-TIER_UP = frozenset({"noop", "segmented", "vectorized", "reduce-scatter", "fallback:scalar"})
 _KINDS = {np.dtype(np.float64): "f", np.dtype(np.int64): "i"}  # native byte order only
 _CTYPE = {"f": "double", "i": "int64_t"}
 _BINOP = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.RShift: ">>"}
@@ -76,7 +76,7 @@ static inline double maxf_(double a, double b) { return b > a ? b : a; }
 
 
 class Declined(Exception):
-    """The kernel stays on numpy; ``args[0]`` is the counted reason."""
+    """The kernel stays on Python; ``args[0]`` is the counted reason."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class NativeState:
             return "; ".join(f"[{k}] {u}" for k, u in enumerate(self.units))
         if self.reason is None:
             return f"native C ({self.fingerprint}, {self.origin})"
-        return f"numpy — native declined: {self.reason}"
+        return f"Python — native declined: {self.reason}"
 
 
 # ----------------------------------------------------------------------
@@ -338,13 +338,13 @@ def parse(source: str) -> ast.Module:
 
 @functools.lru_cache(maxsize=1024)
 def translate(source: str, kinds: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
-    """C for the ``run`` in ``source`` (as the interpreted backend prints
-    it): ``int64_t run(const int64_t *a_)`` and its check twin ``check``,
-    both reading every parameter from one slot array, plus the message of
-    each nonzero return code.  ``kinds`` gives, per parameter of ``run``
-    but ``aux``, ``f1``/``f2``/``i1``/``i2`` (a float64/int64 array of
-    that rank) or ``i``/``f`` (a scalar).  Raises
-    :class:`Declined` on anything outside the translated subset."""
+    """C for the ``run`` in ``source`` (the scalar nest :mod:`codegen`
+    prints): ``int64_t run(const int64_t *a_)`` and its check twin
+    ``check``, both reading every parameter from one slot array, plus the
+    message of each nonzero return code.  ``kinds`` gives, per parameter of
+    ``run`` but ``aux``, ``f1``/``f2``/``i1``/``i2`` (a float64/int64 array
+    of that rank) or ``i``/``f`` (a scalar).  Raises :class:`Declined` on
+    anything outside the translated subset."""
     (fn,) = [n for n in parse(source).body if isinstance(n, ast.FunctionDef) and n.name == "run"]
     params = [a.arg for a in fn.args.args[:-1]]  # the trailing parameter is aux
     unpack, slot = [], 0  # an array's slots are its address then its extents
@@ -499,10 +499,14 @@ def _state(units) -> NativeState:
     return NativeState(first.reason, units=tuple(units))
 
 
+def _source(kern, formats, units) -> str:
+    """The source of ``units`` alone, lowered through the kernel's backend."""
+    return codegen.generate_source(kern.program, units, formats, kern.param_names, kern.backend)[0]
+
+
 def _c_nest(kern, formats, kinds, units):
     """The C source and failure messages of ``units``' scalar nest."""
-    source, _ = codegen.generate_source(kern.program, units, formats, kern.param_names, "interpreted")
-    return translate(source, kinds)
+    return translate(_source(kern, formats, units), kinds)
 
 
 def _runs(states):
@@ -514,7 +518,7 @@ def _runs(states):
 def _tier_up(kern, formats, kinds, reasons):
     """``(steps, state, counted)`` for these operand kinds: per run of
     consecutive units on one tier, ``(True, run, check, messages)`` of its
-    loaded C nest or ``(False, prepare, run, prepare names)`` of its numpy
+    loaded C nest or ``(False, prepare, run, prepare names)`` of its Python
     pair (``steps`` is None when every unit stays on the kernel's own
     pair); ``kern.native``; the reasons each bind counts.  ``reasons``
     holds the label each unit declines on, or None.  The whole nest is
@@ -553,26 +557,24 @@ def _tier_up(kern, formats, kinds, reasons):
     steps = None
     if libraries:
         steps = [
-            libraries[ks[0]] if native else (False, *_numpy_pair(kern, formats, [units[k] for k in ks]))
+            libraries[ks[0]] if native else (False, *_python_pair(kern, formats, [units[k] for k in ks]))
             for native, ks in _runs(states)
         ]
     return steps, _state(states), tuple(counted)
 
 
-def _numpy_pair(kern, formats, units) -> tuple:
-    """``(prepare, run, prepare names)`` of ``units`` alone, lowered
-    through the kernel's own backend."""
-    source, _ = codegen.generate_source(kern.program, units, formats, kern.param_names, kern.backend)
-    return codegen.define(source)
+def _python_pair(kern, formats, units) -> tuple:
+    """``(prepare, run, prepare names)`` of ``units`` alone."""
+    return codegen.define(_source(kern, formats, units))
 
 
 def tier_up(kern, formats, args):
     """The bound call's steps for these operands, in unit order: a C call
     (its check twin already run) per run of units that translate, and a
-    numpy ``(prepare, run, prepare names)`` per run that does not; None
-    when the whole kernel stays on its own numpy pair.  Sets
-    ``kern.native`` either way."""
-    reasons = tuple(None if lb in TIER_UP else lb for lb in kern.unit_backends)
+    Python ``(prepare, run, prepare names)`` per run that does not; None
+    when the whole kernel stays on its own Python pair.  Sets
+    ``kern.native`` either way.  Every label but ``block-gemv`` tiers up."""
+    reasons = tuple(lb if lb == "block-gemv" else None for lb in kern.unit_backends)
     try:
         if kern.backend == "interpreted":
             raise Declined("interpreted")

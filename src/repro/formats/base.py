@@ -44,9 +44,9 @@ class Emitter:
         self.depth = 0
         self._counters: dict[str, int] = {}
         self._reserved: set[str] = set()
-        #: body of the kernel's ``prepare``, in order: ``(name, expr)``
-        #: bindings and ``(None, statement)`` checks made by :meth:`hoist`
-        self.hoisted: list[tuple[str | None, str]] = []
+        #: body of the kernel's ``prepare``, in order: the ``(name, expr)``
+        #: bindings made by :meth:`hoist`
+        self.hoisted: list[tuple[str, str]] = []
 
     def emit(self, line: str = "") -> None:
         """Append one line at the current indentation depth."""
@@ -85,21 +85,18 @@ class Emitter:
         self._reserved.add(name)
         return name
 
-    def hoist(self, base: str | None, expr: str) -> str | None:
+    def hoist(self, base: str, expr: str) -> str:
         """Compute ``expr`` once per ``bind()`` instead of once per call.
 
         ``expr`` must depend on *structure* only (index arrays, extents,
         earlier hoisted names — never a value array or a loop variable):
         it is evaluated in the generated ``prepare`` and reaches ``run``
-        through ``aux`` under the returned name.  With ``base=None``,
-        ``expr`` is a whole statement (a range check) and nothing is bound.
-        Equal expressions are emitted once and share one name, scratch
-        buffers included — units run one after another, so a nest must not
-        hoist the same scratch expression twice."""
+        through ``aux`` under the returned name.  Equal expressions are
+        emitted once and share one name."""
         for name, code in self.hoisted:
             if code == expr:
                 return name
-        name = self.fresh(base) if base else None
+        name = self.fresh(base)
         self.hoisted.append((name, expr))
         return name
 
@@ -213,20 +210,6 @@ class AccessLevel:
         """
         raise FormatError(f"{type(self).__name__} does not support merge joins")
 
-    # Vectorization hook: if the level can expose the entries under one
-    # parent position as numpy slices, return a dict
-    #   {"slice": (start_expr, stop_expr),
-    #    "index": {axis: ("gather", template) | ("affine", start_expr)
-    #                     | ("prefix", array_expr)}}
-    # where a "gather" template contains {s}/{e} placeholders for the slice
-    # bounds and evaluates to the index array, "affine" means the axis
-    # index runs ``start, start+1, ...`` over the slice (contiguous access),
-    # and "prefix" means it runs ``array[0], array[1], ...`` — the first
-    # ``e - s`` entries of a duplicate-free index array, whatever ``s`` is.
-    # Return None if the level cannot be vectorized.
-    def vector_view(self, prefix: str, parent_pos: str | None):
-        return None
-
 
 class Format:
     """Base class for all storage formats (matrices and vectors).
@@ -283,7 +266,7 @@ class Format:
     def emit_load_vec(self, prefix: str, axis_exprs: Sequence[str]) -> str:
         """Vectorized load: index each axis by an expression that may be a
         slice or an index array.  Only meaningful for structurally dense
-        formats (the vectorizing backends gather them)."""
+        formats (``block-gemv`` gathers them)."""
         return f"{prefix}_vals[{', '.join(axis_exprs)}]"
 
     def emit_store(self, g: Emitter, prefix: str, axis_vars: Mapping[int, str], pos: str, value_expr: str) -> None:
@@ -293,24 +276,6 @@ class Format:
         """Combine ``value_expr`` into the target element with ``op``
         (one of :data:`~repro.compiler.ast_nodes.REDUCTION_OPS`)."""
         raise FormatError(f"{type(self).__name__} is not writable")
-
-    def segmented_view(self, prefix: str):
-        """Whole-matrix vectorization view for two-level formats, or None.
-
-        Enables the code generator's *segmented-reduction* pass (the
-        numpy analogue of what a vectorizing C backend does for
-        pointer-and-index formats): the entire loop nest collapses into a
-        flat product over all stored entries followed by one segmented
-        reduction.  Two kinds:
-
-        * ``{"kind": "segments", "segments": ptr_expr, "index": {axis:
-          gather_expr}, "vals": vals_expr, "outer_axis": axis}`` — entries
-          of outer index q live in ``vals[ptr[q]:ptr[q+1]]``
-          (CRS rows); reduction via ``np.add.reduceat``,
-        * ``{"kind": "dense2d", ...}`` — entries in padded 2-D arrays
-          (ITPACK), zero padding; reduction via ``.sum(axis=1)``.
-        """
-        return None
 
     def inner_block_view(self, prefix: str):
         """Dense-block vectorization view of the whole format, or None.
@@ -334,19 +299,11 @@ class Format:
         """
         return None
 
-    def inner_vector_view(self, prefix: str, parent_pos: str | None):
-        """Vectorization view of the innermost level, or None.
-
-        Returns the innermost level's ``vector_view`` augmented with a
-        ``"vals"`` template ({s}/{e} placeholders) that evaluates to the
-        value array over the slice.  Formats whose values do not live in a
-        flat ``{prefix}_vals`` array override this.
-        """
-        view = self.levels()[-1].vector_view(prefix, parent_pos)
-        if view is None:
-            return None
-        view.setdefault("vals", f"{prefix}_vals[{{s}}:{{e}}]")
-        return view
+    def validate(self) -> None:
+        """Raise :class:`FormatError` unless the index arrays describe a
+        valid structure (bounds, segment order).  The constructor calls it,
+        and so does a ``bind()`` that runs some unit as Python: the C tier
+        range-checks inline, a Python run would not."""
 
     # ------------------------------------------------------------------
     # conversions / utilities
@@ -422,7 +379,7 @@ def check_segments(ptr: np.ndarray, idx: np.ndarray, extent: int, name: str) -> 
     if np.any(np.diff(ptr) < 0):
         raise FormatError(f"segment pointers of {name} must be non-decreasing")
     if len(idx) and (idx.min() < 0 or idx.max() >= extent):
-        raise FormatError(f"{name} out of range [0, {extent})")
+        raise FormatError(f"{name} holds an index outside [0, {extent})")
     starts = np.zeros(len(idx) + 1, dtype=bool)
     starts[ptr] = True
     if np.any((np.diff(idx) <= 0) & ~starts[1:-1]):

@@ -11,7 +11,7 @@ positions into an index list (i-node rows and columns).
 :class:`BlockFormat` derives everything else from that description:
 
 * one access hierarchy ``blocks → rows → columns`` for the compiler,
-* the column level's vector view and the whole format's block view
+* the whole format's block view
   (:meth:`~repro.formats.base.Format.inner_block_view`),
 * ``storage()``, ``nnz``, ``to_coo()``,
 * :meth:`BlockFormat.matvec`, the hand-written library product.  It runs
@@ -145,12 +145,6 @@ def _mean_extent(extents) -> float:
     return max(1.0, float(np.mean(extents))) if len(extents) else 1.0
 
 
-def _split(parent_pos: str | None) -> list[str]:
-    """``base, cs, nc`` of a row position (see :class:`_RowLevel`)."""
-    parts = (parent_pos or "0").split(":")
-    return parts if len(parts) == 3 else [parts[0]] * 3  # a placeholder probe
-
-
 class _BlockLevel(AccessLevel):
     """Enumerate the blocks (internal index; binds no axis).  Every level
     enumerates in order and cannot search."""
@@ -201,24 +195,12 @@ class _ColLevel(_BlockLevel):
         return _mean_extent(self._owner.layout.cols.arrays(self._owner)[1])
 
     def emit_enumerate(self, g: Emitter, prefix: str, parent_pos, axis_vars: Mapping[int, str]) -> str:
-        base, cs, nc = _split(parent_pos)
+        base, cs, nc = parent_pos.split(":")
         c = g.fresh("c")
         g.open(f"for {c} in range({cs}, {cs} + {nc}):")
         if 1 in axis_vars:
             g.emit(f"{axis_vars[1]} = {self._owner.layout.cols.at(prefix, c)}")
         return f"{base} + ({c} - {cs})"
-
-    def vector_view(self, prefix: str, parent_pos):
-        base, cs, nc = _split(parent_pos)
-        index = self._owner.layout.cols.index
-        return {
-            "slice": (cs, f"{cs} + {nc}"),
-            "index": {
-                1: ("gather", f"{prefix}_{index}[{{s}}:{{e}}]") if index else ("affine", cs)
-            },
-            "unique_axes": frozenset({1}),
-            "vals": f"{prefix}_vals[{base} : {base} + ({{e}} - {{s}})]",
-        }
 
 
 class BlockFormat(Format):

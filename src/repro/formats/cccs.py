@@ -41,6 +41,9 @@ class CCCSMatrix(Format):
         self.colp = np.asarray(colp, dtype=np.int64)
         self.rowind = np.asarray(rowind, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=np.float64)
+        self.validate()
+
+    def validate(self) -> None:
         if len(self.colp) != len(self.colind) + 1:
             raise FormatError("colp length must be len(colind) + 1")
         if self.colp[0] != 0 or self.colp[-1] != len(self.vals):

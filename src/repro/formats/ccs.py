@@ -38,6 +38,9 @@ class CCSMatrix(Format):
         self.colp = np.asarray(colp, dtype=np.int64)
         self.rowind = np.asarray(rowind, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=np.float64)
+        self.validate()
+
+    def validate(self) -> None:
         if len(self.colp) != self._shape[1] + 1:
             raise FormatError(
                 f"colp length {len(self.colp)} != ncols+1 = {self._shape[1] + 1}"

@@ -67,17 +67,6 @@ class CompressedLevel(AccessLevel):
         key = (f"{prefix}_{self.idx_name}[{{}}]", axis_exprs[self.axis])
         return g.search(f"{ptr}[{parent_pos}]", f"{ptr}[{parent_pos} + 1]", [key])
 
-    def vector_view(self, prefix: str, parent_pos):
-        ptr = f"{prefix}_{self.ptr_name}"
-        return {
-            "slice": (f"{ptr}[{parent_pos}]", f"{ptr}[{parent_pos} + 1]"),
-            "index": {
-                self.axis: ("gather", f"{prefix}_{self.idx_name}[{{s}}:{{e}}]")
-            },
-            # indices within one segment never repeat
-            "unique_axes": frozenset({self.axis}) if self.sorted_enum else frozenset(),
-        }
-
 
 class CompressedOuterLevel(AccessLevel):
     """Outermost compressed level: enumerate only the *stored* indices of an

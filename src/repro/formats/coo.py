@@ -68,15 +68,6 @@ class CoordinateLevel(AccessLevel):
         keys = [(f"{prefix}_row[{{}}]", axis_exprs[0]), (f"{prefix}_col[{{}}]", axis_exprs[1])]
         return g.search("0", f"{prefix}_nnz", keys)
 
-    def vector_view(self, prefix: str, parent_pos):
-        return {
-            "slice": ("0", f"{prefix}_nnz"),
-            "index": {
-                0: ("gather", f"{prefix}_row[{{s}}:{{e}}]"),
-                1: ("gather", f"{prefix}_col[{{s}}:{{e}}]"),
-            },
-        }
-
 
 class COOMatrix(Format):
     """Coordinate-format sparse matrix.
@@ -99,6 +90,10 @@ class COOMatrix(Format):
         self.row = np.ascontiguousarray(row, dtype=np.int64)
         self.col = np.ascontiguousarray(col, dtype=np.int64)
         self.vals = np.ascontiguousarray(vals, dtype=np.float64)
+        self.canonical = bool(canonical)
+        self.validate()
+
+    def validate(self) -> None:
         if not (len(self.row) == len(self.col) == len(self.vals)):
             raise FormatError("row/col/vals length mismatch")
         if len(self.row) and (
@@ -107,8 +102,7 @@ class COOMatrix(Format):
             or self.row.max(initial=-1) >= self._shape[0]
             or self.col.max(initial=-1) >= self._shape[1]
         ):
-            raise FormatError(f"coordinates out of bounds for shape {self._shape}")
-        self.canonical = bool(canonical)
+            raise FormatError(f"coordinates fall outside shape {self._shape}")
 
     # ------------------------------------------------------------------
     # constructors

@@ -39,6 +39,9 @@ class CRSMatrix(Format):
         self.rowptr = np.asarray(rowptr, dtype=np.int64)
         self.colind = np.asarray(colind, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=np.float64)
+        self.validate()
+
+    def validate(self) -> None:
         if len(self.rowptr) != self._shape[0] + 1:
             raise FormatError(
                 f"rowptr length {len(self.rowptr)} != nrows+1 = {self._shape[0] + 1}"
@@ -88,15 +91,6 @@ class CRSMatrix(Format):
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_vals[{pos}]"
-
-    def segmented_view(self, prefix: str):
-        return {
-            "kind": "segments",
-            "segments": f"{prefix}_rowptr",
-            "index": {1: f"{prefix}_colind"},
-            "vals": f"{prefix}_vals",
-            "outer_axis": 0,
-        }
 
     # ------------------------------------------------------------------
     # hand-written reference operations (baseline / oracle use only)

@@ -57,12 +57,6 @@ class DenseAxisLevel(AccessLevel):
         # every index is present: the position *is* the index
         return axis_exprs[self.axis]
 
-    def vector_view(self, prefix: str, parent_pos):
-        return {
-            "slice": ("0", f"{prefix}_n{self.axis}"),
-            "index": {self.axis: ("affine", "0")},
-        }
-
 
 class DenseMatrix(Format):
     """A dense 2-D array wrapped in the format protocol."""
@@ -123,14 +117,6 @@ class DenseMatrix(Format):
         _emit_combine(
             g, f"{prefix}_vals[{axis_vars[0]}, {axis_vars[1]}]", value_expr, op
         )
-
-    def inner_vector_view(self, prefix, parent_pos):
-        # innermost level is the column axis under a bound row index
-        return {
-            "slice": ("0", f"{prefix}_n1"),
-            "index": {1: ("affine", "0")},
-            "vals": f"{prefix}_vals[{parent_pos}][{{s}}:{{e}}]",
-        }
 
 
 class DenseVector(Format):

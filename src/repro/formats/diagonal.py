@@ -109,6 +109,9 @@ class DiagonalMatrix(Format):
         self.dptr = np.asarray(dptr, dtype=np.int64)
         self.first = np.asarray(first, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=np.float64)
+        self.validate()
+
+    def validate(self) -> None:
         if len(self.dptr) != len(self.offsets) + 1:
             raise FormatError("dptr length must be ndiag + 1")
         if len(self.first) != len(self.offsets):
@@ -183,14 +186,3 @@ class DiagonalMatrix(Format):
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_vals[{pos}]"
-
-    def inner_vector_view(self, prefix, parent_pos):
-        t = parent_pos
-        return {
-            "slice": (f"{prefix}_dptr[{t}]", f"{prefix}_dptr[{t} + 1]"),
-            "index": {
-                0: ("affine", f"{prefix}_first[{t}]"),
-                1: ("affine", f"{prefix}_first[{t}] + {prefix}_offsets[{t}]"),
-            },
-            "vals": f"{prefix}_vals[{{s}}:{{e}}]",
-        }

@@ -74,6 +74,9 @@ class ELLMatrix(Format):
         self.colind2d = np.ascontiguousarray(colind2d, dtype=np.int64)
         self.vals2d = np.ascontiguousarray(vals2d, dtype=np.float64)
         self.rowlen = np.asarray(rowlen, dtype=np.int64)
+        self.validate()
+
+    def validate(self) -> None:
         if self.colind2d.shape != self.vals2d.shape:
             raise FormatError("colind2d/vals2d shape mismatch")
         if self.colind2d.ndim != 2 or self.colind2d.shape[0] != self._shape[0]:
@@ -140,21 +143,3 @@ class ELLMatrix(Format):
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_vals2d[{pos}]"
-
-    def inner_vector_view(self, prefix, parent_pos):
-        return {
-            "slice": ("0", f"{prefix}_rowlen[{parent_pos}]"),
-            "index": {1: ("gather", f"{prefix}_colind2d[{parent_pos}][{{s}}:{{e}}]")},
-            "vals": f"{prefix}_vals2d[{parent_pos}][{{s}}:{{e}}]",
-            "unique_axes": frozenset({1}),  # columns unique within a row
-        }
-
-    def segmented_view(self, prefix: str):
-        # zero padding makes the full 2-D product exact: padded entries
-        # contribute vals2d == 0
-        return {
-            "kind": "dense2d",
-            "index": {1: f"{prefix}_colind2d"},
-            "vals": f"{prefix}_vals2d",
-            "outer_axis": 0,
-        }

@@ -87,6 +87,9 @@ class JaggedDiagonalMatrix(Format):
         self.jdptr = np.asarray(jdptr, dtype=np.int64)
         self.jdcol = np.asarray(jdcol, dtype=np.int64)
         self.jdval = np.asarray(jdval, dtype=np.float64)
+        self.validate()
+
+    def validate(self) -> None:
         if len(self.perm) != self._shape[0]:
             raise FormatError("perm must have one entry per row")
         if not is_permutation(self.perm):
@@ -99,7 +102,7 @@ class JaggedDiagonalMatrix(Format):
         if len(self.jdcol) != len(self.jdval):
             raise FormatError("jdcol/jdval length mismatch")
         if len(self.jdcol) and (self.jdcol.min() < 0 or self.jdcol.max() >= self._shape[1]):
-            raise FormatError(f"jdcol out of bounds for shape {self._shape}")
+            raise FormatError(f"jdcol holds an index outside [0, {self._shape[1]})")
 
     @property
     def njd(self) -> int:
@@ -147,16 +150,3 @@ class JaggedDiagonalMatrix(Format):
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_jdval[{pos}]"
-
-    def inner_vector_view(self, prefix, parent_pos):
-        d = parent_pos
-        return {
-            "slice": (f"{prefix}_jdptr[{d}]", f"{prefix}_jdptr[{d} + 1]"),
-            "index": {
-                0: ("prefix", f"{prefix}_perm"),
-                1: ("gather", f"{prefix}_jdcol[{{s}}:{{e}}]"),
-            },
-            "vals": f"{prefix}_jdval[{{s}}:{{e}}]",
-            # each row occurs at most once per jagged diagonal
-            "unique_axes": frozenset({0}),
-        }

@@ -134,6 +134,9 @@ class PermutedMatrix(Format):
     def spec(self) -> tuple:
         return self._spec
 
+    def validate(self) -> None:
+        self.base.validate()
+
     def storage(self, prefix: str):
         out = dict(self.base.storage(prefix))
         for a, p in self.perms.items():
@@ -144,26 +147,6 @@ class PermutedMatrix(Format):
     def emit_load(self, g, prefix, axis_vars, pos):
         # position-based load: axis variables are irrelevant to the base
         return self.base.emit_load(g, prefix, {}, pos)
-
-    def inner_vector_view(self, prefix, parent_pos):
-        view = self.base.inner_vector_view(prefix, parent_pos)
-        if view is None:
-            return None
-        out = dict(view)
-        index = dict(view.get("index", {}))
-        unique = set(view.get("unique_axes", frozenset()))
-        for a in list(index):
-            if a in self._axes:
-                kind, payload = index[a]
-                if kind == "affine":
-                    payload = f"np.arange({payload}, {payload} + ({{e}} - {{s}}))"
-                elif kind == "prefix":
-                    payload = f"{payload}[:({{e}} - {{s}})]"
-                index[a] = ("gather", f"{prefix}_iperm{a}[{payload}]")
-                # a bijection preserves duplicate-freedom
-        out["index"] = index
-        out["unique_axes"] = frozenset(unique)
-        return out
 
     def to_coo(self) -> COOMatrix:
         stored = self.base.to_coo()

@@ -40,12 +40,6 @@ class SparseVectorLevel(CompressedOuterLevel):
         g.close()
         return cursor
 
-    def vector_view(self, prefix: str, parent_pos):
-        return {
-            "slice": ("0", f"{prefix}_nnz"),
-            "index": {0: ("gather", f"{prefix}_ind[{{s}}:{{e}}]")},
-        }
-
 
 class SparseVector(Format):
     """A compressed 1-D vector: sorted indices + values."""
@@ -56,6 +50,9 @@ class SparseVector(Format):
         self._shape = check_shape((n,), 1)
         self.ind = np.asarray(ind, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=np.float64)
+        self.validate()
+
+    def validate(self) -> None:
         if len(self.ind) != len(self.vals):
             raise FormatError("ind/vals length mismatch")
         if len(self.ind):

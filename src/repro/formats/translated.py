@@ -68,9 +68,12 @@ class TranslatedVector(Format):
         self._shape = check_shape((nglobal,), 1)
         self.vals = np.ascontiguousarray(vals, dtype=np.float64)
         self.map = np.ascontiguousarray(index_map, dtype=np.int64)
+        self.validate()
+
+    def validate(self) -> None:
         if self.vals.ndim != 1 or self.map.ndim != 1:
             raise FormatError("TranslatedVector expects 1-D vals and map")
-        if len(self.map) != nglobal:
+        if len(self.map) != self._shape[0]:
             raise FormatError("index map must cover the global extent")
         if len(self.map) and len(self.vals) and (
             self.map.min() < 0 or self.map.max() >= len(self.vals)

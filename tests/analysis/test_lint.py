@@ -98,26 +98,6 @@ def test_a_diagonal_filter_is_not_a_join():
 
 
 # ----------------------------------------------------------------------
-# backend fallback
-# ----------------------------------------------------------------------
-def test_scalar_fallback_is_flagged():
-    d = (np.arange(25).reshape(5, 5) % 3 == 0) * 1.0
-    A, B = _crs(d), _crs(d)
-    C = DenseMatrix.zeros(5, 5)
-    formats = {"A": A, "B": B, "C": C}
-    k = compile_kernel(
-        "for i in 0:n { for j in 0:m { C[i,j] += A[i,j] * B[i,j] } }",
-        formats,
-        cache=False,
-    )
-    rep = lint_kernel(k, formats)
-    if any(lbl.startswith("fallback") for lbl in k.unit_backends):
-        assert "BER031" in codes(rep)
-    else:  # pragma: no cover - vectorized strategy grew coverage
-        assert "BER031" not in codes(rep)
-
-
-# ----------------------------------------------------------------------
 # generated-code lint on doctored sources
 # ----------------------------------------------------------------------
 PARAMS = ["A_vals", "Y_vals", "n"]
@@ -226,24 +206,26 @@ def test_warm_cache_double_lint_reports_each_finding_once():
     from repro.analysis.diagnostics import DiagnosticReport
     from repro.compiler import clear_kernel_cache
 
+    from repro.formats.diagonal import DiagonalMatrix
+
     clear_kernel_cache()
-    A = _crs(np.eye(4))
-    f = {"A": A, "X": DenseVector(np.ones(4)), "Y": DenseVector.zeros(4)}
-    # composite denominator: the vectorizer declines, fallback:scalar
-    # yields a deterministic BER031 warning
-    src = "for i in 0:n { for j in 0:n { Y[i] += A[i,j] / (X[i] * X[i]) } }"
-    k1 = compile_kernel(src, f)
-    k2 = compile_kernel(src, f)  # warm PlanCache: the same kernel object
+    d = np.eye(4) + np.eye(4, k=1)
+    f = {"A": _crs(d), "D": DiagonalMatrix.from_coo(COOMatrix.from_dense(d)), "C": DenseMatrix.zeros(4, 4)}
+    # a chained Diagonal term under a forced CRS driver: a deterministic
+    # BER030 warning (see test_guarded_enumerate_join_is_flagged)
+    src = "for i in 0:n { for j in 0:m { for k in 0:l { C[i,k] += A[i,j] * D[j,k] } } }"
+    k1 = compile_kernel(src, f, force_driver="A")
+    k2 = compile_kernel(src, f, force_driver="A")  # warm PlanCache: the same kernel object
     assert k1 is k2
 
     once = lint_kernel(k1, f, where="warm")
-    assert [d.code for d in once.warnings()] == ["BER031"]
+    assert [d.code for d in once.warnings()] == ["BER030"]
 
     merged = DiagnosticReport()
     lint_kernel(k1, f, where="warm", into=merged)
     lint_kernel(k2, f, where="warm", into=merged)
     assert len(merged) == len(once), merged.render()
-    assert [d.code for d in merged.warnings()] == ["BER031"]
+    assert [d.code for d in merged.warnings()] == ["BER030"]
 
 
 def test_dedupe_keeps_distinct_findings_and_order():

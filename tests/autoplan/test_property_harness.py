@@ -5,9 +5,8 @@ seeded generator plants a matrix, the auto-planner picks a format and
 backend on its own, and the compiled result must be **bitwise equal** to
 the dense interpreted oracle (:func:`run_reference`).  Bitwise is not
 hyperbole: generators produce integer-valued matrices and vectors, so
-float64 sums are exact under any association order and the vectorized
-backends (block-gemv, segmented reductions) have nowhere to hide a
-reordering bug behind a tolerance.
+float64 sums are exact under any association order and ``block-gemv``
+(BLAS) has nowhere to hide a reordering bug behind a tolerance.
 
 Cost-model property: the chosen candidate's modeled cost is the minimum
 over feasible candidates, hence never worse than the planner's own

@@ -2,10 +2,10 @@
 
 Every compiled result is checked three ways: the vectorized backend, the
 interpreted backend, and the dense reference executor
-(:func:`repro.compiler.reference.run_reference`) must agree to numerical
-tolerance on the same program and data.  Alongside the equivalence
-properties live the plan-cache correctness tests (distinct format specs
-and sparsity predicates must not collide) and the fallback-path tests
-(plans the vectorized backend cannot lower must degrade to scalar code,
-traced, never raise).
+(:func:`repro.compiler.reference.run_reference`) must agree on the same
+program and data — the two backends bitwise wherever no unit is
+``block-gemv`` (they run one print, as C or as Python), the reference to
+numerical tolerance.  Alongside the equivalence properties live the
+plan-cache correctness tests (distinct format specs and sparsity
+predicates must not collide).
 """

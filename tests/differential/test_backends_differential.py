@@ -2,9 +2,11 @@
 
 One seeded/hypothesis matrix, every registered matrix format, three
 executors.  The dense reference executor is the semantic oracle; the two
-compiled backends must both match it (and therefore each other) within
-floating-point tolerance — summation order differs between scalar loops
-and numpy reductions, so comparisons are ``allclose``, not equality.
+compiled backends must both match it within floating-point tolerance —
+its summation order, and BLAS's on ``block-gemv`` units, differ from the
+scalar nest's — so comparisons are ``allclose``.  Where no unit is
+``block-gemv`` the two backends run one print and agree bitwise
+(``test_tier_bits.py``).
 """
 
 import numpy as np

@@ -3,7 +3,7 @@
 native ≡ interpreted **bitwise** on random float values (the C nest does
 the interpreted nest's arithmetic in the same order), a corrupt index
 array is a ``FormatError`` and never a crash, a missing compiler leaves
-today's numpy path (counted), and the toolchain builds and loads one
+the same nest on Python (counted), and the toolchain builds and loads one
 nest once — across threads and across processes.
 """
 

@@ -4,10 +4,11 @@ Every emitted kernel is ``prepare(structure) -> aux`` plus
 ``run(storage, aux)``.  Over the format x kernel grid: the bound call, the
 unbound call and the interpreted backend agree **bitwise** (integer-valued
 inputs make every summation order exact), a bound callable follows value
-mutations of its matrix, and a bad gather index is caught at ``bind()``.
+mutations of its matrix, and a bad gather index is caught at ``bind()`` on
+every tier: C, Python without a compiler, and the interpreted backend.
 The edges the native run forces are pinned for both paths: a read-only
 output is a ``FormatError`` at ``bind()``; an aliased output, a float32 or
-a strided operand keeps the numpy path.
+a strided operand keeps the Python path.
 """
 
 import zlib
@@ -15,7 +16,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.compiler import compile_kernel
+from repro.compiler import clear_kernel_cache, compile_kernel, native
 from repro.errors import FormatError
 from repro.formats import FORMAT_NAMES, COOMatrix, DenseMatrix, DenseVector
 from tests.conftest import case_rng
@@ -63,7 +64,7 @@ def _clone(fm):
 
 
 def numpy_run(kern, **bindings):
-    """The generated numpy pair, ``run(..., prepare(...))``, on these
+    """The generated Python pair, ``run(..., prepare(...))``, on these
     bindings — the path a kernel takes when the native tier declines."""
     ns = kern._build_namespace(bindings)
     aux = kern._prepare(*[ns[k] for k in kern._prepare_names])
@@ -109,7 +110,7 @@ def test_bound_unbound_interpreted_bitwise(fmt, kernel):
 @pytest.mark.parametrize("backend", ["vectorized", "interpreted"])
 def test_entrywise_matches_dense_reference(fmt, backend):
     """C[i,j] += A[i,j] * B[i,j]: two co-varying axes must address entry
-    *pairs* — the vectorizer used to slice a k x k block per diagonal run."""
+    *pairs*, not a k x k block per diagonal run."""
     rng = _rng(f"entrywise/{fmt}")
     coo = gen_uniform(rng, 13)
     A = FORMAT_NAMES[fmt].from_coo(coo)
@@ -134,20 +135,36 @@ def test_entrywise_diagonal_vectorized_at_benchmark_scale(seed, bound):
         "C": DenseMatrix.zeros(n, n),
     }
     kern = compile_kernel(KERNELS["entrywise"], fm, backend="vectorized")
-    assert kern.unit_backends == ("vectorized",)
     kern.bind(**fm)() if bound else kern(**fm)
     assert np.array_equal(fm["C"].vals, coo.to_dense() * E)
 
 
+BAD_INDEX = [("CRS", "colind"), ("ITPACK", "colind2d"), ("JDiag", "jdcol"), ("CCS", "rowind"), ("Coordinate", "col")]
+TIERS = ("gcc", "no-compiler", "interpreted")
+
+
 @pytest.mark.parametrize(
-    "fmt,index", [("CRS", "colind"), ("ITPACK", "colind2d"), ("JDiag", "jdcol")]
+    "fmt,index,tier",
+    [  # gcc is the default tier: its ids name no tier
+        pytest.param(f, i, t, id=f"{f}-{i}" if t == "gcc" else f"{f}-{i}-{t}")
+        for f, i in BAD_INDEX
+        for t in TIERS
+    ],
 )
-def test_out_of_range_gather_index_raises_at_bind(fmt, index):
+def test_out_of_range_gather_index_raises_at_bind(fmt, index, tier, monkeypatch):
+    """C's check twin, or the formats' ``validate()`` before a Python run."""
+    if tier == "gcc" and native.find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    if tier == "no-compiler":
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+    clear_kernel_cache()  # a cached kernel keeps the tiers its earlier binds chose
     rng = _rng(f"bad-index/{fmt}")
+    # a fresh matrix per case: from_coo may share index arrays with its source
     A = FORMAT_NAMES[fmt].from_coo(gen_uniform(rng, 9))
     fm, _ = _operands("spmv", A, rng)
-    kern = compile_kernel(KERNELS["spmv"], fm)
+    kern = compile_kernel(KERNELS["spmv"], fm, backend="interpreted" if tier == "interpreted" else None)
     kern.bind(**fm)  # a sound matrix binds
+    assert (kern.native.reason is None) == (tier == "gcc"), kern.native
     getattr(A, index).flat[0] = A.shape[1] + 3
     with pytest.raises(FormatError, match="outside"):
         kern.bind(**fm)
@@ -187,7 +204,7 @@ def test_aliased_output_declines_native_and_keeps_the_numpy_result():
 
 @pytest.mark.parametrize("operand", ["float32", "strided"])
 def test_float32_or_strided_operand_declines_native(operand):
-    """float32 matrix values or a strided x: the kernel keeps the numpy path."""
+    """float32 matrix values or a strided x: the kernel keeps the Python path."""
     rng = _rng(f"decline/{operand}")
     A = FORMAT_NAMES["CRS"].from_coo(gen_uniform(rng, 9))
     fm, _ = _operands("spmv", A, rng)
@@ -219,9 +236,9 @@ def test_each_bind_owns_its_scratch():
 
 
 def test_coordinate_long_sorted_rows_take_the_segmented_reduce():
-    """Rows of >= 12 sorted entries: prepare picks the per-run reduceat, so
-    random-float SpMV is bitwise the CRS (segmented) result — ``np.add.at``
-    rounds differently — and every reduction op still matches the oracle."""
+    """Rows of >= 12 sorted entries: random-float SpMV on Coordinate is
+    bitwise the CRS result — both add each row's entries in order — and
+    every reduction op still matches the oracle."""
     rng = _rng("coo-runs")
     n = 24
     dense = (rng.random((n, n)) < 0.8) * rng.standard_normal((n, n))

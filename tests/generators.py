@@ -13,9 +13,9 @@ Two deliberate design choices:
   :func:`integer_vector`) are small integers stored as float64.  Sums of
   smallish integers are *exact* in float64 regardless of association
   order, so the differential harness can assert **bitwise** equality
-  between the vectorized backends (block-gemv / segmented reductions —
-  different reduction orders) and the interpreted scalar oracle, instead
-  of hiding reordering bugs behind an ``allclose`` tolerance.
+  between ``block-gemv`` (BLAS: a different reduction order) and the
+  interpreted scalar oracle, instead of hiding reordering bugs behind an
+  ``allclose`` tolerance.
 * **Derived streams.** Callers draw each case's rng from
   ``np.random.default_rng([seed, case_id])`` so adding or reordering
   cases never perturbs existing ones, and any failure replays from the

@@ -151,13 +151,13 @@ def test_cg_solve_explains_on_warm_schedule_cache():
 
 
 def test_explain_narrates_what_prepare_hoists():
-    from repro.formats import FORMAT_NAMES
+    from repro.formats import FORMAT_NAMES, InodeMatrix
 
     coo = COOMatrix.random(8, 8, 0.4, rng=0)
     X, Y = DenseVector(np.ones(8)), DenseVector.zeros(8)
-    crs = compile_kernel(SPMV_SRC, {"A": FORMAT_NAMES["CRS"].from_coo(coo), "X": X, "Y": Y})
-    text = explain(crs)
+    inode = compile_kernel(SPMV_SRC, {"A": InodeMatrix.from_coo(coo), "X": X, "Y": Y})
+    text = explain(inode)
     assert "prepare (once per bind()" in text
-    assert "np.flatnonzero(np.diff(A_rowptr))" in text  # the hoisted index set
+    assert "block_groups(" in text  # block-gemv's hoisted grouping
     ccs = compile_kernel(SPMV_SRC, {"A": FORMAT_NAMES["CCS"].from_coo(coo), "X": X, "Y": Y})
     assert "prepare: nothing to hoist" in explain(ccs)
