@@ -19,8 +19,7 @@ nest is classified into the lattice
 * **REDUCTION(op)** — the carried dependences are recognized
   associative/commutative updates ``x[e] = x[e] ⊕ rhs`` with
   ⊕ ∈ {``*``, ``min``, ``max``} and rhs independent of ``x``, lowered
-  through privatized-accumulation scatters (``np.multiply.at`` /
-  ``np.minimum.at`` / ``np.maximum.at``).
+  as that in-place update inside the scalar loop nest (C or Python).
 * **SEQUENTIAL** — a genuine carried dependence with no commuting
   structure; the verdict carries the witness access pair.
 

@@ -12,9 +12,10 @@ Table 1's "no single format wins everywhere" into a compilation strategy:
    is one ``"whole"`` region, ``"Hybrid"`` is
    :func:`~repro.compiler.specialize.partition_regions`' split,
 3. an α+β cost model (:class:`CostModel`) prices every region alike — α
-   is the per-call dispatch overhead, β the per-stored-slot cost, with
-   python-level segment loops (diagonals, blocks, i-nodes, jagged
-   diagonals) charged a fixed equivalent-element weight,
+   is the per-call overhead, β the per-stored-slot cost, with each outer
+   segment (diagonal, block, i-node, jagged diagonal) charged a fixed
+   equivalent-element weight; the weights were fitted to the deleted
+   numpy tier and stay until the planner is re-priced on the C nest,
 4. the cheapest feasible candidate wins; the whole ranking is kept on the
    returned :class:`AutoPlan` so ``explain()`` can narrate the decision
    and the property harness can check the choice against the predicted
@@ -74,10 +75,10 @@ __all__ = [
     "CANDIDATE_FORMATS",
 ]
 
-#: equivalent stored elements charged per python-level segment loop
-#: iteration (per diagonal / jagged diagonal / block / i-node) in the
-#: vectorized backend — a numpy slice op costs on the order of a µs while
-#: streaming an element costs ~1 ns
+#: equivalent stored elements charged per outer segment (diagonal /
+#: jagged diagonal / block / i-node) — fitted to the deleted numpy tier,
+#: where each segment was one µs-scale slice op against ~1 ns per
+#: streamed element; kept until the planner is re-priced on the C nest
 SEGMENT_WEIGHT = 600.0
 
 #: candidate format name -> builder(coo, profile) -> Format instance
@@ -134,9 +135,10 @@ class CostModel:
     """α + β·work cost model over the candidate formats.
 
     :meth:`price` returns modeled seconds for one SpMV call through the
-    vectorized backend.  The interpreted backend is not priced: its
-    scalar nest costs two orders of magnitude more per stored slot than
-    any vectorized format, so it could never be chosen.
+    vectorized backend.  The default α/β tables and ``SEGMENT_WEIGHT``
+    are weights fitted to the deleted numpy tier, kept until the planner
+    is re-priced on the C nest that now runs.  The interpreted backend
+    (the same nest as Python) is not priced.
     """
 
     def __init__(

@@ -127,7 +127,8 @@ class Region:
     detail: str = ""
     #: stored slots the materialization allocates (padding/fill included)
     stored: float = 0.0
-    #: python-level segment-loop iterations per SpMV (windows, diagonals)
+    #: outer segments per SpMV (windows, diagonals), priced by weights
+    #: fitted to the deleted numpy tier until the planner is re-priced
     segments: float = 0.0
     #: dense windows (r0, c0, h, w) — only for kind == "dense"
     windows: tuple = ()
@@ -552,7 +553,8 @@ def price_partition(
 def plan_format(coo: COOMatrix, profile, model: CostModel, name: str) -> Candidate:
     """Format ``name`` over all of ``coo``: one ``"whole"`` region, charged
     the slots the format allocates (padding and fill included) and its
-    python-level segment loops."""
+    outer segments (weights fitted to the deleted numpy tier, kept until
+    the planner is re-priced)."""
     p = profile
     stored, segments = {
         "CRS": (p.nnz, 0),

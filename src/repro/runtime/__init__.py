@@ -35,7 +35,6 @@ from repro.runtime.inspector import (
     GatherSchedule,
     build_schedule_replicated,
     build_schedule_translated,
-    exchange,
 )
 from repro.runtime.schedule_cache import (
     DEFAULT_SCHEDULE_CACHE,
@@ -56,7 +55,6 @@ __all__ = [
     "GatherSchedule",
     "build_schedule_replicated",
     "build_schedule_translated",
-    "exchange",
     "ScheduleCache",
     "DEFAULT_SCHEDULE_CACHE",
     "schedule_cache_stats",

@@ -16,8 +16,8 @@ distribution structure pays off:
   extra all-to-all rounds against the translation table (the paper's
   "evaluation of the query (22) might itself require communication").
 
-The *executor* step (:func:`exchange`) ships the actual values each
-iteration.
+The *executor* step (:func:`repro.runtime.comm.exchange_window`) ships
+the actual values each iteration.
 
 All three are SPMD generator subroutines (``yield from`` them inside a
 rank program).
@@ -37,7 +37,6 @@ __all__ = [
     "GatherSchedule",
     "build_schedule_replicated",
     "build_schedule_translated",
-    "exchange",
 ]
 
 
@@ -145,18 +144,3 @@ def _record_schedule(sched: GatherSchedule, needed: np.ndarray, path: str) -> No
         len(set(sched.send_locals) | set(sched.recv_slots)),
         path=path,
     )
-
-
-def exchange(sched: GatherSchedule, xlocal: np.ndarray, coalesce: bool = True):
-    """Executor communication: gather ghost values per the schedule.
-
-    Returns the ghost array (aligned with ``sched.ghost_global``).
-    ``yield from`` this once per executor iteration.  The blocking,
-    empty-interior case of :func:`repro.runtime.comm.exchange_window`.
-    """
-    from repro.runtime.comm import CommOptions, exchange_window
-
-    ghost = yield from exchange_window(
-        sched, xlocal, CommOptions(overlap=False, coalesce=coalesce)
-    )
-    return ghost

@@ -5,7 +5,12 @@ the compiler) or a plain callable.  :func:`parallel_cg` runs the SPMD
 version on a simulated :class:`~repro.runtime.machine.Machine`, following
 the inspector/executor split the paper measures: the setup phase builds the
 communication schedule once; each iteration does one ghost exchange, one
-local SpMV, and two scalar allreduces.
+local SpMV, and the allreduces of its dot products.
+
+Both run one iteration body, :func:`pcg_iteration` (as does
+:func:`~repro.solvers.ilu.ilu_preconditioned_cg`).  A driver supplies the
+SpMV step, the preconditioner and the code that finishes each group of dot
+products: the local values sequentially, allreduces on a rank.
 """
 
 from __future__ import annotations
@@ -50,6 +55,89 @@ def _as_matvec(A, backend: str | None = None):
     raise ReproError(f"cannot use {type(A).__name__} as an operator")
 
 
+def check_system(A, b, diag=None, solver: str | None = None) -> np.ndarray:
+    """Every CG entry point's input checks; returns ``b`` as floats.
+
+    ``b`` must be a vector, and ``diag`` (if given) one of its length.  A
+    named ``solver`` needs ``A`` a square matrix Format of ``len(b)`` rows;
+    :func:`cg` names none: its operator may be a callable, and a Format's
+    SpMV checks the extent itself.
+    """
+    square = isinstance(A, Format) and len(A.shape) == 2 and A.shape[0] == A.shape[1]
+    if solver and not square:
+        raise ReproError(f"{solver} needs a square matrix Format, got {type(A).__name__} {getattr(A, 'shape', '')}")
+    b = np.asarray(b, dtype=np.float64)
+    if solver and b.shape != (A.shape[0],):
+        raise ReproError(f"right-hand side has shape {b.shape}, matrix has {A.shape[0]} rows")
+    if b.ndim != 1:
+        raise ReproError(f"right-hand side must be a vector, got shape {b.shape}")
+    if diag is not None and np.shape(diag) != b.shape:
+        raise ReproError(f"preconditioner diagonal has shape {np.shape(diag)}, right-hand side {b.shape}")
+    return b
+
+
+def pcg_iteration(spmv, precond, reduce, b, x, r, maxiter, tol):
+    """The PCG iteration every CG driver runs; returns
+    ``(x, iterations, residuals, converged)``.
+
+    ``spmv(p)`` and ``reduce(dots)`` are generator functions: a rank
+    program's SpMV step and allreduces yield machine collectives, the
+    sequential driver's return at once.  ``reduce`` receives each group of
+    dot products the iteration needs together — ``(r·z, b·b, r·r)`` at the
+    start, ``p·q`` alone, then ``(r·z, r·r)`` — and returns their global
+    values.  ``precond(r)`` applies M⁻¹; ``x`` and its residual ``r`` are
+    the start and are updated in place.
+    """
+    z = precond(r)
+    p = z.copy()
+    rz, b2, rr = yield from reduce((float(r @ z), float(b @ b), float(r @ r)))
+    bnorm = np.sqrt(b2) or 1.0
+    residuals = [float(np.sqrt(rr))]
+    converged = residuals[-1] <= tol * bnorm
+    it = 0
+    while not converged and it < maxiter:
+        q = yield from spmv(p)
+        (pq,) = yield from reduce((float(p @ q),))
+        if pq <= 0:
+            raise ReproError("matrix is not positive definite (pᵀAp <= 0)")
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        z = precond(r)
+        rz_new, rr = yield from reduce((float(r @ z), float(r @ r)))
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+        it += 1
+        residuals.append(float(np.sqrt(rr)))
+        converged = residuals[-1] <= tol * bnorm
+    return x, it, residuals, converged
+
+
+def _at_once(fn):
+    """``fn`` as a generator function that returns without yielding."""
+
+    def hook(arg):
+        return fn(arg)
+        yield  # unreachable: makes ``hook`` a generator function
+
+    return hook
+
+
+def solve_local(matvec, precond, b, tol, maxiter, x0=None) -> CGResult:
+    """Drive :func:`pcg_iteration` in one process: the SpMV is ``matvec``
+    and a dot product's global value is its local one."""
+    n = len(b)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b - matvec(x) if x.any() else b.copy()
+    maxiter = maxiter if maxiter is not None else 10 * n
+    body = pcg_iteration(_at_once(matvec), precond, _at_once(tuple), b, x, r, maxiter, tol)
+    try:
+        next(body)  # the hooks never yield, so this runs the whole solve
+    except StopIteration as done:
+        return CGResult(*done.value)
+
+
 def cg(
     A,
     b: np.ndarray,
@@ -66,103 +154,34 @@ def cg(
     ``backend`` the executor backend the SpMV compiles through.
     Iterates until ||r|| <= tol·||b|| or ``maxiter``.
     """
-    b = np.asarray(b, dtype=np.float64)
-    n = len(b)
+    b = check_system(A, b, diag)
     matvec = _as_matvec(A, backend)
-    dinv = 1.0 / np.asarray(diag) if diag is not None else np.ones(n)
+    dinv = 1.0 / np.asarray(diag) if diag is not None else np.ones(len(b))
     if not np.all(np.isfinite(dinv)):
         raise ReproError("preconditioner diagonal contains zeros")
-    maxiter = maxiter if maxiter is not None else 10 * n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - (matvec(x) if x.any() else np.zeros(n))
-    z = dinv * r
-    p = z.copy()
-    rz = float(r @ z)
-    bnorm = float(np.linalg.norm(b)) or 1.0
-    residuals = [float(np.linalg.norm(r))]
-    converged = residuals[-1] <= tol * bnorm
-    it = 0
-    while not converged and it < maxiter:
-        q = matvec(p)
-        pq = float(p @ q)
-        if pq <= 0:
-            raise ReproError("matrix is not positive definite (pᵀAp <= 0)")
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        z = dinv * r
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-        it += 1
-        residuals.append(float(np.linalg.norm(r)))
-        converged = residuals[-1] <= tol * bnorm
-    return CGResult(x, it, residuals, converged)
+    return solve_local(matvec, lambda r: dinv * r, b, tol, maxiter, x0)
 
 
 # ----------------------------------------------------------------------
 # parallel CG
 # ----------------------------------------------------------------------
-def _rank_cg(strategy, blocal, dlocal, niter, tol, coalesce=True):
-    """SPMD rank program: inspector phase, then ``niter`` PCG iterations.
+def _allreduce(coalesce: bool):
+    """A rank's reduction hook for :func:`pcg_iteration`: with ``coalesce``
+    a group of dot products rides one array allreduce (one α charge, not
+    two or three), else each value is one scalar allreduce, as a lone
+    ``p·q`` always is.  The machine folds arrays elementwise in the rank
+    order it folds scalars, so the iterates are bitwise the same."""
 
-    Global dot products are allreduces over local partial sums; the
-    residual history is identical on all ranks.  With ``coalesce`` the
-    independent scalar reductions of each stage ride one array allreduce
-    (one α charge instead of two or three); the machine folds arrays
-    elementwise in the same rank order it folds scalars, so the sums —
-    and hence the iterates — are bitwise identical either way.  The p·q
-    reduction cannot join them: α depends on it before r (and thus the
-    next pair) exists.
-    """
-    yield ("phase", "inspector")
-    yield from strategy.setup()
-    yield ("phase", "executor")
-    nloc = len(blocal)
-    dinv = 1.0 / dlocal if len(dlocal) else dlocal
-    x = np.zeros(nloc)
-    r = blocal.copy()
-    z = dinv * r
-    p = z.copy()
-    if coalesce:
-        rz, b2, rr = (
-            yield (
-                "allreduce",
-                np.array([float(r @ z), float(blocal @ blocal), float(r @ r)]),
-            )
-        )
-        rz, b2 = float(rz), float(b2)
-    else:
-        rz = yield ("allreduce", float(r @ z))
-        b2 = yield ("allreduce", float(blocal @ blocal))
-        rr = yield ("allreduce", float(r @ r))
-    bnorm = np.sqrt(b2) or 1.0
-    residuals = [float(np.sqrt(rr))]
-    it = 0
-    converged = residuals[-1] <= tol * bnorm
-    while it < niter and not converged:
-        q = yield from strategy.step(p)
-        pq = yield ("allreduce", float(p @ q))
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        z = dinv * r
-        if coalesce:
-            rz_new, rr = (
-                yield ("allreduce", np.array([float(r @ z), float(r @ r)]))
-            )
-            rz_new = float(rz_new)
-        else:
-            rz_new = yield ("allreduce", float(r @ z))
-            rr = yield ("allreduce", float(r @ r))
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-        it += 1
-        residuals.append(float(np.sqrt(rr)))
-        converged = residuals[-1] <= tol * bnorm
-    return x, it, residuals, converged
+    def reduce(dots):
+        if coalesce and len(dots) > 1:
+            sums = yield ("allreduce", np.array(dots))
+            return [float(s) for s in sums]
+        sums = []
+        for d in dots:
+            sums.append((yield ("allreduce", d)))
+        return sums
+
+    return reduce
 
 
 def parallel_cg(
@@ -214,12 +233,8 @@ def parallel_cg(
 
     if variant not in SPMV_VARIANTS:
         raise ReproError(f"unknown parallel CG variant {variant!r}")
-    if not isinstance(A, Format) or len(A.shape) != 2 or A.shape[0] != A.shape[1]:
-        raise ReproError(f"parallel CG needs a square matrix Format, got {type(A).__name__} {getattr(A, 'shape', '')}")
-    b = np.asarray(b, dtype=np.float64)
+    b = check_system(A, b, solver="parallel CG")
     n = A.shape[0]
-    if b.shape != (n,):
-        raise ReproError(f"right-hand side has shape {b.shape}, matrix has {n} rows")
     opts = CommOptions(
         overlap=overlap, coalesce=coalesce, schedule_cache=schedule_cache
     )
@@ -251,11 +266,19 @@ def parallel_cg(
     bprime[perm] = b
     owned = [dist.owned_by(p) for p in range(nprocs)]
 
+    dinv, reduce = 1.0 / diag, _allreduce(coalesce)
+
+    def rank(strategy, blocal, dinv_local):
+        # every rank sees the same allreduced dots, hence the same residuals
+        yield ("phase", "inspector")
+        yield from strategy.setup()
+        yield ("phase", "executor")
+        x, r = np.zeros(len(blocal)), blocal.copy()
+        return (yield from pcg_iteration(strategy.step, lambda r: dinv_local * r, reduce, blocal, x, r, niter, tol))
+
     def make(p):
         strategy = make_spmv_setup(variant, p, dist, data[p], opts)
-        return _rank_cg(
-            strategy, bprime[owned[p]], diag[owned[p]], niter, tol, coalesce=coalesce
-        )
+        return rank(strategy, bprime[owned[p]], dinv[owned[p]])
 
     machine = Machine(nprocs, faults=faults, delivery=delivery, model=model)
     results, stats = machine.run(make)

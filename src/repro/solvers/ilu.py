@@ -21,9 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ReproError
+from repro.formats.base import Format
 from repro.formats.crs import CRSMatrix
 from repro.kernels.spmv import bound_spmv
-from repro.solvers.cg import CGResult
+from repro.solvers.cg import CGResult, check_system, solve_local
 
 __all__ = ["ilu0", "solve_lower", "solve_upper", "ilu_preconditioned_cg"]
 
@@ -127,47 +128,17 @@ def solve_upper(U: CRSMatrix, b: np.ndarray) -> np.ndarray:
 
 
 def ilu_preconditioned_cg(
-    A: CRSMatrix, b: np.ndarray, tol: float = 1e-8, maxiter: int | None = None
+    A: Format, b: np.ndarray, tol: float = 1e-8, maxiter: int | None = None
 ) -> CGResult:
-    """PCG with M = (L·U)⁻¹ from ILU(0).
+    """PCG with M = (L·U)⁻¹ from ILU(0): :func:`~repro.solvers.cg.cg`'s
+    driver with the two triangular solves as the preconditioner.
 
-    For SPD inputs ILU(0) coincides with IC(0) up to scaling, so CG's
-    theory applies; the preconditioner solve is two sparse triangular
-    substitutions per iteration.
+    ``A`` is any square matrix Format (factored as CRS).  For SPD inputs
+    ILU(0) coincides with IC(0) up to scaling, so CG's theory applies.
     """
+    b = check_system(A, b, solver="ILU-preconditioned CG")
+    A = A if isinstance(A, CRSMatrix) else CRSMatrix.from_coo(A.to_coo())
     L, U = ilu0(A)
-
-    def apply_minv(r: np.ndarray) -> np.ndarray:
-        return solve_upper(U, solve_lower(L, r))
-
-    b = np.asarray(b, dtype=np.float64)
-    n = len(b)
-    maxiter = maxiter if maxiter is not None else 10 * n
-    matvec = bound_spmv(A)
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = apply_minv(r)
-    p = z.copy()
-    rz = float(r @ z)
-    bnorm = float(np.linalg.norm(b)) or 1.0
-    residuals = [float(np.linalg.norm(r))]
-    converged = residuals[-1] <= tol * bnorm
-    it = 0
-    while not converged and it < maxiter:
-        q = matvec(p)
-        pq = float(p @ q)
-        if pq <= 0:
-            raise ReproError("matrix is not positive definite (pᵀAp <= 0)")
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        z = apply_minv(r)
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-        it += 1
-        residuals.append(float(np.linalg.norm(r)))
-        converged = residuals[-1] <= tol * bnorm
-    return CGResult(x, it, residuals, converged)
+    return solve_local(
+        bound_spmv(A), lambda r: solve_upper(U, solve_lower(L, r)), b, tol, maxiter
+    )

@@ -12,7 +12,8 @@ from repro.distribution import (
     MultiBlockDistribution,
 )
 from repro.distribution.translation import build_translation_table, dereference
-from repro.runtime import Machine, build_schedule_replicated, build_schedule_translated, exchange
+from repro.runtime import CommOptions, Machine, build_schedule_replicated, build_schedule_translated
+from repro.runtime.comm import exchange_window
 
 
 def make_x(dist, scale=1.0):
@@ -28,7 +29,7 @@ def run_gather_replicated(dist, needed_per_rank):
         yield ("phase", "inspector")
         sched = yield from build_schedule_replicated(p, dist, needed_per_rank[p])
         yield ("phase", "executor")
-        ghost = yield from exchange(sched, xs[p])
+        ghost = yield from exchange_window(sched, xs[p], CommOptions(overlap=False))
         return sched, ghost
 
     results, stats = m.run(prog)
@@ -111,7 +112,7 @@ def test_translated_gather_matches_replicated():
             )
             sched = yield from build_schedule_translated(p, table, needed[p])
             yield ("phase", "executor")
-            ghost = yield from exchange(sched, xs[p])
+            ghost = yield from exchange_window(sched, xs[p], CommOptions(overlap=False))
             return ghost
 
         results, stats_chaos = m.run(prog)

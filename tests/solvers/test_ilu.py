@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.formats import COOMatrix, CRSMatrix
+from repro.formats import FORMAT_NAMES, COOMatrix, CRSMatrix
 from repro.matrices import grid_laplacian
 from repro.solvers import cg, ilu0, ilu_preconditioned_cg, solve_lower, solve_upper
 
@@ -96,6 +96,16 @@ def test_ilu_pcg_converges_faster_than_jacobi_pcg():
     assert ilu_pcg.converged
     assert np.allclose(ilu_pcg.x, jacobi_pcg.x, atol=1e-5)
     assert ilu_pcg.iterations < jacobi_pcg.iterations
+
+
+def test_ilu_pcg_takes_any_square_format():
+    """Like ``cg``, any square Format: it is factored through CRS."""
+    lap = grid_laplacian((6, 6))
+    b = np.linspace(-1.0, 1.0, lap.shape[0])
+    want = ilu_preconditioned_cg(CRSMatrix.from_coo(lap), b, tol=1e-10)
+    for A in (lap, FORMAT_NAMES["JDiag"].from_coo(lap)):
+        got = ilu_preconditioned_cg(A, b, tol=1e-10)
+        assert got.residuals == want.residuals and np.array_equal(got.x, want.x)
 
 
 @given(st.integers(3, 8), st.integers(0, 1000))

@@ -8,7 +8,9 @@ from repro.errors import DistributionError, ReproError
 from repro.formats import BlockSolveMatrix, COOMatrix, CRSMatrix, DenseVector
 from repro.matrices import fem_matrix, grid_laplacian, stencil_matrix
 from repro.parallel import SPMV_VARIANTS
-from repro.solvers import cg, jacobi, parallel_cg, power_iteration
+from repro.solvers import cg, ilu_preconditioned_cg, jacobi, parallel_cg, power_iteration
+
+ROW_FRAGMENT_VARIANTS = [v for v in SPMV_VARIANTS if not SPMV_VARIANTS[v].blocksolve]
 
 
 @pytest.fixture
@@ -66,6 +68,55 @@ def test_cg_rejects_indefinite():
     neg = COOMatrix.from_dense(-np.eye(3))
     with pytest.raises(ReproError):
         cg(CRSMatrix.from_coo(neg), np.ones(3))
+
+
+@pytest.mark.parametrize("variant", ROW_FRAGMENT_VARIANTS)
+@pytest.mark.parametrize("P", [1, 2])
+def test_parallel_cg_rejects_indefinite_like_cg(variant, P):
+    """One contract for pᵀAp <= 0: the rank programs raise what ``cg``
+    raises instead of iterating on with a negative step."""
+    m = COOMatrix.from_dense(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    b = np.array([1.0, -1.0, 0.5])
+    with pytest.raises(ReproError, match="not positive definite"):
+        cg(CRSMatrix.from_coo(m), b, diag=m.diagonal(), maxiter=5)
+    with pytest.raises(ReproError, match="not positive definite"):
+        parallel_cg(m, b, P, variant, niter=5)
+
+
+_LAP = grid_laplacian((3, 3))
+_B = np.ones(9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cg(CRSMatrix.from_coo(_LAP), _B.reshape(9, 1)),
+        lambda: cg(lambda v: v, np.float64(1.0)),
+        lambda: cg(CRSMatrix.from_coo(_LAP), _B, diag=np.ones(8)),
+        lambda: cg(CRSMatrix.from_coo(_LAP), _B, diag=np.ones((9, 1))),
+        lambda: ilu_preconditioned_cg(CRSMatrix.from_coo(_LAP), _B[:-1]),
+        lambda: ilu_preconditioned_cg(CRSMatrix.from_coo(_LAP), _B.reshape(9, 1)),
+        lambda: ilu_preconditioned_cg(_LAP.to_dense(), _B),
+    ],
+    ids=["cg-2d-b", "cg-scalar-b", "cg-short-diag", "cg-2d-diag",
+         "ilu-short-b", "ilu-2d-b", "ilu-ndarray"],
+)
+def test_cg_entry_points_raise_typed_input_errors(call):
+    with pytest.raises(ReproError):
+        call()
+
+
+@pytest.mark.parametrize("variant", ROW_FRAGMENT_VARIANTS)
+def test_sequential_cg_is_the_one_rank_program(variant):
+    """The local driver and the machine-driven rank program run the same
+    PCG body: on one rank every allreduce is the local value."""
+    A = grid_laplacian((12, 12))
+    b = np.random.default_rng(4).standard_normal(A.shape[0])
+    par = parallel_cg(A, b, 1, variant, niter=8)
+    seq = cg(CRSMatrix.from_coo(A), b, A.diagonal(), tol=0.0, maxiter=8)
+    assert par.iterations == seq.iterations == 8
+    assert par.residuals == seq.residuals
+    assert np.array_equal(par.x, seq.x)
 
 
 def test_cg_diag_preconditioner_helps():
