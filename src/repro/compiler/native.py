@@ -72,6 +72,8 @@ PRELUDE = """#include <stdint.h>
 /* Python's min/max: the first argument unless the second compares below/above */
 static inline double minf_(double a, double b) { return b < a ? b : a; }
 static inline double maxf_(double a, double b) { return b > a ? b : a; }
+static inline int64_t mini_(int64_t a, int64_t b) { return b < a ? b : a; }
+static inline int64_t maxi_(int64_t a, int64_t b) { return b > a ? b : a; }
 """
 
 
@@ -304,8 +306,8 @@ class _Printer:
             fn = node.func.id
             if fn in ("min", "max") and len(node.args) == 2 and not node.keywords:
                 (a, ta), (b, tb) = (self.expr(x) for x in node.args)
-                if ta == tb == "f":
-                    return f"{fn}f_({a}, {b})", "f"
+                if ta == tb:  # mixed: Python returns whichever operand wins, int or float
+                    return f"{fn}{ta}_({a}, {b})", ta
                 raise Declined("types")
         raise Declined("syntax")
 

@@ -8,13 +8,11 @@ enumeration instead of a dense O(1) lookup.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import Emitter, Format, check_shape
-from repro.formats.compressed import CompressedOuterLevel
+from repro.formats.base import Emitter
+from repro.formats.compressed import CompressedOuterLevel, LevelFormat, Stored
 
 __all__ = ["SparseVector", "SparseVectorLevel"]
 
@@ -24,9 +22,6 @@ class SparseVectorLevel(CompressedOuterLevel):
     stored indices ``{prefix}_ind``, enumerated, searched or merged."""
 
     mergeable = True
-
-    def __init__(self, owner: "SparseVector"):
-        super().__init__(0, "ind", "nnz", fanout=owner.nnz)
 
     def emit_merge(self, g: Emitter, prefix: str, parent_pos, key_expr: str, cursor: str) -> str:
         g.open(f"while {cursor} < {prefix}_nnz and {prefix}_ind[{cursor}] < {key_expr}:")
@@ -41,25 +36,12 @@ class SparseVectorLevel(CompressedOuterLevel):
         return cursor
 
 
-class SparseVector(Format):
-    """A compressed 1-D vector: sorted indices + values."""
+class SparseVector(LevelFormat):
+    """A compressed 1-D vector: ``SparseVector(n, ind, vals)``, sorted
+    indices + values."""
 
     format_name = "SparseVector"
-
-    def __init__(self, n, ind, vals):
-        self._shape = check_shape((n,), 1)
-        self.ind = np.asarray(ind, dtype=np.int64)
-        self.vals = np.asarray(vals, dtype=np.float64)
-        self.validate()
-
-    def validate(self) -> None:
-        if len(self.ind) != len(self.vals):
-            raise FormatError("ind/vals length mismatch")
-        if len(self.ind):
-            if np.any(np.diff(self.ind) <= 0):
-                raise FormatError("indices must be strictly increasing")
-            if self.ind[0] < 0 or self.ind[-1] >= self._shape[0]:
-                raise FormatError("index out of bounds")
+    LEVELS = (Stored(0, "ind", "nnz", SparseVectorLevel),)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseVector":
@@ -88,25 +70,3 @@ class SparseVector(Format):
         out = np.zeros(self._shape[0])
         out[self.ind] = self.vals
         return out
-
-    @property
-    def shape(self):
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
-
-    def levels(self):
-        return (SparseVectorLevel(self),)
-
-    def storage(self, prefix: str):
-        return {
-            f"{prefix}_ind": self.ind,
-            f"{prefix}_vals": self.vals,
-            f"{prefix}_nnz": self.nnz,
-            f"{prefix}_n0": self._shape[0],
-        }
-
-    def emit_load(self, g, prefix, axis_vars, pos):
-        return f"{prefix}_vals[{pos}]"

@@ -55,13 +55,14 @@ def _as_matvec(A, backend: str | None = None):
     raise ReproError(f"cannot use {type(A).__name__} as an operator")
 
 
-def check_system(A, b, diag=None, solver: str | None = None) -> np.ndarray:
+def check_system(A, b, diag=None, solver: str | None = None, x0=None) -> np.ndarray:
     """Every CG entry point's input checks; returns ``b`` as floats.
 
-    ``b`` must be a vector, and ``diag`` (if given) one of its length.  A
-    named ``solver`` needs ``A`` a square matrix Format of ``len(b)`` rows;
-    :func:`cg` names none: its operator may be a callable, and a Format's
-    SpMV checks the extent itself.
+    ``b`` must be a vector; ``diag`` (if given) one of its length, finite
+    and nonzero; ``x0`` (if given) one of its shape.  A named ``solver``
+    needs ``A`` a square matrix Format of ``len(b)`` rows; :func:`cg` names
+    none: its operator may be a callable, and a Format's SpMV checks the
+    extent itself.
     """
     square = isinstance(A, Format) and len(A.shape) == 2 and A.shape[0] == A.shape[1]
     if solver and not square:
@@ -73,6 +74,10 @@ def check_system(A, b, diag=None, solver: str | None = None) -> np.ndarray:
         raise ReproError(f"right-hand side must be a vector, got shape {b.shape}")
     if diag is not None and np.shape(diag) != b.shape:
         raise ReproError(f"preconditioner diagonal has shape {np.shape(diag)}, right-hand side {b.shape}")
+    if diag is not None and not (np.isfinite(diag) & (np.asarray(diag) != 0)).all():
+        raise ReproError("preconditioner diagonal contains zeros, NaN or inf: it must be finite and nonzero")
+    if x0 is not None and np.shape(x0) != b.shape:
+        raise ReproError(f"initial guess has shape {np.shape(x0)}, right-hand side {b.shape}")
     return b
 
 
@@ -154,11 +159,9 @@ def cg(
     ``backend`` the executor backend the SpMV compiles through.
     Iterates until ||r|| <= tol·||b|| or ``maxiter``.
     """
-    b = check_system(A, b, diag)
+    b = check_system(A, b, diag, x0=x0)
     matvec = _as_matvec(A, backend)
     dinv = 1.0 / np.asarray(diag) if diag is not None else np.ones(len(b))
-    if not np.all(np.isfinite(dinv)):
-        raise ReproError("preconditioner diagonal contains zeros")
     return solve_local(matvec, lambda r: dinv * r, b, tol, maxiter, x0)
 
 
@@ -260,8 +263,7 @@ def parallel_cg(
             f"distribution is {dist.nglobal} rows over {dist.nprocs} ranks; "
             f"the solve is {n} rows over {nprocs}"
         )
-    if not np.all(diag):
-        raise ReproError("preconditioner diagonal contains zeros")
+    check_system(A, b, diag, solver="parallel CG")
     bprime = np.empty(n)
     bprime[perm] = b
     owned = [dist.owned_by(p) for p in range(nprocs)]

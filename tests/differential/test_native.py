@@ -10,10 +10,12 @@ nest once — across threads and across processes.
 import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,30 @@ def test_the_midpoint_shift_translates_for_integers_only():
     assert " >> 1)" in c_source
     with pytest.raises(native.Declined, match="types"):
         native.translate("def run(V, aux):\n    V[0] = V[0] >> 1\n", ("f1",))
+
+
+def test_integer_min_max_translate_and_mixed_kinds_decline():
+    c_source, _ = native.translate("def run(P, V, aux):\n    m = min(P[0], P[1])\n    V[0] = V[max(m, 0)]\n", ("i1", "f1"))
+    assert "mini_(" in c_source and "maxi_(" in c_source
+    with pytest.raises(native.Declined, match="types"):
+        native.translate("def run(P, V, aux):\n    V[0] = min(P[0], V[1])\n", ("i1", "f1"))
+
+
+@needs_cc
+def test_the_banded_example_runs_as_c_bitwise():
+    """``examples/custom_format.py``'s band loops bound ``j`` by integer
+    ``min``/``max``: the nest runs as C and equals the Python run."""
+    banded = runpy.run_path(str(Path(__file__).resolve().parents[2] / "examples" / "custom_format.py"))["BandedMatrix"]
+    rng = _rng("banded")
+    A = banded.from_coo(COOMatrix.from_dense(np.triu(np.tril(rng.standard_normal((23, 23)), 2), -1)))
+    ys = []
+    for backend in ("vectorized", "interpreted"):
+        fm = {"A": A, "X": DenseVector(np.arange(23.0)), "Y": DenseVector.zeros(23)}
+        kern = compile_kernel(KERNELS["spmv"], fm, backend=backend, cache=False)
+        kern(**fm)
+        assert (kern.native.reason is None) == (backend == "vectorized"), kern.native
+        ys.append(fm["Y"].vals.tobytes())
+    assert ys[0] == ys[1]
 
 
 def test_no_compiler_keeps_the_numpy_path(monkeypatch):

@@ -1,14 +1,14 @@
-"""JDiag and Diagonal builders against the per-diagonal loop builders they
-replaced.
+"""Format builders against the hand-written builders they replaced.
 
-The library builds both formats in one counting pass (count, prefix sum,
-scatter).  The oracle below is the older form: one whole-matrix scan per
-diagonal.  Every array and dtype must match it byte for byte, so that
-``spec()``, the kernel cache key and the generated source cannot move.
-The malformed-structure cases, for these two formats and for the
-compressed ones whose levels claim sorted, searchable segments (CRS, CCS,
-CCCS, ITPACK), must raise :class:`FormatError` when the format is
-constructed, before any backend sees the arrays.
+The library builds JDiag and Diagonal in one counting pass (count, prefix
+sum, scatter); their oracles below are the older form, one whole-matrix
+scan per diagonal.  CRS, CCS and CCCS are built from their ``LEVELS``
+(``formats/compressed.py``); their oracles are the per-format
+``from_coo`` each class used to write out.  Every array and dtype must
+match byte for byte, so that ``spec()``, the kernel cache key and the
+generated source cannot move.  The malformed-structure cases, for these
+formats and for ITPACK and SparseVector, must raise :class:`FormatError`
+when the format is constructed, before any backend sees the arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.formats import (
     DiagonalMatrix,
     ELLMatrix,
     JaggedDiagonalMatrix,
+    SparseVector,
 )
 from repro.kernels.spmv import SPMV_SRC
 from tests.conftest import case_rng
@@ -70,11 +71,46 @@ def oracle_diagonal(coo: COOMatrix) -> DiagonalMatrix:
     return DiagonalMatrix(coo.shape, offsets, np.asarray(dptr), np.asarray(first, dtype=np.int64), vals)
 
 
+def oracle_crs(coo: COOMatrix) -> CRSMatrix:
+    coo = coo.canonicalized()
+    nrows = coo.shape[0]
+    rowptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(coo.row, minlength=nrows), out=rowptr[1:])
+    return CRSMatrix(coo.shape, rowptr, coo.col.copy(), coo.vals.copy())
+
+
+def oracle_ccs(coo: COOMatrix) -> CCSMatrix:
+    coo = coo.canonicalized()
+    ncols = coo.shape[1]
+    order = np.lexsort((coo.row, coo.col))  # column-major
+    colp = np.zeros(ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(coo.col, minlength=ncols), out=colp[1:])
+    return CCSMatrix(coo.shape, colp, coo.row[order], coo.vals[order])
+
+
+def oracle_cccs(coo: COOMatrix) -> CCCSMatrix:
+    coo = coo.canonicalized()
+    order = np.lexsort((coo.row, coo.col))
+    stored, counts = np.unique(coo.col[order], return_counts=True)
+    colp = np.zeros(len(stored) + 1, dtype=np.int64)
+    np.cumsum(counts, out=colp[1:])
+    return CCCSMatrix(coo.shape, stored, colp, coo.row[order], coo.vals[order])
+
+
 ARRAYS = {
     JaggedDiagonalMatrix: ("perm", "jdptr", "jdcol", "jdval"),
     DiagonalMatrix: ("offsets", "dptr", "first", "vals"),
+    CRSMatrix: ("rowptr", "colind", "vals"),
+    CCSMatrix: ("colp", "rowind", "vals"),
+    CCCSMatrix: ("colind", "colp", "rowind", "vals"),
 }
-ORACLES = {JaggedDiagonalMatrix: oracle_jdiag, DiagonalMatrix: oracle_diagonal}
+ORACLES = {
+    JaggedDiagonalMatrix: oracle_jdiag,
+    DiagonalMatrix: oracle_diagonal,
+    CRSMatrix: oracle_crs,
+    CCSMatrix: oracle_ccs,
+    CCCSMatrix: oracle_cccs,
+}
 
 
 def _random(rng, shape, nnz) -> COOMatrix:
@@ -182,6 +218,23 @@ MALFORMED = {
     "cccs_colind_out_of_range": lambda: CCCSMatrix((3, 3), [4], [0, 1], [0], [1]),
     "cccs_rowind_out_of_range": lambda: CCCSMatrix((3, 3), [1], [0, 1], [3], [1]),
     "cccs_column_unsorted": lambda: CCCSMatrix((3, 3), [1], [0, 2], [2, 0], [1, 2]),
+    "crs_rowptr_too_short": lambda: CRSMatrix((3, 3), [0, 1, 1], [0], [1]),
+    "crs_rowptr_starts_above_zero": lambda: CRSMatrix((3, 3), [1, 1, 1, 1], [0], [1]),
+    "crs_rowptr_ends_short_of_colind": lambda: CRSMatrix((3, 3), [0, 1, 1, 1], [0, 1], [1, 2]),
+    "crs_vals_too_long": lambda: CRSMatrix((3, 3), [0, 1, 1, 1], [0], [1, 2]),
+    "ccs_colp_too_long": lambda: CCSMatrix((3, 3), [0, 1, 1, 1, 1], [0], [1]),
+    "ccs_colp_starts_above_zero": lambda: CCSMatrix((3, 3), [1, 1, 1, 1], [0], [1]),
+    "ccs_colp_ends_past_rowind": lambda: CCSMatrix((3, 3), [0, 1, 1, 2], [0], [1]),
+    "ccs_vals_too_short": lambda: CCSMatrix((3, 3), [0, 2, 2, 2], [0, 1], [1]),
+    "cccs_colp_length_not_stored_plus_one": lambda: CCCSMatrix((3, 3), [0, 2], [0, 1], [0], [1]),
+    "cccs_colp_starts_above_zero": lambda: CCCSMatrix((3, 3), [1], [1, 1], [0], [1]),
+    "cccs_colp_ends_short_of_rowind": lambda: CCCSMatrix((3, 3), [1], [0, 1], [0, 2], [1, 2]),
+    "cccs_vals_too_long": lambda: CCCSMatrix((3, 3), [1], [0, 1], [0], [1, 2]),
+    "sparse_vector_unsorted": lambda: SparseVector(5, [3, 1], [1, 2]),
+    "sparse_vector_repeated": lambda: SparseVector(5, [1, 1], [1, 2]),
+    "sparse_vector_negative": lambda: SparseVector(5, [-1, 2], [1, 2]),
+    "sparse_vector_out_of_range": lambda: SparseVector(5, [2, 5], [1, 2]),
+    "sparse_vector_length_mismatch": lambda: SparseVector(5, [1, 2], [1]),
     "itpack_col_out_of_range": lambda: ELLMatrix((3, 3), [[7], [0], [0]], [[1], [0], [0]], [1, 0, 0]),
     "itpack_row_unsorted": lambda: ELLMatrix((3, 3), [[2, 0], [0, 0], [0, 0]], [[1, 2], [0, 0], [0, 0]], [2, 0, 0]),
     "itpack_rowlen_negative": lambda: ELLMatrix((2, 2), [[0], [0]], [[1], [1]], [1, -1]),

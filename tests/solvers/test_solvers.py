@@ -191,6 +191,29 @@ def test_parallel_cg_rejects_zero_diagonal(variant):
         parallel_cg(COOMatrix.from_dense(dense), np.ones(9), nprocs=2, variant=variant)
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize("solver", ["cg", "parallel_cg"])
+def test_bad_preconditioner_diagonal_is_one_typed_error(solver, bad):
+    """Both drivers need a finite, nonzero diagonal: a NaN or inf one is
+    not an all-NaN or silently unpreconditioned solve."""
+    dense = grid_laplacian((3, 3)).to_dense()
+    dense[4, 4] = bad
+    coo = COOMatrix.from_dense(dense)
+    with pytest.raises(ReproError, match="must be finite and nonzero"):
+        if solver == "cg":
+            cg(CRSMatrix.from_coo(coo), np.ones(9), diag=coo.diagonal())
+        else:
+            parallel_cg(coo, np.ones(9), nprocs=1, variant="mixed")
+
+
+@pytest.mark.parametrize("operator", ["format", "callable"])
+def test_cg_rejects_x0_of_other_shape(operator):
+    coo = grid_laplacian((3, 3))
+    A = CRSMatrix.from_coo(coo) if operator == "format" else (lambda v, D=coo.to_dense(): D @ v)
+    with pytest.raises(ReproError, match="initial guess has shape"):
+        cg(A, np.ones(9), x0=np.ones(8))
+
+
 @pytest.mark.parametrize("dist_procs", [2, 4])
 def test_parallel_cg_rejects_distribution_over_other_rank_count(dist_procs):
     coo = grid_laplacian((3, 3))
