@@ -138,7 +138,6 @@ def measure(args):
             "class": cls,
             "n": n,
             "nnz": profile.nnz,
-            "tags": list(profile.tags),
             "profile_fingerprint": profile.fingerprint(),
             "fixed_seconds": times,
         })

@@ -276,8 +276,8 @@ def run_cg_measurement(
         variant,
         nprocs,
         niter,
-        executor_seconds=stats.window("executor").parallel_time(COMM),
-        inspector_seconds=stats.window("inspector").parallel_time(COMM),
+        executor_seconds=stats.phase("executor").parallel_time(COMM),
+        inspector_seconds=stats.phase("inspector").parallel_time(COMM),
     )
 
 
@@ -311,7 +311,7 @@ def run_indirect_inspector(
 
     machine = Machine(nprocs)
     _, stats = machine.run(make)
-    return stats.window("inspector").parallel_time(COMM)
+    return stats.phase("inspector").parallel_time(COMM)
 
 
 def run_comm_optimization(
@@ -351,7 +351,7 @@ def run_comm_optimization(
     solve(iters=1)  # warm kernels/compile caches, untimed
 
     def insp(stats):
-        w = stats.window("inspector")
+        w = stats.phase("inspector")
         return {
             "msgs": w.total_msgs(),
             "nbytes": w.total_nbytes(),
@@ -380,8 +380,8 @@ def run_comm_optimization(
         if not np.array_equal(cold.x, other.x):
             raise AssertionError("comm knobs changed the computed iterates")
 
-    ex_co = co.stats.window("executor")
-    ex_pv = pv.stats.window("executor")
+    ex_co = co.stats.phase("executor")
+    ex_pv = pv.stats.phase("executor")
     return {
         "nprocs": nprocs,
         "niter": niter,

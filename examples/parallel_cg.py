@@ -41,8 +41,8 @@ def main() -> None:
     for variant in ("blocksolve", "mixed-bs", "global-bs"):
         res = last = parallel_cg(coo, b, nprocs=P, variant=variant, niter=niter)
         same = np.allclose(res.x, seq.x, atol=1e-8)
-        ex = res.stats.window("executor").parallel_time(comm)
-        insp = res.stats.window("inspector").parallel_time(comm)
+        ex = res.stats.phase("executor").parallel_time(comm)
+        insp = res.stats.phase("inspector").parallel_time(comm)
         print(
             f"{variant:<12} {'yes' if same else 'NO':>6} {ex:>9.4f} {insp:>9.4f}"
             f" {res.stats.total_msgs():>7} {res.stats.total_nbytes() / 1e6:>7.3f}"

@@ -1,6 +1,6 @@
 """Static analysis & verification for the Bernoulli pipeline.
 
-Five analyzers over the artifacts the compiler and runtime otherwise take
+Four analyzers over the artifacts the compiler and runtime otherwise take
 on faith, each reporting :class:`~repro.analysis.diagnostics.Diagnostic`
 findings with stable ``BER0xx`` codes:
 
@@ -15,9 +15,10 @@ findings with stable ``BER0xx`` codes:
   kernels structurally sane?
 * :mod:`repro.analysis.schedule` — are the SPMD communication schedules
   deadlock-free before any rank executes?
-* :mod:`repro.analysis.structure` — does the chosen storage format match
-  the matrix's detected sparsity structure (and does the auto-planner
-  pick a defensible one)?
+
+:mod:`repro.analysis.structure` profiles a matrix into the quantities the
+auto-planner prices; it registers no pass (``--structure FILE`` prints a
+profile and the planner's pick as one BER050 line).
 
 ``python -m repro.analysis`` runs them from the command line; the
 dependence classifier also gates :func:`~repro.compiler.compile_kernel`
@@ -41,7 +42,6 @@ from repro.analysis import (  # noqa: E402,F401
     depend,
     lint,
     schedule,
-    structure,
 )
 from repro.analysis.contracts import audit_format, audit_registered_formats
 from repro.analysis.depend import (
@@ -60,11 +60,7 @@ from repro.analysis.schedule import (
     trace_collectives,
     verify_rebuilt_schedule,
 )
-from repro.analysis.structure import (
-    StructureProfile,
-    analyze_structure,
-    audit_format_choice,
-)
+from repro.analysis.structure import StructureProfile, analyze_structure
 
 __all__ = [
     "ERROR",
@@ -95,5 +91,4 @@ __all__ = [
     "verify_rebuilt_schedule",
     "StructureProfile",
     "analyze_structure",
-    "audit_format_choice",
 ]

@@ -3,7 +3,7 @@
 Examples::
 
     # everything: registered sweep passes (doany, contracts, lint,
-    # schedule, structure)
+    # schedule, depend)
     python -m repro.analysis --all
 
     # sparsity-structure profile + auto-format recommendation for a file
@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis import all_passes
-from repro.analysis.diagnostics import ERROR, Diagnostic, DiagnosticReport
+from repro.analysis.diagnostics import ERROR, INFO, Diagnostic, DiagnosticReport
 from repro.analysis.depend import check_program
 from repro.analysis.lint import lint_kernel
 from repro.errors import ReproError
@@ -199,9 +199,8 @@ def _depend_kernel_file(path: Path, certificates: dict) -> DiagnosticReport:
 
 
 def _analyze_structure_file(path: Path) -> DiagnosticReport:
-    """Structure-analyze one MatrixMarket file: BER050 profile info, the
-    auto-planner's pick, and any audit findings against that pick."""
-    from repro.analysis.structure import audit_format_choice, profile_diagnostic
+    """Structure-analyze one MatrixMarket file: one BER050 info line with
+    the priced quantities and the auto-planner's pick."""
     from repro.analysis.structure import analyze_structure
     from repro.compiler.autoplan import autoplan
     from repro.errors import FormatError
@@ -221,12 +220,15 @@ def _analyze_structure_file(path: Path) -> DiagnosticReport:
             )
         )
         return report
-    profile = analyze_structure(coo)
-    plan = autoplan(coo, profile=profile)
-    report.add(
-        profile_diagnostic(profile, where=str(path), recommend=plan.format_name)
+    p = analyze_structure(coo)
+    plan = autoplan(coo, profile=p)
+    msg = (
+        f"nnz={p.nnz} row_max={p.row_max} ell_stored={p.ell_stored} "
+        f"ndiags={p.ndiags} diag_stored={p.diag_stored} nblocks={p.nblocks} "
+        f"block_stored={p.block_stored} ninodes={p.ninodes} "
+        f"fingerprint={p.fingerprint()} -> {plan.format_name}"
     )
-    report.extend(audit_format_choice(profile, plan.format_name, where=str(path)))
+    report.add(Diagnostic("BER050", INFO, msg, pass_name="structure", location=str(path)))
     return report
 
 
@@ -281,8 +283,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="MTX",
         help="analyze the sparsity structure of MatrixMarket file(s): "
-        "emit the BER05x profile, the auto-planner's format choice, and "
-        "any profile/format-mismatch findings",
+        "emit the priced profile and the auto-planner's format choice "
+        "(BER050)",
     )
     ap.add_argument(
         "--list", action="store_true", help="list registered passes and exit"

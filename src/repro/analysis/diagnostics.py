@@ -15,7 +15,7 @@ BER010-014 binary DOANY view (:func:`repro.analysis.depend.check_program`)
 BER020-028 format-contract auditor (:mod:`repro.analysis.contracts`)
 BER030-035 plan & generated-code linter (:mod:`repro.analysis.lint`)
 BER040-045 SPMD schedule checker (:mod:`repro.analysis.schedule`)
-BER050-055 sparsity-structure analyzer (:mod:`repro.analysis.structure`)
+BER050     structure profile + auto-planner pick (``--structure``)
 BER060-069 dependence & reduction analyzer (:mod:`repro.analysis.depend`)
 =========  ==========================================================
 """

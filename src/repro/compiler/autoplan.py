@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.errors import CompileError, FormatError, ReproError
 from repro.formats.blockdiag import BlockDiagonalMatrix
+from repro.formats.blocks import block_of
 from repro.formats.ccs import CCSMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.crs import CRSMatrix
@@ -81,6 +82,18 @@ __all__ = [
 #: streamed element; kept until the planner is re-priced on the C nest
 SEGMENT_WEIGHT = 600.0
 
+
+def _blockdiag(coo: COOMatrix, p: "StructureProfile") -> BlockDiagonalMatrix:
+    """BlockDiag over the profile's partition.  ``from_coo_blocks`` ignores
+    off-block entries (its callers split first), so an entry outside the
+    partition means ``coo`` is not the structure the profile describes."""
+    built = BlockDiagonalMatrix.from_coo_blocks(coo, np.asarray(p.blockptr, dtype=np.int64))
+    of = block_of(built.blockptr)
+    if np.any(of[coo.row] != of[coo.col]):
+        raise FormatError("an entry lies outside the planned diagonal-block partition")
+    return built
+
+
 #: candidate format name -> builder(coo, profile) -> Format instance
 CANDIDATE_FORMATS: dict[str, Callable] = {
     "CRS": lambda coo, p: CRSMatrix.from_coo(coo),
@@ -89,9 +102,7 @@ CANDIDATE_FORMATS: dict[str, Callable] = {
     "ITPACK": lambda coo, p: ELLMatrix.from_coo(coo),
     "JDiag": lambda coo, p: JaggedDiagonalMatrix.from_coo(coo),
     "Diagonal": lambda coo, p: DiagonalMatrix.from_coo(coo),
-    "BlockDiag": lambda coo, p: BlockDiagonalMatrix.from_coo_blocks(
-        coo, np.asarray(p.blockptr, dtype=np.int64)
-    ),
+    "BlockDiag": _blockdiag,
     "Inode": lambda coo, p: InodeMatrix.from_coo(coo),
     "Dense": lambda coo, p: DenseMatrix.from_coo(coo),
 }
@@ -298,8 +309,7 @@ def _feasibility(profile: "StructureProfile", name: str) -> tuple[bool, str]:
         if profile.nblocks < 2:
             # one block spanning the whole matrix is Dense with extra
             # steps — pricing it with a beta fitted on real multi-block
-            # matrices badly under-predicts (the `blockdiag` tag itself
-            # requires >= 2 blocks)
+            # matrices badly under-predicts
             return False, "degenerate single-block partition"
     if name == "Dense" and profile.nrows * profile.ncols > 32_000_000:
         return False, "dense storage would exceed the memory budget"
@@ -337,7 +347,6 @@ def autoplan(
         "autoplan.select",
         format=best.format_name,
         predicted_seconds=best.predicted_seconds,
-        tags=list(profile.tags),
         model=model.source,
     ):
         plan = AutoPlan(

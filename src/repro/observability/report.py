@@ -117,8 +117,8 @@ def _critical_path_sections(tracer: Tracer, path: str, top: int) -> list[str]:
     stats = run_stats_of(tracer)
     if stats is None:
         raise ObservabilityError(
-            f"trace {path!r} has no 'run_stats' event — was it recorded by a "
-            "Machine run with collect_stats=True?"
+            f"trace {path!r} has no 'run_stats' event: it traced no "
+            "Machine run"
         )
     result = profile_run(stats)
     return [

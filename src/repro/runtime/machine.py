@@ -380,10 +380,6 @@ class RunStats:
             )
         return out
 
-    def window(self, label: str) -> "RunStats":
-        """Alias of :meth:`phase` (historical name)."""
-        return self.phase(label)
-
 
 class _Traffic:
     """One superstep's wire counters, filled by :meth:`Machine._send`.
@@ -394,11 +390,11 @@ class _Traffic:
 
     __slots__ = ("step", "msgs", "nbytes", "bmat", "retries", "extra")
 
-    def __init__(self, nprocs: int, step: int, collect_stats: bool, faulty: bool):
+    def __init__(self, nprocs: int, step: int, faulty: bool):
         self.step = step
         self.msgs = [0] * nprocs
         self.nbytes = [0] * nprocs
-        self.bmat = [0] * (nprocs * nprocs) if collect_stats else None
+        self.bmat = [0] * (nprocs * nprocs)
         self.retries = np.zeros(nprocs, dtype=np.int64) if faulty else None
         self.extra = np.zeros(nprocs) if faulty else None
 
@@ -454,8 +450,7 @@ class Machine:
         nb = attempts * payload_nbytes(payload)
         tr.msgs[src] += attempts
         tr.nbytes[src] += nb
-        if tr.bmat is not None:
-            tr.bmat[src * self.nprocs + dst] += nb
+        tr.bmat[src * self.nprocs + dst] += nb
         return arrivals
 
     def _deliver(self, src, dst, payload, tr: _Traffic) -> tuple[list, int]:
@@ -595,11 +590,7 @@ class Machine:
         return kind, labels.pop()
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        make_program: Callable[[int], Generator],
-        collect_stats: bool = True,
-    ) -> tuple[list, RunStats]:
+    def run(self, make_program: Callable[[int], Generator]) -> tuple[list, RunStats]:
         """Run one rank program per processor to completion.
 
         ``make_program(p)`` builds rank p's generator.  Returns each
@@ -612,9 +603,9 @@ class Machine:
         executors know to run the schedule-validation protocol.
         """
         with _faults._activation(self.injector):
-            return self._run(make_program, collect_stats)
+            return self._run(make_program)
 
-    def _run(self, make_program, collect_stats: bool) -> tuple[list, RunStats]:
+    def _run(self, make_program) -> tuple[list, RunStats]:
         P = self.nprocs
         gens = [make_program(p) for p in range(P)]
         inbox: list = [None] * P
@@ -663,13 +654,12 @@ class Machine:
                     compute[p] = time.perf_counter() - t0
                 win_compute += compute
                 if all(done):
-                    if collect_stats:
-                        stats.phases.append(
-                            PhaseStats("finish", None, compute, np.zeros(P, np.int64), np.zeros(P, np.int64))
-                        )
+                    stats.phases.append(
+                        PhaseStats("finish", None, compute, np.zeros(P, np.int64), np.zeros(P, np.int64))
+                    )
                     break
                 kind, label = self._collective(requests, done, step_no)
-                tr = _Traffic(P, step_no, collect_stats, inj is not None)
+                tr = _Traffic(P, step_no, inj is not None)
                 if inj is not None and kind != "phase":
                     for p in range(P):
                         st = inj.stall_seconds(p, step_no)
@@ -739,15 +729,14 @@ class Machine:
                         float(compute.max()),
                         phase=win_label,
                     )
-                if collect_stats:
-                    stats.phases.append(
-                        PhaseStats(
-                            kind, label, compute, msgs, nbytes,
-                            bytes_matrix=np.array(tr.bmat, dtype=np.int64).reshape(P, P),
-                            retries=tr.retries,
-                            overlapped=(kind == "alltoallv_async"),
-                        )
+                stats.phases.append(
+                    PhaseStats(
+                        kind, label, compute, msgs, nbytes,
+                        bytes_matrix=np.array(tr.bmat, dtype=np.int64).reshape(P, P),
+                        retries=tr.retries,
+                        overlapped=(kind == "alltoallv_async"),
                     )
+                )
                 step_no += 1
         except BaseException as exc:
             # the trace must stay parseable when a solve dies mid-flight
@@ -765,7 +754,7 @@ class Machine:
             if inj is not None:
                 stats.fault_events = inj.event_log()
             _flush_window()
-            if tracer is not None and collect_stats:
+            if tracer is not None:
                 tracer.instant(
                     "comm_matrix",
                     tid="machine",

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.analysis.__main__ import main
+from repro.compiler.autoplan import autoplan
+from repro.matrices.mmio import read_matrix_market
 
 
 def test_list_exits_zero_and_names_all_passes(capsys):
@@ -73,11 +75,6 @@ def test_directory_discovery_recurses(tmp_path, capsys):
     assert main(["--kernels", str(tmp_path)]) == 0
 
 
-def test_structure_pass_is_listed(capsys):
-    assert main(["--list"]) == 0
-    assert "structure" in capsys.readouterr().out
-
-
 def test_json_records_executed_pass_names(tmp_path):
     out_file = tmp_path / "diag.json"
     assert main(["--passes", "doany,lint", "--json", str(out_file)]) == 0
@@ -99,7 +96,7 @@ def test_all_plus_passes_runs_each_pass_once(tmp_path):
     assert main(["--all", "--passes", "doany", "--json", str(out_file)]) == 0
     doc = json.loads(out_file.read_text())
     assert doc["passes"].count("doany") == 1
-    assert "structure" in doc["passes"]
+    assert "schedule" in doc["passes"]
 
 
 def _write_band_mtx(path, n=40):
@@ -124,7 +121,8 @@ def test_structure_flag_profiles_matrix_market_file(tmp_path, capsys):
     assert main(["--structure", str(mtx), "--min-severity", "info"]) == 0
     out = capsys.readouterr().out
     assert "BER050" in out
-    assert "banded" in out
+    pick = autoplan(read_matrix_market(str(mtx))).format_name
+    assert f"-> {pick}" in out
 
 
 def test_structure_flag_json_includes_recommendation(tmp_path):

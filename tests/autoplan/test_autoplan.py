@@ -9,8 +9,8 @@ import pytest
 
 from repro.compiler import autoplan, autoplan_spmv
 from repro.compiler.autoplan import CANDIDATE_FORMATS, CostModel
-from repro.errors import CompileError
-from repro.formats import COOMatrix
+from repro.errors import CompileError, FormatError
+from repro.formats import COOMatrix, DenseVector
 from repro.observability import explain
 from tests.conftest import case_rng
 from tests.generators import STRUCTURE_CLASSES, integer_vector
@@ -112,3 +112,30 @@ def test_plan_to_dict_is_json_serializable():
     assert doc["format"] == plan.format_name
     assert len(doc["candidates"]) == len(plan.candidates)
     assert doc["profile"]["nnz"] == plan.profile.nnz
+
+
+@pytest.mark.parametrize("path", ["compile", "foreign-profile"])
+def test_blockdiag_plan_never_drops_entries_outside_its_partition(path):
+    """A BlockDiag build over a matrix with an entry outside the planned
+    diagonal-block partition raises, and the plan falls back down the
+    ranking instead of silently dropping that entry."""
+    n = 200
+    planned = STRUCTURE_CLASSES["block_diag"](np.random.default_rng(0), n)
+    model = CostModel(alpha={"BlockDiag": 0.0}, beta={"BlockDiag": 1e-12})
+    coo = COOMatrix.from_entries(
+        (n, n), np.r_[planned.row, 0], np.r_[planned.col, n - 1], np.r_[planned.vals, 1.0]
+    )
+    if path == "compile":
+        plan = autoplan(planned, model=model)
+    else:
+        plan = autoplan(coo, model=model, profile=autoplan(planned).profile)
+    assert plan.format_name == "BlockDiag"
+    x = np.arange(1.0, n + 1)
+    kernel, formats = plan.compile(coo)
+    formats["X"] = DenseVector(x.copy())
+    formats["Y"] = DenseVector.zeros(n)
+    kernel(**formats)
+    assert np.array_equal(formats["Y"].vals, coo.to_dense() @ x)
+    assert plan.built_name != "BlockDiag"
+    with pytest.raises(FormatError):
+        plan.candidate("BlockDiag").build(coo)

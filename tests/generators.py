@@ -1,11 +1,11 @@
 """Seeded structured sparse-matrix generators for property-based tests.
 
 Each generator takes ``(rng, n)`` and returns a :class:`COOMatrix` with a
-*planted* sparsity structure — the structure classes the analyzer claims
-to detect (block-diagonal, banded, diagonal, power-law skew, symmetric,
-i-node similarity) plus hybrids, a uniform-random control, and
-**adversarial near-misses** (almost-banded, almost-block-diagonal) that
-sit just outside a class so threshold bugs surface.
+*planted* sparsity structure — the structures Table 1's formats exploit
+(block-diagonal, banded, diagonal, power-law skew, symmetric, i-node
+similarity) plus hybrids, a uniform-random control, and **near-misses**
+(almost-banded, almost-block-diagonal) that sit just outside a structure,
+so a planner that over-trusts one surfaces.
 
 Two deliberate design choices:
 

@@ -92,7 +92,7 @@ def test_barrier_and_phase():
 
     results, stats = m.run(prog)
     assert results == ["ok", "ok"]
-    w = stats.window("work")
+    w = stats.phase("work")
     assert len(w.phases) >= 1
     assert all(ph.kind != "phase" for ph in w.phases)
 
@@ -109,8 +109,8 @@ def test_window_selects_named_region():
         return None
 
     _, stats = m.run(prog)
-    assert len(stats.window("a").phases) == 1
-    assert len(stats.window("b").phases) >= 2
+    assert len(stats.phase("a").phases) == 1
+    assert len(stats.phase("b").phases) >= 2
 
 
 def test_mismatched_collectives_raise():
@@ -320,5 +320,3 @@ def test_phase_unknown_label_raises():
     except KeyError as e:
         assert "no phase marker named 'nope'" in str(e)
     assert stats.phase_labels() == ["inspector"]
-    # window() is an alias of phase()
-    assert stats.window("inspector").phases == stats.phase("inspector").phases

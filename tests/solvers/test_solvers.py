@@ -171,8 +171,8 @@ def test_parallel_cg_records_phases():
     b = np.ones(coo.shape[0])
     par = parallel_cg(coo, b, nprocs=2, variant="mixed", niter=5)
     assert par.stats is not None
-    assert len(par.stats.window("inspector").phases) >= 1
-    assert len(par.stats.window("executor").phases) >= 5
+    assert len(par.stats.phase("inspector").phases) >= 1
+    assert len(par.stats.phase("executor").phases) >= 5
 
 
 def test_parallel_cg_bad_variant():

@@ -39,7 +39,9 @@ def test_certificate_fingerprint_is_unchanged():
 
 
 def test_structure_profile_fingerprint_is_unchanged():
-    assert analyze_structure(_tridiagonal()).fingerprint() == "6451523b9f541a7c"
+    # re-pinned on purpose for profile schema v2: only the priced fields
+    # are hashed
+    assert analyze_structure(_tridiagonal()).fingerprint() == "f93a96f2f934f25a"
 
 
 def test_service_key_fingerprint_is_unchanged():
