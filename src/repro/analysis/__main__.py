@@ -62,15 +62,14 @@ def _probe_formats(program):
     from repro.formats.dense import DenseMatrix, DenseVector
 
     extents = {}
-    for spec in program.loops:
+    for spec in (l for nest in program.nests for l in nest.loops):
         extents[spec.var] = (
             int(spec.hi) if spec.hi.lstrip("-").isdigit() else _PROBE_EXTENT
         )
-    targets = {stmt.target.array for stmt in program.body}
+    stmts = [stmt for nest in program.nests for stmt in nest.body]
+    targets = {stmt.target.array for stmt in stmts}
     arity: dict[str, int] = {}
-    refs = [stmt.target for stmt in program.body] + [
-        r for stmt in program.body for r in stmt.expr.refs()
-    ]
+    refs = [r for stmt in stmts for r in (stmt.target, *stmt.expr.refs()) if r.indices]
     shapes: dict[str, tuple[int, ...]] = {}
     for ref in refs:
         arity[ref.array] = len(ref.indices)

@@ -35,6 +35,9 @@ is the only place that test is made; the lattice verdicts, the witnesses
 and the binary BER010-014 view (:func:`check_program`) all read its
 output.
 
+A program is a sequence of nests that run in order, so each nest is
+classified alone: no dependence crosses from one nest to the next.
+
 Every verdict is packaged as a :class:`ParallelismCertificate` — the
 per-loop verdicts plus their evidence, keyed by a fingerprint of the
 normalized program — which rides on compiled kernels and their
@@ -205,7 +208,8 @@ class ParallelismCertificate:
     """A checkable record of the analyzer's verdicts for one program.
 
     ``fingerprint`` is :func:`program_fingerprint` of the normalized
-    program — a certificate only ever describes exactly one loop nest.
+    program — a certificate only ever describes exactly one program;
+    ``loops`` lists every nest's loops, in run order.
     """
 
     fingerprint: str
@@ -472,7 +476,9 @@ def check_program(program: Program, source: str | None = None) -> DiagnosticRepo
     The program is checked as given (not normalized).  ``source`` is the
     text it was parsed from; with it, diagnostics carry caret snippets.
     """
-    return DiagnosticReport(_binary_view(program, _conflicts(program), source))
+    return DiagnosticReport(
+        [d for nest in program.nests for d in _binary_view(nest, _conflicts(nest), source)]
+    )
 
 
 def check_source(source: str) -> DiagnosticReport:
@@ -504,19 +510,21 @@ def classify_program(
     """
     with span("analysis.depend.classify", gate=gate) as sp:
         program = normalize_program(program)
-        conflicts = _conflicts(program)
+        nests = [(nest, _conflicts(nest)) for nest in program.nests]
         loops: list[LoopVerdict] = []
         verdict = Verdict(DOALL)
-        for spec in program.loops:
-            lv, ev = _classify_loop(program, conflicts, spec.var)
-            loops.append(LoopVerdict(spec.var, lv, ev))
-            verdict = verdict.join(lv)
+        for nest, conflicts in nests:
+            for spec in nest.loops:
+                lv, ev = _classify_loop(nest, conflicts, spec.var)
+                loops.append(LoopVerdict(spec.var, lv, ev))
+                verdict = verdict.join(lv)
         sp.set(verdict=verdict.label())
 
         report = DiagnosticReport()
         if gate:
-            view = _binary_view(program, conflicts, source)
-            report.extend(d for d in view if d.severity == ERROR)
+            for nest, conflicts in nests:
+                view = _binary_view(nest, conflicts, source)
+                report.extend(d for d in view if d.severity == ERROR)
 
         witness_severity = ERROR if gate else WARN
         for lv in loops:
@@ -540,7 +548,7 @@ def classify_program(
                             f"loop {lv.var}, statements {list(e.statements)}",
                         )
                     )
-        for k, stmt in enumerate(program.body):
+        for k, stmt in ((k, s) for nest, _ in nests for k, s in enumerate(nest.body)):
             if stmt.reduce and stmt.op != "+":
                 report.add(
                     _diag(
@@ -620,7 +628,7 @@ def check_certificate(
             "certificate describes a different loop nest"
         )
         return report
-    want_vars = [l.var for l in program.loops]
+    want_vars = [l.var for nest in program.nests for l in nest.loops]
     have_vars = [lv.var for lv in certificate.loops]
     if want_vars != have_vars:
         fail(
@@ -629,17 +637,18 @@ def check_certificate(
         )
         return report
 
-    accesses_of = []
-    for stmt in program.body:
-        accesses_of.append(
-            {repr(stmt.target)} | {repr(r) for r in stmt.expr.refs()}
-        )
+    # per nest: its conflicts and each statement's accesses
+    facts = {
+        id(nest): (_conflicts(nest), [{repr(s.target)} | {repr(r) for r in s.expr.refs()} for s in nest.body])
+        for nest in program.nests
+    }
     joined = Verdict(DOALL)
-    conflicts = _conflicts(program)
-    for lv in certificate.loops:
+    nest_of = [nest for nest in program.nests for _ in nest.loops]
+    for nest, lv in zip(nest_of, certificate.loops):
+        conflicts, accesses_of = facts[id(nest)]
         where = f"certificate, loop {lv.var}"
         for e in lv.evidence:
-            if any(k < 0 or k >= len(program.body) for k in e.statements):
+            if any(k < 0 or k >= len(nest.body) for k in e.statements):
                 fail(
                     f"evidence cites statement indices {list(e.statements)} "
                     f"outside the program body", where,
@@ -655,13 +664,13 @@ def check_certificate(
                     f"statements {list(e.statements)}", where,
                 )
             if e.kind == "commutes":
-                stmts = [program.body[k] for k in e.statements]
+                stmts = [nest.body[k] for k in e.statements]
                 if not all(s.reduce and s.op == e.op for s in stmts):
                     fail(
                         f"commute evidence claims '{e.op}'-reductions but "
                         f"statements {list(e.statements)} are not", where,
                     )
-        fresh, _ = _classify_loop(program, conflicts, lv.var)
+        fresh, _ = _classify_loop(nest, conflicts, lv.var)
         if fresh != lv.verdict:
             fail(
                 f"verdict mismatch: certificate says "

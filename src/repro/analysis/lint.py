@@ -34,7 +34,7 @@ import ast
 
 from repro.analysis.diagnostics import ERROR, WARN, Diagnostic, DiagnosticReport
 from repro.analysis.registry import register_pass
-from repro.compiler.codegen import RUNTIME
+from repro.compiler.codegen import RUNTIME, SLOTS
 from repro.compiler.native import parse
 
 __all__ = [
@@ -112,9 +112,11 @@ def lint_generated_source(
 ) -> DiagnosticReport:
     """``ast``-level hygiene checks on an emitted kernel function.
 
-    ``output_arrays`` are the array names the program's statements write;
-    any subscript store into a parameter outside their storage prefixes
-    is an error (the kernel would silently corrupt an input operand).
+    ``output_arrays`` are the array names the program's statements write
+    (and the slot array when it reduces a scalar); any subscript store
+    into a parameter that is none of them and outside their storage
+    prefixes is an error (the kernel would silently corrupt an input
+    operand).
     """
     report = DiagnosticReport()
     params = set(param_names)
@@ -188,7 +190,7 @@ def lint_generated_source(
                 base = base.value
             if not isinstance(base, ast.Name) or base.id not in params:
                 continue  # writes into generated locals are fine
-            if not base.id.startswith(ok_prefixes):
+            if base.id not in output_arrays and not base.id.startswith(ok_prefixes):
                 report.add(
                     _diag(
                         "BER033",
@@ -265,7 +267,8 @@ def lint_kernel(
         report.extend(
             lint_plan(unit.plan, formats, where=f"{where}, unit [{k}]")
         )
-    outputs = {u.stmt.target.array for u in kernel.units}
+    # a reduced scalar is stored into the slot array
+    outputs = {u.stmt.target.array if u.stmt.target.indices else SLOTS for u in kernel.units}
     report.extend(
         lint_generated_source(
             kernel.source,
@@ -299,14 +302,13 @@ def lint_shipped_kernels() -> DiagnosticReport:
     y = DenseVector(np.zeros(5))
     B = DenseMatrix.zeros(5, 4)
     C = DenseMatrix.zeros(5, 4)
-    s = DenseVector.zeros(1)
 
     cases = [
         ("spmv", SPMV_SRC, {"A": A, "X": x, "Y": y}),
         ("spmv_t", SPMV_T_SRC, {"A": A, "X": x, "Y": y}),
         ("spmm", SPMM_SRC, {"A": A, "B": B, "C": C}),
         ("axpy", AXPY_SRC, {"X": x, "Y": y}),
-        ("dot", DOT_SRC, {"X": x, "Y": y, "S": s}),
+        ("dot", DOT_SRC, {"X": x, "Y": y}),
         ("scale", SCALE_SRC, {"X": x, "Y": y}),
     ]
     report = DiagnosticReport()

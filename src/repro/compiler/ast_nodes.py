@@ -1,16 +1,20 @@
 """AST of the dense-loop mini-language.
 
-The input language is deliberately tiny: perfectly nested DOANY loops over
-half-open dense ranges, whose body is one or more assignment/reduction
-statements over scalar-indexed array references, e.g.::
+The input language is deliberately tiny: a sequence of perfectly nested
+DOANY loops over half-open dense ranges, run in order, whose bodies are
+assignment/reduction statements over scalar-indexed array references, e.g.::
 
     for i in 0:n { for j in 0:n { Y[i] += A[i,j] * X[j] } }
+
+A bare name as a target (``s += X[i] * Y[i]``) is a scalar ``+``
+reduction; a later nest may read the scalar it leaves (``s``).
 
 All nodes are immutable and hashable (they key the kernel cache).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.errors import ParseError
@@ -31,6 +35,7 @@ __all__ = [
     "REDUCTION_OPS",
     "normalize_statement",
     "normalize_program",
+    "scalar_reads",
 ]
 
 #: combine operators a reduction statement may use — each one is
@@ -68,9 +73,16 @@ class Num(Expr):
 
 @dataclass(frozen=True)
 class Scalar(Expr):
-    """A free scalar variable (bound at kernel-call time)."""
+    """A free scalar variable (bound at kernel-call time, or left by an
+    earlier nest's scalar reduction)."""
 
     name: str
+    #: source span (parser-provided; see :class:`Ref.span`)
+    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+
+    #: as a statement's target, a scalar is the element ``()`` of ``name``
+    array = property(lambda self: self.name)
+    indices = ()
 
     def refs(self):
         return ()
@@ -190,9 +202,11 @@ class Assign(Stmt):
     Plain assignment with a sparse right-hand side is compiled as
     "zero-fill then guarded accumulate", which requires that the RHS does
     not read the target array (checked by :func:`normalize_statement`).
+    A :class:`Scalar` target takes a ``+`` reduction, which starts from
+    zero on every run.
     """
 
-    target: Ref
+    target: Ref | Scalar
     expr: Expr
     reduce: bool = False
     #: combine operator of a reduction ("+", "*", "min", "max")
@@ -206,6 +220,11 @@ class Assign(Stmt):
         if not self.reduce and self.op != "+":
             raise ParseError(
                 f"plain assignment cannot carry reduction operator {self.op!r}"
+            )
+        if isinstance(self.target, Scalar) and (not self.reduce or self.op != "+"):
+            raise ParseError(
+                f"scalar target {self.target.name!r} takes a '+=' reduction",
+                span=self.span,
             )
 
     def __repr__(self):
@@ -227,14 +246,20 @@ class LoopSpec(Stmt):
 
 @dataclass(frozen=True)
 class Program(Stmt):
-    """A perfect loop nest over one or more statements."""
+    """A sequence of perfect loop nests that run in order: ``loops`` over
+    ``body`` first, then each one-nest program of ``then``.
+
+    A scalar a nest reduces into may be read by later nests only; every
+    other scalar is an input bound at call time."""
 
     loops: tuple[LoopSpec, ...]
     body: tuple[Assign, ...]
+    then: tuple["Program", ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "loops", tuple(self.loops))
         object.__setattr__(self, "body", tuple(self.body))
+        object.__setattr__(self, "then", tuple(self.then))
         names = [l.var for l in self.loops]
         if len(set(names)) != len(names):
             raise ParseError(f"duplicate loop variables {names}")
@@ -247,27 +272,90 @@ class Program(Stmt):
                             f"index {ix!r} in {ref!r} is not a loop variable",
                             span=ref.span,
                         )
+        if any(nest.then for nest in self.then):
+            raise ParseError("a nest of a sequence is one nest")
+        self._check_scalars()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """Hashed once: a program keys several memos on every compile."""
+        return hash((self.loops, self.body, self.then))
+
+    @functools.cached_property
+    def nests(self) -> tuple["Program", ...]:
+        """The one-nest programs, in run order."""
+        return (Program(self.loops, self.body),) + self.then if self.then else (self,)
+
+    def _check_scalars(self) -> None:
+        """A name is a scalar or an array, never both; a reduced scalar is
+        read only by nests after one that writes it."""
+        arrays, reduced = self.arrays(), set(self.scalar_targets())
+        bounds = {l.hi for nest in self.nests for l in nest.loops}
+        written: set[str] = set()
+        for nest in self.nests:
+            targets = [s.target for s in nest.body if isinstance(s.target, Scalar)]
+            reads = [r for s in nest.body for r in scalar_reads(s.expr)]
+            for node in targets + reads:
+                if node.name in arrays:
+                    raise ParseError(
+                        f"{node.name!r} is used both as a scalar and as an array", span=node.span
+                    )
+            for node in targets:
+                if node.name in bounds:
+                    raise ParseError(f"scalar target {node.name!r} is a loop bound", span=node.span)
+            names = {t.name for t in targets}
+            for node in reads:
+                if node.name in reduced and (node.name in names or node.name not in written):
+                    raise ParseError(
+                        f"scalar {node.name!r} is read before a nest that writes it", span=node.span
+                    )
+            written |= names
+
+    @functools.cached_property
+    def _names(self) -> tuple[frozenset[str], tuple[str, ...], frozenset[str]]:
+        """One walk for :meth:`arrays`, :meth:`scalar_targets` and
+        :meth:`scalar_names` (a program is immutable)."""
+        arrays: set[str] = set()
+        targets: dict[str, None] = {}
+        scalars: set[str] = set()
+        for nest in self.nests:
+            for stmt in nest.body:
+                if isinstance(stmt.target, Scalar):
+                    targets[stmt.target.name] = None
+                else:
+                    arrays.add(stmt.target.array)
+                arrays.update(r.array for r in stmt.expr.refs())
+                scalars |= stmt.expr.scalars()
+            scalars.update(b for l in nest.loops for b in (l.lo, l.hi) if not b.lstrip("-").isdigit())
+        return frozenset(arrays), tuple(targets), frozenset(scalars.difference(targets))
 
     def arrays(self) -> frozenset[str]:
-        out: set[str] = set()
-        for stmt in self.body:
-            out.add(stmt.target.array)
-            out.update(r.array for r in stmt.expr.refs())
-        return frozenset(out)
+        return self._names[0]
+
+    def scalar_targets(self) -> tuple[str, ...]:
+        """Names of the scalars the program reduces into, first write first."""
+        return self._names[1]
 
     def scalar_names(self) -> frozenset[str]:
-        out: set[str] = set()
-        for stmt in self.body:
-            out |= stmt.expr.scalars()
-        for l in self.loops:
-            for b in (l.lo, l.hi):
-                if not b.lstrip("-").isdigit():
-                    out.add(b)
-        return frozenset(out)
+        """The scalars bound at call time: loop bounds and free scalars."""
+        return self._names[2]
 
     def __repr__(self):
         loops = " ".join(f"for {l.var} in {l.lo}:{l.hi}" for l in self.loops)
-        return f"{loops} {{ {'; '.join(map(repr, self.body))} }}"
+        head = f"{loops} {{ {'; '.join(map(repr, self.body))} }}"
+        return " ".join([head, *map(repr, self.then)])
+
+
+def scalar_reads(expr: Expr):
+    """The :class:`Scalar` nodes of an expression, left to right."""
+    if isinstance(expr, Scalar):
+        yield expr
+    for child in (getattr(expr, "left", None), getattr(expr, "right", None), getattr(expr, "operand", None)):
+        if child is not None:
+            yield from scalar_reads(child)
 
 
 def normalize_statement(stmt: Assign) -> Assign:
@@ -316,6 +404,7 @@ def normalize_statement(stmt: Assign) -> Assign:
 def normalize_program(program: Program) -> Program:
     """Normalize every statement (idempotent; parser output is a no-op)."""
     body = tuple(normalize_statement(s) for s in program.body)
-    if body == program.body:
+    then = tuple(map(normalize_program, program.then))
+    if body == program.body and all(a is b for a, b in zip(then, program.then)):
         return program
-    return Program(program.loops, body)
+    return Program(program.loops, body, then)

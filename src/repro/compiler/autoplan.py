@@ -323,15 +323,21 @@ def autoplan(
 ) -> AutoPlan:
     """Analyze ``coo`` (any Format; converted through COO) and rank every
     candidate by modeled cost under ``model`` (default: the built-in
-    :class:`CostModel`); a given ``profile`` skips the scan."""
+    :class:`CostModel`); a given ``profile`` skips the scan, and must
+    describe ``coo``'s shape and nonzero count (else ``ReproError``)."""
     from repro.analysis.structure import analyze_structure
     from repro.compiler.specialize import RegionPartition, plan_format, plan_hybrid, price_partition
 
+    coo = coo if isinstance(coo, COOMatrix) else coo.to_coo()
     if profile is None:
         profile = analyze_structure(coo)
+    elif (profile.nrows, profile.ncols, profile.nnz) != (*coo.shape, coo.canonicalized().nnz):
+        raise ReproError(
+            f"the profile describes a {profile.nrows}x{profile.ncols} matrix with {profile.nnz} "
+            f"nonzeros, not this {coo.shape[0]}x{coo.shape[1]} one with {coo.canonicalized().nnz}"
+        )
     if model is None:
         model = CostModel()
-    coo = coo if isinstance(coo, COOMatrix) else coo.to_coo()
     candidates = [plan_format(coo, profile, model, name) for name in CANDIDATE_FORMATS]
     # the split competes in the same ranking: per-region α charges mean
     # it only wins when the regions are big enough to amortize the extra

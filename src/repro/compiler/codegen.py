@@ -16,9 +16,16 @@ strategies it probes, in order, for every planned statement:
   dense product per block shape (BLAS), grouped once by
   :func:`~repro.formats.blocks.block_groups`.
 
+A program's nests print in order, one unit after another; consecutive
+units of a single-loop nest whose plans are that dense loop share it.  A
+scalar lives in a local of ``run``: the call-time ones load from the
+kernel's slot array :data:`SLOTS` on entry, a reduced one starts at zero
+before its first unit, and each one a unit writes is stored back on exit.
+
 Every kernel is emitted as two functions over the formats' flat storage
-arrays (``A_rowptr``, ``X_vals``, ...) and the free scalars — the paper's
-inspector/executor split applied to one sequential kernel:
+arrays (``A_rowptr``, ``X_vals``, ...), the loop bounds and the slot
+array — the paper's inspector/executor split applied to one sequential
+kernel:
 ``prepare(<structure>) -> aux`` runs once per ``bind()`` and holds whatever
 a strategy hoisted (``block-gemv``'s block groups);
 ``run(<storage>, aux)`` does the value-dependent work and mutates the
@@ -38,15 +45,28 @@ from repro.formats.base import Emitter, Format
 from repro.formats.blocks import block_groups
 from repro.observability.trace import span
 
-__all__ = ["generate_source", "get_backend", "KernelUnit", "STRATEGIES"]
+__all__ = ["generate_source", "get_backend", "scalar_slots", "KernelUnit", "SLOTS", "STRATEGIES"]
+
+#: the ``run`` parameter holding the call-time scalars, one float64 slot each
+SLOTS = "scalars"
 
 
 @dataclass(frozen=True)
 class KernelUnit:
-    """One statement with its plan (the compiler emits one nest per unit)."""
+    """One statement with its plan (the compiler emits one nest per unit):
+    ``nest`` indexes the program's nests; ``zero`` starts the unit by
+    zeroing its target (a plain assignment, or a scalar's first unit)."""
 
     stmt: Assign
     plan: Plan
+    nest: int = 0
+    zero: bool = False
+
+
+def scalar_slots(program: Program) -> tuple[str, ...]:
+    """The call-time scalars, in slot order: all but the loop bounds."""
+    bounds = {l.hi for nest in program.nests for l in nest.loops}
+    return tuple(sorted((program.scalar_names() - bounds).union(program.scalar_targets())))
 
 
 class _NestState:
@@ -157,17 +177,22 @@ def _emit_expr_scalar(
 
 
 def _emit_scalar_nest(
-    g: Emitter, program: Program, unit: KernelUnit, formats: dict[str, Format]
+    g: Emitter, program: Program, unit: KernelUnit, formats: dict[str, Format], *more: KernelUnit
 ) -> None:
-    plan, stmt = unit.plan, unit.stmt
-    st = _emit_steps(g, program, plan, formats, plan.steps)
-    value = _emit_expr_scalar(g, stmt.expr, formats, plan, st)
-    out_fmt = formats[stmt.target.array]
-    avm = {a: v for a, v in enumerate(stmt.target.indices)}
-    out_fmt.emit_accumulate(
-        g, stmt.target.array, avm, None, value,
-        op=stmt.op if stmt.reduce else "+",
-    )
+    """``unit``'s nest; ``more`` units, whose plans walk the same dense
+    loops, run their statements in the same loop body after it."""
+    st = _emit_steps(g, program, unit.plan, formats, unit.plan.steps)
+    for u in (unit, *more):
+        stmt = u.stmt
+        value = _emit_expr_scalar(g, stmt.expr, formats, u.plan, st)
+        if isinstance(stmt.target, Scalar):
+            g.emit(f"{stmt.target.name} += {value}")
+            continue
+        avm = {a: v for a, v in enumerate(stmt.target.indices)}
+        formats[stmt.target.array].emit_accumulate(
+            g, stmt.target.array, avm, None, value,
+            op="=" if _stores(u) else stmt.op if stmt.reduce else "+",
+        )
     g.close(st.depth_opened)
 
 
@@ -254,8 +279,10 @@ def _block_vectorizable(unit: KernelUnit, formats: dict[str, Format]) -> bool:
     row_var, col_var, outer = shape
     stmt = unit.stmt
     target = stmt.target
+    if target.indices != (row_var,):
+        return False
     tfmt = formats[target.array]
-    if target.indices != (row_var,) or not tfmt.writable or tfmt.ndim != 1:
+    if not tfmt.writable or tfmt.ndim != 1:
         return False
     mf = _multiplicative_factors(stmt.expr)
     if mf is None:
@@ -351,7 +378,10 @@ def _emit_block_nest(
     g.close(2 + st.depth_opened)
 
 
-def _zero_fill(g: Emitter, target: Ref, formats: dict[str, Format]) -> None:
+def _zero_fill(g: Emitter, target: Ref | Scalar, formats: dict[str, Format]) -> None:
+    if isinstance(target, Scalar):
+        g.emit(f"{target.name} = 0.0")
+        return
     fmt = formats[target.array]
     colons = ", ".join(":" for _ in range(fmt.ndim))
     g.emit(f"{target.array}_vals[{colons}] = 0.0")
@@ -387,6 +417,41 @@ def _lower_unit(g: Emitter, program: Program, unit: KernelUnit, formats, backend
     return label
 
 
+def _dense_groups(units: list[KernelUnit]):
+    """Runs of consecutive units to print as one loop: units of one
+    single-loop nest whose plans are that dense loop.  Every access there
+    is pinned to its iteration, so sharing the loop changes no value —
+    unless a unit zeroes an array an earlier one touched (the zero runs
+    before the shared loop), which starts a new run."""
+    group: list[KernelUnit] = []
+    for u in units:
+        if group and u.nest == group[0].nest and _dense_loop(u) and _dense_loop(group[0]) and not (
+            _fills(u) and any(u.stmt.target.array in (v.stmt.target.array, *(r.array for r in v.stmt.expr.refs())) for v in group)
+        ):
+            group.append(u)
+            continue
+        if group:
+            yield group
+        group = [u]
+    if group:
+        yield group
+
+
+def _dense_loop(unit: KernelUnit) -> bool:
+    return not unit.plan.noop and len(unit.plan.steps) == 1 and unit.plan.steps[0].kind == "dense"
+
+
+def _stores(unit: KernelUnit) -> bool:
+    """A plain assignment its dense loop writes once per element: a store,
+    not a zero fill and an accumulate (``0.0 + -0.0`` is ``0.0``)."""
+    return unit.zero and _dense_loop(unit) and unit.stmt.target.indices == (unit.plan.steps[0].var,)
+
+
+def _fills(unit: KernelUnit) -> bool:
+    """The unit zeroes its target before its loop."""
+    return unit.zero and not _stores(unit)
+
+
 def generate_source(
     program: Program,
     units: list[KernelUnit],
@@ -399,32 +464,38 @@ def generate_source(
     ``prepare(<structure>) -> aux`` computes everything that depends on
     structure alone (whatever the strategies
     :meth:`~repro.formats.base.Emitter.hoist`); its
-    parameters are ``param_names`` minus the formats' value arrays and the
-    free scalars that are not loop bounds.  ``run(<param_names>, aux)``
-    does the value-dependent work.  Every unit is lowered through the
-    strategies :data:`STRATEGIES` lists for the ``backend`` name.  Returns
-    the source plus the per-unit lowering labels (``"noop"`` or a
-    strategy label).
+    parameters are ``param_names`` minus the formats' value arrays and
+    :data:`SLOTS`.  ``run(<param_names>, aux)`` does the value-dependent
+    work.  Every unit is lowered through the strategies
+    :data:`STRATEGIES` lists for the ``backend`` name.  Returns the source
+    plus the per-unit lowering labels (``"noop"`` or a strategy label).
     """
     with span("compiler.codegen.generate", units=len(units), backend=backend) as sp:
         g = Emitter()
         # parameter names must never be reused as generated temporaries (a
         # storage array named like a fresh temp would be clobbered)
-        g.reserve([*param_names, "aux"])
+        slots = scalar_slots(program)
+        g.reserve([*param_names, *slots, "aux"])
         g.depth = 1
+        g.lines += [f"    {name} = {SLOTS}[{k}]" for k, name in enumerate(slots)]
         labels: list[str] = []
-        for unit in units:
-            if not unit.stmt.reduce:
-                # plain assignment: zero-fill then guarded accumulate
-                _zero_fill(g, unit.stmt.target, formats)
+        for group in _dense_groups(units):
+            for unit in group:
+                if _fills(unit):  # plain assignment: zero-fill then guarded accumulate
+                    _zero_fill(g, unit.stmt.target, formats)
+            unit = group[0]
             if unit.plan.noop:
                 labels.append("noop")
-                continue
-            labels.append(_lower_unit(g, program, unit, formats, backend))
+            elif len(group) > 1:
+                _emit_scalar_nest(g, program.nests[unit.nest], unit, formats, *group[1:])
+                labels += ["scalar"] * len(group)
+            else:
+                labels.append(_lower_unit(g, program.nests[unit.nest], unit, formats, backend))
+        written = {u.stmt.target.name for u in units if isinstance(u.stmt.target, Scalar)}
+        g.lines += [f"    {SLOTS}[{k}] = {name}" for k, name in enumerate(slots) if name in written]
         if not g.lines:
             g.emit("pass")
-        values = {f"{n}_{k}" for n, f in formats.items() for k in f.value_keys}
-        values |= program.scalar_names() - {l.hi for l in program.loops}
+        values = {f"{n}_{k}" for n, f in formats.items() for k in f.value_keys} | {SLOTS}
         names = [name for name, _ in g.hoisted]
         aux = ", ".join(names) + ("," if len(names) == 1 else "")
         head = [f"def prepare({', '.join(p for p in param_names if p not in values)}):"]

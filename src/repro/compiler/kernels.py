@@ -36,8 +36,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from repro.compiler import codegen, native
-from repro.compiler.ast_nodes import Assign, BinOp, Expr, Neg, Program, normalize_program
+from repro.compiler.ast_nodes import BinOp, Expr, Neg, Program, Scalar, normalize_program, scalar_reads
 from repro.compiler.codegen import KernelUnit, get_backend
 from repro.compiler.parser import parse
 from repro.compiler.plan_cache import PlanCache, kernel_cache_key
@@ -122,8 +124,11 @@ class CompiledKernel:
         formats: Mapping[str, Format],
         backend: str,
         certificate=None,
+        text: str | None = None,
     ):
         self.program = program
+        #: the text ``program`` was parsed from (None: built directly)
+        self.text = text
         self.units = units
         #: :class:`~repro.analysis.depend.ParallelismCertificate` of the
         #: request that compiled this kernel (None under ``verify="off"``);
@@ -134,6 +139,9 @@ class CompiledKernel:
         #: name of the executor backend this kernel was lowered with
         self.backend = backend
         self.scalar_names = sorted(program.scalar_names())
+        #: the call-time scalars, in the order of the slot array a bound
+        #: call owns (``bind(...).scalars``)
+        self.slots = codegen.scalar_slots(program)
         self._bound_vars = self._bound_var_rules(formats)
         # per-unit flops per driven entry: operators in the expression plus
         # one for the accumulate into the target
@@ -151,8 +159,8 @@ class CompiledKernel:
                     raise CompileError(f"storage key collision on {k!r}")
             storage_keys.extend(keys)
         self.param_names = storage_keys + [
-            s for s in self.scalar_names if s not in storage_keys
-        ]
+            s for s in self.scalar_names if s not in storage_keys and s not in self.slots
+        ] + [codegen.SLOTS] * bool(self.slots)
         #: :class:`~repro.compiler.native.NativeState` of the latest bind()
         #: (None before the first): native C, or Python and why
         self.native = None
@@ -164,26 +172,32 @@ class CompiledKernel:
     # ------------------------------------------------------------------
     def _bound_var_rules(self, formats: Mapping[str, Format]) -> list[_BoundVar]:
         rules = []
-        for spec in self.program.loops:
-            if spec.lo != "0":
-                raise CompileError(
-                    f"loop over {spec.var!r} must start at 0 (got {spec.lo!r}); "
-                    "sparse enumeration covers the full index range"
-                )
-            anchors = []
-            for unit in self.units:
-                for term in unit.plan.query.terms:
-                    for axis, v in enumerate(term.indices):
-                        if v == spec.var:
-                            anchors.append((term.array, axis))
-            rules.append(_BoundVar(spec.var, spec.hi, anchors))
+        for k, nest in enumerate(self.program.nests):
+            for spec in nest.loops:
+                if spec.lo != "0":
+                    raise CompileError(
+                        f"loop over {spec.var!r} must start at 0 (got {spec.lo!r}); "
+                        "sparse enumeration covers the full index range"
+                    )
+                anchors = [
+                    (term.array, axis)
+                    for unit in self.units
+                    if unit.nest == k
+                    for term in unit.plan.query.terms
+                    for axis, v in enumerate(term.indices)
+                    if v == spec.var
+                ]
+                rules.append(_BoundVar(spec.var, spec.hi, anchors))
         return rules
 
     @functools.cached_property
     def _outputs(self) -> tuple[int, ...]:
-        """Positions in ``param_names`` of the arrays the kernel writes."""
-        targets = {u.stmt.target.array for u in self.units}
+        """Positions in ``param_names`` of the arrays the kernel writes
+        (the slot array when it reduces a scalar)."""
+        targets = {u.stmt.target.array for u in self.units} - set(self.slots)
         written = {f"{t}_{k}" for t in targets for k in self.format_classes[t].value_keys}
+        if self.program.scalar_targets():
+            written.add(codegen.SLOTS)
         return tuple(i for i, p in enumerate(self.param_names) if p in written)
 
     def describe_plans(self) -> str:
@@ -259,7 +273,10 @@ class CompiledKernel:
         Contract: between calls the containers' *values* may change in
         place, their *structure* (index arrays, extents) may not — rebind
         after changing it, or after replacing an array.  The callable owns
-        its scratch, so it is not re-entrant across threads; the kernel
+        its scratch and its ``scalars``, the float64 slot array of the
+        call-time scalars (in :attr:`slots` order): write an input there
+        before a call, read a reduced scalar after it.  So it is not
+        re-entrant across threads; the kernel
         itself is, since every ``bind()`` prepares its own ``aux`` (which
         holds indices and scratch only, never matrix values)."""
         return self._bind(bindings)[0]
@@ -304,15 +321,18 @@ class CompiledKernel:
                 _metrics.record("kernel.nnz_touched", c.nnz_touched)
                 _metrics.record("kernel.rows_visited", c.rows_visited)
 
+        bound.scalars = ns[codegen.SLOTS]
         return bound, work
 
-    def __call__(self, **bindings) -> None:
+    def __call__(self, **bindings) -> dict[str, float]:
         """Run the kernel: ``run(..., prepare(...))`` through :meth:`bind`.
         Pass each array as a Format instance of the compiled class, plus
-        any free scalars.  Outputs mutate in place."""
+        any free scalars.  Outputs mutate in place; returns the call-time
+        scalars by name, the reduced ones as this call left them."""
         bound, work = self._bind(bindings)
         if not (_metrics.metrics_enabled() or _trace.tracing_enabled()):
-            return bound()
+            bound()
+            return dict(zip(self.slots, bound.scalars.tolist()))
         # slow path: run under a span carrying the work counters
         c = self.last_counters = work()
         with _trace.span(
@@ -323,6 +343,7 @@ class CompiledKernel:
             arrays={n: cls.__name__ for n, cls in self.format_classes.items()},
         ):
             bound()
+        return dict(zip(self.slots, bound.scalars.tolist()))
 
     def _build_namespace(self, bindings) -> dict:
         ns: dict[str, object] = {}
@@ -376,8 +397,11 @@ class CompiledKernel:
                     )
         for s in self.scalar_names:
             if s not in scalars:
-                raise CompileError(f"missing scalar binding {s!r}")
+                read = (r for nest in self.program.nests for st in nest.body for r in scalar_reads(st.expr))
+                where = next((r.span for r in read if r.name == s), None)
+                raise CompileError(f"missing scalar binding {s!r}", span=where, source=self.text)
             ns[s] = scalars[s]
+        ns[codegen.SLOTS] = np.array([scalars.get(s, 0.0) for s in self.slots], dtype=np.float64)
         return ns
 
 
@@ -464,29 +488,35 @@ def plan(req: CompileRequest) -> None:
     sparse = {
         name for name in program.arrays() if not formats[name].structurally_dense
     }
-    loop_vars = {l.var for l in program.loops}
     req.units = []
-    for stmt in program.body:
-        for piece in split_statement(stmt):
-            if not piece.reduce:
-                free = loop_vars - set(piece.target.indices)
-                if free:
-                    raise CompileError(
-                        f"plain assignment {piece!r} has free loop vars "
-                        f"{sorted(free)}; write the reduction with '+='"
-                    )
-            query = extract_query(program, piece, sparse)
-            best = plan_query(
-                query, dict(formats),
-                force_driver=req.force_driver, allow_merge=req.allow_merge,
-            )
-            req.units.append(KernelUnit(piece, best))
+    reduced: set[str] = set()
+    for k, nest in enumerate(program.nests):
+        loop_vars = {l.var for l in nest.loops}
+        for stmt in nest.body:
+            for piece in split_statement(stmt):
+                if not piece.reduce:
+                    free = loop_vars - set(piece.target.indices)
+                    if free:
+                        raise CompileError(
+                            f"plain assignment {piece!r} has free loop vars "
+                            f"{sorted(free)}; write the reduction with '+='"
+                        )
+                query = extract_query(nest, piece, sparse)
+                best = plan_query(
+                    query, dict(formats),
+                    force_driver=req.force_driver, allow_merge=req.allow_merge,
+                )
+                # a scalar's first unit starts it at zero
+                first = isinstance(piece.target, Scalar) and piece.target.name not in reduced
+                reduced.add(piece.target.array)
+                req.units.append(KernelUnit(piece, best, k, not piece.reduce or first))
 
 
 def lower(req: CompileRequest) -> None:
     """Plan units → Python source → the ``prepare``/``run`` pair it defines."""
+    text = req.source if isinstance(req.source, str) else None
     kern = CompiledKernel(
-        req.program, req.units, req.formats, req.backend, req.certificate
+        req.program, req.units, req.formats, req.backend, req.certificate, text
     )
     kern.source, kern.unit_backends = codegen.generate_source(
         req.program, req.units, dict(req.formats), kern.param_names,

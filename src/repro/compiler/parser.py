@@ -2,10 +2,10 @@
 
 Grammar (whitespace-insensitive; ``#`` starts a line comment)::
 
-    program := loop
+    program := loop+
     loop    := 'for' ID 'in' bound ':' bound '{' (loop | stmts) '}'
     stmts   := stmt (';'? stmt)*
-    stmt    := ref ('=' | '+=' | '*=') expr
+    stmt    := (ref | ID) ('=' | '+=' | '*=') expr
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
     factor  := NUM | ref | ID | '(' expr ')' | '-' factor
@@ -14,16 +14,19 @@ Grammar (whitespace-insensitive; ``#`` starts a line comment)::
     bound   := NUM | ID
 
 A bare ID in an expression is a free scalar; a bracketed ID is an array
-reference.  The classic SpMV of the paper::
+reference.  The top-level nests run in order; a bare-ID target is a
+scalar ``+`` reduction that later nests may read.  The classic SpMV of
+the paper, then a dot product over its result::
 
     for i in 0:n { for j in 0:n { Y[i] += A[i,j] * X[j] } }
+    for i in 0:n { s += X[i] * Y[i] }
 
 Every :class:`~repro.errors.ParseError` raised here carries a
 :class:`~repro.sourceloc.SourceSpan` and the source text, so the error
 renders a caret snippet pointing at the offending tokens; the parser also
-stamps spans onto :class:`Ref` and :class:`Assign` nodes for the analysis
-passes (spans are excluded from node equality/hash, so cache keys are
-unaffected).
+stamps spans onto :class:`Ref`, :class:`Scalar` and :class:`Assign` nodes
+for the analysis passes (spans are excluded from node equality/hash, so
+cache keys are unaffected).
 """
 
 from __future__ import annotations
@@ -125,10 +128,13 @@ class _Parser:
     def parse_program(self) -> Program:
         if self.peek() != "for":
             raise self.error("program must start with a 'for' loop")
-        loops, body = self.parse_loop()
+        nests = [self.parse_loop()]
+        while self.peek() == "for":
+            nests.append(self.parse_loop())
         if self.peek() is not None:
             raise self.error(f"trailing tokens starting at {self.peek()!r}")
-        return Program(tuple(loops), tuple(body))
+        (loops, body), *rest = nests
+        return Program(tuple(loops), tuple(body), tuple(Program(*nest) for nest in rest))
 
     def parse_loop(self) -> tuple[list[LoopSpec], list[Assign]]:
         self.expect("for")
@@ -159,7 +165,8 @@ class _Parser:
 
     def parse_stmt(self) -> Assign:
         start = self.span_here()
-        target = self.parse_ref()
+        name = self.ident()
+        target = self.finish_ref(name, start) if self.peek() == "[" else Scalar(name, span=start)
         op = self.next()
         if op not in ("=", "+=", "*="):
             raise self.error(
@@ -216,11 +223,7 @@ class _Parser:
             return MinMax(name, left, right)
         if self.peek() == "[":
             return self.finish_ref(name, self.prev_span())
-        return Scalar(name)
-
-    def parse_ref(self) -> Ref:
-        start = self.span_here()
-        return self.finish_ref(self.ident(), start)
+        return Scalar(name, span=self.prev_span())
 
     def finish_ref(self, name: str, start: SourceSpan) -> Ref:
         self.expect("[")
@@ -262,8 +265,8 @@ def parse(src: str) -> Program:
             raise
         sp.set(
             tokens=len(tokens),
-            loops=[l.var for l in program.loops],
-            statements=len(program.body),
+            loops=[l.var for nest in program.nests for l in nest.loops],
+            statements=sum(len(nest.body) for nest in program.nests),
             arrays=sorted(program.arrays()),
         )
     return program

@@ -66,7 +66,8 @@ def _program_key(program: Program, sparse: frozenset) -> tuple[str, tuple]:
     predicates of the split statements (memoized — programs are immutable)."""
     predicates = tuple(
         repr(sparsity_predicate(piece.expr, sparse))
-        for stmt in program.body
+        for nest in program.nests
+        for stmt in nest.body
         for piece in split_statement(stmt)
     )
     return repr(program), predicates

@@ -34,7 +34,7 @@ def extract_query(program: Program, stmt: Assign, sparse: frozenset[str] | set[s
 
         seen: dict[str, tuple[str, ...]] = {}
         order: list[str] = []
-        for ref in (stmt.target,) + stmt.expr.refs():
+        for ref in (stmt.target,) * bool(stmt.target.indices) + stmt.expr.refs():
             if ref.array in seen:
                 if seen[ref.array] != ref.indices:
                     raise CompileError(
@@ -48,7 +48,8 @@ def extract_query(program: Program, stmt: Assign, sparse: frozenset[str] | set[s
 
         terms = tuple(RelTerm(a, seen[a], value=f"v_{a}") for a in order)
         predicate = sparsity_predicate(stmt.expr, sparse)
-        query = Query(index_vars, terms, predicate, output=stmt.target.array)
+        output = stmt.target.array if stmt.target.indices else None  # a scalar is no term
+        query = Query(index_vars, terms, predicate, output=output)
         sp.set(
             terms=[repr(t) for t in terms],
             predicate=repr(predicate),

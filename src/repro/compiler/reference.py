@@ -95,6 +95,8 @@ def run_reference(
     reductions, iterations where a listed array reads ``0.0`` are skipped
     (see the module docstring).
     """
+    if program.then:
+        raise CompileError("the reference executor runs a program of one nest")
     scalars = dict(scalars or {})
     sparse = frozenset(sparse)
     arrays = {k: np.array(v, dtype=np.float64) for k, v in arrays.items()}

@@ -385,6 +385,8 @@ def _validate_decomposable(source: str, name: str) -> Program:
     from repro.compiler.parser import parse
 
     program = parse(source)
+    if program.then:
+        raise CompileError("hybrid decomposition takes a program of one nest")
     for stmt in program.body:
         if not (
             stmt.reduce

@@ -36,15 +36,11 @@ class FormatError(ReproError):
 
 
 class CompileError(ReproError):
-    """The compiler could not translate a program."""
-
-
-class ParseError(CompileError):
-    """The mini-language source text is malformed.
+    """The compiler could not translate a program.
 
     Carries an optional :class:`~repro.sourceloc.SourceSpan` plus the
     source text it points into; when both are present ``str(err)`` renders
-    the same caret snippet the analysis diagnostics use, so parser errors
+    the same caret snippet the analysis diagnostics use, so compiler errors
     and analyzer findings share one location format.
     """
 
@@ -60,6 +56,10 @@ class ParseError(CompileError):
 
             return f"{self.message} at {caret_snippet(self.source, self.span)}"
         return self.message
+
+
+class ParseError(CompileError):
+    """The mini-language source text is malformed."""
 
 
 class VerificationError(CompileError):

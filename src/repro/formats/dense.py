@@ -20,8 +20,11 @@ __all__ = ["DenseAxisLevel", "DenseMatrix", "DenseVector"]
 
 
 def _emit_combine(g: Emitter, target: str, value_expr: str, op: str) -> None:
-    """Combine a value into a scalar storage slot with a reduction op."""
-    if op == "+":
+    """Combine a value into a scalar storage slot with a reduction op
+    (``"="``: store it)."""
+    if op == "=":
+        g.emit(f"{target} = {value_expr}")
+    elif op == "+":
         g.emit(f"{target} += {value_expr}")
     elif op == "*":
         g.emit(f"{target} *= {value_expr}")

@@ -17,7 +17,7 @@ from repro.formats.dense import DenseVector
 __all__ = ["axpy", "dot", "scale", "AXPY_SRC", "DOT_SRC", "SCALE_SRC"]
 
 AXPY_SRC = "for i in 0:n { Y[i] += alpha * X[i] }"
-DOT_SRC = "for z in 0:1 { for i in 0:n { S[z] += X[i] * Y[i] } }"
+DOT_SRC = "for i in 0:n { s += X[i] * Y[i] }"
 SCALE_SRC = "for i in 0:n { Y[i] = alpha * X[i] }"
 
 
@@ -38,11 +38,7 @@ def dot(x, y, backend: str | None = None) -> float:
     """xᵀ·y; either side may be a sparse vector (the sparse one drives)."""
     X = _vec(x)
     Y = _vec(y)
-    acc = DenseVector.zeros(1)
-    # the scalar accumulator is a 1-element vector indexed by a unit loop
-    k = compile_kernel(DOT_SRC, {"X": X, "Y": Y, "S": acc}, backend=backend)
-    k(X=X, Y=Y, S=acc)
-    return float(acc.vals[0])
+    return compile_kernel(DOT_SRC, {"X": X, "Y": Y}, backend=backend)(X=X, Y=Y)["s"]
 
 
 def scale(alpha: float, x, backend: str | None = None) -> np.ndarray:

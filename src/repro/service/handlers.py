@@ -82,7 +82,8 @@ def handle_compile(payload: dict, ctx: ServiceContext) -> dict:
 
 
 def handle_solve_cg(payload: dict, ctx: ServiceContext) -> dict:
-    """Sequential preconditioned CG (compiled SpMV inner loop).
+    """Sequential preconditioned CG: on a matrix Format each iteration is
+    one call of the compiled iteration program (SpMV, dots and updates).
 
     Payload: ``A`` (matrix Format or matvec callable), ``b``, plus the
     optional :func:`repro.solvers.cg.cg` knobs ``diag``, ``tol``,

@@ -1,33 +1,61 @@
 """Conjugate Gradient with diagonal preconditioning (paper Sec. 4).
 
-Sequential :func:`cg` accepts any matrix format (the SpMV is produced by
-the compiler) or a plain callable.  :func:`parallel_cg` runs the SPMD
-version on a simulated :class:`~repro.runtime.machine.Machine`, following
-the inspector/executor split the paper measures: the setup phase builds the
+Sequential :func:`cg` on a matrix format compiles one whole PCG iteration
+— the SpMV, its three dot products and the vector updates — as one
+mini-language program, :data:`PCG_SRC`; it binds that program once per
+solve and calls it once per iteration (one C call when gcc is present).
+Its dot products sum in row order.  An operator the compiler cannot see
+(a plain callable, or a BlockSolve matrix, whose SpMV is a library
+routine) runs the same iteration as numpy code around it.
+:func:`parallel_cg` runs the SPMD version on a simulated
+:class:`~repro.runtime.machine.Machine`, following the
+inspector/executor split the paper measures: the setup phase builds the
 communication schedule once; each iteration does one ghost exchange, one
 local SpMV, and the allreduces of its dot products.
 
-Both run one iteration body, :func:`pcg_iteration` (as does
-:func:`~repro.solvers.ilu.ilu_preconditioned_cg`).  A driver supplies the
-SpMV step, the preconditioner and the code that finishes each group of dot
-products: the local values sequentially, allreduces on a rank.
+Every driver runs one loop, :func:`pcg_iteration` (as does
+:func:`~repro.solvers.ilu.ilu_preconditioned_cg`): the convergence test,
+the residual record and the pᵀAp ≤ 0 check around a ``step`` that does
+one iteration — the compiled program, or :func:`numpy_step`'s numpy code
+around an SpMV hook and a dot-product hook (a rank's exchange and
+allreduces).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compiler import compile_kernel
 from repro.errors import DistributionError, ReproError
 from repro.formats.base import Format
 from repro.formats.blocksolve import BlockSolveMatrix
-from repro.kernels.spmv import bound_spmv
+from repro.formats.dense import DenseVector
+from repro.kernels.spmv import spmv
+from repro.observability.trace import span
 from repro.parallel.fragment import partition_rows
 from repro.parallel.spmd_spmv import SPMV_VARIANTS, make_spmv_setup
 from repro.runtime.machine import Machine, RunStats
 
-__all__ = ["CGResult", "cg", "parallel_cg"]
+__all__ = ["CGResult", "PCG_SRC", "cg", "parallel_cg"]
+
+#: One PCG iteration with M⁻¹ = diag(D): q = A·p, p·q, the x/r/z updates
+#: with r·z and r·r, then p = z + βp (β = rzn / rz).
+PCG_SRC = """
+for i in 0:n { Q[i] = 0 }
+for i in 0:n { for j in 0:n { Q[i] += A[i,j] * P[j] } }
+for i in 0:n { pq += P[i] * Q[i] }
+for i in 0:n {
+  X[i] += (rz / pq) * P[i]
+  R[i] = R[i] - (rz / pq) * Q[i]
+  Z[i] = D[i] * R[i]
+  rzn += R[i] * Z[i]
+  rr += R[i] * R[i]
+}
+for i in 0:n { P[i] *= rzn / rz  P[i] += Z[i] }
+"""
 
 
 @dataclass
@@ -45,24 +73,14 @@ class CGResult:
         return self.residuals[-1] if self.residuals else float("inf")
 
 
-def _as_matvec(A, backend: str | None = None):
-    if isinstance(A, Format):
-        # one compile and one bind per solve: an iteration pays only the
-        # generated run() around its vector updates
-        return bound_spmv(A, backend=backend)
-    if callable(A):
-        return A
-    raise ReproError(f"cannot use {type(A).__name__} as an operator")
-
-
 def check_system(A, b, diag=None, solver: str | None = None, x0=None) -> np.ndarray:
     """Every CG entry point's input checks; returns ``b`` as floats.
 
     ``b`` must be a vector; ``diag`` (if given) one of its length, finite
     and nonzero; ``x0`` (if given) one of its shape.  A named ``solver``
     needs ``A`` a square matrix Format of ``len(b)`` rows; :func:`cg` names
-    none: its operator may be a callable, and a Format's SpMV checks the
-    extent itself.
+    none: its operator may be a callable, and a Format's compiled
+    iteration checks the extents itself.
     """
     square = isinstance(A, Format) and len(A.shape) == 2 and A.shape[0] == A.shape[1]
     if solver and not square:
@@ -81,42 +99,56 @@ def check_system(A, b, diag=None, solver: str | None = None, x0=None) -> np.ndar
     return b
 
 
-def pcg_iteration(spmv, precond, reduce, b, x, r, maxiter, tol):
-    """The PCG iteration every CG driver runs; returns
-    ``(x, iterations, residuals, converged)``.
+def pcg_iteration(step, reduce, b, r, z, maxiter, tol):
+    """The PCG loop every CG driver runs; returns ``(iterations,
+    residuals, converged)``.
 
-    ``spmv(p)`` and ``reduce(dots)`` are generator functions: a rank
-    program's SpMV step and allreduces yield machine collectives, the
-    sequential driver's return at once.  ``reduce`` receives each group of
-    dot products the iteration needs together — ``(r·z, b·b, r·r)`` at the
-    start, ``p·q`` alone, then ``(r·z, r·r)`` — and returns their global
-    values.  ``precond(r)`` applies M⁻¹; ``x`` and its residual ``r`` are
-    the start and are updated in place.
+    ``r`` is the start's residual and ``z`` = M⁻¹r.  ``step(rz)`` does one
+    iteration from rᵀz = ``rz`` and returns ``(pᵀq, the new rᵀz, rᵀr)``
+    (it may stop after pᵀq when that is not positive).  ``step`` and
+    ``reduce`` are generator functions: a rank program's yield machine
+    collectives, the sequential driver's return at once.  ``reduce``
+    receives a group of dot products the start needs together — ``(r·z,
+    b·b, r·r)`` — and returns their global values.
     """
-    z = precond(r)
-    p = z.copy()
     rz, b2, rr = yield from reduce((float(r @ z), float(b @ b), float(r @ r)))
-    bnorm = np.sqrt(b2) or 1.0
-    residuals = [float(np.sqrt(rr))]
+    bnorm = math.sqrt(b2) or 1.0
+    residuals = [math.sqrt(rr)]
     converged = residuals[-1] <= tol * bnorm
     it = 0
     while not converged and it < maxiter:
+        pq, rz, rr = yield from step(rz)
+        if pq <= 0:
+            raise ReproError("matrix is not positive definite (pᵀAp <= 0)")
+        it += 1
+        residuals.append(math.sqrt(rr))
+        converged = residuals[-1] <= tol * bnorm
+    return it, residuals, converged
+
+
+def numpy_step(spmv, precond, reduce, x, r, z):
+    """:func:`pcg_iteration`'s ``step`` as numpy code around hooks:
+    ``spmv(p)`` and ``reduce(dots)`` are generator functions (``reduce``
+    gets ``p·q`` alone, then ``(r·z, r·r)``), ``precond(r)`` applies M⁻¹.
+    ``x`` and ``r`` are updated in place."""
+    p = z.copy()
+
+    def step(rz):
+        nonlocal x, r, z, p
         q = yield from spmv(p)
         (pq,) = yield from reduce((float(p @ q),))
         if pq <= 0:
-            raise ReproError("matrix is not positive definite (pᵀAp <= 0)")
+            return pq, rz, 0.0
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
         z = precond(r)
         rz_new, rr = yield from reduce((float(r @ z), float(r @ r)))
         beta = rz_new / rz
-        rz = rz_new
         p = z + beta * p
-        it += 1
-        residuals.append(float(np.sqrt(rr)))
-        converged = residuals[-1] <= tol * bnorm
-    return x, it, residuals, converged
+        return pq, rz_new, rr
+
+    return step
 
 
 def _at_once(fn):
@@ -129,18 +161,47 @@ def _at_once(fn):
     return hook
 
 
-def solve_local(matvec, precond, b, tol, maxiter, x0=None) -> CGResult:
-    """Drive :func:`pcg_iteration` in one process: the SpMV is ``matvec``
-    and a dot product's global value is its local one."""
-    n = len(b)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+def solve_local(matvec, precond, b, tol, maxiter, x0=None, make=None) -> CGResult:
+    """Drive :func:`pcg_iteration` in one process: a dot product's global
+    value is its local one.  ``make(x, r, z)`` builds the step (default:
+    numpy code around the SpMV ``matvec``, which also forms ``x0``'s
+    residual)."""
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - matvec(x) if x.any() else b.copy()
-    maxiter = maxiter if maxiter is not None else 10 * n
-    body = pcg_iteration(_at_once(matvec), precond, _at_once(tuple), b, x, r, maxiter, tol)
+    z = precond(r)
+    reduce = _at_once(tuple)
+    step = make(x, r, z) if make else numpy_step(_at_once(matvec), precond, reduce, x, r, z)
+    maxiter = maxiter if maxiter is not None else 10 * len(b)
+    body = pcg_iteration(step, reduce, b, r, z, maxiter, tol)
     try:
         next(body)  # the hooks never yield, so this runs the whole solve
     except StopIteration as done:
-        return CGResult(*done.value)
+        return CGResult(x, *done.value)
+
+
+def _compiled_step(A, dinv, backend):
+    """A ``make`` for :func:`solve_local`: :data:`PCG_SRC` compiled and
+    bound once over the solve's vectors, one bound call per iteration."""
+
+    def make(x, r, z):
+        vecs = dict(X=x, R=r, Z=z, P=z.copy(), Q=np.zeros(len(x)), D=dinv)
+        vecs = {k: DenseVector(v) for k, v in vecs.items()}
+        kern = compile_kernel(PCG_SRC, {"A": A, **vecs}, backend=backend)
+        run = kern.bind(A=A, rz=0.0, **vecs)
+        s = run.scalars
+        PQ, RR, RZ, RZN = map(kern.slots.index, ("pq", "rr", "rz", "rzn"))
+        attrs = dict(format=type(A).__name__, backend=kern.backend, nnz=A.nnz)
+
+        def step(rz):
+            s[RZ] = rz
+            with span("solvers.cg.step", **attrs):
+                run()
+            v = s.tolist()
+            return v[PQ], v[RZN], v[RR]
+
+        return _at_once(step)
+
+    return make
 
 
 def cg(
@@ -156,13 +217,19 @@ def cg(
 
     ``A`` is any matrix format or a matvec callable; ``diag`` the
     preconditioner diagonal (defaults to ones: unpreconditioned);
-    ``backend`` the executor backend the SpMV compiles through.
+    ``backend`` the executor backend the iteration compiles through.
     Iterates until ||r|| <= tol·||b|| or ``maxiter``.
     """
     b = check_system(A, b, diag, x0=x0)
-    matvec = _as_matvec(A, backend)
-    dinv = 1.0 / np.asarray(diag) if diag is not None else np.ones(len(b))
-    return solve_local(matvec, lambda r: dinv * r, b, tol, maxiter, x0)
+    dinv = 1.0 / np.asarray(diag, dtype=np.float64) if diag is not None else np.ones(len(b))
+    if isinstance(A, Format):  # a BlockSolve matrix's SpMV is the library's
+        matvec = lambda v: spmv(A, v, backend=backend)  # noqa: E731
+        make = None if isinstance(A, BlockSolveMatrix) else _compiled_step(A, dinv, backend)
+    elif callable(A):
+        matvec, make = A, None
+    else:
+        raise ReproError(f"cannot use {type(A).__name__} as an operator")
+    return solve_local(matvec, lambda r: dinv * r, b, tol, maxiter, x0, make)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +343,9 @@ def parallel_cg(
         yield from strategy.setup()
         yield ("phase", "executor")
         x, r = np.zeros(len(blocal)), blocal.copy()
-        return (yield from pcg_iteration(strategy.step, lambda r: dinv_local * r, reduce, blocal, x, r, niter, tol))
+        z = dinv_local * r
+        step = numpy_step(strategy.step, lambda r: dinv_local * r, reduce, x, r, z)
+        return (x, *(yield from pcg_iteration(step, reduce, blocal, r, z, niter, tol)))
 
     def make(p):
         strategy = make_spmv_setup(variant, p, dist, data[p], opts)

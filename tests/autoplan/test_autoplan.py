@@ -9,7 +9,7 @@ import pytest
 
 from repro.compiler import autoplan, autoplan_spmv
 from repro.compiler.autoplan import CANDIDATE_FORMATS, CostModel
-from repro.errors import CompileError, FormatError
+from repro.errors import CompileError, FormatError, ReproError
 from repro.formats import COOMatrix, DenseVector
 from repro.observability import explain
 from tests.conftest import case_rng
@@ -118,17 +118,20 @@ def test_plan_to_dict_is_json_serializable():
 def test_blockdiag_plan_never_drops_entries_outside_its_partition(path):
     """A BlockDiag build over a matrix with an entry outside the planned
     diagonal-block partition raises, and the plan falls back down the
-    ranking instead of silently dropping that entry."""
+    ranking instead of silently dropping that entry.  A profile taken
+    without that entry is refused up front: it does not describe the
+    matrix."""
     n = 200
     planned = STRUCTURE_CLASSES["block_diag"](np.random.default_rng(0), n)
     model = CostModel(alpha={"BlockDiag": 0.0}, beta={"BlockDiag": 1e-12})
     coo = COOMatrix.from_entries(
         (n, n), np.r_[planned.row, 0], np.r_[planned.col, n - 1], np.r_[planned.vals, 1.0]
     )
-    if path == "compile":
-        plan = autoplan(planned, model=model)
-    else:
-        plan = autoplan(coo, model=model, profile=autoplan(planned).profile)
+    if path == "foreign-profile":
+        with pytest.raises(ReproError, match="the profile describes a 200x200 matrix"):
+            autoplan(coo, model=model, profile=autoplan(planned).profile)
+        return
+    plan = autoplan(planned, model=model)
     assert plan.format_name == "BlockDiag"
     x = np.arange(1.0, n + 1)
     kernel, formats = plan.compile(coo)

@@ -206,3 +206,20 @@ def test_one_level_binding_an_index_twice_filters_on_it(fmt, backend):
     k(**fm)
     Y = fm["Y"]
     assert np.array_equal(Y.vals, np.diag(coo.to_dense()) * z), k.source
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "interpreted"])
+def test_one_nest_shares_its_dense_loop_and_stores_plain_assignments(backend):
+    """The statements of a single-loop nest print in one loop; a plain
+    assignment there is a store, so a ``-0.0`` product stays ``-0.0``
+    (a zero fill then ``+=`` would leave ``0.0``)."""
+    src = "for i in 0:n { X[i] += a * P[i]  Z[i] = D[i] * X[i]  s += X[i] * Z[i] }"
+    x, p, d = np.array([0.0, 1.0, -2.0]), np.array([0.0, 2.0, 1.0]), np.array([-1.0, 3.0, 0.5])
+    fm = {name: DenseVector(v.copy()) for name, v in dict(X=x, P=p, D=d, Z=np.ones(3)).items()}
+    k = compile_kernel(src, fm, backend=backend)
+    assert k.source.count("for i in range") == 1 and "Z_vals[:]" not in k.source
+    got = k(**fm, a=0.5)
+    want_x = x + 0.5 * p
+    want_z = d * want_x
+    assert np.signbit(fm["Z"].vals[0]) and fm["Z"].vals.tobytes() == want_z.tobytes()
+    assert got == {"a": 0.5, "s": float(np.cumsum(want_x * want_z)[-1])}

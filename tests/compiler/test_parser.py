@@ -141,3 +141,55 @@ def test_program_repr_roundtrippish():
     p = parse(SPMV)
     assert "for i in 0:n" in repr(p)
     assert "Y[i] += " in repr(p)
+
+
+# ----------------------------------------------------------------------
+# sequences of nests and scalar reductions
+# ----------------------------------------------------------------------
+SEQ = "for i in 0:n { for j in 0:n { Y[i] += A[i,j] * X[j] } } for i in 0:n { s += X[i] * Y[i] }"
+
+
+def test_top_level_nests_parse_in_order_and_round_trip():
+    p = parse(SEQ)
+    assert [len(n.loops) for n in p.nests] == [2, 1]
+    assert p.nests[1].body[0].target == Scalar("s") and p.nests[1].body[0].reduce
+    assert p.scalar_targets() == ("s",) and p.arrays() == {"A", "X", "Y"}
+    assert repr(p) == f"{p.nests[0]!r} for i in 0:n {{ s += (X[i] * Y[i]) }}"
+    assert parse(SPMV).nests == (parse(SPMV),)  # one nest is its own sequence
+
+
+def test_a_scalar_target_takes_a_plus_reduction():
+    for src in ("for i in 0:n { s *= X[i] }", "for i in 0:n { s = X[i] }"):
+        with pytest.raises(ParseError, match="takes a '\\+=' reduction"):
+            parse(src)
+
+
+@pytest.mark.parametrize(
+    "src, message, at",
+    [
+        ("for i in 0:n { Y[i] += s * X[i] } for i in 0:n { s += X[i] }", "read before a nest that writes it", "s *"),
+        ("for i in 0:n { s += X[i]  Y[i] += s }", "read before a nest that writes it", "s }"),
+        ("for i in 0:n { s += X[i] } for i in 0:n { Y[i] += s[i] }", "both as a scalar and as an array", "s +="),
+        ("for i in 0:n { Y[i] += X * X[i] }", "both as a scalar and as an array", "X *"),
+    ],
+    ids=["read-before-write", "read-in-its-nest", "scalar-then-array", "array-then-scalar"],
+)
+def test_scalar_misuse_is_a_parse_error_with_a_caret(src, message, at):
+    with pytest.raises(ParseError, match=message) as err:
+        parse(src)
+    assert err.value.span.start == src.index(at) and "^" in str(err.value)
+
+
+def test_an_unbound_input_scalar_is_a_bind_error_with_a_caret():
+    """A scalar read before any nest writes it must be supplied at bind."""
+    from repro.compiler import compile_kernel
+    from repro.errors import CompileError
+    from repro.formats import DenseVector
+
+    src = "for i in 0:n { s += X[i] }\nfor i in 0:n { Y[i] += (s / alpha) * X[i] }"
+    fm = {"X": DenseVector.zeros(3), "Y": DenseVector.zeros(3)}
+    kern = compile_kernel(src, fm, cache=False)
+    with pytest.raises(CompileError, match="missing scalar binding 'alpha'") as err:
+        kern.bind(**fm)
+    assert err.value.span.start == src.index("alpha") and "line 2" in str(err.value)
+    assert kern.slots == ("alpha", "s")

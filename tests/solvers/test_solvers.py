@@ -6,6 +6,7 @@ import pytest
 from repro.distribution import BlockDistribution
 from repro.errors import DistributionError, ReproError
 from repro.formats import BlockSolveMatrix, COOMatrix, CRSMatrix, DenseVector
+from repro.kernels.spmv import bound_spmv
 from repro.matrices import fem_matrix, grid_laplacian, stencil_matrix
 from repro.parallel import SPMV_VARIANTS
 from repro.solvers import cg, ilu_preconditioned_cg, jacobi, parallel_cg, power_iteration
@@ -109,11 +110,13 @@ def test_cg_entry_points_raise_typed_input_errors(call):
 @pytest.mark.parametrize("variant", ROW_FRAGMENT_VARIANTS)
 def test_sequential_cg_is_the_one_rank_program(variant):
     """The local driver and the machine-driven rank program run the same
-    PCG body: on one rank every allreduce is the local value."""
+    PCG loop and numpy step: on one rank every allreduce is the local
+    value.  (A callable operator takes the numpy step; a format would run
+    the compiled iteration, whose dots sum in row order.)"""
     A = grid_laplacian((12, 12))
     b = np.random.default_rng(4).standard_normal(A.shape[0])
     par = parallel_cg(A, b, 1, variant, niter=8)
-    seq = cg(CRSMatrix.from_coo(A), b, A.diagonal(), tol=0.0, maxiter=8)
+    seq = cg(bound_spmv(CRSMatrix.from_coo(A)), b, A.diagonal(), tol=0.0, maxiter=8)
     assert par.iterations == seq.iterations == 8
     assert par.residuals == seq.residuals
     assert np.array_equal(par.x, seq.x)
