@@ -6,7 +6,7 @@ loops → relations → query plan → code — run as plain functions over one
 
     every request   front_end → gate
     with a cache    key → single-flight lookup
-    on a miss       plan → lower
+    on a miss       plan → lower    (one print, nothing exec-ed)
     on a hit        recheck
 
 and returns a :class:`CompiledKernel` that can be invoked repeatedly with
@@ -114,8 +114,8 @@ class CompiledKernel:
 
     The record of what the passes produced: the program, its plan units
     and the binding rules derived here; :func:`lower` adds the emitted
-    ``source``, its ``unit_backends`` labels and the ``prepare``/``run``
-    pair the source defines."""
+    ``source`` and its ``unit_backends`` labels, and the first bind that
+    runs it all as Python defines :attr:`python_pair`."""
 
     def __init__(
         self,
@@ -189,6 +189,12 @@ class CompiledKernel:
                 ]
                 rules.append(_BoundVar(spec.var, spec.hi, anchors))
         return rules
+
+    @functools.cached_property
+    def python_pair(self) -> tuple:
+        """``(prepare, run, prepare's parameter names)`` that ``source`` defines,
+        at first use (the C tier never needs it; racing binds may define it twice)."""
+        return codegen.define(self.source)
 
     @functools.cached_property
     def _outputs(self) -> tuple[int, ...]:
@@ -294,7 +300,7 @@ class CompiledKernel:
         with _trace.span("kernel.prepare", backend=self.backend):
             # per run of units, the C run (its check twin runs here) or the
             # generated Python run over what its prepare derives
-            steps = native.tier_up(self, arrays, args) or [(self._prepare, self._run, self._prepare_names)]
+            steps = native.tier_up(self, arrays, args) or [self.python_pair]
             if not all(map(callable, steps)):  # a Python run indexes unchecked
                 for fmt in arrays.values():
                     fmt.validate()
@@ -513,7 +519,7 @@ def plan(req: CompileRequest) -> None:
 
 
 def lower(req: CompileRequest) -> None:
-    """Plan units → Python source → the ``prepare``/``run`` pair it defines."""
+    """Plan units → Python source, printed once (``exec``-ed only by a Python bind)."""
     text = req.source if isinstance(req.source, str) else None
     kern = CompiledKernel(
         req.program, req.units, req.formats, req.backend, req.certificate, text
@@ -522,7 +528,6 @@ def lower(req: CompileRequest) -> None:
         req.program, req.units, dict(req.formats), kern.param_names,
         backend=req.backend,
     )
-    kern._prepare, kern._run, kern._prepare_names = codegen.define(kern.source)
     req.kernel = kern
 
 

@@ -1,10 +1,10 @@
 """The native tier: a kernel's scalar nest, printed as C and run through ctypes.
 
-At a kernel's first ``bind()`` the ``run`` that :mod:`codegen` prints for
-its plan units — the one printer: the scalar nest — is translated over
-Python's ``ast`` into C, built once with gcc, cached on disk and loaded
-with ctypes; the bound call then runs C instead of the Python ``run``.
-``lower``, the cache key and ``unit_backends`` never see it.  The tier is
+At a kernel's first ``bind()`` the ``run`` that ``lower`` printed — the
+one printer: the scalar nest — is translated over ``ast`` into C, built
+once with gcc, cached on disk and loaded with ctypes; the bound call runs
+C and ``exec``-s no Python (a bind that runs it all as Python defines
+``kern.python_pair``).  The cache key never sees the tier.  The tier is
 decided per unit: a unit stays on Python — counted in
 ``compiler.native.declined{reason}`` — when it is lowered ``block-gemv``
 (BLAS wins on dense blocks) or its nest does not translate; the bound
@@ -463,14 +463,13 @@ def _operands(kern, args) -> tuple[tuple[str, ...], str, list]:
     strided array, and an output whose bytes overlap another operand's."""
     kinds, fmt, values, spans = [], "", [], []
     for v in args:
-        span_ = None
         if isinstance(v, np.ndarray):
             if v.dtype not in _KINDS:
                 raise Declined("dtype")
             if not v.flags.c_contiguous:
                 raise Declined("non-contiguous")
             first = v.ctypes.data
-            span_ = (first, first + v.nbytes)
+            spans.append((first, first + v.nbytes, len(kinds)))
             kinds.append(f"{_KINDS[v.dtype]}{v.ndim}")
             fmt += "q" * (1 + v.ndim)
             values += [first, *v.shape]
@@ -484,11 +483,14 @@ def _operands(kern, args) -> tuple[tuple[str, ...], str, list]:
             values.append(v)
         else:
             raise Declined("dtype")
-        spans.append(span_)
-    for i in kern._outputs:
-        lo, hi = spans[i]
-        if any(j != i and s and s[0] < hi and lo < s[1] for j, s in enumerate(spans)):
+    # in address order, a range starting below the furthest end so far overlaps the group it joins
+    outputs, end, out = set(kern._outputs), -1, False
+    for lo, hi, i in sorted(spans):
+        if lo >= end:  # a new group: nothing before it overlaps it
+            out, end = i in outputs, hi
+        elif out or i in outputs:  # a group's every range overlaps another: one is an output
             raise Declined("aliasing")
+        end = max(end, hi)
     return tuple(kinds), fmt, values
 
 
@@ -502,13 +504,11 @@ def _state(units) -> NativeState:
 
 
 def _source(kern, formats, units) -> str:
-    """The source of ``units`` alone, lowered through the kernel's backend."""
+    """The source of ``units`` alone, lowered through the kernel's backend
+    (all of them: the kernel's own print)."""
+    if len(units) == len(kern.units):
+        return kern.source
     return codegen.generate_source(kern.program, units, formats, kern.param_names, kern.backend)[0]
-
-
-def _c_nest(kern, formats, kinds, units):
-    """The C source and failure messages of ``units``' scalar nest."""
-    return translate(_source(kern, formats, units), kinds)
 
 
 def _runs(states):
@@ -531,14 +531,14 @@ def _tier_up(kern, formats, kinds, reasons):
         whole = None
         if not any(reasons):
             try:
-                whole = _c_nest(kern, formats, kinds, units)
+                whole = translate(_source(kern, formats, units), kinds)
             except Declined as exc:
                 if n == 1:
                     states[0] = NativeState(exc.args[0])
         if whole is None and n > 1:
             for k in (k for k, r in enumerate(reasons) if r is None):
                 try:
-                    _c_nest(kern, formats, kinds, units[k : k + 1])
+                    translate(_source(kern, formats, units[k : k + 1]), kinds)
                 except Declined as exc:
                     states[k] = NativeState(exc.args[0])
         counted = [s.reason for s in states if s.reason]
@@ -546,7 +546,7 @@ def _tier_up(kern, formats, kinds, reasons):
         for native, ks in list(_runs(states)):
             if native:
                 try:
-                    c_source, checks = whole or _c_nest(kern, formats, kinds, [units[k] for k in ks])
+                    c_source, checks = whole or translate(_source(kern, formats, [units[k] for k in ks]), kinds)
                     funcs, fp, origin = _load(c_source)
                 except Declined as exc:  # no compiler, a failed build, or units that translate
                     # alone but not together: counted once per run
@@ -559,15 +559,10 @@ def _tier_up(kern, formats, kinds, reasons):
     steps = None
     if libraries:
         steps = [
-            libraries[ks[0]] if native else (False, *_python_pair(kern, formats, [units[k] for k in ks]))
+            libraries[ks[0]] if native else (False, *codegen.define(_source(kern, formats, [units[k] for k in ks])))
             for native, ks in _runs(states)
         ]
     return steps, _state(states), tuple(counted)
-
-
-def _python_pair(kern, formats, units) -> tuple:
-    """``(prepare, run, prepare names)`` of ``units`` alone."""
-    return codegen.define(_source(kern, formats, units))
 
 
 def tier_up(kern, formats, args):

@@ -1,13 +1,14 @@
 """``compile_kernel`` as a pass list: front_end → gate, then key → lookup
 with a cache, then plan → lower on a miss or recheck on a hit
-(repro.compiler.kernels)."""
+(repro.compiler.kernels).  A miss prints the nest once and ``exec``-s
+nothing: a kernel that binds on the C tier never defines its Python pair."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.compiler import compile_kernel, kernel_cache_stats
+from repro.compiler import codegen, compile_kernel, kernel_cache_stats, native
 from repro.compiler.kernels import (
     KERNEL_CACHE,
     MISS_PASSES,
@@ -29,7 +30,6 @@ MISS_SPANS = (
     "compiler.query_extract.extract",
     "compiler.scheduling.plan",
     "compiler.codegen.generate",
-    "compiler.codegen.exec",
 )
 #: gate-clean, but extract_query refuses two index tuples on one array
 TWO_TUPLES = "for i in 0:n { for j in 0:n { Y[i] += A[i,j] * A[j,i] } }"
@@ -72,7 +72,7 @@ def test_the_pass_lists_are_plain_functions():
     assert [p.__name__ for p in MISS_PASSES] == ["plan", "lower"]
 
 
-def test_cold_compile_traces_the_seven_miss_spans_in_order_and_warm_none(tracer):
+def test_cold_compile_traces_the_six_miss_spans_in_order_and_warm_none(tracer):
     src, y = _never_seen_spmv()
     fmts = _fmts(6, "X", y)
     kern = compile_kernel(src, fmts)
@@ -87,6 +87,24 @@ def test_cold_compile_traces_the_seven_miss_spans_in_order_and_warm_none(tracer)
     assert compile_kernel(src, fmts) is kern
     assert _children(tracer) == []
     assert [r.name for r in tracer.records] == ["compiler.compile_kernel"]
+
+
+@pytest.mark.skipif(native.find_compiler() is None, reason="no C compiler on PATH")
+def test_a_c_tier_kernel_prints_its_nest_once_and_execs_no_python(tracer, monkeypatch):
+    """Compile, bind and call a default-backend CRS SpMV: one print, which
+    the bind translates to C, and no ``codegen.define`` anywhere."""
+    define, defined = codegen.define, []
+    monkeypatch.setattr(codegen, "define", lambda source: defined.append(source) or define(source))
+    src, y = _never_seen_spmv()
+    fmts = _fmts(6, "X", y)
+    kern = compile_kernel(src, fmts)
+    kern.bind(**fmts)()
+    kern(**fmts)
+    assert kern.native.reason is None, kern.native
+    names = [r.name for r in tracer.records]
+    assert names.count("compiler.codegen.generate") == 1
+    assert "compiler.codegen.exec" not in names
+    assert defined == []
 
 
 def test_uncached_compile_runs_every_miss_pass_and_touches_no_counter(tracer):

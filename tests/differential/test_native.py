@@ -14,13 +14,14 @@ import runpy
 import subprocess
 import sys
 import threading
+import types
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.compiler import compile_kernel, native
+from repro.compiler import codegen, compile_kernel, native
 from repro.compiler.specialize import plan_hybrid
 from repro.errors import FormatError
 from repro.formats import FORMAT_NAMES, COOMatrix, DenseVector
@@ -192,6 +193,63 @@ def test_no_compiler_keeps_the_numpy_path(monkeypatch):
     assert fm["Y"].vals.tobytes() == want["Y"].vals.tobytes()
 
 
+def _counting_define(monkeypatch) -> list:
+    """Patch ``codegen.define`` to record the source of every call."""
+    define, defined = codegen.define, []
+    monkeypatch.setattr(codegen, "define", lambda source: defined.append(source) or define(source))
+    return defined
+
+
+@needs_cc
+@pytest.mark.parametrize("tier", ["interpreted", "no-compiler"])
+def test_the_python_tier_defines_its_pair_once_at_its_first_bind(tier, monkeypatch):
+    """Compiling defines nothing; the first of two binds defines the
+    kernel's pair and the second reuses it; the bits are the C tier's."""
+    rng = _rng(f"lazy-pair/{tier}")
+    fm, _, _ = _operands("spmv", "CRS", rng)
+    c_tier = _clone(fm)
+    c_kern = compile_kernel(KERNELS["spmv"], fm, cache=False)
+    c_kern(**c_tier)
+    assert c_kern.native.reason is None, c_kern.native
+    if tier == "no-compiler":
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+    defined = _counting_define(monkeypatch)
+    kern = compile_kernel(KERNELS["spmv"], fm, cache=False, backend="interpreted" if tier == "interpreted" else None)
+    assert defined == []
+    runs = [_clone(fm), _clone(fm)]
+    for got in runs:
+        kern.bind(**got)()
+    assert defined == [kern.source] and kern.native.reason == tier
+    for got in runs:
+        assert got["Y"].vals.tobytes() == c_tier["Y"].vals.tobytes()
+
+
+def test_two_threads_binding_a_python_kernel_first_at_once_agree():
+    rng = _rng("lazy-pair/threads")
+    fm, _, _ = _operands("spmv", "CRS", rng)
+    kern = compile_kernel(KERNELS["spmv"], fm, cache=False, backend="interpreted")
+    start, outs, errors = threading.Barrier(2), [None, None], []
+
+    def bind(t):
+        try:
+            mine = _clone(fm)
+            start.wait()
+            kern.bind(**mine)()
+            outs[t] = mine["Y"].vals
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=bind, args=(t,)) for t in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not errors and outs[0] is not None and outs[0].tobytes() == outs[1].tobytes()
+    want = _clone(fm)
+    numpy_run(kern, **want)
+    assert outs[0].tobytes() == want["Y"].vals.tobytes()
+
+
 def _never_seen_spmv():
     """SpMV over array names nothing else uses: a C source no cache holds."""
     y = f"Ynat{os.getpid()}x{next(_fresh)}"
@@ -327,3 +385,53 @@ def test_hybrid_block_gemv_regions_stay_numpy_the_others_go_native():
     assert tiers == ["block-gemv" if lb == "block-gemv" else None for lb in kernel.unit_backends]
     want = coo.to_dense() @ formats["X"].vals
     assert np.allclose(formats["Y"].vals, want, rtol=1e-12, atol=1e-12)
+
+
+@needs_cc
+def test_a_hybrid_kernel_defines_only_the_runs_it_keeps_on_python(monkeypatch):
+    """Its ``block-gemv`` units run their own print's pair beside the C
+    units, so the whole kernel's pair is defined only when no unit runs C;
+    both tiers are right, and bitwise alike."""
+    rng = _rng("hybrid/lazy")
+    n = 96
+    coo = STRUCTURE_CLASSES["hybrid"](rng, n)
+    x = rng.standard_normal(n)
+    defined = _counting_define(monkeypatch)
+
+    def run():
+        kernel, formats = plan_hybrid(coo).compile(cache=False)
+        formats["X"] = DenseVector(x.copy())
+        kernel(**formats)
+        assert np.allclose(formats["Y"].vals, coo.to_dense() @ x, rtol=1e-12, atol=1e-12)
+        return kernel, formats["Y"].vals
+
+    kernel, y = run()
+    assert {u.reason for u in kernel.native.units} == {None, "block-gemv"}
+    assert defined and kernel.source not in defined
+    defined.clear()
+    monkeypatch.setattr(native, "find_compiler", lambda: None)
+    kernel, y_python = run()
+    assert {u.reason for u in kernel.native.units} == {"no-compiler", "block-gemv"}
+    assert defined == [kernel.source]
+    assert y_python.tobytes() == y.tobytes()
+
+
+def test_the_aliasing_sweep_declines_exactly_what_every_pair_overlapping_would():
+    """Against the pairwise rule on random views of one buffer (empty ones
+    included): an output declines when its bytes overlap any other
+    operand's; inputs may overlap each other."""
+    rng = _rng("alias/sweep")
+    buf = np.zeros(64)
+    for _ in range(500):
+        cuts = [sorted(rng.integers(0, 65, 2)) for _ in range(rng.integers(1, 7))]
+        args = [buf[lo:hi] for lo, hi in cuts] + [1.5]
+        outputs = tuple(int(i) for i in np.flatnonzero(rng.random(len(cuts)) < 0.3))
+        spans = [(a.ctypes.data, a.ctypes.data + a.nbytes) for a in args[:-1]]
+        want = any(j != i and s[0] < spans[i][1] and spans[i][0] < s[1] for i in outputs for j, s in enumerate(spans))
+        kern = types.SimpleNamespace(_outputs=outputs)
+        try:
+            native._operands(kern, args)
+            got = False
+        except native.Declined as exc:
+            got = exc.args == ("aliasing",)
+        assert got == want, (cuts, outputs)

@@ -67,8 +67,8 @@ def numpy_run(kern, **bindings):
     """The generated Python pair, ``run(..., prepare(...))``, on these
     bindings — the path a kernel takes when the native tier declines."""
     ns = kern._build_namespace(bindings)
-    aux = kern._prepare(*[ns[k] for k in kern._prepare_names])
-    kern._run(*[ns[k] for k in kern.param_names], aux)
+    prepare, run, prepare_names = kern.python_pair
+    run(*[ns[k] for k in kern.param_names], prepare(*[ns[k] for k in prepare_names]))
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -200,6 +200,42 @@ def test_aliased_output_declines_native_and_keeps_the_numpy_result():
     assert kern.native.reason == "aliasing"
     numpy_run(kern, A=A, X=want, Y=want)
     assert shared.vals.tobytes() == want.vals.tobytes()
+
+
+def _inside_a(n, rng):
+    """A rowscaled operand set whose D and Y are views into A's values: D
+    at offset n, Y at 3n — so by address Y follows D, which it does not
+    overlap, while the wide A values, which it does, start further back."""
+    A = FORMAT_NAMES["CRS"].from_coo(COOMatrix.random(n, n, 0.6, rng=rng))
+    assert A.nnz >= 4 * n
+    return {"A": A, "X": DenseVector(np.arange(n, dtype=float)),
+            "D": DenseVector(A.vals[n : 2 * n]), "Y": DenseVector(A.vals[3 * n : 4 * n])}
+
+
+def test_an_output_inside_a_wide_operand_past_its_neighbour_declines_native():
+    got, want = _inside_a(12, _rng("alias/wide")), _inside_a(12, _rng("alias/wide"))
+    kern = compile_kernel(KERNELS["rowscaled"], got, cache=False)
+    kern(**got)
+    assert kern.native.reason == "aliasing"
+    numpy_run(kern, **want)
+    assert got["A"].vals.tobytes() == want["A"].vals.tobytes()
+
+
+def test_inputs_that_share_memory_still_run_as_c():
+    """X and D are one array: inputs may overlap each other."""
+    if native.find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    rng = _rng("alias/inputs")
+    A = FORMAT_NAMES["CRS"].from_coo(gen_uniform(rng, 9))
+    v = rng.standard_normal(9)
+    shared = DenseVector(v.copy())
+    got = {"A": A, "X": shared, "D": shared, "Y": DenseVector(np.zeros(9))}
+    want = {"A": A, "X": DenseVector(v.copy()), "D": DenseVector(v.copy()), "Y": DenseVector(np.zeros(9))}
+    kern = compile_kernel(KERNELS["rowscaled"], got, cache=False)
+    kern(**got)
+    assert kern.native.reason is None, kern.native
+    numpy_run(kern, **want)
+    assert got["Y"].vals.tobytes() == want["Y"].vals.tobytes()
 
 
 @pytest.mark.parametrize("operand", ["float32", "strided"])
