@@ -35,6 +35,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.fingerprint import fingerprint as _digest
 from repro.formats.coo import COOMatrix
+from repro.formats.diagonal import diagonal_spans
 from repro.graphs.inodes import find_inodes
 
 __all__ = ["StructureProfile", "analyze_structure"]
@@ -123,16 +124,10 @@ class StructureProfile:
 # feature extraction
 # ----------------------------------------------------------------------
 def _diagonal_features(coo: COOMatrix) -> tuple[int, int]:
-    """(ndiags, diag_stored)."""
-    if coo.nnz == 0:
-        return 0, 0
-    d = coo.col - coo.row
-    offsets, inverse = np.unique(d, return_inverse=True)
-    lo = np.full(len(offsets), np.iinfo(np.int64).max, dtype=np.int64)
-    hi = np.full(len(offsets), np.iinfo(np.int64).min, dtype=np.int64)
-    np.minimum.at(lo, inverse, coo.row)
-    np.maximum.at(hi, inverse, coo.row)
-    return len(offsets), int(np.sum(hi - lo + 1))
+    """(ndiags, diag_stored), from the diagonal span table."""
+    _, first, last = diagonal_spans(coo.shape, coo.row, coo.col)
+    runs = np.maximum(last - first + 1, 0)  # an empty diagonal's span is negative
+    return int(np.count_nonzero(runs)), int(runs.sum())
 
 
 def _block_partition(coo: COOMatrix) -> tuple[int, ...]:

@@ -581,7 +581,9 @@ def tier_up(kern, formats, args):
             kinds, fmt, values = _operands(kern, args)
             tiers = kern._native_memo.get(kinds)
             if tiers is None:
-                tiers = kern._native_memo[kinds] = _tier_up(kern, formats, kinds, reasons)
+                tiers = _tier_up(kern, formats, kinds, reasons)
+                if not {"no-compiler", "build-failed"}.intersection(tiers[2]):  # the toolchain may come back
+                    kern._native_memo[kinds] = tiers
     except Declined as exc:  # the whole kernel: counted once
         tiers = None, _state([NativeState(exc.args[0])] * len(reasons)), exc.args
     steps, kern.native, counted = tiers

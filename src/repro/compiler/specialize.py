@@ -72,6 +72,7 @@ from repro.formats.base import Format
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseVector
 from repro.formats.denseblocks import DenseBlocksMatrix
+from repro.formats.diagonal import diagonal_spans
 from repro.observability.trace import span
 from repro.relational.predicates import NZ
 
@@ -187,33 +188,32 @@ class RegionPartition:
 # ----------------------------------------------------------------------
 def _find_dense_windows(coo, profile):
     """Disjoint dense rectangles, as (r0, c0, h, w) in global coords, of a
-    canonical ``coo``.  Cost is O(nnz + dense tiles): the sweep visits only
-    dense tiles, and a window's entries are counted from its row slice."""
+    canonical ``coo``.  Cost is one sort of the nnz tile keys, then O(dense
+    tiles) over key sets (no (n/8)x(m/8) tile grid): the sweep starts only
+    at dense 2x2 tile blocks, and a window's entries come from its row slice."""
     n, m = coo.shape
     t = TILE
     min_edge = MIN_WINDOW_TILES * t
     if n < min_edge or m < min_edge or coo.nnz == 0:
         return []
-    th, tw = -(-n // t), -(-m // t)
-    counts = np.bincount((coo.row // t) * tw + coo.col // t)
-    tiles = np.flatnonzero(counts)
+    tw = -(-m // t)
+    tiles, counts = np.unique((coo.row // t) * tw + coo.col // t, return_counts=True)
     ti, tj = np.divmod(tiles, tw)
-    area = np.minimum(t, n - ti * t) * np.minimum(t, m - tj * t)
-    densetile = np.zeros((th, tw), dtype=bool)
-    densetile.flat[tiles] = counts[tiles] >= TILE_FILL * area
-    used = np.zeros((th, tw), dtype=bool)
+    dense = tiles[counts >= TILE_FILL * np.minimum(t, n - ti * t) * np.minimum(t, m - tj * t)]
+    free = set(dense.tolist())  # the dense tiles no accepted window touches
     accepted: list[tuple[int, int, int, int]] = []
 
     # No overlap test: seeds are disjoint diagonal blocks, every tile a
-    # sweep candidate covers is unused, and accepting marks every tile
-    # the window touches.
+    # sweep candidate covers is free, and accepting un-frees every tile touched.
     def accept(r0, c0, h, w) -> None:
-        if h < min_edge or w < min_edge:
+        if h < min_edge or w < min_edge or coo.nnz < WINDOW_FILL * h * w:
             return
         if len(coo.window_entries(r0, c0, h, w)) < WINDOW_FILL * h * w:
             return
         accepted.append((r0, c0, h, w))
-        used[r0 // t : -(-(r0 + h) // t), c0 // t : -(-(c0 + w) // t)] = True
+        j0, j1 = c0 // t, -(-(c0 + w) // t)
+        for i in range(r0 // t, -(-(r0 + h) // t)):
+            free.difference_update(range(i * tw + j0, i * tw + j1))
 
     # 1) seed with the profile's diagonal-block partition: a wide diagonal
     #    block that is actually dense is a window even if its interior
@@ -223,21 +223,21 @@ def _find_dense_windows(coo, profile):
     for lo, hi in zip(ptr[wide].tolist(), ptr[wide + 1].tolist()):
         accept(lo, lo, hi - lo, hi - lo)
 
-    # 2) greedy maximal rectangles over the dense tiles, row-major.
-    #    Requiring >= 2x2 tiles keeps a narrow band out: its diagonal tiles
-    #    may be individually dense but their off-diagonal neighbors never are.
-    for ti, tj in np.argwhere(densetile).tolist():
-        if used[ti, tj]:
+    # 2) greedy maximal rectangles over the free dense tiles, row-major,
+    #    from the heads of dense 2x2 tile blocks: any other start makes a
+    #    window under two tiles on a side, which ``accept`` drops.  That
+    #    keeps a narrow band out, but from half-bandwidth 8 the tiles
+    #    beside the diagonal are dense too and a band shreds into 16x16s.
+    heads = dense[np.isin(dense[:, None] + (1, tw, tw + 1), dense).all(axis=1)]
+    for k in heads.tolist():
+        if k not in free:
             continue
+        ti, tj = divmod(k, tw)
         j2 = tj
-        while j2 + 1 < tw and densetile[ti, j2 + 1] and not used[ti, j2 + 1]:
+        while j2 + 1 < tw and k + j2 + 1 - tj in free:
             j2 += 1
         i2 = ti
-        while (
-            i2 + 1 < th
-            and densetile[i2 + 1, tj : j2 + 1].all()
-            and not used[i2 + 1, tj : j2 + 1].any()
-        ):
+        while all(q in free for q in range((i2 + 1) * tw + tj, (i2 + 1) * tw + j2 + 1)):
             i2 += 1
         r0, c0 = ti * t, tj * t
         accept(r0, c0, min(n, (i2 + 1) * t) - r0, min(m, (j2 + 1) * t) - c0)
@@ -320,15 +320,14 @@ def partition_regions(
             nonempty = rcounts[rcounts > 0]
             mean = float(nonempty.mean()) if len(nonempty) else 0.0
             thresh = max(SKEW_MIN, SKEW_FACTOR * mean)
-            hubs = np.flatnonzero(rcounts >= thresh)
-            if len(hubs) and len(hubs) <= MAX_SKEW_ROW_FRAC * max(
-                1, len(nonempty)
-            ):
+            hub = rcounts >= thresh
+            nhubs = int(np.count_nonzero(hub))
+            if nhubs and nhubs <= MAX_SKEW_ROW_FRAC * max(1, len(nonempty)):
                 claim(
-                    rem & np.isin(coo.row, hubs),
+                    rem & hub[coo.row],
                     "skew",
                     detail=(
-                        f"{len(hubs)} hub rows >= {thresh:.0f} entries "
+                        f"{nhubs} hub rows >= {thresh:.0f} entries "
                         f"(remaining mean {mean:.1f})"
                     ),
                 )
@@ -336,24 +335,19 @@ def partition_regions(
         # --- band diagonal runs --------------------------------------
         rem = owner < 0
         if rem.any():
-            rrow, rcol = coo.row[rem], coo.col[rem]
-            offsets, inverse = np.unique(rcol - rrow, return_inverse=True)
-            counts = np.bincount(inverse)
-            lo = np.full(len(offsets), np.iinfo(np.int64).max, dtype=np.int64)
-            hi = np.full(len(offsets), np.iinfo(np.int64).min, dtype=np.int64)
-            np.minimum.at(lo, inverse, rrow)
-            np.maximum.at(hi, inverse, rrow)
-            runlen = hi - lo + 1
+            key, first, last = diagonal_spans(coo.shape, coo.row[rem], coo.col[rem])
+            counts = np.bincount(key, minlength=len(first))
+            runlen = last - first + 1
             dense_run = (counts >= DIAG_MIN) & (counts >= DIAG_FILL * runlen)
             if dense_run.any():
+                offsets = np.flatnonzero(dense_run) - (n - 1)
                 claim(
-                    np.flatnonzero(rem)[dense_run[inverse]],
+                    np.flatnonzero(rem)[dense_run[key]],
                     "band",
                     "Diagonal",
                     detail=(
                         f"{int(dense_run.sum())} dense diagonal runs, "
-                        f"offsets {offsets[dense_run].min()}..."
-                        f"{offsets[dense_run].max()}"
+                        f"offsets {offsets.min()}...{offsets.max()}"
                     ),
                     stored=float(runlen[dense_run].sum()),
                     segments=float(dense_run.sum()),

@@ -239,11 +239,9 @@ class COOMatrix(Format):
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal as a dense vector."""
-        n = min(self._shape)
-        d = np.zeros(n)
         on = self.row == self.col
-        np.add.at(d, self.row[on], self.vals[on])
-        return d
+        # an empty bincount is int64 whatever its weights
+        return np.bincount(self.row[on], self.vals[on], min(self._shape)).astype(np.float64, copy=False)
 
     def window_entries(self, r0: int, c0: int, h: int, w: int) -> np.ndarray:
         """Ascending positions of the entries in rows ``r0:r0+h`` and
@@ -256,8 +254,8 @@ class COOMatrix(Format):
         return lo + np.flatnonzero((c >= c0) & (c < c0 + w))
 
     def column_support(self) -> np.ndarray:
-        """Sorted unique column indices of the stored entries."""
-        return np.unique(self.col)
+        """Sorted unique column indices of the stored entries, by a count, not a sort."""
+        return np.flatnonzero(np.bincount(self.col, minlength=self._shape[1]))
 
     def remap_columns(self, col_map: np.ndarray, new_ncols: int) -> "COOMatrix":
         """Renumber column indices through ``col_map`` (e.g. global →

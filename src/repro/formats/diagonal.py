@@ -28,7 +28,19 @@ from repro.errors import FormatError
 from repro.formats.base import AccessLevel, Emitter, Format, check_shape
 from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 
-__all__ = ["DiagonalMatrix", "DiagOuterLevel", "DiagRunLevel"]
+__all__ = ["DiagonalMatrix", "DiagOuterLevel", "DiagRunLevel", "diagonal_spans"]
+
+
+def diagonal_spans(shape, row, col):
+    """Each entry's diagonal key ``col - row + n - 1`` in an ``n x m`` shape,
+    and per key of an (n + m)-long table the diagonal's first and last row
+    (``n`` and -1 where it holds no entry): one O(nnz + n + m) pass, no sort."""
+    n, m = shape
+    key = col - row + (n - 1)
+    first, last = np.full(n + m, n), np.full(n + m, -1)
+    np.minimum.at(first, key, row)
+    np.maximum.at(last, key, row)
+    return key, first, last
 
 
 class DiagOuterLevel(AccessLevel):
@@ -139,11 +151,7 @@ class DiagonalMatrix(Format):
     def from_coo(cls, coo: COOMatrix) -> "DiagonalMatrix":
         coo = coo.canonicalized()
         n, m = coo.shape
-        # offset + n - 1 keys an (n + m)-long table: each diagonal's row span
-        key = coo.col - coo.row + (n - 1)
-        lo, hi = np.full(n + m, n), np.full(n + m, -1)
-        np.minimum.at(lo, key, coo.row)
-        np.maximum.at(hi, key, coo.row)
+        key, lo, hi = diagonal_spans(coo.shape, coo.row, coo.col)
         (present,) = np.nonzero(hi >= 0)
         first = lo[present]
         dptr = segment_ptr(hi[present] - first + 1)

@@ -123,7 +123,7 @@ class InodeMatrix(BlockFormat):
 
     def column_support(self) -> np.ndarray:
         """Sorted unique column indices referenced by any i-node."""
-        return np.unique(self.cols)
+        return np.flatnonzero(np.bincount(self.cols, minlength=self._shape[1]))
 
     def select_rows(self, keep_mask: np.ndarray, row_map: np.ndarray, new_nrows: int) -> "InodeMatrix":
         """Restrict to rows with ``keep_mask`` true, renumbered by

@@ -3,13 +3,16 @@
 ``_reference_find_dense_windows`` is the earlier tile-grid sweep, kept
 verbatim as the oracle: one Python iteration per 8x8 tile, a full-nnz
 count per candidate, an explicit overlap test.  The production search
-visits only dense tiles and counts a window from a row slice of the
+keeps the occupied tiles as sorted keys (no tile grid), starts only at
+dense 2x2 tile blocks and counts a window from a row slice of the
 canonical COO; it must return the very same window list, and
 ``partition_regions`` must produce bitwise-identical regions, on a seeded
 sweep of shapes (ragged edge tiles included), planted fills, block
-diagonals (windows off the tile grid), shredded bands and degenerate
-inputs.
+diagonals (windows off the tile grid), narrow and shredded bands,
+staircases of overlapping dense runs and degenerate inputs.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,8 +161,27 @@ def _banded(rng, n, half):
     return _coo((n, n), rows, cols, rng)
 
 
+def _staircase(rng, n):
+    """Dense rectangles stepping down and right, each overlapping the last
+    in tile rows and columns: the greedy sweep's start order decides
+    which window takes the shared tiles."""
+    rows, cols, r0, c0 = [rng.integers(0, n, n)], [rng.integers(0, n, n)], 0, 0
+    while True:
+        h, w = 8 * int(rng.integers(2, 6)), 8 * int(rng.integers(2, 6))
+        if r0 + h > n or c0 + w > n:
+            return _coo((n, n), rows, cols, rng)
+        r, c = _rect(rng, r0, c0, h, w, rng.uniform(0.8, 1.0))
+        rows.append(r)
+        cols.append(c)
+        r0 += 8 * int(rng.integers(1, h // 8))
+        c0 += 8 * int(rng.integers(1, w // 8))
+
+
 def _case(k):
     rng = case_rng(7300, k)
+    if k >= 96:  # wide bands (7 is just under shredding, 12 well over) and staircases
+        n = int(rng.integers(60, 300))
+        return _staircase(rng, n) if k % 3 == 2 else _banded(rng, n, (7, 12)[k % 3])
     kind = k % 6
     if kind == 0:  # square, often not a multiple of 8
         n = int(rng.integers(16, 200))
@@ -182,7 +204,7 @@ def _case(k):
     return COOMatrix((n, m), [], [], [])
 
 
-CASES = range(96)
+CASES = range(126)
 
 
 def _reference_partition(coo, monkeypatch):
@@ -214,14 +236,34 @@ def test_window_list_and_regions_match_the_grid_sweep(k, monkeypatch):
 def test_sweep_exercises_every_path():
     """The sweep is only an oracle if it reaches every branch: tile-grid
     windows, off-grid seeded windows, shredded bands, ragged edges."""
-    seeded = swept = ragged = 0
+    seeded = swept = ragged = abutting = 0
     for k in CASES:
         coo = _case(k).canonicalized()
         n, m = coo.shape
-        for r0, c0, h, w in _reference_find_dense_windows(coo, analyze_structure(coo)):
+        windows = _reference_find_dense_windows(coo, analyze_structure(coo))
+        for r0, c0, h, w in windows:
             if r0 % TILE or h % TILE:
                 seeded += 1
             else:
                 swept += 1
             ragged += (r0 + h == n and n % TILE) or (c0 + w == m and m % TILE)
-    assert seeded >= 10 and swept >= 50 and ragged >= 5, (seeded, swept, ragged)
+        if k >= 96 and k % 3 == 2:  # a staircase window cut short by an earlier one
+            abutting += any(
+                a != b and (a[0] + a[2] == b[0] or a[1] + a[3] == b[1]) for a in windows for b in windows
+            )
+    assert seeded >= 10 and swept >= 50 and ragged >= 5 and abutting >= 5, (seeded, swept, ragged, abutting)
+
+
+def test_window_search_memory_grows_with_nnz_not_the_tile_grid():
+    """A 40,000-row band has 25e6 tiles but 280k entries: the search's
+    traced peak stays a few bytes per entry (the tile grid was >200 MB)."""
+    n = 40_000
+    coo = _banded(case_rng(7301), n, 3).canonicalized()
+    profile = analyze_structure(coo)
+    tracemalloc.start()
+    try:
+        specialize._find_dense_windows(coo, profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * coo.nnz, (peak, coo.nnz)

@@ -193,6 +193,38 @@ def test_no_compiler_keeps_the_numpy_path(monkeypatch):
     assert fm["Y"].vals.tobytes() == want["Y"].vals.tobytes()
 
 
+@needs_cc
+@pytest.mark.parametrize("decline", ["no-compiler", "build-failed"])
+def test_a_toolchain_decline_is_not_remembered(decline, monkeypatch):
+    """A missing compiler or a failed build belongs to the toolchain, not
+    to the operands or the source: the kernel's next bind tries C again,
+    and once the toolchain is back it runs C, bitwise equal to Python."""
+    src, y = _never_seen_spmv()
+    rng = _rng(f"toolchain-back/{decline}")
+    fm, _, _ = _operands("spmv", "CRS", rng)
+    fm[y] = fm.pop("Y")
+    python_runs, c_run = [_clone(fm), _clone(fm)], _clone(fm)
+    kern = compile_kernel(src, fm, cache=False)
+
+    def build_fails(*_):
+        raise native.Declined("build-failed")
+
+    with monkeypatch.context() as mp:
+        if decline == "no-compiler":
+            mp.setattr(native, "find_compiler", lambda: None)
+        else:
+            mp.setattr(native, "_shared_object", build_fails)
+        for got in python_runs:  # each bind counts its decline once
+            with metrics.scoped() as registry:
+                kern.bind(**got)()
+                assert registry.snapshot()[f"compiler.native.declined{{reason={decline}}}"] == 1
+            assert kern.native.reason == decline
+    kern.bind(**c_run)()
+    assert kern.native.reason is None, kern.native
+    for got in python_runs:
+        assert got[y].vals.tobytes() == c_run[y].vals.tobytes()
+
+
 def _counting_define(monkeypatch) -> list:
     """Patch ``codegen.define`` to record the source of every call."""
     define, defined = codegen.define, []

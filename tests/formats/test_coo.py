@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from repro.compiler import compile_kernel
 from repro.errors import CompileError, FormatError
 from repro.formats import COOMatrix, CRSMatrix, DenseMatrix
+from repro.formats.inode import InodeMatrix
 from repro.formats.base import Emitter
 from tests.conftest import coo_matrices
 
@@ -172,3 +173,33 @@ def test_dense_roundtrip_property(m):
 @settings(max_examples=50, deadline=None)
 def test_transpose_involution(m):
     assert m.transpose().transpose() == m
+
+
+def _support_cases():
+    """Random, empty, duplicated (non-canonical) and rectangular COO."""
+    rng = np.random.default_rng(4101)
+    yield COOMatrix.random(40, 40, 0.1, rng)
+    yield COOMatrix((0, 0), [], [], [])
+    yield COOMatrix((7, 9), [], [], [])
+    r, c = rng.integers(0, 12, 60), rng.integers(0, 12, 60)
+    yield COOMatrix((12, 12), np.r_[r, r], np.r_[c, c], rng.standard_normal(120))  # duplicates, unsorted
+    yield COOMatrix.random(25, 70, 0.08, rng)
+    yield COOMatrix.random(70, 25, 0.08, rng)
+    i = np.arange(30)
+    yield COOMatrix((30, 30), np.r_[i, i, i], np.r_[i, i, (i + 3) % 30], np.r_[-np.zeros(30), rng.standard_normal(60)])
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_column_support_and_diagonal_match_unique_and_add_at(k):
+    """The mask/bincount forms are byte-identical to ``np.unique`` and
+    ``np.add.at`` (dtype included: the support keys schedule caches)."""
+    m = list(_support_cases())[k]
+    want = np.zeros(min(m.shape))
+    on = m.row == m.col
+    np.add.at(want, m.row[on], m.vals[on])
+    for got, ref in [(m.column_support(), np.unique(m.col)), (m.diagonal(), want)]:
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    if m.shape[0] == m.shape[1]:
+        inode = InodeMatrix.from_coo(m)
+        got, ref = inode.column_support(), np.unique(inode.cols)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
