@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.fingerprint import fingerprint as _digest
-from repro.formats.coo import COOMatrix
+from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 from repro.formats.diagonal import diagonal_spans
 from repro.graphs.inodes import find_inodes
 
@@ -151,12 +151,25 @@ def _block_partition(coo: COOMatrix) -> tuple[int, ...]:
 
 
 def _inode_features(coo: COOMatrix) -> int:
-    """Identical-pattern groups over the nonempty rows of a canonical ``coo``."""
+    """Identical-pattern groups over the nonempty rows of a canonical ``coo``.
+
+    Rows of one pattern share (length, first column, last column): a row
+    whose key no other row has is a group alone, and only the rest are
+    grouped — all rows when the rest are most of them, since gathering
+    those rows' entries would then cost more than it saves."""
     if coo.nnz == 0:
         return 0
     starts = np.flatnonzero(np.r_[True, coo.row[1:] != coo.row[:-1]])
-    gptr, _ = find_inodes(np.append(starts, coo.nnz), coo.col)
-    return len(gptr) - 1
+    ptr = np.append(starts, coo.nnz)
+    width = np.diff(ptr)
+    keys = (coo.col[ptr[1:] - 1], coo.col[starts], width)
+    order = np.lexsort(keys)
+    tie = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys])
+    rows = order[np.r_[tie, False] | np.r_[False, tie]]
+    if 2 * len(rows) > len(starts):
+        return len(find_inodes(ptr, coo.col)[0]) - 1
+    idx = coo.col[segment_indices(starts[rows], width[rows])]
+    return len(starts) - len(rows) + len(find_inodes(segment_ptr(width[rows]), idx)[0]) - 1
 
 
 def analyze_structure(coo: COOMatrix) -> StructureProfile:

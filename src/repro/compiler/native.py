@@ -11,9 +11,9 @@ decided per unit: a unit stays on Python — counted in
 call runs each run of consecutive units on one tier, C or Python, in unit
 order.  The whole kernel stays on Python when its backend is
 ``interpreted``, no compiler is on ``PATH``, an operand is neither a
-scalar nor a C-contiguous float64/int64 array (a format's storage holds
-nothing else), or an output overlaps another operand.  So a C compiler is
-needed for speed, not for correctness: both tiers run the same print.
+scalar nor a C-contiguous float64/int64/int32 array (a format's storage
+holds nothing else), or an output overlaps another operand.  So a C
+compiler is needed for speed, not for correctness: both tiers run the same print.
 
 The C nest does the interpreted nest's arithmetic in the same order (an
 output slot fixed across the inner loop is summed in a local ``double``),
@@ -57,8 +57,8 @@ from repro.observability.trace import span
 __all__ = ["NativeState", "find_compiler", "parse", "tier_up", "translate"]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fwrapv")
-_KINDS = {np.dtype(np.float64): "f", np.dtype(np.int64): "i"}  # native byte order only
-_CTYPE = {"f": "double", "i": "int64_t"}
+_KINDS = {np.dtype(np.float64): "f", np.dtype(np.int64): "i", np.dtype(np.int32): "j"}  # native byte order only
+_CTYPE = {"f": "double", "i": "int64_t", "j": "int32_t"}
 _BINOP = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.RShift: ">>"}
 _AUGOP = {ast.Add: "+=", ast.Sub: "-=", ast.Mult: "*="}
 _UNOP = {ast.USub: "-", ast.UAdd: "+", ast.Not: "!"}
@@ -328,6 +328,8 @@ class _Printer:
                 code = f"CK({code}, {_ext(name, axis)}, {k})"
             parts.append(code)
         flat = parts[0] if len(parts) == 1 else f"{parts[0]} * {_ext(name, 1)} + {parts[1]}"
+        if kind[0] == "j":  # an int32 load widens: index arithmetic stays int64
+            return f"((int64_t)v_{name}[{flat}])", "i"
         return f"v_{name}[{flat}]", kind[0]
 
 
@@ -344,8 +346,9 @@ def translate(source: str, kinds: tuple[str, ...]) -> tuple[str, tuple[str, ...]
     prints): ``int64_t run(const int64_t *a_)`` and its check twin
     ``check``, both reading every parameter from one slot array, plus the
     message of each nonzero return code.  ``kinds`` gives, per parameter of
-    ``run`` but ``aux``, ``f1``/``f2``/``i1``/``i2`` (a float64/int64 array
-    of that rank) or ``i``/``f`` (a scalar).  Raises :class:`Declined` on
+    ``run`` but ``aux``, ``f1``/``f2``/``i1``/``i2``/``j1``/``j2`` (a
+    float64/int64/int32 array of that rank) or ``i``/``f`` (a scalar); an
+    int32 load is an int64 expression.  Raises :class:`Declined` on
     anything outside the translated subset."""
     (fn,) = [n for n in parse(source).body if isinstance(n, ast.FunctionDef) and n.name == "run"]
     params = [a.arg for a in fn.args.args[:-1]]  # the trailing parameter is aux
@@ -353,7 +356,8 @@ def translate(source: str, kinds: tuple[str, ...]) -> tuple[str, tuple[str, ...]
     for p, kind in zip(params, kinds):
         ctype = _CTYPE.get(kind[0])
         if len(kind) == 2:
-            unpack.append(f"{ctype} *const v_{p} = ({ctype} *)(intptr_t)a_[{slot}];")
+            # a pointer read, not cast from an integer: gcc then indexes int32 and float64 arrays off one counter
+            unpack.append(f"{ctype} *const v_{p} = (({ctype} *const *)a_)[{slot}];")
             unpack += [f"const int64_t {_ext(p, a)} = a_[{slot + 1 + a}];" for a in range(int(kind[1]))]
             slot += 1 + int(kind[1])
         elif ctype:
@@ -459,8 +463,9 @@ def _load(c_source: str) -> tuple[tuple, str, str]:
 def _operands(kern, args) -> tuple[tuple[str, ...], str, list]:
     """Each operand's kind, and the slots that pass them all to C — an
     array's address then its extents, a scalar's value — as a ``struct``
-    format and values.  Declines a dtype other than float64/int64, a
-    strided array, and an output whose bytes overlap another operand's."""
+    format and values.  Declines an array dtype other than float64, int64
+    or int32 (a format's index width), a strided array, and an output
+    whose bytes overlap another operand's."""
     kinds, fmt, values, spans = [], "", [], []
     for v in args:
         if isinstance(v, np.ndarray):

@@ -31,7 +31,7 @@ class IndirectDistribution(Distribution):
     replicated = True
 
     def __init__(self, map_array, nprocs: int | None = None):
-        m = index_array(map_array, DistributionError)
+        m = index_array(map_array, error=DistributionError)
         P = int(m.max(initial=-1)) + 1 if nprocs is None else int(nprocs)
         super().__init__(len(m), max(P, 1))
         if len(m) and (m.min() < 0 or m.max() >= self.nprocs):
@@ -55,7 +55,7 @@ class IndirectDistribution(Distribution):
         n = sum(len(l) for l in lists)
         m = -np.ones(n, dtype=np.int64)
         for p, l in enumerate(lists):
-            l = index_array(l, DistributionError)
+            l = index_array(l, error=DistributionError)
             if len(l) and (l.min() < 0 or l.max() >= n):
                 raise DistributionError(
                     "index lists do not cover [0, n): index out of range"

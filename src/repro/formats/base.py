@@ -349,24 +349,38 @@ def check_shape(shape: Sequence[int], ndim: int) -> tuple[int, ...]:
     return t
 
 
-def index_array(values, error: type[Exception] = FormatError) -> np.ndarray:
-    """``values`` as int64, raising ``error`` where the conversion would
-    change a value (a fraction, NaN or inf) instead of truncating it."""
+#: the largest value an int32 index array may hold (:func:`index_width`)
+NARROW_MAX = 2**31 - 1
+
+
+def index_width(extents, stored: int) -> type:
+    """The dtype of a format's index arrays: int32 when every value they
+    may hold fits — an index below each of ``extents``, a position up to
+    ``stored``, and the sum of two positions that a binary search's
+    midpoint forms (the Python tier adds them as int32) — else int64."""
+    largest = max([e - 1 for e in extents] + [2 * stored])
+    return np.int32 if largest <= NARROW_MAX else np.int64
+
+
+def index_array(values, dtype=np.int64, error: type[Exception] = FormatError) -> np.ndarray:
+    """``values`` as a C-contiguous index array of ``dtype`` (int32 or
+    int64), raising ``error`` where the conversion would change a value —
+    a fraction, NaN or inf, or one outside ``dtype``'s range — instead of
+    truncating or wrapping it."""
     arr = np.asarray(values)
-    if arr.dtype.kind in "iub":
-        return arr.astype(np.int64, copy=False)
     try:
         with np.errstate(invalid="ignore"):
-            out = arr.astype(np.int64)
-    except (TypeError, ValueError):
+            out = np.ascontiguousarray(arr, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
         raise error(f"index values must be integers, got dtype {arr.dtype}") from None
-    if not np.array_equal(out, arr):
-        raise error(f"index values must be integers, got {arr[out != arr][:3].tolist()}")
+    if arr.dtype != dtype and not np.array_equal(out, arr):
+        raise error(f"index values must be integers that fit {out.dtype}, got {arr[out != arr][:3].tolist()}")
     return out
 
 
 def is_permutation(perm: np.ndarray) -> bool:
-    """Whether int64 ``perm`` holds each of ``0 .. len(perm) - 1`` exactly once."""
+    """Whether the integer array ``perm`` holds each of ``0 .. len(perm) - 1``
+    exactly once."""
     n = len(perm)
     return not n or (perm.min() >= 0 and perm.max() < n and (np.bincount(perm) == 1).all())
 

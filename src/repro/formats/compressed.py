@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import AccessLevel, Emitter, Format, check_segments, check_shape
+from repro.formats.base import AccessLevel, Emitter, Format, check_segments, check_shape, index_array, index_width
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseAxisLevel
 
@@ -186,8 +186,10 @@ class LevelFormat(Format):
         if len(arrays) != len(self.ARRAYS):
             raise TypeError(f"{type(self).__name__}(shape, {', '.join(self.ARRAYS)}): got {len(arrays)} arrays")
         self._shape = check_shape(shape if np.iterable(shape) else (shape,), len(self.LEVELS))
-        for name, arr in zip(self.ARRAYS, arrays):
-            setattr(self, name, np.asarray(arr, dtype=np.float64 if name == "vals" else np.int64))
+        self.vals = np.asarray(arrays[-1], dtype=np.float64)
+        width = index_width(self._shape, len(self.vals))
+        for name, arr in zip(self.ARRAYS, arrays[:-1]):
+            setattr(self, name, index_array(arr, width))
         self.validate()
 
     def _positions(self, rec) -> int:
@@ -240,17 +242,18 @@ class LevelFormat(Format):
     def from_coo(cls, coo: COOMatrix) -> "LevelFormat":
         outer, inner = cls._outer_inner()
         coo = coo.canonicalized()
+        width = index_width(coo.shape, coo.nnz)
         keys, entries = (coo.row, coo.col)[outer.axis], (coo.row, coo.col)[inner.axis]
         if outer.axis == 0:  # canonical COO is already row-major with sorted columns per row
-            idx, vals = entries.copy(), coo.vals.copy()
+            idx, vals = entries.astype(width), coo.vals.copy()
         else:
             order = np.lexsort((entries, keys))
-            idx, vals = entries[order], coo.vals[order]
+            idx, vals = entries[order].astype(width, copy=False), coo.vals[order]
         if outer.arrays:  # the sorted stored outer indices
             *head, counts = np.unique(keys, return_counts=True)
         else:
             head, counts = (), np.bincount(keys, minlength=coo.shape[outer.axis])
-        ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        ptr = np.zeros(len(counts) + 1, dtype=width)
         np.cumsum(counts, out=ptr[1:])
         return cls(coo.shape, *head, ptr, idx, vals)
 

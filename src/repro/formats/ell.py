@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import AccessLevel, Emitter, Format, check_segments, check_shape
+from repro.formats.base import AccessLevel, Emitter, Format, check_segments, check_shape, index_array, index_width
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseAxisLevel
 
@@ -71,9 +71,10 @@ class ELLMatrix(Format):
 
     def __init__(self, shape, colind2d, vals2d, rowlen):
         self._shape = check_shape(shape, 2)
-        self.colind2d = np.ascontiguousarray(colind2d, dtype=np.int64)
         self.vals2d = np.ascontiguousarray(vals2d, dtype=np.float64)
-        self.rowlen = np.asarray(rowlen, dtype=np.int64)
+        # a row's positions run to K: a search's midpoint sums two of them
+        width = index_width(self._shape, self.vals2d.shape[-1] if self.vals2d.ndim else 0)
+        self.colind2d, self.rowlen = index_array(colind2d, width), index_array(rowlen, width)
         self.validate()
 
     def validate(self) -> None:
@@ -101,7 +102,7 @@ class ELLMatrix(Format):
         n = coo.shape[0]
         counts = coo.row_counts()
         K = int(counts.max(initial=0))
-        colind2d = np.zeros((n, K), dtype=np.int64)
+        colind2d = np.zeros((n, K), dtype=index_width(coo.shape, K))
         vals2d = np.zeros((n, K), dtype=np.float64)
         # canonical COO is row-major sorted: position within row
         offset = np.arange(coo.nnz, dtype=np.int64)

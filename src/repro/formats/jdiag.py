@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import AccessLevel, Emitter, Format, check_shape, is_permutation
+from repro.formats.base import AccessLevel, Emitter, Format, check_shape, index_array, index_width, is_permutation
 from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 
 __all__ = ["JaggedDiagonalMatrix", "JDOuterLevel", "JDRunLevel"]
@@ -83,10 +83,9 @@ class JaggedDiagonalMatrix(Format):
 
     def __init__(self, shape, perm, jdptr, jdcol, jdval):
         self._shape = check_shape(shape, 2)
-        self.perm = np.asarray(perm, dtype=np.int64)
-        self.jdptr = np.asarray(jdptr, dtype=np.int64)
-        self.jdcol = np.asarray(jdcol, dtype=np.int64)
         self.jdval = np.asarray(jdval, dtype=np.float64)
+        width = index_width(self._shape, len(self.jdval))
+        self.perm, self.jdptr, self.jdcol = (index_array(a, width) for a in (perm, jdptr, jdcol))
         self.validate()
 
     def validate(self) -> None:
@@ -112,14 +111,15 @@ class JaggedDiagonalMatrix(Format):
     def from_coo(cls, coo: COOMatrix) -> "JaggedDiagonalMatrix":
         coo = coo.canonicalized()
         counts = coo.row_counts()
-        perm = np.argsort(-counts, kind="stable").astype(np.int64)
+        width = index_width(coo.shape, coo.nnz)
+        perm = np.argsort(-counts, kind="stable").astype(width)
         # lens[d] rows, the prefix perm[:lens[d]], are longer than d; slot k
         # of diagonal d holds entry d of row perm[k]
         lens = len(counts) - np.cumsum(np.bincount(counts))[:-1]
         pos = segment_indices(np.zeros_like(lens), lens)
         pos = segment_ptr(counts)[perm][pos]
         pos += np.repeat(np.arange(len(lens)), lens)
-        return cls(coo.shape, perm, segment_ptr(lens), coo.col[pos], coo.vals[pos])
+        return cls(coo.shape, perm, segment_ptr(lens), coo.col.astype(width)[pos], coo.vals[pos])
 
     def to_coo(self) -> COOMatrix:
         lens = np.diff(self.jdptr)

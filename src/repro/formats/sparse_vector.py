@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import Emitter
+from repro.formats.base import Emitter, index_array
 from repro.formats.compressed import CompressedOuterLevel, LevelFormat, Stored
 
 __all__ = ["SparseVector", "SparseVectorLevel"]
@@ -54,7 +54,7 @@ class SparseVector(LevelFormat):
     @classmethod
     def from_entries(cls, n, ind, vals) -> "SparseVector":
         """Canonicalize possibly-unsorted, possibly-duplicated entries."""
-        ind = np.asarray(ind, dtype=np.int64)
+        ind = index_array(ind)
         vals = np.asarray(vals, dtype=np.float64)
         if len(ind) == 0:
             return cls(n, ind, vals)

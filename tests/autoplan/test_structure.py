@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import StructureProfile, analyze_structure
-from repro.analysis.structure import _block_partition
+from repro.analysis.structure import _block_partition, _inode_features
 from repro.errors import ReproError
 from repro.formats import COOMatrix
+from repro.graphs.inodes import find_inodes
+from repro.matrices import fem_matrix
 from tests.conftest import case_rng
 from tests.generators import STRUCTURE_CLASSES
 
@@ -91,6 +93,28 @@ def test_block_partition_matches_the_scalar_sweep(cls):
         got = _block_partition(coo)
         assert got == _block_partition_loop(coo)
         assert all(type(p) is int for p in got)
+
+
+def _inode_count_of_every_row(coo):
+    """The reference: ``find_inodes`` over all nonempty rows."""
+    starts = np.flatnonzero(np.r_[True, coo.row[1:] != coo.row[:-1]])
+    return len(find_inodes(np.append(starts, coo.nnz), coo.col)[0]) - 1 if coo.nnz else 0
+
+
+def _inode_cases():
+    for cls in sorted(STRUCTURE_CLASSES):
+        rng = case_rng(CLASS_ID[cls], 15)
+        yield from (STRUCTURE_CLASSES[cls](rng, n) for n in (16, 36, 101))
+    for dof in (1, 2, 3, 4):  # few rows alone (the candidate scan) to all of them (the full one)
+        yield fem_matrix(points=40, dof=dof, rng=dof)
+    yield COOMatrix((7, 7), [], [], [])
+    yield COOMatrix.from_entries((5, 9), [0, 1, 1, 3, 4], [2, 2, 8, 2, 2], [1.0] * 5)
+
+
+def test_the_inode_count_scans_only_rows_that_could_share_a_pattern():
+    for coo in _inode_cases():
+        coo = coo.canonicalized()
+        assert _inode_features(coo) == _inode_count_of_every_row(coo)
 
 
 def test_empty_and_tiny_matrices_profile_cleanly():

@@ -24,7 +24,7 @@ import pytest
 from repro.compiler import codegen, compile_kernel, native
 from repro.compiler.specialize import plan_hybrid
 from repro.errors import FormatError
-from repro.formats import FORMAT_NAMES, COOMatrix, DenseVector
+from repro.formats import FORMAT_NAMES, COOMatrix, DenseVector, base
 from repro.memo import Memo
 from repro.observability import metrics
 from tests.conftest import case_rng
@@ -103,6 +103,25 @@ def test_native_is_interpreted_bitwise_on_random_floats(kernel, fmt):
     oracle(**fresh, **scalars)
     assert bound_fm[out].vals.tobytes() == fresh[out].vals.tobytes()
     agree()
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", ["CRS", "JDiag", "ITPACK"])
+def test_one_kernel_builds_one_library_per_index_width(fmt, monkeypatch):
+    rng = _rng(f"native/width/{fmt}")
+    fm, _, out = _operands("spmv", fmt, rng)
+    with monkeypatch.context() as m:
+        m.setattr(base, "NARROW_MAX", -1)
+        wide = FORMAT_NAMES[fmt].from_coo(fm["A"].to_coo())
+    kern = compile_kernel(KERNELS["spmv"], fm)
+    assert compile_kernel(KERNELS["spmv"], {**fm, "A": wide}) is kern  # the width is not in the key
+    narrow_fm, wide_fm = _clone(fm), {**_clone(fm), "A": wide}
+    kern(**narrow_fm)
+    narrow_state = kern.native
+    kern(**wide_fm)
+    assert narrow_state.reason is None and kern.native.reason is None
+    assert narrow_state.fingerprint != kern.native.fingerprint
+    assert narrow_fm[out].vals.tobytes() == wide_fm[out].vals.tobytes()
 
 
 #: (format, index array) -> the attribute holding it

@@ -6,15 +6,17 @@ on random-float operands, the ``vectorized`` result is bitwise the
 without one (``find_compiler`` patched to None: the same nest runs as
 Python).  ``block-gemv`` units run BLAS and are skipped.  The same holds
 for multi-nest programs with scalar reductions: CG's iteration program on
-every format, and the dot product on a dense and a sparse vector.  A
-program whose units run on both tiers hands its scalars across them.
+every format, and the dot product on a dense and a sparse vector.  Nor
+do they depend on a format's index width: int32 and int64 storage give
+the same bits on both tiers.  A program whose units run on both tiers
+hands its scalars across them.
 """
 
 import numpy as np
 import pytest
 
 from repro.compiler import clear_kernel_cache, compile_kernel, native
-from repro.formats import FORMAT_NAMES, COOMatrix, DenseVector, SparseVector
+from repro.formats import FORMAT_NAMES, COOMatrix, DenseVector, SparseVector, base
 from repro.formats.inode import InodeMatrix
 from repro.kernels.vecops import dot
 from repro.solvers.cg import PCG_SRC
@@ -51,6 +53,30 @@ def test_vectorized_is_interpreted_bitwise_on_every_tier(fmt, kernel, tier, monk
     oracle(**want)
     assert kern.native.reason == (None if tier == "gcc" else "no-compiler"), kern.native
     assert got[out].vals.tobytes() == want[out].vals.tobytes(), kern.source
+
+
+@pytest.mark.parametrize("tier", ["gcc", "no-compiler"])
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("fmt", COMPILED)
+def test_the_index_width_changes_no_bit(fmt, kernel, tier, monkeypatch):
+    """One kernel bound to a format's int32 build, then to its int64 build
+    (forced by lowering the narrowing bound): the same bits."""
+    _tier(tier, monkeypatch)
+    rng = _rng(f"tier-bits/{fmt}/{kernel}/width")
+    coo = COOMatrix.random(40, 40, 0.4, rng=rng)
+    fm, out = _operands(kernel, FORMAT_NAMES[fmt].from_coo(coo), rng)
+    for name, f in fm.items():
+        if name != "A":
+            f.vals[...] = rng.standard_normal(f.vals.shape)
+    with monkeypatch.context() as m:
+        m.setattr(base, "NARROW_MAX", -1)
+        wide = FORMAT_NAMES[fmt].from_coo(coo)
+    kern = compile_kernel(KERNELS[kernel], fm)
+    narrow, wide = _clone(fm), {**_clone(fm), "A": wide}
+    kern(**narrow)
+    assert kern.native.reason in (None if tier == "gcc" else "no-compiler", "block-gemv"), kern.native
+    kern(**wide)
+    assert narrow[out].vals.tobytes() == wide[out].vals.tobytes(), kern.source
 
 
 def _pcg_run(A, vecs, backend, runs=2):
