@@ -21,8 +21,8 @@ auto-planner prices; it registers no pass (``--structure FILE`` prints a
 profile and the planner's pick as one BER050 line).
 
 ``python -m repro.analysis`` runs them from the command line; the
-dependence classifier also gates :func:`~repro.compiler.compile_kernel`
-(the ``verify=`` parameter), and the schedule checker re-verifies
+dependence classifier also gates every :func:`~repro.compiler.compile_kernel`
+request, and the schedule checker re-verifies
 fault-recovery rebuilds inside the runtime.
 """
 

@@ -119,8 +119,8 @@ def _check_kernel_file(path: Path) -> DiagnosticReport:
             )
         )
         return report
+    findings = check_program(program, source=source)
     if _declared_sequential(source):
-        findings = check_program(program, source=source)
         if findings.ok:
             report.add(
                 Diagnostic(
@@ -147,12 +147,12 @@ def _check_kernel_file(path: Path) -> DiagnosticReport:
                 )
             )
         return report
-    report.extend(check_program(program, source=source))
+    report.extend(findings)
+    if not findings.ok:  # the compile gate refuses it; the findings say why
+        return report
     try:
         formats = _probe_formats(program)
-        kern = compile_kernel(
-            program, formats, cache=False, verify="off"
-        )
+        kern = compile_kernel(program, formats, cache=False)
     except (CompileError, ReproError) as e:
         report.add(
             Diagnostic(

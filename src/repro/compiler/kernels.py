@@ -13,16 +13,12 @@ and returns a :class:`CompiledKernel` that can be invoked repeatedly with
 *any* data stored in the same formats:
 
     >>> k = compile_kernel("for i in 0:n { for j in 0:n { Y[i] += A[i,j] * X[j] } }",
-    ...                    formats={"A": a_crs, "X": x_dense, "Y": y_dense},
-    ...                    backend="vectorized")
+    ...                    formats={"A": a_crs, "X": x_dense, "Y": y_dense})
     >>> k(A=a_crs, X=x_dense, Y=y_dense)     # y += A @ x, in place
 
-``backend`` names the executor backend (``"vectorized"`` — the default,
-which runs the scalar nest as C and dense blocks through BLAS — or
-``"interpreted"``, the scalar nest as Python), whose lowering strategies
-:data:`~repro.compiler.codegen.STRATEGIES` lists.  Compilation
-is cached in a :class:`~repro.compiler.plan_cache.PlanCache` keyed on
-(loop nest, format specs, sparsity predicates, backend, planner options):
+The gate refuses a nest that is not DOANY-safe.  Compilation is cached
+in a :class:`~repro.compiler.plan_cache.PlanCache` keyed on (loop nest,
+format specs, sparsity predicates, backend, planner options):
 rebinding new data of the same structure costs only a dict merge, and the
 cache's hit/miss counters land in ``repro.observability.metrics``.
 :func:`compile_request` is the same path with the cache passed in — the
@@ -32,7 +28,6 @@ service calls it with its own.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -123,7 +118,7 @@ class CompiledKernel:
         units: list[KernelUnit],
         formats: Mapping[str, Format],
         backend: str,
-        certificate=None,
+        certificate,
         text: str | None = None,
     ):
         self.program = program
@@ -131,8 +126,8 @@ class CompiledKernel:
         self.text = text
         self.units = units
         #: :class:`~repro.analysis.depend.ParallelismCertificate` of the
-        #: request that compiled this kernel (None under ``verify="off"``);
-        #: re-validated on every plan-cache hit
+        #: request that compiled this kernel; re-validated on every
+        #: plan-cache hit
         self.certificate = certificate
         self.format_classes = {name: type(f) for name, f in formats.items()}
         self.format_specs = {name: f.spec() for name, f in formats.items()}
@@ -419,12 +414,11 @@ class CompileRequest:
     source: str | Program
     formats: Mapping[str, Format]
     backend: str | None = None
-    verify: str = "error"
     force_driver: str | None = None
     allow_merge: bool = True
     extra_key: tuple = ()
     program: Program | None = None  # front_end: normalized
-    certificate: object = None  # gate (None under verify="off")
+    certificate: object = None  # gate
     key: tuple | None = None  # key
     units: list[KernelUnit] | None = None  # plan
     kernel: CompiledKernel | None = None  # lower, or the cache
@@ -432,10 +426,6 @@ class CompileRequest:
 
     def __post_init__(self):
         self.backend = get_backend(self.backend)
-        if self.verify not in ("off", "warn", "error"):
-            raise CompileError(
-                f"verify must be 'off', 'warn' or 'error', got {self.verify!r}"
-            )
 
     @property
     def key_fingerprint(self) -> str:
@@ -460,24 +450,18 @@ def front_end(req: CompileRequest) -> None:
 
 def gate(req: CompileRequest) -> None:
     """The one dependence gate: classify the nest (memoized, pure tuple
-    algebra), keep the certificate, refuse or warn on a SEQUENTIAL witness."""
-    if req.verify == "off":
-        return
+    algebra), keep the certificate, refuse a SEQUENTIAL witness."""
     from repro.analysis.depend import classify_program
 
     text = req.source if isinstance(req.source, str) else None
     cls = classify_program(req.program, source=text, gate=True)
     req.certificate = cls.certificate
-    if cls.report.ok:
-        return
-    msg = (
-        f"loop nest is {cls.verdict.label()} — not DOANY-safe:\n"
-        + cls.report.render("error")
-    )
-    if req.verify == "error":
-        raise VerificationError(msg, diagnostics=tuple(cls.report.errors()))
-    # blame compile_kernel's caller: gate ← compile_request ← compile_kernel
-    warnings.warn(msg, stacklevel=4)
+    if not cls.report.ok:
+        raise VerificationError(
+            f"loop nest is {cls.verdict.label()} — not DOANY-safe:\n"
+            + cls.report.render("error"),
+            diagnostics=tuple(cls.report.errors()),
+        )
 
 
 def key(req: CompileRequest) -> None:
@@ -537,10 +521,7 @@ def recheck(req: CompileRequest) -> None:
     program is validated by that derivation; any other one goes through
     the full independent re-check."""
     kern = req.kernel
-    if req.verify == "off" or kern.certificate == req.certificate:
-        return
-    if kern.certificate is None:  # compiled under verify="off"
-        kern.certificate = req.certificate
+    if kern.certificate == req.certificate:
         return
     from repro.analysis.depend import check_certificate
 
@@ -609,10 +590,16 @@ def compile_kernel(
     allow_merge: bool = True,
     cache: bool = True,
     backend: str | None = None,
-    verify: str = "error",
     extra_key: tuple = (),
 ) -> CompiledKernel:
     """Compile a dense DOANY loop nest against concrete storage formats.
+
+    Every request, cache hits included, classifies the nest into the
+    parallelism lattice DOALL ⊏ DOANY ⊏ REDUCTION(op) ⊏ SEQUENTIAL
+    (:mod:`repro.analysis.depend`); a SEQUENTIAL witness raises
+    :class:`~repro.errors.VerificationError`.  The kernel keeps the
+    :class:`~repro.analysis.depend.ParallelismCertificate`, and a hit
+    re-validates it (:func:`recheck`).
 
     Parameters
     ----------
@@ -629,20 +616,6 @@ def compile_kernel(
         Pin the planner's primary driver (ablation hook).
     cache:
         ``False`` builds a fresh kernel and touches no cache.
-    verify:
-        Dependence analysis (:mod:`repro.analysis.depend`), run on every
-        compile (cache hits included — the check is pure tuple algebra).
-        Every loop is classified into the parallelism lattice
-        DOALL ⊏ DOANY ⊏ REDUCTION(op) ⊏ SEQUENTIAL: DOALL/DOANY/REDUCTION
-        verdicts compile, and a SEQUENTIAL witness means the nest carries a real
-        dependence — ``"error"`` (default) raises
-        :class:`~repro.errors.VerificationError` with the witness access
-        pair, ``"warn"`` downgrades findings to a Python warning,
-        ``"off"`` skips the check.  The verdict is attached to the kernel
-        as a :class:`~repro.analysis.depend.ParallelismCertificate` and
-        re-validated on every cache hit: it must equal the certificate
-        this request's program classifies to, or pass the independent
-        BER064 re-derivation.
     extra_key:
         Extra cache-key components (hashable tuple).  Used by the
         auto-planner to join the structure-profile fingerprint to the
@@ -650,7 +623,7 @@ def compile_kernel(
         an auto-planned kernel.
     """
     req = CompileRequest(
-        source, formats, backend, verify, force_driver, allow_merge, extra_key
+        source, formats, backend, force_driver, allow_merge, extra_key
     )
     return compile_request(req, KERNEL_CACHE if cache else None).kernel
 

@@ -65,8 +65,8 @@ class ParseError(CompileError):
 class VerificationError(CompileError):
     """A verification pass found error-severity diagnostics.
 
-    Raised by ``compile_kernel(verify="error")`` when the DOANY dependence
-    checker rejects the program.  ``diagnostics`` holds the offending
+    Raised by ``compile_kernel`` when the DOANY dependence checker
+    rejects the program.  ``diagnostics`` holds the offending
     :class:`~repro.analysis.diagnostics.Diagnostic` objects.
     """
 

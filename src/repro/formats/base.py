@@ -368,12 +368,14 @@ def index_array(values, dtype=np.int64, error: type[Exception] = FormatError) ->
     a fraction, NaN or inf, or one outside ``dtype``'s range — instead of
     truncating or wrapping it."""
     arr = np.asarray(values)
+    if np.can_cast(arr.dtype, dtype):  # int32 to int64, say: no value can change
+        return np.ascontiguousarray(arr, dtype=dtype)
     try:
         with np.errstate(invalid="ignore"):
             out = np.ascontiguousarray(arr, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise error(f"index values must be integers, got dtype {arr.dtype}") from None
-    if arr.dtype != dtype and not np.array_equal(out, arr):
+    if not np.array_equal(out, arr):
         raise error(f"index values must be integers that fit {out.dtype}, got {arr[out != arr][:3].tolist()}")
     return out
 

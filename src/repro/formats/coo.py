@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import AccessLevel, Emitter, Format, check_shape
+from repro.formats.base import AccessLevel, Emitter, Format, check_shape, index_array
 
 __all__ = ["COOMatrix", "CoordinateLevel", "segment_indices", "segment_ptr"]
 
@@ -87,8 +87,7 @@ class COOMatrix(Format):
     def __init__(self, shape, row, col, vals, canonical: bool = False):
         self._shape = check_shape(shape, 2)
         # contiguous (np.nonzero hands back strided views): the native run reads flat arrays
-        self.row = np.ascontiguousarray(row, dtype=np.int64)
-        self.col = np.ascontiguousarray(col, dtype=np.int64)
+        self.row, self.col = index_array(row), index_array(col)
         self.vals = np.ascontiguousarray(vals, dtype=np.float64)
         self.canonical = bool(canonical)
         self.validate()
@@ -114,8 +113,7 @@ class COOMatrix(Format):
         explicit (structural) zeros — formats must preserve structure.
         Triples that are already canonical are wrapped, not copied (as the
         constructor would)."""
-        row = np.asarray(row, dtype=np.int64)
-        col = np.asarray(col, dtype=np.int64)
+        row, col = index_array(row), index_array(col)
         vals = np.asarray(vals, dtype=np.float64)
         if len(row) == 0:
             return cls(shape, row, col, vals, canonical=True)

@@ -19,26 +19,18 @@ SPMV_SRC = "for i in 0:n { for j in 0:m { Y[i] += A[i,j] * X[j] } }"
 SPMV_T_SRC = "for i in 0:n { for j in 0:m { Y[j] += A[i,j] * X[i] } }"
 
 
-def spmv(
-    A: Format,
-    x,
-    y=None,
-    backend: str | None = None,
-) -> np.ndarray:
+def spmv(A: Format, x, y=None) -> np.ndarray:
     """y (+)= A·x for any matrix format.
 
     ``x`` is a dense 1-D array (or DenseVector); pass ``y`` to accumulate
-    in place, otherwise a zero vector is allocated.  ``backend`` selects
-    the executor backend (``"vectorized"`` default / ``"interpreted"``);
-    BlockSolve matrices dispatch to the hand-written library kernel
-    regardless (the format is composite; see paper Sec. 3.3).
+    in place, otherwise a zero vector is allocated.  BlockSolve matrices
+    dispatch to the hand-written library kernel (the format is composite;
+    see paper Sec. 3.3).
     """
     xv = x.vals if isinstance(x, DenseVector) else np.asarray(x, dtype=np.float64)
     if isinstance(A, BlockSolveMatrix):
         # hand-written library path: count the 2·nnz flops it performs
-        with span(
-            "kernels.spmv", format="BlockSolveMatrix", backend="library", flops=2.0 * A.nnz
-        ):
+        with span("kernels.spmv", format="BlockSolveMatrix", flops=2.0 * A.nnz):
             out = A.matvec(xv)
         _metrics.record("kernel.flops", 2.0 * A.nnz)
         _metrics.record("kernel.nnz_touched", A.nnz)
@@ -50,13 +42,13 @@ def spmv(
         return yv
     yv = np.zeros(A.shape[0]) if y is None else (y.vals if isinstance(y, DenseVector) else y)
     X, Y = DenseVector(xv), DenseVector(yv)
-    k = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y}, backend=backend)
-    with span("kernels.spmv", format=type(A).__name__, backend=k.backend, nnz=A.nnz):
+    k = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y})
+    with span("kernels.spmv", format=type(A).__name__, nnz=A.nnz):
         k(A=A, X=X, Y=Y)
     return Y.vals
 
 
-def bound_spmv(A: Format, backend: str | None = None):
+def bound_spmv(A: Format):
     """Compile and bind ``y = A·x`` once; returns ``matvec(x) -> y``.
 
     The inspector/executor form of :func:`spmv` for iterative solvers: the
@@ -68,9 +60,8 @@ def bound_spmv(A: Format, backend: str | None = None):
     if isinstance(A, BlockSolveMatrix):
         return lambda x: spmv(A, x)
     X, Y = DenseVector(np.zeros(A.shape[1])), DenseVector.zeros(A.shape[0])
-    k = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y}, backend=backend)
-    run = k.bind(A=A, X=X, Y=Y)
-    attrs = dict(format=type(A).__name__, backend=k.backend, nnz=A.nnz)
+    run = compile_kernel(SPMV_SRC, {"A": A, "X": X, "Y": Y}).bind(A=A, X=X, Y=Y)
+    attrs = dict(format=type(A).__name__, nnz=A.nnz)
 
     def matvec(x) -> np.ndarray:
         x = x.vals if isinstance(x, DenseVector) else np.asarray(x)
@@ -87,12 +78,7 @@ def bound_spmv(A: Format, backend: str | None = None):
     return matvec
 
 
-def spmv_transpose(
-    A: Format,
-    x,
-    y=None,
-    backend: str | None = None,
-) -> np.ndarray:
+def spmv_transpose(A: Format, x, y=None) -> np.ndarray:
     """y (+)= Aᵀ·x for any matrix format (no transposed copy is built —
     the planner simply schedules the other projection of the same query)."""
     xv = x.vals if isinstance(x, DenseVector) else np.asarray(x, dtype=np.float64)
@@ -100,12 +86,10 @@ def spmv_transpose(
         # composite: transpose through the exchange format (rarely needed)
         from repro.formats.crs import CRSMatrix
 
-        return spmv(CRSMatrix.from_coo(A.to_coo().transpose()), xv, y, backend=backend)
+        return spmv(CRSMatrix.from_coo(A.to_coo().transpose()), xv, y)
     yv = np.zeros(A.shape[1]) if y is None else (y.vals if isinstance(y, DenseVector) else y)
     X, Y = DenseVector(xv), DenseVector(yv)
-    k = compile_kernel(SPMV_T_SRC, {"A": A, "X": X, "Y": Y}, backend=backend)
-    with span(
-        "kernels.spmv_transpose", format=type(A).__name__, backend=k.backend, nnz=A.nnz
-    ):
+    k = compile_kernel(SPMV_T_SRC, {"A": A, "X": X, "Y": Y})
+    with span("kernels.spmv_transpose", format=type(A).__name__, nnz=A.nnz):
         k(A=A, X=X, Y=Y)
     return Y.vals

@@ -67,9 +67,7 @@ def explain(obj, formats=None, verbose: bool = True) -> str:
             "; ".join(f"[{k}] {u}" for k, u in enumerate(obj.native.units))
             if obj.native else "decided at the first bind()"
         )
-        cert = _certificate_narration(obj)
-        if cert:
-            text += "\n\n" + cert
+        text += "\n\n" + _certificate_narration(obj)
         if verbose:
             findings = _kernel_diagnostics(obj)
             if findings:
@@ -96,10 +94,8 @@ def _prepare_narration(kernel) -> str:
 
 def _certificate_narration(kernel) -> str:
     """Narrate the parallelism certificate the dependence analyzer
-    attached at compile time (empty when compiled with ``verify="off"``)."""
-    cert = getattr(kernel, "certificate", None)
-    if cert is None:
-        return ""
+    attached at compile time."""
+    cert = kernel.certificate
     lines = [
         f"parallelism: {cert.verdict.label()} "
         f"(certificate {cert.fingerprint}, v{cert.version})"

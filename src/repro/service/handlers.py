@@ -50,27 +50,40 @@ class ServiceContext:
     schedule_cache: ScheduleCache | None = None
 
 
+def _checked(kind: str, payload: dict, required: tuple, optional: tuple) -> dict:
+    """``payload``, once it holds every ``required`` key and no key outside
+    ``required + optional``: a misspelt or retired option is an error
+    response, never silently dropped."""
+    unknown = sorted(set(payload) - {*required, *optional}, key=repr)
+    if unknown:
+        raise ServiceError(
+            f"{kind} request has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"it reads {', '.join(required + optional)}"
+        )
+    for name in required:
+        if name not in payload:
+            raise ServiceError(f"{kind} request missing {name!r}")
+    return payload
+
+
 def handle_compile(payload: dict, ctx: ServiceContext) -> dict:
     """Compile (or fetch) a kernel through the shared plan cache.
 
     Payload: ``source`` (mini-language text or Program), ``formats``
     (name → Format instance), plus the optional ``compile_kernel``
-    knobs ``backend``, ``force_driver``, ``allow_merge``, ``verify``,
-    ``extra_key``.
+    knobs ``backend``, ``force_driver``, ``allow_merge``, ``extra_key``.
     """
-    try:
-        source = payload["source"]
-        formats = payload["formats"]
-    except KeyError as exc:
-        raise ServiceError(f"compile request missing {exc.args[0]!r}") from None
+    p = _checked(
+        "compile", payload, ("source", "formats"),
+        ("backend", "force_driver", "allow_merge", "extra_key"),
+    )
     req = CompileRequest(
-        source,
-        formats,
-        backend=payload.get("backend"),
-        verify=payload.get("verify", "error"),
-        force_driver=payload.get("force_driver"),
-        allow_merge=bool(payload.get("allow_merge", True)),
-        extra_key=tuple(payload.get("extra_key", ())),
+        p["source"],
+        p["formats"],
+        backend=p.get("backend"),
+        force_driver=p.get("force_driver"),
+        allow_merge=bool(p.get("allow_merge", True)),
+        extra_key=tuple(p.get("extra_key", ())),
     )
     compile_request(req, ctx.plan_cache)
     return {
@@ -87,23 +100,11 @@ def handle_solve_cg(payload: dict, ctx: ServiceContext) -> dict:
 
     Payload: ``A`` (matrix Format or matvec callable), ``b``, plus the
     optional :func:`repro.solvers.cg.cg` knobs ``diag``, ``tol``,
-    ``maxiter``, ``x0``, ``backend``.
+    ``maxiter``, ``x0``.
     """
     from repro.solvers.cg import cg
 
-    try:
-        A, b = payload["A"], payload["b"]
-    except KeyError as exc:
-        raise ServiceError(f"solve_cg request missing {exc.args[0]!r}") from None
-    result = cg(
-        A,
-        b,
-        diag=payload.get("diag"),
-        tol=payload.get("tol", 1e-8),
-        maxiter=payload.get("maxiter"),
-        x0=payload.get("x0"),
-        backend=payload.get("backend"),
-    )
+    result = cg(**_checked("solve_cg", payload, ("A", "b"), ("diag", "tol", "maxiter", "x0")))
     return {
         "x": result.x,
         "iterations": result.iterations,
@@ -115,22 +116,13 @@ def handle_solve_cg(payload: dict, ctx: ServiceContext) -> dict:
 def handle_solve_jacobi(payload: dict, ctx: ServiceContext) -> dict:
     """(Weighted) Jacobi solve.
 
-    Payload: ``A``, ``b``, plus optional ``tol``, ``maxiter``, ``omega``,
-    ``backend``.
+    Payload: ``A``, ``b``, plus the optional :func:`repro.solvers.jacobi.jacobi`
+    knobs ``tol``, ``maxiter``, ``omega``.
     """
     from repro.solvers.jacobi import jacobi
 
-    try:
-        A, b = payload["A"], payload["b"]
-    except KeyError as exc:
-        raise ServiceError(f"solve_jacobi request missing {exc.args[0]!r}") from None
     x, iterations, residual = jacobi(
-        A,
-        b,
-        tol=payload.get("tol", 1e-8),
-        maxiter=payload.get("maxiter", 1000),
-        omega=payload.get("omega", 1.0),
-        backend=payload.get("backend"),
+        **_checked("solve_jacobi", payload, ("A", "b"), ("tol", "maxiter", "omega"))
     )
     return {"x": x, "iterations": iterations, "final_residual": residual}
 

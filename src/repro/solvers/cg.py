@@ -179,18 +179,18 @@ def solve_local(matvec, precond, b, tol, maxiter, x0=None, make=None) -> CGResul
         return CGResult(x, *done.value)
 
 
-def _compiled_step(A, dinv, backend):
+def _compiled_step(A, dinv):
     """A ``make`` for :func:`solve_local`: :data:`PCG_SRC` compiled and
     bound once over the solve's vectors, one bound call per iteration."""
 
     def make(x, r, z):
         vecs = dict(X=x, R=r, Z=z, P=z.copy(), Q=np.zeros(len(x)), D=dinv)
         vecs = {k: DenseVector(v) for k, v in vecs.items()}
-        kern = compile_kernel(PCG_SRC, {"A": A, **vecs}, backend=backend)
+        kern = compile_kernel(PCG_SRC, {"A": A, **vecs})
         run = kern.bind(A=A, rz=0.0, **vecs)
         s = run.scalars
         PQ, RR, RZ, RZN = map(kern.slots.index, ("pq", "rr", "rz", "rzn"))
-        attrs = dict(format=type(A).__name__, backend=kern.backend, nnz=A.nnz)
+        attrs = dict(format=type(A).__name__, nnz=A.nnz)
 
         def step(rz):
             s[RZ] = rz
@@ -211,20 +211,18 @@ def cg(
     tol: float = 1e-8,
     maxiter: int | None = None,
     x0: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> CGResult:
     """Preconditioned CG for SPD systems.
 
     ``A`` is any matrix format or a matvec callable; ``diag`` the
-    preconditioner diagonal (defaults to ones: unpreconditioned);
-    ``backend`` the executor backend the iteration compiles through.
+    preconditioner diagonal (defaults to ones: unpreconditioned).
     Iterates until ||r|| <= tol·||b|| or ``maxiter``.
     """
     b = check_system(A, b, diag, x0=x0)
     dinv = 1.0 / np.asarray(diag, dtype=np.float64) if diag is not None else np.ones(len(b))
     if isinstance(A, Format):  # a BlockSolve matrix's SpMV is the library's
-        matvec = lambda v: spmv(A, v, backend=backend)  # noqa: E731
-        make = None if isinstance(A, BlockSolveMatrix) else _compiled_step(A, dinv, backend)
+        matvec = lambda v: spmv(A, v)  # noqa: E731
+        make = None if isinstance(A, BlockSolveMatrix) else _compiled_step(A, dinv)
     elif callable(A):
         matvec, make = A, None
     else:

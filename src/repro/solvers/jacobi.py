@@ -11,6 +11,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.formats.base import Format
 from repro.kernels.spmv import bound_spmv
+from repro.solvers.cg import check_system
 
 __all__ = ["jacobi"]
 
@@ -21,21 +22,19 @@ def jacobi(
     tol: float = 1e-8,
     maxiter: int = 1000,
     omega: float = 1.0,
-    backend: str | None = None,
 ):
     """(Weighted) Jacobi solve; returns (x, iterations, final_residual).
 
-    Requires a nonzero diagonal; convergence needs the usual spectral
-    condition (diagonal dominance suffices).  ``backend`` selects the
-    executor backend the SpMV compiles through.
+    Requires a square matrix Format with a nonzero diagonal; convergence
+    needs the usual spectral condition (diagonal dominance suffices).
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = check_system(A, b, solver="Jacobi")
     diag = A.to_coo().diagonal()
     if np.any(diag == 0):
         raise ReproError("Jacobi requires a nonzero diagonal")
     dinv = 1.0 / diag
     x = np.zeros_like(b)
-    matvec = bound_spmv(A, backend=backend)  # compile + bind once per solve
+    matvec = bound_spmv(A)  # compile + bind once per solve
     bnorm = float(np.linalg.norm(b)) or 1.0
     res = float("inf")
     for it in range(1, maxiter + 1):

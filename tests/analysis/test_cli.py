@@ -59,6 +59,17 @@ def test_racy_kernel_fails_with_doany_code(tmp_path, capsys):
     assert "BER012" in capsys.readouterr().out
 
 
+def test_undeclared_racy_kernel_reports_its_findings_without_compiling(tmp_path, capsys):
+    """A racy kernel with no ``# depend: sequential`` gives its dependence
+    rows and is never handed to the compiler, whose gate would refuse it
+    (a BER001 "does not compile" row would hide the reason)."""
+    racy = tmp_path / "racy.loop"
+    racy.write_text("for i in 0:n { for j in 0:n { Y[i] += A[i,j]*X[j]  Z[i] += A[i,j]*Y[i] } }")
+    assert main(["--kernels", str(racy)]) == 1
+    out = capsys.readouterr().out
+    assert "BER013" in out and "BER001" not in out
+
+
 def test_json_artifact_round_trips(tmp_path, capsys):
     out_file = tmp_path / "diag.json"
     assert main(["--kernels", "examples/kernels", "--json", str(out_file)]) == 0

@@ -26,7 +26,7 @@ from repro.formats import (
 )
 from repro.kernels.spmm import SPMM_SRC
 from repro.kernels.spmv import SPMV_SRC
-from repro.kernels.vecops import axpy, dot
+from repro.kernels.vecops import AXPY_SRC, DOT_SRC
 from repro.matrices import fem_matrix
 from tests.conftest import coo_matrices
 
@@ -142,10 +142,11 @@ def test_axpy_differential(coo):
     xd = coo.to_dense()[0]
     n = len(xd)
     y0 = np.linspace(0.0, 1.0, n)
-    got = {
-        backend: axpy(2.5, SparseVector.from_dense(xd), y0.copy(), backend=backend)
-        for backend in BACKENDS
-    }
+    got = {}
+    for backend in BACKENDS:
+        X, Y = SparseVector.from_dense(xd), DenseVector(y0.copy())
+        compile_kernel(AXPY_SRC, {"X": X, "Y": Y}, backend=backend)(X=X, Y=Y, alpha=2.5)
+        got[backend] = Y.vals
     ref = run_reference(
         parse("for i in 0:n { Y[i] += alpha * X[i] }"),
         {"X": xd, "Y": y0.copy()},
@@ -163,7 +164,7 @@ def test_dot_differential(coo):
     y = np.linspace(-1.0, 1.0, n)
     want = float(xd @ y)
     for backend in BACKENDS:
-        assert dot(SparseVector.from_dense(xd), y, backend=backend) == pytest.approx(
-            want, abs=1e-8
-        ), backend
-        assert dot(xd, y, backend=backend) == pytest.approx(want, abs=1e-8), backend
+        for X in (SparseVector.from_dense(xd), DenseVector(xd)):
+            Y = DenseVector(y)
+            got = compile_kernel(DOT_SRC, {"X": X, "Y": Y}, backend=backend)(X=X, Y=Y)["s"]
+            assert got == pytest.approx(want, abs=1e-8), (backend, type(X).__name__)

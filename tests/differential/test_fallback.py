@@ -76,7 +76,7 @@ def test_spmv_wrapper_fallback_end_to_end(coo):
     """The public spmv() entry point runs such a plan too."""
     rng = np.random.default_rng(5)
     x = rng.standard_normal(9)
-    got = spmv(CRSMatrix.from_coo(coo), SparseVector.from_dense(x).to_dense(), backend="vectorized")
+    got = spmv(CRSMatrix.from_coo(coo), SparseVector.from_dense(x).to_dense())
     assert np.allclose(got, coo.to_dense() @ x, atol=1e-9)
 
 

@@ -18,7 +18,7 @@ import pytest
 from repro.compiler import clear_kernel_cache, compile_kernel, native
 from repro.formats import FORMAT_NAMES, COOMatrix, DenseVector, SparseVector, base
 from repro.formats.inode import InodeMatrix
-from repro.kernels.vecops import dot
+from repro.kernels.vecops import DOT_SRC, dot
 from repro.solvers.cg import PCG_SRC
 from tests.differential.test_prepare_run import COMPILED, KERNELS, _clone, _operands, _rng
 
@@ -114,8 +114,10 @@ def test_dot_is_interpreted_bitwise_on_every_tier(sparse, tier, monkeypatch):
     y = rng.standard_normal(300)
     X = SparseVector.from_dense(x) if sparse else DenseVector(x)
     got = dot(X, y)
+    Y = DenseVector(y)
+    want = compile_kernel(DOT_SRC, {"X": X, "Y": Y}, backend="interpreted")(X=X, Y=Y)["s"]
     # one sum, in index order
-    assert got == dot(X, y, backend="interpreted") == np.cumsum(x * y)[-1]
+    assert got == want == np.cumsum(x * y)[-1]
 
 
 def test_scalars_cross_tiers_in_unit_order():

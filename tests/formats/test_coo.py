@@ -53,6 +53,28 @@ def test_length_mismatch_rejected():
         COOMatrix((2, 2), [0, 1], [0], [1.0])
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7, np.nan, np.inf, -np.inf, 2.0**70], ids=str)
+@pytest.mark.parametrize("where", ["row", "col"])
+def test_non_integer_index_is_a_format_error_not_a_truncation(bad, where):
+    """A fractional, NaN, infinite or out-of-int64 index is refused by both
+    constructors; none is truncated into a valid coordinate."""
+    idx = {"row": [0, 1], "col": [1, 2]}
+    idx[where] = [idx[where][0], bad]
+    with pytest.raises(FormatError, match="integers"):
+        COOMatrix((2, 3), idx["row"], idx["col"], [1.0, 2.0])
+    with pytest.raises(FormatError, match="integers"):
+        COOMatrix.from_entries((2, 3), idx["row"], idx["col"], [1.0, 2.0])
+
+
+def test_integral_float_and_narrow_int_indices_are_kept(monkeypatch):
+    m = COOMatrix((2, 3), [1.0], [2.0], [1.0])
+    assert m.row.tolist() == [1] and m.col.tolist() == [2]
+    # int32 -> int64 cannot change a value: no O(nnz) comparison is made
+    monkeypatch.setattr(np, "array_equal", lambda *a, **k: pytest.fail("compared a safe cast"))
+    m = COOMatrix.from_entries((2, 3), np.array([1, 0], np.int32), np.array([0, 2], np.int32), [1.0, 2.0])
+    assert m.row.dtype == m.col.dtype == np.int64 and m.row.tolist() == [0, 1]
+
+
 def test_identity():
     m = COOMatrix.identity(4)
     assert np.array_equal(m.to_dense(), np.eye(4))

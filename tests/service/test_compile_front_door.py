@@ -2,8 +2,8 @@
 
 ``handle_compile`` used to run its own parse → key → single-flight around an
 uncached ``compile_kernel``, with the dependence gate *inside* the build
-closure — so a gate-rejected nest compiled once under ``verify="off"`` was
-served as a hit to every later default request, a tampered certificate was
+closure — so a gate-rejected nest compiled once with the gate switched off
+was served as a hit to every later checked request, a tampered certificate was
 accepted on a hit, and a ``Program``-typed source was keyed un-normalized.
 These pin the fixes: every request, cached or not, goes front_end → gate →
 key before the lookup and is re-checked after a hit.
@@ -38,24 +38,20 @@ def _service():
     return CompileSolveService(ServiceConfig(workers=2, plan_cache=cache)), cache
 
 
-def test_gate_rejected_nest_compiled_under_verify_off_is_never_served_as_a_hit():
+def test_gate_rejected_nest_is_never_compiled_or_served():
     fmts = _fmts(6, "X", "Y", "Z")
     svc, cache = _service()
     with svc:
         first = svc.compile(REJECTED, fmts, tenant="a")
         assert first.status == "error" and first.error.startswith("VerificationError")
         assert "BER013" in first.error
-        unchecked = svc.compile(REJECTED, fmts, tenant="a", verify="off")
-        assert unchecked.ok and unchecked.value["outcome"] == "compiled"
         for tenant in ("a", "b"):
             later = svc.compile(REJECTED, fmts, tenant=tenant)
             assert later.status == "error", later.value
             assert later.error.startswith("VerificationError")
-        # the unchecked kernel stays reachable for requests that opt out again
-        again = svc.compile(REJECTED, fmts, verify="off")
-        assert again.ok and again.value["outcome"] == "hit"
-        assert again.value["kernel"] is unchecked.value["kernel"]
-    assert cache.stats()["misses"] == 1
+        stale = svc.compile(REJECTED, fmts, verify="off")
+        assert stale.status == "error" and "'verify'" in stale.error
+    assert cache.stats()["misses"] == 0 and len(cache) == 0
 
 
 def test_non_format_binding_is_an_error_response():

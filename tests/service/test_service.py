@@ -274,6 +274,25 @@ def test_missing_payload_fields_are_service_errors():
         assert "source" in r.error
 
 
+@pytest.mark.parametrize("kind, stale", [
+    ("compile", {"verify": "off"}),
+    ("solve_cg", {"backend": "interpreted", "maxiters": 5}),
+    ("solve_jacobi", {"backend": "interpreted"}),
+])
+def test_a_payload_key_the_handler_does_not_read_is_an_error(kind, stale):
+    """A misspelt or retired option is named in an error response, never
+    dropped (``maxiters`` would otherwise run the default 10·n iterations)."""
+    A = _poisson(16)
+    payload = {"A": A, "b": np.ones(16)}
+    if kind == "compile":
+        payload = {"source": SPMV_SRC, "formats": _spmv_fmts(A)}
+    with CompileSolveService(ServiceConfig(workers=1)) as svc:
+        r = svc.request(kind, {**payload, **stale})
+        assert r.status == "error" and r.error.startswith("ServiceError")
+        assert all(repr(k) in r.error for k in stale)
+        assert svc.request(kind, payload).ok  # the same request without them runs
+
+
 # ----------------------------------------------------------------------
 # observability: every request is attributable
 # ----------------------------------------------------------------------

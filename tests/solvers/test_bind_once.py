@@ -3,7 +3,7 @@
 ``power_iteration`` bind the SpMV (``kernels.spmv.bound_spmv``) and match
 a loop that re-enters ``spmv()`` every iteration; ``cg`` on a format
 binds its whole iteration program (``PCG_SRC``) and matches that program
-run as Python (``backend="interpreted"``).  The operators ``cg`` runs as
+run as Python (no C compiler).  The operators ``cg`` runs as
 numpy steps — a callable, a BlockSolve matrix, ILU's triangular solves —
 keep the numpy-order iterates, pinned against that loop written out."""
 
@@ -26,9 +26,9 @@ from repro.solvers.ilu import ilu0, solve_lower, solve_upper
 FORMATS = ["CRS", "Coordinate", "JDiag", "ITPACK", "Diagonal", "CCS"]
 
 
-def _per_iteration_spmv(A, backend=None):
+def _per_iteration_spmv(A):
     """What the solvers did before: a fresh ``spmv()`` per mat-vec."""
-    return lambda v: spmv(A, v, backend=backend)
+    return lambda v: spmv(A, v)
 
 
 @pytest.fixture
@@ -62,9 +62,10 @@ def test_solvers_match_per_iteration_spmv_bitwise(fmt, system, monkeypatch):
     A = FORMAT_NAMES[fmt].from_coo(coo)
     runs = {}
     for mode in ("bound", "reference"):
-        clear_kernel_cache()
-        backend = "interpreted" if mode == "reference" else None
-        res, names, total = _traced(lambda: cg(A, b, diag=coo.diagonal(), tol=1e-10, backend=backend))
+        if mode == "reference":  # the same print, run as Python
+            monkeypatch.setattr(native, "find_compiler", lambda: None)
+        clear_kernel_cache()  # a cached kernel keeps the tiers its earlier binds chose
+        res, names, total = _traced(lambda: cg(A, b, diag=coo.diagonal(), tol=1e-10))
         assert names.count("compiler.compile_kernel") == names.count("kernel.prepare") == 1
         assert total("compiler.kernels.prepares") == 1
         if mode == "reference":
@@ -85,6 +86,7 @@ def test_solvers_match_per_iteration_spmv_bitwise(fmt, system, monkeypatch):
     assert it == it0 and it > 3 and resid == resid0 and np.array_equal(x, x0)
     assert jac[1:] == jac0[1:] and np.array_equal(jac[0], jac0[0])
     assert pw[0] == pw0[0] and pw[2] == pw0[2] and np.array_equal(pw[1], pw0[1])
+    clear_kernel_cache()
 
 
 def _numpy_pcg(matvec, precond, b, tol, maxiter):
@@ -181,10 +183,26 @@ def test_wrong_length_vector_is_the_typed_extent_error(system):
     coo, b = system
     A = FORMAT_NAMES["CRS"].from_coo(coo)
     short = b[:-1]
-    for call in (lambda: spmv(A, short), lambda: bound_spmv(A)(short), lambda: cg(A, short),
-                 lambda: jacobi(A, short)):
+    for call in (lambda: spmv(A, short), lambda: bound_spmv(A)(short), lambda: cg(A, short)):
         with pytest.raises(CompileError, match="extent mismatch"):
             call()
+
+
+def test_jacobi_checks_its_system_like_cg(system):
+    """``jacobi`` names what is wrong with its input, through the check
+    every CG entry point runs, instead of failing inside the SpMV."""
+    coo, b = system
+    A = FORMAT_NAMES["CRS"].from_coo(coo)
+    wide = FORMAT_NAMES["CRS"].from_coo(COOMatrix.from_dense(np.ones((len(b), len(b) + 1))))
+    cases = [
+        (lambda v: A.to_dense() @ v, b, "Jacobi needs a square matrix Format, got function"),
+        (wide, b, "Jacobi needs a square matrix Format, got CRSMatrix"),
+        (A, b[:-1], "right-hand side has shape"),
+    ]
+    for op, rhs, message in cases:
+        with pytest.raises(ReproError, match=message) as err:
+            jacobi(op, rhs)
+        assert not isinstance(err.value, CompileError)
 
 
 def test_bound_spmv_blocksolve_uses_the_library_path():
