@@ -1,6 +1,6 @@
 """Observability: tracing, metrics, and plan explanation.
 
-Four cooperating pieces, all off by default and near-free when off:
+Three cooperating pieces, all off by default and near-free when off:
 
 * :mod:`repro.observability.trace` — span tracer instrumenting the
   compiler pipeline and the SPMD machine; exports Chrome ``trace_event``
@@ -11,16 +11,11 @@ Four cooperating pieces, all off by default and near-free when off:
   inspector-vs-executor renderers,
 * :mod:`repro.observability.explain` — ``explain(kernel)``: the join
   order, join implementation per term, sparsity predicate, and rejected
-  alternatives of every compiled statement,
-* :mod:`repro.observability.profile` — critical-path profiler and
-  cost-model audit over ``RunStats`` (per-rank compute/comm/idle
-  attribution, cross-rank critical path, load imbalance, α+β·n
-  prediction error).
+  alternatives of every compiled statement.
 
 ``python -m repro.observability.report trace.json`` pretty-prints a trace
-saved by ``Tracer.save`` or a benchmark ``--trace`` run;
-``--critical-path`` / ``--cost-audit`` run the profiler on the trace's
-embedded ``run_stats`` event.
+saved by ``Tracer.save`` or a benchmark ``--trace`` run: span summary,
+span tree and communication matrices.
 """
 
 from repro.observability.metrics import (

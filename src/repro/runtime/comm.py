@@ -115,8 +115,8 @@ def assemble_ghost(sched: GatherSchedule, xlocal: np.ndarray, recv: dict) -> np.
 
 def _mark_window(name: str, sched: GatherSchedule, owner: str | None, **attrs) -> None:
     """Trace instant on the rank's own timeline for one exchange window
-    (post / wait / blocking), so the critical-path report can line span
-    traffic up against the modeled supersteps."""
+    (post / wait / blocking), so a trace viewer shows where each exchange
+    falls among the rank's compute windows."""
     tracer = _trace.get_tracer()
     if tracer is None:
         return

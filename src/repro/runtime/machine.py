@@ -172,15 +172,6 @@ class PhaseStats:
         """Per-rank modeled α–β communication seconds of this superstep."""
         return model.time(self.msgs, self.nbytes)
 
-    def busy_time(self, model: CommModel) -> np.ndarray:
-        """Per-rank busy seconds: compute plus *charged* communication.
-
-        An overlapped superstep charges compute only — its wire time is in
-        flight under later compute (see ``RunStats.parallel_time``)."""
-        if self.overlapped:
-            return self.compute.copy()
-        return self.compute + self.rank_comm(model)
-
     def step_time(self, model: CommModel) -> float:
         """Estimated parallel duration of this superstep: slowest rank's
         compute plus its modeled communication."""
@@ -228,43 +219,17 @@ class RunStats:
         contributes only its compute; its modeled communication time is
         carried forward and finishes *under* the next superstep's compute
         — ``max(comm in flight, interior compute)`` instead of their sum,
-        the BlockSolve95 overlap model, folded by :meth:`step_attribution`.
-        """
-        durations, _busy, drain = self.step_attribution(model)
-        return sum(durations.tolist()) + drain
-
-    def comm_time(self, model: CommModel | None = None) -> float:
-        """Modeled α–β communication seconds over the whole run (slowest
-        rank per superstep, no overlap credit — the raw wire cost)."""
-        model = model or self.model or CommModel()
-        return sum(p.comm_time(model) for p in self.phases)
-
-    def step_attribution(
-        self, model: CommModel | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Per-superstep durations and per-rank busy seconds under the
-        overlap fold of :meth:`parallel_time`.
-
-        Returns ``(durations, busy, drain)``: ``durations[k]`` is what
-        superstep k contributes to the estimated wall time (an overlapped
-        exchange contributes its compute only; the step that closes an
-        overlap window is stretched to cover any communication still in
-        flight), ``busy[k, p]`` is rank p's busy seconds in that step
-        (compute plus charged communication), and ``drain`` is trailing
-        in-flight communication no compute ever covered.
-        :meth:`parallel_time` is ``durations`` summed in order plus ``drain``.
-
-        ``durations[k] - busy[k, p]`` is rank p's *wait* in superstep k —
-        the per-step idle exposure the critical-path profiler consumes.
+        the BlockSolve95 overlap model.  The step that closes an overlap
+        window is stretched to cover any communication still in flight,
+        and in-flight communication no compute ever covered is added at
+        the end.
         """
         model = model or self.model or CommModel()
         durations: list[float] = []
-        busy: list[np.ndarray] = []
         in_flight = 0.0
         for p in self.phases:
             if p.overlapped:
                 durations.append(float(np.max(p.compute)))
-                busy.append(p.compute.copy())
                 in_flight = max(in_flight, p.comm_time(model))
                 continue
             t = p.step_time(model)
@@ -272,70 +237,13 @@ class RunStats:
                 t = max(t, in_flight)
                 in_flight = 0.0
             durations.append(t)
-            busy.append(p.busy_time(model))
-        if not durations:
-            return np.zeros(0), np.zeros((0, self.nprocs)), in_flight
-        return np.asarray(durations), np.stack(busy), in_flight
+        return sum(durations) + in_flight
 
-    # ------------------------------------------------------------------
-    # serialization (the ``run_stats`` trace event)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-safe form carrying everything the offline profiler needs
-        (per-superstep kinds, labels, per-rank compute/traffic, overlap
-        flags, the α–β model); ``comm_matrix`` data stays in its own trace
-        event."""
-        return {
-            "nprocs": self.nprocs,
-            "model": (
-                {
-                    "latency": self.model.latency,
-                    "inv_bandwidth": self.model.inv_bandwidth,
-                }
-                if self.model is not None
-                else None
-            ),
-            "phases": [
-                {
-                    "kind": p.kind,
-                    "label": p.label,
-                    "compute": p.compute.tolist(),
-                    "msgs": p.msgs.tolist(),
-                    "nbytes": p.nbytes.tolist(),
-                    "overlapped": bool(p.overlapped),
-                    "retries": None if p.retries is None else p.retries.tolist(),
-                }
-                for p in self.phases
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunStats":
-        """Rebuild from :meth:`to_dict` (e.g. a ``run_stats`` trace event)."""
-        model = None
-        if doc.get("model"):
-            model = CommModel(
-                latency=float(doc["model"]["latency"]),
-                inv_bandwidth=float(doc["model"]["inv_bandwidth"]),
-            )
-        out = cls(int(doc["nprocs"]), model=model)
-        for ph in doc.get("phases", []):
-            out.phases.append(
-                PhaseStats(
-                    kind=str(ph["kind"]),
-                    label=ph.get("label"),
-                    compute=np.asarray(ph["compute"], dtype=np.float64),
-                    msgs=np.asarray(ph["msgs"], dtype=np.int64),
-                    nbytes=np.asarray(ph["nbytes"], dtype=np.int64),
-                    overlapped=bool(ph.get("overlapped", False)),
-                    retries=(
-                        None
-                        if ph.get("retries") is None
-                        else np.asarray(ph["retries"], dtype=np.int64)
-                    ),
-                )
-            )
-        return out
+    def comm_time(self, model: CommModel | None = None) -> float:
+        """Modeled α–β communication seconds over the whole run (slowest
+        rank per superstep, no overlap credit — the raw wire cost)."""
+        model = model or self.model or CommModel()
+        return sum(p.comm_time(model) for p in self.phases)
 
     def comm_matrix(self) -> np.ndarray:
         """Rank×rank byte matrix over the whole run: entry [p, q] is what
@@ -762,5 +670,4 @@ class Machine:
                     matrix=stats.comm_matrix().tolist(),
                     total_bytes=stats.total_nbytes(),
                 )
-                tracer.instant("run_stats", tid="machine", **stats.to_dict())
         return results, stats

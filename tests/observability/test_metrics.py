@@ -82,7 +82,7 @@ def test_machine_records_collective_metrics():
     assert snap["machine.bytes{kind=alltoallv}"] == stats.phases[0].nbytes.sum()
 
 
-def test_comm_matrix_total_equals_run_stats_bytes():
+def test_comm_matrix_total_equals_total_nbytes():
     m = Machine(4)
 
     def prog(p):

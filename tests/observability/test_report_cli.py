@@ -1,9 +1,8 @@
-"""Report CLI contract: exit codes on malformed input, analysis flags.
+"""Report CLI contract: exit codes on malformed input.
 
 ``python -m repro.observability.report`` is the one observability entry
 point CI shells out to, so its exit codes are API: 0 only when the
-requested report was actually produced, 1 on unreadable/malformed traces
-and on analyses the trace cannot support (no ``run_stats`` event).
+report was actually produced, 1 on unreadable or malformed traces.
 """
 
 import json
@@ -20,7 +19,7 @@ from repro.solvers.cg import parallel_cg
 
 @pytest.fixture(scope="module")
 def cg_trace(tmp_path_factory):
-    """A real 4-rank CG trace (with the embedded run_stats event)."""
+    """A real 4-rank CG trace."""
     n = 32
     A = np.eye(n) * 4.0
     for i in range(n - 1):
@@ -81,47 +80,36 @@ def test_plain_report_on_real_trace(cg_trace, capsys):
     assert main([cg_trace]) == 0
     out = capsys.readouterr().out
     assert "span summary" in out and "communication" in out
+    assert "comm matrix @" in out and "row Σ" in out
 
 
-def test_critical_path_report(cg_trace, capsys):
-    assert main([cg_trace, "--critical-path", "--top", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "per-rank attribution" in out
-    assert "critical path (top 4)" in out
-    assert "rank×step timeline" in out
-    assert "flamegraph" in out
-    assert "load imbalance" in out
-    # the printed totals agree (the acceptance invariant, re-parsed)
-    line = next(l for l in out.splitlines() if l.startswith("parallel time"))
-    assert "diff 0.000%" in line
-
-
-def test_cost_audit_report(cg_trace, capsys):
-    assert main([cg_trace, "--cost-audit", "--alpha", "4e-5", "--beta", "2.5e-8"]) == 0
-    out = capsys.readouterr().out
-    assert "cost-model audit" in out
-    assert "least-squares" in out
-    assert "executor" in out
-
-
-def test_critical_path_without_run_stats_exits_1(tmp_path, capsys):
-    """A compiler-only trace has spans but no run_stats instant."""
-    p = tmp_path / "nostats.json"
+def _trace_with_matrix(tmp_path, matrix):
+    p = tmp_path / "comm.json"
     p.write_text(
         json.dumps(
             {
                 "traceEvents": [
                     {
-                        "name": "compiler.parse",
-                        "ph": "X",
+                        "name": "comm_matrix",
+                        "ph": "i",
                         "ts": 0.0,
-                        "dur": 5.0,
-                        "tid": "compiler",
-                        "args": {},
+                        "tid": "machine",
+                        "args": {"nprocs": 2, "matrix": matrix, "total_bytes": 6},
                     }
                 ]
             }
         )
     )
-    assert main([str(p), "--critical-path"]) == 1
-    assert "run_stats" in capsys.readouterr().err
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1, 2], [3]], "oops", [1, 2, 3], [[1, 2, 3]]],
+    ids=["ragged", "non-numeric", "one-dimensional", "non-square"],
+)
+def test_malformed_comm_matrix_exits_1(tmp_path, capsys, matrix):
+    assert main([_trace_with_matrix(tmp_path, matrix)]) == 1
+    err = capsys.readouterr().err
+    assert "malformed trace" in err and "comm_matrix" in err
+

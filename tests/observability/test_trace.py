@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import CRSMatrix, DenseVector, compile_kernel, table1_matrix
+from repro.errors import CommFailureError
 from repro.kernels.spmv import SPMV_SRC
 from repro.observability import trace
 from repro.observability.trace import (
@@ -17,6 +18,7 @@ from repro.observability.trace import (
     span,
     tracing_enabled,
 )
+from repro.runtime import DeliveryConfig, FaultPlan, Machine
 
 
 @pytest.fixture(autouse=True)
@@ -137,3 +139,32 @@ def test_disabled_tracer_overhead_under_5_percent():
     assert t_checks < 0.05 * t_kernel, (
         f"disabled-path cost {t_checks * 1e9:.0f}ns vs kernel {t_kernel * 1e6:.1f}us"
     )
+
+
+def test_abort_mid_run_still_yields_parseable_trace():
+    """A CommFailureError mid-run must not leak open spans: the Chrome
+    trace stays parseable and still carries the comm matrix and a
+    machine.abort marker."""
+    plan = FaultPlan(seed=8, drop=1.0)
+    m = Machine(2, faults=plan, delivery=DeliveryConfig(max_retries=2))
+
+    def prog(p):
+        yield ("phase", "executor")
+        yield ("alltoallv", {1 - p: np.ones(4)})
+        return p
+
+    tracer = enable_tracing()
+    try:
+        with pytest.raises(CommFailureError):
+            m.run(prog)
+    finally:
+        disable_tracing()
+    doc = json.loads(json.dumps(tracer.to_chrome()))  # parseable JSON
+    reloaded = Tracer.from_chrome(doc)
+    names = [r.name for r in reloaded.records]
+    assert "machine.abort" in names
+    assert "comm_matrix" in names
+    abort = next(r for r in reloaded.records if r.name == "machine.abort")
+    assert "CommFailureError" in abort.error
+    # rank windows were flushed despite the unwind: complete spans exist
+    assert any(r.dur is not None and r.name.startswith("rank") for r in reloaded.records)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PhaseNotFoundError, RuntimeMachineError
 from repro.runtime import CommModel, Machine
-from repro.runtime.machine import payload_nbytes
+from repro.runtime.machine import PhaseStats, RunStats, payload_nbytes
 
 
 def test_alltoallv_routes():
@@ -214,6 +214,67 @@ def test_parallel_time_positive():
     t = stats.parallel_time(CommModel())
     assert t > 0
     assert stats.total_compute().shape == (2,)
+
+
+# The overlap fold of ``RunStats.parallel_time`` on hand-built stats.  Every
+# input is a dyadic rational under α = 1 s, β = 0.5 s/byte, so each sum is
+# exact and the expected values are compared with ``==``.
+FOLD_MODEL = CommModel(latency=1.0, inv_bandwidth=0.5)
+
+
+def _step(kind, compute, msgs=(0, 0), nbytes=(0, 0), label=None):
+    return PhaseStats(
+        kind,
+        label,
+        np.array(compute, dtype=np.float64),
+        np.array(msgs, dtype=np.int64),
+        np.array(nbytes, dtype=np.int64),
+        overlapped=kind == "alltoallv_async",
+    )
+
+
+def _post(kind="alltoallv_async"):
+    # compute max 0.5 s; slowest rank's wire time 1 + 4 * 0.5 = 3.0 s
+    return _step(kind, [0.25, 0.5], msgs=[1, 1], nbytes=[2, 4])
+
+
+def _stats(*steps):
+    return RunStats(2, phases=list(steps), model=FOLD_MODEL)
+
+
+def test_overlapped_post_hides_its_comm_under_the_closing_step():
+    closing = _step("commwait", [4.0, 1.0])
+    assert _stats(_post(), closing).parallel_time() == 0.5 + 4.0
+    # the blocking exchange pays compute plus wire: max(0.25 + 2, 0.5 + 3)
+    assert _stats(_post("alltoallv"), closing).parallel_time() == 3.5 + 4.0
+
+
+def test_closing_step_shorter_than_comm_in_flight_is_stretched_to_it():
+    closing = _step("commwait", [1.0, 0.75])
+    assert _stats(_post(), closing).parallel_time() == 0.5 + 3.0
+
+
+def test_comm_still_in_flight_at_the_end_drains():
+    first = _step("barrier", [1.0, 2.0])
+    assert _stats(first, _post()).parallel_time() == 2.0 + 0.5 + 3.0
+
+
+def test_empty_run_has_zero_parallel_time():
+    assert RunStats(2, model=FOLD_MODEL).parallel_time() == 0.0
+    assert RunStats(2).parallel_time() == 0.0
+
+
+def test_phase_folds_its_own_window():
+    stats = _stats(
+        _step("phase", [0.0, 0.0], label="inspector"),
+        _post("alltoallv"),
+        _step("phase", [0.0, 0.0], label="executor"),
+        _post(),
+        _step("commwait", [4.0, 1.0]),
+    )
+    assert stats.phase("inspector").parallel_time() == 3.5
+    assert stats.phase("executor").parallel_time() == 0.5 + 4.0
+    assert stats.parallel_time() == 3.5 + 0.5 + 4.0
 
 
 def test_payload_nbytes():
