@@ -17,7 +17,7 @@ Pipeline:
    access-method properties and a cost model.
 5. :mod:`~repro.compiler.codegen` — emit the chosen plan's scalar loop
    nest, the one printer (``codegen.STRATEGIES``: the ``"vectorized"``
-   backend first collapses dense blocks into ``block-gemv``), define it,
+   backend first collapses large dense blocks into ``block-gemv``), define it,
    and wrap it in a :class:`~repro.compiler.kernels.CompiledKernel`;
    :mod:`~repro.compiler.native` runs the nest as C at ``bind()`` when
    gcc is present, as Python otherwise.  Compiled kernels are

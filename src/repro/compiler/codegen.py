@@ -11,10 +11,10 @@ strategies it probes, in order, for every planned statement:
   Python only when no C compiler is on ``PATH`` or native declines the
   unit (and always for ``"interpreted"``, the semantic reference).
 * **block-gemv** — the ``"vectorized"`` backend's first strategy: when
-  the driver exposes a dense :meth:`inner_block_view` (i-nodes, clique
-  blocks, dense windows), its whole level walk collapses into one batched
-  dense product per block shape (BLAS), grouped once by
-  :func:`~repro.formats.blocks.block_groups`.
+  the driver exposes a dense :meth:`inner_block_view` (a block format
+  whose blocks average ``_SMALL_BLOCK`` values or more, where BLAS beats
+  the C nest), its level walk collapses into one batched dense product
+  per block shape, grouped once by :func:`~repro.formats.blocks.block_groups`.
 
 A program's nests print in order, one unit after another; consecutive
 units of a single-loop nest whose plans are that dense loop share it.  A

@@ -7,9 +7,9 @@ C and ``exec``-s no Python (a bind that runs it all as Python defines
 ``kern.python_pair``).  The cache key never sees the tier.  The tier is
 decided per unit: a unit stays on Python — counted in
 ``compiler.native.declined{reason}`` — when it is lowered ``block-gemv``
-(BLAS wins on dense blocks) or its nest does not translate; the bound
-call runs each run of consecutive units on one tier, C or Python, in unit
-order.  The whole kernel stays on Python when its backend is
+(blocks large enough for BLAS to win) or its nest does not translate;
+the bound call runs each run of consecutive units on one tier, C or
+Python, in unit order.  The whole kernel stays on Python when its backend is
 ``interpreted``, no compiler is on ``PATH``, an operand is neither a
 scalar nor a C-contiguous float64/int64/int32 array (a format's storage
 holds nothing else), or an output overlaps another operand.  So a C
@@ -572,10 +572,10 @@ def _tier_up(kern, formats, kinds, reasons):
 
 def tier_up(kern, formats, args):
     """The bound call's steps for these operands, in unit order: a C call
-    (its check twin already run) per run of units that translate, and a
-    Python ``(prepare, run, prepare names)`` per run that does not; None
-    when the whole kernel stays on its own Python pair.  Sets
-    ``kern.native`` either way.  Every label but ``block-gemv`` tiers up."""
+    (check twin run) per run of units that translate, a Python ``(prepare,
+    run, prepare names)`` per run that does not; None when the whole kernel
+    stays on its own Python pair.  Sets ``kern.native`` either way.  Every
+    label but ``block-gemv`` (blocks large enough for BLAS) tiers up."""
     reasons = tuple(lb if lb == "block-gemv" else None for lb in kern.unit_backends)
     try:
         if kern.backend == "interpreted":

@@ -280,11 +280,11 @@ class Format:
     def inner_block_view(self, prefix: str):
         """Dense-block vectorization view of the whole format, or None.
 
-        For formats whose final (row, column) levels form a small dense
-        block under each position of the levels above (i-nodes, clique
-        blocks, dense windows), the code generator collapses the nest
-        into one batched GEMV per block *shape*.  The view describes all
-        blocks at once, as expressions over the format's storage::
+        For formats whose final (row, column) levels form a dense block
+        under each position of the levels above (i-nodes, clique blocks,
+        dense windows) large enough for BLAS, the code generator collapses
+        the nest into one batched GEMV per block *shape*; the view describes
+        all blocks at once, as expressions over the format's storage::
 
             {"nrows": expr, "ncols": expr,   # per-block extents (arrays)
              "rows": (start_expr, index_expr | None),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import check_shape
+from repro.formats.base import check_shape, index_array
 from repro.formats.blocks import Axis, BlockFormat, BlockLayout, block_of
 from repro.formats.coo import COOMatrix, segment_ptr
 
@@ -39,9 +39,8 @@ class BlockDiagonalMatrix(BlockFormat):
 
     def __init__(self, n, blockptr, vals, voff):
         self._shape = check_shape((n, n), 2)
-        self.blockptr = np.asarray(blockptr, dtype=np.int64)
+        self.blockptr, self.voff = index_array(blockptr), index_array(voff)
         self.vals = np.asarray(vals, dtype=np.float64)
-        self.voff = np.asarray(voff, dtype=np.int64)
         if self.blockptr[0] != 0 or self.blockptr[-1] != n:
             raise FormatError("blockptr must partition [0, n)")
         if np.any(np.diff(self.blockptr) <= 0):
@@ -63,7 +62,7 @@ class BlockDiagonalMatrix(BlockFormat):
         Off-block entries of ``coo`` are ignored (callers split the matrix
         first); within-block missing entries are stored as explicit zeros.
         """
-        blockptr = np.asarray(blockptr, dtype=np.int64)
+        blockptr = index_array(blockptr)
         n = coo.shape[0]
         if coo.shape[0] != coo.shape[1]:
             raise FormatError(
@@ -71,12 +70,8 @@ class BlockDiagonalMatrix(BlockFormat):
                 f"{coo.shape[1]}; diagonal blocks cover rows and columns "
                 "with the same index range"
             )
-        if blockptr.ndim != 1 or len(blockptr) < 1:
-            raise FormatError("blockptr must be a 1-D partition of [0, n)")
-        if blockptr[0] != 0 or blockptr[-1] != n or np.any(np.diff(blockptr) <= 0):
-            raise FormatError(
-                "blockptr must start at 0, end at n, and be strictly increasing"
-            )
+        if blockptr.ndim != 1 or not len(blockptr) or blockptr[0] != 0 or blockptr[-1] != n or np.any(np.diff(blockptr) <= 0):
+            raise FormatError("blockptr must be a 1-D partition of [0, n): from 0 to n, strictly increasing")
         # keep an entry if its row and column fall in the same block
         coo = coo.canonicalized()  # duplicates must SUM, not last-write-win
         of = block_of(blockptr)

@@ -36,6 +36,9 @@ __all__ = ["Axis", "BlockLayout", "BlockFormat", "block_groups", "block_of"]
 #: Python-level trip per block (~5 µs) then costs less than copying the
 #: block's values into a batch (~0.7 ns each) would
 _GEMV_BLOCK = 4096
+#: blocks averaging fewer values than this print the scalar nest (run as C),
+#: not ``block-gemv``: the measured per-value curves cross between 13² and 14²
+_SMALL_BLOCK = 196
 
 
 def block_of(ptr) -> np.ndarray:
@@ -241,7 +244,17 @@ class BlockFormat(Format):
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_vals[{pos}]"
 
+    @property
+    def small_blocks(self) -> bool:
+        """The blocks average under ``_SMALL_BLOCK`` values: no block view."""
+        return len(self.vals) < _SMALL_BLOCK * getattr(self, self.layout.count)
+
+    def spec(self) -> tuple:
+        return (type(self).__qualname__, self.small_blocks)  # it picks the print
+
     def inner_block_view(self, prefix):
+        if self.small_blocks:
+            return None
         rows, cols = self.layout.rows, self.layout.cols
         return {
             "nrows": rows.extents_expr(prefix),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import check_shape
+from repro.formats.base import check_shape, index_array
 from repro.formats.blocks import Axis, BlockFormat, BlockLayout
 from repro.formats.coo import COOMatrix, segment_ptr
 
@@ -49,12 +49,8 @@ class DenseBlocksMatrix(BlockFormat):
 
     def __init__(self, shape, r0, c0, bh, bw, vals, voff):
         self._shape = check_shape(shape, 2)
-        self.r0 = np.asarray(r0, dtype=np.int64)
-        self.c0 = np.asarray(c0, dtype=np.int64)
-        self.bh = np.asarray(bh, dtype=np.int64)
-        self.bw = np.asarray(bw, dtype=np.int64)
+        self.r0, self.c0, self.bh, self.bw, self.voff = map(index_array, (r0, c0, bh, bw, voff))
         self.vals = np.asarray(vals, dtype=np.float64)
-        self.voff = np.asarray(voff, dtype=np.int64)
         nb = len(self.r0)
         if not (len(self.c0) == len(self.bh) == len(self.bw) == nb):
             raise FormatError("r0/c0/bh/bw must have equal lengths")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import check_shape
+from repro.formats.base import check_shape, index_array
 from repro.formats.blocks import Axis, BlockFormat, BlockLayout, block_of
 from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 from repro.graphs.inodes import find_inodes
@@ -37,12 +37,8 @@ class InodeMatrix(BlockFormat):
 
     def __init__(self, shape, rows, inodeptr, cols, colptr, vals, voff):
         self._shape = check_shape(shape, 2)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.inodeptr = np.asarray(inodeptr, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.colptr = np.asarray(colptr, dtype=np.int64)
-        self.vals = np.asarray(vals, dtype=np.float64)
-        self.voff = np.asarray(voff, dtype=np.int64)
+        self.rows, self.inodeptr, self.cols, self.colptr = map(index_array, (rows, inodeptr, cols, colptr))
+        self.vals, self.voff = np.asarray(vals, dtype=np.float64), index_array(voff)
         T = len(self.inodeptr) - 1
         if len(self.colptr) != T + 1 or len(self.voff) != T + 1:
             raise FormatError("inodeptr/colptr/voff length mismatch")

@@ -5,6 +5,7 @@ blocks), and the backends agree numerically on awkward inputs."""
 import numpy as np
 import pytest
 
+from repro.analysis.contracts import block_formats
 from repro.compiler import codegen, compile_kernel, get_backend
 from repro.compiler.kernels import clear_kernel_cache
 from repro.formats import (
@@ -45,11 +46,16 @@ def test_generate_source_takes_the_checked_backend_name(backend):
     assert got == (k.source, k.unit_backends)
 
 
-@pytest.mark.parametrize("fmt", ["CRS", "ITPACK", "CCS", "CCCS", "Coordinate", "JDiag", "Diagonal"])
+@pytest.mark.parametrize(
+    "fmt", ["CRS", "ITPACK", "CCS", "CCCS", "Coordinate", "JDiag", "Diagonal", "Inode", "BlockDiag", "DenseBlocks"]
+)
 def test_vectorized_prints_the_scalar_nest(fmt):
     """One printer: a unit that is not ``block-gemv`` prints exactly what
-    the interpreted backend prints (native runs that print as C)."""
-    A = FORMAT_NAMES[fmt].from_coo(COOMatrix.random(10, 10, 0.3, rng=0))
+    the interpreted backend prints (native runs that print as C).  So do
+    the block formats when their blocks are small (here blocks of 1 to 4
+    rows)."""
+    build = {**{n: f.from_coo for n, f in FORMAT_NAMES.items()}, **block_formats()}[fmt]
+    A = build(COOMatrix.random(10, 10, 0.3, rng=0))
     s = source_for(A)
     assert s == source_for(A, backend="interpreted")
     assert "for " in s and "np." not in s
@@ -69,16 +75,17 @@ def test_diagonal_uses_affine_slices():
 
 
 def test_inode_uses_block_gemv():
-    A = InodeMatrix.from_coo(COOMatrix.random(10, 10, 0.4, rng=0))
+    # two 16x16 i-nodes: blocks at or above the cut run BLAS
+    A = InodeMatrix.from_coo(COOMatrix.from_dense(np.kron(np.eye(2), np.ones((16, 16)))))
     s = source_for(A)
     assert ".reshape(" in s and "@" in s
 
 
 def test_blockdiag_uses_block_gemv():
-    dense = np.zeros((6, 6))
-    dense[:3, :3] = np.arange(9).reshape(3, 3) + 1
-    dense[3:, 3:] = np.eye(3)
-    A = BlockDiagonalMatrix.from_coo_blocks(COOMatrix.from_dense(dense), [0, 3, 6])
+    dense = np.zeros((28, 28))
+    dense[:14, :14] = np.arange(196).reshape(14, 14) + 1
+    dense[14:, 14:] = np.eye(14)
+    A = BlockDiagonalMatrix.from_coo_blocks(COOMatrix.from_dense(dense), [0, 14, 28])
     s = source_for(A)
     assert "@" in s and ".reshape(" in s
 

@@ -5,7 +5,9 @@
 Hand-packed Inode / BlockDiag / DenseBlocks structures pin every branch
 of that grouping — value slice vs gather index, lone block, row-sharing
 windows, empty and zero-width blocks — against the dense reference and
-the interpreted backend.
+the interpreted backend.  Each structure is drawn at ``SCALE`` times its
+sketch on each side, so that its blocks average at least the small-block
+cut: smaller blocks print the scalar nest instead.
 """
 
 import zlib
@@ -32,16 +34,26 @@ KERNELS = {
 }
 
 
+#: each row, column and block edge of a case's sketch becomes this many
+SCALE = 8
+
+
 def _rng(tag: str):
     return case_rng(zlib.crc32(tag.encode()))
+
+
+def _grow(idx, k):
+    """Index list ``idx`` with each index ``x`` grown to ``k*x .. k*x+k-1``."""
+    return (k * np.asarray(idx, dtype=np.int64)[:, None] + np.arange(k)).ravel()
 
 
 def _ptr(lengths):
     return np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
 
 
-def _inode(rng, n, blocks):
+def _inode(rng, n, blocks, k=SCALE):
     """InodeMatrix + its dense form from ``(rows, cols)`` index lists."""
+    n, blocks = k * n, [(_grow(r, k), _grow(c, k)) for r, c in blocks]
     D = np.zeros((n, n))
     vals = []
     for rows, cols in blocks:
@@ -61,6 +73,7 @@ def _inode(rng, n, blocks):
 
 
 def _blockdiag(rng, widths):
+    widths = [SCALE * w for w in widths]
     n = int(sum(widths))
     D = np.zeros((n, n))
     vals, lo = [], 0
@@ -73,7 +86,8 @@ def _blockdiag(rng, widths):
     return BlockDiagonalMatrix(n, _ptr(widths), np.concatenate(vals or [[]]), _ptr(sq)), D
 
 
-def _windows(rng, n, wins):
+def _windows(rng, n, wins, k=SCALE):
+    n, wins = k * n, [tuple(k * v for v in win) for win in wins]
     D = np.zeros((n, n))
     vals = []
     for r0, c0, h, w in wins:
@@ -104,7 +118,7 @@ def _case(name):
     if name == "inode-zero-width":  # i-nodes with no columns, no rows
         return _inode(rng, 8, [
             (r(0, 2), []), (r(2, 4), [1, 6]), ([], [3, 4]), (r(4, 6), [0, 7]), ([6], []),
-        ])
+        ], k=2 * SCALE)  # three blocks of five are empty
     if name == "inode-shared-rows":  # a row in two same-shape i-nodes
         return _inode(rng, 8, [(r(0, 2), [0, 1]), ([1, 2], [4, 5]), ([3], [2, 6, 7])])
     if name == "inode-empty":
@@ -122,7 +136,7 @@ def _case(name):
     if name == "windows-shared-rows":  # two same-shape windows on the same rows
         return _windows(rng, 12, [(2, 0, 3, 3), (2, 5, 3, 3), (7, 2, 2, 4)])
     if name == "windows-big":  # same-shape blocks of >= 4096 values, apart in storage
-        return _windows(rng, 200, [(0, 10, 64, 64), (70, 90, 3, 5), (100, 120, 64, 64)])
+        return _windows(rng, 200, [(0, 10, 64, 64), (70, 90, 3, 5), (100, 120, 64, 64)], k=1)
     if name == "windows-empty":
         return _windows(rng, 6, [])
     raise KeyError(name)

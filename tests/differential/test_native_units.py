@@ -2,9 +2,9 @@
 
 A two-statement nest — a CRS SpMV, then a product whose sparse vector is
 searched — runs both units as C, byte for byte the interpreted backend.
-A nest whose second statement reads an ``InodeMatrix`` (lowered
-``block-gemv``, which stays on numpy) runs the first unit as C and the
-second on numpy; its output is byte for byte the two single-statement
+A nest whose second statement reads an ``InodeMatrix`` of i-nodes
+above the small-block cut (lowered ``block-gemv``, which stays on numpy)
+runs the first unit as C and the second on numpy; its output is byte for byte the two single-statement
 kernels run in sequence (each on its own tier), bound and unbound.  With
 no compiler the whole kernel runs numpy, again byte for byte the
 statements' kernels in sequence.
@@ -43,11 +43,18 @@ def _operands(n=29):
         vals = rng.standard_normal(coo.nnz)
         return COOMatrix(coo.shape, coo.row, coo.col, vals, canonical=True)
 
+    def blocked():
+        """Two i-nodes, 15x20 and 14x18: blocks above the cut."""
+        pattern = np.zeros((n, n), dtype=bool)
+        pattern[:15, rng.choice(n, 20, replace=False)] = True
+        pattern[15:, rng.choice(n, 18, replace=False)] = True
+        return COOMatrix.from_dense(np.where(pattern, rng.standard_normal((n, n)), 0.0))
+
     s = rng.standard_normal(n) * (rng.random(n) < 0.4)
     return {
         "A": CRSMatrix.from_coo(matrix()),
         "B": CRSMatrix.from_coo(matrix()),
-        "C": InodeMatrix.from_coo(matrix()),
+        "C": InodeMatrix.from_coo(blocked()),
         "X": DenseVector(rng.standard_normal(n)),
         "S": SparseVector.from_dense(s),
         "Y": DenseVector(rng.standard_normal(n)),

@@ -6,16 +6,23 @@ description they share (``repro.formats.blocks``).
   next product multiplies, for BS95's components too.
 * The contract sweep audits all three, each built with several blocks of
   several shapes.
+* Each constructor refuses an index array that int64 would change (a
+  fraction or a NaN) with ``FormatError``, instead of truncating it.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.contracts import audit_registered_formats, block_formats, default_probes
-from repro.formats import BlockSolveMatrix
+from repro.errors import FormatError
+from repro.formats import BlockSolveMatrix, COOMatrix
+from repro.formats.blockdiag import BlockDiagonalMatrix
+from repro.formats.denseblocks import DenseBlocksMatrix
+from repro.formats.inode import InodeMatrix
 from repro.matrices.fem import fem_matrix
 
 BLOCK = sorted(block_formats())
+BAD = pytest.mark.parametrize("bad", [0.4, 1.5, np.nan], ids=["0.4", "1.5", "nan"])
 
 
 def _fem():
@@ -53,3 +60,29 @@ def test_contract_sweep_audits_every_block_format():
     assert sorted(d.location for d in report.by_code("BER028")) == [
         f"format {name}" for name in BLOCK
     ]
+
+
+@BAD
+def test_inode_refuses_an_index_it_would_change(bad):
+    with pytest.raises(FormatError, match="index values must"):  # row 0.4 was row 0
+        InodeMatrix((2, 2), [bad, 1], [0, 2], [0, 1], [0, 2], np.ones(4), [0, 4])
+    with pytest.raises(FormatError, match="index values must"):
+        InodeMatrix((2, 2), [0, 1], [0, 2], [0, 1], [0, bad], np.ones(4), [0, 4])
+
+
+@BAD
+def test_blockdiag_refuses_an_index_it_would_change(bad):
+    with pytest.raises(FormatError, match="index values must"):  # [0, 1.5, 2] was [0, 1, 2]
+        BlockDiagonalMatrix(2, [0, bad, 2], np.ones(2), [0, 1, 2])
+    with pytest.raises(FormatError, match="index values must"):
+        BlockDiagonalMatrix(2, [0, 1, 2], np.ones(2), [0, bad, 2])
+    with pytest.raises(FormatError, match="index values must"):
+        BlockDiagonalMatrix.from_coo_blocks(COOMatrix.identity(2), [0, bad, 2])
+
+
+@BAD
+def test_denseblocks_refuses_an_index_it_would_change(bad):
+    with pytest.raises(FormatError, match="index values must"):
+        DenseBlocksMatrix((2, 2), [bad], [0], [1], [1], [1.0], [0, 1])
+    with pytest.raises(FormatError, match="index values must"):
+        DenseBlocksMatrix((2, 2), [0], [0], [1], [bad], [1.0], [0, 1])

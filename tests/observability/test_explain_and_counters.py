@@ -153,11 +153,13 @@ def test_cg_solve_explains_on_warm_schedule_cache():
 def test_explain_narrates_what_prepare_hoists():
     from repro.formats import FORMAT_NAMES, InodeMatrix
 
-    coo = COOMatrix.random(8, 8, 0.4, rng=0)
-    X, Y = DenseVector(np.ones(8)), DenseVector.zeros(8)
-    inode = compile_kernel(SPMV_SRC, {"A": InodeMatrix.from_coo(coo), "X": X, "Y": Y})
+    blocks = COOMatrix.from_dense(np.kron(np.eye(2), np.ones((16, 16))))  # i-nodes above the cut
+    X, Y = DenseVector(np.ones(32)), DenseVector.zeros(32)
+    inode = compile_kernel(SPMV_SRC, {"A": InodeMatrix.from_coo(blocks), "X": X, "Y": Y})
     text = explain(inode)
     assert "prepare (once per bind()" in text
     assert "block_groups(" in text  # block-gemv's hoisted grouping
+    coo = COOMatrix.random(8, 8, 0.4, rng=0)
+    X, Y = DenseVector(np.ones(8)), DenseVector.zeros(8)
     ccs = compile_kernel(SPMV_SRC, {"A": FORMAT_NAMES["CCS"].from_coo(coo), "X": X, "Y": Y})
     assert "prepare: nothing to hoist" in explain(ccs)

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.analysis.contracts import block_formats
 from repro.compiler import compile_kernel, native
 from repro.compiler.kernels import clear_kernel_cache
 from repro.errors import CompileError, ReproError
@@ -163,6 +164,30 @@ def test_iteration_program_is_one_c_run(fmt, system):
     kern.bind(A=A, rz=1.0, **vecs)
     assert kern.native.reason is None and len(kern.native.units) == len(kern.units)
     assert all(u.reason is None and u.fingerprint == kern.native.fingerprint for u in kern.native.units)
+
+
+@pytest.mark.parametrize("fmt", ["Inode", "BlockDiag"])
+def test_cg_on_small_blocks_is_one_c_call_per_iteration(fmt, system, monkeypatch):
+    """Blocks of a few rows print the scalar nest, so the whole iteration
+    program is one C run; its iterates are bitwise the no-compiler run's."""
+    if native.find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    coo, b = system
+    A = block_formats()[fmt](coo)  # BlockDiag keeps the blocks on row runs 1, 2, 3, ...
+    vecs = {k: DenseVector(b.copy()) for k in "XRZPQD"}
+    runs = []
+    for tier in ("gcc", "no-compiler"):
+        if tier == "no-compiler":
+            monkeypatch.setattr(native, "find_compiler", lambda: None)
+        clear_kernel_cache()
+        res = cg(A, b, diag=coo.diagonal(), tol=1e-10)
+        kern = compile_kernel(PCG_SRC, {"A": A, **vecs})  # the solve's kernel, from the cache
+        runs.append((res.x.tobytes(), res.iterations, res.residuals))
+        if tier == "gcc":
+            assert kern.native.reason is None and "block-gemv" not in kern.unit_backends
+            assert {u.fingerprint for u in kern.native.units} == {kern.native.fingerprint}
+    assert runs[0] == runs[1] and runs[0][1] > 3
+    clear_kernel_cache()
 
 
 def test_bound_spmv_returns_fresh_arrays_and_follows_value_edits(system):
