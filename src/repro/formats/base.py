@@ -396,7 +396,7 @@ def check_segments(ptr: np.ndarray, idx: np.ndarray, extent: int, name: str) -> 
         raise FormatError(f"segment pointers of {name} must be non-decreasing")
     if len(idx) and (idx.min() < 0 or idx.max() >= extent):
         raise FormatError(f"{name} holds an index outside [0, {extent})")
-    starts = np.zeros(len(idx) + 1, dtype=bool)
-    starts[ptr] = True
-    if np.any((np.diff(idx) <= 0) & ~starts[1:-1]):
+    step = np.diff(idx)
+    step[ptr[(ptr > 0) & (ptr < len(idx))] - 1] = 1  # a step into the next segment
+    if np.any(step <= 0):
         raise FormatError(f"{name} must be strictly increasing within each segment")

@@ -41,7 +41,7 @@ class BlockDiagonalMatrix(BlockFormat):
         self._shape = check_shape((n, n), 2)
         self.blockptr, self.voff = index_array(blockptr), index_array(voff)
         self.vals = np.asarray(vals, dtype=np.float64)
-        if self.blockptr[0] != 0 or self.blockptr[-1] != n:
+        if not len(self.blockptr) or self.blockptr[0] != 0 or self.blockptr[-1] != n:
             raise FormatError("blockptr must partition [0, n)")
         if np.any(np.diff(self.blockptr) <= 0):
             raise FormatError("blocks must be non-empty and increasing")

@@ -27,6 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.errors import FormatError
 from repro.formats.base import AccessLevel, Emitter, Format
 from repro.formats.coo import COOMatrix, segment_indices
 
@@ -243,6 +244,25 @@ class BlockFormat(Format):
 
     def emit_load(self, g, prefix, axis_vars, pos):
         return f"{prefix}_vals[{pos}]"
+
+    def validate(self) -> None:
+        """Range checks on what a Python run indexes unchecked: every block
+        lies inside its index list (or the matrix), every listed index
+        inside the matrix, and ``voff`` tiles ``vals`` block by block."""
+        count, sizes = getattr(self, self.layout.count), 1
+        for axis, ax in enumerate((self.layout.rows, self.layout.cols)):
+            start, extent, index = ax.arrays(self)
+            limit = self._shape[axis] if index is None else len(index)
+            if len(start) != count or len(extent) != count:
+                raise FormatError(f"{ax.start} does not place {count} blocks")
+            if count and (extent.min() < 0 or start.min() < 0 or (start + extent).max() > limit):
+                raise FormatError(f"{ax.start} places a block outside [0, {limit})")
+            if index is not None and len(index) and (index.min() < 0 or index.max() >= self._shape[axis]):
+                raise FormatError(f"{ax.index} holds an index outside [0, {self._shape[axis]})")
+            sizes = sizes * extent
+        voff = self.voff
+        if len(voff) != count + 1 or voff[0] != 0 or voff[-1] != len(self.vals) or np.any(np.diff(voff) != sizes):
+            raise FormatError("voff must tile vals block by block")
 
     @property
     def small_blocks(self) -> bool:

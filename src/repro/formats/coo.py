@@ -255,12 +255,6 @@ class COOMatrix(Format):
         """Sorted unique column indices of the stored entries, by a count, not a sort."""
         return np.flatnonzero(np.bincount(self.col, minlength=self._shape[1]))
 
-    def remap_columns(self, col_map: np.ndarray, new_ncols: int) -> "COOMatrix":
-        """Renumber column indices through ``col_map`` (e.g. global →
-        local x offsets, or global → ghost slots)."""
-        cols = np.asarray(col_map, dtype=np.int64)[self.col]
-        return COOMatrix((self._shape[0], new_ncols), self.row, cols, self.vals)
-
     def select_rows(self, rows) -> "COOMatrix":
         """Sub-matrix of the given global rows, *renumbered* 0..len(rows)-1
         (columns keep global numbering).  ``rows`` need not be sorted."""

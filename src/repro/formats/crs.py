@@ -22,6 +22,16 @@ class CRSMatrix(LevelFormat):
     format_name = "CRS"
     LEVELS = (DenseAxis(0), Compressed(1, "rowptr", "colind"))
 
+    def column_support(self) -> np.ndarray:
+        """Sorted unique column indices of the stored entries, by a count, not a sort."""
+        return np.flatnonzero(np.bincount(self.colind, minlength=self._shape[1]))
+
+    def remap_columns(self, col_map: np.ndarray, new_ncols: int) -> "CRSMatrix":
+        """Renumber column indices through ``col_map`` (global → ghost
+        slots, say).  The map must increase over the stored columns, so
+        every row stays sorted; the constructor checks that it does."""
+        return CRSMatrix((self._shape[0], new_ncols), self.rowptr, np.asarray(col_map)[self.colind], self.vals)
+
     # ------------------------------------------------------------------
     # hand-written reference operations (baseline / oracle use only)
     # ------------------------------------------------------------------

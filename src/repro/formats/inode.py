@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.base import check_shape, index_array
-from repro.formats.blocks import Axis, BlockFormat, BlockLayout, block_of
+from repro.formats.blocks import Axis, BlockFormat, BlockLayout
 from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
 from repro.graphs.inodes import find_inodes
 
@@ -95,27 +95,28 @@ class InodeMatrix(BlockFormat):
         keep_mask = np.asarray(keep_mask, dtype=bool)
         if len(keep_mask) != self._shape[1]:
             raise FormatError("mask length must equal ncols")
-        nr = np.diff(self.inodeptr)
-        inode_of_col = block_of(self.colptr)
-        col_of = self._value_positions()[1]
+        nr, nc = np.diff(self.inodeptr), np.diff(self.colptr)
+        keep = keep_mask[self.cols]
+        kept = np.diff(segment_ptr(keep)[self.colptr])  # per i-node
+        # per stored value, whether its column is kept: each block row
+        # reads its i-node's column list once, in order
+        value_keep = keep[segment_indices(np.repeat(self.colptr[:-1], nr), np.repeat(nc, nr))]
 
-        def build(sel) -> "InodeMatrix":
+        def build(sel, value_sel, ncols) -> "InodeMatrix":
             """The i-nodes with a selected column, cut down to the stored
             columns ``sel`` marks (their rows stay whole)."""
-            kept = np.bincount(inode_of_col[sel], minlength=self.ninodes)
-            live = kept > 0
+            live = ncols > 0
             return InodeMatrix(
                 self._shape,
                 self.rows[segment_indices(self.inodeptr[:-1][live], nr[live])],
                 segment_ptr(nr[live]),
                 self.cols[sel],
-                segment_ptr(kept[live]),
-                self.vals[sel[col_of]],
-                segment_ptr(nr[live] * kept[live]),
+                segment_ptr(ncols[live]),
+                self.vals[value_sel],
+                segment_ptr(nr[live] * ncols[live]),
             )
 
-        keep = keep_mask[self.cols]
-        return build(keep), build(~keep)
+        return build(keep, value_keep, kept), build(~keep, ~value_keep, nc - kept)
 
     def column_support(self) -> np.ndarray:
         """Sorted unique column indices referenced by any i-node."""
@@ -130,22 +131,20 @@ class InodeMatrix(BlockFormat):
         keep_mask = np.asarray(keep_mask, dtype=bool)
         row_map = np.asarray(row_map, dtype=np.int64)
         nc = np.diff(self.colptr)
-        inode_of_row = block_of(self.inodeptr)
-        keep = keep_mask[self.rows]  # per stored row
-        kept = np.bincount(inode_of_row[keep], minlength=self.ninodes)
+        at = np.flatnonzero(keep_mask[self.rows])  # the kept stored rows
+        inode = np.searchsorted(self.inodeptr, at, side="right") - 1
+        kept = np.bincount(inode, minlength=self.ninodes)
         live = kept > 0
-        # a stored row's values: nc of them, from its offset in its block
-        width = nc[inode_of_row]
-        vstart = self.voff[:-1][inode_of_row] + (
-            np.arange(len(self.rows)) - self.inodeptr[:-1][inode_of_row]
-        ) * width
+        # a kept row's values: nc of them, from its offset in its block
+        width = nc[inode]
+        vstart = self.voff[inode] + (at - self.inodeptr[inode]) * width
         return InodeMatrix(
             (new_nrows, self._shape[1]),
-            row_map[self.rows[keep]],
+            row_map[self.rows[at]],
             segment_ptr(kept[live]),
             self.cols[segment_indices(self.colptr[:-1][live], nc[live])],
             segment_ptr(nc[live]),
-            self.vals[segment_indices(vstart[keep], width[keep])],
+            self.vals[segment_indices(vstart, width)],
             segment_ptr(kept[live] * nc[live]),
         )
 

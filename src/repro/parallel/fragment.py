@@ -24,6 +24,7 @@ import numpy as np
 from repro.distribution.base import Distribution
 from repro.errors import DistributionError, InspectorError
 from repro.formats.coo import COOMatrix, segment_indices, segment_ptr
+from repro.formats.crs import CRSMatrix
 
 __all__ = ["Term", "RowFragment", "partition_rows"]
 
@@ -57,8 +58,12 @@ class RowFragment:
 
     rank: int
     dist: Distribution
-    matrix: COOMatrix  # shape (nlocal, nglobal_cols), rows local, cols global
+    matrix: COOMatrix  # canonical, shape (nlocal, nglobal_cols), rows local, cols global
     rows_global: np.ndarray  # local row offset -> global row index
+    rowptr: np.ndarray  # the matrix's row segments, from the partition's row counts
+    #: A[g, g] of each owned row g, in local order: a row's owner also owns
+    #: its column, so the partition pass finds the whole diagonal
+    diagonal: np.ndarray
 
     @property
     def nlocal(self) -> int:
@@ -70,21 +75,29 @@ class RowFragment:
 
     def global_terms(self) -> list[Term]:
         """Eq. 23: one fully global product."""
-        return [Term(self.matrix, "global")]
+        m = self.matrix
+        return [Term(CRSMatrix(m.shape, self.rowptr, m.col, m.vals), "global")]
 
     def mixed_terms(self) -> list[Term]:
         """Eq. 24: the product split by column ownership — decided from my
-        own index list alone, so it holds under a distributed IND too."""
-        m = self.matrix
+        own index list alone, so it holds under a distributed IND too.
+        Both statements are born CRS, their row pointers counted from the
+        few ghost entries."""
+        m, n = self.matrix, self.nlocal
         col_local = np.full(m.shape[1], -1, dtype=np.int64)
-        col_local[self.rows_global] = np.arange(self.nlocal)
+        col_local[self.rows_global] = np.arange(n)
         cols = col_local[m.col]
         mine = cols >= 0
-        local = COOMatrix(
-            (self.nlocal, max(1, self.nlocal)), m.row[mine], cols[mine], m.vals[mine]
-        )
-        rest = COOMatrix(m.shape, m.row[~mine], m.col[~mine], m.vals[~mine])
-        return [Term(local, "local"), Term(rest, "ghost")]
+        ghost = np.flatnonzero(~mine)
+        ghost_ptr = segment_ptr(np.bincount(m.row[ghost], minlength=n))
+        cols, vals = cols[mine], m.vals[mine]
+        if np.any(np.diff(self.rows_global) < 0):  # local offsets out of global order
+            order = np.lexsort((cols, m.row[mine]))
+            cols, vals = cols[order], vals[order]
+        return [
+            Term(CRSMatrix((n, max(1, n)), self.rowptr - ghost_ptr, cols, vals), "local"),
+            Term(CRSMatrix(m.shape, ghost_ptr, m.col[ghost], m.vals[ghost]), "ghost"),
+        ]
 
 
 def partition_rows(coo: COOMatrix, dist: Distribution) -> list[RowFragment]:
@@ -102,26 +115,21 @@ def partition_rows(coo: COOMatrix, dist: Distribution) -> list[RowFragment]:
     # segments gathered in (owner, local offset) order: one pass over the
     # entries, then one split at the rank boundaries.
     owned = [dist.owned_by(p) for p in range(dist.nprocs)]
-    counts = coo.row_counts()
-    rowptr = np.cumsum(counts) - counts
+    rowptr = np.searchsorted(coo.row, np.arange(coo.shape[0] + 1))
+    on = np.flatnonzero(coo.row == coo.col)  # at most one per row: canonical
+    diagonal = np.zeros(coo.shape[0])
+    diagonal[coo.row[on]] = coo.vals[on]
     rows = np.concatenate(owned)
-    cnt = counts[rows]
+    cnt = np.diff(rowptr)[rows]
     src = segment_indices(rowptr[rows], cnt)
     local = np.repeat(np.concatenate([np.arange(len(m)) for m in owned]), cnt)
     col, vals = coo.col[src], coo.vals[src]
-    bounds = segment_ptr(cnt)[segment_ptr([len(m) for m in owned])]
-    return [
-        RowFragment(
-            p,
-            dist,
-            COOMatrix(
-                (len(mine), coo.shape[1]),
-                local[bounds[p] : bounds[p + 1]],
-                col[bounds[p] : bounds[p + 1]],
-                vals[bounds[p] : bounds[p + 1]],
-                canonical=True,
-            ),
-            mine,
-        )
-        for p, mine in enumerate(owned)
-    ]
+    rowptrs = segment_ptr(cnt)
+    firsts = segment_ptr([len(m) for m in owned])  # each rank's first row in `rows`
+    fragments = []
+    for p, mine in enumerate(owned):
+        ptr = rowptrs[firsts[p] : firsts[p + 1] + 1]
+        lo, hi = ptr[0], ptr[-1]
+        matrix = COOMatrix((len(mine), coo.shape[1]), local[lo:hi], col[lo:hi], vals[lo:hi], canonical=True)
+        fragments.append(RowFragment(p, dist, matrix, mine, ptr - lo, diagonal[mine]))
+    return fragments

@@ -15,6 +15,8 @@ computation and index translation.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.distribution.multiblock import MultiBlockDistribution
@@ -30,7 +32,8 @@ class BSFragments:
     """Per-rank carving of BlockSolve structures (assembly-time work).
 
     All index spaces are the *reordered* one of the BlockSolveMatrix.
-    Carved pieces:
+    Carved pieces (all but ``A_D`` built on first use, so a term list
+    carves only the pieces it runs):
 
     * ``A_D``      — my dense clique blocks, local index space,
     * ``A_D_ino``  — the same blocks viewed as i-nodes with *global*
@@ -53,29 +56,36 @@ class BSFragments:
         mine_mask = np.zeros(n, dtype=bool)
         mine_mask[mine_rows] = True
         self.mine_mask = mine_mask
-        row_map = -np.ones(n, dtype=np.int64)
-        row_map[mine_rows] = np.arange(self.nlocal)
+        self.row_map = -np.ones(n, dtype=np.int64)
+        self.row_map[mine_rows] = np.arange(self.nlocal)
+        # dense clique blocks: cliques are never split across ranks
+        self._cliques = np.flatnonzero(mine_mask[bs.clique_ptr[:-1]])
+        w = np.diff(bs.clique_ptr)[self._cliques]
+        self._blockptr, self._voff = segment_ptr(w), segment_ptr(w * w)
+        self._flat = bs.dense_blocks.vals[segment_indices(bs.dense_blocks.voff[self._cliques], w * w)]
+        self.A_D = BlockDiagonalMatrix(self.nlocal, self._blockptr, self._flat, self._voff) if self.nlocal else None
 
-        # ---- dense clique blocks (cliques are never split across ranks)
-        widths = np.diff(bs.clique_ptr)
-        my_cliques = np.flatnonzero(mine_mask[bs.clique_ptr[:-1]])
-        w = widths[my_cliques]
-        blockptr, voff = segment_ptr(w), segment_ptr(w * w)
-        flat = bs.dense_blocks.vals[
-            segment_indices(bs.dense_blocks.voff[my_cliques], w * w)
-        ]
-        self.A_D = BlockDiagonalMatrix(self.nlocal, blockptr, flat, voff) if self.nlocal else None
-        # i-node view: rows local, columns GLOBAL (each clique's own range)
-        clique_rows = segment_indices(bs.clique_ptr[my_cliques], w)
-        self.A_D_ino = InodeMatrix(
-            (self.nlocal, n), row_map[clique_rows], blockptr, clique_rows, blockptr, flat, voff
+    @cached_property
+    def A_D_ino(self) -> InodeMatrix:
+        """The clique blocks with rows local and columns GLOBAL (each
+        clique's own range)."""
+        ptr = self._blockptr
+        clique_rows = segment_indices(self.bs.clique_ptr[self._cliques], np.diff(ptr))
+        return InodeMatrix(
+            (self.nlocal, self.bs.shape[0]), self.row_map[clique_rows], ptr, clique_rows, ptr, self._flat, self._voff
         )
 
-        # ---- off-diagonal i-nodes
-        self.off_global = bs.offdiag.select_rows(mine_mask, row_map, self.nlocal)
-        local_part, nonlocal_part = self.off_global.split_by_columns(mine_mask)
-        self.A_SL = local_part.remap_columns(row_map, max(1, self.nlocal))
-        self.A_SNL_global = nonlocal_part
+    @cached_property
+    def off_global(self) -> InodeMatrix:
+        return self.bs.offdiag.select_rows(self.mine_mask, self.row_map, self.nlocal)
+
+    @cached_property
+    def _split(self) -> tuple[InodeMatrix, InodeMatrix]:
+        local_part, nonlocal_part = self.off_global.split_by_columns(self.mine_mask)
+        return local_part.remap_columns(self.row_map, max(1, self.nlocal)), nonlocal_part
+
+    A_SL = property(lambda self: self._split[0])
+    A_SNL_global = property(lambda self: self._split[1])
 
     def mixed_terms(self) -> list[Term]:
         """Eq. 24:  local: y = A_D·x;  local: y += A_SL·x;  global: y += A_SNL·x."""

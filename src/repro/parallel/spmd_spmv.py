@@ -37,8 +37,8 @@ The seven variants of the evaluation are rows of :data:`SPMV_VARIANTS`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -48,8 +48,6 @@ from repro.compiler.specialize import split_source
 from repro.distribution.base import Distribution
 from repro.distribution.translation import build_translation_table
 from repro.errors import InspectorError
-from repro.formats.coo import COOMatrix
-from repro.formats.crs import CRSMatrix
 from repro.formats.dense import DenseVector
 from repro.formats.translated import TranslatedVector
 from repro.kernels.spmv import SPMV_SRC
@@ -106,8 +104,9 @@ class SpmdSpMV:
         supports = [t.A.column_support() for t in self.terms if t.reads != "local"]
         if len(supports) == 1:
             used = supports[0]  # already sorted and unique
-        else:
-            used = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *supports]))
+        else:  # their union, by a count, not a sort
+            cols = np.concatenate([np.empty(0, dtype=np.int64), *supports])
+            used = np.flatnonzero(np.bincount(cols, minlength=self.dist.nglobal))
         self._used = used
         cache = self.opts.resolved_cache()
         key = None
@@ -140,9 +139,11 @@ class SpmdSpMV:
 
     def localize(self):
         """Index translation: renumber the statements, then bind one
-        :func:`split_source` kernel per x view (library: a ``matvec`` each)."""
+        :func:`split_source` kernel per x view (library: a ``matvec`` each).
+        The statements arrive in the format they run in: nothing converts."""
         sched, used = self.sched, self._used
-        self._sched_sum = sched.checksum()  # what recovery verifies a rebuild against
+        self._setup_sched = replace(sched)  # the arrays the fingerprint reads
+        self.__dict__.pop("_sched_sum", None)  # a repeated setup re-fingerprints
         slots = sched.ghost_slot_of(used)
         if np.any(slots < 0):
             raise InspectorError("ghost translation missed a used column")
@@ -157,8 +158,6 @@ class SpmdSpMV:
         views, groups = {"local": self._x, "ghost": self._g}, {}
         for term in self.terms:
             A = term.A.remap_columns(xmap, nghost) if term.reads == "ghost" else term.A
-            if isinstance(A, COOMatrix) and not self.library:  # the exchange format; kernels run CRS
-                A = CRSMatrix.from_coo(A.canonicalized())
             groups.setdefault(term.reads, []).append(A)
         self.interior, self.boundary = [], []
         for reads, mats in groups.items():
@@ -169,6 +168,13 @@ class SpmdSpMV:
                 program, fmts = split_source(SPMV_SRC, "A", mats, {"X": X, "Y": self._y})
                 runs = [compile_kernel(program, fmts).bind(**fmts)]
             (self.interior if reads == "local" else self.boundary).extend(runs)
+
+    @cached_property
+    def _sched_sum(self) -> int:
+        """The fingerprint recovery verifies a rebuild against: the CRC32 of
+        the schedule ``localize()`` saw, taken on first read (recovery reads
+        it before an injector may damage the schedule)."""
+        return self._setup_sched.checksum()
 
     # -- executor --------------------------------------------------------
     def step(self, xlocal: np.ndarray):

@@ -488,8 +488,8 @@ def ensure_valid_schedule(strategy):
     Under injection every executor step starts with:
 
     1. apply any planned schedule corruption for (rank, step),
-    2. recompute the schedule checksum, compare against the value stored
-       at the end of ``setup()``,
+    2. recompute the schedule checksum, compare against the fingerprint of
+       the schedule ``setup()`` built (read before step 1),
     3. one allreduce: do *all* ranks still hold valid schedules?
     4. if not, every rank re-runs its inspector (``rebuild_schedule``) —
        re-inspection is collective, exactly like the original inspection —
@@ -505,10 +505,11 @@ def ensure_valid_schedule(strategy):
     step = getattr(strategy, "_exec_step", -1) + 1
     strategy._exec_step = step
     rank = strategy.rank
+    expected = strategy._sched_sum  # read before this step may damage the schedule
     if inj.corrupt_schedule_now(rank, step):
         if corrupt_schedule(strategy.sched, inj._rng(_TAG_CORRUPT_SCHED, rank, step)):
             inj.record("schedule_corrupt", step=step, src=rank, dst=rank)
-    ok = int(schedule_checksum(strategy.sched) == strategy._sched_sum)
+    ok = int(schedule_checksum(strategy.sched) == expected)
     n_ok = yield ("allreduce", ok)
     if n_ok == strategy.sched.nprocs:
         return False
@@ -524,7 +525,7 @@ def ensure_valid_schedule(strategy):
     with _trace.span("inspector.rebuild", rank=rank, step=step):
         _metrics.record("runtime.reinspections", 1)
         new_sched = yield from strategy.rebuild_schedule()
-    if schedule_checksum(new_sched) != strategy._sched_sum:
+    if schedule_checksum(new_sched) != expected:
         raise CommFailureError(
             f"rank {rank}: re-inspection did not restore the communication "
             f"schedule (step {step}); refusing to run on corrupt RecvInd"

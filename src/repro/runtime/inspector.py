@@ -80,13 +80,21 @@ class GatherSchedule:
         return schedule_checksum(self)
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """``np.unique`` of an index list by one sort: numpy 2's hashing
+    ``unique`` takes ~20x as long on the few thousand, mostly already
+    sorted, indices an inspector receives (measured on a 2-vCPU VM)."""
+    a = np.sort(np.asarray(values, dtype=np.int64))
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) else a
+
+
 def build_schedule_replicated(rank: int, dist: Distribution, needed_global):
     """Inspector against a *replicated* distribution relation.
 
     Ownership (the ⋈ IND of Eq. 22) is a local lookup; one all-to-all
     carries the requests.  ``yield from`` this inside a rank program.
     """
-    needed = np.unique(np.asarray(needed_global, dtype=np.int64))
+    needed = _sorted_unique(needed_global)
     if len(needed):
         owners = dist.owner(needed)
         locals_ = np.asarray(dist.local_index(needed), dtype=np.int64)
@@ -104,7 +112,7 @@ def build_schedule_translated(
     Eq. 22 becomes a distributed query: dereference every needed index
     through the table (two all-to-alls), then ship the requests (a third).
     """
-    needed = np.unique(np.asarray(needed_global, dtype=np.int64))
+    needed = _sorted_unique(needed_global)
     owners, locals_ = yield from dereference(table, needed)
     sched = yield from _request(rank, table.nprocs, needed, owners, locals_, "translated")
     return sched
@@ -121,7 +129,7 @@ def _request(rank, nprocs, needed, owners, locals_, path: str):
     sched.self_slots = np.flatnonzero(self_mask)
     sched.self_locals = locals_[self_mask]
     send = {}
-    for q in np.unique(owners[~self_mask]):
+    for q in np.flatnonzero(np.bincount(owners[~self_mask], minlength=nprocs)):
         mask = owners == q
         send[int(q)] = locals_[mask]
         sched.recv_slots[int(q)] = np.flatnonzero(mask)

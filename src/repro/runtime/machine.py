@@ -31,7 +31,7 @@ Helper subroutines compose with ``result = yield from helper(...)``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Generator, Iterable
 
 import numpy as np
@@ -266,6 +266,10 @@ class RunStats:
         """The sub-run between consecutive ``("phase", label)`` markers
         named ``label`` and the next phase marker (or end of run).
 
+        The marker that ends a window carries the window's tail (the work
+        after its last collective): it is added to the window's last
+        superstep, or is its one zero-traffic ``"tail"`` superstep.
+
         Raises :class:`~repro.errors.PhaseNotFoundError` when no marker
         with that label exists — an empty result here almost always means
         a typo in the label, not a phase that did no work.
@@ -273,13 +277,19 @@ class RunStats:
         out = RunStats(self.nprocs, model=self.model)
         active = False
         found = False
+        start = 0  # the open window's first superstep in out.phases
         for p in self.phases:
-            if p.kind == "phase":
-                active = p.label == label
-                found = found or active
+            if p.kind != "phase":
+                if active:
+                    out.phases.append(p)
                 continue
-            if active:
-                out.phases.append(p)
+            if active and len(out.phases) > start:
+                out.phases[-1] = replace(out.phases[-1], compute=out.phases[-1].compute + p.compute)
+            elif active:
+                out.phases.append(replace(p, kind="tail", label=None))
+            active = p.label == label
+            found = found or active
+            start = len(out.phases)
         if not found:
             known = self.phase_labels()
             raise PhaseNotFoundError(

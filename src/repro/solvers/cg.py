@@ -321,8 +321,10 @@ def parallel_cg(
         coo = A.to_coo()
         perm = np.arange(n)
         dist = dist or BlockDistribution(n, nprocs)
-        diag = coo.diagonal()
         data = partition_rows(coo, dist)
+        diag = np.zeros(n)
+        for frag in data:  # a row's owner owns its diagonal entry
+            diag[frag.rows_global] = frag.diagonal
     if dist.nprocs != nprocs or dist.nglobal != n:
         raise DistributionError(
             f"distribution is {dist.nglobal} rows over {dist.nprocs} ranks; "

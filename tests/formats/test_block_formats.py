@@ -7,18 +7,21 @@ description they share (``repro.formats.blocks``).
 * The contract sweep audits all three, each built with several blocks of
   several shapes.
 * Each constructor refuses an index array that int64 would change (a
-  fraction or a NaN) with ``FormatError``, instead of truncating it.
+  fraction or a NaN) with ``FormatError``, instead of truncating it, and
+  ``validate()`` refuses a block placed outside the matrix on either tier.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.contracts import audit_registered_formats, block_formats, default_probes
+from repro.compiler import clear_kernel_cache, compile_kernel, native
 from repro.errors import FormatError
-from repro.formats import BlockSolveMatrix, COOMatrix
+from repro.formats import BlockSolveMatrix, COOMatrix, DenseVector
 from repro.formats.blockdiag import BlockDiagonalMatrix
 from repro.formats.denseblocks import DenseBlocksMatrix
 from repro.formats.inode import InodeMatrix
+from repro.kernels.spmv import SPMV_SRC
 from repro.matrices.fem import fem_matrix
 
 BLOCK = sorted(block_formats())
@@ -86,3 +89,45 @@ def test_denseblocks_refuses_an_index_it_would_change(bad):
         DenseBlocksMatrix((2, 2), [bad], [0], [1], [1], [1.0], [0, 1])
     with pytest.raises(FormatError, match="index values must"):
         DenseBlocksMatrix((2, 2), [0], [0], [1], [bad], [1.0], [0, 1])
+
+
+def test_blockdiag_without_a_pointer_is_a_format_error():
+    with pytest.raises(FormatError, match=r"blockptr must partition \[0, n\)"):
+        BlockDiagonalMatrix(0, [], [], [0])
+    assert BlockDiagonalMatrix(0, [0], [], [0]).nblocks == 0  # the empty partition
+
+
+def _inode_row_minus_one():
+    return InodeMatrix((2, 2), [-1, 1], [0, 2], [0, 1], [0, 2], np.ones(4), [0, 4])
+
+
+def _blockdiag_starting_at_minus_one():
+    A = BlockDiagonalMatrix(2, [0, 2], np.ones(4), [0, 4])
+    A.blockptr[0] = -1  # past the constructor: block 0 now spans rows -1, 0
+    return A
+
+
+def _denseblocks_at_row_minus_one():
+    A = DenseBlocksMatrix((2, 2), [0], [0], [2], [2], np.ones(4), [0, 4])
+    A.r0[0] = -1
+    return A
+
+
+@pytest.mark.parametrize("tier", ["gcc", "no-compiler"])
+@pytest.mark.parametrize(
+    "make", [_inode_row_minus_one, _blockdiag_starting_at_minus_one, _denseblocks_at_row_minus_one]
+)
+def test_out_of_range_block_index_is_a_format_error_on_both_tiers(make, tier, monkeypatch):
+    # Python would wrap index -1 to the last row and return a wrong Y
+    if tier == "gcc" and native.find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    if tier == "no-compiler":
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+    clear_kernel_cache()  # a cached kernel keeps the tiers its earlier binds chose
+    A = make()
+    with pytest.raises(FormatError):
+        A.validate()
+    fmts = {"A": A, "X": DenseVector(np.ones(2)), "Y": DenseVector.zeros(2)}
+    with pytest.raises(FormatError):
+        compile_kernel(SPMV_SRC, fmts)(**fmts)
+    clear_kernel_cache()

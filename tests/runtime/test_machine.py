@@ -1,5 +1,7 @@
 """The BSP machine: collectives, SPMD discipline, statistics."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,42 @@ def test_window_selects_named_region():
     _, stats = m.run(prog)
     assert len(stats.phase("a").phases) == 1
     assert len(stats.phase("b").phases) >= 2
+
+
+def test_phase_keeps_the_work_before_its_closing_marker():
+    # the work between a window's last collective and the next marker (an
+    # inspector's index translation, say) rides on the marker's superstep
+    m = Machine(2)
+
+    def prog(p):
+        yield ("phase", "inspector")
+        _ = yield ("allreduce", 1.0)
+        time.sleep(0.01)
+        yield ("phase", "executor")
+        _ = yield ("allreduce", 1.0)
+        return None
+
+    _, stats = m.run(prog)
+    insp, ex = stats.phase("inspector"), stats.phase("executor")
+    assert insp.total_compute().min() >= 0.01
+    assert [ph.kind for ph in insp.phases] == ["allreduce"]
+    first = stats.phases[0].compute  # the first marker's entry opens no window
+    assert np.allclose(insp.total_compute() + ex.total_compute() + first, stats.total_compute())
+
+
+def test_phase_without_a_superstep_is_its_tail():
+    m = Machine(2)
+
+    def prog(p):
+        yield ("phase", "a")
+        time.sleep(0.01)
+        yield ("phase", "b")
+        return None
+
+    _, stats = m.run(prog)
+    a = stats.phase("a")
+    assert [(ph.kind, int(ph.msgs.sum())) for ph in a.phases] == [("tail", 0)]
+    assert a.total_compute().min() >= 0.01
 
 
 def test_mismatched_collectives_raise():
