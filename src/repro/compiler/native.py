@@ -528,30 +528,36 @@ def _tier_up(kern, formats, kinds, reasons):
     loaded C nest or ``(False, prepare, run, prepare names)`` of its Python
     pair (``steps`` is None when every unit stays on the kernel's own
     pair); ``kern.native``; the reasons each bind counts.  ``reasons``
-    holds the label each unit declines on, or None.  The whole nest is
-    translated first; only when that declines is each unit tried alone."""
-    n, units = len(kern.units), kern.units
+    holds the label each unit declines on, or None.  Each run of units the
+    labels admit is translated whole; only a run that declines is split, its
+    units tried alone."""
+    units = kern.units
     states = [NativeState(r) for r in reasons]
+    translated = {}  # units -> their C translation
+
+    def attempt(ks) -> bool:
+        """Translate units ``ks`` together; a lone unit's decline is its state."""
+        try:
+            translated[tuple(ks)] = translate(_source(kern, formats, [units[k] for k in ks]), kinds)
+        except Declined as exc:
+            if len(ks) == 1:
+                states[ks[0]] = NativeState(exc.args[0])
+            return False
+        return True
+
     with span("compiler.native.build", backend=kern.backend) as sp:
-        whole = None
-        if not any(reasons):
-            try:
-                whole = translate(_source(kern, formats, units), kinds)
-            except Declined as exc:
-                if n == 1:
-                    states[0] = NativeState(exc.args[0])
-        if whole is None and n > 1:
-            for k in (k for k, r in enumerate(reasons) if r is None):
-                try:
-                    translate(_source(kern, formats, units[k : k + 1]), kinds)
-                except Declined as exc:
-                    states[k] = NativeState(exc.args[0])
+        for ks in [ks for native, ks in _runs(states) if native]:
+            if not attempt(ks) and len(ks) > 1:
+                for k in ks:
+                    attempt([k])
         counted = [s.reason for s in states if s.reason]
         libraries = {}
         for native, ks in list(_runs(states)):
             if native:
                 try:
-                    c_source, checks = whole or translate(_source(kern, formats, [units[k] for k in ks]), kinds)
+                    c_source, checks = translated.get(tuple(ks)) or translate(
+                        _source(kern, formats, [units[k] for k in ks]), kinds
+                    )
                     funcs, fp, origin = _load(c_source)
                 except Declined as exc:  # no compiler, a failed build, or units that translate
                     # alone but not together: counted once per run

@@ -43,13 +43,8 @@ and compiles one ordinary kernel with one statement per region:
    decides per unit, so a ``block-gemv`` dense window stays on BLAS while
    the other regions run C.
 
-The decomposition requires every statement of the kernel source to be a
-``+=`` reduction each of whose additive terms reads the hybrid array
-exactly once as a factor (its sparsity predicate is ``NZ(A(..))``) — then
-the full sum is exactly the sum of per-region sums (each stored entry
-contributes one term through exactly one region, and a padding zero
-contributes nothing).  Anything else is rejected at compile time rather
-than silently double-executed per region.
+A split is legal only for sources :func:`_validate_decomposable` passes;
+anything else is rejected at compile time, not run once per region.
 """
 
 from __future__ import annotations
@@ -69,7 +64,7 @@ from repro.compiler.autoplan import (
 from repro.compiler.sparsity import sparsity_predicate, split_statement
 from repro.errors import CompileError
 from repro.formats.base import Format
-from repro.formats.coo import COOMatrix
+from repro.formats.coo import COOMatrix, segment_indices
 from repro.formats.dense import DenseVector
 from repro.formats.denseblocks import DenseBlocksMatrix
 from repro.formats.diagonal import diagonal_spans
@@ -128,8 +123,7 @@ class Region:
     detail: str = ""
     #: stored slots the materialization allocates (padding/fill included)
     stored: float = 0.0
-    #: outer segments per SpMV (windows, diagonals), priced by weights
-    #: fitted to the deleted numpy tier until the planner is re-priced
+    #: outer segments per SpMV (windows, diagonals), see :func:`plan_format`
     segments: float = 0.0
     #: dense windows (r0, c0, h, w) — only for kind == "dense"
     windows: tuple = ()
@@ -139,8 +133,9 @@ class Region:
         """The region's entries: full shape, global coordinates, source order."""
         if self.owner is None:
             return self.source
-        s, keep = self.source, self.owner == self.label
-        return COOMatrix(s.shape, s.row[keep], s.col[keep], s.vals[keep])
+        # a subsequence of the canonical source is canonical: the builders skip the re-check
+        s, at = self.source, np.flatnonzero(self.owner == self.label)
+        return COOMatrix(s.shape, s.row[at], s.col[at], s.vals[at], canonical=True)
 
     @property
     def nnz(self) -> int:
@@ -186,34 +181,48 @@ class RegionPartition:
 # ----------------------------------------------------------------------
 # the peeling pipeline
 # ----------------------------------------------------------------------
+def _member(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether each of ``q`` is in the ascending, nonnegative ``keys`` (a binary search)."""
+    return np.append(keys, -1)[np.searchsorted(keys, q)] == q
+
+
 def _find_dense_windows(coo, profile):
-    """Disjoint dense rectangles, as (r0, c0, h, w) in global coords, of a
-    canonical ``coo``.  Cost is one sort of the nnz tile keys, then O(dense
-    tiles) over key sets (no (n/8)x(m/8) tile grid): the sweep starts only
-    at dense 2x2 tile blocks, and a window's entries come from its row slice."""
+    """``(windows, entries)`` of a canonical ``coo``: disjoint dense
+    rectangles (r0, c0, h, w) in global coords, and the positions of their
+    entries.  Cost is one sort of the tile keys of the rows' runs (a
+    canonical row holds each tile column as one run), then O(dense tiles)
+    over key sets, no tile grid.  Only a diagonal-block seed is counted,
+    from its row slice: a swept window is a union of dense tiles, so it
+    passes ``WINDOW_FILL`` uncounted and its entries are its tiles' runs."""
     n, m = coo.shape
     t = TILE
     min_edge = MIN_WINDOW_TILES * t
     if n < min_edge or m < min_edge or coo.nnz == 0:
-        return []
+        return [], np.empty(0, dtype=np.int64)
     tw = -(-m // t)
-    tiles, counts = np.unique((coo.row // t) * tw + coo.col // t, return_counts=True)
+    row, tcol = coo.row, coo.col // t
+    start = np.flatnonzero(np.concatenate(([True], (tcol[1:] != tcol[:-1]) | (row[1:] != row[:-1]))))
+    length = np.diff(start, append=coo.nnz)  # <= t: one row's entries in one tile column
+    key = row[start] // t * tw + tcol[start]
+    bits = t.bit_length()  # room for a length: each (key, length) sorts as one integer
+    packed = np.sort(key << bits | length)
+    skey = packed >> bits
+    first = np.flatnonzero(np.diff(skey, prepend=-1))
+    tiles, counts = skey[first], np.add.reduceat(packed & ((1 << bits) - 1), first)
     ti, tj = np.divmod(tiles, tw)
     dense = tiles[counts >= TILE_FILL * np.minimum(t, n - ti * t) * np.minimum(t, m - tj * t)]
     free = set(dense.tolist())  # the dense tiles no accepted window touches
     accepted: list[tuple[int, int, int, int]] = []
+    inside, swept = [np.empty(0, dtype=np.int64)], []  # the windows' entries; the swept ones' tiles
 
     # No overlap test: seeds are disjoint diagonal blocks, every tile a
     # sweep candidate covers is free, and accepting un-frees every tile touched.
-    def accept(r0, c0, h, w) -> None:
-        if h < min_edge or w < min_edge or coo.nnz < WINDOW_FILL * h * w:
-            return
-        if len(coo.window_entries(r0, c0, h, w)) < WINDOW_FILL * h * w:
-            return
+    def accept(r0, c0, h, w) -> list[int]:
         accepted.append((r0, c0, h, w))
         j0, j1 = c0 // t, -(-(c0 + w) // t)
-        for i in range(r0 // t, -(-(r0 + h) // t)):
-            free.difference_update(range(i * tw + j0, i * tw + j1))
+        touched = [i * tw + j for i in range(r0 // t, -(-(r0 + h) // t)) for j in range(j0, j1)]
+        free.difference_update(touched)
+        return touched
 
     # 1) seed with the profile's diagonal-block partition: a wide diagonal
     #    block that is actually dense is a window even if its interior
@@ -221,14 +230,19 @@ def _find_dense_windows(coo, profile):
     ptr = np.asarray(profile.blockptr, dtype=np.int64)
     wide = np.flatnonzero(np.diff(ptr) >= min_edge)
     for lo, hi in zip(ptr[wide].tolist(), ptr[wide + 1].tolist()):
-        accept(lo, lo, hi - lo, hi - lo)
+        area = (hi - lo) ** 2
+        if coo.nnz >= WINDOW_FILL * area:  # else no count can pass
+            counted = coo.window_entries(lo, lo, hi - lo, hi - lo)
+            if len(counted) >= WINDOW_FILL * area:
+                accept(lo, lo, hi - lo, hi - lo)
+                inside.append(counted)
 
     # 2) greedy maximal rectangles over the free dense tiles, row-major,
     #    from the heads of dense 2x2 tile blocks: any other start makes a
-    #    window under two tiles on a side, which ``accept`` drops.  That
-    #    keeps a narrow band out, but from half-bandwidth 8 the tiles
-    #    beside the diagonal are dense too and a band shreds into 16x16s.
-    heads = dense[np.isin(dense[:, None] + (1, tw, tw + 1), dense).all(axis=1)]
+    #    window under two tiles on a side, which is dropped.  That keeps a
+    #    narrow band out, but from half-bandwidth 8 the tiles beside the
+    #    diagonal are dense too and a band shreds into 16x16s.
+    heads = dense[_member(dense, dense[:, None] + (1, tw, tw + 1)).all(axis=1)]
     for k in heads.tolist():
         if k not in free:
             continue
@@ -240,8 +254,13 @@ def _find_dense_windows(coo, profile):
         while all(q in free for q in range((i2 + 1) * tw + tj, (i2 + 1) * tw + j2 + 1)):
             i2 += 1
         r0, c0 = ti * t, tj * t
-        accept(r0, c0, min(n, (i2 + 1) * t) - r0, min(m, (j2 + 1) * t) - c0)
-    return accepted
+        h, w = min(n, (i2 + 1) * t) - r0, min(m, (j2 + 1) * t) - c0
+        if h >= min_edge and w >= min_edge:
+            swept += accept(r0, c0, h, w)
+    if swept:  # a swept window's entries are its tiles' runs
+        runs = _member(np.sort(np.array(swept, dtype=np.int64)), key)
+        inside.append(segment_indices(start[runs], length[runs]))
+    return accepted, np.concatenate(inside)
 
 
 def _residual_pricing(rows: np.ndarray, model: CostModel) -> tuple[str, float, float]:
@@ -258,11 +277,7 @@ def _residual_pricing(rows: np.ndarray, model: CostModel) -> tuple[str, float, f
     return best[1], float(len(rows)), best[2]
 
 
-def partition_regions(
-    coo,
-    profile=None,
-    model: CostModel | None = None,
-) -> RegionPartition:
+def partition_regions(coo, profile=None, model: CostModel | None = None) -> RegionPartition:
     """Split a matrix into an ordered loss-free cover of regions.
 
     The pipeline peels dense windows first (so a planted block is never
@@ -298,20 +313,12 @@ def partition_regions(
             return RegionPartition((n, m), nnz, tuple(regions), profile)
 
         # --- dense windows -------------------------------------------
-        windows = _find_dense_windows(coo, profile)
+        windows, inside = _find_dense_windows(coo, profile)
         if windows:
-            claim(
-                np.concatenate([coo.window_entries(*window) for window in windows]),
-                "dense",
-                "DenseBlocks",
-                detail=(
-                    f"{len(windows)} dense windows: "
-                    + ", ".join(f"{h}x{w}@({r0},{c0})" for r0, c0, h, w in windows)
-                ),
-                stored=float(sum(h * w for _, _, h, w in windows)),
-                segments=float(len(windows)),
-                windows=tuple(windows),
-            )
+            shown = ", ".join(f"{h}x{w}@({r0},{c0})" for r0, c0, h, w in windows)
+            stored = float(sum(h * w for _, _, h, w in windows))
+            claim(inside, "dense", "DenseBlocks", detail=f"{len(windows)} dense windows: {shown}",
+                  stored=stored, segments=float(len(windows)), windows=tuple(windows))
 
         # --- skew rows -----------------------------------------------
         rem = owner < 0
@@ -323,14 +330,8 @@ def partition_regions(
             hub = rcounts >= thresh
             nhubs = int(np.count_nonzero(hub))
             if nhubs and nhubs <= MAX_SKEW_ROW_FRAC * max(1, len(nonempty)):
-                claim(
-                    rem & hub[coo.row],
-                    "skew",
-                    detail=(
-                        f"{nhubs} hub rows >= {thresh:.0f} entries "
-                        f"(remaining mean {mean:.1f})"
-                    ),
-                )
+                detail = f"{nhubs} hub rows >= {thresh:.0f} entries (remaining mean {mean:.1f})"
+                claim(rem & hub[coo.row], "skew", detail=detail)
 
         # --- band diagonal runs --------------------------------------
         rem = owner < 0
@@ -341,17 +342,9 @@ def partition_regions(
             dense_run = (counts >= DIAG_MIN) & (counts >= DIAG_FILL * runlen)
             if dense_run.any():
                 offsets = np.flatnonzero(dense_run) - (n - 1)
-                claim(
-                    np.flatnonzero(rem)[dense_run[key]],
-                    "band",
-                    "Diagonal",
-                    detail=(
-                        f"{int(dense_run.sum())} dense diagonal runs, "
-                        f"offsets {offsets.min()}...{offsets.max()}"
-                    ),
-                    stored=float(runlen[dense_run].sum()),
-                    segments=float(dense_run.sum()),
-                )
+                detail = f"{int(dense_run.sum())} dense diagonal runs, offsets {offsets.min()}...{offsets.max()}"
+                claim(np.flatnonzero(rem)[dense_run[key]], "band", "Diagonal", detail=detail,
+                      stored=float(runlen[dense_run].sum()), segments=float(dense_run.sum()))
 
         # --- remainder ------------------------------------------------
         rem = owner < 0

@@ -249,10 +249,10 @@ class LevelFormat(Format):
         else:
             order = np.lexsort((entries, keys))
             idx, vals = entries[order].astype(width, copy=False), coo.vals[order]
-        if outer.arrays:  # the sorted stored outer indices
-            *head, counts = np.unique(keys, return_counts=True)
-        else:
-            head, counts = (), np.bincount(keys, minlength=coo.shape[outer.axis])
+        counts, head = np.bincount(keys, minlength=coo.shape[outer.axis]), ()
+        if outer.arrays:  # the sorted stored outer indices, by a count
+            head = (np.flatnonzero(counts),)
+            counts = counts[head[0]]
         ptr = np.zeros(len(counts) + 1, dtype=width)
         np.cumsum(counts, out=ptr[1:])
         return cls(coo.shape, *head, ptr, idx, vals)

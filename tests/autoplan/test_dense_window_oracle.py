@@ -9,16 +9,19 @@ canonical COO; it must return the very same window list, and
 ``partition_regions`` must produce bitwise-identical regions, on a seeded
 sweep of shapes (ragged edge tiles included), planted fills, block
 diagonals (windows off the tile grid), narrow and shredded bands,
-staircases of overlapping dense runs and degenerate inputs.
+staircases of overlapping dense runs and degenerate inputs.  A digest
+pins every plan and first call over 148 matrices to the bits the planner
+gave before swept windows went uncounted.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.analysis.structure import analyze_structure
-from repro.compiler import specialize
+from repro.compiler import CostModel, autoplan, specialize
 from repro.compiler.specialize import (
     MIN_WINDOW_TILES,
     TILE,
@@ -26,8 +29,9 @@ from repro.compiler.specialize import (
     WINDOW_FILL,
     partition_regions,
 )
-from repro.formats.coo import COOMatrix
-from tests.conftest import case_rng
+from repro.formats import COOMatrix, DenseVector
+from tests.conftest import DEFAULT_TEST_SEED, case_rng
+from tests.generators import STRUCTURE_CLASSES, integer_vector
 
 
 def _reference_find_dense_windows(coo, profile):
@@ -177,8 +181,8 @@ def _staircase(rng, n):
         c0 += 8 * int(rng.integers(1, w // 8))
 
 
-def _case(k):
-    rng = case_rng(7300, k)
+def _case(k, rng=None):
+    rng = rng or case_rng(7300, k)
     if k >= 96:  # wide bands (7 is just under shredding, 12 well over) and staircases
         n = int(rng.integers(60, 300))
         return _staircase(rng, n) if k % 3 == 2 else _banded(rng, n, (7, 12)[k % 3])
@@ -207,10 +211,16 @@ def _case(k):
 CASES = range(126)
 
 
+def _reference_dense_region(coo, profile):
+    """The grid sweep's windows, and their entries by full scans."""
+    windows = _reference_find_dense_windows(coo, profile)
+    inside = [_full_scan_entries(coo, *window) for window in windows]
+    return windows, np.concatenate(inside) if inside else np.empty(0, dtype=np.int64)
+
+
 def _reference_partition(coo, monkeypatch):
     with monkeypatch.context() as mp:
-        mp.setattr(specialize, "_find_dense_windows", _reference_find_dense_windows)
-        mp.setattr(COOMatrix, "window_entries", _full_scan_entries)
+        mp.setattr(specialize, "_find_dense_windows", _reference_dense_region)
         return partition_regions(coo)
 
 
@@ -218,9 +228,10 @@ def _reference_partition(coo, monkeypatch):
 def test_window_list_and_regions_match_the_grid_sweep(k, monkeypatch):
     coo = _case(k).canonicalized()
     profile = analyze_structure(coo)
-    assert specialize._find_dense_windows(coo, profile) == _reference_find_dense_windows(
-        coo, profile
-    )
+    windows, inside = specialize._find_dense_windows(coo, profile)
+    assert windows == _reference_find_dense_windows(coo, profile)
+    want = _reference_dense_region(coo, profile)[1]
+    assert np.sort(inside).tobytes() == np.sort(want).tobytes()
     got, want = partition_regions(coo), _reference_partition(coo, monkeypatch)
     assert len(got.regions) == len(want.regions)
     for g, w in zip(got.regions, want.regions):
@@ -267,3 +278,54 @@ def test_window_search_memory_grows_with_nnz_not_the_tile_grid():
     finally:
         tracemalloc.stop()
     assert peak < 48 * coo.nnz, (peak, coo.nnz)
+
+
+# ----------------------------------------------------------------------
+# the whole first call, pinned
+# ----------------------------------------------------------------------
+#: sha256 of every plan below, taken from the planner before swept
+#: windows went uncounted and the dense claim came from the tile sort
+PLAN_DIGEST = "122a3ef5a700663ad352d66af978624de09ef1ceaeece56e382828219e2cdabf"
+
+
+def _digest_cases():
+    """``(matrix, x)``: the sweep's cases with integer values, then every
+    generator class at n = 200 and 2000.  Fixed streams, not the run's
+    seed, and exact sums, so BLAS order cannot move a bit."""
+    for k in CASES:
+        rng = np.random.default_rng([DEFAULT_TEST_SEED, 7300, k])
+        coo = _case(k, rng).canonicalized()
+        vals = integer_vector(rng, coo.nnz)
+        yield COOMatrix(coo.shape, coo.row, coo.col, vals, canonical=True), integer_vector(rng, coo.shape[1])
+    for c, gen in enumerate(STRUCTURE_CLASSES.values()):
+        for n in (200, 2000):
+            rng = np.random.default_rng([DEFAULT_TEST_SEED, 7302, c, n])
+            coo = gen(rng, n)
+            yield coo, integer_vector(rng, coo.shape[1])
+
+
+def _plan_digest() -> str:
+    """sha256 over every candidate's regions (kind, format, detail,
+    windows, pricing inputs, entries), the ranking with each prediction's
+    exact bits, and the first-call ``y`` of the chosen plan and of every
+    feasible split."""
+    h = hashlib.sha256()
+    for coo, x in _digest_cases():
+        plan = autoplan(coo, model=CostModel())
+        for cand in plan.candidates:
+            h.update(repr((cand.format_name, cand.feasible, [float(p).hex() for p in cand.region_predictions])).encode())
+            for r in cand.partition.regions:
+                h.update(repr((r.kind, r.format_name, r.detail, r.windows, r.stored, r.segments)).encode())
+                for arr in (r.coo.row, r.coo.col, r.coo.vals):
+                    h.update(arr.tobytes())
+        hybrid = plan.candidate("Hybrid")
+        for chosen in (plan, hybrid) if hybrid.feasible else (plan,):
+            kernel, fmts = chosen.compile(coo)
+            fmts["X"], fmts["Y"] = DenseVector(x), DenseVector.zeros(coo.shape[0])
+            kernel(**fmts)
+            h.update(fmts["Y"].vals.tobytes())
+    return h.hexdigest()
+
+
+def test_plans_and_first_calls_match_the_pinned_digest():
+    assert _plan_digest() == PLAN_DIGEST

@@ -7,7 +7,8 @@ above the small-block cut (lowered ``block-gemv``, which stays on numpy)
 runs the first unit as C and the second on numpy; its output is byte for byte the two single-statement
 kernels run in sequence (each on its own tier), bound and unbound.  With
 no compiler the whole kernel runs numpy, again byte for byte the
-statements' kernels in sequence.
+statements' kernels in sequence.  A bind translates each run of C units
+once, as one nest, whichever unit beside it stays on numpy.
 """
 
 import zlib
@@ -15,11 +16,11 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.compiler import compile_kernel, native
+from repro.compiler import compile_kernel, native, plan_hybrid
 from repro.formats import COOMatrix, CRSMatrix, DenseVector, InodeMatrix, SparseVector
 from repro.observability import metrics
 from tests.conftest import case_rng
-from tests.generators import gen_power_law
+from tests.generators import gen_hybrid, gen_power_law
 
 SPMV = "Y[i] += A[i,j] * X[j]"
 SEARCHED = "Y[i] += B[i,j] * S[j]"
@@ -117,3 +118,26 @@ def test_without_a_compiler_the_whole_kernel_runs_numpy(bound, monkeypatch):
     assert snap["compiler.native.declined{reason=no-compiler}"] == 1
     assert fm["Y"].vals.tobytes() == _in_sequence(bound, SPMV, SEARCHED, BLOCKED).tobytes()
     assert not np.array_equal(fm["Y"].vals, _operands()["Y"].vals)
+
+
+def _translations(monkeypatch) -> list:
+    """The sources every later ``native.translate`` call is given."""
+    calls, translate = [], native.translate
+    monkeypatch.setattr(native, "translate", lambda source, kinds: calls.append(source) or translate(source, kinds))
+    return calls
+
+
+def test_a_bind_translates_each_c_run_once(monkeypatch):
+    calls = _translations(monkeypatch)
+    kernel = _compile(SPMV, BLOCKED)
+    kernel.bind(**_operands())
+    assert [u.reason for u in kernel.native.units][1] == "block-gemv"
+    assert len(calls) == 1
+
+    coo = gen_hybrid(np.random.default_rng([7303, 0]), 300)  # a fixed stream: the shape is asserted
+    kernel, fm = plan_hybrid(coo).compile(coo, cache=False)
+    del calls[:]
+    kernel.bind(**fm)
+    assert kernel.unit_backends == ("block-gemv", "scalar", "scalar", "scalar")
+    assert [u.reason for u in kernel.native.units][0] == "block-gemv"
+    assert len(calls) == 1

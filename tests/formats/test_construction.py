@@ -89,6 +89,7 @@ def oracle_ccs(coo: COOMatrix) -> CCSMatrix:
 
 
 def oracle_cccs(coo: COOMatrix) -> CCCSMatrix:
+    """Stored columns by ``np.unique``, as before the builder counted them."""
     coo = coo.canonicalized()
     order = np.lexsort((coo.row, coo.col))
     stored, counts = np.unique(coo.col[order], return_counts=True)
@@ -154,6 +155,8 @@ CASES = {
     "square": lambda rng: _random(rng, (30, 30), 200),
     "tall": lambda rng: _random(rng, (40, 7), 90),
     "wide": lambda rng: _random(rng, (7, 40), 90),
+    "one_column": lambda rng: _random(rng, (30, 1), 40),
+    "one_stored_column": lambda rng: COOMatrix((20, 30), rng.permutation(20), np.full(20, 17), rng.standard_normal(20)),
     "hub_row": _hub,
     "explicit_zeros": _explicit_zeros,
     "unsorted_duplicates": _unsorted_duplicates,
